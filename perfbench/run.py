@@ -14,14 +14,25 @@ With ``--trace 0`` the last stdout line carries the end-to-end metrics
 jobs alternate, and it carries the per-layer metrics of the traced jobs.
 The line before it is a summary with the job-time quartiles, the failure
 ratio and the accuracy error against the workload's reference value.
+
+A shared host's speed drifts (by 20-40% within minutes on the 2-vCPU
+host README.md describes), so every timed CLI call and set-up probe is
+bracketed by a short fixed loop (``host_loop``), and job_s and setup_s
+are reported in host-normalised seconds: wall seconds times HOST_REF_S
+over the loop time around them.  The raw wall times are in the summary
+line.
 """
 
 from __future__ import annotations
 
 import os
 
+# The bench, its set-up probes and the host loop all run on one CPU, so
+# the loop sees the speed of the CPU the timed work ran on.
+os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+
 #: BLAS/OpenMP thread cap, set before numpy is imported.
-THREADS = min(2, len(os.sched_getaffinity(0)))
+THREADS = len(os.sched_getaffinity(0))
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = str(THREADS)
 
@@ -39,6 +50,8 @@ import time  # noqa: E402
 import traceback  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
@@ -46,33 +59,67 @@ DATA = SRC / "corrdyn" / "data"
 RUN_DIR = ROOT / ".bench_run"
 
 #: Fresh-interpreter set-up measurements per run (after one warm-up).
-SETUP_PROBES = 9
+SETUP_PROBES = 25
+
+#: Nominal time of ``host_loop``; a host on which the loop takes this long
+#: reports wall seconds unchanged.  The loop takes 20-28 ms on the host
+#: described in README.md.
+HOST_REF_S = 0.020
 
 sys.path.insert(0, str(BENCH_DIR))
 from workloads import check_report, results_digest, workloads, write_config  # noqa: E402
 
 
+_HOST_POLY = np.array([1.0 + 0.5j, -0.3j, 0.7, 1.0])
+
+
+def host_loop() -> float:
+    """Seconds one pass of a fixed loop takes: scalar complex arithmetic
+    plus small numpy calls, the kind of work corrdyn's hot paths do."""
+    started = time.perf_counter()
+    acc = 0j
+    for k in range(12000):
+        z = complex((k % 97) / 97.0, 0.3)
+        acc += (z * z + 1.0) / (z + 2.0) + abs(z)
+        if k % 4 == 0:
+            acc += complex(np.polyval(_HOST_POLY, z))
+    return time.perf_counter() - started
+
+
+def normalised(walls: list[float], loops: list[float]) -> float:
+    """Sum of wall times, each scaled by HOST_REF_S over the mean of the
+    host loops timed just before and just after it."""
+    return sum(w * 2.0 * HOST_REF_S / (before + after)
+               for w, before, after in zip(walls, loops, loops[1:]))
+
+
 def run_job(workload, config_path: Path, seed: int, out_dir: Path, tracer=None):
-    """Run one job; return (wall seconds, results by command, problems)."""
+    """Run one job; return (wall seconds, host-normalised seconds, results
+    by command, problems)."""
     import corrdyn.cli
 
     problems: list[str] = []
     captured = io.StringIO()
+    walls: list[float] = []
+    loops = [host_loop()]
     patches = tracer.installed() if tracer is not None else contextlib.nullcontext()
     with patches, contextlib.redirect_stdout(captured), \
             contextlib.redirect_stderr(captured):
-        started = time.perf_counter()
-        try:
-            for key, command, call_seed in workload.calls(seed):
+        for key, command, call_seed in workload.calls(seed):
+            started = time.perf_counter()
+            try:
                 rc = corrdyn.cli.main([command, "--config", str(config_path),
                                        "--seed", str(call_seed),
                                        "--out", str(out_dir / key)])
+            except Exception:  # a crashing job is a failed job, not a dead run
+                problems.append(traceback.format_exc())
+            else:
                 if rc != 0:
                     problems.append(f"{key}: exit code {rc}")
-                    break
-        except Exception:  # a crashing job is a failed job, not a dead run
-            problems.append(traceback.format_exc())
-        wall = time.perf_counter() - started
+            walls.append(time.perf_counter() - started)
+            loops.append(host_loop())
+            if problems:
+                break
     results = {}
     if not problems:
         for key, command, _ in workload.calls(seed):
@@ -83,19 +130,23 @@ def run_job(workload, config_path: Path, seed: int, out_dir: Path, tracer=None):
             problems.extend(found)
     if problems:
         problems.append(captured.getvalue()[-2000:])
-    return wall, results, problems
+    return sum(walls), normalised(walls, loops), results, problems
 
 
-def measure_setup(config_path: Path) -> list[float]:
+def measure_setup(config_path: Path) -> tuple[list[float], list[float]]:
+    """Wall and host-normalised seconds of each set-up probe."""
     probe = [sys.executable, str(BENCH_DIR / "setup_probe.py"), str(SRC),
              str(config_path)]
-    values = []
-    for k in range(SETUP_PROBES + 1):
+    walls, scaled = [], []
+    subprocess.run(probe, capture_output=True, timeout=120, check=True)  # warm-up
+    loops = [host_loop()]
+    for _ in range(SETUP_PROBES):
         done = subprocess.run(probe, capture_output=True, text=True,
                               timeout=120, check=True)
-        if k:
-            values.append(float(done.stdout.strip()))
-    return values
+        walls.append(float(done.stdout.strip()))
+        loops.append(host_loop())
+        scaled.append(normalised(walls[-1:], loops[-2:]))
+    return walls, scaled
 
 
 def job_time_summary(walls: list[float]) -> dict:
@@ -140,9 +191,10 @@ def main(argv=None) -> int:
     run_dir = RUN_DIR / workload.name
     shutil.rmtree(run_dir, ignore_errors=True)
     config_path = write_config(workload, DATA, run_dir / "config.json")
-    setup = [] if args.trace else measure_setup(config_path)
+    setup_walls, setup = ([], []) if args.trace else measure_setup(config_path)
 
     walls = {False: [], True: []}
+    scaled_walls = {False: [], True: []}
     layer_runs: list[dict] = []
     failures: list[str] = []
     digests = []
@@ -152,12 +204,15 @@ def main(argv=None) -> int:
     while True:
         traced = bool(args.trace) and attempted % 2 == 1
         tracer = Tracer() if traced else None
+        if tracer is not None:
+            tracer.calibrate()
         out_dir = run_dir / f"job{attempted}"
         gc.collect()
-        wall, results, problems = run_job(workload, config_path, args.seed,
-                                          out_dir, tracer)
+        wall, scaled, results, problems = run_job(workload, config_path,
+                                                  args.seed, out_dir, tracer)
         attempted += 1
         walls[traced].append(wall)
+        scaled_walls[traced].append(scaled)
         if not problems:
             digests.append(results_digest(results))
             if digests[-1] != digests[0]:
@@ -189,19 +244,24 @@ def main(argv=None) -> int:
     summary = {
         "workload": workload.name, "seed": args.seed, "trace": args.trace,
         "size": args.size, "blas_threads": THREADS,
-        "job_s": job_time_summary(walls[False]),
+        "job_s": job_time_summary(scaled_walls[False]),
+        "job_wall_s": job_time_summary(walls[False]),
         "fail_ratio": len(failures) / attempted,
         "headline": headline, "reference": workload.reference,
         "reference_source": workload.reference_source,
         "abs_err": None if headline is None else abs(headline - workload.reference),
     }
     if args.trace:
-        summary["traced_job_s"] = job_time_summary(walls[True])
+        summary["traced_job_s"] = job_time_summary(scaled_walls[True])
+        summary["traced_job_wall_s"] = job_time_summary(walls[True])
         metrics = {}
         for name, unit in LAYER_UNITS.items():
             if name == "trace.overhead_s":
-                value = (statistics.median(walls[True])
-                         - statistics.median(walls[False]))
+                # Traced wall time minus the untraced job at the traced
+                # jobs' host speed, taken from the host-normalised times.
+                value = statistics.median(walls[True]) * (
+                    1.0 - statistics.median(scaled_walls[False])
+                    / statistics.median(scaled_walls[True]))
             elif name == "trace.job_s":
                 value = statistics.median(walls[True])
             elif name in COUNT_METRICS:
@@ -211,8 +271,9 @@ def main(argv=None) -> int:
             metrics[name] = {"value": value, "unit": unit}
     else:
         summary["setup_s"] = setup
+        summary["setup_wall_s"] = setup_walls
         metrics = {
-            "job_s": {"value": statistics.median(walls[False]), "unit": "s"},
+            "job_s": {"value": statistics.median(scaled_walls[False]), "unit": "s"},
             "setup_s": {"value": statistics.median(setup), "unit": "s"},
             "peak_rss_mb": {"value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                             / 1024.0, "unit": "MB"},

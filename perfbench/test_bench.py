@@ -86,11 +86,16 @@ def test_per_layer_metrics(workload):
         if layer in LAYER_COUNTS:
             assert first[LAYER_COUNTS[layer]]["value"] > 0, layer
 
-    # Self times, cli included, account for the traced job time.
+    # Self times, cli included, plus the tracing cost taken out of them
+    # account for the traced job time.
     self_total = sum(v["value"] for k, v in first.items() if k.endswith(".self_s"))
     job = first["trace.job_s"]["value"]
-    slack = max(abs(first["trace.overhead_s"]["value"]), 0.05 * job)
-    assert abs(self_total - job) <= slack
+    wrappers = first["trace.wrapper_s"]["value"]
+    assert abs(self_total + wrappers - job) <= 0.05 * job
+
+    # The wrappers cover the work: what is left in the root span is config
+    # handling and report writing, not an unwrapped hot path.
+    assert first["cli.self_s"]["value"] < 0.2 * job
 
     # Counts repeat exactly for a fixed seed.
     second = result(workload, 1)["metrics"]

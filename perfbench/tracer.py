@@ -6,6 +6,11 @@ attribute for methods) and restores the originals on exit.  Every call
 records a span (name, start, end, parent) into flat arrays; counters
 record work items (points, paths, edges, cells), not calls, so a batched
 API can later join the wrapper list without changing what a counter means.
+
+A wrapper costs about a microsecond per call, partly inside the span it
+records and partly outside it, in the caller's time.  ``calibrate()``
+measures both parts on a wrapped no-op, and self times are reported with
+them taken out, so a layer called millions of times keeps its real share.
 """
 
 from __future__ import annotations
@@ -121,12 +126,20 @@ class Tracer:
         self.stack: list[int] = []
         self.depth = dict.fromkeys(self.names, 0)
         self.counts: Counter = Counter()
+        #: Calls of count-only wrappers, keyed by the enclosing span index.
+        self.counted_under: Counter = Counter()
+        #: Tracing cost per wrapped call inside its span, outside it, and
+        #: of a count-only wrapper, in seconds (set by ``calibrate``).
+        self.cost_in = self.cost_out = self.cost_count = 0.0
 
     def wrap(self, name, fn, count):
         if name is None:
+            stack, counted_under = self.stack, self.counted_under
+
             @functools.wraps(fn)
             def counted(*args, **kwargs):
                 result = fn(*args, **kwargs)
+                counted_under[stack[-1] if stack else -1] += 1
                 count(self, args, kwargs, result)
                 return result
             return counted
@@ -155,6 +168,34 @@ class Tracer:
                 count(self, args, kwargs, result)
             return result
         return traced
+
+    def calibrate(self, calls: int = 5000, rounds: int = 20):
+        """Measure the tracing cost of one call on a wrapped no-op, through
+        a scratch tracer that runs the same code (span plus counter).
+
+        Each cost is the least over short rounds, the cost on the host at
+        its fastest.  A wrapped call seldom costs less, so the correction
+        errs low; the rest of the tracing cost stays in
+        the self times and shows as trace.overhead_s - trace.wrapper_s."""
+        probe = Tracer()
+
+        def noop(*args, **kwargs):
+            return None
+
+        spanned = probe.wrap(SPAN_NAMES[0], noop, _count_probe)
+        counted = probe.wrap(None, noop, _count_probe)
+        bare, total, inside, count_only = [], [], [], []
+        for _ in range(rounds):
+            bare.append(_seconds_per_call(noop, calls))
+            first = len(probe.span_start)
+            total.append(_seconds_per_call(spanned, calls))
+            inside.append((sum(probe.span_end[first:])
+                           - sum(probe.span_start[first:])) / calls)
+            count_only.append(_seconds_per_call(counted, calls))
+        base = min(bare)
+        self.cost_in = max(min(inside) - base, 0.0)
+        self.cost_out = max(min(total) - base - self.cost_in, 0.0)
+        self.cost_count = max(min(count_only) - base, 0.0)
 
     @contextmanager
     def installed(self):
@@ -198,30 +239,68 @@ class Tracer:
                 np.frombuffer(self.span_start, dtype=np.float64),
                 np.frombuffer(self.span_end, dtype=np.float64))
 
-    def self_times(self) -> dict[str, float]:
-        """Span time minus the time child spans cover, summed per name."""
-        names, parents, start, end = self.arrays()
+    def _span_self(self) -> np.ndarray:
+        """Self time of every span: its time minus the time its child spans
+        cover, minus the tracing cost inside it and that of the wrapped
+        calls made under it."""
+        _, parents, start, end = self.arrays()
+        n = len(start)
         duration = end - start
         has_parent = parents >= 0
         child = np.bincount(parents[has_parent], weights=duration[has_parent],
-                            minlength=len(duration))
-        own = np.bincount(names, weights=duration - child,
+                            minlength=n)
+        children = np.bincount(parents[has_parent], minlength=n)
+        counted = np.zeros(n)
+        for idx, calls in self.counted_under.items():
+            if idx >= 0:
+                counted[idx] += calls
+        return (duration - child - self.cost_in - self.cost_out * children
+                - self.cost_count * counted)
+
+    def self_times(self) -> dict[str, float]:
+        """Span self times summed per name."""
+        own = np.bincount(self.arrays()[0], weights=self._span_self(),
                           minlength=len(self.names))
         return {n: float(own[i]) for i, n in enumerate(self.names)}
 
-    def inclusive_times(self) -> dict[str, float]:
-        """Span time summed per name.  No traced function calls itself, so
-        spans of one name never overlap."""
-        names, _, start, end = self.arrays()
-        total = np.bincount(names, weights=end - start, minlength=len(self.names))
-        return {n: float(total[i]) for i, n in enumerate(self.names)}
+    def inclusive_time(self, name: str) -> float:
+        """Self time of the spans of ``name`` and of all spans under them.
+        No traced function calls itself, so spans of one name never nest."""
+        names, parents, _, _ = self.arrays()
+        under = names == self.name_id[name]
+        has_parent = parents >= 0
+        while True:  # a parent precedes its children, so this settles
+            grown = under.copy()
+            grown[has_parent] |= under[parents[has_parent]]
+            if (grown == under).all():
+                break
+            under = grown
+        return float(self._span_self()[under].sum())
+
+    def wrapper_seconds(self) -> float:
+        """Estimated tracing cost of the job, taken out of the self times."""
+        return (len(self.span_start) * (self.cost_in + self.cost_out)
+                + sum(self.counted_under.values()) * self.cost_count)
 
     def write(self, path: Path):
-        """Write the spans as flat arrays plus the name table."""
+        """Write the spans as flat arrays, the name table and the
+        calibrated costs (inside, outside, count-only)."""
         names, parents, start, end = self.arrays()
         path.parent.mkdir(parents=True, exist_ok=True)
         np.savez(path, name=names, parent=parents, start=start, end=end,
-                 names=np.array(self.names))
+                 names=np.array(self.names),
+                 cost=np.array([self.cost_in, self.cost_out, self.cost_count]))
+
+
+def _count_probe(tr, args, kwargs, result):
+    tr.counts["probe"] += 1
+
+
+def _seconds_per_call(fn, calls: int) -> float:
+    started = time.perf_counter()
+    for _ in range(calls):
+        fn(1.0, 2.0)
+    return (time.perf_counter() - started) / calls
 
 
 def _corrdyn_modules():
@@ -235,7 +314,7 @@ def layer_metrics(tracer: Tracer) -> dict[str, float]:
     """Per-layer values of one traced job, keyed by metric name."""
     self_s = tracer.self_times()
     c = tracer.counts
-    fiber_total = tracer.inclusive_times()["correspondence.fiber"]
+    fiber_total = tracer.inclusive_time("correspondence.fiber")
 
     def ratio(num, den):
         return num / den if den else 0.0
@@ -262,6 +341,9 @@ def layer_metrics(tracer: Tracer) -> dict[str, float]:
         "transfer.clamped_ratio": ratio(c["transfer.clamped"],
                                         c["transfer.kernel_edges"]),
         "transfer.power.iterations": c["transfer.power.iterations"],
+        "paths.families.inclusive_s": (tracer.inclusive_time("paths.separated")
+                                       + tracer.inclusive_time("paths.spanning")),
+        "trace.wrapper_s": tracer.wrapper_seconds(),
     })
     return out
 
@@ -286,6 +368,8 @@ def _units() -> dict[str, str]:
         "transfer.power.iterations": "count",
         "trace.job_s": "s",
         "trace.overhead_s": "s",
+        "paths.families.inclusive_s": "s",
+        "trace.wrapper_s": "s",
     })
     return units
 
