@@ -121,7 +121,8 @@ def _write_csv(path: Path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
+                             else v for v in row])
 
 
 def _write_measure_csv(path: Path, measure):

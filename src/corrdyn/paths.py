@@ -9,6 +9,8 @@ points[i] and points[i+1].
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -211,6 +213,57 @@ def _covers(p: ForwardPath, q: ForwardPath, eps: float) -> bool:
     return True
 
 
+def _check_family_input(paths: list[ForwardPath], eps: float):
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if paths and any(p.length != paths[0].length for p in paths):
+        raise LengthMismatch("all paths must share one length")
+
+
+#: Offsets of a cube and its 26 neighbours.
+_NEIGHBOURHOOD = tuple(itertools.product((-1, 0, 1), repeat=3))
+
+#: Widening of the index cubes beyond 2 eps, so that rounding in the unit
+#: vectors and in sph_dist cannot undercut the margin even for tiny eps.
+_CUBE_SLACK = 1e-12
+
+
+class _FamilyIndex:
+    """Admitted paths keyed by symbol word and the eps-cube of the last point.
+
+    The cube is the floor of the last point's unit vector divided by
+    side = 2 eps (plus rounding slack).  Chordal distance is the Euclidean
+    distance of unit vectors, so two paths whose last points lie in
+    non-adjacent cubes are more than 2 eps apart there: separated, and not
+    covering.  Paths with different words are separated and not covering
+    as well.  ``near`` therefore yields every admitted path whose pair
+    test could fail, and the greedy decisions match the all-pairs loop.
+    """
+
+    def __init__(self, eps: float):
+        self.side = 2.0 * eps + _CUBE_SLACK
+        self.admitted: list[ForwardPath] = []
+        self.words: dict[tuple[int, ...], dict[tuple[int, int, int], list]] = {}
+
+    def key(self, p: ForwardPath):
+        x, y, z = p.points[-1].unit_vector()
+        side = self.side
+        return p.symbols, (math.floor(x / side), math.floor(y / side),
+                           math.floor(z / side))
+
+    def near(self, key):
+        word, (i, j, k) = key
+        cubes = self.words.get(word)
+        if cubes:
+            for di, dj, dk in _NEIGHBOURHOOD:
+                yield from cubes.get((i + di, j + dj, k + dk), ())
+
+    def add(self, key, p: ForwardPath):
+        word, cube = key
+        self.words.setdefault(word, {}).setdefault(cube, []).append(p)
+        self.admitted.append(p)
+
+
 def separated_subset(paths: list[ForwardPath], eps: float,
                      weight: Callable[[ForwardPath], float] | None = None
                      ) -> list[ForwardPath]:
@@ -220,23 +273,18 @@ def separated_subset(paths: list[ForwardPath], eps: float,
     lower bound for the supremum of the weight sum over all separated
     families of the input.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if not paths:
-        return []
-    n = paths[0].length
-    if any(p.length != n for p in paths):
-        raise LengthMismatch("all paths must share one length")
+    _check_family_input(paths, eps)
     order = range(len(paths))
     if weight is not None:
         values = [weight(p) for p in paths]
         order = sorted(order, key=lambda i: -values[i])
-    admitted: list[ForwardPath] = []
+    index = _FamilyIndex(eps)
     for i in order:
         cand = paths[i]
-        if all(_is_separated(cand, a, eps) for a in admitted):
-            admitted.append(cand)
-    return admitted
+        key = index.key(cand)
+        if all(_is_separated(cand, a, eps) for a in index.near(key)):
+            index.add(key, cand)
+    return index.admitted
 
 
 def spanning_subset(paths: list[ForwardPath], eps: float,
@@ -248,20 +296,15 @@ def spanning_subset(paths: list[ForwardPath], eps: float,
     symbol word stays strictly within eps at every coordinate; the result
     eps-spans the whole input.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if not paths:
-        return []
-    n = paths[0].length
-    if any(p.length != n for p in paths):
-        raise LengthMismatch("all paths must share one length")
+    _check_family_input(paths, eps)
     order = range(len(paths))
     if weight is not None:
         values = [weight(p) for p in paths]
         order = sorted(order, key=lambda i: values[i])
-    admitted: list[ForwardPath] = []
+    index = _FamilyIndex(eps)
     for i in order:
         cand = paths[i]
-        if not any(_covers(a, cand, eps) for a in admitted):
-            admitted.append(cand)
-    return admitted
+        key = index.key(cand)
+        if not any(_covers(a, cand, eps) for a in index.near(key)):
+            index.add(key, cand)
+    return index.admitted

@@ -115,8 +115,9 @@ def pressure_estimate(corr: Correspondence, f: SphereFunction,
     if not schedule:
         raise ScheduleEmpty("schedule must contain at least one (n, eps) row")
     for n, eps in schedule:
-        if n < 1 or eps <= 0:
-            raise ValueError(f"invalid schedule row ({n}, {eps})")
+        if n < 1 or not 0 < eps < math.inf:
+            raise ValueError(f"invalid schedule row ({n}, {eps}): need n >= 1 "
+                             f"and a positive finite eps")
 
     if starts is None:
         sampler = start_sampler or grid_start_sampler(grid or SphereGrid(400))

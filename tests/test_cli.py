@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import shutil
@@ -220,3 +221,50 @@ class TestReportHygiene:
         rows1 = (out1 / "entropy_rows.csv").read_bytes()
         rows2 = (out2 / "entropy_rows.csv").read_bytes()
         assert rows1 == rows2
+
+    @pytest.mark.parametrize("schedule", [
+        [[4, 0.05], [8, math.nan]],
+        [[4, math.nan], [8, math.nan]],
+        [[4, 0.05], [8, math.inf]],
+    ])
+    def test_non_finite_eps_exits_3(self, workspace, schedule, capsys):
+        out = workspace / "nan_eps"
+        cfg = write_config(workspace, "nan_eps", {
+            "correspondence": "z2.corr",
+            "entropy": {"schedule": schedule, "start_points": 4, "cap": 64},
+            "out": str(out),
+        })
+        assert run(["entropy", "--config", cfg]) == 3
+        assert "invalid schedule row" in capsys.readouterr().err
+        assert not (out / "entropy_rows.csv").exists()
+
+    def test_csv_cells_parse(self, workspace):
+        # Every cell is an int or a float, except the documented string columns.
+        out = workspace / "var_csv"
+        cfg = write_config(workspace, "var_csv", {
+            "correspondence": "z2.corr",
+            "n_cells": 400,
+            "variational": {"f": "zero", "depth": 3, "empirical": 1,
+                            "n_keep": 2000, "start": [0.5, 0.3],
+                            "pressure": {"schedule": [[4, 0.05]],
+                                         "start_points": 8}},
+            "out": str(out),
+        })
+        assert run(["variational", "--config", cfg]) == 0
+        strings = {"variational.csv": {"label"}}
+        files = sorted(out.glob("*.csv"))
+        assert {f.name for f in files} >= {"variational.csv", "pressure_rows.csv"}
+        for path in files:
+            with path.open(newline="") as fh:
+                rows = list(csv.reader(fh))
+            header = rows[0]
+            assert len(rows) > 1
+            for row in rows[1:]:
+                assert len(row) == len(header)
+                for column, cell in zip(header, row):
+                    if column in strings.get(path.name, ()):
+                        continue
+                    try:
+                        int(cell)
+                    except ValueError:
+                        float(cell)

@@ -1,14 +1,18 @@
 import cmath
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+import corrdyn.paths as paths_mod
 from corrdyn.errors import EmptyPath, IndexOutOfRange, LengthMismatch
+from corrdyn.functions import fn_re
 from corrdyn.paths import (ForwardPath, enumerate_backward_paths,
                            enumerate_forward_paths, path_metric,
                            project_point, project_symbol, separated_subset,
                            shift, spanning_subset)
+from corrdyn.pressure import circle_start_sampler
 from corrdyn.sphere import SpherePoint, sph_dist
 
 
@@ -240,3 +244,180 @@ class TestFamilies:
                 assert any(a.symbols == p.symbols and all(
                     sph_dist(a.points[r], p.points[r]) <= 0.4
                     for r in range(n + 1)) for a in fam)
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the indexed families against the all-pairs greedy loops
+# ---------------------------------------------------------------------------
+
+
+def _pair_far(p, q, eps):
+    # Looked up on the module so that a counting wrapper sees these calls.
+    return any(paths_mod.sph_dist(a, b) > eps for a, b in zip(p.points, q.points))
+
+
+def _pair_close(p, q, eps):
+    return all(paths_mod.sph_dist(a, b) < eps for a, b in zip(p.points, q.points))
+
+
+def oracle_separated(paths, eps, weight=None):
+    """Greedy separated family, each candidate tested against every admitted path."""
+    order = range(len(paths))
+    if weight is not None:
+        values = [weight(p) for p in paths]
+        order = sorted(order, key=lambda i: -values[i])
+    admitted = []
+    for i in order:
+        cand = paths[i]
+        if all(cand.symbols != a.symbols or _pair_far(cand, a, eps)
+               for a in admitted):
+            admitted.append(cand)
+    return admitted
+
+
+def oracle_spanning(paths, eps, weight=None):
+    """Greedy spanning family, each candidate tested against every admitted path."""
+    order = range(len(paths))
+    if weight is not None:
+        values = [weight(p) for p in paths]
+        order = sorted(order, key=lambda i: values[i])
+    admitted = []
+    for i in order:
+        cand = paths[i]
+        if not any(a.symbols == cand.symbols and _pair_close(a, cand, eps)
+                   for a in admitted):
+            admitted.append(cand)
+    return admitted
+
+
+def re_weight(path):
+    return sum(fn_re(path.points[r]) for r in range(path.length))
+
+
+def assert_same_families(paths, eps, weight=None):
+    for fast, slow in ((separated_subset, oracle_separated),
+                       (spanning_subset, oracle_spanning)):
+        got = fast(paths, eps, weight=weight)
+        want = slow(paths, eps, weight=weight)
+        assert [id(p) for p in got] == [id(p) for p in want]
+
+
+def forward_pool(corr, starts, n, cap=4096):
+    pool = []
+    for i, s in enumerate(starts):
+        pool.extend(enumerate_forward_paths(corr, s, n, cap=cap, seed=[3, i]).paths)
+    return pool
+
+
+def circle_starts(k, seed):
+    return circle_start_sampler()(np.random.default_rng(seed), k)
+
+
+def path_from_unit_vectors(vectors, symbols=None):
+    pts = tuple(SpherePoint.from_unit_vector(v) for v in vectors)
+    n = len(pts) - 1
+    return ForwardPath(pts, tuple(symbols or [1] * n), (1,) * n)
+
+
+class TestFamilyIndexExactness:
+    @pytest.mark.parametrize("eps", [0.02, 0.05, 0.2, 0.6])
+    def test_mobius_pair_many_words(self, corr_pair, eps):
+        pool = forward_pool(corr_pair, circle_starts(6, 11) + [0.0, 0.5j], 6)
+        assert len({p.symbols for p in pool}) == 64
+        assert_same_families(pool, eps)
+        assert_same_families(pool, eps, weight=re_weight)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.3])
+    def test_z2_circle_one_word(self, corr_z2, eps):
+        pool = forward_pool(corr_z2, circle_starts(150, 12), 6)
+        assert len({p.symbols for p in pool}) == 1
+        assert_same_families(pool, eps)
+        assert_same_families(pool, eps, weight=re_weight)
+
+    @pytest.mark.parametrize("eps", [0.03, 0.1])
+    def test_z2_plus_z3_weighted_by_re(self, corr_z2z3, eps):
+        pool = forward_pool(corr_z2z3, circle_starts(10, 13), 3, cap=200)
+        assert_same_families(pool, eps, weight=re_weight)
+        assert_same_families(pool, eps)
+
+    @pytest.mark.parametrize("eps", [1e-9, 0.1, 1.0])
+    def test_paths_at_zero_and_infinity(self, eps):
+        inf = SpherePoint.infinity()
+        ends = [sp(0), inf, sp(1e-12), SpherePoint.from_reciprocal(1e-12),
+                sp(1e-3), SpherePoint.from_reciprocal(-1e-3), sp(1), sp(-1j)]
+        pool = [ForwardPath((start, end), (sym,), (1,))
+                for start in (sp(0), inf) for end in ends for sym in (1, 2)]
+        assert_same_families(pool, eps)
+        assert_same_families(pool, eps, weight=lambda p: abs(p.points[1].value))
+
+    def test_duplicated_paths(self, corr_pair, corr_z2):
+        for corr in (corr_pair, corr_z2):
+            pool = forward_pool(corr, circle_starts(20, 14), 4, cap=64)
+            doubled = pool + pool[::-1] + pool[:5]
+            assert_same_families(doubled, 0.05)
+            assert_same_families(doubled, 0.05, weight=re_weight)
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_last_points_on_cube_boundaries(self, m):
+        # Last points whose unit-vector coordinates are exact multiples of
+        # 2 eps, each with neighbours at chordal distances just below and
+        # above eps on both sides of the boundary.
+        base = [np.array(v, dtype=float) for v in
+                ([1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0],
+                 [0.0, 0.0, -1.0], [0.6, 0.8, 0.0], [0.0, 0.6, -0.8])]
+        eps = 0.3 / m
+        start = np.array([0.0, 0.0, -1.0])
+        ends = []
+        for u in base:
+            ends.append(u)
+            for axis in range(3):
+                for step in (-1.0, 1.0):
+                    for scale in (1.0 - 1e-9, 1.0, 1.0 + 1e-9, 0.5, 2.0):
+                        v = u.copy()
+                        v[axis] += step * scale * eps
+                        ends.append(v / np.linalg.norm(v))
+        pool = [path_from_unit_vectors([start, v]) for v in ends]
+        assert any(x != 0 and x % (2 * eps) == 0
+                   for p in pool for x in p.points[-1].unit_vector())
+        assert_same_families(pool, eps)
+        assert_same_families(pool, eps, weight=lambda p: p.points[-1].unit_vector()[0])
+
+    @pytest.mark.parametrize("eps", [2.0, 2.5, 1e6])
+    def test_eps_at_least_two(self, corr_z2, eps):
+        pool = forward_pool(corr_z2, circle_starts(30, 15) + [0.0, 2.0, 1e9], 3)
+        pool += [make_path([0.0, 0.0, 0.0, 0.0]), make_path([0.0, 1.0, 1.0, 1e300])]
+        assert_same_families(pool, eps)
+        assert_same_families(pool, eps, weight=re_weight)
+
+    def test_index_prunes_pair_tests(self, corr_z2, monkeypatch):
+        # 200 circle starts on z2 (one symbol word), n = 8, eps = 0.05.
+        pool = forward_pool(corr_z2, circle_starts(200, 0), 8)
+        calls = 0
+        real = paths_mod.sph_dist
+
+        def counted(p, q):
+            nonlocal calls
+            calls += 1
+            return real(p, q)
+
+        monkeypatch.setattr(paths_mod, "sph_dist", counted)
+
+        def count(runs):
+            nonlocal calls
+            calls = 0
+            for fam in runs:
+                fam(pool, 0.05, weight=re_weight)
+            return calls
+
+        fast = count((separated_subset, spanning_subset))
+        slow = count((oracle_separated, oracle_spanning))
+        assert 0 < fast <= slow / 4
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf, -math.inf])
+    def test_bad_eps_rejected(self, eps):
+        p = make_path([0.0, 1.0])
+        for fam in (separated_subset, spanning_subset):
+            with pytest.raises(ValueError, match="eps"):
+                fam([p], eps)
+            with pytest.raises(ValueError, match="eps"):
+                fam([], eps)
