@@ -13,8 +13,7 @@ maximal eigendata and adjoint fixed-point measure.
 __version__ = "0.1.0"
 
 from .correspondence import (BranchPoint, Correspondence, Fiber,  # noqa: F401
-                             backward_images, degrees, expansivity_probe,
-                             forward_images, load_correspondence)
+                             expansivity_probe, parse_correspondence)
 from .functions import (SphereFunction, TestFunctionFamily,  # noqa: F401
                         default_test_family, fn_const, fn_im, fn_log_abs,
                         fn_re, fn_zero, named_function)
@@ -22,10 +21,10 @@ from .grid import SphereGrid  # noqa: F401
 from .measures import (PathMeasure, SphereMeasure, SpherePartition,  # noqa: F401
                        VariationalEntry, check_shift_invariance,
                        empirical_invariant_measure, intermediate_entropy,
-                       join, lifted_partition, measure_distance,
+                       join, measure_distance,
                        measure_entropy, partition_entropy, pushforward,
                        total_variation, variational_check)
-from .paths import (BackwardPath, ForwardPath,  # noqa: F401
+from .paths import (ForwardPath,  # noqa: F401
                     enumerate_backward_paths, enumerate_forward_paths,
                     path_metric, project_point, project_symbol,
                     separated_subset, shift, spanning_subset)
@@ -37,4 +36,4 @@ from .sphere import (BivarPoly, SpherePoint, roots, sph_dist)  # noqa: F401
 from .transfer import (ActiveGrid, GridFunction, SpectralResult,  # noqa: F401
                        TransferKernel, adjoint_fixed_point, convergence_check,
                        holder_norm, lifted_consistency_check, normalize,
-                       power_iteration, ruelle_apply)
+                       power_iteration)

@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .correspondence import Correspondence, expansivity_probe, load_correspondence
+from .correspondence import Correspondence, expansivity_probe, parse_correspondence
 from .errors import (ConfigMismatch, CorrdynError, DegenerateStart,
                      DegreeConditionError, InvalidComponent, NonConvergence,
                      NotConverged, ParseError, PreimageOutsideSupport,
@@ -51,7 +50,6 @@ EXIT_MISMATCH = 5
 _DEFAULTS = {
     "n_cells": 2000,
     "seed": 0,
-    "workers": 1,
 }
 
 
@@ -59,7 +57,6 @@ class RunConfig:
     """Effective configuration: file values over defaults, CLI overrides."""
 
     def __init__(self, raw: dict, seed=None, out=None, base_dir: Path | None = None):
-        self.raw = dict(raw)
         self.base_dir = base_dir or Path.cwd()
         merged = dict(_DEFAULTS)
         merged.update(raw)
@@ -67,9 +64,6 @@ class RunConfig:
             merged["seed"] = seed
         if out is not None:
             merged["out"] = str(out)
-        env_workers = os.environ.get("CORRDYN_WORKERS")
-        if env_workers:
-            merged["workers"] = int(env_workers)
         if "correspondence" not in merged:
             raise ConfigMismatch("config is missing the correspondence path")
         merged.setdefault("out", "corrdyn-out")
@@ -84,11 +78,15 @@ class RunConfig:
             raise ConfigMismatch(f"config section {name!r} must be an object")
         return value
 
+    def resolve(self, value) -> Path:
+        """A path from the config, relative ones taken from the config's
+        directory."""
+        path = Path(value)
+        return path if path.is_absolute() else self.base_dir / path
+
     def load_correspondence(self) -> Correspondence:
-        path = Path(self.effective["correspondence"])
-        if not path.is_absolute():
-            path = self.base_dir / path
-        return load_correspondence(path.read_text())
+        return parse_correspondence(
+            self.resolve(self.effective["correspondence"]).read_text())
 
     def grid(self) -> SphereGrid:
         return SphereGrid(int(self.effective["n_cells"]))
@@ -382,7 +380,7 @@ def _cmd_variational(config: RunConfig, corr: Correspondence) -> dict:
     f_label = section.get("f", "zero")
     report_path = section.get("pressure_report")
     if report_path is not None:
-        stored = json.loads(Path(report_path).read_text())
+        stored = json.loads(config.resolve(report_path).read_text())
         stored_f = stored.get("results", {}).get("f")
         if stored_f != f_label:
             raise ConfigMismatch(

@@ -49,13 +49,6 @@ class Fiber:
     branches: tuple[BranchPoint, ...]
     degenerate: bool = False
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(b.multiplicity for b in self.branches)
-
-    def points(self) -> list[SpherePoint]:
-        return [b.point for b in self.branches]
-
 
 def _canonical_key(point: SpherePoint):
     """Sort key (argument, modulus) in the computation chart, infinity last."""
@@ -148,18 +141,6 @@ class Correspondence:
         return out
 
 
-def forward_images(corr: Correspondence, x) -> Fiber:
-    return corr.forward_images(x)
-
-
-def backward_images(corr: Correspondence, y) -> Fiber:
-    return corr.backward_images(y)
-
-
-def degrees(corr: Correspondence):
-    return corr.degrees()
-
-
 # ---------------------------------------------------------------------------
 # Correspondence document format
 # ---------------------------------------------------------------------------
@@ -215,11 +196,6 @@ def parse_correspondence(text: str, root_tol: float = DEFAULT_ROOT_TOL) -> Corre
             table[a, b] += c
         components.append(BivarPoly(table, multiplicity=mult))
     return Correspondence(components, root_tol=root_tol)
-
-
-def load_correspondence(spec_text: str, root_tol: float = DEFAULT_ROOT_TOL) -> Correspondence:
-    """Parse and validate a correspondence document."""
-    return parse_correspondence(spec_text, root_tol=root_tol)
 
 
 # ---------------------------------------------------------------------------

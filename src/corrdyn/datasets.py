@@ -2,7 +2,7 @@
 
 from importlib import resources
 
-from .correspondence import Correspondence, load_correspondence
+from .correspondence import Correspondence, parse_correspondence
 
 BUNDLED = ("mobius", "z2", "z3", "z2_plus_z3", "mobius_pair")
 
@@ -14,4 +14,4 @@ def bundled_text(name: str) -> str:
 
 
 def bundled_correspondence(name: str) -> Correspondence:
-    return load_correspondence(bundled_text(name))
+    return parse_correspondence(bundled_text(name))

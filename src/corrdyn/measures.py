@@ -225,7 +225,7 @@ def empirical_invariant_measure(corr: Correspondence, x0, n_burn: int,
         retries = 0
         while not slots and retries < 3:
             # Degenerate fiber: nudge the point and retry.
-            point = as_sphere_point(point.value + complex(1e-9, 1e-9))
+            point = SpherePoint(point.value + complex(1e-9, 1e-9), point.inverted)
             fiber = corr.forward_images(point)
             slots = [b for b in fiber.branches for _ in range(b.multiplicity)]
             retries += 1
@@ -359,32 +359,6 @@ def _shannon(masses) -> float:
         if m > 0.0:
             h -= m * math.log(m)
     return h
-
-
-@dataclass(frozen=True)
-class LiftedPartition:
-    """Depth-1 path-space partition by (position cell group, next symbol)."""
-
-    base: SpherePartition
-    n_symbols: int
-
-    @property
-    def size(self) -> int:
-        return self.base.size * self.n_symbols
-
-    def labels(self) -> list[tuple[int, int]]:
-        return [(i, t) for i in range(self.base.size)
-                for t in range(1, self.n_symbols + 1)]
-
-    def classify(self, cell: int, symbol: int) -> tuple[int, int]:
-        label = int(self.base.label_of_cell()[cell])
-        return (label, symbol)
-
-
-def lifted_partition(q: SpherePartition, n_symbols: int) -> LiftedPartition:
-    if n_symbols < 1:
-        raise ValueError("need at least one symbol")
-    return LiftedPartition(q, n_symbols)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Permissible iteration paths of a correspondence.
 
-A forward path of length n records n+1 sphere points, the n component
-symbols labelling each step, and the branch slot chosen inside each
-fiber.  Backward paths use the same left-to-right layout with points
-ordered oldest first, so symbols[i] always labels the incidence between
-points[i] and points[i+1].
+A path of length n records n+1 sphere points, the n component symbols
+labelling each step, and n branch slots.  Points are ordered oldest
+first, so symbols[i] always labels the incidence between points[i] and
+points[i+1].  A backward path from y0 is a permissible path ending at y0
+and uses the same type and layout.  branches[i] is the slot, inside the
+fiber the enumerator expanded, of the point it added at step i: points[i+1]
+in the forward fiber of points[i], or points[i] in the backward fiber of
+points[i+1].
 """
 
 from __future__ import annotations
@@ -12,11 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .correspondence import INCIDENCE_TOL, Correspondence
+from .correspondence import INCIDENCE_TOL, Correspondence, Fiber
 from .errors import EmptyPath, IndexOutOfRange, LengthMismatch
 from .sphere import SpherePoint, as_sphere_point, sph_dist
 
@@ -49,33 +52,21 @@ class ForwardPath:
     def is_permissible(self, corr: Correspondence, tol: float = INCIDENCE_TOL) -> bool:
         return self.max_incidence_residual(corr) <= tol
 
-
-@dataclass(frozen=True)
-class BackwardPath:
-    """Backward iteration path, points ordered from deepest preimage to y0."""
-
-    points: tuple[SpherePoint, ...]
-    symbols: tuple[int, ...]
-    branches: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.points) - 1
-        if n < 0 or len(self.symbols) != n or len(self.branches) != n:
-            raise LengthMismatch(
-                f"need n+1 points and n symbols/branches, got "
-                f"{len(self.points)}/{len(self.symbols)}/{len(self.branches)}")
-
-    @property
-    def length(self) -> int:
-        return len(self.points) - 1
-
-    def max_incidence_residual(self, corr: Correspondence) -> float:
-        worst = 0.0
-        for r in range(self.length):
-            res = corr.incidence_residual(self.points[r], self.points[r + 1],
-                                          self.symbols[r])
-            worst = max(worst, res)
-        return worst
+    def children(self, fiber: Fiber, backward: bool = False) -> Iterator["ForwardPath"]:
+        """One-step extensions across fiber, one per branch slot in fiber
+        order: appended after the last point, or, when backward, prepended
+        before the first.  A fiber point of multiplicity m spawns m
+        children carrying consecutive slots."""
+        for b in fiber.branches:
+            for j in range(b.multiplicity):
+                if backward:
+                    yield ForwardPath((b.point,) + self.points,
+                                      (b.component,) + self.symbols,
+                                      (b.branch_index + j,) + self.branches)
+                else:
+                    yield ForwardPath(self.points + (b.point,),
+                                      self.symbols + (b.component,),
+                                      self.branches + (b.branch_index + j,))
 
 
 class Enumeration(NamedTuple):
@@ -90,61 +81,44 @@ def _thin(items: list, cap: int, rng: np.random.Generator) -> list:
     return [items[int(i)] for i in sorted(idx)]
 
 
-def enumerate_forward_paths(corr: Correspondence, x0, n: int, cap: int = 4096,
-                            seed: int | None = None) -> Enumeration:
-    """All forward paths from x0 up to depth n, breadth first.
+def _enumerate(corr: Correspondence, start, n: int, cap: int, seed: int | None,
+               backward: bool) -> Enumeration:
+    """Breadth-first path tree from start, n levels deep.
 
-    A fiber point of multiplicity m spawns m children carrying distinct
-    branch slots.  Whenever a level outgrows ``cap`` it is thinned to a
-    seeded uniform subsample and the result is flagged truncated.
+    Whenever a level outgrows ``cap`` it is thinned to a seeded uniform
+    subsample and the result is flagged truncated.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
     if cap < 1:
         raise ValueError("cap must be positive")
+    images = corr.backward_images if backward else corr.forward_images
+    end = 0 if backward else -1
     rng = np.random.default_rng(seed)
-    level = [ForwardPath((as_sphere_point(x0),), (), ())]
+    level = [ForwardPath((as_sphere_point(start),), (), ())]
     truncated = False
     for _ in range(n):
-        nxt = []
-        for path in level:
-            fiber = corr.forward_images(path.points[-1])
-            for b in fiber.branches:
-                for j in range(b.multiplicity):
-                    nxt.append(ForwardPath(path.points + (b.point,),
-                                           path.symbols + (b.component,),
-                                           path.branches + (b.branch_index + j,)))
+        nxt = [child for path in level
+               for child in path.children(images(path.points[end]), backward)]
         if len(nxt) > cap:
             nxt = _thin(nxt, cap, rng)
             truncated = True
         level = nxt
     return Enumeration(level, truncated)
+
+
+def enumerate_forward_paths(corr: Correspondence, x0, n: int, cap: int = 4096,
+                            seed: int | None = None) -> Enumeration:
+    """All forward paths from x0 up to depth n, breadth first, thinned to
+    at most cap per level."""
+    return _enumerate(corr, x0, n, cap, seed, backward=False)
 
 
 def enumerate_backward_paths(corr: Correspondence, y0, n: int, cap: int = 4096,
                              seed: int | None = None) -> Enumeration:
-    """All backward paths ending at y0 up to depth n, breadth first."""
-    if n < 0:
-        raise ValueError("depth must be nonnegative")
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    rng = np.random.default_rng(seed)
-    level = [BackwardPath((as_sphere_point(y0),), (), ())]
-    truncated = False
-    for _ in range(n):
-        nxt = []
-        for path in level:
-            fiber = corr.backward_images(path.points[0])
-            for b in fiber.branches:
-                for j in range(b.multiplicity):
-                    nxt.append(BackwardPath((b.point,) + path.points,
-                                            (b.component,) + path.symbols,
-                                            (b.branch_index + j,) + path.branches))
-        if len(nxt) > cap:
-            nxt = _thin(nxt, cap, rng)
-            truncated = True
-        level = nxt
-    return Enumeration(level, truncated)
+    """All backward paths ending at y0 up to depth n, breadth first,
+    thinned to at most cap per level."""
+    return _enumerate(corr, y0, n, cap, seed, backward=True)
 
 
 # ---------------------------------------------------------------------------

@@ -193,22 +193,10 @@ def invariant_forward_paths(corr: Correspondence, omega, x0, n: int,
             found.append(path)
             continue
         fiber = corr.forward_images(path.points[-1])
-        children = []
-        for b in fiber.branches:
-            if grid.cell_index(b.point) not in dilated:
-                continue
-            for j in range(b.multiplicity):
-                children.append(ForwardPath(path.points + (b.point,),
-                                            path.symbols + (b.component,),
-                                            path.branches + (b.branch_index + j,)))
+        children = [child for child in path.children(fiber)
+                    if grid.cell_index(child.points[-1]) in dilated]
         order = rng.permutation(len(children))
         for i in order:
             stack.append(children[int(i)])
     return found
 
-
-def path_stays_inside(path: ForwardPath, omega, grid: SphereGrid) -> bool:
-    """Predicate used by the search: every point's cell lies in omega's
-    one-ring dilation."""
-    dilated = grid.dilate(frozenset(omega))
-    return all(grid.cell_index(p) in dilated for p in path.points)

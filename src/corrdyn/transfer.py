@@ -118,10 +118,8 @@ class TransferKernel:
         self.comp = np.asarray(comp)
 
     def apply(self, f_values: np.ndarray, g_values: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.active.n_active)
         terms = self.mult * np.exp(f_values[self.tgt]) * g_values[self.tgt]
-        np.add.at(out, self.src, terms)
-        return out
+        return np.bincount(self.src, weights=terms, minlength=self.active.n_active)
 
     def rows(self):
         """Iterate (source position, entry index list)."""
@@ -129,15 +127,6 @@ class TransferKernel:
         bounds = np.searchsorted(self.src[order], np.arange(self.active.n_active + 1))
         for i in range(self.active.n_active):
             yield i, order[bounds[i]:bounds[i + 1]]
-
-
-def ruelle_apply(corr: Correspondence, f: GridFunction, g: GridFunction,
-                 kernel: TransferKernel | None = None) -> GridFunction:
-    """One application of the transfer operator with potential f."""
-    if f.active is not g.active:
-        raise ValueError("f and g must share one active grid")
-    kernel = kernel or TransferKernel(corr, f.active)
-    return GridFunction(f.active, kernel.apply(f.values, g.values))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +259,8 @@ def normalize(f: GridFunction, spectral: SpectralResult,
             f"eigenfunction minimum {h.min()} is not positive")
     w = (np.exp(f.values[kernel.tgt]) * h[kernel.tgt]
          / (spectral.lam * h[kernel.src]))
-    sums = np.zeros(f.active.n_active)
-    np.add.at(sums, kernel.src, kernel.mult * w)
+    sums = np.bincount(kernel.src, weights=kernel.mult * w,
+                       minlength=f.active.n_active)
     return NormalizedWeights(f.active, kernel, w, sums)
 
 
@@ -438,13 +427,9 @@ def lifted_consistency_check(corr: Correspondence, f: GridFunction,
         x0 = path.points[0]
         fiber = corr.backward_images(x0)
         lifted = 0.0
-        for b in fiber.branches:
-            for j in range(b.multiplicity):
-                ext = ForwardPath((b.point,) + path.points,
-                                  (b.component,) + path.symbols,
-                                  (b.branch_index + j,) + path.branches)
-                y = ext.points[0]
-                lifted += math.exp(f.value_at(y)) * g.value_at(y)
+        for ext in path.children(fiber, backward=True):
+            y = ext.points[0]
+            lifted += math.exp(f.value_at(y)) * g.value_at(y)
         base = 0.0
         for b in fiber.branches:
             base += b.multiplicity * math.exp(f.value_at(b.point)) * g.value_at(b.point)

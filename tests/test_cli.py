@@ -176,6 +176,30 @@ class TestPipelines:
         })
         assert run(["variational", "--config", cfg2]) == 5
 
+    def test_variational_relative_pressure_report(self, workspace, tmp_path_factory,
+                                                  monkeypatch):
+        # A relative pressure_report is read from the config's directory,
+        # like the correspondence path, whatever the working directory.
+        cfg = write_config(workspace, "relpr", {
+            "correspondence": "mobius_pair.corr",
+            "pressure": {"f": "zero", "schedule": [[4, 0.05]], "start_points": 1},
+            "out": str(workspace / "relpr_out"),
+        })
+        assert run(["pressure", "--config", cfg]) == 0
+        out = workspace / "relvar_out"
+        cfg2 = write_config(workspace, "relvar", {
+            "correspondence": "mobius_pair.corr",
+            "n_cells": 400,
+            "variational": {"f": "zero", "depth": 3, "empirical": 1,
+                            "n_keep": 2000, "start": [1.0, 0.0],
+                            "pressure_report": "relpr_out/report.json"},
+            "out": str(out),
+        })
+        monkeypatch.chdir(tmp_path_factory.mktemp("elsewhere"))
+        assert run(["variational", "--config", cfg2]) == 0
+        stored = read_report(workspace / "relpr_out")["results"]["pressure"]
+        assert read_report(out)["results"]["pressure"] == stored
+
 
 class TestReportHygiene:
     def test_reports_echo_config_and_version(self, workspace):

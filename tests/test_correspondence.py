@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from corrdyn.correspondence import (expansivity_probe, load_correspondence,
-                                    parse_correspondence)
+from corrdyn.correspondence import expansivity_probe, parse_correspondence
 from corrdyn.errors import InsufficientPairs, InvalidComponent, ParseError
 from corrdyn.sphere import BivarPoly, SpherePoint, sph_dist
 
@@ -36,16 +35,16 @@ class TestLoading:
 
     def test_empty_document(self):
         with pytest.raises(ParseError):
-            load_correspondence("# only comments\n")
+            parse_correspondence("# only comments\n")
 
     def test_invalid_component(self):
         # Constant in z: projection cannot be surjective.
         with pytest.raises(InvalidComponent):
-            load_correspondence("1\n0 1 1 0\n0 0 -1 0\n")
+            parse_correspondence("1\n0 1 1 0\n0 0 -1 0\n")
 
     def test_bad_multiplicity_line(self):
         with pytest.raises(ParseError):
-            load_correspondence("x\n0 1 1 0\n1 0 -1 0\n")
+            parse_correspondence("x\n0 1 1 0\n1 0 -1 0\n")
 
     def test_multiplicity_scales_degrees(self):
         corr = parse_correspondence("3\n0 1 1 0\n2 0 -1 0\n")

@@ -14,7 +14,7 @@ from corrdyn.measures import (InvarianceReport, PathMeasure, SphereMeasure,
                               SpherePartition, VariationalEntry,
                               check_shift_invariance,
                               empirical_invariant_measure, intermediate_entropy,
-                              join, joined_lift_masses, lifted_partition,
+                              join, joined_lift_masses,
                               measure_distance, measure_entropy,
                               partition_entropy, pushforward, total_variation,
                               variational_check)
@@ -180,6 +180,19 @@ class TestEmpiricalMeasure:
                 mass_near += nu.weights[idx]
         assert mass_near > 0.99
 
+    def test_degenerate_retry_stays_in_chart(self):
+        # (z - 2)(w - z): the forward fiber of 2 collapses, every other
+        # point is fixed.  The retry nudge must move 2 by about 1e-9 in its
+        # own (reciprocal) chart, not jump to 1/2.
+        corr = parse_correspondence("1\n1 1 1 0\n2 0 -1 0\n0 1 -2 0\n1 0 2 0\n")
+        grid = SphereGrid(400)
+        mu = empirical_invariant_measure(corr, 2.0, n_burn=5, n_keep=20,
+                                         depth=1, seed=0, grid=grid)
+        nu = pushforward(mu, 0)
+        # 2 sits on a sector boundary, so allow the neighbouring cells.
+        near = grid.dilate({grid.cell_index(sp(2.0))})
+        assert sum(nu.weights[c] for c in near) == pytest.approx(1.0)
+
     def test_precondition(self, grid, corr_pair):
         with pytest.raises(ValueError):
             empirical_invariant_measure(corr_pair, 1.0, n_burn=0, n_keep=1,
@@ -270,11 +283,16 @@ class TestPartitions:
             SpherePartition(grid, (frozenset({0, 1}),), ("incomplete",))
 
     def test_lifted_partition_sizes(self, grid):
+        # A depth-1 cylinder measure charging every (cell group, symbol)
+        # pair has one lifted mass per pair.
         trivial = SpherePartition.trivial(grid)
-        assert lifted_partition(trivial, 2).size == 2
         two = SpherePartition.sectors(grid, 1, 2)
-        assert lifted_partition(two, 1).size == 2
-        assert lifted_partition(two, 2).size == 4
+        for q, n_symbols in ((trivial, 2), (two, 1), (two, 2)):
+            words = [((min(group), s),) for group in q.cells
+                     for s in range(1, n_symbols + 1)]
+            mu = PathMeasure.from_cylinders(
+                grid, {w: 1.0 / len(words) for w in words})
+            assert len(joined_lift_masses(mu, q, 1)) == q.size * n_symbols
 
     def test_lift_occupancies_match_brute_classification(self, grid, corr_pair):
         paths, _ = enumerate_forward_paths(corr_pair, 0.25, 2, cap=16)

@@ -67,9 +67,11 @@ class TestEnumeration:
             assert len(paths) == 2 ** n
 
     def test_permissibility_of_enumerated_paths(self, corr_z2z3):
-        paths, _ = enumerate_forward_paths(corr_z2z3, 0.7 + 0.2j, 3, cap=64)
-        for p in paths:
-            assert p.max_incidence_residual(corr_z2z3) <= 1e-8
+        for enumerate_paths in (enumerate_forward_paths, enumerate_backward_paths):
+            paths, _ = enumerate_paths(corr_z2z3, 0.7 + 0.2j, 3, cap=64)
+            assert paths
+            for p in paths:
+                assert p.max_incidence_residual(corr_z2z3) <= 1e-8
 
     def test_backward_tree_of_square_map(self, corr_z2):
         # Oracle: the two-level square-root tree built by hand.

@@ -12,7 +12,7 @@ from corrdyn.sphere import SpherePoint
 from corrdyn.transfer import (ActiveGrid, GridFunction, TransferKernel,
                               adjoint_fixed_point, convergence_check,
                               holder_norm, lifted_consistency_check, normalize,
-                              power_iteration, ruelle_apply)
+                              power_iteration)
 
 
 def pipeline_active(grid, corr, x0=0.5 + 0.3j, n=12, cap=8192, seed=41):
@@ -52,14 +52,14 @@ class TestApply:
     def test_counting_identity(self, corr_z2, active, kernel_z2):
         f = GridFunction.constant(active, 0.0)
         g = GridFunction.constant(active, 1.0)
-        out = ruelle_apply(corr_z2, f, g, kernel=kernel_z2)
+        out = GridFunction(active, kernel_z2.apply(f.values, g.values))
         np.testing.assert_allclose(out.values, 2.0, atol=1e-12)
 
     def test_constant_weight(self, corr_z2, active, kernel_z2):
         c = 0.3
         f = GridFunction.constant(active, c)
         g = GridFunction.constant(active, 1.0)
-        out = ruelle_apply(corr_z2, f, g, kernel=kernel_z2)
+        out = GridFunction(active, kernel_z2.apply(f.values, g.values))
         np.testing.assert_allclose(out.values, 2.0 * math.exp(c), rtol=1e-12)
 
     def test_indicator_matches_branch_enumeration(self, corr_z2, active, kernel_z2):
@@ -67,7 +67,7 @@ class TestApply:
         target = active.n_active // 3
         g = GridFunction(active, np.eye(active.n_active)[target])
         f = GridFunction.from_callable(active, fn_re)
-        out = ruelle_apply(corr_z2, f, g, kernel=kernel_z2)
+        out = GridFunction(active, kernel_z2.apply(f.values, g.values))
         for i, center in enumerate(active.centers):
             expected = 0.0
             for b in corr_z2.backward_images(center).branches:
@@ -83,12 +83,14 @@ class TestApply:
         g2 = GridFunction(active, rng.normal(size=active.n_active))
         a, b = 0.7, -1.3
         combo = GridFunction(active, a * g1.values + b * g2.values)
-        lhs = ruelle_apply(corr_z2, f, combo, kernel=kernel_z2).values
-        rhs = (a * ruelle_apply(corr_z2, f, g1, kernel=kernel_z2).values
-               + b * ruelle_apply(corr_z2, f, g2, kernel=kernel_z2).values)
+        def op(g):
+            return GridFunction(active, kernel_z2.apply(f.values, g.values)).values
+
+        lhs = op(combo)
+        rhs = a * op(g1) + b * op(g2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
         pos = GridFunction(active, np.abs(g1.values))
-        assert ruelle_apply(corr_z2, f, pos, kernel=kernel_z2).values.min() >= 0.0
+        assert op(pos).min() >= 0.0
 
     def test_preimage_outside_support(self, grid, corr_z2):
         # A lone cell far from the circle: preimages land well outside.
