@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InsufficientPairs, ParseError
 from .sphere import (DEFAULT_ROOT_TOL, BivarPoly, SpherePoint,
-                     as_sphere_point, roots, sph_dist)
+                     as_sphere_point, roots, roots_many, sph_dist)
 
 #: Residual bound under which a path step counts as incident.
 INCIDENCE_TOL = 1e-8
@@ -94,18 +94,20 @@ class Correspondence:
 
     # -- fibers ------------------------------------------------------------
 
-    def _fiber(self, coeff_fn, x: SpherePoint) -> Fiber:
+    def _assemble(self, root_lists) -> Fiber:
+        """Fiber from one root list per component, None where the fiber
+        polynomial vanishes identically (the whole component collapses,
+        catastrophically non-generic).  Roots are sorted canonically and
+        take consecutive branch slots, multiplicity times the component's."""
         branches: list[BranchPoint] = []
         degenerate = False
-        for t, comp in enumerate(self.components, start=1):
-            coeffs = coeff_fn(comp, x)
-            scale = float(np.abs(coeffs).max())
-            if scale == 0.0:
-                # Whole fiber collapses; catastrophically non-generic.
+        for t, (comp, root_list) in enumerate(zip(self.components, root_lists),
+                                              start=1):
+            if root_list is None:
                 degenerate = True
                 continue
-            root_list = roots(coeffs, tol=self.root_tol)
-            root_list.sort(key=lambda rm: _canonical_key(rm[0]))
+            if len(root_list) > 1:
+                root_list.sort(key=lambda rm: _canonical_key(rm[0]))
             slot = 1
             for point, mult in root_list:
                 if mult > 1:
@@ -115,13 +117,33 @@ class Correspondence:
                 slot += total
         return Fiber(tuple(branches), degenerate)
 
+    def _fiber(self, coeff_fn, x: SpherePoint) -> Fiber:
+        root_lists = []
+        for comp in self.components:
+            coeffs = coeff_fn(comp, x)
+            root_lists.append(roots(coeffs, tol=self.root_tol)
+                              if np.abs(coeffs).max() else None)
+        return self._assemble(root_lists)
+
     def forward_images(self, x) -> Fiber:
         """Fiber of w -> P_t(x, w) over every component, with multiplicity."""
-        return self._fiber(lambda comp, p: comp.coeffs_in_w(p), as_sphere_point(x))
+        return self._fiber(BivarPoly.coeffs_in_w, as_sphere_point(x))
 
     def backward_images(self, y) -> Fiber:
         """Fiber of z -> P_t(z, y) over every component, with multiplicity."""
-        return self._fiber(lambda comp, p: comp.coeffs_in_z(p), as_sphere_point(y))
+        return self._fiber(BivarPoly.coeffs_in_z, as_sphere_point(y))
+
+    def backward_images_many(self, points) -> list[Fiber]:
+        """``backward_images`` of every point, solved as one stacked
+        ``roots_many`` call per component."""
+        points = list(points)
+        per_comp = []
+        for comp in self.components:
+            coeffs = comp.coeffs_in_z_many(points)
+            live = np.abs(coeffs).max(axis=1) != 0
+            solved = iter(roots_many(coeffs[live], tol=self.root_tol))
+            per_comp.append([next(solved) if alive else None for alive in live])
+        return [self._assemble(lists) for lists in zip(*per_comp)]
 
     def incidence_residual(self, x, y, component: int) -> float:
         return self.components[component - 1].incidence_residual(x, y)
@@ -240,9 +262,9 @@ def expansivity_probe(corr: Correspondence, region, samples: int,
         pairs = [pairs[int(i)] for i in idx]
 
     worst = 0.0
-    for x0, y0, d in pairs:
-        fx = corr.backward_images(x0)
-        fy = corr.backward_images(y0)
+    fibers_x = corr.backward_images_many([x0 for x0, _, _ in pairs])
+    fibers_y = corr.backward_images_many([y0 for _, y0, _ in pairs])
+    for (_, _, d), fx, fy in zip(pairs, fibers_x, fibers_y):
         by_symbol: dict[int, list[SpherePoint]] = {}
         for b in fy.branches:
             by_symbol.setdefault(b.component, []).append(b.point)

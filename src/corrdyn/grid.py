@@ -5,8 +5,10 @@ multiple of 2/N, and each band is split into equal-longitude sectors, so
 every one of the N cells has spherical area exactly 4*pi/N.  Band sector
 counts follow the local circumference, keeping cells roughly square.
 Cells are indexed row-major: north cap first, sectors by increasing
-longitude within each band.  A boundary point belongs to the
-lower-indexed adjacent cell.
+longitude within each band.  A point on a band boundary belongs to the
+band north of it, except on the top edge of the south cap, which belongs
+to the cap; a point on a sector boundary belongs to the sector that
+starts there (sector k covers longitudes [k, k+1) times the width).
 """
 
 from __future__ import annotations
@@ -16,9 +18,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .sphere import SpherePoint, as_sphere_point
+from .sphere import SpherePoint, as_sphere_point, chart_values
 
 _TWO_PI = 2.0 * math.pi
+
+#: Margins of cell_index_many, in height and in sector widths, inside
+#: which a point goes to the scalar lookup.
+_Z_MARGIN = 1e-12
+_SECTOR_MARGIN = 1e-9
 
 
 class SphereGrid:
@@ -77,6 +84,41 @@ class SphereGrid:
         phi = math.atan2(y, x) % _TWO_PI
         sector = min(int(phi / (_TWO_PI / m)), m - 1)
         return int(self.band_start[band]) + sector
+
+    def cell_index_many(self, points) -> np.ndarray:
+        """``cell_index`` of every point, as an int array.
+
+        numpy's complex modulus and arctan2 may round differently from the
+        scalar lookup's, so points within 1e-12 of a band boundary in
+        height, or within 1e-9 sector widths of a sector boundary, are
+        looked up by ``cell_index`` itself, and so are the poles, whose
+        longitude is the sign of a zero; the rest are far enough from
+        every boundary that the vectorized cell is the scalar one.
+        """
+        points = list(points)
+        values, inverted = chart_values(points)
+        re, im = values.real, values.imag
+        a2 = np.hypot(re, im) ** 2
+        s = 1.0 + a2
+        x = 2.0 * re / s
+        y = np.where(inverted, -2.0, 2.0) * im / s
+        z = np.where(inverted, 1.0 - a2, a2 - 1.0) / s
+        # Interior band boundaries, negated to increase; the band index
+        # counts those above z, as band_of_z does, clamps included.
+        above = -self.band_z[1:-1]
+        band = np.searchsorted(above, -z)
+        band[z <= self.band_z[-2]] = self.n_bands - 1
+        band[z >= self.band_z[1]] = 0
+        m = self.band_counts[band]
+        frac = np.arctan2(y, x) % _TWO_PI / (_TWO_PI / m)
+        cells = self.band_start[band] + np.minimum(frac.astype(int), m - 1)
+        unsure = ((np.searchsorted(above, -z - _Z_MARGIN)
+                   != np.searchsorted(above, -z + _Z_MARGIN))
+                  | (np.abs(frac - np.rint(frac)) < _SECTOR_MARGIN)
+                  | (values == 0))
+        for k in np.nonzero(unsure)[0]:
+            cells[k] = self.cell_index(points[k])
+        return cells
 
     def cell_band_sector(self, idx: int) -> tuple[int, int]:
         band = int(np.searchsorted(self.band_start, idx, side="right")) - 1

@@ -47,10 +47,11 @@ class SphereMeasure:
 
     @classmethod
     def from_particles(cls, grid: SphereGrid, particles, metadata=None) -> "SphereMeasure":
-        """Accumulate (point, weight) pairs into cells."""
-        w = np.zeros(grid.n_cells)
-        for point, weight in particles:
-            w[grid.cell_index(point)] += weight
+        """Accumulate (point, weight) pairs into cells, in particle order."""
+        pairs = list(particles)
+        cells = grid.cell_index_many([point for point, _ in pairs])
+        w = np.bincount(cells, weights=[float(weight) for _, weight in pairs],
+                        minlength=grid.n_cells)
         return cls(grid, w, metadata or {})
 
     @classmethod

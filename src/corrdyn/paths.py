@@ -226,11 +226,20 @@ class _FamilyIndex:
                            math.floor(z / side))
 
     def near(self, key):
+        """Admitted paths of the key's word in its cube and the 26 around
+        it, cube by cube in lexicographic order."""
         word, (i, j, k) = key
         cubes = self.words.get(word)
-        if cubes:
-            for di, dj, dk in _NEIGHBOURHOOD:
-                yield from cubes.get((i + di, j + dj, k + dk), ())
+        if not cubes:
+            return ()
+        if len(cubes) < len(_NEIGHBOURHOOD):
+            # Fewer occupied cubes than neighbours: test the occupied ones.
+            hits = sorted(c for c in cubes if -1 <= c[0] - i <= 1
+                          and -1 <= c[1] - j <= 1 and -1 <= c[2] - k <= 1)
+        else:
+            hits = [c for c in ((i + di, j + dj, k + dk)
+                                for di, dj, dk in _NEIGHBOURHOOD) if c in cubes]
+        return itertools.chain.from_iterable(cubes[c] for c in hits)
 
     def add(self, key, p: ForwardPath):
         word, cube = key

@@ -85,8 +85,7 @@ def pullback_iterate(corr: Correspondence, x0, n: int, cap: int = 8192,
     for level in range(1, n + 1):
         nxt_points: list[SpherePoint] = []
         nxt_weights: list[float] = []
-        for p, w in zip(points, weights):
-            fiber = corr.backward_images(p)
+        for w, fiber in zip(weights, corr.backward_images_many(points)):
             for b in fiber.branches:
                 nxt_points.append(b.point)
                 nxt_weights.append(w * b.multiplicity / d_top)
@@ -156,11 +155,11 @@ def check_backward_invariance(corr: Correspondence, omega, grid: SphereGrid,
     dilated = grid.dilate(omega)
     cells = sorted(omega)
     picks = rng.integers(0, len(cells), size=samples)
+    starts = [grid.cell_center(cells[int(pick)]) for pick in picks]
     violations = 0
     total = 0
-    for pick in picks:
-        x0 = grid.cell_center(cells[int(pick)])
-        for b in corr.backward_images(x0).branches:
+    for fiber in corr.backward_images_many(starts):
+        for b in fiber.branches:
             total += 1
             if grid.cell_index(b.point) not in dilated:
                 violations += 1

@@ -26,6 +26,10 @@ DEFAULT_ROOT_TOL = 1e-12
 #: Multiplier turning the root tolerance into a cluster-merge radius.
 CLUSTER_RADIUS_FACTOR = 1e3
 
+#: Root arguments closer than this to -pi, pi or each other send a row of
+#: roots_many to the scalar solver: rounding could flip its root order.
+_ARG_MARGIN = 1e-8
+
 # Double precision cannot push a genuine multiple root cluster tighter
 # than about sqrt(eps); detection must be at least this wide.
 _CLUSTER_DETECT_FLOOR = 1e-7
@@ -125,6 +129,14 @@ def as_sphere_point(x) -> SpherePoint:
     if isinstance(x, SpherePoint):
         return x
     return SpherePoint.from_complex(x)
+
+
+def chart_values(points) -> tuple[np.ndarray, np.ndarray]:
+    """Chart values and chart flags of a point sequence, as two arrays."""
+    points = [as_sphere_point(p) for p in points]
+    values = np.array([p.value for p in points], dtype=complex)
+    inverted = np.array([p.inverted for p in points], dtype=bool)
+    return values, inverted
 
 
 def sph_dist(p, q) -> float:
@@ -414,6 +426,86 @@ def roots(coeffs, tol: float = DEFAULT_ROOT_TOL, seed: int = 810279):
     return out
 
 
+def roots_many(coeffs, tol: float = DEFAULT_ROOT_TOL) -> list:
+    """``roots`` of every row of a (K, d+1) coefficient stack.
+
+    Rows of formal degree 1 take the closed form.  Higher-degree rows are
+    solved together as stacked companion matrices (one ``eigvals`` call)
+    and polished by one vectorized Newton step, kept per root unless it
+    raises |p|.  A row keeps these roots only when each meets the residual
+    bound of ``roots``, |p(r)| <= tol * sum_k |c_k| |r|^k, no two lie
+    within the cluster radius max(1e3*tol, 1e-7), and no argument lies
+    within 1e-8 of pi or of another root's, where rounding could flip the
+    canonical root order of a fiber.  Every other row (near degree drops,
+    exact-zero constant terms, identically zero or non-finite rows,
+    non-finite eigenvalues, failed checks) goes to the scalar ``roots``,
+    which stays the oracle for multiple roots.
+
+    Returns a list of K root lists, each as ``roots`` returns it.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim != 2 or c.shape[1] < 2:
+        raise ValueError("need a (K, d+1) coefficient stack with d >= 1")
+    deg = c.shape[1] - 1
+    out: list = [None] * c.shape[0]
+    with np.errstate(all="ignore"):
+        mag = np.abs(c)
+        # The factor 2 keeps rows near the degree-drop cutoff of ``roots``
+        # on the scalar path, where that decision is made.
+        fast = (np.isfinite(c).all(axis=1) & (c[:, 0] != 0)
+                & (mag[:, -1] > 2.0 * tol * mag.max(axis=1)))
+        rows = np.nonzero(fast)[0]
+        if rows.size:
+            cf = c[rows]
+            if deg == 1:
+                z = (-cf[:, 0] / cf[:, 1])[:, None]
+                ok = np.isfinite(z[:, 0])
+            else:
+                z, ok = _companion_roots(cf, tol)
+            for k, row in zip(rows[ok].tolist(), z[ok].tolist()):
+                out[k] = [(SpherePoint(r), 1) for r in row]
+    for k, found in enumerate(out):
+        if found is None:
+            out[k] = roots(c[k], tol=tol)
+    return out
+
+
+def _companion_roots(c: np.ndarray, tol: float):
+    """Roots of the rows of c (K, d+1), d >= 2, and the rows that pass."""
+    k_rows, width = c.shape
+    deg = width - 1
+    companion = np.zeros((k_rows, deg, deg), dtype=complex)
+    companion[:, 0, :] = -c[:, -2::-1] / c[:, -1:]
+    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    ok = np.isfinite(companion).all(axis=(1, 2))
+    z = np.zeros((k_rows, deg), dtype=complex)
+    z[ok] = np.linalg.eigvals(companion[ok])
+    ok &= np.isfinite(z).all(axis=1)
+
+    # Coefficients as (d+1, K, 1), so the Horner helpers run on all rows.
+    stack = c.T[:, :, None]
+    p = _polyval(stack, z)
+    cand = z - p / _polyval(stack[1:] * np.arange(1, width)[:, None, None], z)
+    p_cand = _polyval(stack, cand)
+    better = np.isfinite(cand) & (np.abs(p_cand) <= np.abs(p))
+    z = np.where(better, cand, z)
+    p = np.where(better, p_cand, p)
+
+    ok &= (np.abs(p) <= tol * np.maximum(_eval_scale(stack, z), 1e-300)).all(axis=1)
+    radius = max(CLUSTER_RADIUS_FACTOR * tol, _CLUSTER_DETECT_FLOOR)
+    az = np.abs(z)
+    close = (np.abs(z[:, :, None] - z[:, None, :])
+             <= radius * (1.0 + np.minimum(az[:, :, None], az[:, None, :])))
+    close[:, np.arange(deg), np.arange(deg)] = False
+    ok &= ~close.any(axis=(1, 2))
+    # Fibers list roots by argument in (-pi, pi]; where that order hangs
+    # on rounding, the scalar solver's roots decide it.
+    arg = np.sort(np.angle(z), axis=1)
+    ok &= (np.pi - np.abs(arg) > _ARG_MARGIN).all(axis=1)
+    ok &= (np.diff(arg, axis=1) > _ARG_MARGIN).all(axis=1)
+    return z, ok
+
+
 # ---------------------------------------------------------------------------
 # Bivariate polynomials
 # ---------------------------------------------------------------------------
@@ -480,6 +572,13 @@ class BivarPoly:
         """Ascending coefficients of z -> P(z, y), scaled chart-safely."""
         py = self._chart_powers(as_sphere_point(y), self.deg_w + 1)
         return self.table @ py
+
+    def coeffs_in_z_many(self, points) -> np.ndarray:
+        """``coeffs_in_z`` of every point, stacked as a (K, deg_z+1) array."""
+        values, inverted = chart_values(points)
+        py = values[:, None] ** np.arange(self.deg_w + 1)
+        py[inverted] = py[inverted, ::-1]
+        return py @ self.table.T
 
     def incidence_residual(self, x, y) -> float:
         """Normalized |P(x, y)| in the charts of both points.

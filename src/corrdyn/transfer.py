@@ -96,8 +96,7 @@ class TransferKernel:
         grid = active.grid
         dilated = grid.dilate(active.cells)
         src, tgt, mult, comp = [], [], [], []
-        for i, center in enumerate(active.centers):
-            fiber = corr.backward_images(center)
+        for i, fiber in enumerate(corr.backward_images_many(active.centers)):
             for b in fiber.branches:
                 cell = grid.cell_index(b.point)
                 if cell in active.position:

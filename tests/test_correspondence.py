@@ -171,6 +171,56 @@ class TestImages:
                            if bb.component == b.component) < 1e-8
 
 
+def same_fibers(many, scalar, tol=1e-9):
+    """Batched and scalar fibers agree slot by slot."""
+    assert len(many) == len(scalar)
+    for fa, fb in zip(many, scalar):
+        assert fa.degenerate == fb.degenerate
+        assert ([(b.component, b.branch_index, b.multiplicity) for b in fa.branches]
+                == [(b.component, b.branch_index, b.multiplicity) for b in fb.branches])
+        for a, b in zip(fa.branches, fb.branches):
+            assert sph_dist(a.point, b.point) <= tol
+
+
+class TestBackwardImagesMany:
+    @pytest.mark.parametrize("name", ["corr_z2", "corr_z3", "corr_z2z3"])
+    def test_matches_scalar_fibers(self, name, request):
+        corr = request.getfixturevalue(name)
+        rng = np.random.default_rng(37)
+        points = [SpherePoint.from_complex(complex(rng.normal(), rng.normal()))
+                  for _ in range(150)]
+        points += [SpherePoint.from_reciprocal(complex(rng.normal(), rng.normal()) / 4)
+                   for _ in range(150)]
+        assert any(p.inverted for p in points) and not all(p.inverted for p in points)
+        points += [SpherePoint.from_complex(0.0), SpherePoint.infinity(),
+                   SpherePoint.from_complex(1.0)]
+        same_fibers(corr.backward_images_many(points),
+                    [corr.backward_images(p) for p in points])
+
+    def test_fallback_fibers(self, corr_z2):
+        # Double root at 0 and a degree drop at infinity go to scalar roots.
+        many = corr_z2.backward_images_many([0.0, SpherePoint.infinity(), 4.0])
+        same_fibers(many, [corr_z2.backward_images(p)
+                           for p in (0.0, SpherePoint.infinity(), 4.0)])
+        assert many[0].degenerate and many[0].branches[0].multiplicity == 2
+        assert all(b.point.is_infinity for b in many[1].branches)
+
+    def test_vanishing_fiber_polynomial(self, corr_z2):
+        # (w - 1)(z - 2): over y = 1 the fiber polynomial in z is zero.
+        from corrdyn.correspondence import Correspondence
+        table = np.array([[2.0, -2.0], [-1.0, 1.0]], dtype=complex)
+        corr = Correspondence(corr_z2.components + [BivarPoly(table)])
+        points = [1.0, 3.0, SpherePoint.infinity()]
+        many = corr.backward_images_many(points)
+        same_fibers(many, [corr.backward_images(p) for p in points])
+        assert many[0].degenerate
+        assert {b.component for b in many[0].branches} == {1}
+        assert {b.component for b in many[1].branches} == {1, 2}
+
+    def test_empty_batch(self, corr_z2z3):
+        assert corr_z2z3.backward_images_many([]) == []
+
+
 class TestFixedPoints:
     def test_square_map_fixed_points(self, corr_z2):
         pts = corr_z2.fixed_points()

@@ -65,3 +65,84 @@ def test_tiny_grid():
     g = SphereGrid(2)
     assert g.n_cells == 2
     assert g.cell_index(SpherePoint.infinity()) == 0
+
+
+def boundary_points(grid):
+    """Points on every sector boundary at mid-band height and on every band
+    boundary at mid-sector longitude (up to the rounding of the chart)."""
+    out = []
+    for band in range(grid.n_bands):
+        m = int(grid.band_counts[band])
+        width = 2.0 * math.pi / m
+        z_mid = 0.5 * (grid.band_z[band] + grid.band_z[band + 1])
+        for sector in range(m):
+            for z, phi in ((z_mid, sector * width),
+                           (grid.band_z[band], (sector + 0.5) * width)):
+                s = math.sqrt(max(0.0, 1.0 - z * z))
+                out.append(SpherePoint.from_unit_vector(
+                    (s * math.cos(phi), s * math.sin(phi), z)))
+    return out
+
+
+@pytest.mark.parametrize("n_cells", [1, 2, 12, 400, 2000])
+def test_cell_index_many_matches_scalar(n_cells):
+    g = SphereGrid(n_cells)
+    rng = np.random.default_rng(23)
+    points = [SpherePoint.from_complex(complex(rng.normal(), rng.normal()))
+              for _ in range(2000)]
+    points += [SpherePoint.from_reciprocal(complex(rng.normal(), rng.normal()) / 3)
+               for _ in range(2000)]
+    points += [SpherePoint.from_complex(0.0), SpherePoint.infinity(),
+               SpherePoint.from_complex(-0.0 - 0.0j),
+               SpherePoint.from_unit_vector((-0.0, 0.0, 1.0))]
+    points += g.centers + boundary_points(g)
+    many = g.cell_index_many(points)
+    assert many.dtype.kind == "i"
+    assert many.tolist() == [g.cell_index(p) for p in points]
+    assert g.cell_index_many([]).tolist() == []
+
+
+def test_boundary_rule():
+    # A sector boundary belongs to the sector that starts there: in band 7
+    # of SphereGrid(2000) (44 sectors) phi = pi/2 is phi / width = 11.0.
+    g = SphereGrid(2000)
+    band = 7
+    m = int(g.band_counts[band])
+    assert m == 44
+    z = 0.5 * (g.band_z[band] + g.band_z[band + 1])
+    s = math.sqrt(1.0 - z * z)
+    p = SpherePoint.from_unit_vector((s * math.cos(math.pi / 2), s * math.sin(math.pi / 2), z))
+    x, y, _ = p.unit_vector()
+    assert (math.atan2(y, x) % (2.0 * math.pi)) / (2.0 * math.pi / m) == 11.0
+    assert g.cell_index(p) == int(g.band_start[band]) + 11 == 158
+    assert g.cell_index_many([p]).tolist() == [158]
+    # Every point whose longitude lands exactly on a sector boundary k
+    # goes to sector k.
+    checked = 0
+    for q in boundary_points(g):
+        x, y, zq = q.unit_vector()
+        b = g.band_of_z(zq)
+        m = int(g.band_counts[b])
+        frac = (math.atan2(y, x) % (2.0 * math.pi)) / (2.0 * math.pi / m)
+        if frac == int(frac) and m > 1:
+            expected = int(g.band_start[b]) + int(frac) % m
+            assert g.cell_index(q) == expected
+            assert g.cell_index_many([q]).tolist() == [expected]
+            checked += 1
+    assert checked > 100
+    # A band boundary belongs to the band north of it, except the top of
+    # the south cap, which belongs to the cap.
+    for k in range(1, g.n_bands - 1):
+        assert g.band_of_z(g.band_z[k]) == k - 1
+    assert g.band_of_z(g.band_z[-2]) == g.n_bands - 1
+    interior = {float(z): k for k, z in enumerate(g.band_z[1:-1], start=1)}
+    on_band_edge = 0
+    for q in boundary_points(g):
+        k = interior.get(float(q.unit_vector()[2]))
+        if k is not None:
+            band = k - 1 if k < g.n_bands - 1 else k
+            cell = g.cell_index(q)
+            assert g.cell_band_sector(cell)[0] == band
+            assert g.cell_index_many([q]).tolist() == [cell]
+            on_band_edge += 1
+    assert on_band_edge > 100

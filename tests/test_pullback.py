@@ -82,6 +82,49 @@ class TestPullback:
             assert level.weights.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def scalar_levels(corr, x0, n, cap, seed, grid):
+    """Reference copy of the pullback level loop: one scalar fiber per
+    particle and one scalar cell lookup per particle."""
+    from corrdyn.pullback import _systematic_thin
+
+    def measure(points, weights):
+        w = np.zeros(grid.n_cells)
+        for p, wt in zip(points, weights):
+            w[grid.cell_index(p)] += wt
+        return w
+
+    rng = np.random.default_rng(seed)
+    points = [SpherePoint.from_complex(x0)]
+    assert not corr.backward_images(points[0]).degenerate
+    weights = np.array([1.0])
+    levels = [measure(points, weights)]
+    for _ in range(n):
+        nxt_points, nxt_weights = [], []
+        for p, w in zip(points, weights):
+            for b in corr.backward_images(p).branches:
+                nxt_points.append(b.point)
+                nxt_weights.append(w * b.multiplicity / corr.d_top)
+        points, weights = nxt_points, np.asarray(nxt_weights)
+        if len(points) > cap:
+            points, weights = _systematic_thin(points, weights, cap, rng)
+        levels.append(measure(points, weights))
+    return levels
+
+
+class TestBatchedLevels:
+    @pytest.mark.parametrize("name,n", [("corr_z2", 9), ("corr_z3", 6),
+                                        ("corr_z2z3", 5)])
+    def test_level_weights_identical_to_scalar_loop(self, grid, name, n, request):
+        corr = request.getfixturevalue(name)
+        cap = 300  # below d_top^n, so every run thins its deepest levels
+        levels = pullback_iterate(corr, 0.5 + 0.3j, n=n, cap=cap, seed=47, grid=grid)
+        reference = scalar_levels(corr, 0.5 + 0.3j, n, cap, 47, grid)
+        assert corr.d_top ** n > cap
+        assert len(levels) == len(reference)
+        for level, ref in zip(levels, reference):
+            assert np.array_equal(level.weights, ref)
+
+
 class TestSupport:
     def test_band_support(self, grid, z2_levels):
         result = ds_support(z2_levels, threshold=0.5)

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from corrdyn.errors import InvalidComponent
-from corrdyn.sphere import BivarPoly, SpherePoint, roots, sph_dist
+from corrdyn.sphere import BivarPoly, SpherePoint, roots, roots_many, sph_dist
 
 
 def random_points(rng, n):
@@ -216,6 +216,66 @@ class TestRoots:
                 assert val <= 1e-11 * scale
 
 
+class TestRootsMany:
+    """roots_many against the scalar roots, row by row."""
+
+    def check_rows(self, stack, tol=1e-9):
+        got = roots_many(stack)
+        assert len(got) == len(stack)
+        for row, found in zip(stack, got):
+            expected = roots(row)
+            assert sorted(m for _, m in found) == sorted(m for _, m in expected)
+            match_multisets(expected, found, tol)
+
+    @pytest.mark.parametrize("deg", [1, 2, 3, 5])
+    def test_random_rows_match_scalar(self, deg):
+        rng = np.random.default_rng(70 + deg)
+        stack = rng.normal(size=(200, deg + 1)) + 1j * rng.normal(size=(200, deg + 1))
+        stack *= 10.0 ** rng.uniform(-6, 6, size=(200, 1))
+        self.check_rows(stack)
+
+    def test_fallback_rows_match_scalar(self, monkeypatch):
+        import corrdyn.sphere
+        scalar_rows = []
+
+        def counted(coeffs, *args, **kwargs):
+            scalar_rows.append(list(coeffs))
+            return roots(coeffs, *args, **kwargs)
+
+        rows = [
+            [0.0, 0.0, 1.0],             # double root at 0, zero constant term
+            [-1.0, 2.0, -1.0],           # double root at 1
+            [1.0, 1.0, 1e-14],           # degree drop: a root at infinity
+            [0.0, -4.0, 1.0],            # exact-zero constant term
+            [1.0, 0.0, 1.0],             # roots +-i, batched
+            [-1.0, 0.0, 1.0],            # root -1 on the argument cut
+            [3.0, -1.0, 0.5],            # generic, batched
+        ]
+        stack = np.array(rows, dtype=complex)
+        monkeypatch.setattr(corrdyn.sphere, "roots", counted)
+        roots_many(stack)
+        monkeypatch.undo()
+        assert scalar_rows == [list(stack[k]) for k in (0, 1, 2, 3, 5)]
+        self.check_rows(stack)
+
+    def test_all_zero_row_rejected_like_roots(self):
+        with pytest.raises(ValueError):
+            roots_many(np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+    def test_residual_bound(self):
+        rng = np.random.default_rng(15)
+        stack = rng.normal(size=(100, 4)) + 1j * rng.normal(size=(100, 4))
+        for coeffs, found in zip(stack, roots_many(stack, tol=1e-12)):
+            for p, _ in found:
+                r = p.to_complex()
+                val = abs(sum(c * r ** k for k, c in enumerate(coeffs)))
+                scale = sum(abs(c) * abs(r) ** k for k, c in enumerate(coeffs))
+                assert val <= 1e-11 * scale
+
+    def test_empty_stack(self):
+        assert roots_many(np.zeros((0, 4), dtype=complex)) == []
+
+
 class TestBivarPoly:
     def test_degrees_read_off_table(self):
         # P(z, w) = w - z^2
@@ -243,6 +303,17 @@ class TestBivarPoly:
         cw = p.coeffs_in_w(SpherePoint.from_complex(x))
         expected = np.array([sum(table[a, b] * x ** a for a in range(3)) for b in range(4)])
         npt.assert_allclose(cw, expected, atol=1e-14)
+
+    def test_stacked_fiber_coefficients_match_scalar(self):
+        rng = np.random.default_rng(16)
+        p = BivarPoly(rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
+        points = random_points(rng, 50) + [SpherePoint.infinity(),
+                                           SpherePoint.from_complex(0.0)]
+        stack = p.coeffs_in_z_many(points)
+        assert stack.shape == (len(points), p.deg_z + 1)
+        for y, row in zip(points, stack):
+            npt.assert_allclose(row, p.coeffs_in_z(y), rtol=1e-14, atol=1e-14)
+        assert p.coeffs_in_z_many([]).shape == (0, p.deg_z + 1)
 
     def test_incidence_residual_zero_on_curve(self):
         table = np.zeros((3, 2), dtype=complex)
