@@ -133,17 +133,25 @@ class Correspondence:
         """Fiber of z -> P_t(z, y) over every component, with multiplicity."""
         return self._fiber(BivarPoly.coeffs_in_z, as_sphere_point(y))
 
-    def backward_images_many(self, points) -> list[Fiber]:
-        """``backward_images`` of every point, solved as one stacked
-        ``roots_many`` call per component."""
+    def _fibers_many(self, coeffs_many, points) -> list[Fiber]:
         points = list(points)
         per_comp = []
         for comp in self.components:
-            coeffs = comp.coeffs_in_z_many(points)
+            coeffs = coeffs_many(comp, points)
             live = np.abs(coeffs).max(axis=1) != 0
             solved = iter(roots_many(coeffs[live], tol=self.root_tol))
             per_comp.append([next(solved) if alive else None for alive in live])
         return [self._assemble(lists) for lists in zip(*per_comp)]
+
+    def forward_images_many(self, points) -> list[Fiber]:
+        """``forward_images`` of every point, solved as one stacked
+        ``roots_many`` call per component."""
+        return self._fibers_many(BivarPoly.coeffs_in_w_many, points)
+
+    def backward_images_many(self, points) -> list[Fiber]:
+        """``backward_images`` of every point, solved as one stacked
+        ``roots_many`` call per component."""
+        return self._fibers_many(BivarPoly.coeffs_in_z_many, points)
 
     def incidence_residual(self, x, y, component: int) -> float:
         return self.components[component - 1].incidence_residual(x, y)

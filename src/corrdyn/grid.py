@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sphere import SpherePoint, as_sphere_point, chart_values
+from .sphere import SpherePoint, as_sphere_point, unit_vectors
 
 _TWO_PI = 2.0 * math.pi
 
@@ -88,21 +88,16 @@ class SphereGrid:
     def cell_index_many(self, points) -> np.ndarray:
         """``cell_index`` of every point, as an int array.
 
-        numpy's complex modulus and arctan2 may round differently from the
-        scalar lookup's, so points within 1e-12 of a band boundary in
-        height, or within 1e-9 sector widths of a sector boundary, are
-        looked up by ``cell_index`` itself, and so are the poles, whose
-        longitude is the sign of a zero; the rest are far enough from
-        every boundary that the vectorized cell is the scalar one.
+        ``unit_vectors`` gives the scalar unit vectors, but numpy's arctan2
+        may round differently from ``math.atan2``, so points within 1e-9
+        sector widths of a sector boundary are looked up by ``cell_index``
+        itself, and so, as a guard, are points within 1e-12 of a band
+        boundary in height and the poles, whose longitude is the sign of a
+        zero; the rest are far enough from every boundary that the
+        vectorized cell is the scalar one.
         """
         points = list(points)
-        values, inverted = chart_values(points)
-        re, im = values.real, values.imag
-        a2 = np.hypot(re, im) ** 2
-        s = 1.0 + a2
-        x = 2.0 * re / s
-        y = np.where(inverted, -2.0, 2.0) * im / s
-        z = np.where(inverted, 1.0 - a2, a2 - 1.0) / s
+        x, y, z = unit_vectors(points).T
         # Interior band boundaries, negated to increase; the band index
         # counts those above z, as band_of_z does, clamps included.
         above = -self.band_z[1:-1]
@@ -115,7 +110,7 @@ class SphereGrid:
         unsure = ((np.searchsorted(above, -z - _Z_MARGIN)
                    != np.searchsorted(above, -z + _Z_MARGIN))
                   | (np.abs(frac - np.rint(frac)) < _SECTOR_MARGIN)
-                  | (values == 0))
+                  | ((x == 0) & (y == 0)))
         for k in np.nonzero(unsure)[0]:
             cells[k] = self.cell_index(points[k])
         return cells
@@ -143,14 +138,6 @@ class SphereGrid:
     @cached_property
     def centers(self) -> list[SpherePoint]:
         return [self.cell_center(i) for i in range(self.n_cells)]
-
-    @cached_property
-    def center_vectors(self) -> np.ndarray:
-        return np.array([p.unit_vector() for p in self.centers])
-
-    @property
-    def cell_area(self) -> float:
-        return 4.0 * math.pi / self.n_cells
 
     # -- adjacency ---------------------------------------------------------
 

@@ -19,9 +19,9 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .correspondence import INCIDENCE_TOL, Correspondence, Fiber
+from .correspondence import Correspondence, Fiber
 from .errors import EmptyPath, IndexOutOfRange, LengthMismatch
-from .sphere import SpherePoint, as_sphere_point, sph_dist
+from .sphere import SpherePoint, as_sphere_point, sph_dist, unit_vectors
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,6 @@ class ForwardPath:
                                           self.symbols[r])
             worst = max(worst, res)
         return worst
-
-    def is_permissible(self, corr: Correspondence, tol: float = INCIDENCE_TOL) -> bool:
-        return self.max_incidence_residual(corr) <= tol
 
     def children(self, fiber: Fiber, backward: bool = False) -> Iterator["ForwardPath"]:
         """One-step extensions across fiber, one per branch slot in fiber
@@ -85,21 +82,29 @@ def _enumerate(corr: Correspondence, start, n: int, cap: int, seed: int | None,
                backward: bool) -> Enumeration:
     """Breadth-first path tree from start, n levels deep.
 
-    Whenever a level outgrows ``cap`` it is thinned to a seeded uniform
-    subsample and the result is flagged truncated.
+    A level of several paths has all its fibers solved in one
+    ``*_images_many`` call; a one-path level (the start, and every level
+    of a single-branch map) takes the scalar fiber, which is cheaper for
+    one point.  Whenever a level outgrows ``cap`` it is thinned to a
+    seeded uniform subsample and the result is flagged truncated.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
     if cap < 1:
         raise ValueError("cap must be positive")
-    images = corr.backward_images if backward else corr.forward_images
+    if backward:
+        images, images_many = corr.backward_images, corr.backward_images_many
+    else:
+        images, images_many = corr.forward_images, corr.forward_images_many
     end = 0 if backward else -1
     rng = np.random.default_rng(seed)
     level = [ForwardPath((as_sphere_point(start),), (), ())]
     truncated = False
     for _ in range(n):
-        nxt = [child for path in level
-               for child in path.children(images(path.points[end]), backward)]
+        ends = [path.points[end] for path in level]
+        fibers = [images(ends[0])] if len(ends) == 1 else images_many(ends)
+        nxt = [child for path, fiber in zip(level, fibers)
+               for child in path.children(fiber, backward)]
         if len(nxt) > cap:
             nxt = _thin(nxt, cap, rng)
             truncated = True
@@ -219,11 +224,12 @@ class _FamilyIndex:
         self.admitted: list[ForwardPath] = []
         self.words: dict[tuple[int, ...], dict[tuple[int, int, int], list]] = {}
 
-    def key(self, p: ForwardPath):
-        x, y, z = p.points[-1].unit_vector()
-        side = self.side
-        return p.symbols, (math.floor(x / side), math.floor(y / side),
-                           math.floor(z / side))
+    def keys(self, paths: list[ForwardPath]) -> list:
+        """(symbol word, cube) of every path, the cubes from one array of
+        last-point unit vectors."""
+        vectors = unit_vectors([p.points[-1] for p in paths])
+        cubes = np.floor(vectors / self.side).astype(np.int64).tolist()
+        return [(p.symbols, tuple(c)) for p, c in zip(paths, cubes)]
 
     def near(self, key):
         """Admitted paths of the key's word in its cube and the 26 around
@@ -262,9 +268,9 @@ def separated_subset(paths: list[ForwardPath], eps: float,
         values = [weight(p) for p in paths]
         order = sorted(order, key=lambda i: -values[i])
     index = _FamilyIndex(eps)
+    keys = index.keys(paths)
     for i in order:
-        cand = paths[i]
-        key = index.key(cand)
+        cand, key = paths[i], keys[i]
         if all(_is_separated(cand, a, eps) for a in index.near(key)):
             index.add(key, cand)
     return index.admitted
@@ -285,9 +291,9 @@ def spanning_subset(paths: list[ForwardPath], eps: float,
         values = [weight(p) for p in paths]
         order = sorted(order, key=lambda i: values[i])
     index = _FamilyIndex(eps)
+    keys = index.keys(paths)
     for i in order:
-        cand = paths[i]
-        key = index.key(cand)
+        cand, key = paths[i], keys[i]
         if not any(_covers(a, cand, eps) for a in index.near(key)):
             index.add(key, cand)
     return index.admitted

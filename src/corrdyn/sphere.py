@@ -139,6 +139,23 @@ def chart_values(points) -> tuple[np.ndarray, np.ndarray]:
     return values, inverted
 
 
+def unit_vectors(points) -> np.ndarray:
+    """``unit_vector`` of every point, as a (K, 3) array.
+
+    The squared modulus goes through C ``pow`` (``float_power``), as the
+    scalar method's ``abs(v) ** 2`` does, so each row equals
+    ``unit_vector`` bit for bit, up to the sign of a zero coordinate.
+    """
+    values, inverted = chart_values(points)
+    a2 = np.float_power(np.hypot(values.real, values.imag), 2.0)
+    s = 1.0 + a2
+    out = np.empty((len(values), 3))
+    out[:, 0] = 2.0 * values.real / s
+    out[:, 1] = np.where(inverted, -2.0, 2.0) * values.imag / s
+    out[:, 2] = np.where(inverted, 1.0 - a2, a2 - 1.0) / s
+    return out
+
+
 def sph_dist(p, q) -> float:
     """Chordal distance on the Riemann sphere, range [0, 2].
 
@@ -567,6 +584,22 @@ class BivarPoly:
         """Ascending coefficients of w -> P(x, w), scaled chart-safely."""
         px = self._chart_powers(as_sphere_point(x), self.deg_z + 1)
         return px @ self.table
+
+    def coeffs_in_w_many(self, points) -> np.ndarray:
+        """``coeffs_in_w`` of every point, stacked as a (K, deg_w+1) array.
+
+        Rows equal ``coeffs_in_w`` bit for bit.  Each is the vector-matrix
+        product that method makes, with the powers of a reciprocal-chart
+        point reversed as a view, as there, so numpy picks the same
+        product kernel (a single matrix product, or reversed copies, can
+        round complex tables differently).
+        """
+        values, inverted = chart_values(points)
+        pw = values[:, None, None] ** np.arange(self.deg_z + 1)
+        out = np.empty((len(values), self.deg_w + 1), dtype=complex)
+        out[~inverted] = np.matmul(pw[~inverted], self.table)[:, 0]
+        out[inverted] = np.matmul(pw[inverted][:, :, ::-1], self.table)[:, 0]
+        return out
 
     def coeffs_in_z(self, y: SpherePoint) -> np.ndarray:
         """Ascending coefficients of z -> P(z, y), scaled chart-safely."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from corrdyn.correspondence import expansivity_probe, parse_correspondence
+from corrdyn.datasets import BUNDLED, bundled_correspondence
 from corrdyn.errors import InsufficientPairs, InvalidComponent, ParseError
 from corrdyn.sphere import BivarPoly, SpherePoint, sph_dist
 
@@ -219,6 +220,37 @@ class TestBackwardImagesMany:
 
     def test_empty_batch(self, corr_z2z3):
         assert corr_z2z3.backward_images_many([]) == []
+
+
+class TestForwardImagesMany:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_identical_to_scalar_fibers(self, name):
+        corr = bundled_correspondence(name)
+        rng = np.random.default_rng(38)
+        inside = (rng.uniform(0.0, 0.99, 300)
+                  * np.exp(1j * rng.uniform(-math.pi, math.pi, 300))).tolist()
+        points = ([SpherePoint.from_complex(z) for z in inside[:150]]
+                  + [SpherePoint.from_reciprocal(z) for z in inside[150:]])
+        assert sum(p.inverted for p in points) == 150
+        points += [SpherePoint.from_complex(0.0), SpherePoint.infinity(),
+                   SpherePoint.from_complex(1.0)]
+        many = corr.forward_images_many(points)
+        scalar = [corr.forward_images(p) for p in points]
+        same_fibers(many, scalar, tol=0.0)
+        # Identical point values, not merely close ones.
+        assert [[b.point for b in f.branches] for f in many] == \
+            [[b.point for b in f.branches] for f in scalar]
+
+    def test_zero_constant_row_falls_back(self, corr_pair):
+        # w = 2z over z = 0 has the exact-zero constant term that
+        # roots_many leaves to the scalar roots; w = z + 1 over 0 does not.
+        many = corr_pair.forward_images_many([0.0, 0.5])
+        assert many == [corr_pair.forward_images(0.0), corr_pair.forward_images(0.5)]
+        assert [(b.component, b.point) for b in many[0].branches] == [
+            (1, SpherePoint.from_complex(1.0)), (2, SpherePoint.from_complex(0.0))]
+
+    def test_empty_batch(self, corr_pair):
+        assert corr_pair.forward_images_many([]) == []
 
 
 class TestFixedPoints:

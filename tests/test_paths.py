@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import corrdyn.paths as paths_mod
+from corrdyn.datasets import bundled_correspondence
 from corrdyn.errors import EmptyPath, IndexOutOfRange, LengthMismatch
 from corrdyn.functions import fn_re
 from corrdyn.paths import (ForwardPath, enumerate_backward_paths,
@@ -13,7 +14,7 @@ from corrdyn.paths import (ForwardPath, enumerate_backward_paths,
                            project_point, project_symbol, separated_subset,
                            shift, spanning_subset)
 from corrdyn.pressure import circle_start_sampler
-from corrdyn.sphere import SpherePoint, sph_dist
+from corrdyn.sphere import SpherePoint, as_sphere_point, sph_dist
 
 
 def sp(z):
@@ -103,6 +104,87 @@ class TestEnumeration:
         assert len(paths) == 17
         again, _ = enumerate_forward_paths(corr_pair, 0.0, 6, cap=17, seed=5)
         assert [p.symbols for p in paths] == [p.symbols for p in again]
+
+
+def scalar_enumerate(corr, start, n, cap, seed, backward):
+    """The level loop with one scalar fiber per path, as the oracle."""
+    images = corr.backward_images if backward else corr.forward_images
+    end = 0 if backward else -1
+    rng = np.random.default_rng(seed)
+    level = [ForwardPath((as_sphere_point(start),), (), ())]
+    truncated = False
+    for _ in range(n):
+        nxt = [child for path in level
+               for child in path.children(images(path.points[end]), backward)]
+        if len(nxt) > cap:
+            nxt = paths_mod._thin(nxt, cap, rng)
+            truncated = True
+        level = nxt
+    return level, truncated
+
+
+def count_batches(monkeypatch, corr, method):
+    """Record the batch size of every ``corr.<method>`` call."""
+    sizes = []
+    real = getattr(corr, method)
+
+    def counted(points):
+        points = list(points)
+        sizes.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(corr, method, counted)
+    return sizes
+
+
+class TestBatchedLevels:
+    @pytest.mark.parametrize("name,start,n,cap", [
+        ("corr_pair", 0.3 + 0.2j, 8, 40), ("corr_pair", 0.0, 6, 17),
+        ("corr_z2z3", 0.7 + 0.2j, 6, 25), ("corr_z2", 0.9 + 0.3j, 7, 4)])
+    def test_forward_identical_to_scalar_loop(self, name, start, n, cap, request):
+        corr = request.getfixturevalue(name)
+        got = enumerate_forward_paths(corr, start, n, cap=cap, seed=[5, 1])
+        want, truncated = scalar_enumerate(corr, start, n, cap, [5, 1], False)
+        # Point values included: ForwardPath and SpherePoint compare exactly.
+        assert got.paths == want
+        assert got.truncated == truncated == (corr.d_fwd > 1)
+
+    @pytest.mark.parametrize("name,n,cap", [("corr_z2", 6, 20), ("corr_z3", 4, 30),
+                                            ("corr_z2z3", 4, 60)])
+    def test_backward_matches_scalar_loop(self, name, n, cap, request):
+        corr = request.getfixturevalue(name)
+        got = enumerate_backward_paths(corr, 0.5 + 0.3j, n, cap=cap, seed=9)
+        want, truncated = scalar_enumerate(corr, 0.5 + 0.3j, n, cap, 9, True)
+        assert got.truncated and truncated
+        assert len(got.paths) == len(want) == cap
+        for p, q in zip(got.paths, want):
+            assert (p.symbols, p.branches) == (q.symbols, q.branches)
+            assert max(sph_dist(a, b) for a, b in zip(p.points, q.points)) <= 1e-12
+
+    def test_one_point_levels_stay_scalar(self, monkeypatch):
+        corr_pair = bundled_correspondence("mobius_pair")
+        corr_z2 = bundled_correspondence("z2")
+        pair_batches = count_batches(monkeypatch, corr_pair, "forward_images_many")
+        z2_batches = count_batches(monkeypatch, corr_z2, "forward_images_many")
+        back_batches = count_batches(monkeypatch, corr_z2, "backward_images_many")
+        enumerate_forward_paths(corr_pair, 0.3, 4)
+        enumerate_forward_paths(corr_z2, 0.3, 4)
+        enumerate_backward_paths(corr_z2, 0.3, 3)
+        # The start level is scalar, every wider level is one batch.
+        assert pair_batches == [2, 4, 8]
+        assert z2_batches == []
+        assert back_batches == [2, 4]
+
+    @pytest.mark.parametrize("enumerate_paths", [enumerate_forward_paths,
+                                                 enumerate_backward_paths])
+    def test_depth_zero_solves_no_fiber(self, monkeypatch, enumerate_paths):
+        corr_pair = bundled_correspondence("mobius_pair")
+        for method in ("forward_images", "backward_images", "forward_images_many",
+                       "backward_images_many"):
+            monkeypatch.setattr(corr_pair, method, None)
+        paths, truncated = enumerate_paths(corr_pair, 0.25, 0)
+        assert paths == [ForwardPath((sp(0.25),), (), ())]
+        assert not truncated
 
 
 class TestMetric:
@@ -383,6 +465,46 @@ class TestFamilyIndexExactness:
                    for p in pool for x in p.points[-1].unit_vector())
         assert_same_families(pool, eps)
         assert_same_families(pool, eps, weight=lambda p: p.points[-1].unit_vector()[0])
+
+    @pytest.mark.parametrize("eps", [1e-6, 0.01, 0.05, 0.3])
+    def test_keys_of_close_pairs_are_adjacent(self, eps):
+        # First last-points within rounding of a cube face, second ones at
+        # most 2 eps away (chordal) in a random tangent direction.
+        rng = np.random.default_rng(int(eps * 1e6) + 17)
+        index = paths_mod._FamilyIndex(eps)
+        side = index.side
+        start = np.array([0.0, 0.0, -1.0])
+        pairs = []
+        while len(pairs) < 400:
+            u = rng.normal(size=3)
+            u /= np.linalg.norm(u)
+            axis = int(rng.integers(3))
+            face = (math.floor(u[axis] / side) + int(rng.integers(2))) * side
+            if abs(face) >= 0.99:
+                continue
+            u[axis] = face + rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0.0, 1e-15)
+            rest = [i for i in range(3) if i != axis]
+            u[rest] *= math.sqrt(1.0 - u[axis] ** 2) / np.linalg.norm(u[rest])
+            t = rng.normal(size=3)
+            t -= t.dot(u) * u
+            t /= np.linalg.norm(t)
+            angle = rng.uniform(0.0, 1.0) * 2.0 * math.asin(eps)
+            v = math.cos(angle) * u + math.sin(angle) * t
+            pairs.append((path_from_unit_vectors([start, u]),
+                          path_from_unit_vectors([start, v])))
+        flat = [p for pair in pairs for p in pair]
+        keys = index.keys(flat)
+        # The batched cubes are the floors of the scalar unit vectors.
+        assert keys == [(p.symbols, tuple(math.floor(x / side)
+                                          for x in p.points[-1].unit_vector()))
+                        for p in flat]
+        checked = crossed = 0
+        for (p, q), (_, cp), (_, cq) in zip(pairs, keys[::2], keys[1::2]):
+            if sph_dist(p.points[-1], q.points[-1]) <= 2 * eps:
+                checked += 1
+                crossed += cp != cq
+                assert max(abs(a - b) for a, b in zip(cp, cq)) <= 1
+        assert checked > 350 and crossed > 100
 
     @pytest.mark.parametrize("eps", [2.0, 2.5, 1e6])
     def test_eps_at_least_two(self, corr_z2, eps):

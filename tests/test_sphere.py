@@ -4,8 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from corrdyn.datasets import BUNDLED, bundled_correspondence
 from corrdyn.errors import InvalidComponent
-from corrdyn.sphere import BivarPoly, SpherePoint, roots, roots_many, sph_dist
+from corrdyn.sphere import (BivarPoly, SpherePoint, roots, roots_many, sph_dist,
+                            unit_vectors)
 
 
 def random_points(rng, n):
@@ -14,6 +16,15 @@ def random_points(rng, n):
         z = complex(rng.normal(scale=2.0), rng.normal(scale=2.0))
         pts.append(SpherePoint.from_complex(z))
     return pts
+
+
+def points_in_both_charts(rng, n):
+    """n random points in each chart, then 0, infinity and 1."""
+    pts = random_points(rng, 2 * n)
+    pts = ([p for p in pts if not p.inverted][:n] + [p for p in pts if p.inverted][:n])
+    assert sum(p.inverted for p in pts) == n
+    return pts + [SpherePoint.from_complex(0.0), SpherePoint.infinity(),
+                  SpherePoint.from_complex(1.0)]
 
 
 class TestSpherePoint:
@@ -39,6 +50,19 @@ class TestSpherePoint:
             direct = SpherePoint.from_complex(z)
             recip = SpherePoint.from_reciprocal(1.0 / z)
             assert sph_dist(direct, recip) < 1e-12
+
+    def test_unit_vectors_match_scalar(self):
+        # Enough points that x * x and pow(x, 2) differ in the last bit
+        # for a few squared moduli (3 rows of these would differ).
+        rng = np.random.default_rng(18)
+        pts = points_in_both_charts(rng, 10000)
+        pts += [SpherePoint.from_complex(z) for z in (1e-300, -1j, 1e-8 - 1e-8j)]
+        pts += [SpherePoint.from_reciprocal(z) for z in (1e-300, -1.0, 0.5j)]
+        got = unit_vectors(pts)
+        assert got.shape == (len(pts), 3)
+        # Equal as numbers (a zero may differ in sign), bit for bit otherwise.
+        assert np.array_equal(got, np.array([p.unit_vector() for p in pts]))
+        assert unit_vectors([]).shape == (0, 3)
 
     def test_unit_vector_round_trip(self):
         rng = np.random.default_rng(8)
@@ -314,6 +338,24 @@ class TestBivarPoly:
         for y, row in zip(points, stack):
             npt.assert_allclose(row, p.coeffs_in_z(y), rtol=1e-14, atol=1e-14)
         assert p.coeffs_in_z_many([]).shape == (0, p.deg_z + 1)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_stacked_forward_coefficients_bit_identical(self, name):
+        rng = np.random.default_rng(19)
+        points = points_in_both_charts(rng, 100)
+        for comp in bundled_correspondence(name).components:
+            stack = comp.coeffs_in_w_many(points)
+            assert stack.shape == (len(points), comp.deg_w + 1)
+            scalar = np.array([comp.coeffs_in_w(x) for x in points])
+            assert stack.tobytes() == scalar.tobytes()
+            assert comp.coeffs_in_w_many([]).shape == (0, comp.deg_w + 1)
+
+    def test_stacked_forward_coefficients_complex_table(self):
+        rng = np.random.default_rng(20)
+        p = BivarPoly(rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
+        points = points_in_both_charts(rng, 100)
+        scalar = np.array([p.coeffs_in_w(x) for x in points])
+        assert p.coeffs_in_w_many(points).tobytes() == scalar.tobytes()
 
     def test_incidence_residual_zero_on_curve(self):
         table = np.zeros((3, 2), dtype=complex)
