@@ -25,9 +25,8 @@ import numpy as np
 from . import __version__
 from .correspondence import Correspondence, expansivity_probe, parse_correspondence
 from .errors import (ConfigMismatch, CorrdynError, DegenerateStart,
-                     DegreeConditionError, InvalidComponent, NonConvergence,
-                     NotConverged, ParseError, PreimageOutsideSupport,
-                     ScheduleEmpty, TrajectoryEscape)
+                     InvalidComponent, NonConvergence, NotConverged,
+                     ParseError, PreimageOutsideSupport, TrajectoryEscape)
 from .functions import named_function
 from .grid import SphereGrid
 from .measures import (PathMeasure, SpherePartition, VariationalEntry,
@@ -155,8 +154,7 @@ def _write_cylinders_csv(path: Path, mu: PathMeasure):
 # ---------------------------------------------------------------------------
 
 
-def cmd_degrees(config: RunConfig) -> dict:
-    corr = config.load_correspondence()
+def _cmd_degrees(config: RunConfig, corr: Correspondence) -> dict:
     d_fwd, d_top, per = corr.degrees()
     report = {
         "components": corr.n_components,
@@ -263,7 +261,7 @@ def _pressure_like(config: RunConfig, corr: Correspondence, name: str) -> dict:
     }
 
 
-def _ruelle_objects(config: RunConfig, corr: Correspondence):
+def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     section = config.section("ruelle")
     grid = config.grid()
     pb = section.get("pullback", {})
@@ -277,11 +275,6 @@ def _ruelle_objects(config: RunConfig, corr: Correspondence):
     kernel = TransferKernel(corr, active)
     f_label = section.get("f", "zero")
     f = GridFunction.from_callable(active, named_function(f_label))
-    return section, grid, active, kernel, f, f_label
-
-
-def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
-    section, grid, active, kernel, f, f_label = _ruelle_objects(config, corr)
     tol = float(section.get("tol", 1e-10))
     probe_pairs = []
     rng = np.random.default_rng(config["seed"])
@@ -297,18 +290,17 @@ def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
                                   probe_scale=1.0)
     except CorrdynError:
         probe = None
-    spectral = power_iteration(corr, f, tol=tol,
+    spectral = power_iteration(kernel, f, tol=tol,
                                max_iter=int(section.get("max_iter", 2000)),
-                               seed=config["seed"], kernel=kernel,
-                               expansivity=probe)
+                               seed=config["seed"], expansivity=probe)
     weights = normalize(f, spectral, kernel)
-    adjoint = adjoint_fixed_point(corr, f, spectral, tol=tol,
-                                  kernel=kernel, seed=config["seed"],
+    adjoint = adjoint_fixed_point(kernel, f, spectral, tol=tol,
+                                  seed=config["seed"],
                                   depth=int(section.get("depth", 2)))
     g_label = section.get("convergence_g", "re")
     g = GridFunction.from_callable(active, named_function(g_label))
-    conv = convergence_check(corr, f, g, spectral, adjoint.nu,
-                             n_max=int(section.get("n_max", 40)), kernel=kernel)
+    conv = convergence_check(kernel, f, g, spectral, adjoint.nu,
+                             n_max=int(section.get("n_max", 40)))
     invariance = check_shift_invariance(adjoint.mu0, tol=10.0 * tol)
     lam_probe = probe.lambda_estimate if probe and probe.is_expansive else 2.0
     holder = holder_norm(f, lam=min(max(lam_probe, 1.5), 4.0),
@@ -397,7 +389,7 @@ def _cmd_variational(config: RunConfig, corr: Correspondence) -> dict:
     entries = _variational_entries(config, corr, grid, section)
     partitions = [SpherePartition.trivial(grid),
                   SpherePartition.sectors(grid, 2, 4)]
-    report = variational_check(corr, named_function(f_label), entries,
+    report = variational_check(named_function(f_label), entries,
                                pressure_value, partitions=partitions,
                                n_max=int(section.get("n_max", 4)),
                                slack=float(section.get("slack", 0.05)))
@@ -416,6 +408,7 @@ def _cmd_variational(config: RunConfig, corr: Correspondence) -> dict:
 
 
 _PIPELINES = {
+    "degrees": _cmd_degrees,
     "orbits": _cmd_orbits,
     "ds-measure": _cmd_ds_measure,
     "entropy": lambda cfg, corr: _pressure_like(cfg, corr, "entropy"),
@@ -442,7 +435,7 @@ def _exit_code(err: Exception) -> int:
         return EXIT_MISMATCH
     if isinstance(err, (ParseError, InvalidComponent)):
         return EXIT_CONFIG
-    if isinstance(err, (ScheduleEmpty, DegreeConditionError, ValueError)):
+    if isinstance(err, ValueError):
         return EXIT_PRECONDITION
     if isinstance(err, (NonConvergence, NotConverged, DegenerateStart,
                         TrajectoryEscape, PreimageOutsideSupport)):
@@ -454,9 +447,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="corrdyn",
         description="Batch dynamics of holomorphic correspondences")
-    parser.add_argument("command",
-                        choices=["degrees", "orbits", "ds-measure", "entropy",
-                                 "pressure", "ruelle", "variational"])
+    parser.add_argument("command", choices=list(_PIPELINES))
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
@@ -469,22 +460,19 @@ def main(argv=None) -> int:
         raw = json.loads(config_path.read_text())
         config = RunConfig(raw, seed=args.seed, out=args.out,
                            base_dir=config_path.resolve().parent)
-        if args.command == "degrees":
-            results = cmd_degrees(config)
-        else:
-            results = cmd_pipeline(config, args.command)
+        results = cmd_pipeline(config, args.command)
     except json.JSONDecodeError as err:
         print(f"corrdyn: config parse failure: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:
         print(f"corrdyn: cannot read input: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except CorrdynError as err:
-        print(f"corrdyn: {type(err).__name__}: {err}", file=sys.stderr)
+    except (CorrdynError, ValueError) as err:
+        # Other ValueError subclasses (a config that is not UTF-8) keep
+        # the generic label.
+        name = type(err).__name__ if isinstance(err, CorrdynError) else "ValueError"
+        print(f"corrdyn: {name}: {err}", file=sys.stderr)
         return _exit_code(err)
-    except ValueError as err:
-        print(f"corrdyn: ValueError: {err}", file=sys.stderr)
-        return EXIT_PRECONDITION
 
     elapsed = time.time() - started
     out = config.out_dir()

@@ -1,16 +1,15 @@
 """Measures on the sphere and on path space, partitions, and entropies.
 
 Sphere measures are weight vectors on a fixed equal-area grid.  Path
-measures come in two forms: a finite list of weighted equal-length paths,
-or depth-D cylinder weights on words of (cell, symbol) pairs, where the
-pair at position p records the grid cell of the p-th point and the
-component symbol of the following step.
+measures are depth-D cylinder weights on words of (cell, symbol) pairs,
+where the pair at position p records the grid cell of the p-th point and
+the component symbol of the following step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .errors import (IndexOutOfRange, NoValidCandidates, NotAPartition,
                      PushforwardMismatch, TrajectoryEscape)
 from .functions import SphereFunction, TestFunctionFamily, default_test_family
 from .grid import SphereGrid
-from .paths import ForwardPath
 from .sphere import SpherePoint, as_sphere_point
 
 MASS_TOL = 1e-12
@@ -33,12 +31,13 @@ class SphereMeasure:
 
     grid: SphereGrid
     weights: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.grid.n_cells,):
             raise ValueError("weight vector does not match the grid")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if w.min() < -MASS_TOL:
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
@@ -46,13 +45,13 @@ class SphereMeasure:
         self.weights = np.maximum(w, 0.0)
 
     @classmethod
-    def from_particles(cls, grid: SphereGrid, particles, metadata=None) -> "SphereMeasure":
+    def from_particles(cls, grid: SphereGrid, particles) -> "SphereMeasure":
         """Accumulate (point, weight) pairs into cells, in particle order."""
         pairs = list(particles)
         cells = grid.cell_index_many([point for point, _ in pairs])
         w = np.bincount(cells, weights=[float(weight) for _, weight in pairs],
                         minlength=grid.n_cells)
-        return cls(grid, w, metadata or {})
+        return cls(grid, w)
 
     @classmethod
     def dirac(cls, grid: SphereGrid, point) -> "SphereMeasure":
@@ -82,112 +81,80 @@ def total_variation(m1: SphereMeasure, m2: SphereMeasure) -> float:
 
 @dataclass
 class PathMeasure:
-    """Probability measure on fixed-length forward paths.
-
-    Exactly one of (paths, weights) and (cylinders, depth) is populated.
-    """
+    """Probability measure on depth-D cylinder words of forward paths."""
 
     grid: SphereGrid
-    paths: list[ForwardPath] | None = None
-    weights: np.ndarray | None = None
-    cylinders: dict[CylinderKey, float] | None = None
-    depth: int | None = None
-    metadata: dict = field(default_factory=dict)
+    cylinders: dict[CylinderKey, float]
+    depth: int
 
     def __post_init__(self):
-        if (self.paths is None) == (self.cylinders is None):
-            raise ValueError("provide either paths or cylinders, not both")
-        if self.paths is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if len(w) != len(self.paths):
-                raise ValueError("weights do not match paths")
-            if w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
-                raise ValueError("path weights must be a probability vector")
-            self.weights = w
-            lengths = {p.length for p in self.paths}
-            if len(lengths) > 1:
-                raise ValueError("support paths must share one length")
-        else:
-            if self.depth is None or self.depth < 1:
-                raise ValueError("cylinder form needs depth >= 1")
-            total = sum(self.cylinders.values())
-            if abs(total - 1.0) > 1e-9 or min(self.cylinders.values()) < 0:
-                raise ValueError("cylinder weights must be a probability vector")
-            for key in self.cylinders:
-                if len(key) != self.depth:
-                    raise ValueError("cylinder word length differs from depth")
-
-    @property
-    def is_cylinder(self) -> bool:
-        return self.cylinders is not None
-
-    @property
-    def horizon(self) -> int:
-        """Number of recorded positions: path length or cylinder depth."""
-        if self.is_cylinder:
-            return self.depth
-        return self.paths[0].length if self.paths else 0
+        if self.depth < 1:
+            raise ValueError("path measure needs depth >= 1")
+        weights = list(self.cylinders.values())
+        if not all(math.isfinite(w) for w in weights):
+            raise ValueError("cylinder weights must be finite")
+        if abs(sum(weights) - 1.0) > 1e-9 or min(weights) < 0:
+            raise ValueError("cylinder weights must be a probability vector")
+        for key in self.cylinders:
+            if len(key) != self.depth:
+                raise ValueError("cylinder word length differs from depth")
 
     @classmethod
-    def from_paths(cls, grid: SphereGrid, paths, weights=None, metadata=None) -> "PathMeasure":
+    def from_paths(cls, grid: SphereGrid, paths, weights=None) -> "PathMeasure":
+        """Weighted length-n paths, folded into their depth-n words; paths
+        with the same word add their weights."""
         paths = list(paths)
+        if not paths:
+            raise ValueError("no paths given")
         if weights is None:
             weights = np.full(len(paths), 1.0 / len(paths))
-        return cls(grid, paths=paths, weights=weights, metadata=metadata or {})
+        w = np.asarray(weights, dtype=float)
+        if len(w) != len(paths):
+            raise ValueError("weights do not match paths")
+        if w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
+            raise ValueError("path weights must be a probability vector")
+        depth = paths[0].length
+        if any(p.length != depth for p in paths):
+            raise ValueError("support paths must share one length")
+        cylinders: dict[CylinderKey, float] = {}
+        for path, weight in zip(paths, w):
+            key = tuple((grid.cell_index(path.points[p]), path.symbols[p])
+                        for p in range(depth))
+            cylinders[key] = cylinders.get(key, 0.0) + float(weight)
+        return cls(grid, cylinders, depth)
 
     @classmethod
-    def from_cylinders(cls, grid: SphereGrid, cylinders, metadata=None) -> "PathMeasure":
+    def from_cylinders(cls, grid: SphereGrid, cylinders) -> "PathMeasure":
         cylinders = dict(cylinders)
-        depth = len(next(iter(cylinders)))
-        return cls(grid, cylinders=cylinders, depth=depth, metadata=metadata or {})
+        return cls(grid, cylinders, len(next(iter(cylinders))))
 
     def marginal(self, n: int) -> dict[CylinderKey, float]:
         """Cylinder weights of the first n (cell, symbol) pairs."""
-        if n < 0 or n > self.horizon:
-            raise IndexOutOfRange(f"marginal depth {n} outside [0, {self.horizon}]")
+        if n < 0 or n > self.depth:
+            raise IndexOutOfRange(f"marginal depth {n} outside [0, {self.depth}]")
         out: dict[CylinderKey, float] = {}
-        if self.is_cylinder:
-            for key, w in self.cylinders.items():
-                head = key[:n]
-                out[head] = out.get(head, 0.0) + w
-        else:
-            for path, w in zip(self.paths, self.weights):
-                head = tuple((self.grid.cell_index(path.points[p]), path.symbols[p])
-                             for p in range(n))
-                out[head] = out.get(head, 0.0) + float(w)
+        for key, w in self.cylinders.items():
+            head = key[:n]
+            out[head] = out.get(head, 0.0) + w
         return out
 
 
 def pushforward(mu: PathMeasure, r: int) -> SphereMeasure:
     """Sphere marginal of the r-th path position."""
-    grid = mu.grid
-    w = np.zeros(grid.n_cells)
-    if mu.is_cylinder:
-        if not 0 <= r < mu.depth:
-            raise IndexOutOfRange(f"position {r} outside cylinder depth {mu.depth}")
-        for key, weight in mu.cylinders.items():
-            w[key[r][0]] += weight
-    else:
-        length = mu.paths[0].length if mu.paths else 0
-        if not 0 <= r <= length:
-            raise IndexOutOfRange(f"position {r} outside path length {length}")
-        for path, weight in zip(mu.paths, mu.weights):
-            w[grid.cell_index(path.points[r])] += float(weight)
-    return SphereMeasure(grid, w)
+    if not 0 <= r < mu.depth:
+        raise IndexOutOfRange(f"position {r} outside cylinder depth {mu.depth}")
+    w = np.zeros(mu.grid.n_cells)
+    for key, weight in mu.cylinders.items():
+        w[key[r][0]] += weight
+    return SphereMeasure(mu.grid, w)
 
 
-def measure_distance(m1, m2, fam: TestFunctionFamily | None = None) -> float:
-    """Weighted test-function gap, compatible with weak-star convergence.
-
-    Path measures are compared through their position-0 push-forwards.
-    """
+def measure_distance(m1: SphereMeasure, m2: SphereMeasure,
+                     fam: TestFunctionFamily | None = None) -> float:
+    """Weighted test-function gap, compatible with weak-star convergence."""
     if fam is None:
         fam = default_test_family()
     fam.require_nonempty()
-    if isinstance(m1, PathMeasure):
-        m1 = pushforward(m1, 0)
-    if isinstance(m2, PathMeasure):
-        m2 = pushforward(m2, 0)
     total = 0.0
     for weight, f in zip(fam.weights, fam.functions):
         total += weight * abs(m1.integrate(f) - m2.integrate(f))
@@ -243,9 +210,7 @@ def empirical_invariant_measure(corr: Correspondence, x0, n_burn: int,
         counts[key] = counts.get(key, 0.0) + 1.0
     total = float(sum(counts.values()))
     cylinders = {k: v / total for k, v in counts.items()}
-    return PathMeasure.from_cylinders(grid, cylinders,
-                                      metadata={"seed": seed, "n_keep": n_keep,
-                                                "n_burn": n_burn})
+    return PathMeasure.from_cylinders(grid, cylinders)
 
 
 @dataclass(frozen=True)
@@ -258,8 +223,6 @@ class InvarianceReport:
 
 def check_shift_invariance(mu: PathMeasure, tol: float) -> InvarianceReport:
     """Compare mass of depth-(D-1) cylinders with their shift preimages."""
-    if not mu.is_cylinder:
-        raise ValueError("shift invariance check needs cylinder form")
     heads: dict[CylinderKey, float] = {}
     tails: dict[CylinderKey, float] = {}
     for key, w in mu.cylinders.items():
@@ -378,13 +341,13 @@ def joined_lift_masses(mu: PathMeasure, q: SpherePartition, n: int) -> list[floa
 
 
 def entropy_rate_sequence(mu: PathMeasure, q: SpherePartition, n_max: int) -> list[float]:
-    """H_n of joined lifted partitions for n = 1 .. min(n_max, horizon)."""
-    n_eff = min(n_max, mu.horizon)
+    """H_n of joined lifted partitions for n = 1 .. min(n_max, depth)."""
+    n_eff = min(n_max, mu.depth)
     return [_shannon(joined_lift_masses(mu, q, n)) for n in range(1, n_eff + 1)]
 
 
-def intermediate_entropy(nu: SphereMeasure, mu: PathMeasure, corr: Correspondence,
-                         partitions, n_max: int, pf_tol: float = 0.05) -> float:
+def intermediate_entropy(nu: SphereMeasure, mu: PathMeasure, partitions,
+                         n_max: int, pf_tol: float = 0.05) -> float:
     """Entropy rate of lifted position-and-symbol words, maxed over a
     refining partition schedule.
 
@@ -406,14 +369,14 @@ def intermediate_entropy(nu: SphereMeasure, mu: PathMeasure, corr: Correspondenc
     return best
 
 
-def measure_entropy(nu: SphereMeasure, corr: Correspondence, candidate_mus,
-                    partitions, n_max: int, pf_tol: float = 0.05) -> float:
+def measure_entropy(nu: SphereMeasure, candidate_mus, partitions, n_max: int,
+                    pf_tol: float = 0.05) -> float:
     """Lower bound for the entropy of nu: max of the intermediate entropy
     over candidate path measures pushing forward to nu."""
     best = None
     for mu in candidate_mus:
         try:
-            value = intermediate_entropy(nu, mu, corr, partitions, n_max, pf_tol)
+            value = intermediate_entropy(nu, mu, partitions, n_max, pf_tol)
         except PushforwardMismatch:
             continue
         best = value if best is None else max(best, value)
@@ -463,8 +426,8 @@ class VariationalReport:
         return min(r.gap for r in self.rows)
 
 
-def variational_check(corr: Correspondence, f: SphereFunction, nu_list,
-                      pressure_report, partitions=None, n_max: int = 6,
+def variational_check(f: SphereFunction, nu_list, pressure_report,
+                      partitions=None, n_max: int = 6,
                       slack: float = 0.05, pf_tol: float = 0.05) -> VariationalReport:
     """Report entropy + integral against the pressure estimate for each nu.
 
@@ -478,7 +441,7 @@ def variational_check(corr: Correspondence, f: SphereFunction, nu_list,
             parts = [SpherePartition.trivial(entry.nu.grid)]
         else:
             parts = partitions
-        h = measure_entropy(entry.nu, corr, entry.candidates, parts, n_max, pf_tol)
+        h = measure_entropy(entry.nu, entry.candidates, parts, n_max, pf_tol)
         integral = entry.nu.integrate(f)
         value = h + integral
         gap = pressure - value

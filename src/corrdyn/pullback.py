@@ -80,9 +80,8 @@ def pullback_iterate(corr: Correspondence, x0, n: int, cap: int = 8192,
     d_top = corr.d_top
     points: list[SpherePoint] = [start]
     weights = np.array([1.0])
-    levels = [SphereMeasure.from_particles(grid, zip(points, weights),
-                                           metadata={"level": 0})]
-    for level in range(1, n + 1):
+    levels = [SphereMeasure.from_particles(grid, zip(points, weights))]
+    for _ in range(n):
         nxt_points: list[SpherePoint] = []
         nxt_weights: list[float] = []
         for w, fiber in zip(weights, corr.backward_images_many(points)):
@@ -93,8 +92,7 @@ def pullback_iterate(corr: Correspondence, x0, n: int, cap: int = 8192,
         weights = np.asarray(nxt_weights)
         if len(points) > cap:
             points, weights = _systematic_thin(points, weights, cap, rng)
-        levels.append(SphereMeasure.from_particles(
-            grid, zip(points, weights), metadata={"level": level}))
+        levels.append(SphereMeasure.from_particles(grid, zip(points, weights)))
     return levels
 
 

@@ -528,6 +528,25 @@ def _companion_roots(c: np.ndarray, tol: float):
 # ---------------------------------------------------------------------------
 
 
+def _stacked_products(points, size: int, product) -> np.ndarray:
+    """``product`` of the chart powers of every point, one row per point.
+
+    Rows equal the scalar ``coeffs_in_w`` / ``coeffs_in_z`` bit for bit:
+    ``product`` stacks that method's own vector-matrix or matrix-vector
+    product, and the powers of a reciprocal-chart point are reversed as
+    a view, as in ``_chart_powers``, so numpy picks the same product
+    kernel (a single matrix product, or reversed copies, can round
+    complex tables differently).
+    """
+    values, inverted = chart_values(points)
+    pw = values[:, None] ** np.arange(size)
+    plain = product(pw[~inverted])
+    out = np.empty((len(values), plain.shape[1]), dtype=complex)
+    out[~inverted] = plain
+    out[inverted] = product(pw[inverted][:, ::-1])
+    return out
+
+
 @dataclass(frozen=True)
 class BivarPoly:
     """A bivariate polynomial component P(z, w) with a multiplicity.
@@ -586,20 +605,9 @@ class BivarPoly:
         return px @ self.table
 
     def coeffs_in_w_many(self, points) -> np.ndarray:
-        """``coeffs_in_w`` of every point, stacked as a (K, deg_w+1) array.
-
-        Rows equal ``coeffs_in_w`` bit for bit.  Each is the vector-matrix
-        product that method makes, with the powers of a reciprocal-chart
-        point reversed as a view, as there, so numpy picks the same
-        product kernel (a single matrix product, or reversed copies, can
-        round complex tables differently).
-        """
-        values, inverted = chart_values(points)
-        pw = values[:, None, None] ** np.arange(self.deg_z + 1)
-        out = np.empty((len(values), self.deg_w + 1), dtype=complex)
-        out[~inverted] = np.matmul(pw[~inverted], self.table)[:, 0]
-        out[inverted] = np.matmul(pw[inverted][:, :, ::-1], self.table)[:, 0]
-        return out
+        """``coeffs_in_w`` of every point, stacked as a (K, deg_w+1) array."""
+        return _stacked_products(points, self.deg_z + 1,
+                                 lambda px: (px[:, None, :] @ self.table)[:, 0])
 
     def coeffs_in_z(self, y: SpherePoint) -> np.ndarray:
         """Ascending coefficients of z -> P(z, y), scaled chart-safely."""
@@ -608,10 +616,8 @@ class BivarPoly:
 
     def coeffs_in_z_many(self, points) -> np.ndarray:
         """``coeffs_in_z`` of every point, stacked as a (K, deg_z+1) array."""
-        values, inverted = chart_values(points)
-        py = values[:, None] ** np.arange(self.deg_w + 1)
-        py[inverted] = py[inverted, ::-1]
-        return py @ self.table.T
+        return _stacked_products(points, self.deg_w + 1,
+                                 lambda py: (self.table @ py[:, :, None])[:, :, 0])
 
     def incidence_residual(self, x, y) -> float:
         """Normalized |P(x, y)| in the charts of both points.

@@ -183,10 +183,9 @@ class SpectralResult:
     gap_estimate: float | None
 
 
-def power_iteration(corr: Correspondence, f: GridFunction,
+def power_iteration(kernel: TransferKernel, f: GridFunction,
                     tol: float = 1e-10, max_iter: int = 2000,
                     seed: int | None = 0,
-                    kernel: TransferKernel | None = None,
                     expansivity: ExpansivityResult | None = None) -> SpectralResult:
     """Maximal eigenvalue and positive eigenfunction of the operator.
 
@@ -199,7 +198,6 @@ def power_iteration(corr: Correspondence, f: GridFunction,
         warnings.warn(
             "correspondence fails the expansivity probe; spectral "
             "conclusions may not hold", stacklevel=2)
-    kernel = kernel or TransferKernel(corr, f.active)
     rng = np.random.default_rng(seed)
     g = rng.uniform(0.5, 1.5, size=f.active.n_active)
     lam_prev = None
@@ -235,13 +233,12 @@ def power_iteration(corr: Correspondence, f: GridFunction,
 class NormalizedWeights:
     """Branch weights exp(f(y)) h(y) / (lam h(x)), summing to one per cell."""
 
-    active: ActiveGrid
     kernel: TransferKernel
     weights: np.ndarray
     row_sums: np.ndarray
 
     def transition_matrix(self) -> np.ndarray:
-        n = self.active.n_active
+        n = self.kernel.active.n_active
         p = np.zeros((n, n))
         np.add.at(p, (self.kernel.src, self.kernel.tgt),
                   self.kernel.mult * self.weights)
@@ -260,7 +257,7 @@ def normalize(f: GridFunction, spectral: SpectralResult,
          / (spectral.lam * h[kernel.src]))
     sums = np.bincount(kernel.src, weights=kernel.mult * w,
                        minlength=f.active.n_active)
-    return NormalizedWeights(f.active, kernel, w, sums)
+    return NormalizedWeights(kernel, w, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +329,9 @@ def _chain_cylinders(active: ActiveGrid, kernel: TransferKernel,
     return {k: v / total for k, v in cylinders.items()}
 
 
-def adjoint_fixed_point(corr: Correspondence, f: GridFunction,
+def adjoint_fixed_point(kernel: TransferKernel, f: GridFunction,
                         spectral: SpectralResult, tol: float = 1e-10,
                         max_iter: int = 5000, seed: int | None = 0,
-                        kernel: TransferKernel | None = None,
                         depth: int = 1) -> AdjointResult:
     """Stationary measure of the normalized backward kernel and the
     induced cylinder path measure.
@@ -346,7 +342,6 @@ def adjoint_fixed_point(corr: Correspondence, f: GridFunction,
     equal nu.  Two random starts are compared; disagreement beyond
     10 * tol flags non-uniqueness.
     """
-    kernel = kernel or TransferKernel(corr, f.active)
     norm = normalize(f, spectral, kernel)
     p = norm.transition_matrix()
     n = f.active.n_active
@@ -360,9 +355,9 @@ def adjoint_fixed_point(corr: Correspondence, f: GridFunction,
     for pos, cell in enumerate(f.active.cells):
         w[cell] = v1[pos]
     w /= w.sum()
-    nu = SphereMeasure(grid, w, metadata={"tol": tol})
+    nu = SphereMeasure(grid, w)
     cylinders = _chain_cylinders(f.active, kernel, norm.weights, v1, depth)
-    mu0 = PathMeasure.from_cylinders(grid, cylinders, metadata={"depth": depth})
+    mu0 = PathMeasure.from_cylinders(grid, cylinders)
     return AdjointResult(nu, mu0, it1, gap1, unique)
 
 
@@ -378,13 +373,11 @@ class ConvergenceReport:
     constant: float
 
 
-def convergence_check(corr: Correspondence, f: GridFunction, g: GridFunction,
+def convergence_check(kernel: TransferKernel, f: GridFunction, g: GridFunction,
                       spectral: SpectralResult, nu: SphereMeasure,
-                      n_max: int = 40,
-                      kernel: TransferKernel | None = None) -> ConvergenceReport:
+                      n_max: int = 40) -> ConvergenceReport:
     """Sup-norm distance of lam^-n L_f^n g from its limit h * integral of
     g/h against nu, for n = 1 .. n_max."""
-    kernel = kernel or TransferKernel(corr, f.active)
     h = spectral.h.values
     nu_active = np.array([nu.weights[c] for c in f.active.cells])
     nu_active = nu_active / nu_active.sum()

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from corrdyn.cli import RunConfig, cmd_degrees
+from corrdyn.cli import RunConfig, cmd_pipeline
 from corrdyn.datasets import bundled_correspondence, bundled_text
 from corrdyn.functions import fn_const, fn_re, fn_zero
 from corrdyn.grid import SphereGrid
@@ -52,7 +52,7 @@ def z2_stack(corr_z2):
     active = ActiveGrid(grid, support.core)
     kernel = TransferKernel(corr_z2, active)
     f0 = GridFunction.constant(active, 0.0)
-    spectral = power_iteration(corr_z2, f0, tol=1e-11, kernel=kernel, seed=1)
+    spectral = power_iteration(kernel, f0, tol=1e-11, seed=1)
     return grid, active, kernel, f0, spectral
 
 
@@ -65,7 +65,7 @@ def test_criterion_01_degrees(tmp_path):
         config = RunConfig({"correspondence": f"{name}.corr",
                             "out": str(tmp_path / f"out_{name}")},
                            base_dir=tmp_path)
-        report = cmd_degrees(config)
+        report = cmd_pipeline(config, "degrees")
         assert (report["d_fwd"], report["d_top"]) == degs
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
@@ -133,8 +133,8 @@ def test_criterion_05_ruelle_spectra(corr_z2, corr_z3, z2_stack):
     levels2 = pullback_iterate(corr_z2, 0.5 + 0.3j, n=12, cap=8192, seed=103,
                                grid=grid)
     active2 = ActiveGrid(grid, ds_support(levels2, threshold=0.5).core)
-    spec2 = power_iteration(corr_z2, GridFunction.constant(active2, 0.0),
-                            tol=1e-11, seed=1)
+    spec2 = power_iteration(TransferKernel(corr_z2, active2),
+                            GridFunction.constant(active2, 0.0), tol=1e-11, seed=1)
     t_z2 = time.monotonic() - t0
     assert abs(spec2.lam - 2.0) <= 1e-6
     assert abs(spectral.lam - 2.0) <= 1e-6
@@ -146,7 +146,7 @@ def test_criterion_05_ruelle_spectra(corr_z2, corr_z3, z2_stack):
                                grid=grid)
     active3 = ActiveGrid(grid, ds_support(levels3, threshold=0.5).core)
     f3 = GridFunction.constant(active3, 0.0)
-    spec3 = power_iteration(corr_z3, f3, tol=1e-11, seed=2)
+    spec3 = power_iteration(TransferKernel(corr_z3, active3), f3, tol=1e-11, seed=2)
     assert abs(spec3.lam - 3.0) <= 1e-6
     assert spec3.h.values.max() - spec3.h.values.min() <= 1e-6
     t_z3 = time.monotonic() - t0
@@ -154,7 +154,7 @@ def test_criterion_05_ruelle_spectra(corr_z2, corr_z3, z2_stack):
 
     c = 0.4
     fc = GridFunction.constant(active, c)
-    spec_c = power_iteration(corr_z2, fc, tol=1e-11, kernel=kernel, seed=1)
+    spec_c = power_iteration(kernel, fc, tol=1e-11, seed=1)
     assert abs(spec_c.lam - math.exp(c) * spectral.lam) <= 1e-8
     ok(5, f"lambda(z2)={spectral.lam:.9f} lambda(z3)={spec3.lam:.9f} "
           f"lambda(f=c)/lambda(0)=e^c to 1e-8; {t_z2:.1f}s / {t_z3:.1f}s")
@@ -164,7 +164,7 @@ def test_criterion_06_normalization(corr_z2, z2_stack):
     grid, active, kernel, f0, spectral = z2_stack
     worst = 0.0
     for f in (f0, GridFunction.from_callable(active, fn_re)):
-        spec = power_iteration(corr_z2, f, tol=1e-11, kernel=kernel, seed=1)
+        spec = power_iteration(kernel, f, tol=1e-11, seed=1)
         weights = normalize(f, spec, kernel)
         worst = max(worst, float(np.abs(weights.row_sums - 1.0).max()))
     assert worst <= 1e-8
@@ -174,10 +174,8 @@ def test_criterion_06_normalization(corr_z2, z2_stack):
 def test_criterion_07_fixed_point_measure(corr_z2, z2_stack):
     grid, active, kernel, f0, spectral = z2_stack
     tol = 1e-11
-    adj_a = adjoint_fixed_point(corr_z2, f0, spectral, tol=tol, kernel=kernel,
-                                seed=5, depth=2)
-    adj_b = adjoint_fixed_point(corr_z2, f0, spectral, tol=tol, kernel=kernel,
-                                seed=6, depth=2)
+    adj_a = adjoint_fixed_point(kernel, f0, spectral, tol=tol, seed=5, depth=2)
+    adj_b = adjoint_fixed_point(kernel, f0, spectral, tol=tol, seed=6, depth=2)
     support = [c for c in active.cells if adj_a.nu.weights[c] > 0]
     uniform = np.zeros(grid.n_cells)
     uniform[support] = 1.0 / len(support)
@@ -187,8 +185,7 @@ def test_criterion_07_fixed_point_measure(corr_z2, z2_stack):
     assert total_variation(adj_a.nu, adj_b.nu) <= 10.0 * tol
 
     g = GridFunction.from_callable(active, fn_re)
-    conv = convergence_check(corr_z2, f0, g, spectral, adj_a.nu, n_max=40,
-                             kernel=kernel)
+    conv = convergence_check(kernel, f0, g, spectral, adj_a.nu, n_max=40)
     assert conv.errors[-1] < 1e-6
     for a, b in zip(conv.errors, conv.errors[1:]):
         assert b <= a + 1e-12
@@ -251,8 +248,8 @@ def test_criterion_10_full_shift_consistency(corr_pair):
     depth = 4
     mu = PathMeasure.from_cylinders(grid, bernoulli_at_cell(cell, depth))
     nu = pushforward(mu, 0)
-    rate = intermediate_entropy(nu, mu, corr_pair,
-                                [SpherePartition.trivial(grid)], n_max=depth)
+    rate = intermediate_entropy(nu, mu, [SpherePartition.trivial(grid)],
+                                n_max=depth)
     assert abs(rate - math.log(2)) <= 0.05
     # Direct cylinder entropy rate of the shift from symbol marginals.
     def symbol_entropy(n):
@@ -287,8 +284,7 @@ def _z2_entries(corr_z2, grid, active, kernel, f0, spectral):
     mu_cyc = PathMeasure.from_paths(grid, [cyc_a, cyc_b])
     entries.append(VariationalEntry("cycle2", pushforward(mu_cyc, 0), (mu_cyc,)))
     # Equilibrium candidate from the adjoint fixed point at depth 6.
-    adj = adjoint_fixed_point(corr_z2, f0, spectral, tol=1e-10, kernel=kernel,
-                              seed=9, depth=6)
+    adj = adjoint_fixed_point(kernel, f0, spectral, tol=1e-10, seed=9, depth=6)
     entries.append(VariationalEntry("adjoint", adj.nu, (adj.mu0,)))
     return entries
 
@@ -318,14 +314,14 @@ def test_criterion_11_variational_inequality(corr_z2, corr_pair, z2_stack):
         pr_z2 = pressure_estimate(corr_z2, f_fn, ENTROPY_SCHEDULE,
                                   start_points=256, seed=11,
                                   start_sampler=circle_start_sampler())
-        rep = variational_check(corr_z2, f_fn, z2_entries, pr_z2,
+        rep = variational_check(f_fn, z2_entries, pr_z2,
                                 partitions=partitions, n_max=6, slack=slack)
         assert rep.all_within, [(r.label, r.value, rep.pressure) for r in rep.rows]
         assert len(rep.rows) >= 5
 
         pr_pair = pressure_estimate(corr_pair, f_fn, ENTROPY_SCHEDULE,
                                     starts=[sp(0.25)], seed=11, cap=512)
-        rep_pair = variational_check(corr_pair, f_fn, pair_entries, pr_pair,
+        rep_pair = variational_check(f_fn, pair_entries, pr_pair,
                                      partitions=pair_grid_partitions,
                                      n_max=4, slack=slack)
         assert rep_pair.all_within

@@ -74,6 +74,56 @@ class TestSphereMeasure:
         u = SphereMeasure.uniform(grid)
         assert u.integrate(lambda p: 1.0) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_weights(self, grid, bad):
+        with pytest.raises(ValueError):
+            SphereMeasure(grid, np.full(grid.n_cells, bad))
+        w = np.full(grid.n_cells, 1.0 / grid.n_cells)
+        w[3] = bad
+        with pytest.raises(ValueError):
+            SphereMeasure(grid, w)
+
+
+class TestPathMeasure:
+    def test_from_paths_folds_paths_into_words(self, grid):
+        a = ForwardPath((sp(2.0), sp(4.0), sp(16.0)), (1, 2), (1, 1))
+        b = ForwardPath((sp(0.5), sp(0.25), sp(0.0625)), (2, 2), (1, 1))
+        mu = PathMeasure.from_paths(grid, [a, b, a], [0.5, 0.3, 0.2])
+        cell = grid.cell_index
+        word_a = ((cell(sp(2.0)), 1), (cell(sp(4.0)), 2))
+        word_b = ((cell(sp(0.5)), 2), (cell(sp(0.25)), 2))
+        assert mu.depth == 2
+        assert mu.cylinders == {word_a: 0.5 + 0.2, word_b: 0.3}
+
+    def test_from_paths_checks(self, grid):
+        a = ForwardPath((sp(2.0), sp(4.0)), (1,), (1,))
+        longer = ForwardPath((sp(2.0), sp(4.0), sp(16.0)), (1, 1), (1, 1))
+        with pytest.raises(ValueError):
+            PathMeasure.from_paths(grid, [])
+        with pytest.raises(ValueError):
+            PathMeasure.from_paths(grid, [a, longer])
+        with pytest.raises(ValueError):
+            PathMeasure.from_paths(grid, [a], [0.5, 0.5])
+        with pytest.raises(ValueError):
+            PathMeasure.from_paths(grid, [a, a], [1.5, -0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_cylinder_weights(self, grid, bad):
+        with pytest.raises(ValueError):
+            PathMeasure.from_cylinders(grid, {((0, 1),): bad})
+        with pytest.raises(ValueError):
+            PathMeasure.from_cylinders(grid, {((0, 1),): 1.0, ((1, 1),): bad})
+        a = ForwardPath((sp(2.0), sp(4.0)), (1,), (1,))
+        with pytest.raises(ValueError):
+            PathMeasure.from_paths(grid, [a], [bad])
+
+    def test_pushforward_stops_before_depth(self, grid):
+        path = ForwardPath((sp(2.0), sp(4.0), sp(16.0)), (1, 1), (1, 1))
+        mu = PathMeasure.from_paths(grid, [path])
+        assert pushforward(mu, 1).weights[grid.cell_index(sp(4.0))] == 1.0
+        with pytest.raises(IndexOutOfRange):
+            pushforward(mu, mu.depth)
+
 
 class TestPushforward:
     def test_dirac_path(self, grid):
@@ -311,14 +361,14 @@ class TestEntropies:
     def test_full_shift_rate_is_log2(self, grid):
         mu = PathMeasure.from_cylinders(grid, bernoulli_cylinders(grid, infinity_cell(grid), 4))
         nu = pushforward(mu, 0)
-        h = intermediate_entropy(nu, mu, None, [SpherePartition.trivial(grid)], n_max=4)
+        h = intermediate_entropy(nu, mu, [SpherePartition.trivial(grid)], n_max=4)
         assert h == pytest.approx(math.log(2), abs=1e-12)
 
     def test_dirac_path_rate_zero(self, grid):
         path = ForwardPath((sp(0.0), sp(0.0), sp(0.0)), (1, 1), (1, 1))
         mu = PathMeasure.from_paths(grid, [path])
         nu = pushforward(mu, 0)
-        h = intermediate_entropy(nu, mu, None, [SpherePartition.sectors(grid, 2, 2)], n_max=2)
+        h = intermediate_entropy(nu, mu, [SpherePartition.sectors(grid, 2, 2)], n_max=2)
         assert h == 0.0
 
     def test_single_symbol_multi_start_rate_zero(self, grid, corr_mobius):
@@ -330,8 +380,8 @@ class TestEntropies:
             paths.extend(got)
         mu = PathMeasure.from_paths(grid, paths)
         nu = pushforward(mu, 0)
-        h = intermediate_entropy(nu, mu, corr_mobius,
-                                 [SpherePartition.sectors(grid, 1, 8)], n_max=3)
+        h = intermediate_entropy(nu, mu, [SpherePartition.sectors(grid, 1, 8)],
+                                 n_max=3)
         assert h == pytest.approx(0.0, abs=1e-12)
 
     def test_rate_increments_non_increasing_for_bernoulli(self, grid):
@@ -347,18 +397,18 @@ class TestEntropies:
         mu = PathMeasure.from_cylinders(grid, bernoulli_cylinders(grid, infinity_cell(grid), 3))
         wrong = SphereMeasure.dirac(grid, sp(0.0))
         with pytest.raises(PushforwardMismatch):
-            intermediate_entropy(wrong, mu, None, [SpherePartition.trivial(grid)], 3)
+            intermediate_entropy(wrong, mu, [SpherePartition.trivial(grid)], 3)
 
     def test_measure_entropy_full_shift(self, grid):
         mu = PathMeasure.from_cylinders(grid, bernoulli_cylinders(grid, infinity_cell(grid), 4))
         nu = pushforward(mu, 0)
-        h = measure_entropy(nu, None, [mu], [SpherePartition.trivial(grid)], 4)
+        h = measure_entropy(nu, [mu], [SpherePartition.trivial(grid)], 4)
         assert h == pytest.approx(math.log(2), abs=1e-12)
 
     def test_measure_entropy_no_candidates(self, grid):
         nu = SphereMeasure.dirac(grid, sp(0.0))
         with pytest.raises(NoValidCandidates):
-            measure_entropy(nu, None, [], [SpherePartition.trivial(grid)], 3)
+            measure_entropy(nu, [], [SpherePartition.trivial(grid)], 3)
 
     def test_convexity_of_pushforward(self, grid):
         c1 = bernoulli_cylinders(grid, infinity_cell(grid), 3, p=0.5)
@@ -379,7 +429,7 @@ class TestVariational:
         mu = PathMeasure.from_cylinders(grid, bernoulli_cylinders(grid, infinity_cell(grid), 4))
         nu = pushforward(mu, 0)
         entry = VariationalEntry("bernoulli", nu, (mu,))
-        report = variational_check(None, fn_zero, [entry], math.log(2), n_max=4)
+        report = variational_check(fn_zero, [entry], math.log(2), n_max=4)
         assert report.all_within
         assert abs(report.best_gap) < 1e-9
 
@@ -387,15 +437,15 @@ class TestVariational:
         mu = PathMeasure.from_cylinders(grid, bernoulli_cylinders(grid, infinity_cell(grid), 3))
         nu = pushforward(mu, 0)
         entry = VariationalEntry("bernoulli", nu, (mu,))
-        base = variational_check(None, fn_zero, [entry], 2.0, n_max=3)
-        shifted = variational_check(None, lambda p: 0.4, [entry], 2.0, n_max=3)
+        base = variational_check(fn_zero, [entry], 2.0, n_max=3)
+        shifted = variational_check(lambda p: 0.4, [entry], 2.0, n_max=3)
         assert shifted.rows[0].value == pytest.approx(base.rows[0].value + 0.4, abs=1e-12)
 
-    def test_dirac_at_fixed_point(self, grid, corr_z2):
+    def test_dirac_at_fixed_point(self, grid):
         path = ForwardPath((sp(0.0), sp(0.0)), (1,), (1,))
         mu = PathMeasure.from_paths(grid, [path])
         nu = pushforward(mu, 0)
         entry = VariationalEntry("dirac0", nu, (mu,))
-        report = variational_check(corr_z2, fn_zero, [entry], math.log(2), n_max=1)
+        report = variational_check(fn_zero, [entry], math.log(2), n_max=1)
         assert report.rows[0].value == 0.0
         assert report.rows[0].within

@@ -18,6 +18,14 @@ def random_points(rng, n):
     return pts
 
 
+def assert_stacked_rows_bit_identical(comp, direction, points):
+    """``coeffs_in_<direction>_many`` rows equal the scalar rows bit for bit."""
+    scalar = np.array([getattr(comp, f"coeffs_in_{direction}")(x) for x in points])
+    stack = getattr(comp, f"coeffs_in_{direction}_many")(points)
+    assert stack.shape == scalar.shape
+    assert stack.tobytes() == scalar.tobytes()
+
+
 def points_in_both_charts(rng, n):
     """n random points in each chart, then 0, infinity and 1."""
     pts = random_points(rng, 2 * n)
@@ -344,18 +352,25 @@ class TestBivarPoly:
         rng = np.random.default_rng(19)
         points = points_in_both_charts(rng, 100)
         for comp in bundled_correspondence(name).components:
-            stack = comp.coeffs_in_w_many(points)
-            assert stack.shape == (len(points), comp.deg_w + 1)
-            scalar = np.array([comp.coeffs_in_w(x) for x in points])
-            assert stack.tobytes() == scalar.tobytes()
+            assert_stacked_rows_bit_identical(comp, "w", points)
             assert comp.coeffs_in_w_many([]).shape == (0, comp.deg_w + 1)
 
     def test_stacked_forward_coefficients_complex_table(self):
         rng = np.random.default_rng(20)
         p = BivarPoly(rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
+        assert_stacked_rows_bit_identical(p, "w", points_in_both_charts(rng, 100))
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_stacked_backward_coefficients_bit_identical(self, name):
+        rng = np.random.default_rng(21)
         points = points_in_both_charts(rng, 100)
-        scalar = np.array([p.coeffs_in_w(x) for x in points])
-        assert p.coeffs_in_w_many(points).tobytes() == scalar.tobytes()
+        for comp in bundled_correspondence(name).components:
+            assert_stacked_rows_bit_identical(comp, "z", points)
+
+    def test_stacked_backward_coefficients_complex_table(self):
+        rng = np.random.default_rng(22)
+        p = BivarPoly(rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
+        assert_stacked_rows_bit_identical(p, "z", points_in_both_charts(rng, 1000))
 
     def test_incidence_residual_zero_on_curve(self):
         table = np.zeros((3, 2), dtype=complex)

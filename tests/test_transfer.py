@@ -45,7 +45,7 @@ def kernel_z2(corr_z2, active):
 @pytest.fixture(scope="module")
 def spectral_z2(corr_z2, active, kernel_z2):
     f = GridFunction.constant(active, 0.0)
-    return power_iteration(corr_z2, f, tol=1e-11, kernel=kernel_z2, seed=1)
+    return power_iteration(kernel_z2, f, tol=1e-11, seed=1)
 
 
 class TestApply:
@@ -135,7 +135,7 @@ class TestPowerIteration:
     def test_tripling_eigenvalue(self, corr_z3, grid):
         active = pipeline_active(grid, corr_z3, n=9, cap=4096, seed=42)
         f = GridFunction.constant(active, 0.0)
-        spec = power_iteration(corr_z3, f, tol=1e-11, seed=2)
+        spec = power_iteration(TransferKernel(corr_z3, active), f, tol=1e-11, seed=2)
         assert spec.lam == pytest.approx(3.0, abs=1e-6)
         assert spec.h.values.min() >= 1.0 - 1e-6
 
@@ -143,7 +143,7 @@ class TestPowerIteration:
                                                   spectral_z2):
         c = 0.4
         f = GridFunction.constant(active, c)
-        spec = power_iteration(corr_z2, f, tol=1e-11, kernel=kernel_z2, seed=1)
+        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=1)
         assert spec.lam == pytest.approx(math.exp(c) * spectral_z2.lam, rel=1e-8)
         np.testing.assert_allclose(spec.h.values, spectral_z2.h.values, atol=1e-8)
 
@@ -152,7 +152,8 @@ class TestPowerIteration:
         for n_cells in (1000, 2000):
             act = pipeline_active(SphereGrid(n_cells), corr_z2)
             f = GridFunction.from_callable(act, fn_re)
-            lams.append(power_iteration(corr_z2, f, tol=1e-10, seed=3).lam)
+            lams.append(power_iteration(TransferKernel(corr_z2, act), f,
+                                       tol=1e-10, seed=3).lam)
         assert abs(lams[1] - lams[0]) <= 0.01 * lams[0]
 
 
@@ -165,7 +166,7 @@ class TestNormalize:
 
     def test_row_sums_for_smooth_potential(self, corr_z2, active, kernel_z2):
         f = GridFunction.from_callable(active, fn_re)
-        spec = power_iteration(corr_z2, f, tol=1e-11, kernel=kernel_z2, seed=4)
+        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=4)
         norm = normalize(f, spec, kernel_z2)
         assert np.abs(norm.row_sums - 1.0).max() <= 1e-8
 
@@ -183,8 +184,8 @@ class TestAdjoint:
     def test_doubling_stationary_is_arc_length(self, corr_z2, active, kernel_z2,
                                                spectral_z2):
         f = GridFunction.constant(active, 0.0)
-        adj = adjoint_fixed_point(corr_z2, f, spectral_z2, tol=1e-10,
-                                  kernel=kernel_z2, seed=5, depth=2)
+        adj = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10,
+                                  seed=5, depth=2)
         assert adj.unique
         # Oracle: inverse iteration of the doubling map equidistributes by
         # arc length, so nu should be uniform over the cells it charges.
@@ -202,20 +203,17 @@ class TestAdjoint:
 
     def test_two_seeds_agree(self, corr_z2, active, kernel_z2, spectral_z2):
         f = GridFunction.constant(active, 0.0)
-        a = adjoint_fixed_point(corr_z2, f, spectral_z2, tol=1e-10,
-                                kernel=kernel_z2, seed=6)
-        b = adjoint_fixed_point(corr_z2, f, spectral_z2, tol=1e-10,
-                                kernel=kernel_z2, seed=7)
+        a = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=6)
+        b = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=7)
         assert total_variation(a.nu, b.nu) <= 1e-8
 
     def test_stationarity_against_matrix_oracle(self, corr_z2, active, kernel_z2):
         # Oracle: solve for the stationary vector with a dense eigensolve.
         f = GridFunction.from_callable(active, fn_re)
-        spec = power_iteration(corr_z2, f, tol=1e-11, kernel=kernel_z2, seed=8)
+        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=8)
         norm = normalize(f, spec, kernel_z2)
         p = norm.transition_matrix()
-        adj = adjoint_fixed_point(corr_z2, f, spec, tol=1e-12,
-                                  kernel=kernel_z2, seed=8)
+        adj = adjoint_fixed_point(kernel_z2, f, spec, tol=1e-12, seed=8)
         vals, vecs = np.linalg.eig(p.T)
         lead = np.argmin(np.abs(vals - 1.0))
         v = np.real(vecs[:, lead])
@@ -228,19 +226,17 @@ class TestConvergence:
     def test_eigenfunction_input_is_fixed(self, corr_z2, active, kernel_z2,
                                           spectral_z2):
         f = GridFunction.constant(active, 0.0)
-        adj = adjoint_fixed_point(corr_z2, f, spectral_z2, tol=1e-10,
-                                  kernel=kernel_z2, seed=9)
-        report = convergence_check(corr_z2, f, spectral_z2.h, spectral_z2,
-                                   adj.nu, n_max=10, kernel=kernel_z2)
+        adj = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=9)
+        report = convergence_check(kernel_z2, f, spectral_z2.h, spectral_z2,
+                                   adj.nu, n_max=10)
         assert max(report.errors) <= 1e-8
 
     def test_re_decays_geometrically(self, corr_z2, active, kernel_z2, spectral_z2):
         f = GridFunction.constant(active, 0.0)
-        adj = adjoint_fixed_point(corr_z2, f, spectral_z2, tol=1e-11,
-                                  kernel=kernel_z2, seed=10)
+        adj = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-11, seed=10)
         g = GridFunction.from_callable(active, fn_re)
-        report = convergence_check(corr_z2, f, g, spectral_z2, adj.nu,
-                                   n_max=40, kernel=kernel_z2)
+        report = convergence_check(kernel_z2, f, g, spectral_z2, adj.nu,
+                                   n_max=40)
         assert abs(report.constant) <= 0.05  # arc-length symmetry
         assert report.errors[-1] <= 1e-6
         for a, b in zip(report.errors, report.errors[1:]):
@@ -249,11 +245,10 @@ class TestConvergence:
     def test_constants_are_exact_for_zero_potential(self, corr_z2, active,
                                                     kernel_z2, spectral_z2):
         f = GridFunction.constant(active, 0.0)
-        adj = adjoint_fixed_point(corr_z2, f, spectral_z2, tol=1e-10,
-                                  kernel=kernel_z2, seed=11)
+        adj = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=11)
         g = GridFunction.constant(active, 1.0)
-        report = convergence_check(corr_z2, f, g, spectral_z2, adj.nu,
-                                   n_max=10, kernel=kernel_z2)
+        report = convergence_check(kernel_z2, f, g, spectral_z2, adj.nu,
+                                   n_max=10)
         assert max(report.errors) <= 1e-6
 
 
@@ -299,12 +294,11 @@ class TestSymbolPairSystem:
         active = ActiveGrid(grid, [grid.cell_index(SpherePoint.infinity())])
         kernel = TransferKernel(corr_pair, active)
         f = GridFunction.constant(active, 0.0)
-        spec = power_iteration(corr_pair, f, tol=1e-11, kernel=kernel, seed=30)
+        spec = power_iteration(kernel, f, tol=1e-11, seed=30)
         assert spec.lam == pytest.approx(2.0, abs=1e-6)
         norm = normalize(f, spec, kernel)
         np.testing.assert_allclose(norm.row_sums, 1.0, atol=1e-8)
-        adj = adjoint_fixed_point(corr_pair, f, spec, tol=1e-12, kernel=kernel,
-                                  seed=31, depth=2)
+        adj = adjoint_fixed_point(kernel, f, spec, tol=1e-12, seed=31, depth=2)
         # Both symbols carry weight 1/2 under mu0.
         sym_mass = {1: 0.0, 2: 0.0}
         for key, w in adj.mu0.cylinders.items():
@@ -340,8 +334,9 @@ class TestExpansivityGate:
         from corrdyn.errors import NonConvergence
         with pytest.warns(UserWarning):
             with pytest.raises(NonConvergence):
-                power_iteration(corr_mobius, f, tol=1e-10, max_iter=200,
-                                seed=4, expansivity=probe)
+                power_iteration(TransferKernel(corr_mobius, active), f,
+                                tol=1e-10, max_iter=200, seed=4,
+                                expansivity=probe)
 
 
 class TestPipelineIntegration:
@@ -352,6 +347,6 @@ class TestPipelineIntegration:
         support = ds_support(levels, threshold=0.5)
         active = ActiveGrid(grid, support.core)
         f = GridFunction.constant(active, 0.0)
-        spec = power_iteration(corr_z2, f, tol=1e-10, seed=17)
+        spec = power_iteration(TransferKernel(corr_z2, active), f, tol=1e-10, seed=17)
         assert spec.lam == pytest.approx(2.0, abs=1e-6)
         assert spec.h.values.min() >= 1.0 - 1e-6

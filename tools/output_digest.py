@@ -1,0 +1,139 @@
+"""Digest of every CLI result over a fixed matrix of calls.
+
+Usage:
+    python3 tools/output_digest.py [--root CHECKOUT] [--jobs N] > digest.json
+
+Runs ``corrdyn`` from ``CHECKOUT/src`` (default: the checkout this file
+lives in), each call in a fresh interpreter and a fresh output directory:
+
+- the three benchmark workload configs (``perfbench/workloads.py``) at
+  seeds 1-3, every call of one job each;
+- the README config for every command, ``orbits`` in both directions, on
+  all five bundled correspondences at seeds 0 and 3.
+
+It prints one JSON object keyed by call, holding the exit code and the
+sha256 of the ``results`` section of report.json and of every CSV the
+call wrote.  Timings (metadata.json) and the config echo (which holds
+absolute paths) are left out, so two checkouts that compute the same
+numbers print the same bytes, and comparing them is one ``diff``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(HERE / "perfbench"))
+from workloads import workloads  # noqa: E402
+
+BENCH_SEEDS = (1, 2, 3)
+README_SEEDS = (0, 3)
+CORRESPONDENCES = ("mobius", "z2", "z3", "z2_plus_z3", "mobius_pair")
+COMMANDS = ("degrees", "orbits", "ds-measure", "entropy", "pressure", "ruelle",
+            "variational")
+
+#: The config example of README.md, without its correspondence path.
+README_CONFIG = {
+    "n_cells": 2000,
+    "seed": 0,
+    "entropy": {"schedule": [[4, 0.05], [8, 0.05]], "start_points": 256,
+                "starts": "circle", "cap": 4096},
+    "pressure": {"f": "re", "schedule": [[4, 0.05], [8, 0.05]],
+                 "start_points": 256, "starts": "circle"},
+    "orbits": {"start": [0.5, 0.3], "depth": 6, "direction": "backward"},
+    "ds_measure": {"start": [0.5, 0.3], "levels": 12, "cap": 8192,
+                   "threshold": 0.5},
+    "ruelle": {"f": "zero", "tol": 1e-10, "depth": 2, "n_max": 40,
+               "convergence_g": "re",
+               "pullback": {"start": [0.5, 0.3], "levels": 10, "cap": 4096}},
+    "variational": {"f": "zero", "depth": 4, "empirical": 2,
+                    "n_keep": 5000, "start": [0.5, 0.3],
+                    "pressure": {"schedule": [[4, 0.05], [8, 0.05]],
+                                 "start_points": 64}},
+}
+
+
+def _configs(data: Path) -> dict[str, dict]:
+    out = {}
+    for w in workloads().values():
+        out[f"bench-{w.name}"] = {**w.config,
+                                  "correspondence": str(data / w.correspondence)}
+    for name in CORRESPONDENCES:
+        config = {**README_CONFIG, "correspondence": str(data / f"{name}.corr")}
+        out[f"readme-{name}"] = config
+        out[f"readme-{name}-forward"] = {
+            **config, "orbits": {**config["orbits"], "direction": "forward"}}
+    return out
+
+
+def _calls() -> list[tuple[str, str, str, int]]:
+    """(call id, config name, command, seed) of every call."""
+    calls = []
+    for w in workloads().values():
+        for seed in BENCH_SEEDS:
+            for key, command, call_seed in w.calls(seed):
+                calls.append((f"bench/{w.name}/seed{seed}/{key}",
+                              f"bench-{w.name}", command, call_seed))
+    for name in CORRESPONDENCES:
+        for seed in README_SEEDS:
+            for command in COMMANDS:
+                calls.append((f"readme/{name}/seed{seed}/{command}",
+                              f"readme-{name}", command, seed))
+            calls.append((f"readme/{name}/seed{seed}/orbits-forward",
+                          f"readme-{name}-forward", "orbits", seed))
+    return calls
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(src: Path, work: Path, call) -> tuple[str, dict]:
+    call_id, config_name, command, seed = call
+    out = work / "out" / call_id
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    done = subprocess.run(
+        [sys.executable, "-m", "corrdyn.cli", command,
+         "--config", str(work / f"{config_name}.json"),
+         "--seed", str(seed), "--out", str(out)],
+        env=env, capture_output=True)
+    entry = {"exit": done.returncode}
+    report = out / "report.json"
+    if report.is_file():
+        results = json.loads(report.read_text())["results"]
+        entry["results"] = _sha(json.dumps(results, sort_keys=True).encode())
+    for csv in sorted(out.glob("*.csv")):
+        entry[csv.name] = _sha(csv.read_bytes())
+    return call_id, entry
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=HERE,
+                        help="checkout whose src/ runs (default: this one)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="calls run side by side")
+    args = parser.parse_args(argv)
+    src = args.root.resolve() / "src"
+    with tempfile.TemporaryDirectory(prefix="corrdyn-digest-") as tmp:
+        work = Path(tmp)
+        for name, config in _configs(src / "corrdyn" / "data").items():
+            (work / f"{name}.json").write_text(json.dumps(config, indent=2))
+        with ThreadPoolExecutor(max(1, args.jobs)) as pool:
+            digest = dict(pool.map(lambda call: _run(src, work, call), _calls()))
+    print(json.dumps(digest, sort_keys=True, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
