@@ -100,10 +100,14 @@ def _point_from_config(value) -> SpherePoint:
     if value == "inf":
         return SpherePoint.infinity()
     if isinstance(value, (int, float)):
-        return SpherePoint.from_complex(complex(value, 0.0))
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return SpherePoint.from_complex(complex(value[0], value[1]))
-    raise ConfigMismatch(f"cannot read a sphere point from {value!r}")
+        point = SpherePoint.from_complex(complex(value, 0.0))
+    elif isinstance(value, (list, tuple)) and len(value) == 2:
+        point = SpherePoint.from_complex(complex(value[0], value[1]))
+    else:
+        raise ConfigMismatch(f"cannot read a sphere point from {value!r}")
+    if not np.isfinite(point.unit_vector()).all():
+        raise ValueError(f"sphere point {value!r} is not a point of the sphere")
+    return point
 
 
 def _point_angles(p: SpherePoint):
@@ -142,10 +146,9 @@ def _write_paths_csv(path: Path, paths):
 
 
 def _write_cylinders_csv(path: Path, mu: PathMeasure):
-    rows = []
-    for key in sorted(mu.cylinders):
-        word = "|".join(f"{c}:{s}" for c, s in key)
-        rows.append((word, float(mu.cylinders[key])))
+    flat = mu.words.reshape(len(mu.words), -1)
+    rows = [("|".join(f"{c}:{s}" for c, s in mu.words[k].tolist()), float(mu.weights[k]))
+            for k in np.lexsort(flat.T[::-1])]
     _write_csv(path, ("word", "weight"), rows)
 
 

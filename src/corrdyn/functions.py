@@ -63,7 +63,10 @@ def named_function(spec: str) -> SphereFunction:
     if spec == "log_abs":
         return fn_log_abs
     if spec.startswith("const:"):
-        return fn_const(float(spec.split(":", 1)[1]))
+        value = float(spec.split(":", 1)[1])
+        if not math.isfinite(value):
+            raise ValueError(f"function spec {spec!r} is not a finite constant")
+        return fn_const(value)
     raise ValueError(f"unknown function spec {spec!r}")
 
 

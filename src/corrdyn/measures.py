@@ -3,7 +3,8 @@
 Sphere measures are weight vectors on a fixed equal-area grid.  Path
 measures are depth-D cylinder weights on words of (cell, symbol) pairs,
 where the pair at position p records the grid cell of the p-th point and
-the component symbol of the following step.
+the component symbol of the following step; words are integer array
+rows.  A partition labels every grid cell with its group.
 """
 
 from __future__ import annotations
@@ -22,7 +23,21 @@ from .sphere import SpherePoint, as_sphere_point
 
 MASS_TOL = 1e-12
 
-CylinderKey = tuple[tuple[int, int], ...]
+
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group ids of the equal rows of a (K, ...) integer array, numbered
+    by first appearance, and each group's first row.  With ``np.bincount``
+    in input order this is, to the last bit, a dict fold keyed by row.
+    Ranking one column at a time beats ``np.unique(axis=0)`` on deep words.
+    """
+    ids = np.zeros(len(keys), dtype=np.int64)
+    for col in keys.reshape(len(keys), math.prod(keys.shape[1:])).T:
+        _, col_ids = np.unique(col, return_inverse=True)
+        _, ids = np.unique(ids * (col_ids.max() + 1) + col_ids,
+                           return_inverse=True)
+    _, first = np.unique(ids, return_index=True)
+    order = np.argsort(first)
+    return np.argsort(order)[ids], first[order]
 
 
 @dataclass
@@ -81,23 +96,31 @@ def total_variation(m1: SphereMeasure, m2: SphereMeasure) -> float:
 
 @dataclass
 class PathMeasure:
-    """Probability measure on depth-D cylinder words of forward paths."""
+    """Probability measure on depth-D cylinder words of forward paths:
+    ``words[k]`` is a distinct (D, 2) word of (cell, symbol) pairs and
+    ``weights[k]`` its mass."""
 
     grid: SphereGrid
-    cylinders: dict[CylinderKey, float]
-    depth: int
+    words: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("path measure needs depth >= 1")
-        weights = list(self.cylinders.values())
-        if not all(math.isfinite(w) for w in weights):
+        words = np.asarray(self.words, dtype=np.int64)
+        w = np.asarray(self.weights, dtype=float)
+        if words.ndim != 3 or words.shape[1] < 1 or words.shape[2] != 2:
+            raise ValueError("words must be a (K, depth >= 1, 2) array")
+        if w.shape != (len(words),):
+            raise ValueError("weights do not match the words")
+        if not np.isfinite(w).all():
             raise ValueError("cylinder weights must be finite")
-        if abs(sum(weights) - 1.0) > 1e-9 or min(weights) < 0:
+        if abs(w.sum() - 1.0) > 1e-9 or w.min() < 0:
             raise ValueError("cylinder weights must be a probability vector")
-        for key in self.cylinders:
-            if len(key) != self.depth:
-                raise ValueError("cylinder word length differs from depth")
+        self.words = words
+        self.weights = w
+
+    @property
+    def depth(self) -> int:
+        return self.words.shape[1]
 
     @classmethod
     def from_paths(cls, grid: SphereGrid, paths, weights=None) -> "PathMeasure":
@@ -116,37 +139,28 @@ class PathMeasure:
         depth = paths[0].length
         if any(p.length != depth for p in paths):
             raise ValueError("support paths must share one length")
-        cylinders: dict[CylinderKey, float] = {}
-        for path, weight in zip(paths, w):
-            key = tuple((grid.cell_index(path.points[p]), path.symbols[p])
-                        for p in range(depth))
-            cylinders[key] = cylinders.get(key, 0.0) + float(weight)
-        return cls(grid, cylinders, depth)
+        cells = grid.cell_index_many(p.points[i] for p in paths for i in range(depth))
+        symbols = np.array([p.symbols for p in paths], dtype=np.int64)
+        words = np.stack([cells.reshape(len(paths), depth), symbols], axis=2)
+        ids, first = _group(words)
+        return cls(grid, words[first], np.bincount(ids, weights=w))
 
     @classmethod
     def from_cylinders(cls, grid: SphereGrid, cylinders) -> "PathMeasure":
+        """Measure from a {word: weight} mapping of (cell, symbol) tuples."""
         cylinders = dict(cylinders)
-        return cls(grid, cylinders, len(next(iter(cylinders))))
-
-    def marginal(self, n: int) -> dict[CylinderKey, float]:
-        """Cylinder weights of the first n (cell, symbol) pairs."""
-        if n < 0 or n > self.depth:
-            raise IndexOutOfRange(f"marginal depth {n} outside [0, {self.depth}]")
-        out: dict[CylinderKey, float] = {}
-        for key, w in self.cylinders.items():
-            head = key[:n]
-            out[head] = out.get(head, 0.0) + w
-        return out
+        if not cylinders:
+            raise ValueError("no cylinders given")
+        return cls(grid, np.array(list(cylinders), dtype=np.int64),
+                   np.array(list(cylinders.values()), dtype=float))
 
 
 def pushforward(mu: PathMeasure, r: int) -> SphereMeasure:
     """Sphere marginal of the r-th path position."""
     if not 0 <= r < mu.depth:
         raise IndexOutOfRange(f"position {r} outside cylinder depth {mu.depth}")
-    w = np.zeros(mu.grid.n_cells)
-    for key, weight in mu.cylinders.items():
-        w[key[r][0]] += weight
-    return SphereMeasure(mu.grid, w)
+    return SphereMeasure(mu.grid, np.bincount(mu.words[:, r, 0], weights=mu.weights,
+                                              minlength=mu.grid.n_cells))
 
 
 def measure_distance(m1: SphereMeasure, m2: SphereMeasure,
@@ -204,13 +218,10 @@ def empirical_invariant_measure(corr: Correspondence, x0, n_burn: int,
         symbols.append(pick.component)
         cells.append(grid.cell_index(point))
 
-    counts: dict[CylinderKey, float] = {}
-    for p in range(n_burn, n_burn + n_keep):
-        key = tuple((cells[p + i], symbols[p + i]) for i in range(depth))
-        counts[key] = counts.get(key, 0.0) + 1.0
-    total = float(sum(counts.values()))
-    cylinders = {k: v / total for k, v in counts.items()}
-    return PathMeasure.from_cylinders(grid, cylinders)
+    window = np.arange(n_burn, n_burn + n_keep)[:, None] + np.arange(depth)
+    words = np.stack([np.array(cells)[window], np.array(symbols)[window]], axis=2)
+    ids, first = _group(words)
+    return PathMeasure(grid, words[first], np.bincount(ids) / float(n_keep))
 
 
 @dataclass(frozen=True)
@@ -223,17 +234,12 @@ class InvarianceReport:
 
 def check_shift_invariance(mu: PathMeasure, tol: float) -> InvarianceReport:
     """Compare mass of depth-(D-1) cylinders with their shift preimages."""
-    heads: dict[CylinderKey, float] = {}
-    tails: dict[CylinderKey, float] = {}
-    for key, w in mu.cylinders.items():
-        head = key[:-1]
-        tail = key[1:]
-        heads[head] = heads.get(head, 0.0) + w
-        tails[tail] = tails.get(tail, 0.0) + w
-    defect = 0.0
-    for key in set(heads) | set(tails):
-        defect = max(defect, abs(heads.get(key, 0.0) - tails.get(key, 0.0)))
-    return InvarianceReport(defect, tol, defect <= tol, len(mu.cylinders))
+    k = len(mu.words)
+    ids, first = _group(np.concatenate([mu.words[:, :-1], mu.words[:, 1:]]))
+    heads = np.bincount(ids[:k], weights=mu.weights, minlength=len(first))
+    tails = np.bincount(ids[k:], weights=mu.weights, minlength=len(first))
+    defect = float(np.abs(heads - tails).max())
+    return InvarianceReport(defect, tol, defect <= tol, k)
 
 
 # ---------------------------------------------------------------------------
@@ -241,80 +247,65 @@ def check_shift_invariance(mu: PathMeasure, tol: float) -> InvarianceReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class SpherePartition:
-    """Disjoint exhaustive grouping of grid cells."""
+    """Grouping of grid cells: ``label[c]`` is the group of cell c and
+    ``names[g]`` the name of group g.  One label per cell makes the groups
+    disjoint and exhaustive."""
 
     grid: SphereGrid
-    cells: tuple[frozenset[int], ...]
-    labels: tuple[str, ...]
+    label: np.ndarray
+    names: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.cells) != len(self.labels):
-            raise NotAPartition("labels must align with cells")
-        seen: set[int] = set()
-        count = 0
-        for group in self.cells:
-            count += len(group)
-            seen.update(group)
-        if count != len(seen) or seen != set(range(self.grid.n_cells)):
-            raise NotAPartition("cells must be disjoint and cover the grid")
+        label = np.asarray(self.label, dtype=np.int64)
+        if label.shape != (self.grid.n_cells,):
+            raise NotAPartition("need one label per grid cell")
+        if label.min() < 0 or label.max() >= len(self.names):
+            raise NotAPartition("labels must index the group names")
+        self.label = label
 
     @property
     def size(self) -> int:
-        return len(self.cells)
-
-    def label_of_cell(self) -> np.ndarray:
-        out = np.empty(self.grid.n_cells, dtype=int)
-        for i, group in enumerate(self.cells):
-            for c in group:
-                out[c] = i
-        return out
+        return len(self.names)
 
     @classmethod
     def trivial(cls, grid: SphereGrid) -> "SpherePartition":
-        return cls(grid, (frozenset(range(grid.n_cells)),), ("all",))
+        return cls(grid, np.zeros(grid.n_cells, dtype=np.int64), ("all",))
 
     @classmethod
     def sectors(cls, grid: SphereGrid, n_z: int, n_phi: int) -> "SpherePartition":
-        """Partition by z-slabs and longitude sectors of the cell centers."""
-        groups: dict[tuple[int, int], set[int]] = {}
+        """Partition by z-slabs and longitude sectors of the cell centers,
+        the nonempty (slab, sector) groups in sorted order."""
+        keys = []
         for idx in range(grid.n_cells):
             theta, phi = grid.cell_center_angles(idx)
             z = math.cos(theta)
             zi = min(int((1.0 - z) / 2.0 * n_z), n_z - 1)
             pi = min(int(phi / (2.0 * math.pi) * n_phi), n_phi - 1)
-            groups.setdefault((zi, pi), set()).add(idx)
-        keys = sorted(groups)
-        return cls(grid,
-                   tuple(frozenset(groups[k]) for k in keys),
-                   tuple(f"z{zi}p{pi}" for zi, pi in keys))
+            keys.append(zi * n_phi + pi)
+        used, label = np.unique(keys, return_inverse=True)
+        return cls(grid, label,
+                   tuple(f"z{k // n_phi}p{k % n_phi}" for k in used.tolist()))
 
 
 def join(a: SpherePartition, b: SpherePartition) -> SpherePartition:
-    """Common refinement: all nonempty pairwise intersections."""
+    """Common refinement: all nonempty pairwise intersections, in sorted
+    order of the (a group, b group) pairs."""
     if a.grid is not b.grid and a.grid.n_cells != b.grid.n_cells:
         raise NotAPartition("partitions live on different grids")
-    cells = []
-    labels = []
-    for i, ga in enumerate(a.cells):
-        for j, gb in enumerate(b.cells):
-            inter = ga & gb
-            if inter:
-                cells.append(inter)
-                labels.append(f"{a.labels[i]}&{b.labels[j]}")
-    return SpherePartition(a.grid, tuple(cells), tuple(labels))
+    used, label = np.unique(a.label * b.size + b.label, return_inverse=True)
+    names = tuple(f"{a.names[k // b.size]}&{b.names[k % b.size]}"
+                  for k in used.tolist())
+    return SpherePartition(a.grid, label, names)
 
 
 def partition_entropy(mu: SphereMeasure, partition: SpherePartition) -> float:
     """Shannon entropy of the measure over the partition, 0 log 0 = 0."""
     if partition.grid.n_cells != mu.grid.n_cells:
         raise NotAPartition("partition does not match the measure grid")
-    masses = np.bincount(partition.label_of_cell(), weights=mu.weights,
-                         minlength=partition.size)
-    if abs(masses.sum() - 1.0) > 1e-9:
-        raise NotAPartition("partition does not exhaust the measure")
-    return _shannon(masses)
+    return _shannon(np.bincount(partition.label, weights=mu.weights,
+                                minlength=partition.size))
 
 
 def _shannon(masses) -> float:
@@ -331,13 +322,16 @@ def _shannon(masses) -> float:
 
 
 def joined_lift_masses(mu: PathMeasure, q: SpherePartition, n: int) -> list[float]:
-    """Masses of the n-fold join of the lifted partition under mu."""
-    label = q.label_of_cell()
-    out: dict[tuple, float] = {}
-    for key, w in mu.marginal(n).items():
-        word = tuple((int(label[c]), s) for c, s in key)
-        out[word] = out.get(word, 0.0) + w
-    return list(out.values())
+    """Masses of the n-fold join of the lifted partition under mu: the
+    depth-n word masses, then grouped by the labels of their cells."""
+    if n < 0 or n > mu.depth:
+        raise IndexOutOfRange(f"marginal depth {n} outside [0, {mu.depth}]")
+    ids, first = _group(mu.words[:, :n])
+    masses = np.bincount(ids, weights=mu.weights)
+    lifted = mu.words[first, :n]
+    lifted[..., 0] = q.label[lifted[..., 0]]
+    ids, _ = _group(lifted)
+    return np.bincount(ids, weights=masses).tolist()
 
 
 def entropy_rate_sequence(mu: PathMeasure, q: SpherePartition, n_max: int) -> list[float]:

@@ -24,7 +24,7 @@ from .correspondence import Correspondence, ExpansivityResult
 from .errors import (NonConvergence, NonPositiveEigenfunction,
                      PreimageOutsideSupport)
 from .grid import SphereGrid
-from .measures import PathMeasure, SphereMeasure
+from .measures import PathMeasure, SphereMeasure, _group
 from .paths import ForwardPath
 from .sphere import as_sphere_point
 
@@ -119,13 +119,6 @@ class TransferKernel:
     def apply(self, f_values: np.ndarray, g_values: np.ndarray) -> np.ndarray:
         terms = self.mult * np.exp(f_values[self.tgt]) * g_values[self.tgt]
         return np.bincount(self.src, weights=terms, minlength=self.active.n_active)
-
-    def rows(self):
-        """Iterate (source position, entry index list)."""
-        order = np.argsort(self.src, kind="stable")
-        bounds = np.searchsorted(self.src[order], np.arange(self.active.n_active + 1))
-        for i in range(self.active.n_active):
-            yield i, order[bounds[i]:bounds[i + 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -304,29 +297,35 @@ def _stationary(p: np.ndarray, start: np.ndarray, tol: float, max_iter: int):
 
 def _chain_cylinders(active: ActiveGrid, kernel: TransferKernel,
                      weights: np.ndarray, nu: np.ndarray, depth: int,
-                     prune: float = 1e-15):
-    """Exact depth-D cylinder weights of the stationary backward chain."""
-    row_entries = {i: idx for i, idx in kernel.rows()}
-    chains = [((i,), (), float(nu[i])) for i in range(active.n_active)
-              if nu[i] > prune]
+                     prune: float = 1e-15) -> PathMeasure:
+    """Exact depth-D cylinder weights of the stationary backward chain.
+
+    Each level extends every chain, in order, by the edges of its head
+    cell, in edge order, dropping extensions at or below the prune level.
+    """
+    order = np.argsort(kernel.src, kind="stable")
+    bounds = np.searchsorted(kernel.src[order], np.arange(active.n_active + 1))
+    starts = np.nonzero(nu > prune)[0]
+    positions = starts[:, None]
+    symbols = np.zeros((len(starts), 0), dtype=np.int64)
+    w = nu[starts]
     for _ in range(depth):
-        nxt = []
-        for positions, syms, w in chains:
-            head = positions[0]
-            for e in row_entries[head]:
-                prob = kernel.mult[e] * weights[e]
-                w2 = w * prob
-                if w2 <= prune:
-                    continue
-                nxt.append(((int(kernel.tgt[e]),) + positions,
-                            (int(kernel.comp[e]),) + syms, w2))
-        chains = nxt
-    cylinders: dict = {}
-    for positions, syms, w in chains:
-        key = tuple((active.cells[positions[i]], syms[i]) for i in range(depth))
-        cylinders[key] = cylinders.get(key, 0.0) + w
-    total = sum(cylinders.values())
-    return {k: v / total for k, v in cylinders.items()}
+        head = positions[:, 0]
+        counts = bounds[head + 1] - bounds[head]
+        parent = np.repeat(np.arange(len(head)), counts)
+        offset = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
+        e = order[bounds[head][parent] + offset]
+        w_next = w[parent] * (kernel.mult[e] * weights[e])
+        keep = w_next > prune
+        parent, e, w = parent[keep], e[keep], w_next[keep]
+        positions = np.column_stack([kernel.tgt[e], positions[parent]])
+        symbols = np.column_stack([kernel.comp[e], symbols[parent]])
+    words = np.stack([np.asarray(active.cells)[positions[:, :depth]], symbols], axis=2)
+    ids, first = _group(words)
+    sums = np.bincount(ids, weights=w)
+    # A running total in word order, not numpy's pairwise sum, so the
+    # weights keep their last bits.
+    return PathMeasure(active.grid, words[first], sums / sum(sums.tolist()))
 
 
 def adjoint_fixed_point(kernel: TransferKernel, f: GridFunction,
@@ -356,8 +355,7 @@ def adjoint_fixed_point(kernel: TransferKernel, f: GridFunction,
         w[cell] = v1[pos]
     w /= w.sum()
     nu = SphereMeasure(grid, w)
-    cylinders = _chain_cylinders(f.active, kernel, norm.weights, v1, depth)
-    mu0 = PathMeasure.from_cylinders(grid, cylinders)
+    mu0 = _chain_cylinders(f.active, kernel, norm.weights, v1, depth)
     return AdjointResult(nu, mu0, it1, gap1, unique)
 
 

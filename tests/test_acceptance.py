@@ -254,7 +254,7 @@ def test_criterion_10_full_shift_consistency(corr_pair):
     # Direct cylinder entropy rate of the shift from symbol marginals.
     def symbol_entropy(n):
         mass = {}
-        for key, w in mu.cylinders.items():
+        for key, w in zip(mu.words.tolist(), mu.weights):
             word = tuple(s for _, s in key[:n])
             mass[word] = mass.get(word, 0.0) + w
         return -sum(v * math.log(v) for v in mass.values() if v > 0)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from corrdyn.cli import main
+from corrdyn.cli import _point_from_config, main
 from corrdyn.datasets import bundled_text
 
 DATA = {name: bundled_text(name)
@@ -261,6 +261,38 @@ class TestReportHygiene:
         assert run(["entropy", "--config", cfg]) == 3
         assert "invalid schedule row" in capsys.readouterr().err
         assert not (out / "entropy_rows.csv").exists()
+
+    @pytest.mark.parametrize("command", ["pressure", "variational"])
+    def test_non_finite_constant_exits_3(self, workspace, command, capsys):
+        out = workspace / f"nan_f_{command}"
+        small = {"schedule": [[4, 0.05]], "start_points": 4}
+        cfg = write_config(workspace, f"nan_f_{command}", {
+            "correspondence": "z2.corr",
+            "n_cells": 400,
+            "pressure": {"f": "const:nan", **small},
+            "variational": {"f": "const:nan", "pressure": small},
+            "out": str(out),
+        })
+        assert run([command, "--config", cfg]) == 3
+        assert "const:nan" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("start", [[math.nan, 0.3], [math.inf, math.inf]])
+    def test_non_finite_start_exits_3(self, workspace, start, capsys):
+        out = workspace / "nan_start"
+        cfg = write_config(workspace, "nan_start", {
+            "correspondence": "z2.corr",
+            "orbits": {"start": start, "depth": 2, "direction": "forward"},
+            "out": str(out),
+        })
+        assert run(["orbits", "--config", cfg]) == 3
+        assert repr(start) in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("start", ["inf", math.inf, [math.inf, 0.3],
+                                       [0.3, -math.inf]])
+    def test_infinite_start_is_the_point_at_infinity(self, start):
+        assert _point_from_config(start).unit_vector().tolist() == [0.0, 0.0, 1.0]
 
     def test_csv_cells_parse(self, workspace):
         # Every cell is an int or a float, except the documented string columns.

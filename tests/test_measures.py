@@ -1,25 +1,31 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from corrdyn import transfer as transfer_mod
 from corrdyn.correspondence import parse_correspondence
+from corrdyn.datasets import bundled_correspondence
 from corrdyn.errors import (IndexOutOfRange, NoValidCandidates, NotAPartition,
                             PushforwardMismatch)
 from corrdyn.functions import (TestFunctionFamily as FunctionFamily,
-                               default_test_family, fn_zero)
+                               default_test_family, fn_zero, named_function)
 from corrdyn.grid import SphereGrid
 from corrdyn.measures import (InvarianceReport, PathMeasure, SphereMeasure,
                               SpherePartition, VariationalEntry,
                               check_shift_invariance,
-                              empirical_invariant_measure, intermediate_entropy,
-                              join, joined_lift_masses,
+                              empirical_invariant_measure, entropy_rate_sequence,
+                              intermediate_entropy, join, joined_lift_masses,
                               measure_distance, measure_entropy,
                               partition_entropy, pushforward, total_variation,
                               variational_check)
 from corrdyn.paths import ForwardPath, enumerate_forward_paths
+from corrdyn.pullback import ds_support, pullback_iterate
 from corrdyn.sphere import SpherePoint
+from corrdyn.transfer import (ActiveGrid, GridFunction, TransferKernel,
+                              adjoint_fixed_point, normalize, power_iteration)
 
 IFS_PAIR_TEXT = """
 # contracting pair w = z/2 and w = (z+1)/2
@@ -93,7 +99,8 @@ class TestPathMeasure:
         word_a = ((cell(sp(2.0)), 1), (cell(sp(4.0)), 2))
         word_b = ((cell(sp(0.5)), 2), (cell(sp(0.25)), 2))
         assert mu.depth == 2
-        assert mu.cylinders == {word_a: 0.5 + 0.2, word_b: 0.3}
+        assert mu.words.tolist() == [[list(p) for p in w] for w in (word_a, word_b)]
+        assert mu.weights.tolist() == [0.5 + 0.2, 0.3]
 
     def test_from_paths_checks(self, grid):
         a = ForwardPath((sp(2.0), sp(4.0)), (1,), (1,))
@@ -106,6 +113,10 @@ class TestPathMeasure:
             PathMeasure.from_paths(grid, [a], [0.5, 0.5])
         with pytest.raises(ValueError):
             PathMeasure.from_paths(grid, [a, a], [1.5, -0.5])
+
+    def test_from_cylinders_needs_a_word(self, grid):
+        with pytest.raises(ValueError):
+            PathMeasure.from_cylinders(grid, {})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_cylinder_weights(self, grid, bad):
@@ -210,7 +221,7 @@ class TestEmpiricalMeasure:
                                          depth=2, seed=7, grid=grid)
         # Symbol pair marginals should be near the uniform Bernoulli 1/4.
         sym_mass = {}
-        for key, w in mu.cylinders.items():
+        for key, w in zip(mu.words.tolist(), mu.weights):
             word = tuple(s for _, s in key)
             sym_mass[word] = sym_mass.get(word, 0.0) + w
         for word in itertools.product((1, 2), repeat=2):
@@ -286,8 +297,8 @@ class TestPartitions:
         # Uniform over the 4 sector masses would need equal masses; build
         # a measure charging one cell per sector equally.
         w = np.zeros(grid.n_cells)
-        for group in parts.cells:
-            w[min(group)] = 0.25
+        for g in range(parts.size):
+            w[np.flatnonzero(parts.label == g)[0]] = 0.25
         m = SphereMeasure(grid, w)
         assert partition_entropy(m, parts) == pytest.approx(math.log(4), abs=1e-12)
         dirac = SphereMeasure.dirac(grid, sp(0.4))
@@ -297,8 +308,8 @@ class TestPartitions:
         parts = SpherePartition.sectors(grid, 1, 4)
         w = np.zeros(grid.n_cells)
         masses = [0.5, 0.25, 0.25, 0.0]
-        for group, m in zip(parts.cells, masses):
-            w[min(group)] = m
+        for g, m in enumerate(masses):
+            w[np.flatnonzero(parts.label == g)[0]] = m
         h = partition_entropy(SphereMeasure(grid, w), parts)
         assert h == pytest.approx(1.5 * math.log(2), abs=1e-12)
 
@@ -313,9 +324,9 @@ class TestPartitions:
         j = join(a, b)
         assert j.size <= 4
         # Exhaustive: every joint cell is an intersection of parents.
-        for group in j.cells:
-            assert any(group <= ga for ga in a.cells)
-            assert any(group <= gb for gb in b.cells)
+        for g in range(j.size):
+            assert len(set(a.label[j.label == g])) == 1
+            assert len(set(b.label[j.label == g])) == 1
 
     def test_join_monotone_entropy(self, grid):
         rng = np.random.default_rng(53)
@@ -330,7 +341,9 @@ class TestPartitions:
 
     def test_not_a_partition(self, grid):
         with pytest.raises(NotAPartition):
-            SpherePartition(grid, (frozenset({0, 1}),), ("incomplete",))
+            SpherePartition(grid, np.zeros(2, dtype=int), ("incomplete",))
+        with pytest.raises(NotAPartition):
+            SpherePartition(grid, np.ones(grid.n_cells, dtype=int), ("one",))
 
     def test_lifted_partition_sizes(self, grid):
         # A depth-1 cylinder measure charging every (cell group, symbol)
@@ -338,8 +351,8 @@ class TestPartitions:
         trivial = SpherePartition.trivial(grid)
         two = SpherePartition.sectors(grid, 1, 2)
         for q, n_symbols in ((trivial, 2), (two, 1), (two, 2)):
-            words = [((min(group), s),) for group in q.cells
-                     for s in range(1, n_symbols + 1)]
+            words = [((int(np.flatnonzero(q.label == g)[0]), s),)
+                     for g in range(q.size) for s in range(1, n_symbols + 1)]
             mu = PathMeasure.from_cylinders(
                 grid, {w: 1.0 / len(words) for w in words})
             assert len(joined_lift_masses(mu, q, 1)) == q.size * n_symbols
@@ -349,7 +362,7 @@ class TestPartitions:
         mu = PathMeasure.from_paths(grid, paths)
         q = SpherePartition.sectors(grid, 1, 2)
         masses = sorted(joined_lift_masses(mu, q, 1))
-        label = q.label_of_cell()
+        label = q.label
         brute = {}
         for p in paths:
             key = (int(label[grid.cell_index(p.points[0])]), p.symbols[0])
@@ -449,3 +462,239 @@ class TestVariational:
         report = variational_check(fn_zero, [entry], math.log(2), n_max=1)
         assert report.rows[0].value == 0.0
         assert report.rows[0].within
+
+
+# ---------------------------------------------------------------------------
+# Reference folds: the dict-of-tuples and frozenset forms of the measure
+# code, kept as the oracle for the array forms.  Word order and weights
+# must agree exactly, not to a tolerance.
+# ---------------------------------------------------------------------------
+
+
+def ref_from_paths(grid, paths, w):
+    cylinders = {}
+    for path, weight in zip(paths, w):
+        key = tuple((grid.cell_index(path.points[p]), path.symbols[p])
+                    for p in range(path.length))
+        cylinders[key] = cylinders.get(key, 0.0) + float(weight)
+    return cylinders
+
+
+def ref_empirical(corr, x0, n_burn, n_keep, depth, seed, grid):
+    rng = np.random.default_rng(seed)
+    point = SpherePoint.from_complex(x0)
+    cells = [grid.cell_index(point)]
+    symbols = []
+    for _ in range(n_burn + n_keep + depth):
+        fiber = corr.forward_images(point)
+        slots = [b for b in fiber.branches for _ in range(b.multiplicity)]
+        retries = 0
+        while not slots and retries < 3:
+            point = SpherePoint(point.value + complex(1e-9, 1e-9), point.inverted)
+            fiber = corr.forward_images(point)
+            slots = [b for b in fiber.branches for _ in range(b.multiplicity)]
+            retries += 1
+        pick = slots[int(rng.integers(len(slots)))]
+        point = pick.point
+        symbols.append(pick.component)
+        cells.append(grid.cell_index(point))
+    counts = {}
+    for p in range(n_burn, n_burn + n_keep):
+        key = tuple((cells[p + i], symbols[p + i]) for i in range(depth))
+        counts[key] = counts.get(key, 0.0) + 1.0
+    total = float(sum(counts.values()))
+    return {k: v / total for k, v in counts.items()}
+
+
+def ref_chain_cylinders(active, kernel, weights, nu, depth, prune=1e-15):
+    order = np.argsort(kernel.src, kind="stable")
+    bounds = np.searchsorted(kernel.src[order], np.arange(active.n_active + 1))
+    row_entries = {i: order[bounds[i]:bounds[i + 1]] for i in range(active.n_active)}
+    chains = [((i,), (), float(nu[i])) for i in range(active.n_active)
+              if nu[i] > prune]
+    for _ in range(depth):
+        nxt = []
+        for positions, syms, w in chains:
+            for e in row_entries[positions[0]]:
+                w2 = w * (kernel.mult[e] * weights[e])
+                if w2 <= prune:
+                    continue
+                nxt.append(((int(kernel.tgt[e]),) + positions,
+                            (int(kernel.comp[e]),) + syms, w2))
+        chains = nxt
+    cylinders = {}
+    for positions, syms, w in chains:
+        key = tuple((active.cells[positions[i]], syms[i]) for i in range(depth))
+        cylinders[key] = cylinders.get(key, 0.0) + w
+    total = sum(cylinders.values())
+    return {k: v / total for k, v in cylinders.items()}
+
+
+def ref_marginal(cylinders, n):
+    out = {}
+    for key, w in cylinders.items():
+        out[key[:n]] = out.get(key[:n], 0.0) + w
+    return out
+
+
+def ref_shift_defect(cylinders):
+    heads, tails = {}, {}
+    for key, w in cylinders.items():
+        heads[key[:-1]] = heads.get(key[:-1], 0.0) + w
+        tails[key[1:]] = tails.get(key[1:], 0.0) + w
+    defect = 0.0
+    for key in set(heads) | set(tails):
+        defect = max(defect, abs(heads.get(key, 0.0) - tails.get(key, 0.0)))
+    return defect
+
+
+def ref_sectors(grid, n_z, n_phi):
+    groups = {}
+    for idx in range(grid.n_cells):
+        theta, phi = grid.cell_center_angles(idx)
+        z = math.cos(theta)
+        zi = min(int((1.0 - z) / 2.0 * n_z), n_z - 1)
+        pi = min(int(phi / (2.0 * math.pi) * n_phi), n_phi - 1)
+        groups.setdefault((zi, pi), set()).add(idx)
+    keys = sorted(groups)
+    return ([frozenset(groups[k]) for k in keys],
+            [f"z{zi}p{pi}" for zi, pi in keys])
+
+
+def ref_join(a, b):
+    cells, labels = [], []
+    for ga, la in zip(*a):
+        for gb, lb in zip(*b):
+            if ga & gb:
+                cells.append(ga & gb)
+                labels.append(f"{la}&{lb}")
+    return cells, labels
+
+
+def ref_lift_masses(cylinders, groups, n):
+    label = {c: i for i, group in enumerate(groups) for c in group}
+    out = {}
+    for key, w in ref_marginal(cylinders, n).items():
+        word = tuple((label[c], s) for c, s in key)
+        out[word] = out.get(word, 0.0) + w
+    return list(out.values())
+
+
+def ref_shannon(masses):
+    h = 0.0
+    for m in masses:
+        if m > 0.0:
+            h -= m * math.log(m)
+    return h
+
+
+def assert_same_cylinders(mu, cylinders):
+    assert [tuple(map(tuple, word)) for word in mu.words.tolist()] == list(cylinders)
+    assert mu.weights.tolist() == list(cylinders.values())
+
+
+def partition_groups(q):
+    return [frozenset(np.flatnonzero(q.label == g).tolist()) for g in range(q.size)]
+
+
+def reference_partitions(grid):
+    """(array partition, frozenset groups) pairs over trivial, sector and
+    joined partitions."""
+    out = [(SpherePartition.trivial(grid), [frozenset(range(grid.n_cells))])]
+    for n_z, n_phi in ((1, 8), (2, 16), (2, 4), (5, 3)):
+        out.append((SpherePartition.sectors(grid, n_z, n_phi),
+                    ref_sectors(grid, n_z, n_phi)[0]))
+    a, b = ref_sectors(grid, 3, 1), ref_sectors(grid, 1, 3)
+    out.append((join(SpherePartition.sectors(grid, 3, 1),
+                     SpherePartition.sectors(grid, 1, 3)), ref_join(a, b)[0]))
+    return out
+
+
+def assert_same_entropies(mu, cylinders):
+    assert check_shift_invariance(mu, 1.0).defect == ref_shift_defect(cylinders)
+    for r in range(mu.depth):
+        ref = np.zeros(mu.grid.n_cells)
+        for key, w in cylinders.items():
+            ref[key[r][0]] += w
+        assert pushforward(mu, r).weights.tolist() == ref.tolist()
+    for q, groups in reference_partitions(mu.grid):
+        masses = [ref_lift_masses(cylinders, groups, n)
+                  for n in range(1, mu.depth + 1)]
+        for n, ref in enumerate(masses, start=1):
+            assert joined_lift_masses(mu, q, n) == ref
+        assert entropy_rate_sequence(mu, q, mu.depth) == [ref_shannon(m) for m in masses]
+
+
+@functools.lru_cache(maxsize=None)
+def spectral_setup(name, f_label):
+    corr = bundled_correspondence(name)
+    grid = SphereGrid(800)
+    levels = pullback_iterate(corr, 0.5 + 0.3j, n=10, cap=2048, seed=0, grid=grid)
+    active = ActiveGrid(grid, ds_support(levels, threshold=0.5).core)
+    kernel = TransferKernel(corr, active)
+    f = GridFunction.from_callable(active, named_function(f_label))
+    return kernel, f, power_iteration(kernel, f, tol=1e-10, seed=0)
+
+
+class TestArrayFoldExactness:
+    @pytest.mark.parametrize("name", ["z2", "z3", "z2_plus_z3"])
+    @pytest.mark.parametrize("f_label", ["zero", "re"])
+    def test_adjoint_mu0(self, name, f_label):
+        kernel, f, spectral = spectral_setup(name, f_label)
+        norm = normalize(f, spectral, kernel)
+        nu, _, _ = transfer_mod._stationary(norm.transition_matrix(),
+                                            np.full(f.active.n_active, 1.0),
+                                            1e-10, 5000)
+        for depth in range(1, 5):
+            adj = adjoint_fixed_point(kernel, f, spectral, tol=1e-10, depth=depth)
+            ref = ref_chain_cylinders(f.active, kernel, norm.weights, nu, depth)
+            assert_same_cylinders(adj.mu0, ref)
+            if depth <= 3:
+                assert_same_entropies(adj.mu0, ref)
+
+    @pytest.mark.parametrize("name,x0,depth,n_keep", [
+        ("mobius_pair", 1.0, 3, 3000),
+        ("z2_plus_z3", 0.5 + 0.3j, 4, 2000),
+        ("z3", 0.3 + 0.1j, 2, 500),
+    ])
+    def test_empirical(self, grid, name, x0, depth, n_keep):
+        corr = bundled_correspondence(name)
+        mu = empirical_invariant_measure(corr, x0, n_burn=20, n_keep=n_keep,
+                                         depth=depth, seed=5, grid=grid)
+        ref = ref_empirical(corr, x0, 20, n_keep, depth, 5, grid)
+        assert_same_cylinders(mu, ref)
+        assert_same_entropies(mu, ref)
+
+    @pytest.mark.parametrize("name,start,depth", [
+        ("mobius_pair", 0.25, 4),
+        ("z2_plus_z3", 0.5 + 0.3j, 3),
+        ("z2", 1.0, 3),
+    ])
+    def test_from_paths(self, grid, name, start, depth):
+        paths, _ = enumerate_forward_paths(bundled_correspondence(name), start,
+                                           depth, cap=256)
+        # Repeats, and the fixed points 0 and infinity of the squaring map.
+        paths = paths + paths[::3]
+        if name == "z2":
+            inf = SpherePoint.infinity()
+            paths += [ForwardPath((p,) * (depth + 1), (1,) * depth, (1,) * depth)
+                      for p in (sp(0.0), inf, sp(0.0))]
+        w = np.random.default_rng(depth).random(len(paths))
+        w /= w.sum()
+        mu = PathMeasure.from_paths(grid, paths, w)
+        ref = ref_from_paths(grid, paths, w)
+        assert_same_cylinders(mu, ref)
+        assert_same_entropies(mu, ref)
+
+    @pytest.mark.parametrize("n_cells", [200, 2000])
+    def test_sectors_and_join(self, n_cells):
+        grid = SphereGrid(n_cells)
+        for shape_a, shape_b in (((1, 8), (2, 16)), ((3, 1), (1, 3)),
+                                 ((2, 4), (2, 4)), ((4, 7), (3, 5))):
+            ref_a, ref_b = ref_sectors(grid, *shape_a), ref_sectors(grid, *shape_b)
+            a = SpherePartition.sectors(grid, *shape_a)
+            b = SpherePartition.sectors(grid, *shape_b)
+            for q, (groups, names) in ((a, ref_a), (b, ref_b),
+                                       (join(a, b), ref_join(ref_a, ref_b))):
+                assert partition_groups(q) == groups
+                assert list(q.names) == names

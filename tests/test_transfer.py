@@ -301,7 +301,7 @@ class TestSymbolPairSystem:
         adj = adjoint_fixed_point(kernel, f, spec, tol=1e-12, seed=31, depth=2)
         # Both symbols carry weight 1/2 under mu0.
         sym_mass = {1: 0.0, 2: 0.0}
-        for key, w in adj.mu0.cylinders.items():
+        for key, w in zip(adj.mu0.words.tolist(), adj.mu0.weights):
             sym_mass[key[0][1]] += w
         assert sym_mass[1] == pytest.approx(0.5, abs=1e-8)
         assert sym_mass[2] == pytest.approx(0.5, abs=1e-8)

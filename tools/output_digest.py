@@ -8,8 +8,11 @@ lives in), each call in a fresh interpreter and a fresh output directory:
 
 - the three benchmark workload configs (``perfbench/workloads.py``) at
   seeds 1-3, every call of one job each;
-- the README config for every command, ``orbits`` in both directions, on
-  all five bundled correspondences at seeds 0 and 3.
+- the README config for every command, ``orbits`` in both directions,
+  ``ruelle`` at depth 4 with f = re and ``variational`` with f = re, on
+  all five bundled correspondences at seeds 0 and 3.  The f = re
+  ``ruelle`` calls give the only ``mu0`` cylinder measures with
+  non-uniform branch weights, and the only ones deeper than depth 2.
 
 It prints one JSON object keyed by call, holding the exit code and the
 sha256 of the ``results`` section of report.json and of every CSV the
@@ -71,6 +74,10 @@ def _configs(data: Path) -> dict[str, dict]:
         out[f"readme-{name}"] = config
         out[f"readme-{name}-forward"] = {
             **config, "orbits": {**config["orbits"], "direction": "forward"}}
+        out[f"readme-{name}-re"] = {
+            **config,
+            "ruelle": {**config["ruelle"], "f": "re", "depth": 4},
+            "variational": {**config["variational"], "f": "re"}}
     return out
 
 
@@ -89,6 +96,9 @@ def _calls() -> list[tuple[str, str, str, int]]:
                               f"readme-{name}", command, seed))
             calls.append((f"readme/{name}/seed{seed}/orbits-forward",
                           f"readme-{name}-forward", "orbits", seed))
+            for command in ("ruelle", "variational"):
+                calls.append((f"readme/{name}/seed{seed}/{command}-re",
+                              f"readme-{name}-re", command, seed))
     return calls
 
 
