@@ -78,15 +78,18 @@ def _thin(items: list, cap: int, rng: np.random.Generator) -> list:
     return [items[int(i)] for i in sorted(idx)]
 
 
-def _enumerate(corr: Correspondence, start, n: int, cap: int, seed: int | None,
-               backward: bool) -> Enumeration:
-    """Breadth-first path tree from start, n levels deep.
+def _enumerate(corr: Correspondence, level: list[ForwardPath], n: int, cap: int,
+               seed: int | None, backward: bool) -> Enumeration:
+    """Breadth-first growth of level, a list of equal-length paths, by n
+    levels.
 
     A level of several paths has all its fibers solved in one
-    ``*_images_many`` call; a one-path level (the start, and every level
+    ``*_images_many`` call; a one-path level (a start, and every level
     of a single-branch map) takes the scalar fiber, which is cheaper for
     one point.  Whenever a level outgrows ``cap`` it is thinned to a
-    seeded uniform subsample and the result is flagged truncated.
+    seeded uniform subsample and the result is flagged truncated.  The
+    generator is drawn from only when a level is thinned, so untruncated
+    levels do not depend on the seed.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
@@ -98,7 +101,6 @@ def _enumerate(corr: Correspondence, start, n: int, cap: int, seed: int | None,
         images, images_many = corr.forward_images, corr.forward_images_many
     end = 0 if backward else -1
     rng = np.random.default_rng(seed)
-    level = [ForwardPath((as_sphere_point(start),), (), ())]
     truncated = False
     for _ in range(n):
         ends = [path.points[end] for path in level]
@@ -112,18 +114,34 @@ def _enumerate(corr: Correspondence, start, n: int, cap: int, seed: int | None,
     return Enumeration(level, truncated)
 
 
+def _start_level(start) -> list[ForwardPath]:
+    return [ForwardPath((as_sphere_point(start),), (), ())]
+
+
 def enumerate_forward_paths(corr: Correspondence, x0, n: int, cap: int = 4096,
                             seed: int | None = None) -> Enumeration:
     """All forward paths from x0 up to depth n, breadth first, thinned to
-    at most cap per level."""
-    return _enumerate(corr, x0, n, cap, seed, backward=False)
+    at most cap per level.
+
+    x0 may also be a list of equal-length forward paths, a level of an
+    earlier call: it is then grown n further levels.  An untruncated
+    depth-m level of x grown by k levels gives the depth m + k paths of x
+    under the same seed, path for path and in the same order.
+    """
+    if isinstance(x0, list):
+        if any(p.length != x0[0].length for p in x0):
+            raise LengthMismatch("all paths of a level must share one length")
+        level = x0
+    else:
+        level = _start_level(x0)
+    return _enumerate(corr, level, n, cap, seed, backward=False)
 
 
 def enumerate_backward_paths(corr: Correspondence, y0, n: int, cap: int = 4096,
                              seed: int | None = None) -> Enumeration:
     """All backward paths ending at y0 up to depth n, breadth first,
     thinned to at most cap per level."""
-    return _enumerate(corr, y0, n, cap, seed, backward=True)
+    return _enumerate(corr, _start_level(y0), n, cap, seed, backward=True)
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,27 @@ class TestReportHygiene:
         assert repr(start) in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["entropy", "pressure"])
+    @pytest.mark.parametrize("key,value,message", [
+        ("radius", math.nan, "circle radius must be finite, got nan"),
+        ("radius", math.inf, "circle radius must be finite, got inf"),
+        ("start_points", 0, "start_points must be at least 1, got 0"),
+        ("start_points", -2, "start_points must be at least 1, got -2")])
+    def test_bad_start_sample_exits_3(self, workspace, command, key, value, message,
+                                      capsys):
+        out = workspace / "bad_starts"
+        section = {"schedule": [[4, 0.05]], "starts": "circle", "start_points": 4,
+                   key: value}
+        cfg = write_config(workspace, "bad_starts", {
+            "correspondence": "z2.corr",
+            "n_cells": 400,
+            command: section,
+            "out": str(out),
+        })
+        assert run([command, "--config", cfg]) == 3
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("start", ["inf", math.inf, [math.inf, 0.3],
                                        [0.3, -math.inf]])
     def test_infinite_start_is_the_point_at_infinity(self, start):

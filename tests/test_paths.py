@@ -187,6 +187,42 @@ class TestBatchedLevels:
         assert not truncated
 
 
+class TestLevelGrowth:
+    @pytest.mark.parametrize("name,start,n,k,cap", [
+        ("corr_pair", 0.3 + 0.2j, 3, 4, 4096), ("corr_pair", 0.3 + 0.2j, 4, 3, 20),
+        ("corr_z2z3", 0.7 + 0.2j, 2, 3, 4096), ("corr_z2", 0.9 + 0.3j, 3, 5, 4)])
+    def test_grown_level_equals_deeper_enumeration(self, name, start, n, k, cap,
+                                                   request):
+        corr = request.getfixturevalue(name)
+        level, truncated = enumerate_forward_paths(corr, start, n, cap=cap, seed=[7, n])
+        assert not truncated
+        grown = enumerate_forward_paths(corr, level, k, cap=cap, seed=[7, n + k])
+        deep = enumerate_forward_paths(corr, start, n + k, cap=cap, seed=[7, n + k])
+        # Thinning in the new levels draws from the same seeded generator.
+        assert grown.truncated == deep.truncated == (name == "corr_pair" and cap == 20)
+        assert grown.paths == deep.paths
+
+    def test_growing_by_zero_keeps_the_level(self, corr_pair):
+        level, _ = enumerate_forward_paths(corr_pair, 0.25, 3)
+        assert enumerate_forward_paths(corr_pair, level, 0) == (level, False)
+
+    def test_unequal_lengths_rejected(self, corr_pair):
+        with pytest.raises(LengthMismatch):
+            enumerate_forward_paths(corr_pair, [make_path([0.1]), make_path([0.1, 0.2])], 1)
+
+    def test_one_path_levels_stay_scalar(self, monkeypatch):
+        corr_pair = bundled_correspondence("mobius_pair")
+        corr_z2 = bundled_correspondence("z2")
+        pair_level, _ = enumerate_forward_paths(corr_pair, 0.3, 0)
+        z2_level, _ = enumerate_forward_paths(corr_z2, 0.3, 2)
+        pair_batches = count_batches(monkeypatch, corr_pair, "forward_images_many")
+        z2_batches = count_batches(monkeypatch, corr_z2, "forward_images_many")
+        enumerate_forward_paths(corr_pair, pair_level, 3)
+        enumerate_forward_paths(corr_z2, z2_level, 3)
+        assert pair_batches == [2, 4]
+        assert z2_batches == []
+
+
 class TestMetric:
     def test_identical_paths(self):
         p = make_path([1.0, 2.0, 4.0])

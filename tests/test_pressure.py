@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import corrdyn.pressure as pressure_mod
 from corrdyn.errors import ScheduleEmpty
 from corrdyn.functions import fn_const, fn_re, fn_zero
-from corrdyn.pressure import (circle_start_sampler, entropy_estimate,
-                              pressure_estimate)
+from corrdyn.paths import enumerate_forward_paths
+from corrdyn.pressure import (PressureRow, circle_start_sampler,
+                              entropy_estimate, pressure_estimate)
 from corrdyn.sphere import SpherePoint
 
 
@@ -117,3 +119,108 @@ class TestDiagnostics:
         # Exact log 2 at both depths: flat in 1/n, so slope vanishes.
         assert report.richardson_slope == pytest.approx(0.0, abs=1e-9)
         assert report.extrapolated == pytest.approx(math.log(2), abs=1e-9)
+
+
+class TestStartValidation:
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_too_few_start_points(self, corr_z2, count):
+        with pytest.raises(ValueError, match=f"start_points must be at least 1, got {count}"):
+            entropy_estimate(corr_z2, [(4, 0.05)], start_points=count)
+
+    def test_empty_start_list(self, corr_z2):
+        with pytest.raises(ValueError, match="at least one start point"):
+            entropy_estimate(corr_z2, [(4, 0.05)], starts=[])
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.2, math.nan)])
+    def test_start_without_finite_chart_value(self, corr_z2, z):
+        starts = single_start(0.3) + single_start(z)
+        with pytest.raises(ValueError, match="no finite chart value"):
+            entropy_estimate(corr_z2, [(4, 0.05)], starts=starts)
+
+    def test_point_at_infinity_is_a_start(self, corr_z2):
+        report = entropy_estimate(corr_z2, [(2, 0.05)], starts=[SpherePoint.infinity()])
+        assert report.rows[0].n_paths == 1
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    def test_circle_radius_must_be_finite(self, radius):
+        with pytest.raises(ValueError, match=repr(radius)):
+            circle_start_sampler(radius)
+
+
+def parent_rows(corr, f, schedule, start_points, seed, sampler, cap):
+    """The per-row loop that ``pressure_estimate`` ran before schedule-wide
+    pools: every distinct depth enumerated from every start with seed
+    [seed, 1, i, n], and each weight summed over all n points.
+
+    Returns the rows and, per row, the pool and its weights.  The builtin
+    ``sum`` of that loop is spelled as the left-to-right fold it is on
+    Python 3.10 and 3.11; 3.12 made float ``sum`` compensated.
+    """
+    starts = sampler(np.random.default_rng([seed, 0]), start_points)
+    pools, rows, seen = {}, [], []
+    for n, eps in schedule:
+        if n not in pools:
+            paths, truncated = [], False
+            for i, x0 in enumerate(starts):
+                got, was_cut = enumerate_forward_paths(corr, x0, n, cap=cap,
+                                                       seed=[seed, 1, i, n])
+                paths.extend(got)
+                truncated = truncated or was_cut
+            logw = {}
+            for p in paths:
+                w = 0
+                for r in range(n):
+                    w = w + f(p.points[r])
+                logw[id(p)] = w
+            pools[n] = (paths, logw, truncated)
+        paths, logw, truncated = pools[n]
+        sep, span, sep_value, span_value = pressure_mod._row_values(paths, logw, n, eps)
+        rows.append(PressureRow(n, eps, sep_value, span_value, len(paths),
+                                len(sep), len(span), truncated))
+        seen.append((paths, [logw[id(p)] for p in paths]))
+    return rows, seen
+
+
+class TestSchedulePools:
+    """Schedule-wide pools against the per-row loop, to the last bit."""
+
+    def run_both(self, monkeypatch, corr, f, schedule, start_points, seed, cap):
+        sampler = circle_start_sampler()
+        want_rows, want_pools = parent_rows(corr, f, schedule, start_points,
+                                            seed, sampler, cap)
+        got_pools = []
+        real = pressure_mod._row_values
+
+        def recorded(paths, logw, n, eps):
+            got_pools.append((list(paths), [logw[id(p)] for p in paths]))
+            return real(paths, logw, n, eps)
+
+        monkeypatch.setattr(pressure_mod, "_row_values", recorded)
+        report = pressure_estimate(corr, f, schedule, start_points=start_points,
+                                   seed=seed, start_sampler=sampler, cap=cap)
+        assert list(report.rows) == want_rows
+        assert len(got_pools) == len(want_pools) == len(schedule)
+        for (paths, weights), (want_paths, want_weights) in zip(got_pools, want_pools):
+            # ForwardPath equality compares points exactly, and lists keep order.
+            assert paths == want_paths
+            assert weights == want_weights
+        return report
+
+    def test_z2_re(self, corr_z2, monkeypatch):
+        self.run_both(monkeypatch, corr_z2, fn_re,
+                      [(4, 0.05), (8, 0.05), (12, 0.05)], 40, 3, 4096)
+
+    def test_z2_plus_z3_re(self, corr_z2z3, monkeypatch):
+        report = self.run_both(monkeypatch, corr_z2z3, fn_re,
+                               [(3, 0.05), (1, 0.05), (5, 0.1), (3, 0.1)], 5, 4, 4096)
+        assert not report.truncated
+
+    def test_mobius_pair_truncated_unsorted(self, corr_pair, monkeypatch):
+        schedule = [(6, 0.05), (4, 0.05), (8, 0.05), (4, 0.1)]
+        report = self.run_both(monkeypatch, corr_pair, fn_zero, schedule, 7, 5, 20)
+        # The depth-4 pools are whole; 6 and 8 are thinned, so 8 is
+        # enumerated from the start again.
+        assert [r.truncated for r in report.rows] == [True, False, True, False]
+
+    def test_one_depth(self, corr_pair, monkeypatch):
+        self.run_both(monkeypatch, corr_pair, fn_re, [(5, 0.05), (5, 0.2)], 3, 6, 4096)

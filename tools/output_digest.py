@@ -12,7 +12,12 @@ lives in), each call in a fresh interpreter and a fresh output directory:
   ``ruelle`` at depth 4 with f = re and ``variational`` with f = re, on
   all five bundled correspondences at seeds 0 and 3.  The f = re
   ``ruelle`` calls give the only ``mu0`` cylinder measures with
-  non-uniform branch weights, and the only ones deeper than depth 2.
+  non-uniform branch weights, and the only ones deeper than depth 2;
+- ``entropy`` and ``pressure`` with f = re on mobius_pair and z2_plus_z3
+  at seeds 0 and 3, on unsorted schedules of three depths whose pools
+  are thinned at some depths and whole at others (``POOL_CONFIGS``), so
+  both the grown and the re-enumerated pools of ``pressure_estimate``
+  are digested.
 
 It prints one JSON object keyed by call, holding the exit code and the
 sha256 of the ``results`` section of report.json and of every CSV the
@@ -63,6 +68,14 @@ README_CONFIG = {
                                  "start_points": 64}},
 }
 
+#: Truncated, unsorted, multi-depth path-pool schedules, by correspondence.
+POOL_CONFIGS = {
+    "mobius_pair": {"schedule": [[6, 0.05], [4, 0.05], [8, 0.05], [4, 0.1]],
+                    "start_points": 7, "starts": "circle", "cap": 20},
+    "z2_plus_z3": {"schedule": [[5, 0.05], [3, 0.05], [7, 0.05], [3, 0.1]],
+                   "start_points": 16, "starts": "circle", "cap": 24},
+}
+
 
 def _configs(data: Path) -> dict[str, dict]:
     out = {}
@@ -78,6 +91,10 @@ def _configs(data: Path) -> dict[str, dict]:
             **config,
             "ruelle": {**config["ruelle"], "f": "re", "depth": 4},
             "variational": {**config["variational"], "f": "re"}}
+    for name, section in POOL_CONFIGS.items():
+        out[f"pools-{name}"] = {"correspondence": str(data / f"{name}.corr"),
+                                "n_cells": 2000, "entropy": section,
+                                "pressure": {**section, "f": "re"}}
     return out
 
 
@@ -99,6 +116,11 @@ def _calls() -> list[tuple[str, str, str, int]]:
             for command in ("ruelle", "variational"):
                 calls.append((f"readme/{name}/seed{seed}/{command}-re",
                               f"readme-{name}-re", command, seed))
+    for name in POOL_CONFIGS:
+        for seed in README_SEEDS:
+            for command in ("entropy", "pressure"):
+                calls.append((f"pools/{name}/seed{seed}/{command}",
+                              f"pools-{name}", command, seed))
     return calls
 
 
