@@ -264,6 +264,22 @@ def _pressure_like(config: RunConfig, corr: Correspondence, name: str) -> dict:
     }
 
 
+def _nearest_center(active: ActiveGrid, idx: int) -> SpherePoint:
+    """The active center nearest to center idx by sph_dist, other than
+    itself; of equal distances the first in center order wins, as with
+    ``min`` over all centers.
+
+    The chord between unit vectors is sph_dist up to rounding, so scalar
+    sph_dist only ranks the centers within 1e-12 of the nearest chord.
+    """
+    gaps = np.linalg.norm(active._center_vectors - active._center_vectors[idx],
+                          axis=1)
+    gaps[idx] = np.inf
+    near = np.nonzero(gaps <= gaps.min() + 1e-12)[0].tolist()
+    center = active.centers[idx]
+    return min((active.centers[k] for k in near), key=lambda c: sph_dist(center, c))
+
+
 def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     section = config.section("ruelle")
     grid = config.grid()
@@ -283,10 +299,7 @@ def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     rng = np.random.default_rng(config["seed"])
     for _ in range(int(section.get("probe_pairs", 50))):
         idx = int(rng.integers(active.n_active))
-        center = active.centers[idx]
-        other = min((c for c in active.centers if c is not center),
-                    key=lambda c: sph_dist(center, c))
-        probe_pairs.append((center, other))
+        probe_pairs.append((active.centers[idx], _nearest_center(active, idx)))
     try:
         probe = expansivity_probe(corr, probe_pairs,
                                   samples=len(probe_pairs), seed=config["seed"],

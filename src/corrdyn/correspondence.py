@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientPairs, ParseError
-from .sphere import (DEFAULT_ROOT_TOL, BivarPoly, SpherePoint,
-                     as_sphere_point, roots, roots_many, sph_dist)
+from .sphere import (DEFAULT_ROOT_TOL, BivarPoly, SpherePoint, as_sphere_point,
+                     complex_charts, roots, roots_many, sph_dist,
+                     stacked_roots)
 
 #: Residual bound under which a path step counts as incident.
 INCIDENCE_TOL = 1e-8
@@ -152,6 +153,76 @@ class Correspondence:
         """``backward_images`` of every point, solved as one stacked
         ``roots_many`` call per component."""
         return self._fibers_many(BivarPoly.coeffs_in_z_many, points)
+
+    def backward_fiber_arrays(self, values: np.ndarray, inverted: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``backward_images_many`` of the points given by chart value and
+        flag, flattened in fiber order.
+
+        Returns (owner, mult, root_values, root_inverted): for every
+        branch point, the row of its fiber, its branch multiplicity and its
+        chart value and flag.  A row where every component passes the
+        stacked solver (``stacked_roots``) is built from its arrays: each
+        component's roots in argument order, which is ``_assemble``'s
+        order because the solver's checks keep every argument 1e-8 away
+        from pi and from the others, charted by ``complex_charts``, which
+        is ``SpherePoint`` to the bit.  Every other row gets its root
+        lists as ``roots_many`` builds them and goes through ``_assemble``.
+        """
+        n = len(values)
+        fast = np.ones(n, dtype=bool)
+        per_comp = []
+        for comp in self.components:
+            coeffs = comp.coeffs_in_z_charts(values, inverted)
+            live = np.abs(coeffs).max(axis=1) != 0
+            rows, z, ok = stacked_roots(coeffs[live], self.root_tol)
+            solved = np.nonzero(live)[0][rows[ok]]
+            passed = np.zeros(n, dtype=bool)
+            passed[solved] = True
+            found = np.zeros((n, comp.deg_z), dtype=complex)
+            found[solved] = z[ok]
+            per_comp.append((comp, coeffs, live, passed, found))
+            fast &= passed
+
+        block = []
+        for comp, _, _, _, found in per_comp:
+            z = found[fast]
+            block.append(np.take_along_axis(z, np.argsort(np.angle(z), axis=1),
+                                            axis=1))
+        block_values, block_inverted = complex_charts(np.hstack(block))
+        block_mult = np.repeat([comp.multiplicity for comp in self.components],
+                               [comp.deg_z for comp in self.components])
+
+        slow = {}
+        for k in np.nonzero(~fast)[0].tolist():
+            lists = []
+            for comp, coeffs, live, passed, found in per_comp:
+                if passed[k]:
+                    lists.append([(SpherePoint(r), 1) for r in found[k].tolist()])
+                elif live[k]:
+                    lists.append(roots(coeffs[k], tol=self.root_tol))
+                else:
+                    lists.append(None)
+            slow[k] = self._assemble(lists).branches
+
+        counts = np.full(n, len(block_mult))
+        for k, branches in slow.items():
+            counts[k] = len(branches)
+        start = np.cumsum(counts) - counts
+        owner = np.repeat(np.arange(n), counts)
+        mult = np.empty(len(owner), dtype=np.int64)
+        root_values = np.empty(len(owner), dtype=complex)
+        root_inverted = np.empty(len(owner), dtype=bool)
+        at = start[fast][:, None] + np.arange(len(block_mult))
+        mult[at] = block_mult
+        root_values[at] = block_values
+        root_inverted[at] = block_inverted
+        for k, branches in slow.items():
+            at = slice(start[k], start[k] + len(branches))
+            mult[at] = [b.multiplicity for b in branches]
+            root_values[at] = [b.point.value for b in branches]
+            root_inverted[at] = [b.point.inverted for b in branches]
+        return owner, mult, root_values, root_inverted
 
     def incidence_residual(self, x, y, component: int) -> float:
         return self.components[component - 1].incidence_residual(x, y)

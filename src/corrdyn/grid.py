@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .sphere import SpherePoint, as_sphere_point, unit_vectors
+from .sphere import (SpherePoint, as_sphere_point, chart_unit_vectors,
+                     chart_values)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -86,18 +87,22 @@ class SphereGrid:
         return int(self.band_start[band]) + sector
 
     def cell_index_many(self, points) -> np.ndarray:
-        """``cell_index`` of every point, as an int array.
+        """``cell_index`` of every point, as an int array."""
+        return self.cell_index_charts(*chart_values(points))
 
-        ``unit_vectors`` gives the scalar unit vectors, but numpy's arctan2
-        may round differently from ``math.atan2``, so points within 1e-9
-        sector widths of a sector boundary are looked up by ``cell_index``
-        itself, and so, as a guard, are points within 1e-12 of a band
-        boundary in height and the poles, whose longitude is the sign of a
-        zero; the rest are far enough from every boundary that the
-        vectorized cell is the scalar one.
+    def cell_index_charts(self, values: np.ndarray,
+                          inverted: np.ndarray) -> np.ndarray:
+        """``cell_index`` of every point given by chart value and flag.
+
+        ``chart_unit_vectors`` gives the scalar unit vectors, but numpy's
+        arctan2 may round differently from ``math.atan2``, so points
+        within 1e-9 sector widths of a sector boundary are looked up by
+        ``cell_index`` itself, and so, as a guard, are points within 1e-12
+        of a band boundary in height and the poles, whose longitude is the
+        sign of a zero; the rest are far enough from every boundary that
+        the vectorized cell is the scalar one.
         """
-        points = list(points)
-        x, y, z = unit_vectors(points).T
+        x, y, z = chart_unit_vectors(values, inverted).T
         # Interior band boundaries, negated to increase; the band index
         # counts those above z, as band_of_z does, clamps included.
         above = -self.band_z[1:-1]
@@ -112,7 +117,7 @@ class SphereGrid:
                   | (np.abs(frac - np.rint(frac)) < _SECTOR_MARGIN)
                   | ((x == 0) & (y == 0)))
         for k in np.nonzero(unsure)[0]:
-            cells[k] = self.cell_index(points[k])
+            cells[k] = self.cell_index(SpherePoint(values[k], inverted[k]))
         return cells
 
     def cell_band_sector(self, idx: int) -> tuple[int, int]:

@@ -60,13 +60,13 @@ class SphereMeasure:
         self.weights = np.maximum(w, 0.0)
 
     @classmethod
-    def from_particles(cls, grid: SphereGrid, particles) -> "SphereMeasure":
-        """Accumulate (point, weight) pairs into cells, in particle order."""
-        pairs = list(particles)
-        cells = grid.cell_index_many([point for point, _ in pairs])
-        w = np.bincount(cells, weights=[float(weight) for _, weight in pairs],
-                        minlength=grid.n_cells)
-        return cls(grid, w)
+    def from_particles(cls, grid: SphereGrid, values: np.ndarray,
+                       inverted: np.ndarray, weights: np.ndarray) -> "SphereMeasure":
+        """Accumulate particles, given by chart value, chart flag and
+        weight, into cells, in particle order."""
+        cells = grid.cell_index_charts(values, inverted)
+        return cls(grid, np.bincount(cells, weights=weights,
+                                     minlength=grid.n_cells))
 
     @classmethod
     def dirac(cls, grid: SphereGrid, point) -> "SphereMeasure":

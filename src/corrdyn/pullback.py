@@ -19,7 +19,7 @@ from .errors import (DegenerateStart, DegreeConditionError, NotConverged)
 from .grid import SphereGrid
 from .measures import SphereMeasure, measure_distance
 from .paths import ForwardPath
-from .sphere import SpherePoint, as_sphere_point
+from .sphere import as_sphere_point
 
 #: Default certificate bound on the distance between the last two levels.
 CERT_BOUND = 0.05
@@ -28,21 +28,21 @@ CERT_BOUND = 0.05
 INVARIANCE_BUDGET = 0.01
 
 
-def _systematic_thin(points, weights, cap: int, rng: np.random.Generator):
-    """Unbiased thinning to cap equal-weight particles.
+def _systematic_thin(weights: np.ndarray, cap: int, rng: np.random.Generator):
+    """Unbiased thinning to cap equal-weight particles: the kept particle
+    indices and their weights.
 
-    The list is shuffled first: particles arrive grouped by parent, and a
+    The particles are shuffled first: they arrive grouped by parent, and a
     systematic stride aligned with the branching factor would otherwise
     keep picking the same branch of every parent.
     """
-    perm = rng.permutation(len(points))
+    perm = rng.permutation(len(weights))
     total = float(weights.sum())
     targets = (rng.uniform(0.0, 1.0) + np.arange(cap)) / cap * total
     cum = np.cumsum(weights[perm])
     idx = np.searchsorted(cum, targets, side="right")
-    idx = np.minimum(idx, len(points) - 1)
-    w = total / cap
-    return [points[int(perm[i])] for i in idx], np.full(cap, w)
+    idx = np.minimum(idx, len(weights) - 1)
+    return perm[idx], np.full(cap, total / cap)
 
 
 def pullback_iterate(corr: Correspondence, x0, n: int, cap: int = 8192,
@@ -55,7 +55,9 @@ def pullback_iterate(corr: Correspondence, x0, n: int, cap: int = 8192,
     Requires d_top > d_fwd.  A start with a degenerate backward fiber is
     re-sampled from a small disk around x0 up to max_resample times.
     Levels beyond cap particles are thinned by seeded systematic
-    resampling, which preserves expected cell weights.
+    resampling, which preserves expected cell weights.  Particles are
+    carried as chart values, chart flags and weights, and each level is
+    solved by one ``backward_fiber_arrays`` call.
     """
     if corr.d_top <= corr.d_fwd:
         raise DegreeConditionError(
@@ -78,21 +80,17 @@ def pullback_iterate(corr: Correspondence, x0, n: int, cap: int = 8192,
         start = as_sphere_point(base + jitter)
 
     d_top = corr.d_top
-    points: list[SpherePoint] = [start]
+    values = np.array([start.value])
+    inverted = np.array([start.inverted])
     weights = np.array([1.0])
-    levels = [SphereMeasure.from_particles(grid, zip(points, weights))]
+    levels = [SphereMeasure.from_particles(grid, values, inverted, weights)]
     for _ in range(n):
-        nxt_points: list[SpherePoint] = []
-        nxt_weights: list[float] = []
-        for w, fiber in zip(weights, corr.backward_images_many(points)):
-            for b in fiber.branches:
-                nxt_points.append(b.point)
-                nxt_weights.append(w * b.multiplicity / d_top)
-        points = nxt_points
-        weights = np.asarray(nxt_weights)
-        if len(points) > cap:
-            points, weights = _systematic_thin(points, weights, cap, rng)
-        levels.append(SphereMeasure.from_particles(grid, zip(points, weights)))
+        owner, mult, values, inverted = corr.backward_fiber_arrays(values, inverted)
+        weights = weights[owner] * mult / d_top
+        if len(weights) > cap:
+            keep, weights = _systematic_thin(weights, cap, rng)
+            values, inverted = values[keep], inverted[keep]
+        levels.append(SphereMeasure.from_particles(grid, values, inverted, weights))
     return levels
 
 

@@ -139,14 +139,42 @@ def chart_values(points) -> tuple[np.ndarray, np.ndarray]:
     return values, inverted
 
 
-def unit_vectors(points) -> np.ndarray:
-    """``unit_vector`` of every point, as a (K, 3) array.
+def _reciprocal(z: np.ndarray) -> np.ndarray:
+    """1 / z of nonzero finite z, with the operations of CPython's
+    ``_Py_c_quot`` dividing 1 + 0j by z, so with its bits and signed
+    zeros; numpy's complex division rounds differently."""
+    re, im = z.real, z.imag
+    with np.errstate(all="ignore"):
+        ratio = im / re  # |re| >= |im|: divide through by re
+        denom = re + im * ratio
+        by_re = (1.0 + 0.0 * ratio) / denom, (0.0 - 1.0 * ratio) / denom
+        ratio = re / im  # |im| > |re|: divide through by im
+        denom = re * ratio + im
+        by_im = (ratio + 0.0) / denom, (0.0 * ratio - 1.0) / denom
+    wide = np.abs(re) >= np.abs(im)
+    out = np.empty_like(z)
+    out.real = np.where(wide, by_re[0], by_im[0])
+    out.imag = np.where(wide, by_re[1], by_im[1])
+    return out
+
+
+def complex_charts(z) -> tuple[np.ndarray, np.ndarray]:
+    """Chart values and chart flags of finite complex numbers, bit for bit
+    as ``SpherePoint(z)`` stores them: 1/z where |z| > 1."""
+    values = np.array(z, dtype=complex)
+    inverted = np.hypot(values.real, values.imag) > R_SWITCH
+    values[inverted] = _reciprocal(values[inverted])
+    return values, inverted
+
+
+def chart_unit_vectors(values: np.ndarray, inverted: np.ndarray) -> np.ndarray:
+    """``unit_vector`` of every point given by chart value and flag, as a
+    (K, 3) array.
 
     The squared modulus goes through C ``pow`` (``float_power``), as the
     scalar method's ``abs(v) ** 2`` does, so each row equals
     ``unit_vector`` bit for bit, up to the sign of a zero coordinate.
     """
-    values, inverted = chart_values(points)
     a2 = np.float_power(np.hypot(values.real, values.imag), 2.0)
     s = 1.0 + a2
     out = np.empty((len(values), 3))
@@ -154,6 +182,11 @@ def unit_vectors(points) -> np.ndarray:
     out[:, 1] = np.where(inverted, -2.0, 2.0) * values.imag / s
     out[:, 2] = np.where(inverted, 1.0 - a2, a2 - 1.0) / s
     return out
+
+
+def unit_vectors(points) -> np.ndarray:
+    """``unit_vector`` of every point, as a (K, 3) array."""
+    return chart_unit_vectors(*chart_values(points))
 
 
 def sph_dist(p, q) -> float:
@@ -446,81 +479,84 @@ def roots(coeffs, tol: float = DEFAULT_ROOT_TOL, seed: int = 810279):
 def roots_many(coeffs, tol: float = DEFAULT_ROOT_TOL) -> list:
     """``roots`` of every row of a (K, d+1) coefficient stack.
 
-    Rows of formal degree 1 take the closed form.  Higher-degree rows are
-    solved together as stacked companion matrices (one ``eigvals`` call)
-    and polished by one vectorized Newton step, kept per root unless it
-    raises |p|.  A row keeps these roots only when each meets the residual
-    bound of ``roots``, |p(r)| <= tol * sum_k |c_k| |r|^k, no two lie
-    within the cluster radius max(1e3*tol, 1e-7), and no argument lies
-    within 1e-8 of pi or of another root's, where rounding could flip the
-    canonical root order of a fiber.  Every other row (near degree drops,
-    exact-zero constant terms, identically zero or non-finite rows,
-    non-finite eigenvalues, failed checks) goes to the scalar ``roots``,
-    which stays the oracle for multiple roots.
+    The rows that ``stacked_roots`` solves and passes keep its roots;
+    every other row goes to the scalar ``roots``, which stays the oracle
+    for multiple roots.
 
     Returns a list of K root lists, each as ``roots`` returns it.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 2 or c.shape[1] < 2:
         raise ValueError("need a (K, d+1) coefficient stack with d >= 1")
-    deg = c.shape[1] - 1
+    rows, z, ok = stacked_roots(c, tol)
     out: list = [None] * c.shape[0]
-    with np.errstate(all="ignore"):
-        mag = np.abs(c)
-        # The factor 2 keeps rows near the degree-drop cutoff of ``roots``
-        # on the scalar path, where that decision is made.
-        fast = (np.isfinite(c).all(axis=1) & (c[:, 0] != 0)
-                & (mag[:, -1] > 2.0 * tol * mag.max(axis=1)))
-        rows = np.nonzero(fast)[0]
-        if rows.size:
-            cf = c[rows]
-            if deg == 1:
-                z = (-cf[:, 0] / cf[:, 1])[:, None]
-                ok = np.isfinite(z[:, 0])
-            else:
-                z, ok = _companion_roots(cf, tol)
-            for k, row in zip(rows[ok].tolist(), z[ok].tolist()):
-                out[k] = [(SpherePoint(r), 1) for r in row]
+    for k, row in zip(rows[ok].tolist(), z[ok].tolist()):
+        out[k] = [(SpherePoint(r), 1) for r in row]
     for k, found in enumerate(out):
         if found is None:
             out[k] = roots(c[k], tol=tol)
     return out
 
 
-def _companion_roots(c: np.ndarray, tol: float):
-    """Roots of the rows of c (K, d+1), d >= 2, and the rows that pass."""
-    k_rows, width = c.shape
-    deg = width - 1
-    companion = np.zeros((k_rows, deg, deg), dtype=complex)
-    companion[:, 0, :] = -c[:, -2::-1] / c[:, -1:]
-    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-    ok = np.isfinite(companion).all(axis=(1, 2))
-    z = np.zeros((k_rows, deg), dtype=complex)
-    z[ok] = np.linalg.eigvals(companion[ok])
-    ok &= np.isfinite(z).all(axis=1)
+def stacked_roots(c: np.ndarray, tol: float):
+    """The stacked solver of a (K, d+1) coefficient stack, d >= 1.
 
-    # Coefficients as (d+1, K, 1), so the Horner helpers run on all rows.
-    stack = c.T[:, :, None]
-    p = _polyval(stack, z)
-    cand = z - p / _polyval(stack[1:] * np.arange(1, width)[:, None, None], z)
-    p_cand = _polyval(stack, cand)
-    better = np.isfinite(cand) & (np.abs(p_cand) <= np.abs(p))
-    z = np.where(better, cand, z)
-    p = np.where(better, p_cand, p)
+    Returns (rows, roots, ok): the rows it takes, their (len(rows), d)
+    roots and the rows among them whose roots pass.  It takes the rows
+    with finite coefficients, a nonzero constant term and a leading one
+    clear of the degree-drop cutoff of ``roots``.  Degree 1 takes the
+    closed form.  Higher degrees are solved as stacked companion matrices
+    (one ``eigvals`` call) and polished by one vectorized Newton step,
+    kept per root unless it raises |p|.  A row passes when its roots are
+    finite, each meets the residual bound of ``roots``, |p(r)| <= tol *
+    sum_k |c_k| |r|^k, no two lie within the cluster radius
+    max(1e3*tol, 1e-7), and no argument lies within 1e-8 of pi or of
+    another root's, where rounding could flip the canonical root order of
+    a fiber.
+    """
+    deg = c.shape[1] - 1
+    with np.errstate(all="ignore"):
+        mag = np.abs(c)
+        # The factor 2 keeps rows near the degree-drop cutoff of ``roots``
+        # on the scalar path, where that decision is made.
+        rows = np.nonzero(np.isfinite(c).all(axis=1) & (c[:, 0] != 0)
+                          & (mag[:, -1] > 2.0 * tol * mag.max(axis=1)))[0]
+        c = c[rows]
+        if deg == 1:
+            z = -c[:, :1] / c[:, 1:]
+            return rows, z, np.isfinite(z[:, 0])
 
-    ok &= (np.abs(p) <= tol * np.maximum(_eval_scale(stack, z), 1e-300)).all(axis=1)
-    radius = max(CLUSTER_RADIUS_FACTOR * tol, _CLUSTER_DETECT_FLOOR)
-    az = np.abs(z)
-    close = (np.abs(z[:, :, None] - z[:, None, :])
-             <= radius * (1.0 + np.minimum(az[:, :, None], az[:, None, :])))
-    close[:, np.arange(deg), np.arange(deg)] = False
-    ok &= ~close.any(axis=(1, 2))
-    # Fibers list roots by argument in (-pi, pi]; where that order hangs
-    # on rounding, the scalar solver's roots decide it.
-    arg = np.sort(np.angle(z), axis=1)
-    ok &= (np.pi - np.abs(arg) > _ARG_MARGIN).all(axis=1)
-    ok &= (np.diff(arg, axis=1) > _ARG_MARGIN).all(axis=1)
-    return z, ok
+        k_rows, width = c.shape
+        companion = np.zeros((k_rows, deg, deg), dtype=complex)
+        companion[:, 0, :] = -c[:, -2::-1] / c[:, -1:]
+        companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        ok = np.isfinite(companion).all(axis=(1, 2))
+        z = np.zeros((k_rows, deg), dtype=complex)
+        z[ok] = np.linalg.eigvals(companion[ok])
+        ok &= np.isfinite(z).all(axis=1)
+
+        # Coefficients as (d+1, K, 1), so the Horner helpers run on all rows.
+        stack = c.T[:, :, None]
+        p = _polyval(stack, z)
+        cand = z - p / _polyval(stack[1:] * np.arange(1, width)[:, None, None], z)
+        p_cand = _polyval(stack, cand)
+        better = np.isfinite(cand) & (np.abs(p_cand) <= np.abs(p))
+        z = np.where(better, cand, z)
+        p = np.where(better, p_cand, p)
+
+        ok &= (np.abs(p) <= tol * np.maximum(_eval_scale(stack, z), 1e-300)).all(axis=1)
+        radius = max(CLUSTER_RADIUS_FACTOR * tol, _CLUSTER_DETECT_FLOOR)
+        az = np.abs(z)
+        close = (np.abs(z[:, :, None] - z[:, None, :])
+                 <= radius * (1.0 + np.minimum(az[:, :, None], az[:, None, :])))
+        close[:, np.arange(deg), np.arange(deg)] = False
+        ok &= ~close.any(axis=(1, 2))
+        # Fibers list roots by argument in (-pi, pi]; where that order hangs
+        # on rounding, the scalar solver's roots decide it.
+        arg = np.sort(np.angle(z), axis=1)
+        ok &= (np.pi - np.abs(arg) > _ARG_MARGIN).all(axis=1)
+        ok &= (np.diff(arg, axis=1) > _ARG_MARGIN).all(axis=1)
+    return rows, z, ok
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +564,10 @@ def _companion_roots(c: np.ndarray, tol: float):
 # ---------------------------------------------------------------------------
 
 
-def _stacked_products(points, size: int, product) -> np.ndarray:
-    """``product`` of the chart powers of every point, one row per point.
+def _stacked_products(values: np.ndarray, inverted: np.ndarray, size: int,
+                      product) -> np.ndarray:
+    """``product`` of the chart powers of every point, given by chart value
+    and flag, one row per point.
 
     Rows equal the scalar ``coeffs_in_w`` / ``coeffs_in_z`` bit for bit:
     ``product`` stacks that method's own vector-matrix or matrix-vector
@@ -538,7 +576,6 @@ def _stacked_products(points, size: int, product) -> np.ndarray:
     kernel (a single matrix product, or reversed copies, can round
     complex tables differently).
     """
-    values, inverted = chart_values(points)
     pw = values[:, None] ** np.arange(size)
     plain = product(pw[~inverted])
     out = np.empty((len(values), plain.shape[1]), dtype=complex)
@@ -606,7 +643,7 @@ class BivarPoly:
 
     def coeffs_in_w_many(self, points) -> np.ndarray:
         """``coeffs_in_w`` of every point, stacked as a (K, deg_w+1) array."""
-        return _stacked_products(points, self.deg_z + 1,
+        return _stacked_products(*chart_values(points), self.deg_z + 1,
                                  lambda px: (px[:, None, :] @ self.table)[:, 0])
 
     def coeffs_in_z(self, y: SpherePoint) -> np.ndarray:
@@ -616,7 +653,12 @@ class BivarPoly:
 
     def coeffs_in_z_many(self, points) -> np.ndarray:
         """``coeffs_in_z`` of every point, stacked as a (K, deg_z+1) array."""
-        return _stacked_products(points, self.deg_w + 1,
+        return self.coeffs_in_z_charts(*chart_values(points))
+
+    def coeffs_in_z_charts(self, values: np.ndarray,
+                           inverted: np.ndarray) -> np.ndarray:
+        """``coeffs_in_z_many`` of the points given by chart value and flag."""
+        return _stacked_products(values, inverted, self.deg_w + 1,
                                  lambda py: (self.table @ py[:, :, None])[:, :, 0])
 
     def incidence_residual(self, x, y) -> float:

@@ -231,11 +231,10 @@ class NormalizedWeights:
     row_sums: np.ndarray
 
     def transition_matrix(self) -> np.ndarray:
-        n = self.kernel.active.n_active
-        p = np.zeros((n, n))
-        np.add.at(p, (self.kernel.src, self.kernel.tgt),
-                  self.kernel.mult * self.weights)
-        return p
+        k = self.kernel
+        n = k.active.n_active
+        return np.bincount(k.src * n + k.tgt, weights=k.mult * self.weights,
+                           minlength=n * n).reshape(n, n)
 
 
 def normalize(f: GridFunction, spectral: SpectralResult,

@@ -4,10 +4,14 @@ import math
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from corrdyn.cli import _point_from_config, main
+from corrdyn.cli import _nearest_center, _point_from_config, main
 from corrdyn.datasets import bundled_text
+from corrdyn.grid import SphereGrid
+from corrdyn.sphere import sph_dist
+from corrdyn.transfer import ActiveGrid
 
 DATA = {name: bundled_text(name)
         for name in ("mobius", "z2", "z3", "z2_plus_z3", "mobius_pair")}
@@ -345,3 +349,17 @@ class TestReportHygiene:
                         int(cell)
                     except ValueError:
                         float(cell)
+
+
+class TestProbePairs:
+    @pytest.mark.parametrize("n_cells,count", [(400, 60), (2000, 300), (12, 12)])
+    def test_nearest_center_matches_min(self, n_cells, count):
+        # The probe partner of the ruelle pipeline: the same center as a
+        # min over every other center by scalar sph_dist.
+        rng = np.random.default_rng(n_cells)
+        active = ActiveGrid(SphereGrid(n_cells),
+                            rng.choice(n_cells, size=count, replace=False).tolist())
+        for idx, center in enumerate(active.centers):
+            expected = min((c for c in active.centers if c is not center),
+                           key=lambda c: sph_dist(center, c))
+            assert _nearest_center(active, idx) is expected

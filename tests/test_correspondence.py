@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from corrdyn.correspondence import expansivity_probe, parse_correspondence
+from corrdyn.correspondence import (Correspondence, expansivity_probe,
+                                    parse_correspondence)
 from corrdyn.datasets import BUNDLED, bundled_correspondence
 from corrdyn.errors import InsufficientPairs, InvalidComponent, ParseError
-from corrdyn.sphere import BivarPoly, SpherePoint, sph_dist
+from corrdyn.sphere import BivarPoly, SpherePoint, chart_values, sph_dist
 
 
 def fiber_count(fiber):
@@ -220,6 +221,63 @@ class TestBackwardImagesMany:
 
     def test_empty_batch(self, corr_z2z3):
         assert corr_z2z3.backward_images_many([]) == []
+
+
+class TestBackwardFiberArrays:
+    """backward_fiber_arrays against backward_images_many, to the bit."""
+
+    def check(self, corr, points):
+        values, inverted = chart_values(points)
+        owner, mult, root_values, root_inverted = corr.backward_fiber_arrays(
+            values, inverted)
+        branches = [(k, b) for k, fiber in enumerate(corr.backward_images_many(points))
+                    for b in fiber.branches]
+        assert owner.tolist() == [k for k, _ in branches]
+        assert mult.tolist() == [b.multiplicity for _, b in branches]
+        assert root_inverted.tolist() == [b.point.inverted for _, b in branches]
+        want = np.array([b.point.value for _, b in branches], dtype=complex)
+        assert np.array_equal(root_values, want)
+        assert np.array_equal(np.signbit(root_values.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(root_values.imag), np.signbit(want.imag))
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_identical_to_fibers(self, name, monkeypatch):
+        corr = bundled_correspondence(name)
+        rng = np.random.default_rng(39)
+        inside = (rng.uniform(0.0, 0.99, 200)
+                  * np.exp(1j * rng.uniform(-math.pi, math.pi, 200))).tolist()
+        points = ([SpherePoint.from_complex(z) for z in inside[:100]]
+                  + [SpherePoint.from_reciprocal(z) for z in inside[100:]])
+        # Real and imaginary axes, signed zeros included: root arguments
+        # at pi, and roots whose real or imaginary part may be a zero.
+        axes = [0.5, -0.5, 0.25, -0.75, 1.0, -1.0, complex(-0.0, 0.5),
+                complex(0.0, -0.5), complex(-0.5, -0.0), complex(-0.0, -0.0)]
+        points += [SpherePoint.from_complex(z) for z in axes]
+        points += [SpherePoint.from_reciprocal(z) for z in axes]
+        # Zero, infinity, near degree drops and exact-zero constant terms.
+        points += [SpherePoint.from_complex(0.0), SpherePoint.infinity(),
+                   SpherePoint.from_reciprocal(1e-13), SpherePoint.from_reciprocal(-3e-12j),
+                   SpherePoint.from_complex(1e-24), SpherePoint.from_complex(-1e-9j)]
+        assembled = []
+        assemble = Correspondence._assemble
+        monkeypatch.setattr(Correspondence, "_assemble",
+                            lambda self, lists: assembled.append(1) or assemble(self, lists))
+        corr.backward_fiber_arrays(*chart_values(points))
+        monkeypatch.undo()
+        # Both array rows and rows spliced in from _assemble occur.
+        assert 0 < len(assembled) < len(points)
+        self.check(corr, points)
+
+    def test_vanishing_fiber_polynomial(self, corr_z2):
+        # (w - 1)(z - 2): over y = 1 the second component's fiber is empty.
+        table = np.array([[2.0, -2.0], [-1.0, 1.0]], dtype=complex)
+        corr = Correspondence(corr_z2.components + [BivarPoly(table)])
+        self.check(corr, [3.0, 1.0, 0.5j, SpherePoint.infinity()])
+
+    def test_empty_batch(self, corr_z2z3):
+        owner, mult, root_values, root_inverted = corr_z2z3.backward_fiber_arrays(
+            *chart_values([]))
+        assert len(owner) == len(mult) == len(root_values) == len(root_inverted) == 0
 
 
 class TestForwardImagesMany:

@@ -82,10 +82,21 @@ class TestPullback:
             assert level.weights.sum() == pytest.approx(1.0, abs=1e-10)
 
 
-def scalar_levels(corr, x0, n, cap, seed, grid):
+def list_thin(points, weights, cap, rng):
+    """Reference copy of the list form of the systematic thinning."""
+    perm = rng.permutation(len(points))
+    total = float(weights.sum())
+    targets = (rng.uniform(0.0, 1.0) + np.arange(cap)) / cap * total
+    cum = np.cumsum(weights[perm])
+    idx = np.minimum(np.searchsorted(cum, targets, side="right"), len(points) - 1)
+    return [points[int(perm[i])] for i in idx], np.full(cap, total / cap)
+
+
+def scalar_levels(corr, x0, n, cap, seed, grid, fibers=None):
     """Reference copy of the pullback level loop: one scalar fiber per
-    particle and one scalar cell lookup per particle."""
-    from corrdyn.pullback import _systematic_thin
+    particle (or the ``fibers`` of each level's point list) and one scalar
+    cell lookup per particle."""
+    fibers = fibers or (lambda points: [corr.backward_images(p) for p in points])
 
     def measure(points, weights):
         w = np.zeros(grid.n_cells)
@@ -100,13 +111,13 @@ def scalar_levels(corr, x0, n, cap, seed, grid):
     levels = [measure(points, weights)]
     for _ in range(n):
         nxt_points, nxt_weights = [], []
-        for p, w in zip(points, weights):
-            for b in corr.backward_images(p).branches:
+        for w, fiber in zip(weights, fibers(points)):
+            for b in fiber.branches:
                 nxt_points.append(b.point)
                 nxt_weights.append(w * b.multiplicity / corr.d_top)
         points, weights = nxt_points, np.asarray(nxt_weights)
         if len(points) > cap:
-            points, weights = _systematic_thin(points, weights, cap, rng)
+            points, weights = list_thin(points, weights, cap, rng)
         levels.append(measure(points, weights))
     return levels
 
@@ -120,6 +131,29 @@ class TestBatchedLevels:
         levels = pullback_iterate(corr, 0.5 + 0.3j, n=n, cap=cap, seed=47, grid=grid)
         reference = scalar_levels(corr, 0.5 + 0.3j, n, cap, 47, grid)
         assert corr.d_top ** n > cap
+        assert len(levels) == len(reference)
+        for level, ref in zip(levels, reference):
+            assert np.array_equal(level.weights, ref)
+
+    @pytest.mark.parametrize("name,n,start,cap", [
+        # Real preimages of a real start give roots at argument pi, which
+        # the scalar root fallback solves.
+        ("corr_z2", 9, 0.5 + 0j, 300),
+        ("corr_z2z3", 5, 0.5 + 0j, 300),
+        # 3^4 = 81 particles at the deepest level: no level is thinned.
+        ("corr_z3", 4, 0.5 + 0.3j, 100),
+    ])
+    def test_real_start_and_unthinned_levels(self, grid, name, n, start, cap,
+                                             request):
+        # The reference solves each level with backward_images_many: the
+        # scalar solver's real roots can differ from the stacked solver's
+        # in the sign of a tiny imaginary part, and a real point sits on a
+        # sector boundary, so the two solvers can bin it differently.
+        corr = request.getfixturevalue(name)
+        levels = pullback_iterate(corr, start, n=n, cap=cap, seed=48, grid=grid)
+        reference = scalar_levels(corr, start, n, cap, 48, grid,
+                                  fibers=corr.backward_images_many)
+        assert (corr.d_top ** n > cap) == (start.imag == 0)
         assert len(levels) == len(reference)
         for level, ref in zip(levels, reference):
             assert np.array_equal(level.weights, ref)

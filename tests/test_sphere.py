@@ -6,8 +6,8 @@ import pytest
 
 from corrdyn.datasets import BUNDLED, bundled_correspondence
 from corrdyn.errors import InvalidComponent
-from corrdyn.sphere import (BivarPoly, SpherePoint, roots, roots_many, sph_dist,
-                            unit_vectors)
+from corrdyn.sphere import (BivarPoly, SpherePoint, _reciprocal, complex_charts,
+                            roots, roots_many, sph_dist, unit_vectors)
 
 
 def random_points(rng, n):
@@ -246,6 +246,56 @@ class TestRoots:
                 val = abs(sum(c * r ** k for k, c in enumerate(coeffs)))
                 scale = sum(abs(c) * abs(r) ** k for k, c in enumerate(coeffs))
                 assert val <= 1e-11 * scale
+
+
+def same_bits(got, want):
+    """Equal complex numbers with equal signs of their zero parts."""
+    return (got == want and math.copysign(1.0, got.real) == math.copysign(1.0, want.real)
+            and math.copysign(1.0, got.imag) == math.copysign(1.0, want.imag))
+
+
+class TestComplexCharts:
+    """complex_charts and _reciprocal against SpherePoint and Python's 1/z."""
+
+    def check(self, zs):
+        values, inverted = complex_charts(np.array(zs, dtype=complex))
+        for z, value, flag in zip(zs, values.tolist(), inverted.tolist()):
+            point = SpherePoint(z)
+            assert flag == point.inverted, z
+            assert same_bits(value, point.value), z
+
+    def test_random_points(self):
+        rng = np.random.default_rng(19)
+        mod = 10.0 ** rng.uniform(-3.0, 6.0, 4000)
+        self.check((mod * np.exp(1j * rng.uniform(-math.pi, math.pi, 4000))).tolist())
+
+    def test_modulus_just_above_one(self):
+        rng = np.random.default_rng(20)
+        unit = np.exp(1j * rng.uniform(-math.pi, math.pi, 500))
+        zs = [complex(u) * (1.0 + k * 2.0 ** -52) for u in unit for k in range(-2, 4)]
+        zs += [1.0, -1.0, 1j, complex(math.nextafter(1.0, 2.0), 0.0),
+               complex(-0.0, -math.nextafter(1.0, 2.0)),
+               complex(math.sqrt(0.5), math.sqrt(0.5)),
+               complex(math.nextafter(math.sqrt(0.5), 1.0), math.sqrt(0.5))]
+        self.check(zs)
+
+    def test_signed_zero_parts(self):
+        zs = [complex(re, im) for re in (0.0, -0.0) for y in (1.5, 3.0, 1e5, 1e300)
+              for im in (y, -y)]
+        zs += [complex(re, im) for im in (0.0, -0.0) for y in (1.5, 7.0, 1e300)
+               for re in (y, -y)]
+        self.check(zs)
+
+    def test_huge_and_tiny_parts(self):
+        zs = [complex(1e300, 1e300), complex(1e308, -1e308), complex(-1e308, 5e-324),
+              complex(5.0, 1e-300), complex(1e-310, -7.0), complex(-3.0, 2e-308),
+              complex(1e-300, 1e-300), complex(-4e-320, 0.0), 1e-300j]
+        self.check(zs)
+        tiny = [complex(1e-300, 1e-300), complex(-2e-300, 5e-301), complex(0.0, -1e-305),
+                complex(3e-310, 0.0), complex(-1e-200, -0.0)]
+        got = _reciprocal(np.array(tiny)).tolist()
+        for z, value in zip(tiny, got):
+            assert same_bits(value, 1.0 / z), z
 
 
 class TestRootsMany:

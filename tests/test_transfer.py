@@ -170,6 +170,22 @@ class TestNormalize:
         norm = normalize(f, spec, kernel_z2)
         assert np.abs(norm.row_sums - 1.0).max() <= 1e-8
 
+    @pytest.mark.parametrize("name", ["corr_z2", "corr_z3", "corr_z2z3"])
+    def test_transition_matrix_is_edge_fold(self, grid, name, request):
+        # Oracle: the dense np.add.at fold of the edge weights, bit for
+        # bit, signs of zeros included.
+        corr = request.getfixturevalue(name)
+        active = pipeline_active(grid, corr)
+        kernel = TransferKernel(corr, active)
+        for f in (GridFunction.constant(active, 0.0),
+                  GridFunction.from_callable(active, fn_re)):
+            norm = normalize(f, power_iteration(kernel, f, tol=1e-11, seed=3), kernel)
+            expected = np.zeros((active.n_active, active.n_active))
+            np.add.at(expected, (kernel.src, kernel.tgt), kernel.mult * norm.weights)
+            got = norm.transition_matrix()
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+
     def test_nonpositive_eigenfunction_rejected(self, corr_z2, active, kernel_z2,
                                                 spectral_z2):
         from corrdyn.transfer import SpectralResult

@@ -17,7 +17,12 @@ lives in), each call in a fresh interpreter and a fresh output directory:
   at seeds 0 and 3, on unsorted schedules of three depths whose pools
   are thinned at some depths and whole at others (``POOL_CONFIGS``), so
   both the grown and the re-enumerated pools of ``pressure_estimate``
-  are digested.
+  are digested;
+- ``ds-measure`` and ``ruelle`` (f = re, depth 3) from the real start
+  0.5 on z2 and z2_plus_z3 at seeds 0 and 3 (``REAL_START_CORRESPONDENCES``).
+  Its preimage trees reach the negative real axis, where roots have
+  argument pi, so the pullback levels take the scalar root fallback
+  there, which the README start never does.
 
 It prints one JSON object keyed by call, holding the exit code and the
 sha256 of the ``results`` section of report.json and of every CSV the
@@ -77,6 +82,11 @@ POOL_CONFIGS = {
 }
 
 
+#: Correspondences run from the real start 0.5 (``REAL_START``).
+REAL_START_CORRESPONDENCES = ("z2", "z2_plus_z3")
+REAL_START = [0.5, 0.0]
+
+
 def _configs(data: Path) -> dict[str, dict]:
     out = {}
     for w in workloads().values():
@@ -91,6 +101,13 @@ def _configs(data: Path) -> dict[str, dict]:
             **config,
             "ruelle": {**config["ruelle"], "f": "re", "depth": 4},
             "variational": {**config["variational"], "f": "re"}}
+    for name in REAL_START_CORRESPONDENCES:
+        ruelle = README_CONFIG["ruelle"]
+        out[f"real-{name}"] = {
+            **README_CONFIG, "correspondence": str(data / f"{name}.corr"),
+            "ds_measure": {**README_CONFIG["ds_measure"], "start": REAL_START},
+            "ruelle": {**ruelle, "f": "re", "depth": 3,
+                       "pullback": {**ruelle["pullback"], "start": REAL_START}}}
     for name, section in POOL_CONFIGS.items():
         out[f"pools-{name}"] = {"correspondence": str(data / f"{name}.corr"),
                                 "n_cells": 2000, "entropy": section,
@@ -116,6 +133,11 @@ def _calls() -> list[tuple[str, str, str, int]]:
             for command in ("ruelle", "variational"):
                 calls.append((f"readme/{name}/seed{seed}/{command}-re",
                               f"readme-{name}-re", command, seed))
+    for name in REAL_START_CORRESPONDENCES:
+        for seed in README_SEEDS:
+            for command in ("ds-measure", "ruelle"):
+                calls.append((f"real/{name}/seed{seed}/{command}",
+                              f"real-{name}", command, seed))
     for name in POOL_CONFIGS:
         for seed in README_SEEDS:
             for command in ("entropy", "pressure"):
