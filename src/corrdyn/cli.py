@@ -256,8 +256,6 @@ def _pressure_like(config: RunConfig, corr: Correspondence, name: str) -> dict:
     return {
         "pressure": report.pressure,
         "f": report.f_label,
-        "richardson_slope": report.richardson_slope,
-        "extrapolated": report.extrapolated,
         "rows": len(report.rows),
         "truncated": report.truncated,
         "start_points": report.n_starts,

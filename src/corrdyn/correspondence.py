@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InsufficientPairs, ParseError
 from .sphere import (DEFAULT_ROOT_TOL, BivarPoly, SpherePoint, as_sphere_point,
-                     complex_charts, roots, roots_many, sph_dist,
+                     chart_values, complex_charts, roots, sph_dist,
                      stacked_roots)
 
 #: Residual bound under which a path step counts as incident.
@@ -134,25 +134,57 @@ class Correspondence:
         """Fiber of z -> P_t(z, y) over every component, with multiplicity."""
         return self._fiber(BivarPoly.coeffs_in_z, as_sphere_point(y))
 
-    def _fibers_many(self, coeffs_many, points) -> list[Fiber]:
-        points = list(points)
-        per_comp = []
+    def _stacked(self, values: np.ndarray, inverted: np.ndarray,
+                 backward: bool) -> list[tuple]:
+        """Every component's fiber polynomials over the points given by
+        chart value and flag, solved by one ``stacked_roots`` call each.
+
+        Returns one (coeffs, live, passed, found) per component: the
+        coefficient rows, the rows whose polynomial does not vanish, the
+        rows whose roots the stacked solver passes, and those roots, one
+        row per point (zero where the row did not pass).
+        """
+        out = []
         for comp in self.components:
-            coeffs = coeffs_many(comp, points)
+            coeffs = (comp.coeffs_in_z_charts(values, inverted) if backward
+                      else comp.coeffs_in_w_charts(values, inverted))
             live = np.abs(coeffs).max(axis=1) != 0
-            solved = iter(roots_many(coeffs[live], tol=self.root_tol))
-            per_comp.append([next(solved) if alive else None for alive in live])
-        return [self._assemble(lists) for lists in zip(*per_comp)]
+            rows, z, ok = stacked_roots(coeffs[live], self.root_tol)
+            solved = np.nonzero(live)[0][rows[ok]]
+            passed = np.zeros(len(values), dtype=bool)
+            passed[solved] = True
+            found = np.zeros((len(values), coeffs.shape[1] - 1), dtype=complex)
+            found[solved] = z[ok]
+            out.append((coeffs, live, passed, found))
+        return out
+
+    def _row_fiber(self, stacked: list[tuple], k: int) -> Fiber:
+        """Fiber of row k of ``_stacked``: a component takes its stacked
+        roots where they passed, the scalar ``roots`` of its row where its
+        polynomial does not vanish, and None where it does."""
+        root_lists = []
+        for coeffs, live, passed, found in stacked:
+            if passed[k]:
+                root_lists.append([(SpherePoint(r), 1) for r in found[k].tolist()])
+            elif live[k]:
+                root_lists.append(roots(coeffs[k], tol=self.root_tol))
+            else:
+                root_lists.append(None)
+        return self._assemble(root_lists)
 
     def forward_images_many(self, points) -> list[Fiber]:
-        """``forward_images`` of every point, solved as one stacked
-        ``roots_many`` call per component."""
-        return self._fibers_many(BivarPoly.coeffs_in_w_many, points)
+        """``forward_images`` of every point, solved as one stacked call
+        per component (``_stacked``)."""
+        values, inverted = chart_values(points)
+        stacked = self._stacked(values, inverted, backward=False)
+        return [self._row_fiber(stacked, k) for k in range(len(values))]
 
     def backward_images_many(self, points) -> list[Fiber]:
-        """``backward_images`` of every point, solved as one stacked
-        ``roots_many`` call per component."""
-        return self._fibers_many(BivarPoly.coeffs_in_z_many, points)
+        """``backward_images`` of every point, solved as one stacked call
+        per component (``_stacked``)."""
+        values, inverted = chart_values(points)
+        stacked = self._stacked(values, inverted, backward=True)
+        return [self._row_fiber(stacked, k) for k in range(len(values))]
 
     def backward_fiber_arrays(self, values: np.ndarray, inverted: np.ndarray
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -162,30 +194,20 @@ class Correspondence:
         Returns (owner, mult, root_values, root_inverted): for every
         branch point, the row of its fiber, its branch multiplicity and its
         chart value and flag.  A row where every component passes the
-        stacked solver (``stacked_roots``) is built from its arrays: each
-        component's roots in argument order, which is ``_assemble``'s
-        order because the solver's checks keep every argument 1e-8 away
-        from pi and from the others, charted by ``complex_charts``, which
-        is ``SpherePoint`` to the bit.  Every other row gets its root
-        lists as ``roots_many`` builds them and goes through ``_assemble``.
+        stacked solver is built from its arrays: each component's roots in
+        argument order, which is ``_assemble``'s order because the
+        solver's checks keep every argument 1e-8 away from pi and from the
+        others, charted by ``complex_charts``, which is ``SpherePoint`` to
+        the bit.  Every other row is ``_row_fiber``'s.
         """
         n = len(values)
+        stacked = self._stacked(values, inverted, backward=True)
         fast = np.ones(n, dtype=bool)
-        per_comp = []
-        for comp in self.components:
-            coeffs = comp.coeffs_in_z_charts(values, inverted)
-            live = np.abs(coeffs).max(axis=1) != 0
-            rows, z, ok = stacked_roots(coeffs[live], self.root_tol)
-            solved = np.nonzero(live)[0][rows[ok]]
-            passed = np.zeros(n, dtype=bool)
-            passed[solved] = True
-            found = np.zeros((n, comp.deg_z), dtype=complex)
-            found[solved] = z[ok]
-            per_comp.append((comp, coeffs, live, passed, found))
+        for _, _, passed, _ in stacked:
             fast &= passed
 
         block = []
-        for comp, _, _, _, found in per_comp:
+        for _, _, _, found in stacked:
             z = found[fast]
             block.append(np.take_along_axis(z, np.argsort(np.angle(z), axis=1),
                                             axis=1))
@@ -193,17 +215,8 @@ class Correspondence:
         block_mult = np.repeat([comp.multiplicity for comp in self.components],
                                [comp.deg_z for comp in self.components])
 
-        slow = {}
-        for k in np.nonzero(~fast)[0].tolist():
-            lists = []
-            for comp, coeffs, live, passed, found in per_comp:
-                if passed[k]:
-                    lists.append([(SpherePoint(r), 1) for r in found[k].tolist()])
-                elif live[k]:
-                    lists.append(roots(coeffs[k], tol=self.root_tol))
-                else:
-                    lists.append(None)
-            slow[k] = self._assemble(lists).branches
+        slow = {k: self._row_fiber(stacked, k).branches
+                for k in np.nonzero(~fast)[0].tolist()}
 
         counts = np.full(n, len(block_mult))
         for k, branches in slow.items():

@@ -18,12 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .sphere import (SpherePoint, as_sphere_point, chart_unit_vectors,
-                     chart_values)
+from .sphere import SpherePoint, as_sphere_point, chart_unit_vectors
 
 _TWO_PI = 2.0 * math.pi
 
-#: Margins of cell_index_many, in height and in sector widths, inside
+#: Margins of cell_index_charts, in height and in sector widths, inside
 #: which a point goes to the scalar lookup.
 _Z_MARGIN = 1e-12
 _SECTOR_MARGIN = 1e-9
@@ -85,10 +84,6 @@ class SphereGrid:
         phi = math.atan2(y, x) % _TWO_PI
         sector = min(int(phi / (_TWO_PI / m)), m - 1)
         return int(self.band_start[band]) + sector
-
-    def cell_index_many(self, points) -> np.ndarray:
-        """``cell_index`` of every point, as an int array."""
-        return self.cell_index_charts(*chart_values(points))
 
     def cell_index_charts(self, values: np.ndarray,
                           inverted: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from .errors import (IndexOutOfRange, NoValidCandidates, NotAPartition,
                      PushforwardMismatch, TrajectoryEscape)
 from .functions import SphereFunction, TestFunctionFamily, default_test_family
 from .grid import SphereGrid
-from .sphere import SpherePoint, as_sphere_point
+from .sphere import SpherePoint, as_sphere_point, chart_values
 
 MASS_TOL = 1e-12
 
@@ -139,7 +139,8 @@ class PathMeasure:
         depth = paths[0].length
         if any(p.length != depth for p in paths):
             raise ValueError("support paths must share one length")
-        cells = grid.cell_index_many(p.points[i] for p in paths for i in range(depth))
+        cells = grid.cell_index_charts(*chart_values(
+            p.points[i] for p in paths for i in range(depth)))
         symbols = np.array([p.symbols for p in paths], dtype=np.int64)
         words = np.stack([cells.reshape(len(paths), depth), symbols], axis=2)
         ids, first = _group(words)

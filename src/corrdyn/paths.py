@@ -21,7 +21,8 @@ import numpy as np
 
 from .correspondence import Correspondence, Fiber
 from .errors import EmptyPath, IndexOutOfRange, LengthMismatch
-from .sphere import SpherePoint, as_sphere_point, sph_dist, unit_vectors
+from .sphere import (SpherePoint, as_sphere_point, chart_unit_vectors, chart_values,
+                     sph_dist)
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,7 @@ class _FamilyIndex:
     def keys(self, paths: list[ForwardPath]) -> list:
         """(symbol word, cube) of every path, the cubes from one array of
         last-point unit vectors."""
-        vectors = unit_vectors([p.points[-1] for p in paths])
+        vectors = chart_unit_vectors(*chart_values(p.points[-1] for p in paths))
         cubes = np.floor(vectors / self.side).astype(np.int64).tolist()
         return [(p.symbols, tuple(c)) for p, c in zip(paths, cubes)]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,13 +77,10 @@ class PressureRow:
 class PressureReport:
     rows: tuple[PressureRow, ...]
     pressure: float
-    richardson_slope: float | None
-    extrapolated: float | None
     seed: int | None
     n_starts: int
     cap: int
     f_label: str
-    metadata: dict = field(default_factory=dict)
 
     @property
     def truncated(self) -> bool:
@@ -147,10 +144,8 @@ def pressure_estimate(corr: Correspondence, f: SphereFunction,
     """Estimate the topological pressure of f along an (n, eps) schedule.
 
     The headline value is the separated-family number at the largest n of
-    the smallest eps; a Richardson slope over the two largest n values is
-    reported as a convergence diagnostic.  Identical seeds reproduce the
-    exact start sample and path pools, so constant shifts of f shift the
-    estimate exactly.
+    the smallest eps.  Identical seeds reproduce the exact start sample
+    and path pools, so constant shifts of f shift the estimate exactly.
 
     Each start's path tree is grown once through the distinct depths of
     the schedule, in ascending order, and each pool's weights are carried
@@ -208,19 +203,7 @@ def pressure_estimate(corr: Correspondence, f: SphereFunction,
     at_min = [r for r in rows if r.eps == eps_min]
     n_max = max(r.n for r in at_min)
     pressure = max(r.sep_value for r in at_min if r.n == n_max)
-
-    slope = extrapolated = None
-    ns = sorted({r.n for r in at_min})
-    if len(ns) >= 2:
-        n_a, n_b = ns[-2], ns[-1]
-        v_a = max(r.sep_value for r in at_min if r.n == n_a)
-        v_b = max(r.sep_value for r in at_min if r.n == n_b)
-        slope = (v_b - v_a) / (1.0 / n_b - 1.0 / n_a)
-        extrapolated = v_b - slope / n_b
-
-    return PressureReport(tuple(rows), pressure, slope, extrapolated, seed,
-                          len(starts), cap, f_label,
-                          metadata={"eps_min": eps_min, "n_max": n_max})
+    return PressureReport(tuple(rows), pressure, seed, len(starts), cap, f_label)
 
 
 def entropy_estimate(corr: Correspondence,

@@ -26,8 +26,9 @@ DEFAULT_ROOT_TOL = 1e-12
 #: Multiplier turning the root tolerance into a cluster-merge radius.
 CLUSTER_RADIUS_FACTOR = 1e3
 
-#: Root arguments closer than this to -pi, pi or each other send a row of
-#: roots_many to the scalar solver: rounding could flip its root order.
+#: Root arguments closer than this to -pi, pi or each other fail a row of
+#: stacked_roots, so it goes to the scalar solver: rounding could flip its
+#: root order.
 _ARG_MARGIN = 1e-8
 
 # Double precision cannot push a genuine multiple root cluster tighter
@@ -182,11 +183,6 @@ def chart_unit_vectors(values: np.ndarray, inverted: np.ndarray) -> np.ndarray:
     out[:, 1] = np.where(inverted, -2.0, 2.0) * values.imag / s
     out[:, 2] = np.where(inverted, 1.0 - a2, a2 - 1.0) / s
     return out
-
-
-def unit_vectors(points) -> np.ndarray:
-    """``unit_vector`` of every point, as a (K, 3) array."""
-    return chart_unit_vectors(*chart_values(points))
 
 
 def sph_dist(p, q) -> float:
@@ -457,7 +453,21 @@ def roots(coeffs, tol: float = DEFAULT_ROOT_TOL, seed: int = 810279):
         finite = _merge_clusters(pair, c, tol)
     else:
         rng = np.random.default_rng(seed)
-        z = _aberth(c, tol, rng)
+        try:
+            z = _aberth(c, tol, rng)
+        except NonConvergence:
+            # The stop test of _aberth is absolute near 0, so roots that are
+            # all tiny stall there.  Solve again for u = z / s, with s the
+            # power of two nearest |c_0 / c_d|^(1/d): scaling by s changes
+            # the coefficients and the roots exactly.
+            e = round((math.log2(abs(c[0])) - math.log2(abs(c[-1]))) / deg)
+            if not -1022 <= e * deg <= 1023:
+                raise
+            with np.errstate(over="ignore", under="ignore"):
+                scaled = c * np.ldexp(1.0, e * np.arange(deg + 1))
+            if not np.isfinite(scaled).all():
+                raise
+            z = _aberth(scaled, tol, rng) * math.ldexp(1.0, e)
         finite = _merge_clusters(list(z), c, tol)
 
     if zero_mult:
@@ -473,28 +483,6 @@ def roots(coeffs, tol: float = DEFAULT_ROOT_TOL, seed: int = 810279):
     out.extend((SpherePoint.from_complex(r), m) for r, m in finite)
     if inf_mult:
         out.append((SpherePoint.infinity(), inf_mult))
-    return out
-
-
-def roots_many(coeffs, tol: float = DEFAULT_ROOT_TOL) -> list:
-    """``roots`` of every row of a (K, d+1) coefficient stack.
-
-    The rows that ``stacked_roots`` solves and passes keep its roots;
-    every other row goes to the scalar ``roots``, which stays the oracle
-    for multiple roots.
-
-    Returns a list of K root lists, each as ``roots`` returns it.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 2 or c.shape[1] < 2:
-        raise ValueError("need a (K, d+1) coefficient stack with d >= 1")
-    rows, z, ok = stacked_roots(c, tol)
-    out: list = [None] * c.shape[0]
-    for k, row in zip(rows[ok].tolist(), z[ok].tolist()):
-        out[k] = [(SpherePoint(r), 1) for r in row]
-    for k, found in enumerate(out):
-        if found is None:
-            out[k] = roots(c[k], tol=tol)
     return out
 
 
@@ -641,9 +629,11 @@ class BivarPoly:
         px = self._chart_powers(as_sphere_point(x), self.deg_z + 1)
         return px @ self.table
 
-    def coeffs_in_w_many(self, points) -> np.ndarray:
-        """``coeffs_in_w`` of every point, stacked as a (K, deg_w+1) array."""
-        return _stacked_products(*chart_values(points), self.deg_z + 1,
+    def coeffs_in_w_charts(self, values: np.ndarray,
+                           inverted: np.ndarray) -> np.ndarray:
+        """``coeffs_in_w`` of every point given by chart value and flag,
+        stacked as a (K, deg_w+1) array."""
+        return _stacked_products(values, inverted, self.deg_z + 1,
                                  lambda px: (px[:, None, :] @ self.table)[:, 0])
 
     def coeffs_in_z(self, y: SpherePoint) -> np.ndarray:
@@ -651,13 +641,10 @@ class BivarPoly:
         py = self._chart_powers(as_sphere_point(y), self.deg_w + 1)
         return self.table @ py
 
-    def coeffs_in_z_many(self, points) -> np.ndarray:
-        """``coeffs_in_z`` of every point, stacked as a (K, deg_z+1) array."""
-        return self.coeffs_in_z_charts(*chart_values(points))
-
     def coeffs_in_z_charts(self, values: np.ndarray,
                            inverted: np.ndarray) -> np.ndarray:
-        """``coeffs_in_z_many`` of the points given by chart value and flag."""
+        """``coeffs_in_z`` of every point given by chart value and flag,
+        stacked as a (K, deg_z+1) array."""
         return _stacked_products(values, inverted, self.deg_w + 1,
                                  lambda py: (self.table @ py[:, :, None])[:, :, 0])
 

@@ -109,6 +109,22 @@ class TestPipelines:
         cells2 = (out2 / "support_cells.csv").read_bytes()
         assert cells1 == cells2
 
+    def test_ds_measure_from_tiny_start(self, workspace):
+        # The start's fiber z^3 = 1e-300 has roots near 1e-100, which the
+        # scalar root iteration reaches only after rescaling.
+        out = workspace / "ds_tiny"
+        cfg = write_config(workspace, "ds_tiny", {
+            "correspondence": "z3.corr",
+            "n_cells": 2000,
+            "ds_measure": {"start": [1e-300, 0.0], "levels": 12, "cap": 8192,
+                           "threshold": 0.5},
+            "out": str(out),
+        })
+        assert run(["ds-measure", "--config", cfg]) == 0
+        results = read_report(out)["results"]
+        assert results["certificate"] <= 0.05
+        assert results["backward_invariance"]["passed"]
+
     def test_ds_measure_rejects_mobius(self, workspace):
         cfg = write_config(workspace, "dsmob", {
             "correspondence": "mobius.corr",

@@ -184,6 +184,35 @@ def same_fibers(many, scalar, tol=1e-9):
             assert sph_dist(a.point, b.point) <= tol
 
 
+def mixed_degree_case(transposed=False):
+    """A correspondence of fiber degrees 2 and 3, the first component with
+    multiplicity 2 and complex coefficients, the second with real ones,
+    and points in both charts.  At the real points the real component has
+    real roots, arguments 0 or pi, and falls back to the scalar roots,
+    while the complex one passes the stacked solver.  ``transposed``
+    swaps z and w, so the backward fibers have these degrees."""
+    rng = np.random.default_rng(41)
+    tables = [rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)),
+              rng.normal(size=(3, 4))]
+    corr = Correspondence([BivarPoly(t.T if transposed else t, multiplicity=m)
+                           for t, m in zip(tables, (2, 1))])
+    inside = (rng.uniform(0.0, 0.99, 200)
+              * np.exp(1j * rng.uniform(-math.pi, math.pi, 200))).tolist()
+    points = ([SpherePoint.from_complex(z) for z in inside[:100]]
+              + [SpherePoint.from_reciprocal(z) for z in inside[100:]])
+    points += [SpherePoint.from_complex(x) for x in (0.5, -0.5, 0.25, -0.75, 1.0, -1.0)]
+    points += [SpherePoint.from_complex(0.0), SpherePoint.infinity()]
+    return corr, points
+
+
+def mixed_rows(corr, points, backward):
+    """Rows where the first component passes the stacked solver and the
+    second does not."""
+    (_, _, first, _), (_, _, second, _) = corr._stacked(*chart_values(points),
+                                                        backward=backward)
+    return np.nonzero(first & ~second)[0].tolist()
+
+
 class TestBackwardImagesMany:
     @pytest.mark.parametrize("name", ["corr_z2", "corr_z3", "corr_z2z3"])
     def test_matches_scalar_fibers(self, name, request):
@@ -274,6 +303,13 @@ class TestBackwardFiberArrays:
         corr = Correspondence(corr_z2.components + [BivarPoly(table)])
         self.check(corr, [3.0, 1.0, 0.5j, SpherePoint.infinity()])
 
+    def test_higher_degrees_and_mixed_rows(self):
+        corr, points = mixed_degree_case(transposed=True)
+        assert len(mixed_rows(corr, points, backward=True)) >= 2
+        self.check(corr, points)
+        same_fibers(corr.backward_images_many(points),
+                    [corr.backward_images(p) for p in points])
+
     def test_empty_batch(self, corr_z2z3):
         owner, mult, root_values, root_inverted = corr_z2z3.backward_fiber_arrays(
             *chart_values([]))
@@ -301,7 +337,7 @@ class TestForwardImagesMany:
 
     def test_zero_constant_row_falls_back(self, corr_pair):
         # w = 2z over z = 0 has the exact-zero constant term that
-        # roots_many leaves to the scalar roots; w = z + 1 over 0 does not.
+        # stacked_roots leaves to the scalar roots; w = z + 1 over 0 does not.
         many = corr_pair.forward_images_many([0.0, 0.5])
         assert many == [corr_pair.forward_images(0.0), corr_pair.forward_images(0.5)]
         assert [(b.component, b.point) for b in many[0].branches] == [
@@ -309,6 +345,19 @@ class TestForwardImagesMany:
 
     def test_empty_batch(self, corr_pair):
         assert corr_pair.forward_images_many([]) == []
+
+    def test_higher_degrees_and_mixed_rows(self):
+        corr, points = mixed_degree_case()
+        mixed = mixed_rows(corr, points, backward=False)
+        assert len(mixed) >= 2
+        many = corr.forward_images_many(points)
+        scalar = [corr.forward_images(p) for p in points]
+        # Stacked roots equal the scalar ones up to rounding, in the same
+        # canonical order; a component that falls back has the scalar bits.
+        same_fibers(many, scalar)
+        for k in mixed:
+            assert ([b for b in many[k].branches if b.component == 2]
+                    == [b for b in scalar[k].branches if b.component == 2])
 
 
 class TestFixedPoints:

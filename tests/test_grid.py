@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from corrdyn.grid import SphereGrid
-from corrdyn.sphere import SpherePoint, sph_dist
+from corrdyn.sphere import SpherePoint, chart_values, sph_dist
 
 
 @pytest.fixture(scope="module")
@@ -96,10 +96,10 @@ def test_cell_index_many_matches_scalar(n_cells):
                SpherePoint.from_complex(-0.0 - 0.0j),
                SpherePoint.from_unit_vector((-0.0, 0.0, 1.0))]
     points += g.centers + boundary_points(g)
-    many = g.cell_index_many(points)
+    many = g.cell_index_charts(*chart_values(points))
     assert many.dtype.kind == "i"
     assert many.tolist() == [g.cell_index(p) for p in points]
-    assert g.cell_index_many([]).tolist() == []
+    assert g.cell_index_charts(*chart_values([])).tolist() == []
 
 
 def test_boundary_rule():
@@ -115,7 +115,7 @@ def test_boundary_rule():
     x, y, _ = p.unit_vector()
     assert (math.atan2(y, x) % (2.0 * math.pi)) / (2.0 * math.pi / m) == 11.0
     assert g.cell_index(p) == int(g.band_start[band]) + 11 == 158
-    assert g.cell_index_many([p]).tolist() == [158]
+    assert g.cell_index_charts(*chart_values([p])).tolist() == [158]
     # Every point whose longitude lands exactly on a sector boundary k
     # goes to sector k.
     checked = 0
@@ -127,7 +127,7 @@ def test_boundary_rule():
         if frac == int(frac) and m > 1:
             expected = int(g.band_start[b]) + int(frac) % m
             assert g.cell_index(q) == expected
-            assert g.cell_index_many([q]).tolist() == [expected]
+            assert g.cell_index_charts(*chart_values([q])).tolist() == [expected]
             checked += 1
     assert checked > 100
     # A band boundary belongs to the band north of it, except the top of
@@ -143,6 +143,6 @@ def test_boundary_rule():
             band = k - 1 if k < g.n_bands - 1 else k
             cell = g.cell_index(q)
             assert g.cell_band_sector(cell)[0] == band
-            assert g.cell_index_many([q]).tolist() == [cell]
+            assert g.cell_index_charts(*chart_values([q])).tolist() == [cell]
             on_band_edge += 1
     assert on_band_edge > 100

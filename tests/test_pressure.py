@@ -36,7 +36,6 @@ class TestBasics:
         report = entropy_estimate(corr_pair, [(2, 0.1), (4, 0.1), (4, 0.05)],
                                   starts=single_start(0.25), seed=2, cap=64)
         assert len(report.rows) == 3
-        assert report.metadata["eps_min"] == 0.05
         assert report.n_starts == 1
 
 
@@ -109,16 +108,6 @@ class TestShiftLaw:
         b = pressure_estimate(corr_z2, fn_re, [(4, 0.05)], **kwargs)
         assert a.pressure == b.pressure
         assert a.rows == b.rows
-
-
-class TestDiagnostics:
-    def test_richardson_fields_present(self, corr_pair):
-        report = entropy_estimate(corr_pair, [(3, 0.05), (6, 0.05)],
-                                  starts=single_start(0.25), seed=9, cap=128)
-        assert report.richardson_slope is not None
-        # Exact log 2 at both depths: flat in 1/n, so slope vanishes.
-        assert report.richardson_slope == pytest.approx(0.0, abs=1e-9)
-        assert report.extrapolated == pytest.approx(math.log(2), abs=1e-9)
 
 
 class TestStartValidation:

@@ -22,7 +22,11 @@ lives in), each call in a fresh interpreter and a fresh output directory:
   0.5 on z2 and z2_plus_z3 at seeds 0 and 3 (``REAL_START_CORRESPONDENCES``).
   Its preimage trees reach the negative real axis, where roots have
   argument pi, so the pullback levels take the scalar root fallback
-  there, which the README start never does.
+  there, which the README start never does;
+- ``ds-measure`` on z3 from the tiny start 1e-300 at seeds 0 and 3
+  (``TINY_START_CORRESPONDENCES``), whose backward fiber polynomial
+  z^3 - 1e-300 has a constant term far below the start circle of the
+  scalar root iteration.
 
 It prints one JSON object keyed by call, holding the exit code and the
 sha256 of the ``results`` section of report.json and of every CSV the
@@ -86,6 +90,10 @@ POOL_CONFIGS = {
 REAL_START_CORRESPONDENCES = ("z2", "z2_plus_z3")
 REAL_START = [0.5, 0.0]
 
+#: Correspondences whose ``ds-measure`` runs from the tiny start ``TINY_START``.
+TINY_START_CORRESPONDENCES = ("z3",)
+TINY_START = [1e-300, 0.0]
+
 
 def _configs(data: Path) -> dict[str, dict]:
     out = {}
@@ -108,6 +116,10 @@ def _configs(data: Path) -> dict[str, dict]:
             "ds_measure": {**README_CONFIG["ds_measure"], "start": REAL_START},
             "ruelle": {**ruelle, "f": "re", "depth": 3,
                        "pullback": {**ruelle["pullback"], "start": REAL_START}}}
+    for name in TINY_START_CORRESPONDENCES:
+        out[f"tiny-{name}"] = {
+            **README_CONFIG, "correspondence": str(data / f"{name}.corr"),
+            "ds_measure": {**README_CONFIG["ds_measure"], "start": TINY_START}}
     for name, section in POOL_CONFIGS.items():
         out[f"pools-{name}"] = {"correspondence": str(data / f"{name}.corr"),
                                 "n_cells": 2000, "entropy": section,
@@ -138,6 +150,10 @@ def _calls() -> list[tuple[str, str, str, int]]:
             for command in ("ds-measure", "ruelle"):
                 calls.append((f"real/{name}/seed{seed}/{command}",
                               f"real-{name}", command, seed))
+    for name in TINY_START_CORRESPONDENCES:
+        for seed in README_SEEDS:
+            calls.append((f"tiny/{name}/seed{seed}/ds-measure", f"tiny-{name}",
+                          "ds-measure", seed))
     for name in POOL_CONFIGS:
         for seed in README_SEEDS:
             for command in ("entropy", "pressure"):
