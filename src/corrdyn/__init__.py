@@ -24,7 +24,7 @@ from .measures import (PathMeasure, SphereMeasure, SpherePartition,  # noqa: F40
                        join, measure_distance,
                        measure_entropy, partition_entropy, pushforward,
                        total_variation, variational_check)
-from .paths import (ForwardPath,  # noqa: F401
+from .paths import (ForwardPath, PathBatch,  # noqa: F401
                     enumerate_backward_paths, enumerate_forward_paths,
                     path_metric, project_point, project_symbol,
                     separated_subset, shift, spanning_subset)

@@ -207,6 +207,11 @@ def _cmd_ds_measure(config: RunConfig, corr: Correspondence) -> dict:
     invariance = check_backward_invariance(corr, support.cells, grid,
                                            samples=int(section.get("samples", 64)),
                                            seed=config["seed"])
+    if not invariance.passed:
+        raise PreimageOutsideSupport(
+            f"support is not backward invariant: {invariance.violations} of "
+            f"{invariance.total} sampled backward images fell outside its "
+            f"one-ring dilation")
     out = config.out_dir()
     _write_measure_csv(out / "final_level.csv", levels[-1])
     _write_csv(out / "support_cells.csv", ("cell",),
@@ -224,10 +229,10 @@ def _cmd_ds_measure(config: RunConfig, corr: Correspondence) -> dict:
     }
 
 
-def _starts_config(section: dict, grid: SphereGrid):
+def _starts_config(section: dict, config: RunConfig):
     mode = section.get("starts", "grid")
     if mode == "grid":
-        return grid_start_sampler(grid)
+        return grid_start_sampler(config.grid())
     if mode == "circle":
         return circle_start_sampler(float(section.get("radius", 1.0)))
     raise ConfigMismatch(f"unknown start sampler {mode!r}")
@@ -235,13 +240,12 @@ def _starts_config(section: dict, grid: SphereGrid):
 
 def _pressure_like(config: RunConfig, corr: Correspondence, name: str) -> dict:
     section = config.section(name)
-    grid = config.grid()
     schedule = [tuple(row) for row in section.get("schedule", [[4, 0.05], [8, 0.05]])]
-    sampler = _starts_config(section, grid)
+    sampler = _starts_config(section, config)
     common = dict(schedule=schedule,
                   start_points=int(section.get("start_points", 64)),
                   seed=config["seed"], start_sampler=sampler,
-                  cap=int(section.get("cap", 4096)), grid=grid)
+                  cap=int(section.get("cap", 4096)))
     if name == "pressure":
         f_label = section.get("f", "zero")
         report = pressure_estimate(corr, named_function(f_label),

@@ -172,13 +172,6 @@ class Correspondence:
                 root_lists.append(None)
         return self._assemble(root_lists)
 
-    def forward_images_many(self, points) -> list[Fiber]:
-        """``forward_images`` of every point, solved as one stacked call
-        per component (``_stacked``)."""
-        values, inverted = chart_values(points)
-        stacked = self._stacked(values, inverted, backward=False)
-        return [self._row_fiber(stacked, k) for k in range(len(values))]
-
     def backward_images_many(self, points) -> list[Fiber]:
         """``backward_images`` of every point, solved as one stacked call
         per component (``_stacked``)."""
@@ -186,23 +179,21 @@ class Correspondence:
         stacked = self._stacked(values, inverted, backward=True)
         return [self._row_fiber(stacked, k) for k in range(len(values))]
 
-    def backward_fiber_arrays(self, values: np.ndarray, inverted: np.ndarray
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``backward_images_many`` of the points given by chart value and
-        flag, flattened in fiber order.
+    def fiber_arrays(self, values: np.ndarray, inverted: np.ndarray,
+                     backward: bool) -> tuple[np.ndarray, ...]:
+        """Forward, or backward, fibers of the points given by chart value
+        and flag, flattened in fiber order (``flatten_fibers``).
 
-        Returns (owner, mult, root_values, root_inverted): for every
-        branch point, the row of its fiber, its branch multiplicity and its
-        chart value and flag.  A row where every component passes the
-        stacked solver is built from its arrays: each component's roots in
-        argument order, which is ``_assemble``'s order because the
-        solver's checks keep every argument 1e-8 away from pi and from the
-        others, charted by ``complex_charts``, which is ``SpherePoint`` to
-        the bit.  Every other row is ``_row_fiber``'s.
+        A row where every component passes the stacked solver is built
+        from its arrays: each component's roots in argument order, which
+        is ``_assemble``'s order because the solver's checks keep every
+        argument 1e-8 away from pi and from the others, charted by
+        ``complex_charts``, which is ``SpherePoint`` to the bit.  Root j
+        of component t has multiplicity m_t and first slot 1 + j m_t.
+        Every other row is ``_row_fiber``'s.
         """
-        n = len(values)
-        stacked = self._stacked(values, inverted, backward=True)
-        fast = np.ones(n, dtype=bool)
+        stacked = self._stacked(values, inverted, backward)
+        fast = np.ones(len(values), dtype=bool)
         for _, _, passed, _ in stacked:
             fast &= passed
 
@@ -212,30 +203,23 @@ class Correspondence:
             block.append(np.take_along_axis(z, np.argsort(np.angle(z), axis=1),
                                             axis=1))
         block_values, block_inverted = complex_charts(np.hstack(block))
-        block_mult = np.repeat([comp.multiplicity for comp in self.components],
-                               [comp.deg_z for comp in self.components])
+        degrees = [comp.deg_z if backward else comp.deg_w for comp in self.components]
+        mult = np.repeat([comp.multiplicity for comp in self.components], degrees)
+        component = np.repeat(np.arange(1, self.n_components + 1), degrees)
+        slot = 1 + np.concatenate([np.arange(d) * comp.multiplicity
+                                   for d, comp in zip(degrees, self.components)])
+        rows = np.nonzero(fast)[0]
+        block = (np.repeat(rows, len(mult)), np.tile(mult, len(rows)),
+                 block_values.ravel(), block_inverted.ravel(),
+                 np.tile(component, len(rows)), np.tile(slot, len(rows)))
 
-        slow = {k: self._row_fiber(stacked, k).branches
-                for k in np.nonzero(~fast)[0].tolist()}
-
-        counts = np.full(n, len(block_mult))
-        for k, branches in slow.items():
-            counts[k] = len(branches)
-        start = np.cumsum(counts) - counts
-        owner = np.repeat(np.arange(n), counts)
-        mult = np.empty(len(owner), dtype=np.int64)
-        root_values = np.empty(len(owner), dtype=complex)
-        root_inverted = np.empty(len(owner), dtype=bool)
-        at = start[fast][:, None] + np.arange(len(block_mult))
-        mult[at] = block_mult
-        root_values[at] = block_values
-        root_inverted[at] = block_inverted
-        for k, branches in slow.items():
-            at = slice(start[k], start[k] + len(branches))
-            mult[at] = [b.multiplicity for b in branches]
-            root_values[at] = [b.point.value for b in branches]
-            root_inverted[at] = [b.point.inverted for b in branches]
-        return owner, mult, root_values, root_inverted
+        slow = np.nonzero(~fast)[0]
+        if not len(slow):
+            return block
+        spliced = flatten_fibers([self._row_fiber(stacked, k) for k in slow.tolist()])
+        spliced = (slow[spliced[0]],) + spliced[1:]
+        order = np.argsort(np.concatenate([block[0], spliced[0]]), kind="stable")
+        return tuple(np.concatenate([a, b])[order] for a, b in zip(block, spliced))
 
     def incidence_residual(self, x, y, component: int) -> float:
         return self.components[component - 1].incidence_residual(x, y)
@@ -253,6 +237,18 @@ class Correspondence:
                 continue
             out.extend(roots(diag, tol=self.root_tol))
         return out
+
+
+def flatten_fibers(fibers) -> tuple[np.ndarray, ...]:
+    """A fiber list as flat arrays, one entry per branch point in fiber
+    order: (owner, mult, values, inverted, component, slot), the index of
+    its fiber, its multiplicity, its chart value and flag, its component
+    and its first branch slot."""
+    branches = [(k, b.multiplicity, b.point.value, b.point.inverted, b.component,
+                 b.branch_index) for k, fiber in enumerate(fibers) for b in fiber.branches]
+    columns = list(zip(*branches)) or [()] * 6
+    return tuple(np.array(column, dtype=dtype) for column, dtype in
+                 zip(columns, (np.int64, np.int64, complex, bool, np.int64, np.int64)))
 
 
 # ---------------------------------------------------------------------------

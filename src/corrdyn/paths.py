@@ -8,21 +8,28 @@ and uses the same type and layout.  branches[i] is the slot, inside the
 fiber the enumerator expanded, of the point it added at step i: points[i+1]
 in the forward fiber of points[i], or points[i] in the backward fiber of
 points[i+1].
+
+A ``ForwardPath`` holds one path as objects.  A ``PathBatch`` holds a pool
+of equal-length paths as arrays, each row tagged with the tree (the
+start) it grew from; its rows index and iterate as ``ForwardPath``s.  The
+enumerators grow every tree of a batch together, one fiber solve per
+level, and the separated and spanning families are computed from batched
+pair distances (``sph_dist`` on chart arrays).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .correspondence import Correspondence, Fiber
+from .correspondence import Correspondence, Fiber, flatten_fibers
 from .errors import EmptyPath, IndexOutOfRange, LengthMismatch
-from .sphere import (SpherePoint, as_sphere_point, chart_unit_vectors, chart_values,
-                     sph_dist)
+from .sphere import SpherePoint, chart_unit_vectors, chart_values, sph_dist
 
 
 @dataclass(frozen=True)
@@ -67,82 +74,192 @@ class ForwardPath:
                                       self.branches + (b.branch_index + j,))
 
 
+@dataclass(frozen=True, eq=False)
+class PathBatch:
+    """Equal-length paths as arrays, one row per path.
+
+    ``values`` and ``inverted`` are the (N, n+1) chart values and flags of
+    the points, ``symbols`` and ``branches`` the (N, n) steps, ``tree`` the
+    start each path grew from and ``thinned`` (one entry per tree) whether
+    the tree's paths are a thinned subsample.
+    """
+
+    values: np.ndarray
+    inverted: np.ndarray
+    symbols: np.ndarray
+    branches: np.ndarray
+    tree: np.ndarray
+    thinned: np.ndarray
+
+    @classmethod
+    def from_starts(cls, starts) -> "PathBatch":
+        """One length-0 path, and one tree, per start point."""
+        values, inverted = chart_values(starts)
+        steps = np.zeros((len(values), 0), dtype=np.int64)
+        return cls(values[:, None], inverted[:, None], steps, steps,
+                   np.arange(len(values)), np.zeros(len(values), dtype=bool))
+
+    @classmethod
+    def from_paths(cls, paths) -> "PathBatch":
+        """Equal-length paths as one tree."""
+        paths = list(paths)
+        n = paths[0].length if paths else 0
+        if any(p.length != n for p in paths):
+            raise LengthMismatch("all paths must share one length")
+        values, inverted = chart_values(x for p in paths for x in p.points)
+
+        def steps(rows):
+            return np.array(rows, dtype=np.int64).reshape(len(paths), n)
+
+        return cls(values.reshape(len(paths), n + 1), inverted.reshape(len(paths), n + 1),
+                   steps([p.symbols for p in paths]), steps([p.branches for p in paths]),
+                   np.zeros(len(paths), dtype=np.int64), np.zeros(1, dtype=bool))
+
+    @property
+    def length(self) -> int:
+        return self.values.shape[1] - 1
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, k: int) -> ForwardPath:
+        k = operator.index(k)
+        points = tuple(map(SpherePoint.from_chart, self.values[k].tolist(),
+                           self.inverted[k].tolist()))
+        return ForwardPath(points, tuple(self.symbols[k].tolist()),
+                           tuple(self.branches[k].tolist()))
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def of_trees(self, mask: np.ndarray) -> "PathBatch":
+        """The paths of the trees where mask is set; the other trees are
+        left empty and unthinned."""
+        keep = mask[self.tree]
+        return PathBatch(self.values[keep], self.inverted[keep], self.symbols[keep],
+                         self.branches[keep], self.tree[keep], self.thinned & mask)
+
+
 class Enumeration(NamedTuple):
-    paths: list
+    paths: PathBatch
     truncated: bool
 
 
-def _thin(items: list, cap: int, rng: np.random.Generator) -> list:
-    if len(items) <= cap:
-        return items
-    idx = rng.choice(len(items), size=cap, replace=False)
-    return [items[int(i)] for i in sorted(idx)]
+def _thin(tree: np.ndarray, cap: int, seeds, rngs: dict, thinned: np.ndarray):
+    """Rows kept of a level: all of them, except that every tree with more
+    than cap rows keeps a uniform subsample of cap, its rows
+    sorted(rng.choice(count, cap, replace=False)) with the tree's own
+    generator, made from its seed when the tree first thins."""
+    counts = np.bincount(tree, minlength=len(thinned))
+    over = np.nonzero(counts > cap)[0].tolist()
+    if not over:
+        return slice(None)
+    by_tree = np.argsort(tree, kind="stable")
+    first = np.cumsum(counts) - counts
+    keep = np.ones(len(tree), dtype=bool)
+    for t in over:
+        if t not in rngs:
+            rngs[t] = np.random.default_rng(seeds[t])
+        rows = by_tree[first[t]:first[t] + counts[t]]
+        keep[rows] = False
+        keep[rows[np.sort(rngs[t].choice(int(counts[t]), size=cap, replace=False))]] = True
+        thinned[t] = True
+    return keep
 
 
-def _enumerate(corr: Correspondence, level: list[ForwardPath], n: int, cap: int,
-               seed: int | None, backward: bool) -> Enumeration:
-    """Breadth-first growth of level, a list of equal-length paths, by n
-    levels.
+def _grow(corr: Correspondence, batch: PathBatch, n: int, cap: int, seeds,
+          backward: bool) -> PathBatch:
+    """Breadth-first growth of every tree of batch by n levels.
 
-    A level of several paths has all its fibers solved in one
-    ``*_images_many`` call; a one-path level (a start, and every level
-    of a single-branch map) takes the scalar fiber, which is cheaper for
-    one point.  Whenever a level outgrows ``cap`` it is thinned to a
-    seeded uniform subsample and the result is flagged truncated.  The
-    generator is drawn from only when a level is thinned, so untruncated
-    levels do not depend on the seed.
+    A level of length-0 paths (starts) takes the scalar fiber of each
+    start; every later level, across all trees, is one ``fiber_arrays``
+    call.  A fiber point of multiplicity m spawns m children carrying
+    consecutive slots, appended after the last point, or, when backward,
+    prepended before the first.  A tree whose level outgrows ``cap`` is
+    thinned (``_thin``), so untruncated trees do not depend on their seeds.
+    Each level keeps only its new column and its parent rows; the paths
+    are gathered once, at the end, column by column.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
     if cap < 1:
         raise ValueError("cap must be positive")
-    if backward:
-        images, images_many = corr.backward_images, corr.backward_images_many
-    else:
-        images, images_many = corr.forward_images, corr.forward_images_many
+    if n == 0:
+        return batch
+    images = corr.backward_images if backward else corr.forward_images
     end = 0 if backward else -1
-    rng = np.random.default_rng(seed)
-    truncated = False
-    for _ in range(n):
-        ends = [path.points[end] for path in level]
-        fibers = [images(ends[0])] if len(ends) == 1 else images_many(ends)
-        nxt = [child for path, fiber in zip(level, fibers)
-               for child in path.children(fiber, backward)]
-        if len(nxt) > cap:
-            nxt = _thin(nxt, cap, rng)
-            truncated = True
-        level = nxt
-    return Enumeration(level, truncated)
+    values, inverted = batch.values[:, end], batch.inverted[:, end]
+    tree, thinned, rngs = batch.tree, batch.thinned.copy(), {}
+    levels = []
+    for step in range(n):
+        if batch.length + step == 0:
+            fibers = [images(SpherePoint.from_chart(v, i))
+                      for v, i in zip(values.tolist(), inverted.tolist())]
+            owner, mult, values, inverted, component, slot = flatten_fibers(fibers)
+        else:
+            owner, mult, values, inverted, component, slot = corr.fiber_arrays(
+                values, inverted, backward)
+        point = np.repeat(np.arange(len(mult)), mult)
+        branch = np.repeat(slot - np.cumsum(mult) + mult, mult) + np.arange(len(point))
+        parent = owner[point]
+        keep = _thin(tree[parent], cap, seeds, rngs, thinned)
+        point, branch, parent = point[keep], branch[keep], parent[keep]
+        tree = tree[parent]
+        values, inverted = values[point], inverted[point]
+        levels.append((parent, values, inverted, component[point], branch))
+
+    old = (batch.values, batch.inverted, batch.symbols, batch.branches)
+    joined = [np.empty((len(tree), a.shape[1] + n), dtype=a.dtype) for a in old]
+    rows = np.arange(len(tree))
+    for step in reversed(range(n)):
+        parent, *new = levels.pop()
+        at = n - 1 - step if backward else batch.length + step
+        for a, column, k in zip(joined, new, (at + (not backward),) * 2 + (at,) * 2):
+            a[:, k] = column[rows]
+        rows = parent[rows]
+    for a, column in zip(joined, old):
+        if backward:
+            a[:, n:] = column[rows]
+        else:
+            a[:, :column.shape[1]] = column[rows]
+    return PathBatch(*joined, tree, thinned)
 
 
-def _start_level(start) -> list[ForwardPath]:
-    return [ForwardPath((as_sphere_point(start),), (), ())]
+def _enumerate(corr: Correspondence, x0, n: int, cap: int, seed,
+               backward: bool) -> Enumeration:
+    if isinstance(x0, (PathBatch, list)):
+        batch = x0 if isinstance(x0, PathBatch) else PathBatch.from_paths(x0)
+        seeds = [None] * len(batch.thinned) if seed is None else list(seed)
+        if len(seeds) != len(batch.thinned):
+            raise ValueError(f"need one seed per tree: {len(batch.thinned)} trees, "
+                             f"{len(seeds)} seeds")
+    else:
+        batch, seeds = PathBatch.from_starts([x0]), [seed]
+    grown = _grow(corr, batch, n, cap, seeds, backward)
+    return Enumeration(grown, bool(grown.thinned.any()))
 
 
 def enumerate_forward_paths(corr: Correspondence, x0, n: int, cap: int = 4096,
-                            seed: int | None = None) -> Enumeration:
+                            seed=None) -> Enumeration:
     """All forward paths from x0 up to depth n, breadth first, thinned to
     at most cap per level.
 
-    x0 may also be a list of equal-length forward paths, a level of an
-    earlier call: it is then grown n further levels.  An untruncated
-    depth-m level of x grown by k levels gives the depth m + k paths of x
-    under the same seed, path for path and in the same order.
+    x0 may also be a ``PathBatch`` (or a list of equal-length paths, one
+    tree), a level of earlier calls: every tree is then grown n further
+    levels, thinned to at most cap per tree, and seed, if given, holds one
+    seed per tree.  An untruncated depth-m level of x grown by k levels
+    gives the depth m + k paths of x under the same seed, path for path and
+    in the same order.  ``truncated`` tells whether any tree is thinned.
     """
-    if isinstance(x0, list):
-        if any(p.length != x0[0].length for p in x0):
-            raise LengthMismatch("all paths of a level must share one length")
-        level = x0
-    else:
-        level = _start_level(x0)
-    return _enumerate(corr, level, n, cap, seed, backward=False)
+    return _enumerate(corr, x0, n, cap, seed, backward=False)
 
 
 def enumerate_backward_paths(corr: Correspondence, y0, n: int, cap: int = 4096,
-                             seed: int | None = None) -> Enumeration:
+                             seed=None) -> Enumeration:
     """All backward paths ending at y0 up to depth n, breadth first,
-    thinned to at most cap per level."""
-    return _enumerate(corr, _start_level(y0), n, cap, seed, backward=True)
+    thinned to at most cap per level; y0 may be a batch, as for
+    ``enumerate_forward_paths``."""
+    return _enumerate(corr, y0, n, cap, seed, backward=True)
 
 
 # ---------------------------------------------------------------------------
@@ -191,128 +308,139 @@ def project_symbol(p, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _is_separated(p: ForwardPath, q: ForwardPath, eps: float) -> bool:
-    """Some coordinate farther than eps, or some symbol differs."""
-    if p.symbols != q.symbols:
-        return True
-    for r in range(p.length + 1):
-        if sph_dist(p.points[r], q.points[r]) > eps:
-            return True
-    return False
-
-
-def _covers(p: ForwardPath, q: ForwardPath, eps: float) -> bool:
-    """Same symbol word and strictly within eps at every coordinate."""
-    if p.symbols != q.symbols:
-        return False
-    for r in range(p.length + 1):
-        if sph_dist(p.points[r], q.points[r]) >= eps:
-            return False
-    return True
-
-
-def _check_family_input(paths: list[ForwardPath], eps: float):
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if paths and any(p.length != paths[0].length for p in paths):
-        raise LengthMismatch("all paths must share one length")
-
-
-#: Offsets of a cube and its 26 neighbours.
-_NEIGHBOURHOOD = tuple(itertools.product((-1, 0, 1), repeat=3))
-
-#: Widening of the index cubes beyond 2 eps, so that rounding in the unit
-#: vectors and in sph_dist cannot undercut the margin even for tiny eps.
+#: Widening of the cubes beyond eps, so that rounding in the unit vectors
+#: and in sph_dist cannot undercut the margin even for tiny eps.
 _CUBE_SLACK = 1e-12
 
+#: Odd multiplier of the cube and word keys (unsigned, wrapping).
+_MIX = 0x9E3779B97F4A7C15
 
-class _FamilyIndex:
-    """Admitted paths keyed by symbol word and the eps-cube of the last point.
+#: Key offsets of the 13 cubes after a cube in lexicographic order; the
+#: other 13 neighbours come before it.
+_NEIGHBOUR_OFFSETS = np.array(
+    [(d0 * _MIX * _MIX + d1 * _MIX + d2) % 2 ** 64
+     for d0, d1, d2 in itertools.product((-1, 0, 1), repeat=3) if (d0, d1, d2) > (0, 0, 0)],
+    dtype=np.uint64)
 
-    The cube is the floor of the last point's unit vector divided by
-    side = 2 eps (plus rounding slack).  Chordal distance is the Euclidean
-    distance of unit vectors, so two paths whose last points lie in
-    non-adjacent cubes are more than 2 eps apart there: separated, and not
-    covering.  Paths with different words are separated and not covering
-    as well.  ``near`` therefore yields every admitted path whose pair
-    test could fail, and the greedy decisions match the all-pairs loop.
+
+def _family_input(paths, eps: float, weight):
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    batch = paths if isinstance(paths, PathBatch) else PathBatch.from_paths(paths)
+    if weight is not None:
+        weight = np.asarray(weight, dtype=float)
+        if weight.shape != (len(batch),):
+            raise LengthMismatch(f"need one weight per path, got {weight.shape} "
+                                 f"for {len(batch)} paths")
+    return batch, weight
+
+
+def _cubes(batch: PathBatch, eps: float) -> np.ndarray:
+    """The eps-cube (side eps plus slack) holding each path's point 0: the
+    floor of its unit vector over the side, as (N, 3) integers."""
+    vectors = chart_unit_vectors(batch.values[:, 0], batch.inverted[:, 0])
+    return np.floor(vectors / (eps + _CUBE_SLACK)).astype(np.int64)
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray):
+    """(p, q) for every p and every q in lo[p]..hi[p] - 1."""
+    count = hi - lo
+    p = np.repeat(np.arange(len(lo)), count)
+    return p, np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(p))
+
+
+def _close_pairs(batch: PathBatch, eps: float):
+    """(i, j, worst) of every pair of paths with one symbol word and every
+    coordinate within eps, worst their largest coordinate distance.
+
+    Chordal distance is the Euclidean distance of unit vectors, so paths
+    whose points 0 lie in non-adjacent cubes (``_cubes``) are more than
+    eps apart there.  The candidates are therefore the pairs of the same
+    or adjacent cubes, found by sorting a key that mixes cube and word in
+    wrapping unsigned arithmetic.  Equal cubes and words give equal keys,
+    and a neighbour's key is the key plus a fixed offset; keys that
+    collide only add candidates, which the exact word test drops.  The
+    candidates are then kept coordinate by coordinate, from point 0, while
+    ``sph_dist`` <= eps.
     """
-
-    def __init__(self, eps: float):
-        self.side = 2.0 * eps + _CUBE_SLACK
-        self.admitted: list[ForwardPath] = []
-        self.words: dict[tuple[int, ...], dict[tuple[int, int, int], list]] = {}
-
-    def keys(self, paths: list[ForwardPath]) -> list:
-        """(symbol word, cube) of every path, the cubes from one array of
-        last-point unit vectors."""
-        vectors = chart_unit_vectors(*chart_values(p.points[-1] for p in paths))
-        cubes = np.floor(vectors / self.side).astype(np.int64).tolist()
-        return [(p.symbols, tuple(c)) for p, c in zip(paths, cubes)]
-
-    def near(self, key):
-        """Admitted paths of the key's word in its cube and the 26 around
-        it, cube by cube in lexicographic order."""
-        word, (i, j, k) = key
-        cubes = self.words.get(word)
-        if not cubes:
-            return ()
-        if len(cubes) < len(_NEIGHBOURHOOD):
-            # Fewer occupied cubes than neighbours: test the occupied ones.
-            hits = sorted(c for c in cubes if -1 <= c[0] - i <= 1
-                          and -1 <= c[1] - j <= 1 and -1 <= c[2] - k <= 1)
-        else:
-            hits = [c for c in ((i + di, j + dj, k + dk)
-                                for di, dj, dk in _NEIGHBOURHOOD) if c in cubes]
-        return itertools.chain.from_iterable(cubes[c] for c in hits)
-
-    def add(self, key, p: ForwardPath):
-        word, cube = key
-        self.words.setdefault(word, {}).setdefault(cube, []).append(p)
-        self.admitted.append(p)
+    with np.errstate(over="ignore"):
+        key = np.zeros(len(batch), dtype=np.uint64)
+        for column in batch.symbols.T:
+            key = key * np.uint64(_MIX) + column.astype(np.uint64)
+        for column in _cubes(batch, eps).T:
+            key = key * np.uint64(_MIX) + column.astype(np.uint64)
+        by_key = np.argsort(key, kind="stable")
+        ranked = key[by_key]
+        # Partners of the path at each sorted position: those after it with
+        # its own key, and all of each following neighbour cube.  The
+        # queries stay (nearly) sorted, which searchsorted is fast on.
+        position = np.arange(len(batch))
+        pairs = [_ranges(position + 1, np.searchsorted(ranked, ranked, "right"))]
+        for offset in _NEIGHBOUR_OFFSETS:
+            shifted = ranked + offset
+            pairs.append(_ranges(np.searchsorted(ranked, shifted, "left"),
+                                 np.searchsorted(ranked, shifted, "right")))
+    i = by_key[np.concatenate([p for p, _ in pairs])]
+    j = by_key[np.concatenate([q for _, q in pairs])]
+    same = np.ones(len(i), dtype=bool)
+    for column in batch.symbols.T:
+        same &= column[i] == column[j]
+    i, j = i[same], j[same]
+    worst = np.zeros(len(i))
+    for r in range(batch.length + 1):
+        d = sph_dist((batch.values[i, r], batch.inverted[i, r]),
+                     (batch.values[j, r], batch.inverted[j, r]))
+        close = d <= eps
+        i, j, worst = i[close], j[close], np.maximum(worst[close], d[close])
+    return i, j, worst
 
 
-def separated_subset(paths: list[ForwardPath], eps: float,
-                     weight: Callable[[ForwardPath], float] | None = None
-                     ) -> list[ForwardPath]:
+def _greedy(order: np.ndarray, i: np.ndarray, j: np.ndarray) -> list[int]:
+    """Rows of order admitted one by one, each unless it is paired, as
+    (i, j) or (j, i), with a row admitted before it."""
+    ends = np.concatenate([i, j])
+    by_end = np.argsort(ends, kind="stable")
+    bounds = np.searchsorted(ends[by_end], np.arange(len(order) + 1)).tolist()
+    partners = np.concatenate([j, i])[by_end].tolist()
+    blocked = bytearray(len(order))
+    admitted = []
+    for k in order.tolist():
+        if not blocked[k]:
+            admitted.append(k)
+            for m in partners[bounds[k]:bounds[k + 1]]:
+                blocked[m] = 1
+    return admitted
+
+
+def separated_subset(paths, eps: float, weight=None) -> list[int]:
     """Greedy maximal separated family, heaviest paths first.
 
-    The descending-weight greedy order makes the family a reproducible
-    lower bound for the supremum of the weight sum over all separated
-    families of the input.
+    paths is a ``PathBatch`` or a list of equal-length paths, weight None
+    or one value per path; the result is the admitted row indices in
+    admission order.  A candidate is admitted unless an admitted path has
+    its symbol word and stays within eps at every coordinate.  The
+    descending-weight greedy order (ties in index order) makes the family
+    a reproducible lower bound for the supremum of the weight sum over all
+    separated families of the input.
     """
-    _check_family_input(paths, eps)
-    order = range(len(paths))
-    if weight is not None:
-        values = [weight(p) for p in paths]
-        order = sorted(order, key=lambda i: -values[i])
-    index = _FamilyIndex(eps)
-    keys = index.keys(paths)
-    for i in order:
-        cand, key = paths[i], keys[i]
-        if all(_is_separated(cand, a, eps) for a in index.near(key)):
-            index.add(key, cand)
-    return index.admitted
+    batch, weight = _family_input(paths, eps, weight)
+    order = (np.arange(len(batch)) if weight is None
+             else np.argsort(-weight, kind="stable"))
+    i, j, _ = _close_pairs(batch, eps)
+    return _greedy(order, i, j)
 
 
-def spanning_subset(paths: list[ForwardPath], eps: float,
-                    weight: Callable[[ForwardPath], float] | None = None
-                    ) -> list[ForwardPath]:
+def spanning_subset(paths, eps: float, weight=None) -> list[int]:
     """Greedy cover of the input at scale eps, lightest paths first.
 
-    A path is admitted unless an already admitted path with the identical
-    symbol word stays strictly within eps at every coordinate; the result
-    eps-spans the whole input.
+    Takes and returns what ``separated_subset`` does.  A path is admitted
+    unless an already admitted path with the identical symbol word stays
+    strictly within eps at every coordinate; the result eps-spans the
+    whole input.
     """
-    _check_family_input(paths, eps)
-    order = range(len(paths))
-    if weight is not None:
-        values = [weight(p) for p in paths]
-        order = sorted(order, key=lambda i: values[i])
-    index = _FamilyIndex(eps)
-    keys = index.keys(paths)
-    for i in order:
-        cand, key = paths[i], keys[i]
-        if not any(_covers(a, cand, eps) for a in index.near(key)):
-            index.add(key, cand)
-    return index.admitted
+    batch, weight = _family_input(paths, eps, weight)
+    order = (np.arange(len(batch)) if weight is None
+             else np.argsort(weight, kind="stable"))
+    i, j, worst = _close_pairs(batch, eps)
+    covers = worst < eps
+    return _greedy(order, i[covers], j[covers])

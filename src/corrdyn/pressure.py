@@ -23,7 +23,7 @@ from .correspondence import Correspondence
 from .errors import ScheduleEmpty
 from .functions import SphereFunction, fn_zero
 from .grid import SphereGrid
-from .paths import ForwardPath, enumerate_forward_paths, separated_subset, spanning_subset
+from .paths import PathBatch, enumerate_forward_paths, separated_subset, spanning_subset
 from .sphere import SpherePoint, as_sphere_point
 
 #: Allowed excess of the spanning column over the separated column.
@@ -87,51 +87,65 @@ class PressureReport:
         return any(r.truncated for r in self.rows)
 
 
-def _row_values(paths: list[ForwardPath], logw: dict[int, float], n: int,
-                eps: float):
-    weight = lambda p: logw[id(p)]
-    sep = separated_subset(paths, eps, weight=weight)
-    span = spanning_subset(paths, eps, weight=weight)
-    sep_value = _logsumexp([logw[id(p)] for p in sep]) / n
-    span_value = _logsumexp([logw[id(p)] for p in span]) / n
-    return sep, span, sep_value, span_value
-
-
-def _birkhoff(f: SphereFunction, p: ForwardPath, weight, lo: int, hi: int):
-    """weight plus f at points lo..hi-1 of p, added left to right."""
-    for r in range(lo, hi):
-        weight = weight + f(p.points[r])
+def _weights(f: SphereFunction, pool: PathBatch, n: int) -> np.ndarray:
+    """Birkhoff sums of f over points 0..n-1 of every path, added left to
+    right from 0, as the scalar loop adds them.  f is evaluated once per
+    distinct point (by bits) of each column."""
+    weight = np.zeros(len(pool))
+    for r in range(n):
+        values, inverted = pool.values[:, r], pool.inverted[:, r]
+        order = np.lexsort((values.imag.view(np.uint64), values.real.view(np.uint64),
+                            inverted))
+        values, inverted = values[order], inverted[order]
+        re, im = values.real.view(np.uint64), values.imag.view(np.uint64)
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (re[1:] != re[:-1]) | (im[1:] != im[:-1]) | (inverted[1:] != inverted[:-1])
+        at = np.array([f(SpherePoint.from_chart(v, i)) for v, i in
+                       zip(values[first].tolist(), inverted[first].tolist())], dtype=float)
+        terms = np.empty(len(order))
+        terms[order] = at[np.cumsum(first) - 1]
+        weight = weight + terms
     return weight
 
 
-def _start_pools(corr: Correspondence, f: SphereFunction, x0: SpherePoint,
-                 depths: list[int], cap: int, seed) -> list[tuple]:
-    """(paths, log-weights, truncated) of one start at each depth, ascending.
+def _next_pool(corr: Correspondence, roots: PathBatch, pool: PathBatch | None,
+               n: int, prev: int, cap: int, seeds: list) -> PathBatch:
+    """The depth-n pool of every tree: the depth-prev pool grown by n - prev
+    levels, except for the trees it holds thinned (or all trees, when
+    there is none yet), which grow from their start again.  The two groups
+    are merged tree by tree; a tree's paths keep their order."""
+    again = np.ones(len(roots), dtype=bool) if pool is None else pool.thinned
+    parts = []
+    if not again.all():
+        parts.append(enumerate_forward_paths(corr, pool.of_trees(~again), n - prev,
+                                             cap=cap, seed=seeds).paths)
+    if again.any():
+        parts.append(enumerate_forward_paths(corr, roots.of_trees(again), n,
+                                             cap=cap, seed=seeds).paths)
+    if len(parts) == 1:
+        return parts[0]
+    tree = np.concatenate([p.tree for p in parts])
+    order = np.argsort(tree, kind="stable")
 
-    The first depth is enumerated from x0; each later one grows the
-    previous pool, unless that pool was thinned: it then holds only a
-    subsample, and the depth is enumerated from x0 again.  Seeds are
-    ``seed + [depth]`` either way.  A grown path carries its ancestor's
-    weight, keyed by the (symbols, branches) prefix, which is unique
-    within one start's tree, and adds f at its new points.
-    """
-    pools = []
-    level, logw, truncated, prev = None, None, True, 0
+    def joined(name):
+        return np.concatenate([getattr(p, name) for p in parts])[order]
+
+    return PathBatch(joined("values"), joined("inverted"), joined("symbols"),
+                     joined("branches"), tree[order], parts[0].thinned | parts[1].thinned)
+
+
+def _depth_pools(corr: Correspondence, starts: list[SpherePoint], depths: list[int],
+                 cap: int, seed):
+    """(n, pool) at each depth, ascending; a pool holds the paths of every
+    start's tree, start by start (``_next_pool``).  Tree i has seed
+    ``[seed, 1, i, n]`` at depth n, whether it grows on or starts again."""
+    roots = PathBatch.from_starts(starts)
+    pool, prev = None, 0
     for n in depths:
-        child_seed = None if seed is None else [*seed, n]
-        if truncated:
-            level, truncated = enumerate_forward_paths(corr, x0, n, cap=cap,
-                                                       seed=child_seed)
-            logw = [_birkhoff(f, p, 0, 0, n) for p in level]
-        else:
-            ancestor = {(p.symbols, p.branches): w for p, w in zip(level, logw)}
-            level, truncated = enumerate_forward_paths(corr, level, n - prev,
-                                                       cap=cap, seed=child_seed)
-            logw = [_birkhoff(f, p, ancestor[p.symbols[:prev], p.branches[:prev]],
-                              prev, n) for p in level]
-        pools.append((level, logw, truncated))
+        seeds = [None if seed is None else [seed, 1, i, n] for i in range(len(starts))]
+        pool = _next_pool(corr, roots, pool, n, prev, cap, seeds)
+        yield n, pool
         prev = n
-    return pools
 
 
 def pressure_estimate(corr: Correspondence, f: SphereFunction,
@@ -147,13 +161,14 @@ def pressure_estimate(corr: Correspondence, f: SphereFunction,
     the smallest eps.  Identical seeds reproduce the exact start sample
     and path pools, so constant shifts of f shift the estimate exactly.
 
-    Each start's path tree is grown once through the distinct depths of
-    the schedule, in ascending order, and each pool's weights are carried
-    down the tree from the shallower pool (see ``_start_pools``).  Since
-    the enumerator draws random numbers only when it thins a level, this
-    gives the same pools and weights, to the last bit, as enumerating
-    every depth from the start with seed ``[seed, 1, i, n]``.  Rows are
-    reported in schedule order.
+    The trees of all starts are grown together, through the distinct
+    depths of the schedule in ascending order (``_depth_pools``), and each
+    depth's rows are computed as soon as its pool is ready.  Since the
+    enumerator draws random numbers only when it thins a tree, this gives
+    the same pools, to the last bit, as enumerating every depth from every
+    start with seed ``[seed, 1, i, n]``; the weights are the sums of f over
+    each path's first n points, added left to right.  Rows are reported in
+    schedule order.
 
     Raises ValueError for fewer than one start point or a start without
     a finite chart value.
@@ -179,25 +194,23 @@ def pressure_estimate(corr: Correspondence, f: SphereFunction,
         if not cmath.isfinite(x.value):
             raise ValueError(f"start point {x!r} has no finite chart value")
 
-    depths = sorted({n for n, _ in schedule})
-    pools = {n: [] for n in depths}
-    truncated = dict.fromkeys(depths, False)
-    logw: dict[int, float] = {}
-    for i, x0 in enumerate(starts):
-        start_seed = None if seed is None else [seed, 1, i]
-        grown = _start_pools(corr, f, x0, depths, cap, start_seed)
-        for n, (got, weights, cut) in zip(depths, grown):
-            pools[n].extend(got)
-            logw.update(zip(map(id, got), weights))
-            truncated[n] = truncated[n] or cut
-
-    rows = []
-    for n, eps in schedule:
-        if not pools[n]:
+    rows = {}
+    for n, pool in _depth_pools(corr, starts, sorted({n for n, _ in schedule}),
+                                cap, seed):
+        if not len(pool):
+            continue
+        logw = _weights(f, pool, n)
+        for k, (row_n, eps) in enumerate(schedule):
+            if row_n == n:
+                sep = separated_subset(pool, eps, weight=logw)
+                span = spanning_subset(pool, eps, weight=logw)
+                rows[k] = PressureRow(n, eps, _logsumexp(logw[sep].tolist()) / n,
+                                      _logsumexp(logw[span].tolist()) / n, len(pool),
+                                      len(sep), len(span), bool(pool.thinned.any()))
+    for k, (n, _) in enumerate(schedule):
+        if k not in rows:
             raise ValueError(f"no admissible paths at depth {n}")
-        sep, span, sep_value, span_value = _row_values(pools[n], logw, n, eps)
-        rows.append(PressureRow(n, eps, sep_value, span_value, len(pools[n]),
-                                len(sep), len(span), truncated[n]))
+    rows = [rows[k] for k in range(len(schedule))]
 
     eps_min = min(eps for _, eps in schedule)
     at_min = [r for r in rows if r.eps == eps_min]

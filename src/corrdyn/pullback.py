@@ -57,7 +57,7 @@ def pullback_iterate(corr: Correspondence, x0, n: int, cap: int = 8192,
     Levels beyond cap particles are thinned by seeded systematic
     resampling, which preserves expected cell weights.  Particles are
     carried as chart values, chart flags and weights, and each level is
-    solved by one ``backward_fiber_arrays`` call.
+    solved by one ``fiber_arrays`` call.
     """
     if corr.d_top <= corr.d_fwd:
         raise DegreeConditionError(
@@ -85,7 +85,8 @@ def pullback_iterate(corr: Correspondence, x0, n: int, cap: int = 8192,
     weights = np.array([1.0])
     levels = [SphereMeasure.from_particles(grid, values, inverted, weights)]
     for _ in range(n):
-        owner, mult, values, inverted = corr.backward_fiber_arrays(values, inverted)
+        owner, mult, values, inverted, _, _ = corr.fiber_arrays(values, inverted,
+                                                              backward=True)
         weights = weights[owner] * mult / d_top
         if len(weights) > cap:
             keep, weights = _systematic_thin(weights, cap, rng)

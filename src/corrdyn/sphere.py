@@ -64,6 +64,15 @@ class SpherePoint:
         return cls(complex(w), True)
 
     @classmethod
+    def from_chart(cls, value: complex, inverted: bool) -> "SpherePoint":
+        """The point stored as the chart value and flag given, taken as
+        they are: for values that are already canonical."""
+        point = cls.__new__(cls)
+        point.value = value
+        point.inverted = inverted
+        return point
+
+    @classmethod
     def infinity(cls) -> "SpherePoint":
         return cls(0j, True)
 
@@ -185,13 +194,43 @@ def chart_unit_vectors(values: np.ndarray, inverted: np.ndarray) -> np.ndarray:
     return out
 
 
-def sph_dist(p, q) -> float:
+def _chart_homogeneous(values: np.ndarray, inverted: np.ndarray) -> tuple:
+    """``homogeneous`` of every point given by chart value and flag, as the
+    real and imaginary parts (ar, ai, br, bi) of both coordinates.
+
+    The arithmetic is the scalar method's, operation for operation, in
+    real doubles: a complex quotient by a real norm divides each part,
+    and a real coordinate has imaginary part zero.
+    """
+    norm = np.float_power(np.hypot(values.real, values.imag), 2.0)
+    norm += 1.0
+    np.sqrt(norm, out=norm)
+    re, im = values.real / norm, values.imag / norm
+    unit = np.divide(1.0, norm, out=norm)
+    return (np.where(inverted, unit, re), np.where(inverted, 0.0, im),
+            np.where(inverted, re, unit), np.where(inverted, im, 0.0))
+
+
+def sph_dist(p, q):
     """Chordal distance on the Riemann sphere, range [0, 2].
 
     Equals 2|z - w| / (sqrt(1+|z|^2) sqrt(1+|w|^2)) for finite points and
     extends continuously to infinity.  Exactly symmetric; satisfies the
     triangle inequality up to floating rounding.
+
+    p and q may also be (values, inverted) pairs of equal-shape chart
+    arrays; the distances are then returned elementwise, each equal to the
+    scalar one bit for bit.  The cross term a1 b2 - a2 b1 is then formed in
+    real arithmetic, as CPython's complex product does it (numpy's complex
+    multiply may fuse operations), and ``fmin`` clamps a NaN to 2.0 as
+    ``min`` does.
     """
+    if isinstance(p, tuple):
+        ar1, ai1, br1, bi1 = _chart_homogeneous(*p)
+        ar2, ai2, br2, bi2 = _chart_homogeneous(*q)
+        re = (ar1 * br2 - ai1 * bi2) - (ar2 * br1 - ai2 * bi1)
+        im = (ar1 * bi2 + ai1 * br2) - (ar2 * bi1 + ai2 * br1)
+        return np.fmin(2.0, 2.0 * np.hypot(re, im))
     p = as_sphere_point(p)
     q = as_sphere_point(q)
     a1, b1 = p.homogeneous()

@@ -125,6 +125,22 @@ class TestPipelines:
         assert results["certificate"] <= 0.05
         assert results["backward_invariance"]["passed"]
 
+    def test_ds_measure_fails_on_invariance_violations(self, workspace, capsys):
+        # Three levels from next to the critical value 0 leave a support
+        # whose sampled backward images all fall outside its one-ring.
+        out = workspace / "ds_shallow"
+        cfg = write_config(workspace, "ds_shallow", {
+            "correspondence": "z3.corr",
+            "n_cells": 2000,
+            "ds_measure": {"start": [1e-13, 0.0], "levels": 3, "cap": 8192,
+                           "threshold": 0.5},
+            "out": str(out),
+        })
+        assert run(["ds-measure", "--config", cfg, "--seed", "0"]) == 4
+        err = capsys.readouterr().err
+        assert "PreimageOutsideSupport" in err and "192 of 192" in err
+        assert not (out / "report.json").exists()
+
     def test_ds_measure_rejects_mobius(self, workspace):
         cfg = write_config(workspace, "dsmob", {
             "correspondence": "mobius.corr",

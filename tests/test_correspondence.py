@@ -252,22 +252,37 @@ class TestBackwardImagesMany:
         assert corr_z2z3.backward_images_many([]) == []
 
 
+def fiber_arrays_of(corr, points, backward):
+    return corr.fiber_arrays(*chart_values(points), backward=backward)
+
+
+def assert_arrays_match(arrays, fibers, tol=0.0):
+    """fiber_arrays output against a fiber list: owner, multiplicity,
+    component and slot exactly, and the points to the bit (signed zeros
+    included) or, for tol > 0, within tol."""
+    owner, mult, root_values, root_inverted, component, slot = arrays
+    branches = [(k, b) for k, fiber in enumerate(fibers) for b in fiber.branches]
+    assert owner.tolist() == [k for k, _ in branches]
+    assert mult.tolist() == [b.multiplicity for _, b in branches]
+    assert component.tolist() == [b.component for _, b in branches]
+    assert slot.tolist() == [b.branch_index for _, b in branches]
+    if tol:
+        for v, i, (_, b) in zip(root_values.tolist(), root_inverted.tolist(), branches):
+            assert sph_dist(SpherePoint.from_chart(v, i), b.point) <= tol
+        return
+    assert root_inverted.tolist() == [b.point.inverted for _, b in branches]
+    want = np.array([b.point.value for _, b in branches], dtype=complex)
+    assert np.array_equal(root_values, want)
+    assert np.array_equal(np.signbit(root_values.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(root_values.imag), np.signbit(want.imag))
+
+
 class TestBackwardFiberArrays:
-    """backward_fiber_arrays against backward_images_many, to the bit."""
+    """fiber_arrays, backward, against backward_images_many, to the bit."""
 
     def check(self, corr, points):
-        values, inverted = chart_values(points)
-        owner, mult, root_values, root_inverted = corr.backward_fiber_arrays(
-            values, inverted)
-        branches = [(k, b) for k, fiber in enumerate(corr.backward_images_many(points))
-                    for b in fiber.branches]
-        assert owner.tolist() == [k for k, _ in branches]
-        assert mult.tolist() == [b.multiplicity for _, b in branches]
-        assert root_inverted.tolist() == [b.point.inverted for _, b in branches]
-        want = np.array([b.point.value for _, b in branches], dtype=complex)
-        assert np.array_equal(root_values, want)
-        assert np.array_equal(np.signbit(root_values.real), np.signbit(want.real))
-        assert np.array_equal(np.signbit(root_values.imag), np.signbit(want.imag))
+        assert_arrays_match(fiber_arrays_of(corr, points, backward=True),
+                            corr.backward_images_many(points))
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_identical_to_fibers(self, name, monkeypatch):
@@ -291,7 +306,7 @@ class TestBackwardFiberArrays:
         assemble = Correspondence._assemble
         monkeypatch.setattr(Correspondence, "_assemble",
                             lambda self, lists: assembled.append(1) or assemble(self, lists))
-        corr.backward_fiber_arrays(*chart_values(points))
+        fiber_arrays_of(corr, points, backward=True)
         monkeypatch.undo()
         # Both array rows and rows spliced in from _assemble occur.
         assert 0 < len(assembled) < len(points)
@@ -311,12 +326,13 @@ class TestBackwardFiberArrays:
                     [corr.backward_images(p) for p in points])
 
     def test_empty_batch(self, corr_z2z3):
-        owner, mult, root_values, root_inverted = corr_z2z3.backward_fiber_arrays(
-            *chart_values([]))
-        assert len(owner) == len(mult) == len(root_values) == len(root_inverted) == 0
+        arrays = fiber_arrays_of(corr_z2z3, [], backward=True)
+        assert len(arrays) == 6 and all(len(a) == 0 for a in arrays)
 
 
 class TestForwardImagesMany:
+    """fiber_arrays, forward, against the scalar forward fibers."""
+
     @pytest.mark.parametrize("name", BUNDLED)
     def test_identical_to_scalar_fibers(self, name):
         corr = bundled_correspondence(name)
@@ -328,36 +344,48 @@ class TestForwardImagesMany:
         assert sum(p.inverted for p in points) == 150
         points += [SpherePoint.from_complex(0.0), SpherePoint.infinity(),
                    SpherePoint.from_complex(1.0)]
-        many = corr.forward_images_many(points)
-        scalar = [corr.forward_images(p) for p in points]
-        same_fibers(many, scalar, tol=0.0)
         # Identical point values, not merely close ones.
-        assert [[b.point for b in f.branches] for f in many] == \
-            [[b.point for b in f.branches] for f in scalar]
+        assert_arrays_match(fiber_arrays_of(corr, points, backward=False),
+                            [corr.forward_images(p) for p in points])
 
-    def test_zero_constant_row_falls_back(self, corr_pair):
+    def test_zero_constant_row_falls_back(self, corr_pair, monkeypatch):
         # w = 2z over z = 0 has the exact-zero constant term that
         # stacked_roots leaves to the scalar roots; w = z + 1 over 0 does not.
-        many = corr_pair.forward_images_many([0.0, 0.5])
-        assert many == [corr_pair.forward_images(0.0), corr_pair.forward_images(0.5)]
-        assert [(b.component, b.point) for b in many[0].branches] == [
-            (1, SpherePoint.from_complex(1.0)), (2, SpherePoint.from_complex(0.0))]
+        assembled = []
+        assemble = Correspondence._assemble
+        monkeypatch.setattr(Correspondence, "_assemble",
+                            lambda self, lists: assembled.append(1) or assemble(self, lists))
+        arrays = fiber_arrays_of(corr_pair, [0.0, 0.5], backward=False)
+        monkeypatch.undo()
+        assert len(assembled) == 1
+        assert_arrays_match(arrays, [corr_pair.forward_images(0.0),
+                                     corr_pair.forward_images(0.5)])
+        owner, _, root_values, _, component, _ = arrays
+        assert owner.tolist() == [0, 0, 1, 1]
+        assert component.tolist() == [1, 2, 1, 2]
+        assert root_values[:2].tolist() == [1.0, 0.0]
 
     def test_empty_batch(self, corr_pair):
-        assert corr_pair.forward_images_many([]) == []
+        arrays = fiber_arrays_of(corr_pair, [], backward=False)
+        assert len(arrays) == 6 and all(len(a) == 0 for a in arrays)
 
     def test_higher_degrees_and_mixed_rows(self):
         corr, points = mixed_degree_case()
         mixed = mixed_rows(corr, points, backward=False)
         assert len(mixed) >= 2
-        many = corr.forward_images_many(points)
+        arrays = fiber_arrays_of(corr, points, backward=False)
         scalar = [corr.forward_images(p) for p in points]
         # Stacked roots equal the scalar ones up to rounding, in the same
-        # canonical order; a component that falls back has the scalar bits.
-        same_fibers(many, scalar)
+        # canonical order, with the same slots: a component of multiplicity
+        # m takes slots 1, 1 + m, ...
+        assert_arrays_match(arrays, scalar, tol=1e-9)
+        owner, _, root_values, root_inverted, component, _ = arrays
+        # A component that falls back has the scalar bits.
         for k in mixed:
-            assert ([b for b in many[k].branches if b.component == 2]
-                    == [b for b in scalar[k].branches if b.component == 2])
+            rows = (owner == k) & (component == 2)
+            assert [SpherePoint.from_chart(v, i) for v, i in
+                    zip(root_values[rows].tolist(), root_inverted[rows].tolist())] == \
+                [b.point for b in scalar[k].branches if b.component == 2]
 
 
 class TestFixedPoints:

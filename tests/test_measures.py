@@ -673,6 +673,7 @@ class TestArrayFoldExactness:
     def test_from_paths(self, grid, name, start, depth):
         paths, _ = enumerate_forward_paths(bundled_correspondence(name), start,
                                            depth, cap=256)
+        paths = list(paths)
         # Repeats, and the fixed points 0 and infinity of the squaring map.
         paths = paths + paths[::3]
         if name == "z2":

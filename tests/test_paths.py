@@ -9,11 +9,12 @@ import corrdyn.paths as paths_mod
 from corrdyn.datasets import bundled_correspondence
 from corrdyn.errors import EmptyPath, IndexOutOfRange, LengthMismatch
 from corrdyn.functions import fn_re
-from corrdyn.paths import (ForwardPath, enumerate_backward_paths,
+from corrdyn.paths import (ForwardPath, PathBatch, enumerate_backward_paths,
                            enumerate_forward_paths, path_metric,
                            project_point, project_symbol, separated_subset,
                            shift, spanning_subset)
-from corrdyn.pressure import circle_start_sampler
+import corrdyn.pressure as pressure_mod
+from corrdyn.pressure import circle_start_sampler, pressure_estimate
 from corrdyn.sphere import SpherePoint, as_sphere_point, sph_dist
 
 
@@ -117,24 +118,29 @@ def scalar_enumerate(corr, start, n, cap, seed, backward):
         nxt = [child for path in level
                for child in path.children(images(path.points[end]), backward)]
         if len(nxt) > cap:
-            nxt = paths_mod._thin(nxt, cap, rng)
+            idx = rng.choice(len(nxt), size=cap, replace=False)
+            nxt = [nxt[int(i)] for i in sorted(idx)]
             truncated = True
         level = nxt
     return level, truncated
 
 
-def count_batches(monkeypatch, corr, method):
-    """Record the batch size of every ``corr.<method>`` call."""
-    sizes = []
-    real = getattr(corr, method)
+def count_batches(monkeypatch, corr):
+    """Record the batch size of every ``corr.fiber_arrays`` call, and count
+    the scalar fibers."""
+    sizes, scalar = [], []
+    real = corr.fiber_arrays
 
-    def counted(points):
-        points = list(points)
-        sizes.append(len(points))
-        return real(points)
+    def counted(values, inverted, backward):
+        sizes.append(len(values))
+        return real(values, inverted, backward)
 
-    monkeypatch.setattr(corr, method, counted)
-    return sizes
+    monkeypatch.setattr(corr, "fiber_arrays", counted)
+    for method in ("forward_images", "backward_images"):
+        images = getattr(corr, method)
+        monkeypatch.setattr(corr, method, lambda x, images=images:
+                            scalar.append(1) or images(x))
+    return sizes, scalar
 
 
 class TestBatchedLevels:
@@ -146,7 +152,7 @@ class TestBatchedLevels:
         got = enumerate_forward_paths(corr, start, n, cap=cap, seed=[5, 1])
         want, truncated = scalar_enumerate(corr, start, n, cap, [5, 1], False)
         # Point values included: ForwardPath and SpherePoint compare exactly.
-        assert got.paths == want
+        assert list(got.paths) == want
         assert got.truncated == truncated == (corr.d_fwd > 1)
 
     @pytest.mark.parametrize("name,n,cap", [("corr_z2", 6, 20), ("corr_z3", 4, 30),
@@ -164,26 +170,26 @@ class TestBatchedLevels:
     def test_one_point_levels_stay_scalar(self, monkeypatch):
         corr_pair = bundled_correspondence("mobius_pair")
         corr_z2 = bundled_correspondence("z2")
-        pair_batches = count_batches(monkeypatch, corr_pair, "forward_images_many")
-        z2_batches = count_batches(monkeypatch, corr_z2, "forward_images_many")
-        back_batches = count_batches(monkeypatch, corr_z2, "backward_images_many")
+        pair_batches, pair_scalar = count_batches(monkeypatch, corr_pair)
+        z2_batches, z2_scalar = count_batches(monkeypatch, corr_z2)
         enumerate_forward_paths(corr_pair, 0.3, 4)
         enumerate_forward_paths(corr_z2, 0.3, 4)
         enumerate_backward_paths(corr_z2, 0.3, 3)
-        # The start level is scalar, every wider level is one batch.
+        # The start fiber is scalar, every later level is one batch, one
+        # point wide or wider.
         assert pair_batches == [2, 4, 8]
-        assert z2_batches == []
-        assert back_batches == [2, 4]
+        assert z2_batches == [1, 1, 1, 2, 4]
+        assert len(pair_scalar) == 1 and len(z2_scalar) == 2
 
     @pytest.mark.parametrize("enumerate_paths", [enumerate_forward_paths,
                                                  enumerate_backward_paths])
     def test_depth_zero_solves_no_fiber(self, monkeypatch, enumerate_paths):
         corr_pair = bundled_correspondence("mobius_pair")
-        for method in ("forward_images", "backward_images", "forward_images_many",
+        for method in ("forward_images", "backward_images", "fiber_arrays",
                        "backward_images_many"):
             monkeypatch.setattr(corr_pair, method, None)
         paths, truncated = enumerate_paths(corr_pair, 0.25, 0)
-        assert paths == [ForwardPath((sp(0.25),), (), ())]
+        assert list(paths) == [ForwardPath((sp(0.25),), (), ())]
         assert not truncated
 
 
@@ -196,11 +202,12 @@ class TestLevelGrowth:
         corr = request.getfixturevalue(name)
         level, truncated = enumerate_forward_paths(corr, start, n, cap=cap, seed=[7, n])
         assert not truncated
-        grown = enumerate_forward_paths(corr, level, k, cap=cap, seed=[7, n + k])
+        # A batch takes one seed per tree.
+        grown = enumerate_forward_paths(corr, level, k, cap=cap, seed=[[7, n + k]])
         deep = enumerate_forward_paths(corr, start, n + k, cap=cap, seed=[7, n + k])
         # Thinning in the new levels draws from the same seeded generator.
         assert grown.truncated == deep.truncated == (name == "corr_pair" and cap == 20)
-        assert grown.paths == deep.paths
+        assert list(grown.paths) == list(deep.paths)
 
     def test_growing_by_zero_keeps_the_level(self, corr_pair):
         level, _ = enumerate_forward_paths(corr_pair, 0.25, 3)
@@ -215,12 +222,81 @@ class TestLevelGrowth:
         corr_z2 = bundled_correspondence("z2")
         pair_level, _ = enumerate_forward_paths(corr_pair, 0.3, 0)
         z2_level, _ = enumerate_forward_paths(corr_z2, 0.3, 2)
-        pair_batches = count_batches(monkeypatch, corr_pair, "forward_images_many")
-        z2_batches = count_batches(monkeypatch, corr_z2, "forward_images_many")
+        pair_batches, pair_scalar = count_batches(monkeypatch, corr_pair)
+        z2_batches, z2_scalar = count_batches(monkeypatch, corr_z2)
         enumerate_forward_paths(corr_pair, pair_level, 3)
         enumerate_forward_paths(corr_z2, z2_level, 3)
-        assert pair_batches == [2, 4]
-        assert z2_batches == []
+        # Only a level of starts takes scalar fibers.
+        assert pair_batches == [2, 4] and len(pair_scalar) == 1
+        assert z2_batches == [1, 1, 1] and not z2_scalar
+
+
+class TestTreeBatches:
+    """Several trees grown together against the scalar loop, tree by tree."""
+
+    @pytest.mark.parametrize("name,n,cap,backward", [
+        ("corr_pair", 6, 20, False), ("corr_z2z3", 4, 30, False),
+        ("corr_z2", 5, 4096, False), ("corr_z2", 4, 6, True),
+        ("corr_z2z3", 3, 40, True)])
+    def test_trees_match_scalar_loops(self, name, n, cap, backward, request):
+        corr = request.getfixturevalue(name)
+        starts = circle_starts(5, 21) + [0.0, SpherePoint.infinity()]
+        seeds = [[9, i] for i in range(len(starts))]
+        grow = enumerate_backward_paths if backward else enumerate_forward_paths
+        got = grow(corr, PathBatch.from_starts(starts), n, cap=cap, seed=seeds)
+        want, cut = [], []
+        for start, seed in zip(starts, seeds):
+            paths, truncated = scalar_enumerate(corr, start, n, cap, seed, backward)
+            want.extend(paths)
+            cut.append(truncated)
+        assert got.paths.tree.tolist() == sorted(got.paths.tree.tolist())
+        if backward:
+            # The stacked backward roots equal the scalar ones up to rounding.
+            assert [(p.symbols, p.branches) for p in got.paths] == \
+                [(p.symbols, p.branches) for p in want]
+        else:
+            assert list(got.paths) == want
+        assert got.paths.thinned.tolist() == cut
+        assert got.truncated == any(cut)
+
+    def test_seed_count_checked(self, corr_pair):
+        batch = PathBatch.from_starts([0.1, 0.2])
+        with pytest.raises(ValueError, match="one seed per tree"):
+            enumerate_forward_paths(corr_pair, batch, 2, seed=[1, 2, 3])
+
+    @pytest.mark.parametrize("name,schedule,start_points,cap", [
+        ("corr_pair", [(6, 0.05), (4, 0.05), (8, 0.05), (4, 0.1)], 7, 20),
+        ("corr_z2z3", [(5, 0.05), (3, 0.05), (7, 0.05), (3, 0.1)], 6, 24),
+        ("corr_z2", [(4, 0.05), (8, 0.05), (12, 0.05)], 30, 4096)])
+    def test_pressure_pools_match_scalar_loops(self, name, schedule, start_points,
+                                               cap, request, monkeypatch):
+        # The pools of pressure_estimate, whose trees grow together, some
+        # grown on and some (those thinned at the previous depth) grown from
+        # their start again, against each start enumerated on its own.
+        corr = request.getfixturevalue(name)
+        seed = 4
+        pools = {}
+        real = pressure_mod.separated_subset
+
+        def recorded(paths, eps, weight=None):
+            pools[paths.length] = (list(paths), bool(paths.thinned.any()))
+            return real(paths, eps, weight=weight)
+
+        monkeypatch.setattr(pressure_mod, "separated_subset", recorded)
+        sampler = circle_start_sampler()
+        report = pressure_estimate(corr, fn_re, schedule, start_points=start_points,
+                                   seed=seed, start_sampler=sampler, cap=cap)
+        starts = sampler(np.random.default_rng([seed, 0]), start_points)
+        for n in sorted(pools):
+            want, cut = [], False
+            for i, start in enumerate(starts):
+                paths, truncated = scalar_enumerate(corr, start, n, cap,
+                                                    [seed, 1, i, n], False)
+                want.extend(paths)
+                cut = cut or truncated
+            assert pools[n] == (want, cut)
+        if name == "corr_pair":
+            assert [r.truncated for r in report.rows] == [True, False, True, False]
 
 
 class TestMetric:
@@ -304,7 +380,7 @@ class TestFamilies:
     def test_all_symbol_words_survive(self, corr_pair):
         for n in range(1, 7):
             paths, _ = enumerate_forward_paths(corr_pair, 0.0, n, cap=200)
-            fam = separated_subset(paths, eps=0.5)
+            fam = [paths[i] for i in separated_subset(paths, eps=0.5)]
             assert len(fam) == 2 ** n
             # Oracle: re-verify pairwise separation by the raw definition.
             for a, b in itertools.combinations(fam, 2):
@@ -316,12 +392,13 @@ class TestFamilies:
     def test_weight_order_prefers_heavy(self):
         p = make_path([0.0, 0.0])
         q = make_path([1e-6, 1e-6])
-        fam = separated_subset([p, q], eps=0.1, weight=lambda path: abs(path.points[0].value) + 1)
-        assert fam == [q]
+        fam = separated_subset([p, q], eps=0.1,
+                               weight=[abs(path.points[0].value) + 1 for path in (p, q)])
+        assert fam == [1]
 
     def test_spanning_singleton(self):
         p = make_path([0.0, 1.0])
-        assert spanning_subset([p], eps=0.1) == [p]
+        assert spanning_subset([p], eps=0.1) == [0]
 
     def test_spanning_merges_close_paths(self):
         p = make_path([0.0, 1.0])
@@ -340,7 +417,7 @@ class TestFamilies:
         for s in starts:
             got, _ = enumerate_forward_paths(corr_z2, s, 1)
             paths.extend(got)
-        cover = spanning_subset(paths, eps=eps)
+        cover = [paths[i] for i in spanning_subset(paths, eps=eps)]
         # Oracle: greedy eps-packing of the start points.
         packed = []
         for s in starts:
@@ -358,8 +435,8 @@ class TestFamilies:
         # admitted path with the same symbols.
         for n in range(1, 4):
             paths, _ = enumerate_forward_paths(corr_pair, 0.25, n, cap=64)
-            doubled = paths + paths
-            fam = separated_subset(doubled, eps=0.4)
+            doubled = list(paths) * 2
+            fam = [doubled[i] for i in separated_subset(doubled, eps=0.4)]
             for p in doubled:
                 assert any(a.symbols == p.symbols and all(
                     sph_dist(a.points[r], p.points[r]) <= 0.4
@@ -381,32 +458,32 @@ def _pair_close(p, q, eps):
 
 
 def oracle_separated(paths, eps, weight=None):
-    """Greedy separated family, each candidate tested against every admitted path."""
+    """Greedy separated family, each candidate tested against every
+    admitted path; the admitted indices in admission order."""
     order = range(len(paths))
     if weight is not None:
-        values = [weight(p) for p in paths]
-        order = sorted(order, key=lambda i: -values[i])
+        order = sorted(order, key=lambda i: -weight[i])
     admitted = []
     for i in order:
         cand = paths[i]
-        if all(cand.symbols != a.symbols or _pair_far(cand, a, eps)
+        if all(cand.symbols != paths[a].symbols or _pair_far(cand, paths[a], eps)
                for a in admitted):
-            admitted.append(cand)
+            admitted.append(i)
     return admitted
 
 
 def oracle_spanning(paths, eps, weight=None):
-    """Greedy spanning family, each candidate tested against every admitted path."""
+    """Greedy spanning family, each candidate tested against every
+    admitted path; the admitted indices in admission order."""
     order = range(len(paths))
     if weight is not None:
-        values = [weight(p) for p in paths]
-        order = sorted(order, key=lambda i: values[i])
+        order = sorted(order, key=lambda i: weight[i])
     admitted = []
     for i in order:
         cand = paths[i]
-        if not any(a.symbols == cand.symbols and _pair_close(a, cand, eps)
+        if not any(paths[a].symbols == cand.symbols and _pair_close(paths[a], cand, eps)
                    for a in admitted):
-            admitted.append(cand)
+            admitted.append(i)
     return admitted
 
 
@@ -415,11 +492,14 @@ def re_weight(path):
 
 
 def assert_same_families(paths, eps, weight=None):
+    """Both families of the list and of its batch against the oracles,
+    weight a function of the path."""
+    weights = None if weight is None else [weight(p) for p in paths]
     for fast, slow in ((separated_subset, oracle_separated),
                        (spanning_subset, oracle_spanning)):
-        got = fast(paths, eps, weight=weight)
-        want = slow(paths, eps, weight=weight)
-        assert [id(p) for p in got] == [id(p) for p in want]
+        want = slow(paths, eps, weight=weights)
+        assert fast(paths, eps, weight=weights) == want
+        assert fast(PathBatch.from_paths(paths), eps, weight=weights) == want
 
 
 def forward_pool(corr, starts, n, cap=4096):
@@ -479,9 +559,9 @@ class TestFamilyIndexExactness:
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_last_points_on_cube_boundaries(self, m):
-        # Last points whose unit-vector coordinates are exact multiples of
-        # 2 eps, each with neighbours at chordal distances just below and
-        # above eps on both sides of the boundary.
+        # Points 0, which the cubes hold, whose unit-vector coordinates are
+        # exact multiples of 2 eps, each with neighbours at chordal
+        # distances just below and above eps on both sides of the boundary.
         base = [np.array(v, dtype=float) for v in
                 ([1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0],
                  [0.0, 0.0, -1.0], [0.6, 0.8, 0.0], [0.0, 0.6, -0.8])]
@@ -496,19 +576,18 @@ class TestFamilyIndexExactness:
                         v = u.copy()
                         v[axis] += step * scale * eps
                         ends.append(v / np.linalg.norm(v))
-        pool = [path_from_unit_vectors([start, v]) for v in ends]
+        pool = [path_from_unit_vectors([v, start]) for v in ends]
         assert any(x != 0 and x % (2 * eps) == 0
-                   for p in pool for x in p.points[-1].unit_vector())
+                   for p in pool for x in p.points[0].unit_vector())
         assert_same_families(pool, eps)
-        assert_same_families(pool, eps, weight=lambda p: p.points[-1].unit_vector()[0])
+        assert_same_families(pool, eps, weight=lambda p: p.points[0].unit_vector()[0])
 
     @pytest.mark.parametrize("eps", [1e-6, 0.01, 0.05, 0.3])
     def test_keys_of_close_pairs_are_adjacent(self, eps):
-        # First last-points within rounding of a cube face, second ones at
-        # most 2 eps away (chordal) in a random tangent direction.
+        # First points 0 within rounding of a cube face, second ones at
+        # most eps away (chordal) in a random tangent direction.
         rng = np.random.default_rng(int(eps * 1e6) + 17)
-        index = paths_mod._FamilyIndex(eps)
-        side = index.side
+        side = eps + paths_mod._CUBE_SLACK
         start = np.array([0.0, 0.0, -1.0])
         pairs = []
         while len(pairs) < 400:
@@ -524,19 +603,18 @@ class TestFamilyIndexExactness:
             t = rng.normal(size=3)
             t -= t.dot(u) * u
             t /= np.linalg.norm(t)
-            angle = rng.uniform(0.0, 1.0) * 2.0 * math.asin(eps)
+            angle = rng.uniform(0.0, 1.0) * 2.0 * math.asin(eps / 2.0)
             v = math.cos(angle) * u + math.sin(angle) * t
-            pairs.append((path_from_unit_vectors([start, u]),
-                          path_from_unit_vectors([start, v])))
+            pairs.append((path_from_unit_vectors([u, start]),
+                          path_from_unit_vectors([v, start])))
         flat = [p for pair in pairs for p in pair]
-        keys = index.keys(flat)
+        keys = [tuple(c) for c in paths_mod._cubes(PathBatch.from_paths(flat), eps).tolist()]
         # The batched cubes are the floors of the scalar unit vectors.
-        assert keys == [(p.symbols, tuple(math.floor(x / side)
-                                          for x in p.points[-1].unit_vector()))
+        assert keys == [tuple(math.floor(x / side) for x in p.points[0].unit_vector())
                         for p in flat]
         checked = crossed = 0
-        for (p, q), (_, cp), (_, cq) in zip(pairs, keys[::2], keys[1::2]):
-            if sph_dist(p.points[-1], q.points[-1]) <= 2 * eps:
+        for (p, q), cp, cq in zip(pairs, keys[::2], keys[1::2]):
+            if sph_dist(p.points[0], q.points[0]) <= eps:
                 checked += 1
                 crossed += cp != cq
                 assert max(abs(a - b) for a, b in zip(cp, cq)) <= 1
@@ -552,22 +630,25 @@ class TestFamilyIndexExactness:
     def test_index_prunes_pair_tests(self, corr_z2, monkeypatch):
         # 200 circle starts on z2 (one symbol word), n = 8, eps = 0.05.
         pool = forward_pool(corr_z2, circle_starts(200, 0), 8)
-        calls = 0
+        weights = [re_weight(p) for p in pool]
+        computed = 0
         real = paths_mod.sph_dist
 
         def counted(p, q):
-            nonlocal calls
-            calls += 1
+            # Distances computed: one per scalar call, the array size of a
+            # batched one.
+            nonlocal computed
+            computed += len(p[0]) if isinstance(p, tuple) else 1
             return real(p, q)
 
         monkeypatch.setattr(paths_mod, "sph_dist", counted)
 
         def count(runs):
-            nonlocal calls
-            calls = 0
+            nonlocal computed
+            computed = 0
             for fam in runs:
-                fam(pool, 0.05, weight=re_weight)
-            return calls
+                fam(pool, 0.05, weight=weights)
+            return computed
 
         fast = count((separated_subset, spanning_subset))
         slow = count((oracle_separated, oracle_spanning))

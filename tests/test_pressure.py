@@ -6,7 +6,7 @@ import pytest
 import corrdyn.pressure as pressure_mod
 from corrdyn.errors import ScheduleEmpty
 from corrdyn.functions import fn_const, fn_re, fn_zero
-from corrdyn.paths import enumerate_forward_paths
+from corrdyn.paths import enumerate_forward_paths, separated_subset, spanning_subset
 from corrdyn.pressure import (PressureRow, circle_start_sampler,
                               entropy_estimate, pressure_estimate)
 from corrdyn.sphere import SpherePoint
@@ -155,19 +155,36 @@ def parent_rows(corr, f, schedule, start_points, seed, sampler, cap):
                                                        seed=[seed, 1, i, n])
                 paths.extend(got)
                 truncated = truncated or was_cut
-            logw = {}
+            weights = []
             for p in paths:
                 w = 0
                 for r in range(n):
                     w = w + f(p.points[r])
-                logw[id(p)] = w
-            pools[n] = (paths, logw, truncated)
-        paths, logw, truncated = pools[n]
-        sep, span, sep_value, span_value = pressure_mod._row_values(paths, logw, n, eps)
-        rows.append(PressureRow(n, eps, sep_value, span_value, len(paths),
-                                len(sep), len(span), truncated))
-        seen.append((paths, [logw[id(p)] for p in paths]))
+                weights.append(w)
+            pools[n] = (paths, weights, truncated)
+        paths, weights, truncated = pools[n]
+        sep = separated_subset(paths, eps, weight=weights)
+        span = spanning_subset(paths, eps, weight=weights)
+        rows.append(PressureRow(
+            n, eps, pressure_mod._logsumexp([weights[i] for i in sep]) / n,
+            pressure_mod._logsumexp([weights[i] for i in span]) / n, len(paths),
+            len(sep), len(span), truncated))
+        seen.append((paths, weights))
     return rows, seen
+
+
+def record_pools(monkeypatch):
+    """The pool and weights of every separated family that
+    ``pressure_estimate`` computes, keyed by (depth, eps)."""
+    pools = {}
+    real = pressure_mod.separated_subset
+
+    def recorded(paths, eps, weight=None):
+        pools[paths.length, eps] = (list(paths), weight.tolist())
+        return real(paths, eps, weight=weight)
+
+    monkeypatch.setattr(pressure_mod, "separated_subset", recorded)
+    return pools
 
 
 class TestSchedulePools:
@@ -177,19 +194,13 @@ class TestSchedulePools:
         sampler = circle_start_sampler()
         want_rows, want_pools = parent_rows(corr, f, schedule, start_points,
                                             seed, sampler, cap)
-        got_pools = []
-        real = pressure_mod._row_values
-
-        def recorded(paths, logw, n, eps):
-            got_pools.append((list(paths), [logw[id(p)] for p in paths]))
-            return real(paths, logw, n, eps)
-
-        monkeypatch.setattr(pressure_mod, "_row_values", recorded)
+        got_pools = record_pools(monkeypatch)
         report = pressure_estimate(corr, f, schedule, start_points=start_points,
                                    seed=seed, start_sampler=sampler, cap=cap)
         assert list(report.rows) == want_rows
         assert len(got_pools) == len(want_pools) == len(schedule)
-        for (paths, weights), (want_paths, want_weights) in zip(got_pools, want_pools):
+        for row, (want_paths, want_weights) in zip(schedule, want_pools):
+            paths, weights = got_pools[row]
             # ForwardPath equality compares points exactly, and lists keep order.
             assert paths == want_paths
             assert weights == want_weights

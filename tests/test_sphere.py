@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -121,6 +122,64 @@ class TestSphDist:
             d_direct = sph_dist(SpherePoint.from_complex(z), SpherePoint.from_complex(w))
             d_recip = sph_dist(SpherePoint.from_reciprocal(1 / z), SpherePoint.from_reciprocal(1 / w))
             assert d_direct == pytest.approx(d_recip, abs=1e-12)
+
+
+def chart_edge_points():
+    """Zero and infinity with signed zeros, both charts on |z| = 1, tiny
+    and huge moduli, and NaN values."""
+    nan = math.nan
+    points = [SpherePoint.from_complex(z) for z in
+              (0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+               1.0, -1.0, 1j, -1j, cmath.exp(0.7j), 1e-300, -1e-300j, 1e300, -1e300j,
+               complex(1e300, 1e-300), complex(nan, 0.0), complex(0.5, nan))]
+    points += [SpherePoint.from_reciprocal(w) for w in
+               (0.0, complex(-0.0, -0.0), 1.0, -1j, cmath.exp(-2.1j), 1e-300, complex(nan, nan))]
+    points += [SpherePoint.infinity()]
+    return points
+
+
+class TestChartSphDist:
+    """sph_dist on chart arrays against the scalar sph_dist, to the bit."""
+
+    @staticmethod
+    def check(ps, qs):
+        got = sph_dist(chart_values(ps), chart_values(qs))
+        want = np.array([sph_dist(p, q) for p, q in zip(ps, qs)])
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        return got
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(12)
+        k = 20_000
+        modulus = 10.0 ** np.concatenate([rng.uniform(-3, 3, k // 2),
+                                          rng.uniform(-300, 300, k // 4),
+                                          rng.normal(0.0, 1e-15, k - 3 * k // 4)])
+        z = modulus * np.exp(1j * rng.uniform(-math.pi, math.pi, k))
+        ps = [SpherePoint.from_complex(v) for v in z.tolist()]
+        qs = [ps[i] for i in rng.permutation(k)]
+        self.check(ps, qs)
+
+    def test_edge_points(self):
+        edges = chart_edge_points()
+        ps = [p for p in edges for _ in edges]
+        qs = [q for _ in edges for q in edges]
+        got = self.check(ps, qs)
+        nan_rows = [k for k, (p, q) in enumerate(zip(ps, qs))
+                    if cmath.isnan(p.value) or cmath.isnan(q.value)]
+        assert nan_rows and (got[nan_rows] == 2.0).all()
+
+    def test_two_dimensional_and_empty(self):
+        rng = np.random.default_rng(13)
+        ps = random_points(rng, 12)
+        qs = random_points(rng, 12)
+        values, inverted = chart_values(ps)
+        others, flags = chart_values(qs)
+        got = sph_dist((values.reshape(3, 4), inverted.reshape(3, 4)),
+                       (others.reshape(3, 4), flags.reshape(3, 4)))
+        assert got.shape == (3, 4)
+        assert got.ravel().tolist() == [sph_dist(p, q) for p, q in zip(ps, qs)]
+        assert sph_dist(chart_values([]), chart_values([])).shape == (0,)
 
 
 def poly_from_roots(root_list):

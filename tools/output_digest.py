@@ -26,7 +26,9 @@ lives in), each call in a fresh interpreter and a fresh output directory:
 - ``ds-measure`` on z3 from the tiny start 1e-300 at seeds 0 and 3
   (``TINY_START_CORRESPONDENCES``), whose backward fiber polynomial
   z^3 - 1e-300 has a constant term far below the start circle of the
-  scalar root iteration.
+  scalar root iteration;
+- ``ds-measure`` on z3 from 1e-13 at 3 levels, seed 0 (``SHALLOW_START``),
+  whose support fails the backward invariance check, so the call exits 4.
 
 It prints one JSON object keyed by call, holding the exit code and the
 sha256 of the ``results`` section of report.json and of every CSV the
@@ -94,6 +96,9 @@ REAL_START = [0.5, 0.0]
 TINY_START_CORRESPONDENCES = ("z3",)
 TINY_START = [1e-300, 0.0]
 
+#: z3 ``ds-measure`` section whose support is not backward invariant.
+SHALLOW_START = {**README_CONFIG["ds_measure"], "start": [1e-13, 0.0], "levels": 3}
+
 
 def _configs(data: Path) -> dict[str, dict]:
     out = {}
@@ -120,6 +125,8 @@ def _configs(data: Path) -> dict[str, dict]:
         out[f"tiny-{name}"] = {
             **README_CONFIG, "correspondence": str(data / f"{name}.corr"),
             "ds_measure": {**README_CONFIG["ds_measure"], "start": TINY_START}}
+    out["shallow-z3"] = {**README_CONFIG, "correspondence": str(data / "z3.corr"),
+                         "ds_measure": SHALLOW_START}
     for name, section in POOL_CONFIGS.items():
         out[f"pools-{name}"] = {"correspondence": str(data / f"{name}.corr"),
                                 "n_cells": 2000, "entropy": section,
@@ -154,6 +161,7 @@ def _calls() -> list[tuple[str, str, str, int]]:
         for seed in README_SEEDS:
             calls.append((f"tiny/{name}/seed{seed}/ds-measure", f"tiny-{name}",
                           "ds-measure", seed))
+    calls.append(("shallow/z3/seed0/ds-measure", "shallow-z3", "ds-measure", 0))
     for name in POOL_CONFIGS:
         for seed in README_SEEDS:
             for command in ("entropy", "pressure"):
