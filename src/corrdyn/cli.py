@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -67,6 +68,7 @@ class RunConfig:
             raise ConfigMismatch("config is missing the correspondence path")
         merged.setdefault("out", "corrdyn-out")
         self.effective = merged
+        self._out: Path | None = None
 
     def __getitem__(self, key):
         return self.effective[key]
@@ -91,9 +93,12 @@ class RunConfig:
         return SphereGrid(int(self.effective["n_cells"]))
 
     def out_dir(self) -> Path:
-        path = Path(self.effective["out"])
-        path.mkdir(parents=True, exist_ok=True)
-        return path
+        """The output directory, created on first use."""
+        if self._out is None:
+            path = Path(self.effective["out"])
+            path.mkdir(parents=True, exist_ok=True)
+            self._out = path
+        return self._out
 
 
 def _point_from_config(value) -> SpherePoint:
@@ -238,8 +243,12 @@ def _starts_config(section: dict, config: RunConfig):
     raise ConfigMismatch(f"unknown start sampler {mode!r}")
 
 
-def _pressure_like(config: RunConfig, corr: Correspondence, name: str) -> dict:
-    section = config.section(name)
+def _pressure_like(config: RunConfig, corr: Correspondence, name: str,
+                   section: dict | None = None) -> dict:
+    """``entropy`` or ``pressure`` from the config section of that name, or
+    from ``section`` where given."""
+    if section is None:
+        section = config.section(name)
     schedule = [tuple(row) for row in section.get("schedule", [[4, 0.05], [8, 0.05]])]
     sampler = _starts_config(section, config)
     common = dict(schedule=schedule,
@@ -400,9 +409,7 @@ def _cmd_variational(config: RunConfig, corr: Correspondence) -> dict:
     else:
         sub = dict(section.get("pressure", {}))
         sub.setdefault("f", f_label)
-        inner = RunConfig({**config.effective, "pressure": sub},
-                          base_dir=config.base_dir)
-        pressure_value = _pressure_like(inner, corr, "pressure")["pressure"]
+        pressure_value = _pressure_like(config, corr, "pressure", sub)["pressure"]
 
     entries = _variational_entries(config, corr, grid, section)
     partitions = [SpherePartition.trivial(grid),
@@ -461,7 +468,9 @@ def _exit_code(err: Exception) -> int:
     return 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of the process."""
     parser = argparse.ArgumentParser(
         prog="corrdyn",
         description="Batch dynamics of holomorphic correspondences")
@@ -470,7 +479,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--out", default=None, help="output directory")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     started = time.time()
     try:

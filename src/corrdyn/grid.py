@@ -57,6 +57,8 @@ class SphereGrid:
         self.band_z = np.array([bands[0][0]] + [b[1] for b in bands])
         self.band_start = np.concatenate(([0], np.cumsum(self.band_counts)))[:-1]
         self.n_bands = len(bands)
+        #: Cell centers built so far, by cell index.
+        self._centers: dict[int, SpherePoint] = {}
 
     # -- lookup ------------------------------------------------------------
 
@@ -120,12 +122,17 @@ class SphereGrid:
         return band, idx - int(self.band_start[band])
 
     def cell_center(self, idx: int) -> SpherePoint:
-        band, sector = self.cell_band_sector(idx)
-        zc = 0.5 * (self.band_z[band] + self.band_z[band + 1])
-        m = int(self.band_counts[band])
-        phi = (sector + 0.5) * _TWO_PI / m
-        s = math.sqrt(max(0.0, 1.0 - zc * zc))
-        return SpherePoint.from_unit_vector((s * math.cos(phi), s * math.sin(phi), zc))
+        """Center of cell idx, built on first use and kept by the grid."""
+        center = self._centers.get(idx)
+        if center is None:
+            band, sector = self.cell_band_sector(idx)
+            zc = 0.5 * (self.band_z[band] + self.band_z[band + 1])
+            m = int(self.band_counts[band])
+            phi = (sector + 0.5) * _TWO_PI / m
+            s = math.sqrt(max(0.0, 1.0 - zc * zc))
+            center = self._centers[idx] = SpherePoint.from_unit_vector(
+                (s * math.cos(phi), s * math.sin(phi), zc))
+        return center
 
     def cell_center_angles(self, idx: int) -> tuple[float, float]:
         """(theta, phi) of the cell center, theta the polar angle."""

@@ -10,6 +10,7 @@ rows.  A partition labels every grid cell with its group.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,6 +182,32 @@ def measure_distance(m1: SphereMeasure, m2: SphereMeasure,
 # ---------------------------------------------------------------------------
 
 
+_POINT_BITS = struct.Struct("<dd?")
+
+
+def _point_bits(point: SpherePoint) -> bytes:
+    """The IEEE bits of a point's chart value, signed zeros apart, and its
+    chart flag: equal keys give the same fiber and the same cell."""
+    return _POINT_BITS.pack(point.value.real, point.value.imag, point.inverted)
+
+
+def _forward_slots(corr: Correspondence, point: SpherePoint) -> list:
+    """The forward fiber of point, one entry per branch slot; a degenerate
+    fiber is retried up to three times from a nudged point."""
+    fiber = corr.forward_images(point)
+    slots = [b for b in fiber.branches for _ in range(b.multiplicity)]
+    retries = 0
+    while not slots and retries < 3:
+        # Degenerate fiber: nudge the point and retry.
+        point = SpherePoint(point.value + complex(1e-9, 1e-9), point.inverted)
+        fiber = corr.forward_images(point)
+        slots = [b for b in fiber.branches for _ in range(b.multiplicity)]
+        retries += 1
+    if not slots:
+        raise TrajectoryEscape("forward fiber collapsed persistently")
+    return slots
+
+
 def empirical_invariant_measure(corr: Correspondence, x0, n_burn: int,
                                 n_keep: int, depth: int,
                                 seed: int | None = None,
@@ -189,7 +216,9 @@ def empirical_invariant_measure(corr: Correspondence, x0, n_burn: int,
     forward trajectory with uniformly chosen branches.
 
     The output is in cylinder form and approximately shift invariant with
-    an O(n_keep^-1/2) defect.
+    an O(n_keep^-1/2) defect.  Each distinct point (by ``_point_bits``)
+    has its fiber solved and its cell looked up once per call; a repeat
+    reuses them, and the generator draws are those of solving every step.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -199,25 +228,25 @@ def empirical_invariant_measure(corr: Correspondence, x0, n_burn: int,
     rng = np.random.default_rng(seed)
     steps = n_burn + n_keep + depth
 
+    # Memo of this walk, keyed by each point's exact bits: [slots, cell],
+    # slots filled when the point's fiber is first needed.
+    memo: dict[bytes, list] = {}
     point = as_sphere_point(x0)
-    cells = [grid.cell_index(point)]
+    entry = memo[_point_bits(point)] = [None, grid.cell_index(point)]
+    cells = [entry[1]]
     symbols: list[int] = []
     for _ in range(steps):
-        fiber = corr.forward_images(point)
-        slots = [b for b in fiber.branches for _ in range(b.multiplicity)]
-        retries = 0
-        while not slots and retries < 3:
-            # Degenerate fiber: nudge the point and retry.
-            point = SpherePoint(point.value + complex(1e-9, 1e-9), point.inverted)
-            fiber = corr.forward_images(point)
-            slots = [b for b in fiber.branches for _ in range(b.multiplicity)]
-            retries += 1
-        if not slots:
-            raise TrajectoryEscape("forward fiber collapsed persistently")
+        if entry[0] is None:
+            entry[0] = _forward_slots(corr, point)
+        slots = entry[0]
         pick = slots[int(rng.integers(len(slots)))]
         point = pick.point
         symbols.append(pick.component)
-        cells.append(grid.cell_index(point))
+        key = _point_bits(point)
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = [None, grid.cell_index(point)]
+        cells.append(entry[1])
 
     window = np.arange(n_burn, n_burn + n_keep)[:, None] + np.arange(depth)
     words = np.stack([np.array(cells)[window], np.array(symbols)[window]], axis=2)
@@ -277,14 +306,21 @@ class SpherePartition:
     @classmethod
     def sectors(cls, grid: SphereGrid, n_z: int, n_phi: int) -> "SpherePartition":
         """Partition by z-slabs and longitude sectors of the cell centers,
-        the nonempty (slab, sector) groups in sorted order."""
-        keys = []
-        for idx in range(grid.n_cells):
-            theta, phi = grid.cell_center_angles(idx)
-            z = math.cos(theta)
-            zi = min(int((1.0 - z) / 2.0 * n_z), n_z - 1)
-            pi = min(int(phi / (2.0 * math.pi) * n_phi), n_phi - 1)
-            keys.append(zi * n_phi + pi)
+        the nonempty (slab, sector) groups in sorted order.
+
+        A band's slab comes from its center height by scalar ``acos`` and
+        ``cos``; the sector of each cell center's longitude takes only
+        + * / in numpy, which round as Python floats do.
+        """
+        slab = [min(int((1.0 - math.cos(math.acos(max(-1.0, min(1.0, zc)))))
+                        / 2.0 * n_z), n_z - 1)
+                for zc in (0.5 * (grid.band_z[:-1] + grid.band_z[1:])).tolist()]
+        band = np.repeat(np.arange(grid.n_bands), grid.band_counts)
+        sector = np.arange(grid.n_cells) - grid.band_start[band]
+        phi = (sector + 0.5) * (2.0 * math.pi) / grid.band_counts[band]
+        sector_of = np.minimum((phi / (2.0 * math.pi) * n_phi).astype(np.int64),
+                               n_phi - 1)
+        keys = np.array(slab, dtype=np.int64)[band] * n_phi + sector_of
         used, label = np.unique(keys, return_inverse=True)
         return cls(grid, label,
                    tuple(f"z{k // n_phi}p{k % n_phi}" for k in used.tolist()))

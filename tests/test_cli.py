@@ -180,8 +180,15 @@ class TestPipelines:
         assert (out / "spectral.csv").exists()
         assert (out / "convergence.csv").exists()
 
-    def test_variational_runs(self, workspace):
+    def test_variational_runs(self, workspace, monkeypatch):
         out = workspace / "var_out"
+        made = []
+        mkdir = Path.mkdir
+
+        def counted_mkdir(path, *args, **kwargs):
+            made.append(path)
+            return mkdir(path, *args, **kwargs)
+        monkeypatch.setattr(Path, "mkdir", counted_mkdir)
         cfg = write_config(workspace, "var", {
             "correspondence": "mobius_pair.corr",
             "n_cells": 400,
@@ -192,6 +199,8 @@ class TestPipelines:
             "out": str(out),
         })
         assert run(["variational", "--config", cfg]) == 0
+        # The inner pressure run writes to the same directory, made once.
+        assert made == [out]
         report = read_report(out)
         assert report["results"]["rows"] >= 3
         assert report["results"]["all_within"]

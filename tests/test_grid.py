@@ -26,6 +26,24 @@ def test_lookup_inverts_center(grid):
         assert grid.cell_index(grid.cell_center(idx)) == idx
 
 
+def test_kept_centers_are_the_built_ones():
+    # A grid keeps each center it builds; a kept center has the bits of a
+    # freshly built one, and the angles agree with it.
+    grid = SphereGrid(401)
+    for idx in range(grid.n_cells):
+        band, sector = grid.cell_band_sector(idx)
+        zc = 0.5 * (grid.band_z[band] + grid.band_z[band + 1])
+        phi = (sector + 0.5) * 2.0 * math.pi / int(grid.band_counts[band])
+        s = math.sqrt(max(0.0, 1.0 - zc * zc))
+        built = SpherePoint.from_unit_vector(
+            (s * math.cos(phi), s * math.sin(phi), zc))
+        first = grid.cell_center(idx)
+        assert grid.cell_center(idx) is first
+        assert (first.value, first.inverted) == (built.value, built.inverted)
+        assert math.copysign(1.0, first.value.imag) == math.copysign(1.0, built.value.imag)
+        assert grid.centers[idx] is first
+
+
 def test_poles_land_in_caps(grid):
     assert grid.cell_index(SpherePoint.infinity()) == 0
     south = grid.cell_index(SpherePoint.from_complex(0.0))

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from corrdyn import transfer as transfer_mod
 from corrdyn.correspondence import parse_correspondence
 from corrdyn.datasets import bundled_correspondence
 from corrdyn.errors import (IndexOutOfRange, NoValidCandidates, NotAPartition,
-                            PushforwardMismatch)
+                            PushforwardMismatch, TrajectoryEscape)
 from corrdyn.functions import (TestFunctionFamily as FunctionFamily,
                                default_test_family, fn_zero, named_function)
 from corrdyn.grid import SphereGrid
@@ -23,7 +24,7 @@ from corrdyn.measures import (InvarianceReport, PathMeasure, SphereMeasure,
                               variational_check)
 from corrdyn.paths import ForwardPath, enumerate_forward_paths
 from corrdyn.pullback import ds_support, pullback_iterate
-from corrdyn.sphere import SpherePoint
+from corrdyn.sphere import SpherePoint, as_sphere_point
 from corrdyn.transfer import (ActiveGrid, GridFunction, TransferKernel,
                               adjoint_fixed_point, normalize, power_iteration)
 
@@ -260,6 +261,82 @@ class TestEmpiricalMeasure:
                                         depth=2, grid=grid)
 
 
+#: Walk starts: the README start, the fixed points 0 and infinity of the
+#: power maps, the real axis (where signed zeros occur) and a start in the
+#: reciprocal chart.
+WALK_STARTS = (0.5 + 0.3j, 0.0, SpherePoint.infinity(), -0.5, 2 - 1j)
+BUNDLED = ("mobius", "z2", "z3", "z2_plus_z3", "mobius_pair")
+DEGENERATE_TEXT = "1\n1 1 1 0\n2 0 -1 0\n0 1 -2 0\n1 0 2 0\n"
+
+
+def point_bits(point):
+    v = point.value
+    return struct.pack("<dd?", v.real, v.imag, point.inverted)
+
+
+def count_calls(monkeypatch, obj, name):
+    """Count the calls of obj.name from here on; returns a one-item list."""
+    calls = [0]
+    fn = getattr(obj, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(obj, name, counted)
+    return calls
+
+
+class TestWalkMemo:
+    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("n_cells", [400, 2000])
+    def test_matches_walk_solving_every_step(self, name, n_cells):
+        corr = bundled_correspondence(name)
+        grid = SphereGrid(n_cells)
+        for x0 in WALK_STARTS:
+            for seed in (0, 3):
+                mu = empirical_invariant_measure(corr, x0, n_burn=20, n_keep=400,
+                                                 depth=4, seed=seed, grid=grid)
+                assert_same_cylinders(
+                    mu, ref_empirical(corr, x0, 20, 400, 4, seed, grid))
+
+    def test_degenerate_retry(self):
+        # (z - 2)(w - z): the fiber of 2 is retried from a nudged point, and
+        # the retried slots stand for 2.
+        corr = parse_correspondence(DEGENERATE_TEXT)
+        grid = SphereGrid(400)
+        for seed in (0, 3):
+            mu = empirical_invariant_measure(corr, 2.0, n_burn=5, n_keep=20,
+                                             depth=2, seed=seed, grid=grid)
+            assert_same_cylinders(mu, ref_empirical(corr, 2.0, 5, 20, 2, seed, grid))
+
+    def test_repeated_points_are_solved_once(self, monkeypatch):
+        # In floating point the README z2 walk falls onto an attracting
+        # fixed point: its 5,054 steps visit 12 distinct points.
+        corr = bundled_correspondence("z2")
+        grid = SphereGrid(2000)
+        points, _, _ = ref_walk(corr, 0.5 + 0.3j, 5054, 0, grid)
+        fibers = count_calls(monkeypatch, corr, "forward_images")
+        lookups = count_calls(monkeypatch, grid, "cell_index")
+        empirical_invariant_measure(corr, 0.5 + 0.3j, n_burn=50, n_keep=5000,
+                                    depth=4, seed=0, grid=grid)
+        # The last point's fiber is never solved.
+        assert fibers[0] == len({point_bits(p) for p in points[:-1]}) == 12
+        assert lookups[0] == len({point_bits(p) for p in points})
+
+    def test_walk_without_repeats_makes_the_same_calls(self, monkeypatch):
+        corr = bundled_correspondence("mobius")
+        grid = SphereGrid(2000)
+        fibers = count_calls(monkeypatch, corr, "forward_images")
+        lookups = count_calls(monkeypatch, grid, "cell_index")
+        points, _, _ = ref_walk(corr, 0.5 + 0.3j, 1054, 0, grid)
+        assert len({point_bits(p) for p in points}) == len(points)
+        solving_every_step = (fibers[0], lookups[0])
+        fibers[0] = lookups[0] = 0
+        empirical_invariant_measure(corr, 0.5 + 0.3j, n_burn=50, n_keep=1000,
+                                    depth=4, seed=0, grid=grid)
+        assert (fibers[0], lookups[0]) == solving_every_step == (1054, 1055)
+
+
 class TestShiftInvariance:
     def test_exact_bernoulli(self, grid):
         mu = PathMeasure.from_cylinders(grid, bernoulli_cylinders(grid, 3, 3))
@@ -480,12 +557,15 @@ def ref_from_paths(grid, paths, w):
     return cylinders
 
 
-def ref_empirical(corr, x0, n_burn, n_keep, depth, seed, grid):
+def ref_walk(corr, x0, steps, seed, grid):
+    """The walk of ``empirical_invariant_measure`` solving every step:
+    (points, cells, symbols)."""
     rng = np.random.default_rng(seed)
-    point = SpherePoint.from_complex(x0)
+    point = as_sphere_point(x0)
+    points = [point]
     cells = [grid.cell_index(point)]
     symbols = []
-    for _ in range(n_burn + n_keep + depth):
+    for _ in range(steps):
         fiber = corr.forward_images(point)
         slots = [b for b in fiber.branches for _ in range(b.multiplicity)]
         retries = 0
@@ -494,10 +574,18 @@ def ref_empirical(corr, x0, n_burn, n_keep, depth, seed, grid):
             fiber = corr.forward_images(point)
             slots = [b for b in fiber.branches for _ in range(b.multiplicity)]
             retries += 1
+        if not slots:
+            raise TrajectoryEscape("forward fiber collapsed persistently")
         pick = slots[int(rng.integers(len(slots)))]
         point = pick.point
+        points.append(point)
         symbols.append(pick.component)
         cells.append(grid.cell_index(point))
+    return points, cells, symbols
+
+
+def ref_empirical(corr, x0, n_burn, n_keep, depth, seed, grid):
+    _, cells, symbols = ref_walk(corr, x0, n_burn + n_keep + depth, seed, grid)
     counts = {}
     for p in range(n_burn, n_burn + n_keep):
         key = tuple((cells[p + i], symbols[p + i]) for i in range(depth))
@@ -559,6 +647,19 @@ def ref_sectors(grid, n_z, n_phi):
     keys = sorted(groups)
     return ([frozenset(groups[k]) for k in keys],
             [f"z{zi}p{pi}" for zi, pi in keys])
+
+
+def ref_sector_labels(angles, n_z, n_phi):
+    """Scalar ``SpherePartition.sectors`` from each cell center's (theta,
+    phi): (labels, names)."""
+    keys = []
+    for theta, phi in angles:
+        z = math.cos(theta)
+        zi = min(int((1.0 - z) / 2.0 * n_z), n_z - 1)
+        pi = min(int(phi / (2.0 * math.pi) * n_phi), n_phi - 1)
+        keys.append(zi * n_phi + pi)
+    used, label = np.unique(keys, return_inverse=True)
+    return label.tolist(), [f"z{k // n_phi}p{k % n_phi}" for k in used.tolist()]
 
 
 def ref_join(a, b):
@@ -686,6 +787,19 @@ class TestArrayFoldExactness:
         ref = ref_from_paths(grid, paths, w)
         assert_same_cylinders(mu, ref)
         assert_same_entropies(mu, ref)
+
+    @pytest.mark.parametrize("sizes", [range(1, 60), (100, 400, 401),
+                                       (1000, 2000, 2001), (4096,), (8000,)])
+    def test_sectors_match_scalar_copy(self, sizes):
+        for n_cells in sizes:
+            grid = SphereGrid(n_cells)
+            angles = [grid.cell_center_angles(idx) for idx in range(n_cells)]
+            for n_z in (1, 2, 3, 4, 7):
+                for n_phi in (1, 2, 4, 5, 8, 16):
+                    q = SpherePartition.sectors(grid, n_z, n_phi)
+                    labels, names = ref_sector_labels(angles, n_z, n_phi)
+                    assert q.label.tolist() == labels
+                    assert list(q.names) == names
 
     @pytest.mark.parametrize("n_cells", [200, 2000])
     def test_sectors_and_join(self, n_cells):

@@ -28,7 +28,11 @@ lives in), each call in a fresh interpreter and a fresh output directory:
   z^3 - 1e-300 has a constant term far below the start circle of the
   scalar root iteration;
 - ``ds-measure`` on z3 from 1e-13 at 3 levels, seed 0 (``SHALLOW_START``),
-  whose support fails the backward invariance check, so the call exits 4.
+  whose support fails the backward invariance check, so the call exits 4;
+- ``variational`` from the real-axis start -0.5 and from infinity on all
+  five bundled correspondences at seeds 0 and 3 (``WALK_STARTS``): walks
+  along the real axis, where chart values carry signed zeros, and from a
+  fixed point in the reciprocal chart.
 
 It prints one JSON object keyed by call, holding the exit code and the
 sha256 of the ``results`` section of report.json and of every CSV the
@@ -99,6 +103,9 @@ TINY_START = [1e-300, 0.0]
 #: z3 ``ds-measure`` section whose support is not backward invariant.
 SHALLOW_START = {**README_CONFIG["ds_measure"], "start": [1e-13, 0.0], "levels": 3}
 
+#: ``variational`` starts of the empirical walks, by config name prefix.
+WALK_STARTS = {"axis": [-0.5, 0.0], "inf": "inf"}
+
 
 def _configs(data: Path) -> dict[str, dict]:
     out = {}
@@ -127,6 +134,11 @@ def _configs(data: Path) -> dict[str, dict]:
             "ds_measure": {**README_CONFIG["ds_measure"], "start": TINY_START}}
     out["shallow-z3"] = {**README_CONFIG, "correspondence": str(data / "z3.corr"),
                          "ds_measure": SHALLOW_START}
+    for prefix, start in WALK_STARTS.items():
+        for name in CORRESPONDENCES:
+            out[f"{prefix}-{name}"] = {
+                **README_CONFIG, "correspondence": str(data / f"{name}.corr"),
+                "variational": {**README_CONFIG["variational"], "start": start}}
     for name, section in POOL_CONFIGS.items():
         out[f"pools-{name}"] = {"correspondence": str(data / f"{name}.corr"),
                                 "n_cells": 2000, "entropy": section,
@@ -162,6 +174,11 @@ def _calls() -> list[tuple[str, str, str, int]]:
             calls.append((f"tiny/{name}/seed{seed}/ds-measure", f"tiny-{name}",
                           "ds-measure", seed))
     calls.append(("shallow/z3/seed0/ds-measure", "shallow-z3", "ds-measure", 0))
+    for prefix in WALK_STARTS:
+        for name in CORRESPONDENCES:
+            for seed in README_SEEDS:
+                calls.append((f"{prefix}/{name}/seed{seed}/variational",
+                              f"{prefix}-{name}", "variational", seed))
     for name in POOL_CONFIGS:
         for seed in README_SEEDS:
             for command in ("entropy", "pressure"):
