@@ -69,6 +69,7 @@ class RunConfig:
         merged.setdefault("out", "corrdyn-out")
         self.effective = merged
         self._out: Path | None = None
+        self._grid: SphereGrid | None = None
 
     def __getitem__(self, key):
         return self.effective[key]
@@ -90,7 +91,10 @@ class RunConfig:
             self.resolve(self.effective["correspondence"]).read_text())
 
     def grid(self) -> SphereGrid:
-        return SphereGrid(int(self.effective["n_cells"]))
+        """The grid of the config, built on first use."""
+        if self._grid is None:
+            self._grid = SphereGrid(int(self.effective["n_cells"]))
+        return self._grid
 
     def out_dir(self) -> Path:
         """The output directory, created on first use."""

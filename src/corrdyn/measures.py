@@ -29,16 +29,23 @@ def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group ids of the equal rows of a (K, ...) integer array, numbered
     by first appearance, and each group's first row.  With ``np.bincount``
     in input order this is, to the last bit, a dict fold keyed by row.
-    Ranking one column at a time beats ``np.unique(axis=0)`` on deep words.
+
+    One stable ``np.lexsort`` ranks the rows; equal rows are then
+    adjacent, in input order, so a group starts wherever a row differs
+    from the one before it, and its first row is where it starts.
     """
-    ids = np.zeros(len(keys), dtype=np.int64)
-    for col in keys.reshape(len(keys), math.prod(keys.shape[1:])).T:
-        _, col_ids = np.unique(col, return_inverse=True)
-        _, ids = np.unique(ids * (col_ids.max() + 1) + col_ids,
-                           return_inverse=True)
-    _, first = np.unique(ids, return_index=True)
-    order = np.argsort(first)
-    return np.argsort(order)[ids], first[order]
+    flat = keys.reshape(len(keys), math.prod(keys.shape[1:]))
+    order = np.lexsort(flat.T[::-1]) if flat.shape[1] else np.arange(len(flat))
+    ranked = flat[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = order[starts]
+    by_first = np.argsort(first)
+    renumber = np.empty_like(by_first)
+    renumber[by_first] = np.arange(len(by_first))
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = renumber[np.cumsum(starts) - 1]
+    return ids, first[by_first]
 
 
 @dataclass
@@ -239,7 +246,9 @@ def empirical_invariant_measure(corr: Correspondence, x0, n_burn: int,
         if entry[0] is None:
             entry[0] = _forward_slots(corr, point)
         slots = entry[0]
-        pick = slots[int(rng.integers(len(slots)))]
+        # integers(1) returns 0 and leaves the generator as it was, so a
+        # single slot is taken without it.
+        pick = slots[int(rng.integers(len(slots)))] if len(slots) > 1 else slots[0]
         point = pick.point
         symbols.append(pick.component)
         key = _point_bits(point)
@@ -372,9 +381,24 @@ def joined_lift_masses(mu: PathMeasure, q: SpherePartition, n: int) -> list[floa
 
 
 def entropy_rate_sequence(mu: PathMeasure, q: SpherePartition, n_max: int) -> list[float]:
-    """H_n of joined lifted partitions for n = 1 .. min(n_max, depth)."""
+    """H_n of joined lifted partitions for n = 1 .. min(n_max, depth).
+
+    The masses are those of ``joined_lift_masses``, grown one depth at a
+    time: a word's depth-n group is the group of (its depth n-1 group,
+    cell, symbol), and its label word's group that of (its depth n-1 label
+    group, cell label, symbol).  Both are numbered by first appearance, as
+    ``joined_lift_masses`` numbers them, and summed in the same order.
+    """
     n_eff = min(n_max, mu.depth)
-    return [_shannon(joined_lift_masses(mu, q, n)) for n in range(1, n_eff + 1)]
+    words = labels = np.zeros(len(mu.words), dtype=np.int64)
+    out = []
+    for n in range(n_eff):
+        cell, symbol = mu.words[:, n, 0], mu.words[:, n, 1]
+        words, first = _group(np.stack([words, cell, symbol], axis=1))
+        labels, _ = _group(np.stack([labels, q.label[cell], symbol], axis=1))
+        masses = np.bincount(words, weights=mu.weights)
+        out.append(_shannon(np.bincount(labels[first], weights=masses).tolist()))
+    return out
 
 
 def intermediate_entropy(nu: SphereMeasure, mu: PathMeasure, partitions,

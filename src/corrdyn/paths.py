@@ -81,7 +81,9 @@ class PathBatch:
     ``values`` and ``inverted`` are the (N, n+1) chart values and flags of
     the points, ``symbols`` and ``branches`` the (N, n) steps, ``tree`` the
     start each path grew from and ``thinned`` (one entry per tree) whether
-    the tree's paths are a thinned subsample.
+    the tree's paths are a thinned subsample.  A batch that an enumerator
+    grew by at least one level also has ``origin``: the row of each path's
+    ancestor in the batch it was grown from.
     """
 
     values: np.ndarray
@@ -90,6 +92,7 @@ class PathBatch:
     branches: np.ndarray
     tree: np.ndarray
     thinned: np.ndarray
+    origin: np.ndarray | None = None
 
     @classmethod
     def from_starts(cls, starts) -> "PathBatch":
@@ -178,7 +181,8 @@ def _grow(corr: Correspondence, batch: PathBatch, n: int, cap: int, seeds,
     prepended before the first.  A tree whose level outgrows ``cap`` is
     thinned (``_thin``), so untruncated trees do not depend on their seeds.
     Each level keeps only its new column and its parent rows; the paths
-    are gathered once, at the end, column by column.
+    are gathered once, at the end, column by column, and the rows of batch
+    they grew from are the ``origin`` of the result.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
@@ -222,7 +226,7 @@ def _grow(corr: Correspondence, batch: PathBatch, n: int, cap: int, seeds,
             a[:, n:] = column[rows]
         else:
             a[:, :column.shape[1]] = column[rows]
-    return PathBatch(*joined, tree, thinned)
+    return PathBatch(*joined, tree, thinned, rows)
 
 
 def _enumerate(corr: Correspondence, x0, n: int, cap: int, seed,

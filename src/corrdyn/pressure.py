@@ -31,8 +31,14 @@ SANDWICH_SLACK = 0.02
 
 
 def _logsumexp(values: Sequence[float]) -> float:
+    """log of the sum of exp(values), its terms added one by one from the
+    left: the float ``sum`` builtin is compensated from Python 3.12 on, so
+    it would round differently between versions."""
     m = max(values)
-    return m + math.log(sum(math.exp(v - m) for v in values))
+    total = 0.0
+    for v in values:
+        total += math.exp(v - m)
+    return m + math.log(total)
 
 
 def grid_start_sampler(grid: SphereGrid) -> Callable:
@@ -87,64 +93,77 @@ class PressureReport:
         return any(r.truncated for r in self.rows)
 
 
-def _weights(f: SphereFunction, pool: PathBatch, n: int) -> np.ndarray:
-    """Birkhoff sums of f over points 0..n-1 of every path, added left to
-    right from 0, as the scalar loop adds them.  f is evaluated once per
-    distinct point (by bits) of each column."""
-    weight = np.zeros(len(pool))
-    for r in range(n):
-        values, inverted = pool.values[:, r], pool.inverted[:, r]
-        order = np.lexsort((values.imag.view(np.uint64), values.real.view(np.uint64),
-                            inverted))
-        values, inverted = values[order], inverted[order]
-        re, im = values.real.view(np.uint64), values.imag.view(np.uint64)
+def _birkhoff(f: SphereFunction, values: np.ndarray, inverted: np.ndarray,
+              weight: np.ndarray) -> np.ndarray:
+    """weight plus the sums of f over the columns of values and inverted,
+    added left to right, as the scalar loop adds them.  f is evaluated
+    once per distinct point (by bits) of each column."""
+    for r in range(values.shape[1]):
+        column, flags = values[:, r], inverted[:, r]
+        order = np.lexsort((column.imag.view(np.uint64), column.real.view(np.uint64),
+                            flags))
+        column, flags = column[order], flags[order]
+        re, im = column.real.view(np.uint64), column.imag.view(np.uint64)
         first = np.ones(len(order), dtype=bool)
-        first[1:] = (re[1:] != re[:-1]) | (im[1:] != im[:-1]) | (inverted[1:] != inverted[:-1])
+        first[1:] = (re[1:] != re[:-1]) | (im[1:] != im[:-1]) | (flags[1:] != flags[:-1])
         at = np.array([f(SpherePoint.from_chart(v, i)) for v, i in
-                       zip(values[first].tolist(), inverted[first].tolist())], dtype=float)
+                       zip(column[first].tolist(), flags[first].tolist())], dtype=float)
         terms = np.empty(len(order))
         terms[order] = at[np.cumsum(first) - 1]
         weight = weight + terms
     return weight
 
 
-def _next_pool(corr: Correspondence, roots: PathBatch, pool: PathBatch | None,
-               n: int, prev: int, cap: int, seeds: list) -> PathBatch:
-    """The depth-n pool of every tree: the depth-prev pool grown by n - prev
+def _next_pool(corr: Correspondence, f: SphereFunction, roots: PathBatch,
+               pool: PathBatch | None, weight: np.ndarray | None, n: int, prev: int,
+               cap: int, seeds: list) -> tuple[PathBatch, np.ndarray]:
+    """The depth-n pool of every tree and its weights, the sums of f over
+    each path's first n points.  The depth-prev pool is grown by n - prev
     levels, except for the trees it holds thinned (or all trees, when
-    there is none yet), which grow from their start again.  The two groups
-    are merged tree by tree; a tree's paths keep their order."""
+    there is none yet), which grow from their start again.  A grown path's
+    weight is its ancestor's depth-prev weight plus f over points
+    prev..n-1, the same additions in the same order as a sum from point 0.
+    The two groups are merged tree by tree; a tree's paths keep their
+    order."""
     again = np.ones(len(roots), dtype=bool) if pool is None else pool.thinned
     parts = []
     if not again.all():
-        parts.append(enumerate_forward_paths(corr, pool.of_trees(~again), n - prev,
-                                             cap=cap, seed=seeds).paths)
+        kept = ~again[pool.tree]
+        grown = enumerate_forward_paths(corr, pool.of_trees(~again), n - prev,
+                                        cap=cap, seed=seeds).paths
+        parts.append((grown, _birkhoff(f, grown.values[:, prev:n], grown.inverted[:, prev:n],
+                                       weight[kept][grown.origin])))
     if again.any():
-        parts.append(enumerate_forward_paths(corr, roots.of_trees(again), n,
-                                             cap=cap, seed=seeds).paths)
+        fresh = enumerate_forward_paths(corr, roots.of_trees(again), n,
+                                        cap=cap, seed=seeds).paths
+        parts.append((fresh, _birkhoff(f, fresh.values[:, :n], fresh.inverted[:, :n],
+                                       np.zeros(len(fresh)))))
     if len(parts) == 1:
         return parts[0]
-    tree = np.concatenate([p.tree for p in parts])
+    tree = np.concatenate([p.tree for p, _ in parts])
     order = np.argsort(tree, kind="stable")
 
     def joined(name):
-        return np.concatenate([getattr(p, name) for p in parts])[order]
+        return np.concatenate([getattr(p, name) for p, _ in parts])[order]
 
-    return PathBatch(joined("values"), joined("inverted"), joined("symbols"),
-                     joined("branches"), tree[order], parts[0].thinned | parts[1].thinned)
+    return (PathBatch(joined("values"), joined("inverted"), joined("symbols"),
+                      joined("branches"), tree[order],
+                      parts[0][0].thinned | parts[1][0].thinned),
+            np.concatenate([w for _, w in parts])[order])
 
 
-def _depth_pools(corr: Correspondence, starts: list[SpherePoint], depths: list[int],
-                 cap: int, seed):
-    """(n, pool) at each depth, ascending; a pool holds the paths of every
-    start's tree, start by start (``_next_pool``).  Tree i has seed
-    ``[seed, 1, i, n]`` at depth n, whether it grows on or starts again."""
+def _depth_pools(corr: Correspondence, f: SphereFunction, starts: list[SpherePoint],
+                 depths: list[int], cap: int, seed):
+    """(n, pool, weights) at each depth, ascending; a pool holds the paths
+    of every start's tree, start by start (``_next_pool``).  Tree i has
+    seed ``[seed, 1, i, n]`` at depth n, whether it grows on or starts
+    again."""
     roots = PathBatch.from_starts(starts)
-    pool, prev = None, 0
+    pool, weight, prev = None, None, 0
     for n in depths:
         seeds = [None if seed is None else [seed, 1, i, n] for i in range(len(starts))]
-        pool = _next_pool(corr, roots, pool, n, prev, cap, seeds)
-        yield n, pool
+        pool, weight = _next_pool(corr, f, roots, pool, weight, n, prev, cap, seeds)
+        yield n, pool, weight
         prev = n
 
 
@@ -166,9 +185,10 @@ def pressure_estimate(corr: Correspondence, f: SphereFunction,
     depth's rows are computed as soon as its pool is ready.  Since the
     enumerator draws random numbers only when it thins a tree, this gives
     the same pools, to the last bit, as enumerating every depth from every
-    start with seed ``[seed, 1, i, n]``; the weights are the sums of f over
-    each path's first n points, added left to right.  Rows are reported in
-    schedule order.
+    start with seed ``[seed, 1, i, n]``.  The weights are the sums of f over
+    each path's first n points, added left to right; a grown tree carries
+    its sums on from the depth before, so f is evaluated once per new
+    column.  Rows are reported in schedule order.
 
     Raises ValueError for fewer than one start point or a start without
     a finite chart value.
@@ -195,11 +215,10 @@ def pressure_estimate(corr: Correspondence, f: SphereFunction,
             raise ValueError(f"start point {x!r} has no finite chart value")
 
     rows = {}
-    for n, pool in _depth_pools(corr, starts, sorted({n for n, _ in schedule}),
-                                cap, seed):
+    for n, pool, logw in _depth_pools(corr, f, starts,
+                                      sorted({n for n, _ in schedule}), cap, seed):
         if not len(pool):
             continue
-        logw = _weights(f, pool, n)
         for k, (row_n, eps) in enumerate(schedule):
             if row_n == n:
                 sep = separated_subset(pool, eps, weight=logw)

@@ -136,26 +136,36 @@ class HolderReport:
     is_member: bool
 
 
+#: Active centers per row block of ``holder_norm``'s pair distances.
+_HOLDER_BLOCK = 256
+
+
 def holder_norm(f: GridFunction, lam: float, k_max: int,
                 tail_tol: float = 1e-3) -> HolderReport:
     """Oscillation moduli of f at the scales lam^-(k-1), k = 1 .. k_max.
 
     omega_k is the largest |f(x) - f(y)| over active-center pairs within
     distance lam^-(k-1); membership requires the last modulus to sit
-    below the tail tolerance.
+    below the tail tolerance.  The pairs are taken in blocks of
+    ``_HOLDER_BLOCK`` rows, so memory stays linear in the active set.
     """
     if lam <= 1.0:
         raise ValueError("lam must exceed 1")
     if k_max < 1:
         raise ValueError("need at least one scale")
-    vecs = f.active._center_vectors
-    diff = vecs[:, None, :] - vecs[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    gap = np.abs(f.values[:, None] - f.values[None, :])
-    omegas = []
-    for k in range(1, k_max + 1):
-        mask = dist <= lam ** (-(k - 1))
-        omegas.append(float(gap[mask].max()) if mask.any() else 0.0)
+    vecs, values = f.active._center_vectors, f.values
+    radii = [lam ** (-(k - 1)) for k in range(1, k_max + 1)]
+    # Every gap is >= 0, so a scale without pairs keeps omega 0.
+    best = np.zeros(k_max)
+    for lo in range(0, len(vecs), _HOLDER_BLOCK):
+        rows = slice(lo, lo + _HOLDER_BLOCK)
+        dist = np.linalg.norm(vecs[rows, None, :] - vecs[None, :, :], axis=2)
+        gap = np.abs(values[rows, None] - values[None, :])
+        for k, radius in enumerate(radii):
+            mask = dist <= radius
+            if mask.any():
+                best[k] = np.maximum(best[k], gap[mask].max())
+    omegas = best.tolist()
     sup = f.sup_norm()
     alpha_norm = sum(omegas) + sup
     return HolderReport(lam, 1.0 / lam, tuple(omegas), sup, alpha_norm,

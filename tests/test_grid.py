@@ -103,7 +103,7 @@ def boundary_points(grid):
 
 
 @pytest.mark.parametrize("n_cells", [1, 2, 12, 400, 2000])
-def test_cell_index_many_matches_scalar(n_cells):
+def test_cell_index_charts_matches_scalar(n_cells):
     g = SphereGrid(n_cells)
     rng = np.random.default_rng(23)
     points = [SpherePoint.from_complex(complex(rng.normal(), rng.normal()))

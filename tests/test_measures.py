@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from corrdyn import measures as measures_mod
 from corrdyn import transfer as transfer_mod
 from corrdyn.correspondence import parse_correspondence
 from corrdyn.datasets import bundled_correspondence
@@ -335,6 +336,70 @@ class TestWalkMemo:
         empirical_invariant_measure(corr, 0.5 + 0.3j, n_burn=50, n_keep=1000,
                                     depth=4, seed=0, grid=grid)
         assert (fibers[0], lookups[0]) == solving_every_step == (1054, 1055)
+
+    @pytest.mark.parametrize("name,draws", [("z2", 0), ("z2_plus_z3", 1054),
+                                            ("mobius_pair", 1054)])
+    def test_single_slot_steps_draw_nothing(self, monkeypatch, name, draws):
+        # z2 is single-valued, so no step of its walk draws; the two-graph
+        # correspondences draw once a step.
+        made = []
+        real = np.random.default_rng
+
+        class Counted:
+            def __init__(self, seed):
+                self.rng, self.draws = real(seed), 0
+
+            def integers(self, *args, **kwargs):
+                self.draws += 1
+                return self.rng.integers(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: made.append(Counted(seed)) or made[-1])
+        empirical_invariant_measure(bundled_correspondence(name), 0.5 + 0.3j,
+                                    n_burn=50, n_keep=1000, depth=4, seed=0,
+                                    grid=SphereGrid(400))
+        assert [rng.draws for rng in made] == [draws]
+
+    def test_one_slot_draw_leaves_the_generator(self):
+        # What makes skipping it exact: integers(1) is 0 and draws nothing.
+        rng = np.random.default_rng(5)
+        for k in range(50):
+            rng.integers(k % 4 + 1)
+            state = rng.bit_generator.state
+            assert rng.integers(1) == 0
+            assert rng.bit_generator.state == state
+
+
+def dict_group(keys):
+    """Oracle of ``_group``: a dict fold over the rows, in input order."""
+    ids_of, ids, first = {}, [], []
+    for k, row in enumerate(keys.reshape(len(keys), math.prod(keys.shape[1:])).tolist()):
+        row = tuple(row)
+        if row not in ids_of:
+            ids_of[row] = len(first)
+            first.append(k)
+        ids.append(ids_of[row])
+    return ids, first
+
+
+class TestGroup:
+    @pytest.mark.parametrize("shape,high", [
+        ((0, 3, 2), 5), ((1, 3, 2), 5), ((1,), 5), ((40,), 6), ((40, 1), 3),
+        ((30, 0, 2), 5), ((200, 3), 2), ((5000, 4, 2), 3), ((20000, 6, 2), 2)])
+    def test_matches_dict_fold(self, shape, high):
+        rng = np.random.default_rng(sum(shape))
+        for low in (0, -high):
+            keys = rng.integers(low, high, size=shape)
+            ids, first = measures_mod._group(keys)
+            want_ids, want_first = dict_group(keys)
+            assert ids.tolist() == want_ids
+            assert first.tolist() == want_first
+
+    def test_wide_and_negative_keys(self):
+        rng = np.random.default_rng(71)
+        keys = rng.choice(np.array([-2 ** 62, -1, 0, 1, 2 ** 62]), size=(3000, 5))
+        ids, first = measures_mod._group(keys)
+        assert (ids.tolist(), first.tolist()) == dict_group(keys)
 
 
 class TestShiftInvariance:
@@ -726,6 +791,18 @@ def assert_same_entropies(mu, cylinders):
         assert entropy_rate_sequence(mu, q, mu.depth) == [ref_shannon(m) for m in masses]
 
 
+def random_path_measure(grid, rng, k, depth, n_cells, n_symbols):
+    """Distinct random words over a few cells spread on the grid, so that
+    prefixes and label words collide, with random weights."""
+    cells = rng.choice(grid.n_cells, size=n_cells, replace=False)
+    words = np.stack([cells[rng.integers(n_cells, size=(k, depth))],
+                      rng.integers(1, n_symbols + 1, size=(k, depth))], axis=2)
+    words = words[np.sort(np.unique(words.reshape(k, -1), axis=0,
+                                    return_index=True)[1])]
+    weights = rng.random(len(words))
+    return PathMeasure(grid, words, weights / weights.sum())
+
+
 @functools.lru_cache(maxsize=None)
 def spectral_setup(name, f_label):
     corr = bundled_correspondence(name)
@@ -787,6 +864,19 @@ class TestArrayFoldExactness:
         ref = ref_from_paths(grid, paths, w)
         assert_same_cylinders(mu, ref)
         assert_same_entropies(mu, ref)
+
+    @pytest.mark.parametrize("k,depth,n_cells,n_symbols", [
+        (1, 1, 1, 1), (50, 3, 4, 2), (2000, 5, 12, 2), (4000, 6, 40, 3)])
+    def test_entropy_rates_grown_by_depth(self, grid, k, depth, n_cells, n_symbols):
+        rng = np.random.default_rng(k + depth)
+        mu = random_path_measure(grid, rng, k, depth, n_cells, n_symbols)
+        for q in (SpherePartition.trivial(grid), SpherePartition.sectors(grid, 1, 8),
+                  SpherePartition.sectors(grid, 2, 16)):
+            want = [measures_mod._shannon(joined_lift_masses(mu, q, n))
+                    for n in range(1, depth + 1)]
+            assert entropy_rate_sequence(mu, q, depth) == want
+            assert entropy_rate_sequence(mu, q, depth + 3) == want
+            assert entropy_rate_sequence(mu, q, depth - 1) == want[:-1]
 
     @pytest.mark.parametrize("sizes", [range(1, 60), (100, 400, 401),
                                        (1000, 2000, 2001), (4096,), (8000,)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import corrdyn.pressure as pressure_mod
+from corrdyn.correspondence import parse_correspondence
 from corrdyn.errors import ScheduleEmpty
 from corrdyn.functions import fn_const, fn_re, fn_zero
 from corrdyn.paths import enumerate_forward_paths, separated_subset, spanning_subset
@@ -190,8 +191,9 @@ def record_pools(monkeypatch):
 class TestSchedulePools:
     """Schedule-wide pools against the per-row loop, to the last bit."""
 
-    def run_both(self, monkeypatch, corr, f, schedule, start_points, seed, cap):
-        sampler = circle_start_sampler()
+    def run_both(self, monkeypatch, corr, f, schedule, start_points, seed, cap,
+                 sampler=None):
+        sampler = sampler or circle_start_sampler()
         want_rows, want_pools = parent_rows(corr, f, schedule, start_points,
                                             seed, sampler, cap)
         got_pools = record_pools(monkeypatch)
@@ -224,3 +226,70 @@ class TestSchedulePools:
 
     def test_one_depth(self, corr_pair, monkeypatch):
         self.run_both(monkeypatch, corr_pair, fn_re, [(5, 0.05), (5, 0.2)], 3, 6, 4096)
+
+    def test_mobius_pair_thinned_then_started_again(self, corr_pair, monkeypatch):
+        # Depth 3 is whole, 5 grows from it and is thinned, so 6 and 8
+        # start again; their weights are full sums, 5's carried ones.
+        schedule = [(3, 0.05), (5, 0.05), (6, 0.1), (8, 0.05)]
+        report = self.run_both(monkeypatch, corr_pair, fn_re, schedule, 6, 2, 20)
+        assert [r.truncated for r in report.rows] == [False, True, True, True]
+
+    def test_some_trees_start_again(self, monkeypatch):
+        # mobius_pair with its first graph times (z - 1/2): the fiber of 1/2
+        # loses that branch, so the tree of the start 1/2 is half the size
+        # of the others.  With cap 20 it is whole at depth 5, where the
+        # others are thinned, so depth 6 grows it on and starts them again.
+        corr = parse_correspondence("1\n1 1 1 0\n2 0 -1 0\n1 0 -0.5 0\n0 1 -0.5 0\n"
+                                    "0 0 0.5 0\n\n1\n0 1 1 0\n1 0 -2 0\n")
+        circle = circle_start_sampler()
+
+        def sampler(rng, k):
+            return single_start(0.5) + circle(rng, k - 1)
+
+        grown = []
+        real = pressure_mod.enumerate_forward_paths
+
+        def recorded(corr, x0, n, cap, seed):
+            result = real(corr, x0, n, cap=cap, seed=seed)
+            grown.append((x0.length, len(result.paths)))
+            return result
+
+        monkeypatch.setattr(pressure_mod, "enumerate_forward_paths", recorded)
+        self.run_both(monkeypatch, corr, fn_re, [(4, 0.05), (5, 0.05), (6, 0.05)],
+                      4, 1, 20, sampler=sampler)
+        # At depth 6 the start 1/2 grows one level (16 -> 20 kept of 32
+        # paths) and the three other trees are enumerated from their
+        # starts (20 kept each).
+        assert grown[-2:] == [(5, 20), (0, 60)]
+
+
+def test_each_new_column_is_evaluated_once(corr_z2):
+    # Every point of 500 circle starts' z2 orbits is distinct, and each
+    # depth of 4, 8, 12 adds four columns: 500 * 12 calls, not
+    # 500 * (4 + 8 + 12).
+    calls = [0]
+
+    def counted(point):
+        calls[0] += 1
+        return fn_re(point)
+
+    pressure_estimate(corr_z2, counted, [(4, 0.05), (8, 0.05), (12, 0.05)],
+                      start_points=500, seed=801, start_sampler=circle_start_sampler())
+    assert calls[0] == 6000
+
+
+def test_logsumexp_is_a_left_fold():
+    # Terms of mixed size, where a compensated sum (math.fsum, or the
+    # float sum builtin of Python 3.12 on) rounds differently.
+    rng = np.random.default_rng(67)
+    differs = 0
+    for size in (1, 2, 3, 10, 100, 1000):
+        for _ in range(20):
+            values = (rng.normal(size=size) * rng.choice([1e-3, 1.0, 30.0])).tolist()
+            m = max(values)
+            total = 0.0
+            for v in values:
+                total = total + math.exp(v - m)
+            assert pressure_mod._logsumexp(values) == m + math.log(total)
+            differs += total != math.fsum(math.exp(v - m) for v in values)
+    assert differs > 0

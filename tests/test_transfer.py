@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from corrdyn import transfer as transfer_mod
 from corrdyn.errors import (NonPositiveEigenfunction, PreimageOutsideSupport)
 from corrdyn.functions import fn_re
 from corrdyn.grid import SphereGrid
@@ -122,6 +123,24 @@ class TestHolder:
         f = GridFunction.constant(active, 0.0)
         with pytest.raises(ValueError):
             holder_norm(f, lam=2.0, k_max=0)
+
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_row_blocks_match_all_pairs(self, grid, monkeypatch, block):
+        # Oracle: the moduli from the full N x N x 3 difference array.
+        monkeypatch.setattr(transfer_mod, "_HOLDER_BLOCK", block)
+        rng = np.random.default_rng(61)
+        for size in (1, 2, 79, 300):
+            active = ActiveGrid(grid, rng.choice(grid.n_cells, size=size, replace=False))
+            f = GridFunction(active, rng.normal(size=active.n_active))
+            lam = float(rng.uniform(1.5, 4.0))
+            vecs = active._center_vectors
+            dist = np.linalg.norm(vecs[:, None, :] - vecs[None, :, :], axis=2)
+            gap = np.abs(f.values[:, None] - f.values[None, :])
+            want = []
+            for k in range(1, 13):
+                mask = dist <= lam ** (-(k - 1))
+                want.append(float(gap[mask].max()) if mask.any() else 0.0)
+            assert holder_norm(f, lam=lam, k_max=12).omegas == tuple(want)
 
 
 class TestPowerIteration:

@@ -2,6 +2,7 @@
 
 Usage:
     python3 tools/output_digest.py [--root CHECKOUT] [--jobs N] > digest.json
+    python3 tools/output_digest.py [--root CHECKOUT] [--jobs N] --compare BASE.json
 
 Runs ``corrdyn`` from ``CHECKOUT/src`` (default: the checkout this file
 lives in), each call in a fresh interpreter and a fresh output directory:
@@ -38,7 +39,10 @@ It prints one JSON object keyed by call, holding the exit code and the
 sha256 of the ``results`` section of report.json and of every CSV the
 call wrote.  Timings (metadata.json) and the config echo (which holds
 absolute paths) are left out, so two checkouts that compute the same
-numbers print the same bytes, and comparing them is one ``diff``.
+numbers print the same bytes, and comparing them is one ``diff``.  With
+``--compare BASE.json`` it prints, instead of the digest, the id of every
+call whose entry differs from BASE.json's (or is in only one of them), one
+a line, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -218,7 +222,11 @@ def main(argv=None) -> int:
                         help="checkout whose src/ runs (default: this one)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="calls run side by side")
+    parser.add_argument("--compare", type=Path, default=None, metavar="BASE.json",
+                        help="print the calls whose digests differ from this "
+                             "digest file, and exit 1 if any do")
     args = parser.parse_args(argv)
+    base = None if args.compare is None else json.loads(args.compare.read_text())
     src = args.root.resolve() / "src"
     with tempfile.TemporaryDirectory(prefix="corrdyn-digest-") as tmp:
         work = Path(tmp)
@@ -226,8 +234,16 @@ def main(argv=None) -> int:
             (work / f"{name}.json").write_text(json.dumps(config, indent=2))
         with ThreadPoolExecutor(max(1, args.jobs)) as pool:
             digest = dict(pool.map(lambda call: _run(src, work, call), _calls()))
-    print(json.dumps(digest, sort_keys=True, indent=1))
-    return 0
+    if base is None:
+        print(json.dumps(digest, sort_keys=True, indent=1))
+        return 0
+    differ = sorted(key for key in digest.keys() | base.keys()
+                    if digest.get(key) != base.get(key))
+    for key in differ:
+        print(key)
+    print(f"{len(differ)} of {len(digest)} calls differ from {args.compare}",
+          file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
