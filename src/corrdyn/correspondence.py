@@ -172,13 +172,6 @@ class Correspondence:
                 root_lists.append(None)
         return self._assemble(root_lists)
 
-    def backward_images_many(self, points) -> list[Fiber]:
-        """``backward_images`` of every point, solved as one stacked call
-        per component (``_stacked``)."""
-        values, inverted = chart_values(points)
-        stacked = self._stacked(values, inverted, backward=True)
-        return [self._row_fiber(stacked, k) for k in range(len(values))]
-
     def fiber_arrays(self, values: np.ndarray, inverted: np.ndarray,
                      backward: bool) -> tuple[np.ndarray, ...]:
         """Forward, or backward, fibers of the points given by chart value
@@ -349,19 +342,24 @@ def expansivity_probe(corr: Correspondence, region, samples: int,
         idx = rng.choice(len(pairs), size=samples, replace=False)
         pairs = [pairs[int(i)] for i in idx]
 
+    xs = corr.fiber_arrays(*chart_values([x0 for x0, _, _ in pairs]), backward=True)
+    ys = corr.fiber_arrays(*chart_values([y0 for _, y0, _ in pairs]), backward=True)
+    # Fibers run by owner, then by component, so the candidates of an x
+    # branch, the y branches of its pair and component, are one run of ys.
+    width = corr.n_components + 1
+    key_x, key_y = xs[0] * width + xs[4], ys[0] * width + ys[4]
+    lo = np.searchsorted(key_y, key_x, side="left")
+    count = np.searchsorted(key_y, key_x, side="right") - lo
+    first = np.cumsum(count) - count
+    xi = np.repeat(np.arange(len(key_x)), count)
+    yj = np.arange(count.sum()) + np.repeat(lo - first, count)
     worst = 0.0
-    fibers_x = corr.backward_images_many([x0 for x0, _, _ in pairs])
-    fibers_y = corr.backward_images_many([y0 for _, y0, _ in pairs])
-    for (_, _, d), fx, fy in zip(pairs, fibers_x, fibers_y):
-        by_symbol: dict[int, list[SpherePoint]] = {}
-        for b in fy.branches:
-            by_symbol.setdefault(b.component, []).append(b.point)
-        for b in fx.branches:
-            candidates = by_symbol.get(b.component, [])
-            if not candidates:
-                continue
-            best = min(sph_dist(b.point, q) for q in candidates)
-            worst = max(worst, best / d)
+    if len(xi):
+        dist = sph_dist((xs[2][xi], xs[3][xi]), (ys[2][yj], ys[3][yj]))
+        has = count > 0
+        best = np.minimum.reduceat(dist, first[has])
+        gaps = np.array([d for _, _, d in pairs])
+        worst = float((best / gaps[xs[0][has]]).max())
     if worst == 0.0:
         # Backward branches collapsed to exact matches; treat as strongly
         # contracting rather than dividing by zero.

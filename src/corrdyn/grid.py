@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import IndexOutOfRange
 from .sphere import SpherePoint, as_sphere_point, chart_unit_vectors
 
 _TWO_PI = 2.0 * math.pi
@@ -118,6 +119,8 @@ class SphereGrid:
         return cells
 
     def cell_band_sector(self, idx: int) -> tuple[int, int]:
+        if not 0 <= idx < self.n_cells:
+            raise IndexOutOfRange(f"cell index {idx} outside [0, {self.n_cells})")
         band = int(np.searchsorted(self.band_start, idx, side="right")) - 1
         return band, idx - int(self.band_start[band])
 

@@ -19,7 +19,7 @@ from .errors import (DegenerateStart, DegreeConditionError, NotConverged)
 from .grid import SphereGrid
 from .measures import SphereMeasure, measure_distance
 from .paths import ForwardPath
-from .sphere import as_sphere_point
+from .sphere import as_sphere_point, chart_values
 
 #: Default certificate bound on the distance between the last two levels.
 CERT_BOUND = 0.05
@@ -148,18 +148,18 @@ def check_backward_invariance(corr: Correspondence, omega, grid: SphereGrid,
     omega = frozenset(omega)
     if not omega:
         raise ValueError("omega is empty")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
-    dilated = grid.dilate(omega)
+    inside = np.zeros(grid.n_cells, dtype=bool)
+    inside[list(grid.dilate(omega))] = True
     cells = sorted(omega)
     picks = rng.integers(0, len(cells), size=samples)
     starts = [grid.cell_center(cells[int(pick)]) for pick in picks]
-    violations = 0
-    total = 0
-    for fiber in corr.backward_images_many(starts):
-        for b in fiber.branches:
-            total += 1
-            if grid.cell_index(b.point) not in dilated:
-                violations += 1
+    _, _, values, inverted, _, _ = corr.fiber_arrays(*chart_values(starts),
+                                                     backward=True)
+    total = len(values)
+    violations = int(np.count_nonzero(~inside[grid.cell_index_charts(values, inverted)]))
     passed = total > 0 and violations <= INVARIANCE_BUDGET * total
     return BackwardInvarianceReport(violations, total, passed)
 

@@ -26,7 +26,7 @@ from .errors import (NonConvergence, NonPositiveEigenfunction,
 from .grid import SphereGrid
 from .measures import PathMeasure, SphereMeasure, _group
 from .paths import ForwardPath
-from .sphere import as_sphere_point
+from .sphere import SpherePoint, as_sphere_point, chart_values
 
 
 class ActiveGrid:
@@ -95,26 +95,24 @@ class TransferKernel:
         self.active = active
         grid = active.grid
         dilated = grid.dilate(active.cells)
-        src, tgt, mult, comp = [], [], [], []
-        for i, fiber in enumerate(corr.backward_images_many(active.centers)):
-            for b in fiber.branches:
-                cell = grid.cell_index(b.point)
-                if cell in active.position:
-                    j = active.position[cell]
-                elif cell in dilated:
-                    j = active.position_of_point(b.point)
-                else:
-                    raise PreimageOutsideSupport(
-                        f"preimage of cell {active.cells[i]} lands in cell "
-                        f"{cell}, beyond the dilation ring")
-                src.append(i)
-                tgt.append(j)
-                mult.append(b.multiplicity)
-                comp.append(b.component)
-        self.src = np.asarray(src)
+        src, mult, values, inverted, comp, _ = corr.fiber_arrays(
+            *chart_values(active.centers), backward=True)
+        tgt = []
+        for i, value, flag in zip(src.tolist(), values.tolist(), inverted.tolist()):
+            point = SpherePoint.from_chart(value, flag)
+            cell = grid.cell_index(point)
+            if cell in active.position:
+                tgt.append(active.position[cell])
+            elif cell in dilated:
+                tgt.append(active.position_of_point(point))
+            else:
+                raise PreimageOutsideSupport(
+                    f"preimage of cell {active.cells[i]} lands in cell "
+                    f"{cell}, beyond the dilation ring")
+        self.src = src
         self.tgt = np.asarray(tgt)
-        self.mult = np.asarray(mult, dtype=float)
-        self.comp = np.asarray(comp)
+        self.mult = mult.astype(float)
+        self.comp = comp
 
     def apply(self, f_values: np.ndarray, g_values: np.ndarray) -> np.ndarray:
         terms = self.mult * np.exp(f_values[self.tgt]) * g_values[self.tgt]
@@ -149,8 +147,8 @@ def holder_norm(f: GridFunction, lam: float, k_max: int,
     below the tail tolerance.  The pairs are taken in blocks of
     ``_HOLDER_BLOCK`` rows, so memory stays linear in the active set.
     """
-    if lam <= 1.0:
-        raise ValueError("lam must exceed 1")
+    if not lam > 1.0:
+        raise ValueError(f"lam must exceed 1, got {lam}")
     if k_max < 1:
         raise ValueError("need at least one scale")
     vecs, values = f.active._center_vectors, f.values

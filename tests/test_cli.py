@@ -141,6 +141,20 @@ class TestPipelines:
         assert "PreimageOutsideSupport" in err and "192 of 192" in err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_ds_measure_rejects_bad_samples(self, workspace, samples, capsys):
+        out = workspace / "ds_samples"
+        cfg = write_config(workspace, "ds_samples", {
+            "correspondence": "z2.corr",
+            "n_cells": 1000,
+            "ds_measure": {"start": [0.5, 0.3], "levels": 10, "cap": 4096,
+                           "samples": samples},
+            "out": str(out),
+        })
+        assert run(["ds-measure", "--config", cfg]) == 3
+        assert f"samples must be at least 1, got {samples}" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_ds_measure_rejects_mobius(self, workspace):
         cfg = write_config(workspace, "dsmob", {
             "correspondence": "mobius.corr",

@@ -8,7 +8,8 @@ from corrdyn.correspondence import (Correspondence, expansivity_probe,
                                     parse_correspondence)
 from corrdyn.datasets import BUNDLED, bundled_correspondence
 from corrdyn.errors import InsufficientPairs, InvalidComponent, ParseError
-from corrdyn.sphere import BivarPoly, SpherePoint, chart_values, sph_dist
+from corrdyn.sphere import (BivarPoly, SpherePoint, as_sphere_point, chart_values,
+                            sph_dist)
 
 
 def fiber_count(fiber):
@@ -184,6 +185,13 @@ def same_fibers(many, scalar, tol=1e-9):
             assert sph_dist(a.point, b.point) <= tol
 
 
+def vanishing_case(corr_z2):
+    """z2 plus the component (w - 1)(z - 2), whose backward fiber is z = 2
+    over every y but 1, where its fiber polynomial vanishes."""
+    table = np.array([[2.0, -2.0], [-1.0, 1.0]], dtype=complex)
+    return Correspondence(corr_z2.components + [BivarPoly(table)])
+
+
 def mixed_degree_case(transposed=False):
     """A correspondence of fiber degrees 2 and 3, the first component with
     multiplicity 2 and complex coefficients, the second with real ones,
@@ -213,45 +221,6 @@ def mixed_rows(corr, points, backward):
     return np.nonzero(first & ~second)[0].tolist()
 
 
-class TestBackwardImagesMany:
-    @pytest.mark.parametrize("name", ["corr_z2", "corr_z3", "corr_z2z3"])
-    def test_matches_scalar_fibers(self, name, request):
-        corr = request.getfixturevalue(name)
-        rng = np.random.default_rng(37)
-        points = [SpherePoint.from_complex(complex(rng.normal(), rng.normal()))
-                  for _ in range(150)]
-        points += [SpherePoint.from_reciprocal(complex(rng.normal(), rng.normal()) / 4)
-                   for _ in range(150)]
-        assert any(p.inverted for p in points) and not all(p.inverted for p in points)
-        points += [SpherePoint.from_complex(0.0), SpherePoint.infinity(),
-                   SpherePoint.from_complex(1.0)]
-        same_fibers(corr.backward_images_many(points),
-                    [corr.backward_images(p) for p in points])
-
-    def test_fallback_fibers(self, corr_z2):
-        # Double root at 0 and a degree drop at infinity go to scalar roots.
-        many = corr_z2.backward_images_many([0.0, SpherePoint.infinity(), 4.0])
-        same_fibers(many, [corr_z2.backward_images(p)
-                           for p in (0.0, SpherePoint.infinity(), 4.0)])
-        assert many[0].degenerate and many[0].branches[0].multiplicity == 2
-        assert all(b.point.is_infinity for b in many[1].branches)
-
-    def test_vanishing_fiber_polynomial(self, corr_z2):
-        # (w - 1)(z - 2): over y = 1 the fiber polynomial in z is zero.
-        from corrdyn.correspondence import Correspondence
-        table = np.array([[2.0, -2.0], [-1.0, 1.0]], dtype=complex)
-        corr = Correspondence(corr_z2.components + [BivarPoly(table)])
-        points = [1.0, 3.0, SpherePoint.infinity()]
-        many = corr.backward_images_many(points)
-        same_fibers(many, [corr.backward_images(p) for p in points])
-        assert many[0].degenerate
-        assert {b.component for b in many[0].branches} == {1}
-        assert {b.component for b in many[1].branches} == {1, 2}
-
-    def test_empty_batch(self, corr_z2z3):
-        assert corr_z2z3.backward_images_many([]) == []
-
-
 def fiber_arrays_of(corr, points, backward):
     return corr.fiber_arrays(*chart_values(points), backward=backward)
 
@@ -277,15 +246,60 @@ def assert_arrays_match(arrays, fibers, tol=0.0):
     assert np.array_equal(np.signbit(root_values.imag), np.signbit(want.imag))
 
 
-class TestBackwardFiberArrays:
-    """fiber_arrays, backward, against backward_images_many, to the bit."""
+class TestBackwardImagesMany:
+    """Batched backward images, fiber_arrays(backward=True), against the
+    scalar backward_images."""
 
     def check(self, corr, points):
+        arrays = fiber_arrays_of(corr, points, backward=True)
+        assert_arrays_match(arrays, [corr.backward_images(p) for p in points],
+                            tol=1e-9)
+        return arrays
+
+    @pytest.mark.parametrize("name", ["corr_z2", "corr_z3", "corr_z2z3"])
+    def test_matches_scalar_fibers(self, name, request):
+        corr = request.getfixturevalue(name)
+        rng = np.random.default_rng(37)
+        points = [SpherePoint.from_complex(complex(rng.normal(), rng.normal()))
+                  for _ in range(150)]
+        points += [SpherePoint.from_reciprocal(complex(rng.normal(), rng.normal()) / 4)
+                   for _ in range(150)]
+        assert any(p.inverted for p in points) and not all(p.inverted for p in points)
+        points += [SpherePoint.from_complex(0.0), SpherePoint.infinity(),
+                   SpherePoint.from_complex(1.0)]
+        self.check(corr, points)
+
+    def test_fallback_fibers(self, corr_z2):
+        # Double root at 0 and a degree drop at infinity go to scalar roots.
+        owner, mult, values, inverted, _, _ = self.check(
+            corr_z2, [0.0, SpherePoint.infinity(), 4.0])
+        assert corr_z2.backward_images(0.0).degenerate
+        assert mult[owner == 0].tolist() == [2]
+        assert (values[owner == 1] == 0).all() and inverted[owner == 1].all()
+
+    def test_vanishing_fiber_polynomial(self, corr_z2):
+        # (w - 1)(z - 2): over y = 1 the fiber polynomial in z is zero.
+        corr = vanishing_case(corr_z2)
+        owner, _, _, _, component, _ = self.check(
+            corr, [1.0, 3.0, SpherePoint.infinity()])
+        assert corr.backward_images(1.0).degenerate
+        assert set(component[owner == 0].tolist()) == {1}
+        assert set(component[owner == 1].tolist()) == {1, 2}
+
+    def test_empty_batch(self, corr_z2z3):
+        arrays = self.check(corr_z2z3, [])
+        assert len(arrays) == 6 and all(len(a) == 0 for a in arrays)
+
+
+class TestBackwardFiberArrays:
+    """fiber_arrays, backward, against the row_fibers oracle, to the bit."""
+
+    def check(self, corr, points, row_fibers):
         assert_arrays_match(fiber_arrays_of(corr, points, backward=True),
-                            corr.backward_images_many(points))
+                            row_fibers(corr, points))
 
     @pytest.mark.parametrize("name", BUNDLED)
-    def test_identical_to_fibers(self, name, monkeypatch):
+    def test_identical_to_fibers(self, name, monkeypatch, row_fibers):
         corr = bundled_correspondence(name)
         rng = np.random.default_rng(39)
         inside = (rng.uniform(0.0, 0.99, 200)
@@ -310,19 +324,18 @@ class TestBackwardFiberArrays:
         monkeypatch.undo()
         # Both array rows and rows spliced in from _assemble occur.
         assert 0 < len(assembled) < len(points)
-        self.check(corr, points)
+        self.check(corr, points, row_fibers)
 
-    def test_vanishing_fiber_polynomial(self, corr_z2):
+    def test_vanishing_fiber_polynomial(self, corr_z2, row_fibers):
         # (w - 1)(z - 2): over y = 1 the second component's fiber is empty.
-        table = np.array([[2.0, -2.0], [-1.0, 1.0]], dtype=complex)
-        corr = Correspondence(corr_z2.components + [BivarPoly(table)])
-        self.check(corr, [3.0, 1.0, 0.5j, SpherePoint.infinity()])
+        corr = vanishing_case(corr_z2)
+        self.check(corr, [3.0, 1.0, 0.5j, SpherePoint.infinity()], row_fibers)
 
-    def test_higher_degrees_and_mixed_rows(self):
+    def test_higher_degrees_and_mixed_rows(self, row_fibers):
         corr, points = mixed_degree_case(transposed=True)
         assert len(mixed_rows(corr, points, backward=True)) >= 2
-        self.check(corr, points)
-        same_fibers(corr.backward_images_many(points),
+        self.check(corr, points, row_fibers)
+        same_fibers(row_fibers(corr, points),
                     [corr.backward_images(p) for p in points])
 
     def test_empty_batch(self, corr_z2z3):
@@ -399,6 +412,36 @@ class TestFixedPoints:
             assert min(sph_dist(p, target) for p, _ in pts) < 1e-10
 
 
+def object_loop_probe(corr, region, samples, row_fibers, probe_scale=0.05, seed=None):
+    """Reference copy of expansivity_probe's pair sampling and its branch
+    loop over fiber objects, as it was before the probe read fiber arrays:
+    (lambda estimate, worst ratio, pairs used)."""
+    pairs = []
+    for x0, y0 in region:
+        x0, y0 = as_sphere_point(x0), as_sphere_point(y0)
+        d = sph_dist(x0, y0)
+        if 0.0 < d <= probe_scale:
+            pairs.append((x0, y0, d))
+    rng = np.random.default_rng(seed)
+    if len(pairs) > samples:
+        idx = rng.choice(len(pairs), size=samples, replace=False)
+        pairs = [pairs[int(i)] for i in idx]
+    worst = 0.0
+    fibers_x = row_fibers(corr, [x0 for x0, _, _ in pairs])
+    fibers_y = row_fibers(corr, [y0 for _, y0, _ in pairs])
+    for (_, _, d), fx, fy in zip(pairs, fibers_x, fibers_y):
+        by_symbol = {}
+        for b in fy.branches:
+            by_symbol.setdefault(b.component, []).append(b.point)
+        for b in fx.branches:
+            candidates = by_symbol.get(b.component, [])
+            if not candidates:
+                continue
+            best = min(sph_dist(b.point, q) for q in candidates)
+            worst = max(worst, best / d)
+    return (math.inf if worst == 0.0 else 1.0 / worst), worst, len(pairs)
+
+
 class TestExpansivity:
     def circle_pairs(self, rng, n, gap=1e-3):
         pairs = []
@@ -421,6 +464,44 @@ class TestExpansivity:
         res = expansivity_probe(corr_mobius, self.circle_pairs(rng, 50), samples=50, seed=2)
         assert not res.is_expansive
         assert abs(res.lambda_estimate - 1.0) < 0.05
+
+    def check_object_loop(self, corr, region, samples, row_fibers, **kwargs):
+        res = expansivity_probe(corr, region, samples=samples, **kwargs)
+        want = object_loop_probe(corr, region, samples, row_fibers, **kwargs)
+        assert (res.lambda_estimate, res.worst_ratio, res.pairs_used) == want
+        return res
+
+    @pytest.mark.parametrize("name", ["corr_z2", "corr_z2z3"])
+    @pytest.mark.parametrize("gap,probe_scale", [(1e-3, 0.05), (0.3, 0.5)])
+    def test_equals_object_loop(self, name, gap, probe_scale, request, row_fibers):
+        # 80 pairs sampled down to 50; the wide gap makes other branches,
+        # of either component, near rivals of the matching one.
+        corr = request.getfixturevalue(name)
+        region = self.circle_pairs(np.random.default_rng(43), 80, gap=gap)
+        res = self.check_object_loop(corr, region, 50, row_fibers,
+                                     probe_scale=probe_scale, seed=5)
+        assert res.pairs_used == 50 and math.isfinite(res.lambda_estimate)
+
+    def test_branches_without_candidates_skipped(self, corr_z2, row_fibers):
+        # Over y0 = 1 the second component has no branch, so the x0
+        # branch z = 2 of that component has no candidate and is skipped;
+        # matched against the first component's branches +-1 instead, it
+        # would set the worst ratio.
+        corr = vanishing_case(corr_z2)
+        region = [(SpherePoint.from_complex(1.0 + 0.01 * cmath.exp(0.4j * k)),
+                   SpherePoint.from_complex(1.0)) for k in range(8)]
+        region += self.circle_pairs(np.random.default_rng(44), 8)
+        res = self.check_object_loop(corr, region, 16, row_fibers)
+        assert res.pairs_used == 16 and res.worst_ratio < 1.0
+
+    def test_identical_preimages(self, row_fibers):
+        # z (w - 1): every backward fiber off y = 1 is z = 0, so every
+        # branch matches exactly.
+        corr = Correspondence([BivarPoly(np.array([[0.0, 0.0], [-1.0, 1.0]]))])
+        region = self.circle_pairs(np.random.default_rng(45), 6, gap=0.01)
+        res = self.check_object_loop(corr, region, 6, row_fibers)
+        assert res.is_expansive and res.worst_ratio == 0.0
+        assert res.lambda_estimate == math.inf
 
     def test_single_point_region(self, corr_z2):
         p = SpherePoint.from_complex(1.0)

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from corrdyn.errors import IndexOutOfRange
 from corrdyn.grid import SphereGrid
 from corrdyn.sphere import SpherePoint, chart_values, sph_dist
+from corrdyn.transfer import ActiveGrid
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +166,14 @@ def test_boundary_rule():
             assert g.cell_index_charts(*chart_values([q])).tolist() == [cell]
             on_band_edge += 1
     assert on_band_edge > 100
+
+
+@pytest.mark.parametrize("idx", [-1, 400])
+def test_cell_index_out_of_range(grid, idx):
+    # Unchecked, -1 fell in band -1 and an index past the end in a sector
+    # past the last band's end.
+    assert grid.n_cells == 400
+    for lookup in (grid.cell_center, grid.cell_center_angles, grid.neighbors,
+                   lambda cell: ActiveGrid(grid, [0, cell])):
+        with pytest.raises(IndexOutOfRange, match=f"cell index {idx} outside"):
+            lookup(idx)

@@ -185,8 +185,7 @@ class TestBatchedLevels:
                                                  enumerate_backward_paths])
     def test_depth_zero_solves_no_fiber(self, monkeypatch, enumerate_paths):
         corr_pair = bundled_correspondence("mobius_pair")
-        for method in ("forward_images", "backward_images", "fiber_arrays",
-                       "backward_images_many"):
+        for method in ("forward_images", "backward_images", "fiber_arrays"):
             monkeypatch.setattr(corr_pair, method, None)
         paths, truncated = enumerate_paths(corr_pair, 0.25, 0)
         assert list(paths) == [ForwardPath((sp(0.25),), (), ())]

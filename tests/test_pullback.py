@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from corrdyn.errors import DegreeConditionError, NotConverged
+from corrdyn.errors import DegreeConditionError, IndexOutOfRange, NotConverged
 from corrdyn.grid import SphereGrid
 from corrdyn.measures import SphereMeasure, measure_distance
 from corrdyn.paths import shift
@@ -144,15 +144,15 @@ class TestBatchedLevels:
         ("corr_z3", 4, 0.5 + 0.3j, 100),
     ])
     def test_real_start_and_unthinned_levels(self, grid, name, n, start, cap,
-                                             request):
-        # The reference solves each level with backward_images_many: the
+                                             request, row_fibers):
+        # The reference solves each level with the row_fibers oracle: the
         # scalar solver's real roots can differ from the stacked solver's
         # in the sign of a tiny imaginary part, and a real point sits on a
         # sector boundary, so the two solvers can bin it differently.
         corr = request.getfixturevalue(name)
         levels = pullback_iterate(corr, start, n=n, cap=cap, seed=48, grid=grid)
         reference = scalar_levels(corr, start, n, cap, 48, grid,
-                                  fibers=corr.backward_images_many)
+                                  fibers=lambda points: row_fibers(corr, points))
         assert (corr.d_top ** n > cap) == (start.imag == 0)
         assert len(levels) == len(reference)
         for level, ref in zip(levels, reference):
@@ -181,7 +181,49 @@ class TestSupport:
             ds_support([a, b], threshold=0.5)
 
 
+def object_loop_invariance(corr, omega, grid, samples, seed, row_fibers):
+    """Reference copy of check_backward_invariance's loop over fiber
+    objects, as it was before the check read fiber arrays: (violations,
+    total), one scalar cell lookup per branch point."""
+    rng = np.random.default_rng(seed)
+    dilated = grid.dilate(omega)
+    cells = sorted(omega)
+    picks = rng.integers(0, len(cells), size=samples)
+    starts = [grid.cell_center(cells[int(pick)]) for pick in picks]
+    violations = total = 0
+    for fiber in row_fibers(corr, starts):
+        for b in fiber.branches:
+            total += 1
+            if grid.cell_index(b.point) not in dilated:
+                violations += 1
+    return violations, total
+
+
 class TestBackwardInvariance:
+    @pytest.mark.parametrize("name,where,samples,seed", [
+        ("corr_z2", "support", 64, 47), ("corr_z2z3", "support", 40, 50),
+        # A lone cell off the circle: its preimages fall outside.
+        ("corr_z2", "far", 16, 48)])
+    def test_counts_equal_object_loop(self, grid, z2_levels, name, where, samples,
+                                      seed, request, row_fibers):
+        corr = request.getfixturevalue(name)
+        omega = (ds_support(z2_levels, threshold=0.5).cells if where == "support"
+                 else {grid.cell_index(SpherePoint.from_complex(4.0))})
+        report = check_backward_invariance(corr, omega, grid, samples=samples,
+                                           seed=seed)
+        want = object_loop_invariance(corr, omega, grid, samples, seed, row_fibers)
+        assert (report.violations, report.total) == want
+        assert (report.violations > 0) == (where == "far")
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_must_be_positive(self, grid, corr_z2, samples):
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+            check_backward_invariance(corr_z2, {0}, grid, samples=samples)
+
+    def test_cells_outside_the_grid(self, grid, corr_z2):
+        with pytest.raises(IndexOutOfRange):
+            check_backward_invariance(corr_z2, [grid.n_cells], grid, samples=8)
+
     def test_circle_band_passes(self, grid, corr_z2, z2_levels):
         result = ds_support(z2_levels, threshold=0.5)
         report = check_backward_invariance(corr_z2, result.cells, grid,

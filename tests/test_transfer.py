@@ -100,6 +100,61 @@ class TestApply:
             TransferKernel(corr_z2, ActiveGrid(grid, [cell]))
 
 
+def object_loop_kernel(corr, active, row_fibers):
+    """Reference copy of the kernel's edge loop over one fiber object per
+    active center, as it was before the kernel read fiber arrays: the
+    edge arrays and the number of preimages clamped from the ring."""
+    grid = active.grid
+    dilated = grid.dilate(active.cells)
+    src, tgt, mult, comp = [], [], [], []
+    clamped = 0
+    for i, fiber in enumerate(row_fibers(corr, active.centers)):
+        for b in fiber.branches:
+            cell = grid.cell_index(b.point)
+            if cell in active.position:
+                j = active.position[cell]
+            elif cell in dilated:
+                j = active.position_of_point(b.point)
+                clamped += 1
+            else:
+                raise PreimageOutsideSupport(
+                    f"preimage of cell {active.cells[i]} lands in cell "
+                    f"{cell}, beyond the dilation ring")
+            src.append(i)
+            tgt.append(j)
+            mult.append(b.multiplicity)
+            comp.append(b.component)
+    edges = (np.asarray(src), np.asarray(tgt), np.asarray(mult, dtype=float),
+             np.asarray(comp))
+    return edges, clamped
+
+
+class TestKernelEdges:
+    @pytest.mark.parametrize("name", ["corr_z2", "corr_z2z3"])
+    def test_edges_equal_object_loop(self, grid, name, request, row_fibers):
+        # The spectral benchmark's pullback: its support core leaves some
+        # preimages in the dilation ring, so they are clamped.
+        corr = request.getfixturevalue(name)
+        active = pipeline_active(grid, corr, n=6, cap=1024)
+        kernel = TransferKernel(corr, active)
+        edges, clamped = object_loop_kernel(corr, active, row_fibers)
+        assert clamped > 0
+        for got, want in zip((kernel.src, kernel.tgt, kernel.mult, kernel.comp),
+                             edges):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["corr_z2", "corr_z2z3"])
+    def test_outside_support_message(self, grid, name, request, row_fibers):
+        corr = request.getfixturevalue(name)
+        active = ActiveGrid(grid, [grid.cell_index(SpherePoint.from_complex(9.0))])
+        with pytest.raises(PreimageOutsideSupport) as want:
+            object_loop_kernel(corr, active, row_fibers)
+        with pytest.raises(PreimageOutsideSupport) as got:
+            TransferKernel(corr, active)
+        assert str(got.value) == str(want.value)
+
+
 class TestHolder:
     def test_constant_function(self, active):
         f = GridFunction.constant(active, 1.7)
@@ -123,6 +178,18 @@ class TestHolder:
         f = GridFunction.constant(active, 0.0)
         with pytest.raises(ValueError):
             holder_norm(f, lam=2.0, k_max=0)
+
+    def test_nan_lam_rejected(self):
+        # A NaN lam fails every comparison, so "lam <= 1" let it through.
+        ramp = GridFunction(ActiveGrid(SphereGrid(400), range(50)), np.arange(50.0))
+        with pytest.raises(ValueError, match="lam must exceed 1, got nan"):
+            holder_norm(ramp, lam=math.nan, k_max=3)
+        for lam in (1.0, 0.5, -math.inf):
+            with pytest.raises(ValueError):
+                holder_norm(ramp, lam=lam, k_max=3)
+        # An infinite lam stays accepted: every scale past the first is 0.
+        report = holder_norm(ramp, lam=math.inf, k_max=3)
+        assert report.omegas[1:] == (0.0, 0.0) and report.alpha == 0.0
 
     @pytest.mark.parametrize("block", [1, 7, 256])
     def test_row_blocks_match_all_pairs(self, grid, monkeypatch, block):
