@@ -208,14 +208,16 @@ def _cmd_ds_measure(config: RunConfig, corr: Correspondence) -> dict:
     section = config.section("ds_measure")
     grid = config.grid()
     start = _point_from_config(section.get("start", [0.5, 0.3]))
+    samples = int(section.get("samples", 64))
+    if samples < 1:  # before the pullback, which would run in vain
+        raise ValueError(f"samples must be at least 1, got {samples}")
     levels = pullback_iterate(
         corr, start, n=int(section.get("levels", 12)),
         cap=int(section.get("cap", 8192)), seed=config["seed"], grid=grid)
     support = ds_support(levels, threshold=float(section.get("threshold", 0.5)),
                          cert_bound=float(section.get("cert_bound", 0.05)))
     invariance = check_backward_invariance(corr, support.cells, grid,
-                                           samples=int(section.get("samples", 64)),
-                                           seed=config["seed"])
+                                           samples=samples, seed=config["seed"])
     if not invariance.passed:
         raise PreimageOutsideSupport(
             f"support is not backward invariant: {invariance.violations} of "

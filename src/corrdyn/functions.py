@@ -1,4 +1,11 @@
-"""Evaluable real functions on the sphere and test-function families."""
+"""Evaluable real functions on the sphere and test-function families.
+
+The built-ins ``fn_zero``, ``fn_const(c)``, ``fn_re`` and ``fn_im`` also
+carry an array form, ``f.on_charts(values, inverted)``: f at every point
+given by chart value and flag, each value equal to f of that point bit for
+bit, up to the sign of a zero.  ``fn_log_abs`` has none, since numpy's
+``log`` rounds differently from ``math.log``.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import FamilyEmpty
-from .sphere import SpherePoint, as_sphere_point
+from .sphere import SpherePoint, as_sphere_point, chart_unit_vectors
 
 SphereFunction = Callable[[SpherePoint], float]
 
@@ -19,12 +28,16 @@ def fn_zero(_: SpherePoint) -> float:
     return 0.0
 
 
+fn_zero.on_charts = lambda values, inverted: np.zeros(len(values))
+
+
 def fn_const(c: float) -> SphereFunction:
     value = float(c)
 
     def f(_: SpherePoint) -> float:
         return value
 
+    f.on_charts = lambda values, inverted: np.full(len(values), value)
     return f
 
 
@@ -39,6 +52,10 @@ def fn_re(p) -> float:
 def fn_im(p) -> float:
     """Second embedding coordinate; equals Im(z) on the unit circle."""
     return float(as_sphere_point(p).unit_vector()[1])
+
+
+fn_re.on_charts = lambda values, inverted: chart_unit_vectors(values, inverted)[:, 0]
+fn_im.on_charts = lambda values, inverted: chart_unit_vectors(values, inverted)[:, 1]
 
 
 def fn_log_abs(p) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -83,7 +83,9 @@ class PathBatch:
     start each path grew from and ``thinned`` (one entry per tree) whether
     the tree's paths are a thinned subsample.  A batch that an enumerator
     grew by at least one level also has ``origin``: the row of each path's
-    ancestor in the batch it was grown from.
+    ancestor in the batch it was grown from.  The close pairs of the batch
+    are kept per eps once computed (``_close_pairs``), so that both greedy
+    families of one batch share them.
     """
 
     values: np.ndarray
@@ -93,6 +95,7 @@ class PathBatch:
     tree: np.ndarray
     thinned: np.ndarray
     origin: np.ndarray | None = None
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_starts(cls, starts) -> "PathBatch":
@@ -365,8 +368,10 @@ def _close_pairs(batch: PathBatch, eps: float):
     and a neighbour's key is the key plus a fixed offset; keys that
     collide only add candidates, which the exact word test drops.  The
     candidates are then kept coordinate by coordinate, from point 0, while
-    ``sph_dist`` <= eps.
+    ``sph_dist`` <= eps.  The result is kept on the batch, by eps.
     """
+    if eps in batch._pairs:
+        return batch._pairs[eps]
     with np.errstate(over="ignore"):
         key = np.zeros(len(batch), dtype=np.uint64)
         for column in batch.symbols.T:
@@ -396,24 +401,29 @@ def _close_pairs(batch: PathBatch, eps: float):
                      (batch.values[j, r], batch.inverted[j, r]))
         close = d <= eps
         i, j, worst = i[close], j[close], np.maximum(worst[close], d[close])
+    batch._pairs[eps] = i, j, worst
     return i, j, worst
 
 
 def _greedy(order: np.ndarray, i: np.ndarray, j: np.ndarray) -> list[int]:
     """Rows of order admitted one by one, each unless it is paired, as
-    (i, j) or (j, i), with a row admitted before it."""
+    (i, j) or (j, i), with a row admitted before it.
+
+    Only a row that ends a pair can be blocked or block another, so only
+    those rows are walked, in the order given; the rest are admitted."""
     ends = np.concatenate([i, j])
     by_end = np.argsort(ends, kind="stable")
     bounds = np.searchsorted(ends[by_end], np.arange(len(order) + 1)).tolist()
     partners = np.concatenate([j, i])[by_end].tolist()
+    paired = np.zeros(len(order), dtype=bool)
+    paired[ends] = True
     blocked = bytearray(len(order))
-    admitted = []
-    for k in order.tolist():
+    for k in order[paired[order]].tolist():
         if not blocked[k]:
-            admitted.append(k)
             for m in partners[bounds[k]:bounds[k + 1]]:
                 blocked[m] = 1
-    return admitted
+    blocked = np.frombuffer(blocked, dtype=bool)
+    return order[~blocked[order]].tolist()
 
 
 def separated_subset(paths, eps: float, weight=None) -> list[int]:

@@ -30,15 +30,17 @@ from .sphere import SpherePoint, as_sphere_point
 SANDWICH_SLACK = 0.02
 
 
-def _logsumexp(values: Sequence[float]) -> float:
+def _logsumexp(values) -> float:
     """log of the sum of exp(values), its terms added one by one from the
     left: the float ``sum`` builtin is compensated from Python 3.12 on, so
-    it would round differently between versions."""
-    m = max(values)
-    total = 0.0
-    for v in values:
-        total += math.exp(v - m)
-    return m + math.log(total)
+    it would round differently between versions.  Each distinct term is
+    one ``math.exp`` (numpy's ``exp`` rounds differently), and the fold is
+    ``np.cumsum``, which adds in order."""
+    values = np.asarray(values, dtype=float)
+    m = values.max()
+    distinct, which = np.unique(values - m, return_inverse=True)
+    terms = np.array([math.exp(v) for v in distinct.tolist()])[which]
+    return float(m) + math.log(np.cumsum(terms)[-1])
 
 
 def grid_start_sampler(grid: SphereGrid) -> Callable:
@@ -96,10 +98,15 @@ class PressureReport:
 def _birkhoff(f: SphereFunction, values: np.ndarray, inverted: np.ndarray,
               weight: np.ndarray) -> np.ndarray:
     """weight plus the sums of f over the columns of values and inverted,
-    added left to right, as the scalar loop adds them.  f is evaluated
-    once per distinct point (by bits) of each column."""
+    added left to right, as the scalar loop adds them.  f is evaluated on
+    each whole column by its array form (``f.on_charts``) where it has
+    one, else once per distinct point (by bits) of each column."""
+    on_charts = getattr(f, "on_charts", None)
     for r in range(values.shape[1]):
         column, flags = values[:, r], inverted[:, r]
+        if on_charts is not None:
+            weight = weight + on_charts(column, flags)
+            continue
         order = np.lexsort((column.imag.view(np.uint64), column.real.view(np.uint64),
                             flags))
         column, flags = column[order], flags[order]
@@ -223,8 +230,8 @@ def pressure_estimate(corr: Correspondence, f: SphereFunction,
             if row_n == n:
                 sep = separated_subset(pool, eps, weight=logw)
                 span = spanning_subset(pool, eps, weight=logw)
-                rows[k] = PressureRow(n, eps, _logsumexp(logw[sep].tolist()) / n,
-                                      _logsumexp(logw[span].tolist()) / n, len(pool),
+                rows[k] = PressureRow(n, eps, _logsumexp(logw[sep]) / n,
+                                      _logsumexp(logw[span]) / n, len(pool),
                                       len(sep), len(span), bool(pool.thinned.any()))
     for k, (n, _) in enumerate(schedule):
         if k not in rows:

@@ -155,6 +155,20 @@ class TestPipelines:
         assert f"samples must be at least 1, got {samples}" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_ds_measure_checks_samples_before_pullback(self, workspace, samples,
+                                                       capsys, monkeypatch):
+        def pullback_iterate(*args, **kwargs):
+            raise AssertionError("pullback ran before the samples check")
+
+        monkeypatch.setattr("corrdyn.cli.pullback_iterate", pullback_iterate)
+        cfg = write_config(workspace, "ds_early", {
+            "correspondence": "z2.corr",
+            "ds_measure": {"levels": 10, "samples": samples},
+        })
+        assert run(["ds-measure", "--config", cfg]) == 3
+        assert f"samples must be at least 1, got {samples}" in capsys.readouterr().err
+
     def test_ds_measure_rejects_mobius(self, workspace):
         cfg = write_config(workspace, "dsmob", {
             "correspondence": "mobius.corr",

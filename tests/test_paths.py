@@ -661,3 +661,106 @@ class TestFamilyIndexExactness:
                 fam([p], eps)
             with pytest.raises(ValueError, match="eps"):
                 fam([], eps)
+
+
+# ---------------------------------------------------------------------------
+# The levers of the families: the greedy walk and the pairs kept per eps
+# ---------------------------------------------------------------------------
+
+
+def loop_greedy(order, i, j):
+    """The greedy walk over every row of order, each admitted unless a row
+    admitted before it is paired with it."""
+    ends = np.concatenate([i, j])
+    by_end = np.argsort(ends, kind="stable")
+    bounds = np.searchsorted(ends[by_end], np.arange(len(order) + 1)).tolist()
+    partners = np.concatenate([j, i])[by_end].tolist()
+    blocked = bytearray(len(order))
+    admitted = []
+    for k in order.tolist():
+        if not blocked[k]:
+            admitted.append(k)
+            for m in partners[bounds[k]:bounds[k + 1]]:
+                blocked[m] = 1
+    return admitted
+
+
+def pair_sets(rng, n):
+    """(name, i, j) of pair sets on n rows."""
+    rows = np.arange(n)
+    none = np.zeros(0, dtype=np.int64)
+    i = rng.integers(0, n, size=3 * n)
+    j = rng.integers(0, n, size=3 * n)
+    i, j = i[i < j], j[i < j]
+    perm = rng.permutation(n)
+    yield "no pairs", none, none
+    yield "every row paired", rows[0::2][:n // 2], rows[1::2][:n // 2]
+    yield "all pairs", *np.triu_indices(n, 1)
+    yield "random", i, j
+    yield "duplicated both ways", np.concatenate([i, j, i]), np.concatenate([j, i, j])
+    yield "chain", perm[:-1], perm[1:]
+    yield "star", np.full(n - 1, perm[0]), perm[1:]
+    yield "few", i[:3], j[:3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 500])
+def test_greedy_equals_loop_over_every_row(n):
+    rng = np.random.default_rng(n)
+    for name, i, j in pair_sets(rng, n):
+        for order in (np.arange(n), np.arange(n)[::-1].copy(), rng.permutation(n)):
+            want = loop_greedy(order, i, j)
+            got = paths_mod._greedy(order, i, j)
+            assert got == want, name
+            assert type(got) is list and all(type(k) is int for k in got)
+
+
+def count_pair_distances(monkeypatch):
+    counted = [0]
+    real = paths_mod.sph_dist
+
+    def counting(p, q):
+        counted[0] += 1
+        return real(p, q)
+
+    monkeypatch.setattr(paths_mod, "sph_dist", counting)
+    return counted
+
+
+class TestPairsKeptPerEps:
+    @pytest.fixture()
+    def pool(self, corr_pair):
+        return forward_pool(corr_pair, circle_starts(12, 16), 5, cap=64)
+
+    @pytest.mark.parametrize("first, second", [(separated_subset, spanning_subset),
+                                               (spanning_subset, separated_subset)])
+    def test_second_family_reuses_the_pairs(self, pool, first, second, monkeypatch):
+        weights = np.array([re_weight(p) for p in pool])
+        want = {fam: fam(PathBatch.from_paths(pool), 0.3, weight=weights)
+                for fam in (first, second)}
+        counted = count_pair_distances(monkeypatch)
+        batch = PathBatch.from_paths(pool)
+        assert first(batch, 0.3, weight=weights) == want[first]
+        assert counted[0] > 0
+        searched = counted[0]
+        assert second(batch, 0.3, weight=weights) == want[second]
+        assert counted[0] == searched
+        assert list(batch._pairs) == [0.3]
+
+    def test_eps_values_never_share_pairs(self, pool):
+        batch = PathBatch.from_paths(pool)
+        weights = np.array([re_weight(p) for p in pool])
+        for eps in (0.2, 0.6, 0.2, 0.6):
+            for fam in (separated_subset, spanning_subset):
+                fresh = PathBatch.from_paths(pool)
+                assert fam(batch, eps, weight=weights) == fam(fresh, eps, weight=weights)
+        assert sorted(batch._pairs) == [0.2, 0.6]
+        small, large = batch._pairs[0.2], batch._pairs[0.6]
+        assert 0 < len(small[0]) < len(large[0])
+        for a, b in zip(small, paths_mod._close_pairs(PathBatch.from_paths(pool), 0.2)):
+            assert np.array_equal(a, b)
+
+    def test_batches_do_not_share_pairs(self, pool):
+        one, other = PathBatch.from_paths(pool), PathBatch.from_paths(pool[::2])
+        separated_subset(one, 0.3)
+        assert other._pairs == {} and one._pairs is not other._pairs
+        assert one.of_trees(np.ones(1, dtype=bool))._pairs == {}

@@ -293,3 +293,88 @@ def test_logsumexp_is_a_left_fold():
             assert pressure_mod._logsumexp(values) == m + math.log(total)
             differs += total != math.fsum(math.exp(v - m) for v in values)
     assert differs > 0
+
+
+def test_logsumexp_ties_are_a_left_fold(monkeypatch):
+    # Tied and all-equal terms share one exp each; the fold stays in order.
+    exps = []
+
+    def counted(x):
+        exps.append(x)
+        return real_exp(x)
+
+    real_exp = math.exp
+    rng = np.random.default_rng(71)
+    cases = [[0.0], [0.0] * 7, [-2.5] * 1000, [1.0, -1.0, 1.0, -1.0, 0.3, 1.0],
+             [1e-300, 0.0, -0.0, 1e-300]]
+    for _ in range(30):
+        pool = rng.normal(size=5) * rng.choice([1e-3, 1.0, 30.0])
+        cases.append(rng.choice(pool, size=int(rng.integers(1, 400))).tolist())
+    for values in cases:
+        m = max(values)
+        total = 0.0
+        for v in values:
+            total = total + math.exp(v - m)
+        want = m + math.log(total)
+        for given in (values, np.array(values)):
+            exps.clear()
+            with monkeypatch.context() as patch:
+                # numpy's exp rounds differently, so every term is math.exp's.
+                patch.setattr(pressure_mod.math, "exp", counted)
+                got = pressure_mod._logsumexp(given)
+            assert len(exps) == len(set(exps)) == len({v - m for v in values})
+            assert type(got) is float
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def rows_and_weights(monkeypatch, corr, f, schedule, start_points, seed, cap):
+    """The rows of ``pressure_estimate`` and the weights of each (n, eps)
+    pool."""
+    weights = {}
+
+    def recorded(paths, eps, weight=None):
+        weights[paths.length, eps] = weight.copy()
+        return separated_subset(paths, eps, weight=weight)
+
+    monkeypatch.setattr(pressure_mod, "separated_subset", recorded)
+    report = pressure_estimate(corr, f, schedule, start_points=start_points, seed=seed,
+                               start_sampler=circle_start_sampler(), cap=cap)
+    return report.rows, weights
+
+
+def scalar_only(f):
+    """f without its array form."""
+    return lambda p: f(p)
+
+
+def chart_only(f):
+    """f's array form, with a scalar form that must not be called."""
+    def g(p):
+        raise AssertionError("scalar form called")
+
+    g.on_charts = f.on_charts
+    return g
+
+
+POOL_CASES = {
+    "z2": ("corr_z2", [(4, 0.05), (8, 0.05), (12, 0.05)], 60, 3, 4096),
+    "z2_plus_z3": ("corr_z2z3", [(3, 0.05), (1, 0.05), (4, 0.1), (3, 0.1)], 5, 4, 4096),
+    # Depth 3 is whole, 5 grows from it and is thinned, 6 and 8 start again.
+    "mobius_pair thinned": ("corr_pair", [(3, 0.05), (5, 0.05), (6, 0.1), (8, 0.05)],
+                            6, 2, 20),
+}
+
+
+@pytest.mark.parametrize("f", [fn_re, fn_const(0.25)], ids=["re", "const:0.25"])
+@pytest.mark.parametrize("case", POOL_CASES)
+def test_chart_forms_give_the_scalar_rows(case, f, request, monkeypatch):
+    fixture, schedule, start_points, seed, cap = POOL_CASES[case]
+    corr = request.getfixturevalue(fixture)
+    rest = (schedule, start_points, seed, cap)
+    want_rows, want_weights = rows_and_weights(monkeypatch, corr, scalar_only(f), *rest)
+    for g in (f, chart_only(f)):
+        rows, weights = rows_and_weights(monkeypatch, corr, g, *rest)
+        assert rows == want_rows
+        assert weights.keys() == want_weights.keys()
+        for key, w in weights.items():
+            assert np.array_equal(w.view(np.uint64), want_weights[key].view(np.uint64))

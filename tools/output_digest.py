@@ -14,11 +14,14 @@ lives in), each call in a fresh interpreter and a fresh output directory:
   all five bundled correspondences at seeds 0 and 3.  The f = re
   ``ruelle`` calls give the only ``mu0`` cylinder measures with
   non-uniform branch weights, and the only ones deeper than depth 2;
-- ``entropy`` and ``pressure`` with f = re on mobius_pair and z2_plus_z3
-  at seeds 0 and 3, on unsorted schedules of three depths whose pools
-  are thinned at some depths and whole at others (``POOL_CONFIGS``), so
-  both the grown and the re-enumerated pools of ``pressure_estimate``
-  are digested;
+- ``entropy`` and ``pressure`` with f = re on mobius_pair, z2_plus_z3 and
+  z2 at seeds 0 and 3, on unsorted schedules of three depths whose pools
+  are thinned at some depths and whole at others (``POOL_CONFIGS``; z2's
+  single-valued tree is never thinned), so both the grown and the
+  re-enumerated pools of ``pressure_estimate`` are digested, and
+  ``pressure`` with f = im and f = const:0.25 on the z2 and mobius_pair
+  pools (``POOL_FUNCTIONS``), so the array form of every built-in
+  function but log_abs (which has none) is digested;
 - ``ds-measure`` and ``ruelle`` (f = re, depth 3) from the real start
   0.5 on z2 and z2_plus_z3 at seeds 0 and 3 (``REAL_START_CORRESPONDENCES``).
   Its preimage trees reach the negative real axis, where roots have
@@ -93,7 +96,15 @@ POOL_CONFIGS = {
                     "start_points": 7, "starts": "circle", "cap": 20},
     "z2_plus_z3": {"schedule": [[5, 0.05], [3, 0.05], [7, 0.05], [3, 0.1]],
                    "start_points": 16, "starts": "circle", "cap": 24},
+    "z2": {"schedule": [[6, 0.05], [3, 0.05], [9, 0.05], [3, 0.1]],
+           "start_points": 64, "starts": "circle", "cap": 24},
 }
+
+#: ``pressure`` functions besides re run on some pools, by call-id suffix.
+POOL_FUNCTIONS = {"im": "im", "const": "const:0.25"}
+
+#: Pools on which the ``POOL_FUNCTIONS`` run.
+POOL_FUNCTION_CORRESPONDENCES = ("z2", "mobius_pair")
 
 
 #: Correspondences run from the real start 0.5 (``REAL_START``).
@@ -147,6 +158,10 @@ def _configs(data: Path) -> dict[str, dict]:
         out[f"pools-{name}"] = {"correspondence": str(data / f"{name}.corr"),
                                 "n_cells": 2000, "entropy": section,
                                 "pressure": {**section, "f": "re"}}
+    for name in POOL_FUNCTION_CORRESPONDENCES:
+        for suffix, f in POOL_FUNCTIONS.items():
+            out[f"pools-{name}-{suffix}"] = {
+                **out[f"pools-{name}"], "pressure": {**POOL_CONFIGS[name], "f": f}}
     return out
 
 
@@ -188,6 +203,11 @@ def _calls() -> list[tuple[str, str, str, int]]:
             for command in ("entropy", "pressure"):
                 calls.append((f"pools/{name}/seed{seed}/{command}",
                               f"pools-{name}", command, seed))
+    for name in POOL_FUNCTION_CORRESPONDENCES:
+        for seed in README_SEEDS:
+            for suffix in POOL_FUNCTIONS:
+                calls.append((f"pools/{name}/seed{seed}/pressure-{suffix}",
+                              f"pools-{name}-{suffix}", "pressure", seed))
     return calls
 
 
