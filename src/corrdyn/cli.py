@@ -34,8 +34,7 @@ from .measures import (PathMeasure, SpherePartition, VariationalEntry,
                        check_shift_invariance, empirical_invariant_measure,
                        pushforward, variational_check)
 from .paths import ForwardPath, enumerate_backward_paths, enumerate_forward_paths
-from .pressure import (circle_start_sampler, entropy_estimate,
-                       grid_start_sampler, pressure_estimate)
+from .pressure import circle_start_sampler, grid_start_sampler, pressure_estimate
 from .pullback import check_backward_invariance, ds_support, pullback_iterate
 from .sphere import SpherePoint, sph_dist
 from .transfer import (ActiveGrid, GridFunction, TransferKernel,
@@ -252,21 +251,16 @@ def _starts_config(section: dict, config: RunConfig):
 def _pressure_like(config: RunConfig, corr: Correspondence, name: str,
                    section: dict | None = None) -> dict:
     """``entropy`` or ``pressure`` from the config section of that name, or
-    from ``section`` where given."""
+    from ``section`` where given.  Entropy is the pressure of ``zero``."""
     if section is None:
         section = config.section(name)
     schedule = [tuple(row) for row in section.get("schedule", [[4, 0.05], [8, 0.05]])]
-    sampler = _starts_config(section, config)
-    common = dict(schedule=schedule,
-                  start_points=int(section.get("start_points", 64)),
-                  seed=config["seed"], start_sampler=sampler,
-                  cap=int(section.get("cap", 4096)))
-    if name == "pressure":
-        f_label = section.get("f", "zero")
-        report = pressure_estimate(corr, named_function(f_label),
-                                   f_label=f_label, **common)
-    else:
-        report = entropy_estimate(corr, **common)
+    f_label = section.get("f", "zero") if name == "pressure" else "zero"
+    report = pressure_estimate(corr, named_function(f_label), schedule,
+                               start_points=int(section.get("start_points", 64)),
+                               seed=config["seed"],
+                               start_sampler=_starts_config(section, config),
+                               cap=int(section.get("cap", 4096)))
     rows = [(r.n, r.eps, r.sep_value, r.span_value, r.n_paths, r.n_separated,
              r.n_spanning, int(r.truncated)) for r in report.rows]
     _write_csv(config.out_dir() / f"{name}_rows.csv",
@@ -274,7 +268,7 @@ def _pressure_like(config: RunConfig, corr: Correspondence, name: str,
                 "span_count", "truncated"), rows)
     return {
         "pressure": report.pressure,
-        "f": report.f_label,
+        "f": f_label,
         "rows": len(report.rows),
         "truncated": report.truncated,
         "start_points": report.n_starts,
@@ -299,6 +293,11 @@ def _nearest_center(active: ActiveGrid, idx: int) -> SpherePoint:
 
 def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     section = config.section("ruelle")
+    counts = {key: int(section.get(key, default)) for key, default in
+              (("probe_pairs", 50), ("depth", 2), ("n_max", 40), ("holder_scales", 10))}
+    for key, value in counts.items():
+        if value < 1:  # before the pullback, which would run in vain
+            raise ValueError(f"{key} must be at least 1, got {value}")
     grid = config.grid()
     pb = section.get("pullback", {})
     start = _point_from_config(pb.get("start", [0.5, 0.3]))
@@ -314,7 +313,7 @@ def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     tol = float(section.get("tol", 1e-10))
     probe_pairs = []
     rng = np.random.default_rng(config["seed"])
-    for _ in range(int(section.get("probe_pairs", 50))):
+    for _ in range(counts["probe_pairs"]):
         idx = int(rng.integers(active.n_active))
         probe_pairs.append((active.centers[idx], _nearest_center(active, idx)))
     try:
@@ -329,15 +328,15 @@ def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     weights = normalize(f, spectral, kernel)
     adjoint = adjoint_fixed_point(kernel, f, spectral, tol=tol,
                                   seed=config["seed"],
-                                  depth=int(section.get("depth", 2)))
+                                  depth=counts["depth"])
     g_label = section.get("convergence_g", "re")
     g = GridFunction.from_callable(active, named_function(g_label))
     conv = convergence_check(kernel, f, g, spectral, adjoint.nu,
-                             n_max=int(section.get("n_max", 40)))
+                             n_max=counts["n_max"])
     invariance = check_shift_invariance(adjoint.mu0, tol=10.0 * tol)
     lam_probe = probe.lambda_estimate if probe and probe.is_expansive else 2.0
     holder = holder_norm(f, lam=min(max(lam_probe, 1.5), 4.0),
-                         k_max=int(section.get("holder_scales", 10)))
+                         k_max=counts["holder_scales"])
 
     out = config.out_dir()
     rows = []

@@ -70,7 +70,6 @@ class Correspondence:
     """A formal sum of bivariate polynomial components."""
 
     components: list[BivarPoly]
-    root_tol: float = DEFAULT_ROOT_TOL
 
     def __post_init__(self):
         if not self.components:
@@ -122,8 +121,7 @@ class Correspondence:
         root_lists = []
         for comp in self.components:
             coeffs = coeff_fn(comp, x)
-            root_lists.append(roots(coeffs, tol=self.root_tol)
-                              if np.abs(coeffs).max() else None)
+            root_lists.append(roots(coeffs) if np.abs(coeffs).max() else None)
         return self._assemble(root_lists)
 
     def forward_images(self, x) -> Fiber:
@@ -149,7 +147,7 @@ class Correspondence:
             coeffs = (comp.coeffs_in_z_charts(values, inverted) if backward
                       else comp.coeffs_in_w_charts(values, inverted))
             live = np.abs(coeffs).max(axis=1) != 0
-            rows, z, ok = stacked_roots(coeffs[live], self.root_tol)
+            rows, z, ok = stacked_roots(coeffs[live], DEFAULT_ROOT_TOL)
             solved = np.nonzero(live)[0][rows[ok]]
             passed = np.zeros(len(values), dtype=bool)
             passed[solved] = True
@@ -167,7 +165,7 @@ class Correspondence:
             if passed[k]:
                 root_lists.append([(SpherePoint(r), 1) for r in found[k].tolist()])
             elif live[k]:
-                root_lists.append(roots(coeffs[k], tol=self.root_tol))
+                root_lists.append(roots(coeffs[k]))
             else:
                 root_lists.append(None)
         return self._assemble(root_lists)
@@ -228,7 +226,7 @@ class Correspondence:
                     diag[a + b] += comp.table[a, b]
             if not np.abs(diag).max():
                 continue
-            out.extend(roots(diag, tol=self.root_tol))
+            out.extend(roots(diag))
         return out
 
 
@@ -254,7 +252,7 @@ def flatten_fibers(fibers) -> tuple[np.ndarray, ...]:
 # Comments start with '#'.
 
 
-def parse_correspondence(text: str, root_tol: float = DEFAULT_ROOT_TOL) -> Correspondence:
+def parse_correspondence(text: str) -> Correspondence:
     blocks: list[list[tuple[int, str]]] = [[]]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -298,7 +296,7 @@ def parse_correspondence(text: str, root_tol: float = DEFAULT_ROOT_TOL) -> Corre
         for a, b, c in entries:
             table[a, b] += c
         components.append(BivarPoly(table, multiplicity=mult))
-    return Correspondence(components, root_tol=root_tol)
+    return Correspondence(components)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +314,6 @@ class ExpansivityResult:
 
 def expansivity_probe(corr: Correspondence, region, samples: int,
                       probe_scale: float = 0.05,
-                      margin: float = EXPANSIVITY_MARGIN,
                       seed: int | None = None) -> ExpansivityResult:
     """Estimate the backward contraction factor on a candidate support.
 
@@ -324,7 +321,7 @@ def expansivity_probe(corr: Correspondence, region, samples: int,
     best-matching backward branch of y0 with the same component symbol is
     found; the worst best-match ratio d(preimages)/d(x0, y0) over all
     pairs and branches gives lambda_estimate as its reciprocal.  The
-    verdict requires lambda_estimate > 1 + margin.
+    verdict requires lambda_estimate > 1 + EXPANSIVITY_MARGIN.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -365,4 +362,4 @@ def expansivity_probe(corr: Correspondence, region, samples: int,
         # contracting rather than dividing by zero.
         return ExpansivityResult(True, math.inf, len(pairs), 0.0)
     lam = 1.0 / worst
-    return ExpansivityResult(lam > 1.0 + margin, lam, len(pairs), worst)
+    return ExpansivityResult(lam > 1.0 + EXPANSIVITY_MARGIN, lam, len(pairs), worst)

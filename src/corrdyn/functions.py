@@ -110,9 +110,9 @@ class TestFunctionFamily:
             raise FamilyEmpty("test-function family is empty")
 
 
-def _coord(i: int, scale: float = 1.0) -> SphereFunction:
+def _coord(i: int) -> SphereFunction:
     def f(p) -> float:
-        return scale * float(as_sphere_point(p).unit_vector()[i])
+        return float(as_sphere_point(p).unit_vector()[i])
     return f
 
 

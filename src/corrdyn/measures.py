@@ -24,6 +24,10 @@ from .sphere import SpherePoint, as_sphere_point, chart_values
 
 MASS_TOL = 1e-12
 
+#: Largest ``measure_distance`` between a candidate path measure's
+#: push-forward and nu for the candidate to count in the entropies.
+PUSHFORWARD_TOL = 0.05
+
 
 def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group ids of the equal rows of a (K, ...) integer array, numbered
@@ -91,9 +95,6 @@ class SphereMeasure:
         for idx in np.nonzero(self.weights)[0]:
             total += self.weights[idx] * f(self.grid.cell_center(int(idx)))
         return total
-
-    def support_cells(self, threshold: float = 0.0) -> frozenset[int]:
-        return frozenset(int(i) for i in np.nonzero(self.weights > threshold)[0])
 
 
 def total_variation(m1: SphereMeasure, m2: SphereMeasure) -> float:
@@ -231,6 +232,8 @@ def empirical_invariant_measure(corr: Correspondence, x0, n_burn: int,
         raise ValueError("depth must be >= 1")
     if n_keep < depth:
         raise ValueError("n_keep must be at least the cylinder depth")
+    if n_burn < 0:
+        raise ValueError(f"n_burn must be >= 0, got {n_burn}")
     grid = grid or SphereGrid(400)
     rng = np.random.default_rng(seed)
     steps = n_burn + n_keep + depth
@@ -266,9 +269,7 @@ def empirical_invariant_measure(corr: Correspondence, x0, n_burn: int,
 @dataclass(frozen=True)
 class InvarianceReport:
     defect: float
-    tol: float
     passed: bool
-    n_cylinders: int
 
 
 def check_shift_invariance(mu: PathMeasure, tol: float) -> InvarianceReport:
@@ -278,7 +279,7 @@ def check_shift_invariance(mu: PathMeasure, tol: float) -> InvarianceReport:
     heads = np.bincount(ids[:k], weights=mu.weights, minlength=len(first))
     tails = np.bincount(ids[k:], weights=mu.weights, minlength=len(first))
     defect = float(np.abs(heads - tails).max())
-    return InvarianceReport(defect, tol, defect <= tol, k)
+    return InvarianceReport(defect, defect <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -402,36 +403,36 @@ def entropy_rate_sequence(mu: PathMeasure, q: SpherePartition, n_max: int) -> li
 
 
 def intermediate_entropy(nu: SphereMeasure, mu: PathMeasure, partitions,
-                         n_max: int, pf_tol: float = 0.05) -> float:
+                         n_max: int) -> float:
     """Entropy rate of lifted position-and-symbol words, maxed over a
     refining partition schedule.
 
     The rate uses the increment H_n - H_(n-1) at the deepest available n,
     which converges faster than H_n / n and vanishes exactly for measures
-    whose randomness sits entirely in the starting position.
+    whose randomness sits entirely in the starting position.  Raises
+    ValueError for n_max below 1, which would leave no rate at all.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     gap = measure_distance(pushforward(mu, 0), nu)
-    if gap > pf_tol:
+    if gap > PUSHFORWARD_TOL:
         raise PushforwardMismatch(
-            f"push-forward differs from nu by {gap:.4f} > {pf_tol}")
+            f"push-forward differs from nu by {gap:.4f} > {PUSHFORWARD_TOL}")
     best = 0.0
     for q in partitions:
         hs = entropy_rate_sequence(mu, q, n_max)
-        if not hs:
-            continue
         rate = hs[-1] - hs[-2] if len(hs) >= 2 else hs[0]
         best = max(best, rate)
     return best
 
 
-def measure_entropy(nu: SphereMeasure, candidate_mus, partitions, n_max: int,
-                    pf_tol: float = 0.05) -> float:
+def measure_entropy(nu: SphereMeasure, candidate_mus, partitions, n_max: int) -> float:
     """Lower bound for the entropy of nu: max of the intermediate entropy
     over candidate path measures pushing forward to nu."""
     best = None
     for mu in candidate_mus:
         try:
-            value = intermediate_entropy(nu, mu, partitions, n_max, pf_tol)
+            value = intermediate_entropy(nu, mu, partitions, n_max)
         except PushforwardMismatch:
             continue
         best = value if best is None else max(best, value)
@@ -465,7 +466,6 @@ class VariationalRow:
 @dataclass(frozen=True)
 class VariationalReport:
     pressure: float
-    slack: float
     rows: tuple[VariationalRow, ...]
 
     @property
@@ -483,7 +483,7 @@ class VariationalReport:
 
 def variational_check(f: SphereFunction, nu_list, pressure_report,
                       partitions=None, n_max: int = 6,
-                      slack: float = 0.05, pf_tol: float = 0.05) -> VariationalReport:
+                      slack: float = 0.05) -> VariationalReport:
     """Report entropy + integral against the pressure estimate for each nu.
 
     Every row should satisfy value <= pressure + slack; the report also
@@ -496,10 +496,10 @@ def variational_check(f: SphereFunction, nu_list, pressure_report,
             parts = [SpherePartition.trivial(entry.nu.grid)]
         else:
             parts = partitions
-        h = measure_entropy(entry.nu, entry.candidates, parts, n_max, pf_tol)
+        h = measure_entropy(entry.nu, entry.candidates, parts, n_max)
         integral = entry.nu.integrate(f)
         value = h + integral
         gap = pressure - value
         rows.append(VariationalRow(entry.label, h, integral, value, gap,
                                    value <= pressure + slack))
-    return VariationalReport(pressure, slack, tuple(rows))
+    return VariationalReport(pressure, tuple(rows))

@@ -85,10 +85,7 @@ class PressureRow:
 class PressureReport:
     rows: tuple[PressureRow, ...]
     pressure: float
-    seed: int | None
     n_starts: int
-    cap: int
-    f_label: str
 
     @property
     def truncated(self) -> bool:
@@ -179,8 +176,7 @@ def pressure_estimate(corr: Correspondence, f: SphereFunction,
                       start_points: int = 64, seed: int | None = 0,
                       starts: Sequence[SpherePoint] | None = None,
                       start_sampler: Callable | None = None,
-                      cap: int = 4096, grid: SphereGrid | None = None,
-                      f_label: str = "custom") -> PressureReport:
+                      cap: int = 4096) -> PressureReport:
     """Estimate the topological pressure of f along an (n, eps) schedule.
 
     The headline value is the separated-family number at the largest n of
@@ -211,7 +207,7 @@ def pressure_estimate(corr: Correspondence, f: SphereFunction,
     if starts is None:
         if start_points < 1:
             raise ValueError(f"start_points must be at least 1, got {start_points!r}")
-        sampler = start_sampler or grid_start_sampler(grid or SphereGrid(400))
+        sampler = start_sampler or grid_start_sampler(SphereGrid(400))
         rng_starts = np.random.default_rng(None if seed is None else [seed, 0])
         starts = sampler(rng_starts, start_points)
     starts = [as_sphere_point(x) for x in starts]
@@ -242,7 +238,7 @@ def pressure_estimate(corr: Correspondence, f: SphereFunction,
     at_min = [r for r in rows if r.eps == eps_min]
     n_max = max(r.n for r in at_min)
     pressure = max(r.sep_value for r in at_min if r.n == n_max)
-    return PressureReport(tuple(rows), pressure, seed, len(starts), cap, f_label)
+    return PressureReport(tuple(rows), pressure, len(starts))
 
 
 def entropy_estimate(corr: Correspondence,
@@ -250,6 +246,5 @@ def entropy_estimate(corr: Correspondence,
                      start_points: int = 64, seed: int | None = 0,
                      **kwargs) -> PressureReport:
     """Topological entropy: pressure of the zero function."""
-    kwargs.setdefault("f_label", "zero")
     return pressure_estimate(corr, fn_zero, schedule, start_points, seed,
                              **kwargs)

@@ -27,6 +27,13 @@ CERT_BOUND = 0.05
 #: Allowed violation fraction in the backward-invariance check.
 INVARIANCE_BUDGET = 0.01
 
+#: Re-samples of a start whose backward fiber is degenerate before
+#: ``pullback_iterate`` gives up.
+MAX_RESAMPLE = 10
+
+#: Radius of the disk around the start that re-samples are drawn from.
+RESAMPLE_RADIUS = 0.1
+
 
 def _systematic_thin(weights: np.ndarray, cap: int, rng: np.random.Generator):
     """Unbiased thinning to cap equal-weight particles: the kept particle
@@ -46,14 +53,13 @@ def _systematic_thin(weights: np.ndarray, cap: int, rng: np.random.Generator):
 
 
 def pullback_iterate(corr: Correspondence, x0, n: int, cap: int = 8192,
-                     seed: int | None = None, grid: SphereGrid | None = None,
-                     max_resample: int = 10,
-                     resample_radius: float = 0.1) -> list[SphereMeasure]:
+                     seed: int | None = None,
+                     grid: SphereGrid | None = None) -> list[SphereMeasure]:
     """Level measures of the backward preimage tree from x0.
 
     Level k spreads weight multiplicity / d_top^k over the k-th preimages.
     Requires d_top > d_fwd.  A start with a degenerate backward fiber is
-    re-sampled from a small disk around x0 up to max_resample times.
+    re-sampled from a small disk around x0 up to MAX_RESAMPLE times.
     Levels beyond cap particles are thinned by seeded systematic
     resampling, which preserves expected cell weights.  Particles are
     carried as chart values, chart flags and weights, and each level is
@@ -71,11 +77,11 @@ def pullback_iterate(corr: Correspondence, x0, n: int, cap: int = 8192,
     attempts = 0
     while corr.backward_images(start).degenerate:
         attempts += 1
-        if attempts > max_resample:
+        if attempts > MAX_RESAMPLE:
             raise DegenerateStart(
-                f"no generic start found after {max_resample} re-samples")
+                f"no generic start found after {MAX_RESAMPLE} re-samples")
         base = 0j if start.is_infinity else start.to_complex()
-        jitter = resample_radius * rng.uniform(0.2, 1.0) * np.exp(
+        jitter = RESAMPLE_RADIUS * rng.uniform(0.2, 1.0) * np.exp(
             1j * rng.uniform(0, 2 * np.pi))
         start = as_sphere_point(base + jitter)
 
@@ -102,11 +108,6 @@ class SupportResult:
     cells: frozenset[int]
     core: frozenset[int]
     certificate: float
-    threshold: float
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.cells)
 
 
 def ds_support(levels: list[SphereMeasure], threshold: float = 0.5,
@@ -126,7 +127,7 @@ def ds_support(levels: list[SphereMeasure], threshold: float = 0.5,
     grid = final.grid
     cutoff = threshold / grid.n_cells
     core = frozenset(int(i) for i in np.nonzero(final.weights > cutoff)[0])
-    return SupportResult(grid.dilate(core), core, certificate, threshold)
+    return SupportResult(grid.dilate(core), core, certificate)
 
 
 @dataclass(frozen=True)
@@ -134,10 +135,6 @@ class BackwardInvarianceReport:
     violations: int
     total: int
     passed: bool
-
-    @property
-    def fraction(self) -> float:
-        return self.violations / self.total if self.total else 0.0
 
 
 def check_backward_invariance(corr: Correspondence, omega, grid: SphereGrid,

@@ -35,6 +35,13 @@ _ARG_MARGIN = 1e-8
 # than about sqrt(eps); detection must be at least this wide.
 _CLUSTER_DETECT_FLOOR = 1e-7
 
+# Seed of the initial-circle perturbation of ``roots``, fixed so that it
+# is a pure function of its inputs.
+_ROOTS_SEED = 810279
+
+# Iteration cap of one Aberth-Ehrlich solve.
+_ABERTH_MAX_ITER = 400
+
 
 class SpherePoint:
     """A point of the Riemann sphere in chart-safe canonical form.
@@ -266,8 +273,7 @@ def _eval_scale(coeffs: np.ndarray, z) -> np.ndarray:
     return out
 
 
-def _aberth(coeffs: np.ndarray, tol: float, rng: np.random.Generator,
-            max_iter: int = 400):
+def _aberth(coeffs: np.ndarray, tol: float, rng: np.random.Generator):
     """Aberth-Ehrlich simultaneous iteration on a trimmed polynomial.
 
     coeffs is ascending with nonzero leading and constant terms.  Returns
@@ -290,7 +296,7 @@ def _aberth(coeffs: np.ndarray, tol: float, rng: np.random.Generator,
 
     active = np.ones(deg, dtype=bool)
     step_hist: list[float] = []
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _ABERTH_MAX_ITER + 1):
         p = _polyval(coeffs, z)
         dp = _polyval(dcoeffs, z)
         bad = np.abs(dp) == 0.0
@@ -398,7 +404,9 @@ def _merge_clusters(points: list[complex], coeffs: np.ndarray, tol: float):
             merged.append((r, 1))
             continue
         chain = _derivative_chain(coeffs, m - 1)
-        center = sum(points[i] for i in idx) / m
+        # The fold of ``sum``, from 0 and in order (the builtin is
+        # compensated from Python 3.12 on).
+        center = np.cumsum([0j] + [points[i] for i in idx])[-1] / m
         top = chain[m - 1]
         dtop = _polyder(top)
         for _ in range(25):
@@ -423,7 +431,7 @@ def _merge_clusters(points: list[complex], coeffs: np.ndarray, tol: float):
     return merged
 
 
-def roots(coeffs, tol: float = DEFAULT_ROOT_TOL, seed: int = 810279):
+def roots(coeffs, tol: float = DEFAULT_ROOT_TOL):
     """All sphere roots of a univariate complex polynomial.
 
     Parameters
@@ -436,9 +444,6 @@ def roots(coeffs, tol: float = DEFAULT_ROOT_TOL, seed: int = 810279):
     tol : float
         Relative tolerance: every returned finite root r satisfies
         |p(r)| <= tol * sum_k |c_k| |r|^k.
-    seed : int
-        Seed of the initial-circle perturbation; fixed by default so the
-        function is a pure function of its inputs.
 
     Returns
     -------
@@ -491,7 +496,7 @@ def roots(coeffs, tol: float = DEFAULT_ROOT_TOL, seed: int = 810279):
         pair = _stable_quadratic(c[0], c[1], c[2])
         finite = _merge_clusters(pair, c, tol)
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_ROOTS_SEED)
         try:
             z = _aberth(c, tol, rng)
         except NonConvergence:

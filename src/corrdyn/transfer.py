@@ -137,14 +137,16 @@ class HolderReport:
 #: Active centers per row block of ``holder_norm``'s pair distances.
 _HOLDER_BLOCK = 256
 
+#: Bound on the last oscillation modulus for Hoelder membership.
+HOLDER_TAIL_TOL = 1e-3
 
-def holder_norm(f: GridFunction, lam: float, k_max: int,
-                tail_tol: float = 1e-3) -> HolderReport:
+
+def holder_norm(f: GridFunction, lam: float, k_max: int) -> HolderReport:
     """Oscillation moduli of f at the scales lam^-(k-1), k = 1 .. k_max.
 
     omega_k is the largest |f(x) - f(y)| over active-center pairs within
     distance lam^-(k-1); membership requires the last modulus to sit
-    below the tail tolerance.  The pairs are taken in blocks of
+    below HOLDER_TAIL_TOL.  The pairs are taken in blocks of
     ``_HOLDER_BLOCK`` rows, so memory stays linear in the active set.
     """
     if not lam > 1.0:
@@ -165,9 +167,11 @@ def holder_norm(f: GridFunction, lam: float, k_max: int,
                 best[k] = np.maximum(best[k], gap[mask].max())
     omegas = best.tolist()
     sup = f.sup_norm()
-    alpha_norm = sum(omegas) + sup
+    # An in-order fold: the float ``sum`` builtin is compensated from
+    # Python 3.12 on.
+    alpha_norm = float(np.cumsum(omegas)[-1]) + sup
     return HolderReport(lam, 1.0 / lam, tuple(omegas), sup, alpha_norm,
-                        omegas[-1] <= tail_tol)
+                        omegas[-1] <= HOLDER_TAIL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +334,10 @@ def _chain_cylinders(active: ActiveGrid, kernel: TransferKernel,
     words = np.stack([np.asarray(active.cells)[positions[:, :depth]], symbols], axis=2)
     ids, first = _group(words)
     sums = np.bincount(ids, weights=w)
-    # A running total in word order, not numpy's pairwise sum, so the
+    # A running total in word order, not numpy's pairwise sum nor the
+    # float ``sum`` builtin (compensated from Python 3.12 on), so the
     # weights keep their last bits.
-    return PathMeasure(active.grid, words[first], sums / sum(sums.tolist()))
+    return PathMeasure(active.grid, words[first], sums / np.cumsum(sums)[-1])
 
 
 def adjoint_fixed_point(kernel: TransferKernel, f: GridFunction,
@@ -383,6 +388,8 @@ def convergence_check(kernel: TransferKernel, f: GridFunction, g: GridFunction,
                       n_max: int = 40) -> ConvergenceReport:
     """Sup-norm distance of lam^-n L_f^n g from its limit h * integral of
     g/h against nu, for n = 1 .. n_max."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     h = spectral.h.values
     nu_active = np.array([nu.weights[c] for c in f.active.cells])
     nu_active = nu_active / nu_active.sum()

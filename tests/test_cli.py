@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from corrdyn.cli import _nearest_center, _point_from_config, main
+from corrdyn.correspondence import Correspondence, Fiber
 from corrdyn.datasets import bundled_text
 from corrdyn.grid import SphereGrid
 from corrdyn.sphere import sph_dist
@@ -169,6 +170,19 @@ class TestPipelines:
         assert run(["ds-measure", "--config", cfg]) == 3
         assert f"samples must be at least 1, got {samples}" in capsys.readouterr().err
 
+    def test_ds_measure_degenerate_start_exits_4(self, workspace, monkeypatch, capsys):
+        monkeypatch.setattr(Correspondence, "backward_images",
+                            lambda self, y: Fiber((), degenerate=True))
+        out = workspace / "ds_degenerate"
+        cfg = write_config(workspace, "ds_degenerate", {
+            "correspondence": "z2.corr",
+            "ds_measure": {"levels": 4},
+            "out": str(out),
+        })
+        assert run(["ds-measure", "--config", cfg]) == 4
+        assert "DegenerateStart: no generic start found" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_ds_measure_rejects_mobius(self, workspace):
         cfg = write_config(workspace, "dsmob", {
             "correspondence": "mobius.corr",
@@ -233,6 +247,42 @@ class TestPipelines:
         assert report["results"]["rows"] >= 3
         assert report["results"]["all_within"]
         assert (out / "variational.csv").exists()
+
+    @pytest.mark.parametrize("key,value", [("n_max", 0), ("n_max", -1),
+                                           ("n_burn", -3), ("n_burn", -300)])
+    def test_variational_rejects_bad_counts(self, workspace, key, value, capsys):
+        # n_max 0 gave every row entropy 0.0; a negative n_burn wrapped the
+        # window to the end of the walk (exit 0), or past its start (exit 1).
+        out = workspace / "var_bad"
+        cfg = write_config(workspace, "var_bad", {
+            "correspondence": "z2.corr",
+            "n_cells": 400,
+            "variational": {"f": "zero", "depth": 4, "empirical": 1,
+                            "n_keep": 200, key: value,
+                            "pressure": {"schedule": [[4, 0.05]],
+                                         "start_points": 4, "cap": 64}},
+            "out": str(out),
+        })
+        assert run(["variational", "--config", cfg]) == 3
+        message = ("n_max must be at least 1" if key == "n_max"
+                   else "n_burn must be >= 0")
+        assert f"{message}, got {value}" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("key", ["n_max", "holder_scales", "depth", "probe_pairs"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_ruelle_checks_counts_before_pullback(self, workspace, key, value,
+                                                  capsys, monkeypatch):
+        def pullback_iterate(*args, **kwargs):
+            raise AssertionError(f"pullback ran before the {key} check")
+
+        monkeypatch.setattr("corrdyn.cli.pullback_iterate", pullback_iterate)
+        cfg = write_config(workspace, "ruelle_early", {
+            "correspondence": "z2.corr",
+            "ruelle": {key: value},
+        })
+        assert run(["ruelle", "--config", cfg]) == 3
+        assert f"{key} must be at least 1, got {value}" in capsys.readouterr().err
 
     def test_variational_mismatched_f(self, workspace):
         out = workspace / "var_pr"

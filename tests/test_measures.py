@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import operator
 import struct
 
 import numpy as np
@@ -260,6 +261,13 @@ class TestEmpiricalMeasure:
         with pytest.raises(ValueError):
             empirical_invariant_measure(corr_pair, 1.0, n_burn=0, n_keep=1,
                                         depth=2, grid=grid)
+
+    @pytest.mark.parametrize("n_burn", [-1, -3, -300])
+    def test_negative_burn_in_rejected(self, grid, corr_z2, n_burn):
+        # A negative start would wrap the window to the end of the walk.
+        with pytest.raises(ValueError, match=f"n_burn must be >= 0, got {n_burn}"):
+            empirical_invariant_measure(corr_z2, 0.5 + 0.3j, n_burn=n_burn,
+                                        n_keep=200, depth=4, grid=grid)
 
 
 #: Walk starts: the README start, the fixed points 0 and infinity of the
@@ -548,6 +556,17 @@ class TestEntropies:
         for a, b in zip(increments, increments[1:]):
             assert b <= a + 1e-10
 
+    @pytest.mark.parametrize("n_max", [0, -2])
+    def test_no_depth_rejected(self, grid, n_max):
+        # No partition would give a rate, and the entropy would read 0.
+        mu = PathMeasure.from_cylinders(grid, bernoulli_cylinders(grid, infinity_cell(grid), 4))
+        nu = pushforward(mu, 0)
+        with pytest.raises(ValueError, match=f"n_max must be at least 1, got {n_max}"):
+            intermediate_entropy(nu, mu, [SpherePartition.trivial(grid)], n_max)
+        with pytest.raises(ValueError, match="n_max must be at least 1"):
+            variational_check(fn_zero, [VariationalEntry("shift", nu, (mu,))],
+                              math.log(2), n_max=n_max)
+
     def test_pushforward_mismatch_raises(self, grid):
         mu = PathMeasure.from_cylinders(grid, bernoulli_cylinders(grid, infinity_cell(grid), 3))
         wrong = SphereMeasure.dirac(grid, sp(0.0))
@@ -679,7 +698,7 @@ def ref_chain_cylinders(active, kernel, weights, nu, depth, prune=1e-15):
     for positions, syms, w in chains:
         key = tuple((active.cells[positions[i]], syms[i]) for i in range(depth))
         cylinders[key] = cylinders.get(key, 0.0) + w
-    total = sum(cylinders.values())
+    total = functools.reduce(operator.add, cylinders.values(), 0.0)
     return {k: v / total for k, v in cylinders.items()}
 
 

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from corrdyn.errors import DegreeConditionError, IndexOutOfRange, NotConverged
+from corrdyn.correspondence import Correspondence, Fiber
+from corrdyn.errors import (DegenerateStart, DegreeConditionError, IndexOutOfRange,
+                            NotConverged)
 from corrdyn.grid import SphereGrid
 from corrdyn.measures import SphereMeasure, measure_distance
 from corrdyn.paths import shift
-from corrdyn.pullback import (check_backward_invariance, ds_support,
+from corrdyn.pullback import (MAX_RESAMPLE, check_backward_invariance, ds_support,
                               invariant_forward_paths, pullback_iterate)
 from corrdyn.sphere import SpherePoint, sph_dist
 
@@ -74,6 +76,20 @@ class TestPullback:
         assert levels[0].weights.sum() == pytest.approx(1.0, abs=1e-12)
         cell_zero = grid.cell_index(SpherePoint.from_complex(0.0))
         assert levels[-1].weights[cell_zero] < 0.5
+
+    def test_persistently_degenerate_start_raises(self, grid, corr_z2, monkeypatch):
+        # The start and each of its MAX_RESAMPLE re-samples get one fiber.
+        starts = []
+
+        def degenerate(self, y):
+            starts.append(y)
+            return Fiber((), degenerate=True)
+        monkeypatch.setattr(Correspondence, "backward_images", degenerate)
+        with pytest.raises(DegenerateStart,
+                           match=f"no generic start found after {MAX_RESAMPLE} re-samples"):
+            pullback_iterate(corr_z2, 0.5 + 0.3j, n=4, seed=3, grid=grid)
+        assert len(starts) == 1 + MAX_RESAMPLE
+        assert len({(p.value, p.inverted) for p in starts}) == len(starts)
 
     def test_thinning_respects_cap_and_mass(self, grid, corr_z2):
         levels = pullback_iterate(corr_z2, 0.7 + 0.1j, n=9, cap=100, seed=46,

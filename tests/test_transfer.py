@@ -1,4 +1,7 @@
+import functools
 import math
+import operator
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -191,6 +194,20 @@ class TestHolder:
         report = holder_norm(ramp, lam=math.inf, k_max=3)
         assert report.omegas[1:] == (0.0, 0.0) and report.alpha == 0.0
 
+    def test_alpha_norm_is_a_left_fold(self, grid):
+        # The moduli are added in order from 0; a compensated sum (the
+        # float sum builtin from Python 3.12 on) rounds some cases apart.
+        rng = np.random.default_rng(71)
+        compensated_differs = 0
+        for _ in range(20):
+            active = ActiveGrid(grid, rng.choice(grid.n_cells, size=80, replace=False))
+            f = GridFunction(active, rng.normal(size=active.n_active))
+            report = holder_norm(f, lam=float(rng.uniform(1.05, 1.3)), k_max=12)
+            fold = functools.reduce(operator.add, report.omegas, 0.0)
+            assert report.alpha_norm == fold + report.sup_norm
+            compensated_differs += math.fsum(report.omegas) != fold
+        assert compensated_differs
+
     @pytest.mark.parametrize("block", [1, 7, 256])
     def test_row_blocks_match_all_pairs(self, grid, monkeypatch, block):
         # Oracle: the moduli from the full N x N x 3 difference array.
@@ -352,6 +369,47 @@ class TestConvergence:
         report = convergence_check(kernel_z2, f, g, spectral_z2, adj.nu,
                                    n_max=10)
         assert max(report.errors) <= 1e-6
+
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_no_iterate_rejected(self, active, kernel_z2, spectral_z2, n_max):
+        f = GridFunction.constant(active, 0.0)
+        adj = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=9)
+        with pytest.raises(ValueError, match=f"n_max must be at least 1, got {n_max}"):
+            convergence_check(kernel_z2, f, spectral_z2.h, spectral_z2, adj.nu,
+                              n_max=n_max)
+
+
+class TestChainFold:
+    """The cylinder weights of the stationary chain are divided by a left
+    fold of the word sums, in word order, not by a compensated sum."""
+
+    @staticmethod
+    def self_loops(nu):
+        # One self-loop of weight 1 per cell: each cell is one depth-1 word
+        # whose sum is its nu.
+        n = len(nu)
+        active = ActiveGrid(SphereGrid(400), range(n))
+        kernel = SimpleNamespace(src=np.arange(n), tgt=np.arange(n), mult=np.ones(n),
+                                 comp=np.ones(n, dtype=np.int64))
+        return transfer_mod._chain_cylinders(active, kernel, np.ones(n), nu, 1)
+
+    def test_tenths(self):
+        tenths = [0.1] * 10
+        total = functools.reduce(operator.add, tenths, 0.0)
+        assert total != math.fsum(tenths)
+        assert self.self_loops(np.array(tenths)).weights.tolist() == [0.1 / total] * 10
+
+    def test_random_sums(self):
+        rng = np.random.default_rng(5)
+        compensated_differs = 0
+        for size in (3, 17, 100, 399):
+            nu = rng.uniform(0.5, 1.5, size=size) / size
+            total = functools.reduce(operator.add, nu.tolist(), 0.0)
+            want = [v / total for v in nu.tolist()]
+            assert self.self_loops(nu).weights.tolist() == want
+            compensated_differs += math.fsum(nu.tolist()) != total
+        assert compensated_differs
 
 
 class TestLiftedConsistency:
