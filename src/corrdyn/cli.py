@@ -367,10 +367,29 @@ def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     }
 
 
+def _variational_counts(section: dict) -> dict:
+    """The counts of a variational section, checked as the library checks
+    them, before any work: the walk checks only when walks run."""
+    counts = {key: int(section.get(key, default)) for key, default in
+              (("n_max", 4), ("depth", 4), ("empirical", 2), ("n_burn", 50),
+               ("n_keep", 5000))}
+    if counts["n_max"] < 1:
+        raise ValueError(f"n_max must be at least 1, got {counts['n_max']}")
+    if counts["depth"] < 1:
+        raise ValueError(f"depth must be at least 1, got {counts['depth']}")
+    if counts["empirical"] > 0:
+        if counts["n_burn"] < 0:
+            raise ValueError(f"n_burn must be >= 0, got {counts['n_burn']}")
+        if counts["n_keep"] < counts["depth"]:
+            raise ValueError(f"n_keep must be at least the cylinder depth, got "
+                             f"{counts['n_keep']} < {counts['depth']}")
+    return counts
+
+
 def _variational_entries(config: RunConfig, corr: Correspondence,
-                         grid: SphereGrid, section: dict):
+                         grid: SphereGrid, section: dict, counts: dict):
     entries = []
-    depth = int(section.get("depth", 4))
+    depth = counts["depth"]
     # Dirac path measures at the fixed points of every component.
     for point, _ in corr.fixed_points():
         t = min(range(1, corr.n_components + 1),
@@ -388,11 +407,10 @@ def _variational_entries(config: RunConfig, corr: Correspondence,
         label = "fixed_inf" if point.is_infinity else f"fixed_{point.to_complex():.3f}"
         entries.append(VariationalEntry(label, pushforward(mu, 0), (mu,)))
     # Empirical invariant measures from random trajectories.
-    for k in range(int(section.get("empirical", 2))):
+    for k in range(counts["empirical"]):
         mu = empirical_invariant_measure(
             corr, _point_from_config(section.get("start", [0.5, 0.3])),
-            n_burn=int(section.get("n_burn", 50)),
-            n_keep=int(section.get("n_keep", 5000)),
+            n_burn=counts["n_burn"], n_keep=counts["n_keep"],
             depth=depth, seed=config["seed"] + k, grid=grid)
         entries.append(VariationalEntry(f"empirical_{k}", pushforward(mu, 0), (mu,)))
     return entries
@@ -400,6 +418,7 @@ def _variational_entries(config: RunConfig, corr: Correspondence,
 
 def _cmd_variational(config: RunConfig, corr: Correspondence) -> dict:
     section = config.section("variational")
+    counts = _variational_counts(section)  # before the pressure run or read
     grid = config.grid()
     f_label = section.get("f", "zero")
     report_path = section.get("pressure_report")
@@ -416,12 +435,12 @@ def _cmd_variational(config: RunConfig, corr: Correspondence) -> dict:
         sub.setdefault("f", f_label)
         pressure_value = _pressure_like(config, corr, "pressure", sub)["pressure"]
 
-    entries = _variational_entries(config, corr, grid, section)
+    entries = _variational_entries(config, corr, grid, section, counts)
     partitions = [SpherePartition.trivial(grid),
                   SpherePartition.sectors(grid, 2, 4)]
     report = variational_check(named_function(f_label), entries,
                                pressure_value, partitions=partitions,
-                               n_max=int(section.get("n_max", 4)),
+                               n_max=counts["n_max"],
                                slack=float(section.get("slack", 0.05)))
     rows = [(r.label, r.entropy, r.integral, r.value, r.gap, int(r.within))
             for r in report.rows]

@@ -227,6 +227,10 @@ def empirical_invariant_measure(corr: Correspondence, x0, n_burn: int,
     an O(n_keep^-1/2) defect.  Each distinct point (by ``_point_bits``)
     has its fiber solved and its cell looked up once per call; a repeat
     reuses them, and the generator draws are those of solving every step.
+    A walk that returns to a point first seen at step s, having drawn no
+    branch since s (every fiber on the way had one slot), repeats steps
+    s.. from then on; the rest of it is filled in by period, with no
+    further solves, lookups or draws.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -238,26 +242,38 @@ def empirical_invariant_measure(corr: Correspondence, x0, n_burn: int,
     rng = np.random.default_rng(seed)
     steps = n_burn + n_keep + depth
 
-    # Memo of this walk, keyed by each point's exact bits: [slots, cell],
-    # slots filled when the point's fiber is first needed.
+    # Memo of this walk, keyed by each point's exact bits: [slots, cell,
+    # first step], slots filled when the point's fiber is first needed.
     memo: dict[bytes, list] = {}
     point = as_sphere_point(x0)
-    entry = memo[_point_bits(point)] = [None, grid.cell_index(point)]
+    entry = memo[_point_bits(point)] = [None, grid.cell_index(point), 0]
     cells = [entry[1]]
     symbols: list[int] = []
-    for _ in range(steps):
+    drawn = -1  # the last step whose point's fiber drew a branch
+    for t in range(1, steps + 1):
         if entry[0] is None:
             entry[0] = _forward_slots(corr, point)
         slots = entry[0]
         # integers(1) returns 0 and leaves the generator as it was, so a
         # single slot is taken without it.
-        pick = slots[int(rng.integers(len(slots)))] if len(slots) > 1 else slots[0]
+        if len(slots) > 1:
+            pick, drawn = slots[int(rng.integers(len(slots)))], t - 1
+        else:
+            pick = slots[0]
         point = pick.point
         symbols.append(pick.component)
         key = _point_bits(point)
         entry = memo.get(key)
         if entry is None:
-            entry = memo[key] = [None, grid.cell_index(point)]
+            entry = memo[key] = [None, grid.cell_index(point), t]
+        elif drawn < entry[2]:
+            # Back at the point of step s with no draw since: the walk
+            # repeats steps s..t-1 from here on.
+            s = entry[2]
+            cycle = s + (np.arange(t, steps + 1) - s) % (t - s)
+            cells = np.concatenate([cells, np.array(cells)[cycle]])
+            symbols = np.concatenate([symbols, np.array(symbols)[cycle[:-1]]])
+            break
         cells.append(entry[1])
 
     window = np.arange(n_burn, n_burn + n_keep)[:, None] + np.arange(depth)

@@ -85,7 +85,10 @@ class PathBatch:
     grew by at least one level also has ``origin``: the row of each path's
     ancestor in the batch it was grown from.  The close pairs of the batch
     are kept per eps once computed (``_close_pairs``), so that both greedy
-    families of one batch share them.
+    families of one batch share them.  A batch grown forward also keeps,
+    in ``_origin_pairs``, the pairs its source batch had computed by then
+    (eps -> (i, j, worst, source length)), but not the source itself; its
+    own close pairs are then found among the children of those pairs.
     """
 
     values: np.ndarray
@@ -96,6 +99,8 @@ class PathBatch:
     thinned: np.ndarray
     origin: np.ndarray | None = None
     _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _origin_pairs: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     @classmethod
     def from_starts(cls, starts) -> "PathBatch":
@@ -185,7 +190,8 @@ def _grow(corr: Correspondence, batch: PathBatch, n: int, cap: int, seeds,
     thinned (``_thin``), so untruncated trees do not depend on their seeds.
     Each level keeps only its new column and its parent rows; the paths
     are gathered once, at the end, column by column, and the rows of batch
-    they grew from are the ``origin`` of the result.
+    they grew from are the ``origin`` of the result.  A forward result
+    also keeps the close pairs batch holds (``PathBatch._origin_pairs``).
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
@@ -229,7 +235,11 @@ def _grow(corr: Correspondence, batch: PathBatch, n: int, cap: int, seeds,
             a[:, n:] = column[rows]
         else:
             a[:, :column.shape[1]] = column[rows]
-    return PathBatch(*joined, tree, thinned, rows)
+    grown = PathBatch(*joined, tree, thinned, rows)
+    if not backward:
+        grown._origin_pairs.update((eps, (*pairs, batch.length))
+                                   for eps, pairs in batch._pairs.items())
+    return grown
 
 
 def _enumerate(corr: Correspondence, x0, n: int, cap: int, seed,
@@ -360,6 +370,22 @@ def _close_pairs(batch: PathBatch, eps: float):
     """(i, j, worst) of every pair of paths with one symbol word and every
     coordinate within eps, worst their largest coordinate distance.
 
+    A batch grown forward from a source that holds its pairs at some
+    eps' >= eps takes them from there (``_inherited_pairs``); any other
+    batch, from the eps-cubes of its points 0 (``_cube_pairs``).  Both
+    give the same set of pairs, and the greedy families depend on that
+    set alone.  The result is kept on the batch, by eps.
+    """
+    if eps not in batch._pairs:
+        above = [e for e in batch._origin_pairs if e >= eps]
+        batch._pairs[eps] = (_inherited_pairs(batch, eps, *batch._origin_pairs[min(above)])
+                             if above else _cube_pairs(batch, eps))
+    return batch._pairs[eps]
+
+
+def _cube_pairs(batch: PathBatch, eps: float):
+    """``_close_pairs`` by a search over eps-cubes.
+
     Chordal distance is the Euclidean distance of unit vectors, so paths
     whose points 0 lie in non-adjacent cubes (``_cubes``) are more than
     eps apart there.  The candidates are therefore the pairs of the same
@@ -368,10 +394,8 @@ def _close_pairs(batch: PathBatch, eps: float):
     and a neighbour's key is the key plus a fixed offset; keys that
     collide only add candidates, which the exact word test drops.  The
     candidates are then kept coordinate by coordinate, from point 0, while
-    ``sph_dist`` <= eps.  The result is kept on the batch, by eps.
+    ``sph_dist`` <= eps.
     """
-    if eps in batch._pairs:
-        return batch._pairs[eps]
     with np.errstate(over="ignore"):
         key = np.zeros(len(batch), dtype=np.uint64)
         for column in batch.symbols.T:
@@ -395,13 +419,68 @@ def _close_pairs(batch: PathBatch, eps: float):
     for column in batch.symbols.T:
         same &= column[i] == column[j]
     i, j = i[same], j[same]
-    worst = np.zeros(len(i))
-    for r in range(batch.length + 1):
+    return _within(batch, eps, i, j, np.zeros(len(i)), 0)
+
+
+def _inherited_pairs(batch: PathBatch, eps: float, up_i: np.ndarray, up_j: np.ndarray,
+                     up_worst: np.ndarray, m: int):
+    """``_close_pairs`` of a batch grown forward from a length-m source,
+    from the source's pairs (up_i, up_j, up_worst) at some eps' >= eps.
+
+    Two paths agree on points 0..m and steps 0..m-1 exactly when their
+    ancestors do, so a close pair is two children of one ancestor or a
+    child of each end of an ancestor pair whose worst is at most eps, with
+    one word on the new steps.  Those are found by a join on (ancestor,
+    new-step word): the rows are sorted into groups by that key, every
+    pair within a group is a candidate, and each ancestor pair matches the
+    groups of its first end with the groups of the same word of its
+    second.  The candidates are then kept coordinate by coordinate from
+    point m + 1, with the ancestor's worst (0 for siblings) as the start of
+    their running maximum.
+    """
+    new = batch.symbols[:, m:]
+    by_word = np.lexsort(new.T[::-1])
+    opens = np.ones(len(batch), dtype=bool)
+    opens[1:] = (new[by_word[1:]] != new[by_word[:-1]]).any(axis=1)
+    word = np.empty(len(batch), dtype=np.int64)
+    word[by_word] = np.cumsum(opens) - 1
+    width = int(opens.sum()) + 1
+    key = batch.origin * width + word
+    by_key = np.argsort(key, kind="stable")
+    ranked = key[by_key]
+    first = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    end = np.r_[first[1:], len(ranked)]
+    group_key = ranked[first]
+
+    siblings = _ranges(np.arange(len(ranked)) + 1, np.searchsorted(ranked, ranked, "right"))
+    close = up_worst <= eps
+    up_i, up_j, up_worst = up_i[close], up_j[close], up_worst[close]
+    origin = batch.origin[by_key[first]]
+    pair, group = _ranges(np.searchsorted(origin, up_i, "left"),
+                          np.searchsorted(origin, up_i, "right"))
+    wanted = group_key[group] + (up_j[pair] - up_i[pair]) * width
+    partner = np.minimum(np.searchsorted(group_key, wanted), len(group_key) - 1)
+    match = group_key[partner] == wanted
+    pair, group, partner = pair[match], group[match], partner[match]
+    size = end[partner] - first[partner]
+    count = (end[group] - first[group]) * size
+    product = np.repeat(np.arange(len(pair)), count)
+    step = np.arange(len(product)) - np.repeat(np.cumsum(count) - count, count)
+    i = by_key[np.concatenate([siblings[0], first[group][product] + step // size[product]])]
+    j = by_key[np.concatenate([siblings[1], first[partner][product] + step % size[product]])]
+    worst = np.concatenate([np.zeros(len(siblings[0])), up_worst[pair][product]])
+    return _within(batch, eps, i, j, worst, m + 1)
+
+
+def _within(batch: PathBatch, eps: float, i: np.ndarray, j: np.ndarray,
+            worst: np.ndarray, r0: int):
+    """The pairs (i, j) that stay within eps at every point from r0 on,
+    with the running maximum of their distances, from worst."""
+    for r in range(r0, batch.length + 1):
         d = sph_dist((batch.values[i, r], batch.inverted[i, r]),
                      (batch.values[j, r], batch.inverted[j, r]))
         close = d <= eps
         i, j, worst = i[close], j[close], np.maximum(worst[close], d[close])
-    batch._pairs[eps] = i, j, worst
     return i, j, worst
 
 

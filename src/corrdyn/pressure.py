@@ -124,7 +124,9 @@ def _next_pool(corr: Correspondence, f: SphereFunction, roots: PathBatch,
     """The depth-n pool of every tree and its weights, the sums of f over
     each path's first n points.  The depth-prev pool is grown by n - prev
     levels, except for the trees it holds thinned (or all trees, when
-    there is none yet), which grow from their start again.  A grown path's
+    there is none yet), which grow from their start again; when no tree
+    starts again, the pool itself is grown, so that its close pairs carry
+    on to the grown pool (``paths._close_pairs``).  A grown path's
     weight is its ancestor's depth-prev weight plus f over points
     prev..n-1, the same additions in the same order as a sum from point 0.
     The two groups are merged tree by tree; a tree's paths keep their
@@ -133,8 +135,8 @@ def _next_pool(corr: Correspondence, f: SphereFunction, roots: PathBatch,
     parts = []
     if not again.all():
         kept = ~again[pool.tree]
-        grown = enumerate_forward_paths(corr, pool.of_trees(~again), n - prev,
-                                        cap=cap, seed=seeds).paths
+        grows = pool if not again.any() else pool.of_trees(~again)
+        grown = enumerate_forward_paths(corr, grows, n - prev, cap=cap, seed=seeds).paths
         parts.append((grown, _birkhoff(f, grown.values[:, prev:n], grown.inverted[:, prev:n],
                                        weight[kept][grown.origin])))
     if again.any():

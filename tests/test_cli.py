@@ -269,6 +269,42 @@ class TestPipelines:
         assert f"{message}, got {value}" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("counts,message", [
+        ({"n_max": 0}, "n_max must be at least 1, got 0"),
+        ({"n_max": -1}, "n_max must be at least 1, got -1"),
+        ({"n_burn": -3}, "n_burn must be >= 0, got -3"),
+        ({"depth": 0, "empirical": 0}, "depth must be at least 1, got 0"),
+        ({"n_keep": 3}, "n_keep must be at least the cylinder depth, got 3 < 4")])
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_variational_checks_counts_before_pressure(self, workspace, counts, message,
+                                                       stored, capsys, monkeypatch):
+        # Neither the inner pressure estimate nor the stored report (which
+        # does not exist) is reached.
+        def pressure_estimate(*args, **kwargs):
+            raise AssertionError("pressure ran before the count check")
+
+        monkeypatch.setattr("corrdyn.cli.pressure_estimate", pressure_estimate)
+        section = {"f": "zero", "depth": 4, "empirical": 1, "n_keep": 200, **counts}
+        if stored:
+            section["pressure_report"] = str(workspace / "no_such_report.json")
+        cfg = write_config(workspace, "var_early", {"correspondence": "z2.corr",
+                                                    "variational": section})
+        assert run(["variational", "--config", cfg]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_variational_walk_counts_need_walks(self, workspace):
+        # Without walks, n_burn and n_keep are not used, so not checked.
+        cfg = write_config(workspace, "var_nowalk", {
+            "correspondence": "z2.corr",
+            "n_cells": 400,
+            "variational": {"f": "zero", "depth": 4, "empirical": 0,
+                            "n_burn": -3, "n_keep": 1,
+                            "pressure": {"schedule": [[4, 0.05]],
+                                         "start_points": 4, "cap": 64}},
+            "out": str(workspace / "var_nowalk"),
+        })
+        assert run(["variational", "--config", cfg]) == 0
+
     @pytest.mark.parametrize("key", ["n_max", "holder_scales", "depth", "probe_pairs"])
     @pytest.mark.parametrize("value", [0, -2])
     def test_ruelle_checks_counts_before_pullback(self, workspace, key, value,

@@ -368,6 +368,23 @@ class TestWalkMemo:
                                     grid=SphereGrid(400))
         assert [rng.draws for rng in made] == [draws]
 
+    def test_fiber_solves_stop_at_the_first_repeat(self, monkeypatch):
+        # The README z2 walk reaches 0, whose one slot is 0, at step 11 and
+        # repeats it at step 12, where the walk stops instead of running on
+        # to step 5,054.
+        corr = bundled_correspondence("z2")
+        grid = SphereGrid(2000)
+        points, _, _ = ref_walk(corr, 0.5 + 0.3j, 5054, 0, grid)
+        seen = [point_bits(p) for p in points]
+        repeat = next(t for t in range(len(seen)) if seen[t] in seen[:t])
+        assert repeat == 12
+        fibers = count_calls(monkeypatch, corr, "forward_images")
+        keys = count_calls(monkeypatch, measures_mod, "_point_bits")
+        empirical_invariant_measure(corr, 0.5 + 0.3j, n_burn=50, n_keep=5000,
+                                    depth=4, seed=0, grid=grid)
+        assert fibers[0] == repeat
+        assert keys[0] == repeat + 1
+
     def test_one_slot_draw_leaves_the_generator(self):
         # What makes skipping it exact: integers(1) is 0 and draws nothing.
         rng = np.random.default_rng(5)
@@ -922,3 +939,85 @@ class TestArrayFoldExactness:
                                        (join(a, b), ref_join(ref_a, ref_b))):
                 assert partition_groups(q) == groups
                 assert list(q.names) == names
+
+
+#: (z - 1)(w - z^2) + (z + 1)(w + z): two slots, w = z^2 and w = -z,
+#: except at z = 1 and z = -1, where one graph collapses and leaves the
+#: other alone.  A walk from i draws between i and -i until it lands on -1
+#: and then cycles 1 -> -1 -> 1 on one slot, by the two graphs in turn.
+ONE_SLOT_CYCLE_TEXT = ("1\n1 1 1 0\n3 0 -1 0\n0 1 -1 0\n2 0 1 0\n\n"
+                       "1\n1 1 1 0\n2 0 1 0\n0 1 1 0\n1 0 1 0\n")
+
+
+def uncut_empirical(corr, x0, n_burn, n_keep, depth, seed, grid):
+    """``empirical_invariant_measure`` as it was before a walk stopped at
+    its first deterministic repeat: the memo walk runs every step."""
+    rng = np.random.default_rng(seed)
+    steps = n_burn + n_keep + depth
+    memo = {}
+    point = as_sphere_point(x0)
+    entry = memo[measures_mod._point_bits(point)] = [None, grid.cell_index(point)]
+    cells = [entry[1]]
+    symbols = []
+    for _ in range(steps):
+        if entry[0] is None:
+            entry[0] = measures_mod._forward_slots(corr, point)
+        slots = entry[0]
+        pick = slots[int(rng.integers(len(slots)))] if len(slots) > 1 else slots[0]
+        point = pick.point
+        symbols.append(pick.component)
+        key = measures_mod._point_bits(point)
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = [None, grid.cell_index(point)]
+        cells.append(entry[1])
+    window = np.arange(n_burn, n_burn + n_keep)[:, None] + np.arange(depth)
+    words = np.stack([np.array(cells)[window], np.array(symbols)[window]], axis=2)
+    ids, first = measures_mod._group(words)
+    return PathMeasure(grid, words[first], np.bincount(ids) / float(n_keep))
+
+
+def assert_same_measure(mu, want):
+    assert mu.words.dtype == want.words.dtype
+    assert mu.words.tolist() == want.words.tolist()
+    assert mu.weights.tolist() == want.weights.tolist()
+
+
+class TestWalkCut:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_matches_the_uncut_walk(self, name):
+        # README sizes, from the README start, -0.5 and infinity.
+        corr = bundled_correspondence(name)
+        grid = SphereGrid(2000)
+        for x0 in (0.5 + 0.3j, -0.5, SpherePoint.infinity()):
+            for seed in (0, 1):
+                assert_same_measure(
+                    empirical_invariant_measure(corr, x0, n_burn=50, n_keep=5000,
+                                                depth=4, seed=seed, grid=grid),
+                    uncut_empirical(corr, x0, 50, 5000, 4, seed, grid))
+
+    @pytest.mark.parametrize("seed", [0, 1, 4, 5])
+    def test_draws_then_a_one_slot_cycle(self, seed, monkeypatch):
+        corr = parse_correspondence(ONE_SLOT_CYCLE_TEXT)
+        grid = SphereGrid(400)
+        points, _, symbols = ref_walk(corr, 1j, 200, seed, grid)
+        assert [p.to_complex() for p in points[-2:]] in ([1, -1], [-1, 1])
+        assert len({point_bits(p) for p in points[-4:]}) == 2
+        assert sorted(symbols[-2:]) == [1, 2]
+        for n_burn, n_keep, depth in ((50, 5000, 4), (0, 3, 3), (3, 2, 1), (2, 7, 2)):
+            keys = count_calls(monkeypatch, measures_mod, "_point_bits")
+            mu = empirical_invariant_measure(corr, 1j, n_burn, n_keep, depth,
+                                             seed=seed, grid=grid)
+            assert keys[0] <= 12
+            monkeypatch.undo()
+            assert_same_measure(mu, uncut_empirical(corr, 1j, n_burn, n_keep, depth,
+                                                    seed, grid))
+
+    def test_repeats_after_a_draw_run_on(self, monkeypatch):
+        # mobius_pair falls onto infinity, whose two slots are both
+        # infinity: every step draws, so the walk never stops early.
+        corr = bundled_correspondence("mobius_pair")
+        keys = count_calls(monkeypatch, measures_mod, "_point_bits")
+        empirical_invariant_measure(corr, 0.5 + 0.3j, n_burn=50, n_keep=1000, depth=4,
+                                    seed=0, grid=SphereGrid(400))
+        assert keys[0] == 1 + 1054

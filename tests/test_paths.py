@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import corrdyn.paths as paths_mod
+from corrdyn.correspondence import parse_correspondence
 from corrdyn.datasets import bundled_correspondence
 from corrdyn.errors import EmptyPath, IndexOutOfRange, LengthMismatch
 from corrdyn.functions import fn_re
@@ -764,3 +765,155 @@ class TestPairsKeptPerEps:
         separated_subset(one, 0.3)
         assert other._pairs == {} and one._pairs is not other._pairs
         assert one.of_trees(np.ones(1, dtype=bool))._pairs == {}
+
+
+# ---------------------------------------------------------------------------
+# Close pairs inherited from the batch a batch was grown from
+# ---------------------------------------------------------------------------
+
+#: w^2 = z plus twice w = z^2: every fiber has siblings that share a word,
+#: two that differ in point and two equal ones of the multiplicity-2 graph.
+SIBLING_WORDS_TEXT = "1\n0 2 1 0\n1 0 -1 0\n\n2\n0 1 1 0\n2 0 -1 0\n"
+
+
+def pair_map(pairs):
+    """{(min, max): worst bits} of (i, j, worst) arrays."""
+    i, j, worst = pairs
+    return {(min(a, b), max(a, b)): w.hex()
+            for a, b, w in zip(i.tolist(), j.tolist(), worst.tolist())}
+
+
+def spy_pair_searches(monkeypatch):
+    """Names of the pair searches run from here on, in order."""
+    runs = []
+    for name in ("_cube_pairs", "_inherited_pairs"):
+        real = getattr(paths_mod, name)
+
+        def spied(*args, _real=real, _name=name):
+            runs.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(paths_mod, name, spied)
+    return runs
+
+
+def grown_pool(corr, starts, m, k, eps_up, cap=4096):
+    """A depth-m pool of the starts whose pairs are searched at each
+    eps_up, grown k more levels."""
+    source = enumerate_forward_paths(corr, PathBatch.from_starts(starts), m, cap=cap,
+                                     seed=[None] * len(starts)).paths
+    for eps in eps_up:
+        paths_mod._close_pairs(source, eps)
+    return source, enumerate_forward_paths(corr, source, k, cap=cap,
+                                           seed=[None] * len(starts)).paths
+
+
+def assert_inherits_cube_pairs(grown, eps, monkeypatch):
+    """grown's pairs at eps come from its source, equal the cube search's
+    on a copy, and give the same families; returns the pair map."""
+    copy = grown.of_trees(np.ones(len(grown.thinned), dtype=bool))
+    want = paths_mod._cube_pairs(copy, eps)
+    runs = spy_pair_searches(monkeypatch)
+    got = paths_mod._close_pairs(grown, eps)
+    assert runs == ["_inherited_pairs"]
+    assert pair_map(got) == pair_map(want)
+    weight = np.array([re_weight(p) for p in grown])
+    for fam in (separated_subset, spanning_subset):
+        assert fam(grown, eps, weight=weight) == fam(copy, eps, weight=weight)
+        assert fam(grown, eps) == fam(copy, eps)
+    monkeypatch.undo()
+    return pair_map(got)
+
+
+def sibling_count(grown, pairs):
+    return sum(grown.origin[a] == grown.origin[b] for a, b in pairs)
+
+
+class TestInheritedPairs:
+    @pytest.mark.parametrize("name,starts,m,k,eps", [
+        ("z2", 300, 4, 4, 0.05), ("z2", 300, 3, 5, 0.2),
+        ("z2_plus_z3", 60, 2, 2, 0.05), ("z2_plus_z3", 24, 2, 3, 0.5),
+        ("mobius_pair", 8, 4, 4, 0.05), ("mobius_pair", 8, 3, 3, 0.5)])
+    def test_grown_pools(self, name, starts, m, k, eps, monkeypatch):
+        corr = bundled_correspondence(name)
+        _, grown = grown_pool(corr, circle_starts(starts, 40), m, k, [eps])
+        pairs = assert_inherits_cube_pairs(grown, eps, monkeypatch)
+        assert len(pairs) > sibling_count(grown, pairs)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.6, 1.5])
+    def test_siblings_that_share_a_word(self, eps, monkeypatch):
+        corr = parse_correspondence(SIBLING_WORDS_TEXT)
+        _, grown = grown_pool(corr, circle_starts(5, 41) + [sp(0.3)], 2, 2, [eps],
+                              cap=200)
+        pairs = assert_inherits_cube_pairs(grown, eps, monkeypatch)
+        # Equal siblings of the multiplicity-2 graph are always close, and
+        # so are some siblings with distinct points.
+        assert any(grown.values[a, -1] == grown.values[b, -1] and
+                   grown.origin[a] == grown.origin[b] for a, b in pairs)
+        assert any(grown.values[a, -1] != grown.values[b, -1] and
+                   grown.origin[a] == grown.origin[b] for a, b in pairs)
+
+    @pytest.mark.parametrize("name,eps,up", [("mobius_pair", 0.05, 0.2),
+                                             ("mobius_pair", 0.1, 0.5),
+                                             ("z2", 0.05, 0.2)])
+    def test_pairs_at_a_larger_eps(self, name, eps, up, monkeypatch):
+        # mobius_pair contracts near infinity, so pairs farther than eps in
+        # their ancestors may be within eps on the new points.
+        corr = bundled_correspondence(name)
+        source, grown = grown_pool(corr, circle_starts(40 if corr.d_fwd > 1 else 400, 42),
+                                   3, 3, [up])
+        assert list(grown._origin_pairs) == [up]
+        pairs = assert_inherits_cube_pairs(grown, eps, monkeypatch)
+        dropped = source._pairs[up][2] > eps
+        assert dropped.any() and len(pairs) > 0
+
+    def test_smallest_larger_eps_is_used(self, corr_pair, monkeypatch):
+        _, grown = grown_pool(corr_pair, circle_starts(20, 43), 3, 2, [0.5, 0.1, 0.02])
+        used = []
+        real = paths_mod._inherited_pairs
+        monkeypatch.setattr(paths_mod, "_inherited_pairs",
+                            lambda batch, eps, i, j, worst, m:
+                            used.append(len(i)) or real(batch, eps, i, j, worst, m))
+        paths_mod._close_pairs(grown, 0.05)
+        assert used == [len(grown._origin_pairs[0.1][0])]
+
+    def test_zero_pair_source(self, monkeypatch):
+        corr = parse_correspondence(SIBLING_WORDS_TEXT)
+        source, grown = grown_pool(corr, [sp(0.4 + 0.2j)], 0, 3, [0.05])
+        assert len(source._pairs[0.05][0]) == 0
+        pairs = assert_inherits_cube_pairs(grown, 0.05, monkeypatch)
+        assert len(pairs) == sibling_count(grown, pairs) > 0
+
+    def test_source_without_pairs_takes_the_cube_search(self, corr_pair, monkeypatch):
+        _, grown = grown_pool(corr_pair, circle_starts(8, 44), 3, 2, [])
+        runs = spy_pair_searches(monkeypatch)
+        paths_mod._close_pairs(grown, 0.05)
+        assert runs == ["_cube_pairs"]
+
+    def test_smaller_eps_only_takes_the_cube_search(self, corr_pair, monkeypatch):
+        _, grown = grown_pool(corr_pair, circle_starts(8, 45), 3, 2, [0.05])
+        runs = spy_pair_searches(monkeypatch)
+        paths_mod._close_pairs(grown, 0.1)
+        assert runs == ["_cube_pairs"]
+
+    def test_backward_growth_takes_the_cube_search(self, corr_z2, monkeypatch):
+        starts = PathBatch.from_starts(circle_starts(30, 46))
+        source = enumerate_backward_paths(corr_z2, starts, 2, seed=[None] * 30).paths
+        paths_mod._close_pairs(source, 0.5)
+        grown = enumerate_backward_paths(corr_z2, source, 2, seed=[None] * 30).paths
+        assert grown._origin_pairs == {}
+        runs = spy_pair_searches(monkeypatch)
+        got = paths_mod._close_pairs(grown, 0.5)
+        assert runs == ["_cube_pairs"]
+        assert len(got[0]) > 0
+
+    def test_pressure_pools(self, corr_pair, monkeypatch):
+        # Depth 3 is searched over cubes; 5 grows from 3 and inherits; 6 is
+        # thinned at cap 20, so 8 starts again and is searched over cubes.
+        runs = spy_pair_searches(monkeypatch)
+        report = pressure_estimate(corr_pair, fn_re, [(3, 0.1), (5, 0.05), (6, 0.05),
+                                                      (8, 0.05)],
+                                   start_points=6, seed=2, cap=40,
+                                   start_sampler=circle_start_sampler())
+        assert [r.truncated for r in report.rows] == [False, False, True, True]
+        assert runs == ["_cube_pairs", "_inherited_pairs", "_inherited_pairs",
+                        "_cube_pairs"]

@@ -22,6 +22,11 @@ lives in), each call in a fresh interpreter and a fresh output directory:
   ``pressure`` with f = im and f = const:0.25 on the z2 and mobius_pair
   pools (``POOL_FUNCTIONS``), so the array form of every built-in
   function but log_abs (which has none) is digested;
+- ``entropy`` and ``pressure`` with f = re on z2 and mobius_pair at seeds
+  0 and 3, on whole pools whose eps shrinks with depth and on pools whose
+  eps grows with depth (``INHERIT_SCHEDULES``), so the close pairs a
+  grown pool takes from its source at a larger eps are digested, and so
+  are those a grown pool must search for again;
 - ``ds-measure`` and ``ruelle`` (f = re, depth 3) from the real start
   0.5 on z2 and z2_plus_z3 at seeds 0 and 3 (``REAL_START_CORRESPONDENCES``).
   Its preimage trees reach the negative real axis, where roots have
@@ -107,6 +112,16 @@ POOL_FUNCTIONS = {"im": "im", "const": "const:0.25"}
 POOL_FUNCTION_CORRESPONDENCES = ("z2", "mobius_pair")
 
 
+#: Untruncated three-depth schedules by call-id suffix: "shrink" takes
+#: each depth's close pairs from the depth before it, at a larger eps and
+#: then the same one; every eps of "grow" exceeds the eps before it.
+INHERIT_SCHEDULES = {"shrink": [[3, 0.1], [6, 0.05], [9, 0.05]],
+                     "grow": [[3, 0.05], [6, 0.1], [9, 0.2]]}
+
+#: Starts of the ``INHERIT_SCHEDULES`` pools, by correspondence.
+INHERIT_STARTS = {"z2": 64, "mobius_pair": 5}
+
+
 #: Correspondences run from the real start 0.5 (``REAL_START``).
 REAL_START_CORRESPONDENCES = ("z2", "z2_plus_z3")
 REAL_START = [0.5, 0.0]
@@ -162,6 +177,13 @@ def _configs(data: Path) -> dict[str, dict]:
         for suffix, f in POOL_FUNCTIONS.items():
             out[f"pools-{name}-{suffix}"] = {
                 **out[f"pools-{name}"], "pressure": {**POOL_CONFIGS[name], "f": f}}
+    for name, start_points in INHERIT_STARTS.items():
+        for suffix, schedule in INHERIT_SCHEDULES.items():
+            section = {"schedule": schedule, "start_points": start_points,
+                       "starts": "circle"}
+            out[f"inherit-{name}-{suffix}"] = {
+                "correspondence": str(data / f"{name}.corr"), "n_cells": 2000,
+                "entropy": section, "pressure": {**section, "f": "re"}}
     return out
 
 
@@ -208,6 +230,12 @@ def _calls() -> list[tuple[str, str, str, int]]:
             for suffix in POOL_FUNCTIONS:
                 calls.append((f"pools/{name}/seed{seed}/pressure-{suffix}",
                               f"pools-{name}-{suffix}", "pressure", seed))
+    for name in INHERIT_STARTS:
+        for suffix in INHERIT_SCHEDULES:
+            for seed in README_SEEDS:
+                for command in ("entropy", "pressure"):
+                    calls.append((f"inherit/{name}/seed{seed}/{command}-{suffix}",
+                                  f"inherit-{name}-{suffix}", command, seed))
     return calls
 
 
