@@ -294,10 +294,14 @@ def _nearest_center(active: ActiveGrid, idx: int) -> SpherePoint:
 def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     section = config.section("ruelle")
     counts = {key: int(section.get(key, default)) for key, default in
-              (("probe_pairs", 50), ("depth", 2), ("n_max", 40), ("holder_scales", 10))}
+              (("probe_pairs", 50), ("depth", 2), ("n_max", 40), ("holder_scales", 10),
+               ("max_iter", 2000))}
     for key, value in counts.items():
         if value < 1:  # before the pullback, which would run in vain
             raise ValueError(f"{key} must be at least 1, got {value}")
+    tol = float(section.get("tol", 1e-10))
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     grid = config.grid()
     pb = section.get("pullback", {})
     start = _point_from_config(pb.get("start", [0.5, 0.3]))
@@ -310,7 +314,6 @@ def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     kernel = TransferKernel(corr, active)
     f_label = section.get("f", "zero")
     f = GridFunction.from_callable(active, named_function(f_label))
-    tol = float(section.get("tol", 1e-10))
     probe_pairs = []
     rng = np.random.default_rng(config["seed"])
     for _ in range(counts["probe_pairs"]):
@@ -323,7 +326,7 @@ def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     except CorrdynError:
         probe = None
     spectral = power_iteration(kernel, f, tol=tol,
-                               max_iter=int(section.get("max_iter", 2000)),
+                               max_iter=counts["max_iter"],
                                seed=config["seed"], expansivity=probe)
     weights = normalize(f, spectral, kernel)
     adjoint = adjoint_fixed_point(kernel, f, spectral, tol=tol,

@@ -12,9 +12,10 @@ points[i+1].
 A ``ForwardPath`` holds one path as objects.  A ``PathBatch`` holds a pool
 of equal-length paths as arrays, each row tagged with the tree (the
 start) it grew from; its rows index and iterate as ``ForwardPath``s.  The
-enumerators grow every tree of a batch together, one fiber solve per
-level, and the separated and spanning families are computed from batched
-pair distances (``sph_dist`` on chart arrays).
+enumerators grow every tree of a batch together, one ``fiber_arrays``
+call per level, the level of starts included, and the separated and
+spanning families are computed from batched pair distances (``sph_dist``
+on chart arrays).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .correspondence import Correspondence, Fiber, flatten_fibers
+from .correspondence import Correspondence, Fiber
 from .errors import EmptyPath, IndexOutOfRange, LengthMismatch
 from .sphere import SpherePoint, chart_unit_vectors, chart_values, sph_dist
 
@@ -48,14 +49,6 @@ class ForwardPath:
     @property
     def length(self) -> int:
         return len(self.points) - 1
-
-    def max_incidence_residual(self, corr: Correspondence) -> float:
-        worst = 0.0
-        for r in range(self.length):
-            res = corr.incidence_residual(self.points[r], self.points[r + 1],
-                                          self.symbols[r])
-            worst = max(worst, res)
-        return worst
 
     def children(self, fiber: Fiber, backward: bool = False) -> Iterator["ForwardPath"]:
         """One-step extensions across fiber, one per branch slot in fiber
@@ -182,9 +175,8 @@ def _grow(corr: Correspondence, batch: PathBatch, n: int, cap: int, seeds,
           backward: bool) -> PathBatch:
     """Breadth-first growth of every tree of batch by n levels.
 
-    A level of length-0 paths (starts) takes the scalar fiber of each
-    start; every later level, across all trees, is one ``fiber_arrays``
-    call.  A fiber point of multiplicity m spawns m children carrying
+    Every level, the starts included, is one ``fiber_arrays`` call across
+    all trees.  A fiber point of multiplicity m spawns m children carrying
     consecutive slots, appended after the last point, or, when backward,
     prepended before the first.  A tree whose level outgrows ``cap`` is
     thinned (``_thin``), so untruncated trees do not depend on their seeds.
@@ -199,19 +191,13 @@ def _grow(corr: Correspondence, batch: PathBatch, n: int, cap: int, seeds,
         raise ValueError("cap must be positive")
     if n == 0:
         return batch
-    images = corr.backward_images if backward else corr.forward_images
     end = 0 if backward else -1
     values, inverted = batch.values[:, end], batch.inverted[:, end]
     tree, thinned, rngs = batch.tree, batch.thinned.copy(), {}
     levels = []
-    for step in range(n):
-        if batch.length + step == 0:
-            fibers = [images(SpherePoint.from_chart(v, i))
-                      for v, i in zip(values.tolist(), inverted.tolist())]
-            owner, mult, values, inverted, component, slot = flatten_fibers(fibers)
-        else:
-            owner, mult, values, inverted, component, slot = corr.fiber_arrays(
-                values, inverted, backward)
+    for _ in range(n):
+        owner, mult, values, inverted, component, slot = corr.fiber_arrays(
+            values, inverted, backward)
         point = np.repeat(np.arange(len(mult)), mult)
         branch = np.repeat(slot - np.cumsum(mult) + mult, mult) + np.arange(len(point))
         parent = owner[point]

@@ -188,6 +188,13 @@ class SpectralResult:
     gap_estimate: float | None
 
 
+def _check_iteration(tol: float, max_iter: int) -> None:
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
 def power_iteration(kernel: TransferKernel, f: GridFunction,
                     tol: float = 1e-10, max_iter: int = 2000,
                     seed: int | None = 0,
@@ -199,6 +206,7 @@ def power_iteration(kernel: TransferKernel, f: GridFunction,
     than tol (relative) and the sup-norm eigen-residual is below
     tol * lam.
     """
+    _check_iteration(tol, max_iter)
     if expansivity is not None and not expansivity.is_expansive:
         warnings.warn(
             "correspondence fails the expansivity probe; spectral "
@@ -353,6 +361,7 @@ def adjoint_fixed_point(kernel: TransferKernel, f: GridFunction,
     equal nu.  Two random starts are compared; disagreement beyond
     10 * tol flags non-uniqueness.
     """
+    _check_iteration(tol, max_iter)
     norm = normalize(f, spectral, kernel)
     p = norm.transition_matrix()
     n = f.active.n_active

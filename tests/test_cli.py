@@ -320,6 +320,26 @@ class TestPipelines:
         assert run(["ruelle", "--config", cfg]) == 3
         assert f"{key} must be at least 1, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting,message", [
+        ({"tol": -1}, "tol must be positive and finite, got -1.0"),
+        ({"tol": 0}, "tol must be positive and finite, got 0.0"),
+        ({"tol": math.nan}, "tol must be positive and finite, got nan"),
+        ({"tol": math.inf}, "tol must be positive and finite, got inf"),
+        ({"max_iter": 0}, "max_iter must be at least 1, got 0")])
+    def test_ruelle_checks_iteration_before_pullback(self, workspace, setting, message,
+                                                     capsys, monkeypatch):
+        # These ran the whole pullback and every power step, then exited 4.
+        def pullback_iterate(*args, **kwargs):
+            raise AssertionError("pullback ran before the iteration check")
+
+        monkeypatch.setattr("corrdyn.cli.pullback_iterate", pullback_iterate)
+        cfg = write_config(workspace, "ruelle_iter", {
+            "correspondence": "z2.corr",
+            "ruelle": setting,
+        })
+        assert run(["ruelle", "--config", cfg]) == 3
+        assert message in capsys.readouterr().err
+
     def test_variational_mismatched_f(self, workspace):
         out = workspace / "var_pr"
         cfg = write_config(workspace, "varpr", {

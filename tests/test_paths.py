@@ -74,7 +74,9 @@ class TestEnumeration:
             paths, _ = enumerate_paths(corr_z2z3, 0.7 + 0.2j, 3, cap=64)
             assert paths
             for p in paths:
-                assert p.max_incidence_residual(corr_z2z3) <= 1e-8
+                for r in range(p.length):
+                    assert corr_z2z3.incidence_residual(
+                        p.points[r], p.points[r + 1], p.symbols[r]) <= 1e-8
 
     def test_backward_tree_of_square_map(self, corr_z2):
         # Oracle: the two-level square-root tree built by hand.
@@ -168,7 +170,7 @@ class TestBatchedLevels:
             assert (p.symbols, p.branches) == (q.symbols, q.branches)
             assert max(sph_dist(a, b) for a, b in zip(p.points, q.points)) <= 1e-12
 
-    def test_one_point_levels_stay_scalar(self, monkeypatch):
+    def test_every_level_is_one_batch(self, monkeypatch):
         corr_pair = bundled_correspondence("mobius_pair")
         corr_z2 = bundled_correspondence("z2")
         pair_batches, pair_scalar = count_batches(monkeypatch, corr_pair)
@@ -176,11 +178,33 @@ class TestBatchedLevels:
         enumerate_forward_paths(corr_pair, 0.3, 4)
         enumerate_forward_paths(corr_z2, 0.3, 4)
         enumerate_backward_paths(corr_z2, 0.3, 3)
-        # The start fiber is scalar, every later level is one batch, one
-        # point wide or wider.
-        assert pair_batches == [2, 4, 8]
-        assert z2_batches == [1, 1, 1, 2, 4]
-        assert len(pair_scalar) == 1 and len(z2_scalar) == 2
+        grow = enumerate_forward_paths(corr_pair, PathBatch.from_starts([0.1, 0.2, 0.3]), 2)
+        # Every level, the start included, is one batch, however narrow,
+        # and no fiber is solved point by point.
+        assert pair_batches == [1, 2, 4, 8, 3, 6]
+        assert z2_batches == [1, 1, 1, 1, 1, 2, 4]
+        assert len(grow.paths) == 12
+        assert not pair_scalar and not z2_scalar
+
+    @pytest.mark.parametrize("name", ["corr_mobius", "corr_z2", "corr_z3", "corr_z2z3",
+                                      "corr_pair"])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_start_level_matches_scalar_fibers(self, name, backward, request):
+        corr = request.getfixturevalue(name)
+        starts = [0.0, SpherePoint.infinity(), -0.5, 0.5 + 0.3j] + circle_starts(6, 4)
+        grow = enumerate_backward_paths if backward else enumerate_forward_paths
+        got = grow(corr, PathBatch.from_starts(starts), 1)
+        want = [p for start in starts
+                for p in scalar_enumerate(corr, start, 1, 4096, None, backward)[0]]
+        assert len(got.paths) == len(want)
+        if backward:
+            assert [(p.symbols, p.branches) for p in got.paths] == \
+                [(p.symbols, p.branches) for p in want]
+            for p, q in zip(got.paths, want):
+                assert max(sph_dist(a, b) for a, b in zip(p.points, q.points)) <= 1e-12
+        else:
+            # Point values included: ForwardPath and SpherePoint compare exactly.
+            assert list(got.paths) == want
 
     @pytest.mark.parametrize("enumerate_paths", [enumerate_forward_paths,
                                                  enumerate_backward_paths])
@@ -217,7 +241,7 @@ class TestLevelGrowth:
         with pytest.raises(LengthMismatch):
             enumerate_forward_paths(corr_pair, [make_path([0.1]), make_path([0.1, 0.2])], 1)
 
-    def test_one_path_levels_stay_scalar(self, monkeypatch):
+    def test_grown_levels_are_one_batch(self, monkeypatch):
         corr_pair = bundled_correspondence("mobius_pair")
         corr_z2 = bundled_correspondence("z2")
         pair_level, _ = enumerate_forward_paths(corr_pair, 0.3, 0)
@@ -226,8 +250,8 @@ class TestLevelGrowth:
         z2_batches, z2_scalar = count_batches(monkeypatch, corr_z2)
         enumerate_forward_paths(corr_pair, pair_level, 3)
         enumerate_forward_paths(corr_z2, z2_level, 3)
-        # Only a level of starts takes scalar fibers.
-        assert pair_batches == [2, 4] and len(pair_scalar) == 1
+        # A level of starts is batched like any later level.
+        assert pair_batches == [1, 2, 4] and not pair_scalar
         assert z2_batches == [1, 1, 1] and not z2_scalar
 
 

@@ -299,6 +299,22 @@ class TestNormalize:
             normalize(f, bad, kernel_z2)
 
 
+@pytest.mark.parametrize("tol,max_iter,message", [
+    (-1.0, 10, "tol must be positive and finite, got -1.0"),
+    (0.0, 10, "tol must be positive and finite, got 0.0"),
+    (math.nan, 10, "tol must be positive and finite, got nan"),
+    (math.inf, 10, "tol must be positive and finite, got inf"),
+    (1e-10, 0, "max_iter must be at least 1, got 0")])
+def test_iteration_bounds_rejected(active, kernel_z2, spectral_z2, tol, max_iter,
+                                   message):
+    # Such a tol or max_iter ran every step, then raised NonConvergence.
+    f = GridFunction.constant(active, 0.0)
+    with pytest.raises(ValueError, match=message):
+        power_iteration(kernel_z2, f, tol=tol, max_iter=max_iter)
+    with pytest.raises(ValueError, match=message):
+        adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=tol, max_iter=max_iter)
+
+
 class TestAdjoint:
     def test_doubling_stationary_is_arc_length(self, corr_z2, active, kernel_z2,
                                                spectral_z2):
