@@ -105,14 +105,15 @@ class RunConfig:
 
 
 def _point_from_config(value) -> SpherePoint:
+    """A point from "inf", a real number or a [re, im] pair of numbers;
+    JSON true and false are not numbers here."""
     if value == "inf":
         return SpherePoint.infinity()
-    if isinstance(value, (int, float)):
-        point = SpherePoint.from_complex(complex(value, 0.0))
-    elif isinstance(value, (list, tuple)) and len(value) == 2:
-        point = SpherePoint.from_complex(complex(value[0], value[1]))
-    else:
+    parts = value if isinstance(value, (list, tuple)) else (value, 0.0)
+    if len(parts) != 2 or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                                  for x in parts):
         raise ConfigMismatch(f"cannot read a sphere point from {value!r}")
+    point = SpherePoint.from_complex(complex(*parts))
     if not np.isfinite(point.unit_vector()).all():
         raise ValueError(f"sphere point {value!r} is not a point of the sphere")
     return point
@@ -302,6 +303,9 @@ def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     tol = float(section.get("tol", 1e-10))
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    f_label = section.get("f", "zero")
+    f_fn = named_function(f_label)
+    g_fn = named_function(section.get("convergence_g", "re"))
     grid = config.grid()
     pb = section.get("pullback", {})
     start = _point_from_config(pb.get("start", [0.5, 0.3]))
@@ -312,8 +316,7 @@ def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
                          cert_bound=float(pb.get("cert_bound", 0.05)))
     active = ActiveGrid(grid, support.core)
     kernel = TransferKernel(corr, active)
-    f_label = section.get("f", "zero")
-    f = GridFunction.from_callable(active, named_function(f_label))
+    f = GridFunction.from_callable(active, f_fn)
     probe_pairs = []
     rng = np.random.default_rng(config["seed"])
     for _ in range(counts["probe_pairs"]):
@@ -332,8 +335,7 @@ def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     adjoint = adjoint_fixed_point(kernel, f, spectral, tol=tol,
                                   seed=config["seed"],
                                   depth=counts["depth"])
-    g_label = section.get("convergence_g", "re")
-    g = GridFunction.from_callable(active, named_function(g_label))
+    g = GridFunction.from_callable(active, g_fn)
     conv = convergence_check(kernel, f, g, spectral, adjoint.nu,
                              n_max=counts["n_max"])
     invariance = check_shift_invariance(adjoint.mu0, tol=10.0 * tol)

@@ -1,10 +1,10 @@
-"""Evaluable real functions on the sphere and test-function families.
+"""Real functions on the sphere and test-function families.
 
-The built-ins ``fn_zero``, ``fn_const(c)``, ``fn_re`` and ``fn_im`` also
-carry an array form, ``f.on_charts(values, inverted)``: f at every point
-given by chart value and flag, each value equal to f of that point bit for
-bit, up to the sign of a zero.  ``fn_log_abs`` has none, since numpy's
-``log`` rounds differently from ``math.log``.
+A sphere function takes the points as chart arrays, ``f(values,
+inverted)`` with the chart values and flags of ``chart_values``, and
+returns its value at every point as a float64 array.  Each built-in
+equals, bit for bit up to the sign of a zero, the scalar formula on
+``SpherePoint.unit_vector()`` or ``magnitude()``.
 """
 
 from __future__ import annotations
@@ -16,57 +16,53 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FamilyEmpty
-from .sphere import SpherePoint, as_sphere_point, chart_unit_vectors
+from .sphere import chart_unit_vectors
 
-SphereFunction = Callable[[SpherePoint], float]
+SphereFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 #: Clamp bound for the log-magnitude built-in near its poles.
 LOG_ABS_CLAMP = 10.0
 
 
-def fn_zero(_: SpherePoint) -> float:
-    return 0.0
-
-
-fn_zero.on_charts = lambda values, inverted: np.zeros(len(values))
+def fn_zero(values, inverted) -> np.ndarray:
+    return np.zeros(len(values))
 
 
 def fn_const(c: float) -> SphereFunction:
     value = float(c)
 
-    def f(_: SpherePoint) -> float:
-        return value
+    def f(values, inverted) -> np.ndarray:
+        return np.full(len(values), value)
 
-    f.on_charts = lambda values, inverted: np.full(len(values), value)
     return f
 
 
-def fn_re(p) -> float:
+def fn_re(values, inverted) -> np.ndarray:
     """First embedding coordinate 2 Re(z) / (1 + |z|^2).
 
     Continuous on the whole sphere and equal to Re(z) on the unit circle.
     """
-    return float(as_sphere_point(p).unit_vector()[0])
+    return chart_unit_vectors(values, inverted)[:, 0]
 
 
-def fn_im(p) -> float:
+def fn_im(values, inverted) -> np.ndarray:
     """Second embedding coordinate; equals Im(z) on the unit circle."""
-    return float(as_sphere_point(p).unit_vector()[1])
+    return chart_unit_vectors(values, inverted)[:, 1]
 
 
-fn_re.on_charts = lambda values, inverted: chart_unit_vectors(values, inverted)[:, 0]
-fn_im.on_charts = lambda values, inverted: chart_unit_vectors(values, inverted)[:, 1]
+def fn_log_abs(values, inverted) -> np.ndarray:
+    """log |z| clamped to +-LOG_ABS_CLAMP at the poles 0 and infinity.
 
-
-def fn_log_abs(p) -> float:
-    """log |z| clamped to +-LOG_ABS_CLAMP at the poles 0 and infinity."""
-    p = as_sphere_point(p)
-    m = p.magnitude()
-    if m == 0.0:
-        return -LOG_ABS_CLAMP
-    if math.isinf(m):
-        return LOG_ABS_CLAMP
-    return max(-LOG_ABS_CLAMP, min(LOG_ABS_CLAMP, math.log(m)))
+    |z| is the chart value's modulus, or its reciprocal in the reciprocal
+    chart, as ``SpherePoint.magnitude`` has it.  Each distinct magnitude
+    is one ``math.log``, since numpy's ``log`` rounds differently.
+    """
+    modulus = np.hypot(values.real, values.imag)
+    with np.errstate(divide="ignore", over="ignore"):
+        magnitude = np.where(inverted, 1.0 / modulus, modulus)
+    distinct, which = np.unique(magnitude, return_inverse=True)
+    logs = [math.log(m) if m > 0.0 else -math.inf for m in distinct.tolist()]
+    return np.clip(np.array(logs, dtype=float), -LOG_ABS_CLAMP, LOG_ABS_CLAMP)[which]
 
 
 def named_function(spec: str) -> SphereFunction:
@@ -110,35 +106,28 @@ class TestFunctionFamily:
             raise FamilyEmpty("test-function family is empty")
 
 
-def _coord(i: int) -> SphereFunction:
-    def f(p) -> float:
-        return float(as_sphere_point(p).unit_vector()[i])
-    return f
+def _z(values, inverted) -> np.ndarray:
+    return chart_unit_vectors(values, inverted)[:, 2]
 
 
 def _prod(i: int, j: int, scale: float) -> SphereFunction:
-    def f(p) -> float:
-        v = as_sphere_point(p).unit_vector()
-        return scale * float(v[i] * v[j])
+    def f(values, inverted) -> np.ndarray:
+        v = chart_unit_vectors(values, inverted)
+        return scale * (v[:, i] * v[:, j])
     return f
 
 
-def _xx_minus_yy(p) -> float:
-    v = as_sphere_point(p).unit_vector()
-    return float(v[0] * v[0] - v[1] * v[1])
-
-
-def _zz(p) -> float:
-    v = as_sphere_point(p).unit_vector()
-    return float(v[2] * v[2])
+def _xx_minus_yy(values, inverted) -> np.ndarray:
+    v = chart_unit_vectors(values, inverted)
+    return v[:, 0] * v[:, 0] - v[:, 1] * v[:, 1]
 
 
 def default_test_family() -> TestFunctionFamily:
     """Eight low-order polynomials in the embedding coordinates, sup <= 1."""
     fns: Sequence[SphereFunction] = (
-        _coord(0), _coord(1), _coord(2),
+        fn_re, fn_im, _z,
         _prod(0, 1, 2.0), _prod(1, 2, 2.0), _prod(2, 0, 2.0),
-        _xx_minus_yy, _zz,
+        _xx_minus_yy, _prod(2, 2, 1.0),
     )
     names = ("x", "y", "z", "2xy", "2yz", "2zx", "xx-yy", "zz")
     return TestFunctionFamily(tuple(fns), names)

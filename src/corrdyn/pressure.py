@@ -95,26 +95,9 @@ class PressureReport:
 def _birkhoff(f: SphereFunction, values: np.ndarray, inverted: np.ndarray,
               weight: np.ndarray) -> np.ndarray:
     """weight plus the sums of f over the columns of values and inverted,
-    added left to right, as the scalar loop adds them.  f is evaluated on
-    each whole column by its array form (``f.on_charts``) where it has
-    one, else once per distinct point (by bits) of each column."""
-    on_charts = getattr(f, "on_charts", None)
+    added left to right, one whole column at a time."""
     for r in range(values.shape[1]):
-        column, flags = values[:, r], inverted[:, r]
-        if on_charts is not None:
-            weight = weight + on_charts(column, flags)
-            continue
-        order = np.lexsort((column.imag.view(np.uint64), column.real.view(np.uint64),
-                            flags))
-        column, flags = column[order], flags[order]
-        re, im = column.real.view(np.uint64), column.imag.view(np.uint64)
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (re[1:] != re[:-1]) | (im[1:] != im[:-1]) | (flags[1:] != flags[:-1])
-        at = np.array([f(SpherePoint.from_chart(v, i)) for v, i in
-                       zip(column[first].tolist(), flags[first].tolist())], dtype=float)
-        terms = np.empty(len(order))
-        terms[order] = at[np.cumsum(first) - 1]
-        weight = weight + terms
+        weight = weight + f(values[:, r], inverted[:, r])
     return weight
 
 

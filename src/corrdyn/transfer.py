@@ -23,6 +23,7 @@ import numpy as np
 from .correspondence import Correspondence, ExpansivityResult
 from .errors import (NonConvergence, NonPositiveEigenfunction,
                      PreimageOutsideSupport)
+from .functions import SphereFunction
 from .grid import SphereGrid
 from .measures import PathMeasure, SphereMeasure, _group
 from .paths import ForwardPath
@@ -77,8 +78,9 @@ class GridFunction:
         return cls(active, np.full(active.n_active, float(c)))
 
     @classmethod
-    def from_callable(cls, active: ActiveGrid, f) -> "GridFunction":
-        return cls(active, np.array([f(p) for p in active.centers]))
+    def from_callable(cls, active: ActiveGrid, f: SphereFunction) -> "GridFunction":
+        """f at the active cell centers."""
+        return cls(active, f(*chart_values(active.centers)))
 
     def value_at(self, point) -> float:
         return float(self.values[self.active.position_of_point(point)])
@@ -372,8 +374,7 @@ def adjoint_fixed_point(kernel: TransferKernel, f: GridFunction,
 
     grid = f.active.grid
     w = np.zeros(grid.n_cells)
-    for pos, cell in enumerate(f.active.cells):
-        w[cell] = v1[pos]
+    w[list(f.active.cells)] = v1
     w /= w.sum()
     nu = SphereMeasure(grid, w)
     mu0 = _chain_cylinders(f.active, kernel, norm.weights, v1, depth)
@@ -400,7 +401,7 @@ def convergence_check(kernel: TransferKernel, f: GridFunction, g: GridFunction,
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     h = spectral.h.values
-    nu_active = np.array([nu.weights[c] for c in f.active.cells])
+    nu_active = nu.weights[list(f.active.cells)]
     nu_active = nu_active / nu_active.sum()
     constant = float(np.sum(nu_active * g.values / h))
     target = constant * h

@@ -340,6 +340,20 @@ class TestPipelines:
         assert run(["ruelle", "--config", cfg]) == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["f", "convergence_g"])
+    def test_ruelle_checks_functions_before_pullback(self, workspace, key, capsys,
+                                                     monkeypatch):
+        def pullback_iterate(*args, **kwargs):
+            raise AssertionError(f"pullback ran before the {key} check")
+
+        monkeypatch.setattr("corrdyn.cli.pullback_iterate", pullback_iterate)
+        cfg = write_config(workspace, "ruelle_fn", {
+            "correspondence": "z2.corr",
+            "ruelle": {key: "bogus"},
+        })
+        assert run(["ruelle", "--config", cfg]) == 3
+        assert "unknown function spec 'bogus'" in capsys.readouterr().err
+
     def test_variational_mismatched_f(self, workspace):
         out = workspace / "var_pr"
         cfg = write_config(workspace, "varpr", {
@@ -487,6 +501,19 @@ class TestReportHygiene:
         })
         assert run([command, "--config", cfg]) == 3
         assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("start", [["a", "b"], [1, None], [True, 0], [0, False],
+                                       True, None, "1", [0.5], [0.5, 0.3, 0.0]])
+    def test_start_that_is_not_numbers_exits_5(self, workspace, start, capsys):
+        out = workspace / "text_start"
+        cfg = write_config(workspace, "text_start", {
+            "correspondence": "z2.corr",
+            "orbits": {"start": start, "depth": 2, "direction": "forward"},
+            "out": str(out),
+        })
+        assert run(["orbits", "--config", cfg]) == 5
+        assert f"cannot read a sphere point from {start!r}" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("start", ["inf", math.inf, [math.inf, 0.3],

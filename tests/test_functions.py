@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from corrdyn.functions import fn_const, fn_im, fn_log_abs, fn_re, fn_zero, named_function
+import corrdyn.functions as functions_mod
+from corrdyn.functions import (LOG_ABS_CLAMP, default_test_family, fn_const, fn_im,
+                               fn_log_abs, fn_re, fn_zero, named_function)
 from corrdyn.sphere import SpherePoint, chart_values
 
 
@@ -27,17 +29,55 @@ def stress_points() -> list[SpherePoint]:
     return points
 
 
-BUILTINS = {"zero": fn_zero, "const:0.25": fn_const(0.25), "const:-3.5": fn_const(-3.5),
-            "named const:0.25": named_function("const:0.25"), "re": fn_re, "im": fn_im}
+def log_abs_oracle(p: SpherePoint) -> float:
+    m = p.magnitude()
+    if m == 0.0:
+        return -LOG_ABS_CLAMP
+    if math.isinf(m):
+        return LOG_ABS_CLAMP
+    return max(-LOG_ABS_CLAMP, min(LOG_ABS_CLAMP, math.log(m)))
 
 
-@pytest.mark.parametrize("name", BUILTINS)
+def coordinate(k):
+    return lambda p: float(p.unit_vector()[k])
+
+
+def product(i, j, scale):
+    return lambda p: scale * float(p.unit_vector()[i] * p.unit_vector()[j])
+
+
+def xx_minus_yy(p) -> float:
+    v = p.unit_vector()
+    return float(v[0] * v[0] - v[1] * v[1])
+
+
+#: Each function with its scalar formula on unit_vector() or magnitude().
+CASES = {"zero": (fn_zero, lambda p: 0.0),
+         "const:0.25": (fn_const(0.25), lambda p: 0.25),
+         "const:-3.5": (fn_const(-3.5), lambda p: -3.5),
+         "named const:0.25": (named_function("const:0.25"), lambda p: 0.25),
+         "re": (fn_re, coordinate(0)),
+         "im": (fn_im, coordinate(1)),
+         "log_abs": (fn_log_abs, log_abs_oracle),
+         "named log_abs": (named_function("log_abs"), log_abs_oracle)}
+FAMILY_ORACLES = {"x": coordinate(0), "y": coordinate(1), "z": coordinate(2),
+                  "2xy": product(0, 1, 2.0), "2yz": product(1, 2, 2.0),
+                  "2zx": product(2, 0, 2.0),
+                  "xx-yy": xx_minus_yy,
+                  "zz": product(2, 2, 1.0)}
+FAMILY = default_test_family()
+assert FAMILY.names == tuple(FAMILY_ORACLES)
+for name, f in zip(FAMILY.names, FAMILY.functions):
+    CASES[f"family {name}"] = (f, FAMILY_ORACLES[name])
+
+
+@pytest.mark.parametrize("name", CASES)
 def test_chart_form_equals_scalar_form(name):
-    f = BUILTINS[name]
+    f, oracle = CASES[name]
     points = stress_points()
     assert any(p.inverted for p in points) and any(not p.inverted for p in points)
-    got = f.on_charts(*chart_values(points))
-    want = np.array([f(p) for p in points], dtype=float)
+    got = f(*chart_values(points))
+    want = np.array([oracle(p) for p in points], dtype=float)
     assert got.dtype == np.float64 and got.shape == want.shape
     assert np.array_equal(got, want)
     # Bits differ only in the sign of a zero, which no Birkhoff sum sees:
@@ -46,9 +86,25 @@ def test_chart_form_equals_scalar_form(name):
     differ = got.view(np.uint64) != want.view(np.uint64)
     assert (got[differ] == 0.0).all()
     assert np.array_equal((0.0 + got).view(np.uint64), (0.0 + want).view(np.uint64))
+    empty = f(*chart_values([]))
+    assert empty.dtype == np.float64 and empty.shape == (0,)
 
 
-def test_log_abs_has_no_chart_form():
-    # numpy's log rounds differently from math.log, so log_abs stays scalar.
-    assert not hasattr(fn_log_abs, "on_charts")
-    assert not hasattr(named_function("log_abs"), "on_charts")
+def test_log_abs_takes_one_math_log_per_magnitude(monkeypatch):
+    # numpy's log rounds differently, so every value is math.log's; points
+    # of one magnitude, in either chart, share one call; 0 takes none.
+    logs = []
+    real_log = math.log
+
+    def counted(x):
+        logs.append(x)
+        return real_log(x)
+
+    points = [SpherePoint.from_complex(z) for z in (0.5, -0.5, 0.5j, 2.0, -2.0, 3.0, 0.0)]
+    points.append(SpherePoint.infinity())
+    monkeypatch.setattr(functions_mod.math, "log", counted)
+    got = fn_log_abs(*chart_values(points))
+    assert sorted(logs) == [0.5, 2.0, 3.0, math.inf]
+    assert got.tolist() == [real_log(0.5)] * 3 + [real_log(2.0)] * 2 + [real_log(3.0),
+                                                                         -LOG_ABS_CLAMP,
+                                                                         LOG_ABS_CLAMP]

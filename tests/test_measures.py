@@ -26,7 +26,7 @@ from corrdyn.measures import (InvarianceReport, PathMeasure, SphereMeasure,
                               variational_check)
 from corrdyn.paths import ForwardPath, enumerate_forward_paths
 from corrdyn.pullback import ds_support, pullback_iterate
-from corrdyn.sphere import SpherePoint, as_sphere_point
+from corrdyn.sphere import SpherePoint, as_sphere_point, chart_unit_vectors, chart_values
 from corrdyn.transfer import (ActiveGrid, GridFunction, TransferKernel,
                               adjoint_fixed_point, normalize, power_iteration)
 
@@ -57,6 +57,32 @@ def sp(z):
     return SpherePoint.from_complex(z)
 
 
+def at(f, point) -> float:
+    """f at one point."""
+    return float(f(*chart_values([point]))[0])
+
+
+def sparse_measures(grid, seed, count):
+    """Random measures on a few hundred cells of the grid, their weights
+    of mixed size, and Diracs."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        w = np.zeros(grid.n_cells)
+        cells = rng.choice(grid.n_cells, size=int(rng.integers(1, 300)), replace=False)
+        w[cells] = rng.random(len(cells)) * 10.0 ** rng.uniform(-8, 0, len(cells))
+        out.append(SphereMeasure(grid, w / w.sum()))
+    out.append(SphereMeasure.dirac(grid, sp(0.3 + 0.2j)))
+    out.append(SphereMeasure.dirac(grid, SpherePoint.infinity()))
+    return out
+
+
+#: Every built-in and every default test function.
+ALL_FUNCTIONS = ([named_function(name) for name in ("zero", "const:-0.7", "re", "im",
+                                                     "log_abs")]
+                 + list(default_test_family().functions))
+
+
 def bernoulli_cylinders(grid, cell, depth, p=0.5):
     """Exact Bernoulli symbol weights pinned at one position cell."""
     out = {}
@@ -81,7 +107,25 @@ class TestSphereMeasure:
         d = SphereMeasure.dirac(grid, sp(0.5))
         assert d.weights.sum() == pytest.approx(1.0, abs=1e-15)
         u = SphereMeasure.uniform(grid)
-        assert u.integrate(lambda p: 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert u.integrate(lambda values, inverted: np.ones(len(values))) == \
+            pytest.approx(1.0, abs=1e-12)
+
+    def test_integrate_is_the_in_order_scalar_fold(self):
+        grid = SphereGrid(2000)
+        for m in sparse_measures(grid, 5, 6):
+            for f in ALL_FUNCTIONS:
+                want = 0.0
+                for idx in np.nonzero(m.weights)[0]:
+                    want += m.weights[idx] * at(f, grid.cell_center(int(idx)))
+                got = m.integrate(f)
+                assert type(got) is float
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_zero_integral_is_plus_zero(self, grid):
+        # A sum from +0.0 never reaches -0.0; numpy's sum of -0.0 terms does.
+        u = SphereMeasure.uniform(grid)
+        got = u.integrate(lambda values, inverted: np.full(len(values), -0.0))
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_weights(self, grid, bad):
@@ -189,12 +233,37 @@ class TestMeasureDistance:
     def test_antipodal_diracs_single_function(self, grid):
         north = SphereMeasure.dirac(grid, SpherePoint.infinity())
         south = SphereMeasure.dirac(grid, sp(0.0))
-        f = lambda p: 0.5 * float(np.linalg.norm(p.unit_vector() - np.array([0, 0, 1.0])))
+        def f(values, inverted):
+            return 0.5 * np.linalg.norm(chart_unit_vectors(values, inverted)
+                                        - np.array([0, 0, 1.0]), axis=1)
         fam = FunctionFamily((f,), ("halfdist",))
         got = measure_distance(north, south, fam)
         fn = north.integrate(f)
         fs = south.integrate(f)
         assert got == pytest.approx(0.5 * abs(fn - fs), abs=1e-15)
+
+    def test_is_the_sum_of_integral_gaps(self):
+        # One call of each test function on both supports joined gives
+        # the bits of two integrals per function.
+        calls = []
+
+        def counted(f):
+            def g(values, inverted):
+                calls.append(len(values))
+                return f(values, inverted)
+            return g
+
+        fam = default_test_family()
+        counting = FunctionFamily(tuple(counted(f) for f in fam.functions), fam.names)
+        measures = sparse_measures(SphereGrid(2000), 6, 3)
+        for m1, m2 in itertools.product(measures, repeat=2):
+            want = 0.0
+            for weight, f in zip(fam.weights, fam.functions):
+                want += weight * abs(m1.integrate(f) - m2.integrate(f))
+            calls.clear()
+            assert measure_distance(m1, m2, counting) == want
+            support = np.count_nonzero(m1.weights) + np.count_nonzero(m2.weights)
+            assert calls == [support] * len(fam)
 
     def test_empty_family_rejected(self, grid):
         from corrdyn.errors import FamilyEmpty
@@ -212,8 +281,8 @@ class TestMeasureDistance:
         fam = default_test_family()
         expected = 0.0
         for k, f in enumerate(fam.functions):
-            s1 = sum(w[i] * f(grid.cell_center(i)) for i in range(grid.n_cells))
-            s2 = f(grid.cell_center(grid.cell_index(sp(0.3 + 0.2j))))
+            s1 = sum(w[i] * at(f, grid.cell_center(i)) for i in range(grid.n_cells))
+            s2 = at(f, grid.cell_center(grid.cell_index(sp(0.3 + 0.2j))))
             expected += 0.5 ** (k + 1) * abs(s1 - s2)
         assert measure_distance(m1, m2) == pytest.approx(expected, abs=1e-14)
 
@@ -629,7 +698,8 @@ class TestVariational:
         nu = pushforward(mu, 0)
         entry = VariationalEntry("bernoulli", nu, (mu,))
         base = variational_check(fn_zero, [entry], 2.0, n_max=3)
-        shifted = variational_check(lambda p: 0.4, [entry], 2.0, n_max=3)
+        shifted = variational_check(lambda values, inverted: np.full(len(values), 0.4),
+                                    [entry], 2.0, n_max=3)
         assert shifted.rows[0].value == pytest.approx(base.rows[0].value + 0.4, abs=1e-12)
 
     def test_dirac_at_fixed_point(self, grid):

@@ -16,7 +16,7 @@ from corrdyn.paths import (ForwardPath, PathBatch, enumerate_backward_paths,
                            shift, spanning_subset)
 import corrdyn.pressure as pressure_mod
 from corrdyn.pressure import circle_start_sampler, pressure_estimate
-from corrdyn.sphere import SpherePoint, as_sphere_point, sph_dist
+from corrdyn.sphere import SpherePoint, as_sphere_point, chart_values, sph_dist
 
 
 def sp(z):
@@ -512,7 +512,7 @@ def oracle_spanning(paths, eps, weight=None):
 
 
 def re_weight(path):
-    return sum(fn_re(path.points[r]) for r in range(path.length))
+    return sum(fn_re(*chart_values(path.points[:path.length])).tolist())
 
 
 def assert_same_families(paths, eps, weight=None):

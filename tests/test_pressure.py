@@ -6,15 +6,20 @@ import pytest
 import corrdyn.pressure as pressure_mod
 from corrdyn.correspondence import parse_correspondence
 from corrdyn.errors import ScheduleEmpty
-from corrdyn.functions import fn_const, fn_re, fn_zero
+from corrdyn.functions import fn_const, fn_log_abs, fn_re, fn_zero
 from corrdyn.paths import enumerate_forward_paths, separated_subset, spanning_subset
 from corrdyn.pressure import (PressureRow, circle_start_sampler,
                               entropy_estimate, pressure_estimate)
-from corrdyn.sphere import SpherePoint
+from corrdyn.sphere import SpherePoint, chart_values
 
 
 def single_start(z):
     return [SpherePoint.from_complex(z)]
+
+
+def at(f, point) -> float:
+    """f at one point."""
+    return float(f(*chart_values([point]))[0])
 
 
 class TestBasics:
@@ -160,7 +165,7 @@ def parent_rows(corr, f, schedule, start_points, seed, sampler, cap):
             for p in paths:
                 w = 0
                 for r in range(n):
-                    w = w + f(p.points[r])
+                    w = w + at(f, p.points[r])
                 weights.append(w)
             pools[n] = (paths, weights, truncated)
         paths, weights, truncated = pools[n]
@@ -264,14 +269,13 @@ class TestSchedulePools:
 
 
 def test_each_new_column_is_evaluated_once(corr_z2):
-    # Every point of 500 circle starts' z2 orbits is distinct, and each
-    # depth of 4, 8, 12 adds four columns: 500 * 12 calls, not
-    # 500 * (4 + 8 + 12).
+    # Each depth of 4, 8, 12 adds four columns of 500 circle starts' z2
+    # orbits: 500 * 12 points evaluated, not 500 * (4 + 8 + 12).
     calls = [0]
 
-    def counted(point):
-        calls[0] += 1
-        return fn_re(point)
+    def counted(values, inverted):
+        calls[0] += len(values)
+        return fn_re(values, inverted)
 
     pressure_estimate(corr_z2, counted, [(4, 0.05), (8, 0.05), (12, 0.05)],
                       start_points=500, seed=801, start_sampler=circle_start_sampler())
@@ -342,17 +346,11 @@ def rows_and_weights(monkeypatch, corr, f, schedule, start_points, seed, cap):
     return report.rows, weights
 
 
-def scalar_only(f):
-    """f without its array form."""
-    return lambda p: f(p)
-
-
-def chart_only(f):
-    """f's array form, with a scalar form that must not be called."""
-    def g(p):
-        raise AssertionError("scalar form called")
-
-    g.on_charts = f.on_charts
+def pointwise(f):
+    """f evaluated one point at a time."""
+    def g(values, inverted):
+        return np.array([f(values[k:k + 1], inverted[k:k + 1])[0]
+                         for k in range(len(values))], dtype=float)
     return g
 
 
@@ -365,16 +363,17 @@ POOL_CASES = {
 }
 
 
-@pytest.mark.parametrize("f", [fn_re, fn_const(0.25)], ids=["re", "const:0.25"])
+@pytest.mark.parametrize("f", [fn_re, fn_const(0.25), fn_log_abs],
+                         ids=["re", "const:0.25", "log_abs"])
 @pytest.mark.parametrize("case", POOL_CASES)
 def test_chart_forms_give_the_scalar_rows(case, f, request, monkeypatch):
     fixture, schedule, start_points, seed, cap = POOL_CASES[case]
     corr = request.getfixturevalue(fixture)
     rest = (schedule, start_points, seed, cap)
-    want_rows, want_weights = rows_and_weights(monkeypatch, corr, scalar_only(f), *rest)
-    for g in (f, chart_only(f)):
-        rows, weights = rows_and_weights(monkeypatch, corr, g, *rest)
-        assert rows == want_rows
-        assert weights.keys() == want_weights.keys()
-        for key, w in weights.items():
-            assert np.array_equal(w.view(np.uint64), want_weights[key].view(np.uint64))
+    # Whole columns at a time give the bits of one point at a time.
+    want_rows, want_weights = rows_and_weights(monkeypatch, corr, pointwise(f), *rest)
+    rows, weights = rows_and_weights(monkeypatch, corr, f, *rest)
+    assert rows == want_rows
+    assert weights.keys() == want_weights.keys()
+    for key, w in weights.items():
+        assert np.array_equal(w.view(np.uint64), want_weights[key].view(np.uint64))

@@ -19,9 +19,8 @@ lives in), each call in a fresh interpreter and a fresh output directory:
   are thinned at some depths and whole at others (``POOL_CONFIGS``; z2's
   single-valued tree is never thinned), so both the grown and the
   re-enumerated pools of ``pressure_estimate`` are digested, and
-  ``pressure`` with f = im and f = const:0.25 on the z2 and mobius_pair
-  pools (``POOL_FUNCTIONS``), so the array form of every built-in
-  function but log_abs (which has none) is digested;
+  ``pressure`` with f = im, const:0.25 and log_abs on the z2 and mobius_pair
+  pools (``POOL_FUNCTIONS``), so every built-in function is digested;
 - ``entropy`` and ``pressure`` with f = re on z2 and mobius_pair at seeds
   0 and 3, on whole pools whose eps shrinks with depth and on pools whose
   eps grows with depth (``INHERIT_SCHEDULES``), so the close pairs a
@@ -106,7 +105,7 @@ POOL_CONFIGS = {
 }
 
 #: ``pressure`` functions besides re run on some pools, by call-id suffix.
-POOL_FUNCTIONS = {"im": "im", "const": "const:0.25"}
+POOL_FUNCTIONS = {"im": "im", "const": "const:0.25", "log_abs": "log_abs"}
 
 #: Pools on which the ``POOL_FUNCTIONS`` run.
 POOL_FUNCTION_CORRESPONDENCES = ("z2", "mobius_pair")
