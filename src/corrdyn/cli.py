@@ -66,6 +66,7 @@ class RunConfig:
         if "correspondence" not in merged:
             raise ConfigMismatch("config is missing the correspondence path")
         merged.setdefault("out", "corrdyn-out")
+        merged["seed"] = _number(merged["seed"], "seed", int)
         self.effective = merged
         self._out: Path | None = None
         self._grid: SphereGrid | None = None
@@ -92,7 +93,7 @@ class RunConfig:
     def grid(self) -> SphereGrid:
         """The grid of the config, built on first use."""
         if self._grid is None:
-            self._grid = SphereGrid(int(self.effective["n_cells"]))
+            self._grid = SphereGrid(_number(self.effective["n_cells"], "n_cells", int))
         return self._grid
 
     def out_dir(self) -> Path:
@@ -102,6 +103,17 @@ class RunConfig:
             path.mkdir(parents=True, exist_ok=True)
             self._out = path
         return self._out
+
+
+def _number(value, key: str, kind):
+    """A number of the config as ``kind`` (int or float).  JSON true and
+    false, null, strings, lists and objects are not numbers here, and an
+    int key takes only integral numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigMismatch(f"{key} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigMismatch(f"{key} must be an integer, got {value!r}")
+    return kind(value)
 
 
 def _point_from_config(value) -> SpherePoint:
@@ -187,8 +199,8 @@ def _cmd_degrees(config: RunConfig, corr: Correspondence) -> dict:
 def _cmd_orbits(config: RunConfig, corr: Correspondence) -> dict:
     section = config.section("orbits")
     start = _point_from_config(section.get("start", [0.5, 0.3]))
-    depth = int(section.get("depth", 6))
-    cap = int(section.get("cap", 512))
+    depth = _number(section.get("depth", 6), "depth", int)
+    cap = _number(section.get("cap", 512), "cap", int)
     direction = section.get("direction", "forward")
     seed = config["seed"]
     if direction == "forward":
@@ -208,14 +220,16 @@ def _cmd_ds_measure(config: RunConfig, corr: Correspondence) -> dict:
     section = config.section("ds_measure")
     grid = config.grid()
     start = _point_from_config(section.get("start", [0.5, 0.3]))
-    samples = int(section.get("samples", 64))
+    samples = _number(section.get("samples", 64), "samples", int)
     if samples < 1:  # before the pullback, which would run in vain
         raise ValueError(f"samples must be at least 1, got {samples}")
-    levels = pullback_iterate(
-        corr, start, n=int(section.get("levels", 12)),
-        cap=int(section.get("cap", 8192)), seed=config["seed"], grid=grid)
-    support = ds_support(levels, threshold=float(section.get("threshold", 0.5)),
-                         cert_bound=float(section.get("cert_bound", 0.05)))
+    n = _number(section.get("levels", 12), "levels", int)
+    cap = _number(section.get("cap", 8192), "cap", int)
+    threshold = _number(section.get("threshold", 0.5), "threshold", float)
+    cert_bound = _number(section.get("cert_bound", 0.05), "cert_bound", float)
+    levels = pullback_iterate(corr, start, n=n, cap=cap, seed=config["seed"],
+                              grid=grid)
+    support = ds_support(levels, threshold=threshold, cert_bound=cert_bound)
     invariance = check_backward_invariance(corr, support.cells, grid,
                                            samples=samples, seed=config["seed"])
     if not invariance.passed:
@@ -245,7 +259,7 @@ def _starts_config(section: dict, config: RunConfig):
     if mode == "grid":
         return grid_start_sampler(config.grid())
     if mode == "circle":
-        return circle_start_sampler(float(section.get("radius", 1.0)))
+        return circle_start_sampler(_number(section.get("radius", 1.0), "radius", float))
     raise ConfigMismatch(f"unknown start sampler {mode!r}")
 
 
@@ -255,13 +269,20 @@ def _pressure_like(config: RunConfig, corr: Correspondence, name: str,
     from ``section`` where given.  Entropy is the pressure of ``zero``."""
     if section is None:
         section = config.section(name)
-    schedule = [tuple(row) for row in section.get("schedule", [[4, 0.05], [8, 0.05]])]
+    schedule = section.get("schedule", [[4, 0.05], [8, 0.05]])
+    if not isinstance(schedule, list) or not all(
+            isinstance(row, list) and len(row) == 2 for row in schedule):
+        raise ConfigMismatch(f"schedule must be a list of [n, eps] rows, got "
+                             f"{schedule!r}")
+    schedule = [(_number(n, "schedule n", int), _number(eps, "schedule eps", float))
+                for n, eps in schedule]
     f_label = section.get("f", "zero") if name == "pressure" else "zero"
+    start_points = _number(section.get("start_points", 64), "start_points", int)
+    cap = _number(section.get("cap", 4096), "cap", int)
     report = pressure_estimate(corr, named_function(f_label), schedule,
-                               start_points=int(section.get("start_points", 64)),
-                               seed=config["seed"],
+                               start_points=start_points, seed=config["seed"],
                                start_sampler=_starts_config(section, config),
-                               cap=int(section.get("cap", 4096)))
+                               cap=cap)
     rows = [(r.n, r.eps, r.sep_value, r.span_value, r.n_paths, r.n_separated,
              r.n_spanning, int(r.truncated)) for r in report.rows]
     _write_csv(config.out_dir() / f"{name}_rows.csv",
@@ -294,13 +315,13 @@ def _nearest_center(active: ActiveGrid, idx: int) -> SpherePoint:
 
 def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     section = config.section("ruelle")
-    counts = {key: int(section.get(key, default)) for key, default in
+    counts = {key: _number(section.get(key, default), key, int) for key, default in
               (("probe_pairs", 50), ("depth", 2), ("n_max", 40), ("holder_scales", 10),
                ("max_iter", 2000))}
     for key, value in counts.items():
         if value < 1:  # before the pullback, which would run in vain
             raise ValueError(f"{key} must be at least 1, got {value}")
-    tol = float(section.get("tol", 1e-10))
+    tol = _number(section.get("tol", 1e-10), "tol", float)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     f_label = section.get("f", "zero")
@@ -308,12 +329,16 @@ def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     g_fn = named_function(section.get("convergence_g", "re"))
     grid = config.grid()
     pb = section.get("pullback", {})
+    if not isinstance(pb, dict):
+        raise ConfigMismatch("ruelle pullback must be an object")
     start = _point_from_config(pb.get("start", [0.5, 0.3]))
-    levels = pullback_iterate(corr, start, n=int(pb.get("levels", 10)),
-                              cap=int(pb.get("cap", 4096)),
-                              seed=config["seed"], grid=grid)
-    support = ds_support(levels, threshold=float(pb.get("threshold", 0.5)),
-                         cert_bound=float(pb.get("cert_bound", 0.05)))
+    n = _number(pb.get("levels", 10), "levels", int)
+    cap = _number(pb.get("cap", 4096), "cap", int)
+    threshold = _number(pb.get("threshold", 0.5), "threshold", float)
+    cert_bound = _number(pb.get("cert_bound", 0.05), "cert_bound", float)
+    levels = pullback_iterate(corr, start, n=n, cap=cap, seed=config["seed"],
+                              grid=grid)
+    support = ds_support(levels, threshold=threshold, cert_bound=cert_bound)
     active = ActiveGrid(grid, support.core)
     kernel = TransferKernel(corr, active)
     f = GridFunction.from_callable(active, f_fn)
@@ -375,7 +400,7 @@ def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
 def _variational_counts(section: dict) -> dict:
     """The counts of a variational section, checked as the library checks
     them, before any work: the walk checks only when walks run."""
-    counts = {key: int(section.get(key, default)) for key, default in
+    counts = {key: _number(section.get(key, default), key, int) for key, default in
               (("n_max", 4), ("depth", 4), ("empirical", 2), ("n_burn", 50),
                ("n_keep", 5000))}
     if counts["n_max"] < 1:
@@ -424,6 +449,7 @@ def _variational_entries(config: RunConfig, corr: Correspondence,
 def _cmd_variational(config: RunConfig, corr: Correspondence) -> dict:
     section = config.section("variational")
     counts = _variational_counts(section)  # before the pressure run or read
+    slack = _number(section.get("slack", 0.05), "slack", float)
     grid = config.grid()
     f_label = section.get("f", "zero")
     report_path = section.get("pressure_report")
@@ -446,7 +472,7 @@ def _cmd_variational(config: RunConfig, corr: Correspondence) -> dict:
     report = variational_check(named_function(f_label), entries,
                                pressure_value, partitions=partitions,
                                n_max=counts["n_max"],
-                               slack=float(section.get("slack", 0.05)))
+                               slack=slack)
     rows = [(r.label, r.entropy, r.integral, r.value, r.gap, int(r.within))
             for r in report.rows]
     _write_csv(config.out_dir() / "variational.csv",

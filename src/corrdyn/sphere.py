@@ -39,7 +39,8 @@ _CLUSTER_DETECT_FLOOR = 1e-7
 # is a pure function of its inputs.
 _ROOTS_SEED = 810279
 
-# Iteration cap of one Aberth-Ehrlich solve.
+# Iteration cap of one Aberth-Ehrlich solve, scalar (``_aberth``) or
+# stacked (``_stacked_aberth``).
 _ABERTH_MAX_ITER = 400
 
 
@@ -530,6 +531,71 @@ def roots(coeffs, tol: float = DEFAULT_ROOT_TOL):
     return out
 
 
+def _stacked_aberth(c: np.ndarray, tol: float):
+    """Aberth-Ehrlich iteration on every row of a (K, d+1) coefficient
+    stack at once, d >= 2, each row with nonzero constant and leading
+    terms.
+
+    Row k starts at the d roots of its binomial c_d z^d + c_0, so a
+    binomial row stops after one step.  Each step runs on the rows still
+    moving, and freezes a root once its step is at most 5e-15 (1 + |z|).
+    A row stops when every root is frozen, or, as in ``_aberth``, once
+    its largest step no longer shrinks (after 30 steps, at least a
+    quarter of the largest step 11 steps before) while every root meets
+    the residual bound.  Returns (z, done): the (K, d) roots and the rows
+    that stopped so within ``_ABERTH_MAX_ITER`` steps with finite roots.
+    """
+    k_rows, width = c.shape
+    deg = width - 1
+    # |c_0|^(1/d) / |c_d|^(1/d): the ratio |c_0 / c_d| itself can underflow.
+    radius = np.abs(c[:, 0]) ** (1.0 / deg) / np.abs(c[:, -1]) ** (1.0 / deg)
+    turn = (np.angle(-c[:, 0]) - np.angle(c[:, -1]))[:, None] + 2.0 * np.pi * np.arange(deg)
+    z = radius[:, None] * np.exp(1j * turn / deg)
+    done = np.zeros(k_rows, dtype=bool)
+
+    # Working arrays of the rows still moving: their indices, roots,
+    # coefficients as (d+1, n, 1) for the Horner helpers, moving roots
+    # and largest steps of the last 12 iterations (slot it % 12).
+    live = np.arange(k_rows)
+    zl = z
+    stack = c.T[:, :, None]
+    dstack = stack[1:] * np.arange(1, width)[:, None, None]
+    moving = np.ones((k_rows, deg), dtype=bool)
+    hist = np.zeros((k_rows, 12))
+    diag = np.arange(deg)
+    for it in range(1, _ABERTH_MAX_ITER + 1):
+        if not len(live):
+            break
+        newton = _polyval(stack, zl) / _polyval(dstack, zl)
+        inv = 1.0 / (zl[:, :, None] - zl[:, None, :])
+        inv[:, diag, diag] = 0.0
+        step = np.where(moving, newton / (1.0 - newton * inv.sum(axis=2)), 0.0)
+        zl = zl - step
+        asteps = np.abs(step)
+        moving = asteps > 5e-15 * (1.0 + np.abs(zl))
+        m = asteps.max(axis=1)
+        hist[:, it % 12] = m
+        failed = ~np.isfinite(zl).all(axis=1)
+        converged = ~moving.any(axis=1) & ~failed
+        if it >= 30:
+            flat = np.nonzero(~converged & ~failed
+                              & (m >= 0.25 * hist[:, (it + 1) % 12]))[0]
+            if len(flat):
+                sub, zf = stack[:, flat], zl[flat]
+                resid = np.abs(_polyval(sub, zf)) <= tol * np.maximum(
+                    _eval_scale(sub, zf), 1e-300)
+                converged[flat[resid.all(axis=1)]] = True
+        stop = converged | failed
+        if stop.any():
+            z[live[stop]] = zl[stop]
+            done[live[converged]] = True
+            keep = ~stop
+            live, zl, moving, hist = live[keep], zl[keep], moving[keep], hist[keep]
+            stack, dstack = stack[:, keep], dstack[:, keep]
+    z[live] = zl
+    return z, done
+
+
 def stacked_roots(c: np.ndarray, tol: float):
     """The stacked solver of a (K, d+1) coefficient stack, d >= 1.
 
@@ -537,11 +603,13 @@ def stacked_roots(c: np.ndarray, tol: float):
     roots and the rows among them whose roots pass.  It takes the rows
     with finite coefficients, a nonzero constant term and a leading one
     clear of the degree-drop cutoff of ``roots``.  Degree 1 takes the
-    closed form.  Higher degrees are solved as stacked companion matrices
-    (one ``eigvals`` call) and polished by one vectorized Newton step,
-    kept per root unless it raises |p|.  A row passes when its roots are
-    finite, each meets the residual bound of ``roots``, |p(r)| <= tol *
-    sum_k |c_k| |r|^k, no two lie within the cluster radius
+    closed form.  Higher degrees run one Aberth-Ehrlich iteration over
+    every row at once (``_stacked_aberth``: from the roots of each row's
+    binomial c_d z^d + c_0, capped at ``_ABERTH_MAX_ITER`` steps, where a
+    row fails) and are polished by one vectorized Newton step, kept per
+    root unless it raises |p|.  A row passes when its iteration stopped
+    with finite roots, each meets the residual bound of ``roots``, |p(r)|
+    <= tol * sum_k |c_k| |r|^k, no two lie within the cluster radius
     max(1e3*tol, 1e-7), and no argument lies within 1e-8 of pi or of
     another root's, where rounding could flip the canonical root order of
     a fiber.
@@ -558,19 +626,11 @@ def stacked_roots(c: np.ndarray, tol: float):
             z = -c[:, :1] / c[:, 1:]
             return rows, z, np.isfinite(z[:, 0])
 
-        k_rows, width = c.shape
-        companion = np.zeros((k_rows, deg, deg), dtype=complex)
-        companion[:, 0, :] = -c[:, -2::-1] / c[:, -1:]
-        companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-        ok = np.isfinite(companion).all(axis=(1, 2))
-        z = np.zeros((k_rows, deg), dtype=complex)
-        z[ok] = np.linalg.eigvals(companion[ok])
-        ok &= np.isfinite(z).all(axis=1)
-
+        z, ok = _stacked_aberth(c, tol)
         # Coefficients as (d+1, K, 1), so the Horner helpers run on all rows.
         stack = c.T[:, :, None]
         p = _polyval(stack, z)
-        cand = z - p / _polyval(stack[1:] * np.arange(1, width)[:, None, None], z)
+        cand = z - p / _polyval(stack[1:] * np.arange(1, deg + 1)[:, None, None], z)
         p_cand = _polyval(stack, cand)
         better = np.isfinite(cand) & (np.abs(p_cand) <= np.abs(p))
         z = np.where(better, cand, z)

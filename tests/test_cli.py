@@ -516,6 +516,63 @@ class TestReportHygiene:
         assert f"cannot read a sphere point from {start!r}" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("command,setting,message", [
+        ("orbits", {"orbits": {"depth": [2]}}, "depth must be a number, got [2]"),
+        ("orbits", {"orbits": {"cap": True}}, "cap must be a number, got True"),
+        ("orbits", {"orbits": {"depth": 2.5}}, "depth must be an integer, got 2.5"),
+        ("orbits", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("ds-measure", {"n_cells": [400]}, "n_cells must be a number, got [400]"),
+        ("ds-measure", {"ds_measure": {"levels": "3"}}, "levels must be a number, got '3'"),
+        ("ds-measure", {"ds_measure": {"threshold": None}},
+         "threshold must be a number, got None"),
+        ("ds-measure", {"ds_measure": {"samples": {"n": 3}}},
+         "samples must be a number, got {'n': 3}"),
+        ("entropy", {"entropy": {"start_points": False}},
+         "start_points must be a number, got False"),
+        ("entropy", {"entropy": {"schedule": [[4.5, 0.05]]}},
+         "schedule n must be an integer, got 4.5"),
+        ("entropy", {"entropy": {"schedule": [4, 0.05]}},
+         "schedule must be a list of [n, eps] rows, got [4, 0.05]"),
+        ("pressure", {"pressure": {"cap": [64]}}, "cap must be a number, got [64]"),
+        ("pressure", {"pressure": {"starts": "circle", "radius": "1"}},
+         "radius must be a number, got '1'"),
+        ("ruelle", {"ruelle": {"tol": [1e-10]}}, "tol must be a number, got [1e-10]"),
+        ("ruelle", {"ruelle": {"depth": 2.5}}, "depth must be an integer, got 2.5"),
+        ("ruelle", {"ruelle": {"pullback": {"levels": True}}},
+         "levels must be a number, got True"),
+        ("ruelle", {"ruelle": {"pullback": {"cap": None}}}, "cap must be a number, got None"),
+        ("ruelle", {"ruelle": {"pullback": [6]}}, "ruelle pullback must be an object"),
+        ("variational", {"variational": {"n_keep": "5000"}},
+         "n_keep must be a number, got '5000'"),
+        ("variational", {"variational": {"slack": [0.05]}},
+         "slack must be a number, got [0.05]")])
+    def test_number_that_is_not_a_number_exits_5(self, workspace, command, setting,
+                                                 message, capsys, monkeypatch):
+        # A list died with a TypeError (exit 1); true was read as 1, 2.5 as 2.
+        def refuse(*args, **kwargs):
+            raise AssertionError("work ran before the config check")
+
+        for name in ("pullback_iterate", "pressure_estimate",
+                     "enumerate_backward_paths", "enumerate_forward_paths"):
+            monkeypatch.setattr(f"corrdyn.cli.{name}", refuse)
+        out = workspace / "not_a_number"
+        cfg = write_config(workspace, "not_a_number", {
+            "correspondence": "z2.corr", **setting, "out": str(out)})
+        assert run([command, "--config", cfg]) == 5
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_integral_floats_are_integers(self, workspace):
+        out = workspace / "float_counts"
+        cfg = write_config(workspace, "float_counts", {
+            "correspondence": "z2.corr", "seed": 3.0,
+            "orbits": {"depth": 2.0, "cap": 64.0, "direction": "backward"},
+            "out": str(out)})
+        assert run(["orbits", "--config", cfg]) == 0
+        report = read_report(out)
+        assert report["results"]["count"] == 4
+        assert report["config"]["seed"] == 3
+
     @pytest.mark.parametrize("start", ["inf", math.inf, [math.inf, 0.3],
                                        [0.3, -math.inf]])
     def test_infinite_start_is_the_point_at_infinity(self, start):

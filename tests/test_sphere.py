@@ -1,12 +1,17 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from corrdyn.datasets import BUNDLED, bundled_correspondence
+from corrdyn import correspondence, sphere
+from corrdyn.cli import main as cli_main
+from corrdyn.correspondence import parse_correspondence
+from corrdyn.datasets import BUNDLED, bundled_correspondence, bundled_text
 from corrdyn.errors import InvalidComponent
+from corrdyn.pullback import pullback_iterate
 from corrdyn.sphere import (BivarPoly, SpherePoint, _reciprocal, chart_unit_vectors,
                             chart_values, complex_charts, roots, sph_dist,
                             stacked_roots)
@@ -433,6 +438,156 @@ class TestRootsMany:
     def test_empty_stack(self):
         rows, z, ok = stacked_roots(np.zeros((0, 4), dtype=complex), 1e-12)
         assert len(rows) == len(z) == len(ok) == 0
+
+
+#: (w - z^3 + 0.5 z) + (w - z^2 - z): backward fibers of degree 3 and 2 that
+#: are not binomials, so stacked_roots iterates on them.
+NON_BINOMIAL = """\
+1
+0 1 1 0
+3 0 -1 0
+1 0 0.5 0
+
+1
+0 1 1 0
+2 0 -1 0
+1 0 -1 0
+"""
+
+
+def match_one_to_one(expected, found, rel):
+    """Match every expected root to its own nearest found root, each within
+    rel relative to the expected root's magnitude (or to 1 below it)."""
+    left = list(found)
+    for r in expected:
+        k = min(range(len(left)), key=lambda i: abs(left[i] - r))
+        assert abs(left[k] - r) <= rel * max(1.0, abs(r)), (r, left[k])
+        del left[k]
+    assert not left
+
+
+class TestStackedAberth:
+    """The Aberth-Ehrlich iteration of stacked_roots, against known roots
+    and against ``np.roots`` as an independent oracle."""
+
+    @pytest.mark.parametrize("deg", [2, 3, 4, 5, 6])
+    def test_binomials_in_both_charts(self, deg, monkeypatch):
+        # z^d = y, written in the plain chart (c_0 = -y, c_d = 1) and in the
+        # reciprocal one (c_0 = 1, c_d = -1/y).  A binomial row starts at
+        # its roots, so one step must do, as a cap of one step shows.
+        monkeypatch.setattr(sphere, "_ABERTH_MAX_ITER", 1)
+        # y = 2^(e d) u, so its roots are 2^e times those of u, exactly; 2^(k d)
+        # is near 1e300.
+        k = 996 // deg
+        ys = [(0, 0.3 - 0.4j), (0, -0.5 + 0.1j), (0, 5.0 + 2.0j), (0, -7j),
+              (-k, cmath.exp(0.3j)), (k, cmath.exp(-2j))]
+        stack = np.zeros((2 * len(ys), deg + 1), dtype=complex)
+        for row, (e, u) in enumerate(ys):
+            y = math.ldexp(1.0, e * deg) * u
+            stack[2 * row, [0, -1]] = -y, 1.0
+            stack[2 * row + 1, [0, -1]] = 1.0, -1.0 / y
+        rows, z, ok = stacked_roots(stack, 1e-12)
+        # |y| = 1e300 drops a degree in both charts, which is left to roots.
+        assert rows.tolist() == list(range(10))
+        # The roots of z^d = 1e-300 lie within the cluster radius of each
+        # other, so those rows are left to roots too.
+        assert ok.tolist() == [True] * 8 + [False] * 2
+        with np.errstate(all="ignore"):
+            z, done = sphere._stacked_aberth(stack[rows], 1e-12)
+        assert done.all()
+        for row, found in zip(rows.tolist(), z.tolist()):
+            e, u = ys[row // 2]
+            radius = math.ldexp(abs(u) ** (1.0 / deg), e)
+            exact = [radius * cmath.exp(1j * (cmath.phase(u) + 2 * math.pi * j) / deg)
+                     for j in range(deg)]
+            match_one_to_one(exact, found, 1e-14 * min(1.0, radius))
+
+    @pytest.mark.parametrize("deg", [2, 3, 4, 5, 6, 7, 8])
+    def test_random_rows_match_np_roots(self, deg):
+        rng = np.random.default_rng(230 + deg)
+        stack = rng.normal(size=(300, deg + 1)) + 1j * rng.normal(size=(300, deg + 1))
+        stack *= 10.0 ** rng.uniform(-6, 6, size=(300, 1))
+        rows, z, ok = stacked_roots(stack, 1e-12)
+        assert ok.sum() >= 290
+        for k, found in zip(rows[ok].tolist(), z[ok].tolist()):
+            match_one_to_one(np.roots(stack[k][::-1]).tolist(), found, 1e-10)
+
+    @pytest.mark.parametrize("deg", [2, 3, 5])
+    @pytest.mark.parametrize("gap", [1e-3, 1e-4])
+    def test_close_roots_match_known_roots(self, deg, gap):
+        # A stop on the residual alone leaves roots this close far off; the
+        # step rule must carry them to the accuracy the coefficients allow.
+        rng = np.random.default_rng(int(deg / gap))
+        known = rng.normal(size=(200, deg)) + 1j * rng.normal(size=(200, deg))
+        known[:, 1] = known[:, 0] + gap * np.exp(2j * np.pi * rng.uniform(size=200))
+        stack = np.array([np.poly(r)[::-1] for r in known])
+        rows, z, ok = stacked_roots(stack, 1e-12)
+        assert ok.sum() >= 198
+        for k, found in zip(rows[ok].tolist(), z[ok].tolist()):
+            match_one_to_one(known[k].tolist(), found, 1e-12 / gap)
+
+    def test_rows_that_do_not_converge_fail(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        stack = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
+        assert stacked_roots(stack, 1e-12)[2].all()
+        monkeypatch.setattr(sphere, "_ABERTH_MAX_ITER", 2)
+        rows, z, ok = stacked_roots(stack, 1e-12)
+        assert len(rows) == 50 and not ok.any()
+
+    def test_pullback_makes_no_eigvals_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for corr in (parse_correspondence(NON_BINOMIAL),
+                     bundled_correspondence("z2_plus_z3")):
+            levels = pullback_iterate(corr, 0.5 + 0.3j, n=4, cap=512, seed=1)
+            assert len(levels) == 5
+            assert abs(float(levels[-1].weights.sum()) - 1.0) < 1e-9
+
+    def test_non_binomial_fibers_match_scalar(self):
+        corr = parse_correspondence(NON_BINOMIAL)
+        rng = np.random.default_rng(5)
+        points = random_points(rng, 200) + [SpherePoint.from_complex(0.5)]
+        owner, _, values, inverted, component, _ = corr.fiber_arrays(
+            *chart_values(points), backward=True)
+        for k, p in enumerate(points):
+            fiber = corr.backward_images(p)
+            mine = (owner == k).nonzero()[0]
+            assert component[mine].tolist() == [b.component for b in fiber.branches]
+            got = [SpherePoint.from_chart(v, i) for v, i in
+                   zip(values[mine].tolist(), inverted[mine].tolist())]
+            for a, b in zip(got, (br.point for br in fiber.branches)):
+                assert sph_dist(a, b) <= 1e-12
+
+    def test_scalar_fallbacks_of_the_spectral_bench(self, tmp_path, monkeypatch):
+        # The ruelle config of the spectral-z2_plus_z3 bench workload at
+        # seeds 1-20.  Every row the stacked solver declines costs a scalar
+        # roots call, so these counts pin how many it declines.
+        counts = {"roots": 0, "declined": 0}
+
+        def counted_roots(coeffs):
+            counts["roots"] += 1
+            return roots(coeffs)
+
+        def counted_stacked(c, tol):
+            out = stacked_roots(c, tol)
+            counts["declined"] += int((~out[2]).sum())
+            return out
+
+        monkeypatch.setattr(correspondence, "roots", counted_roots)
+        monkeypatch.setattr(correspondence, "stacked_roots", counted_stacked)
+        (tmp_path / "z2_plus_z3.corr").write_text(bundled_text("z2_plus_z3"))
+        config = tmp_path / "spectral.json"
+        config.write_text(json.dumps({
+            "correspondence": "z2_plus_z3.corr", "n_cells": 2000,
+            "ruelle": {"f": "zero", "tol": 1e-10, "depth": 2, "n_max": 40,
+                       "convergence_g": "re",
+                       "pullback": {"start": [0.5, 0.3], "levels": 6, "cap": 1024}}}))
+        for seed in range(1, 21):
+            assert cli_main(["ruelle", "--config", str(config), "--seed", str(seed),
+                             "--out", str(tmp_path / f"out{seed}")]) == 0
+        assert counts == {"roots": 93, "declined": 53}
 
 
 class TestBivarPoly:

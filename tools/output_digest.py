@@ -40,7 +40,12 @@ lives in), each call in a fresh interpreter and a fresh output directory:
 - ``variational`` from the real-axis start -0.5 and from infinity on all
   five bundled correspondences at seeds 0 and 3 (``WALK_STARTS``): walks
   along the real axis, where chart values carry signed zeros, and from a
-  fixed point in the reciprocal chart.
+  fixed point in the reciprocal chart;
+- the README ``ds-measure``, ``ruelle`` and backward ``orbits`` at seeds 0
+  and 3 on (w - z^3 + 0.5 z) + (w - z^2 - z) (``NON_BINOMIAL``, written to
+  the work directory).  Every bundled backward fiber is a binomial z^d = y,
+  which the stacked root iteration solves from its start; these fibers
+  are not, so the iteration runs.
 
 It prints one JSON object keyed by call, holding the exit code and the
 sha256 of the ``results`` section of report.json and of every CSV the
@@ -135,8 +140,25 @@ SHALLOW_START = {**README_CONFIG["ds_measure"], "start": [1e-13, 0.0], "levels":
 #: ``variational`` starts of the empirical walks, by config name prefix.
 WALK_STARTS = {"axis": [-0.5, 0.0], "inf": "inf"}
 
+#: (w - z^3 + 0.5 z) + (w - z^2 - z): backward fibers of degree 3 and 2
+#: that are not binomials.
+NON_BINOMIAL = """\
+1
+0 1 1 0
+3 0 -1 0
+1 0 0.5 0
 
-def _configs(data: Path) -> dict[str, dict]:
+1
+0 1 1 0
+2 0 -1 0
+1 0 -1 0
+"""
+
+#: Commands run on ``NON_BINOMIAL`` with the README config.
+NON_BINOMIAL_COMMANDS = ("ds-measure", "ruelle", "orbits")
+
+
+def _configs(data: Path, work: Path) -> dict[str, dict]:
     out = {}
     for w in workloads().values():
         out[f"bench-{w.name}"] = {**w.config,
@@ -183,6 +205,9 @@ def _configs(data: Path) -> dict[str, dict]:
             out[f"inherit-{name}-{suffix}"] = {
                 "correspondence": str(data / f"{name}.corr"), "n_cells": 2000,
                 "entropy": section, "pressure": {**section, "f": "re"}}
+    (work / "non_binomial.corr").write_text(NON_BINOMIAL)
+    out["non_binomial"] = {**README_CONFIG,
+                           "correspondence": str(work / "non_binomial.corr")}
     return out
 
 
@@ -235,6 +260,10 @@ def _calls() -> list[tuple[str, str, str, int]]:
                 for command in ("entropy", "pressure"):
                     calls.append((f"inherit/{name}/seed{seed}/{command}-{suffix}",
                                   f"inherit-{name}-{suffix}", command, seed))
+    for seed in README_SEEDS:
+        for command in NON_BINOMIAL_COMMANDS:
+            calls.append((f"non_binomial/seed{seed}/{command}", "non_binomial",
+                          command, seed))
     return calls
 
 
@@ -277,7 +306,7 @@ def main(argv=None) -> int:
     src = args.root.resolve() / "src"
     with tempfile.TemporaryDirectory(prefix="corrdyn-digest-") as tmp:
         work = Path(tmp)
-        for name, config in _configs(src / "corrdyn" / "data").items():
+        for name, config in _configs(src / "corrdyn" / "data", work).items():
             (work / f"{name}.json").write_text(json.dumps(config, indent=2))
         with ThreadPoolExecutor(max(1, args.jobs)) as pool:
             digest = dict(pool.map(lambda call: _run(src, work, call), _calls()))
