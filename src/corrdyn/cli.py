@@ -58,13 +58,14 @@ class RunConfig:
     def __init__(self, raw: dict, seed=None, out=None, base_dir: Path | None = None):
         self.base_dir = base_dir or Path.cwd()
         merged = dict(_DEFAULTS)
-        merged.update(raw)
+        merged.update(_object(raw, "config"))
         if seed is not None:
             merged["seed"] = seed
         if out is not None:
             merged["out"] = str(out)
         if "correspondence" not in merged:
             raise ConfigMismatch("config is missing the correspondence path")
+        _string(merged["correspondence"], "correspondence")
         merged.setdefault("out", "corrdyn-out")
         merged["seed"] = _number(merged["seed"], "seed", int)
         self.effective = merged
@@ -75,10 +76,7 @@ class RunConfig:
         return self.effective[key]
 
     def section(self, name: str) -> dict:
-        value = self.effective.get(name, {})
-        if not isinstance(value, dict):
-            raise ConfigMismatch(f"config section {name!r} must be an object")
-        return value
+        return _object(self.effective.get(name, {}), name)
 
     def resolve(self, value) -> Path:
         """A path from the config, relative ones taken from the config's
@@ -114,6 +112,20 @@ def _number(value, key: str, kind):
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigMismatch(f"{key} must be an integer, got {value!r}")
     return kind(value)
+
+
+def _string(value, key: str) -> str:
+    """A string of the config: a function name or a path."""
+    if not isinstance(value, str):
+        raise ConfigMismatch(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _object(value, key: str) -> dict:
+    """A JSON object of the config: the config itself or a section."""
+    if not isinstance(value, dict):
+        raise ConfigMismatch(f"{key} must be an object, got {type(value).__name__}")
+    return value
 
 
 def _point_from_config(value) -> SpherePoint:
@@ -264,11 +276,10 @@ def _starts_config(section: dict, config: RunConfig):
 
 
 def _pressure_like(config: RunConfig, corr: Correspondence, name: str,
-                   section: dict | None = None) -> dict:
-    """``entropy`` or ``pressure`` from the config section of that name, or
-    from ``section`` where given.  Entropy is the pressure of ``zero``."""
-    if section is None:
-        section = config.section(name)
+                   section: dict) -> dict:
+    """``entropy`` or ``pressure`` from ``section``, the config section of
+    that name or variational's inline one.  Entropy is the pressure of
+    ``zero``."""
     schedule = section.get("schedule", [[4, 0.05], [8, 0.05]])
     if not isinstance(schedule, list) or not all(
             isinstance(row, list) and len(row) == 2 for row in schedule):
@@ -276,10 +287,11 @@ def _pressure_like(config: RunConfig, corr: Correspondence, name: str,
                              f"{schedule!r}")
     schedule = [(_number(n, "schedule n", int), _number(eps, "schedule eps", float))
                 for n, eps in schedule]
-    f_label = section.get("f", "zero") if name == "pressure" else "zero"
+    f_label = _string(section.get("f", "zero"), "f") if name == "pressure" else "zero"
+    f_fn = named_function(f_label)
     start_points = _number(section.get("start_points", 64), "start_points", int)
     cap = _number(section.get("cap", 4096), "cap", int)
-    report = pressure_estimate(corr, named_function(f_label), schedule,
+    report = pressure_estimate(corr, f_fn, schedule,
                                start_points=start_points, seed=config["seed"],
                                start_sampler=_starts_config(section, config),
                                cap=cap)
@@ -324,13 +336,11 @@ def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     tol = _number(section.get("tol", 1e-10), "tol", float)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    f_label = section.get("f", "zero")
+    f_label = _string(section.get("f", "zero"), "f")
     f_fn = named_function(f_label)
-    g_fn = named_function(section.get("convergence_g", "re"))
+    g_fn = named_function(_string(section.get("convergence_g", "re"), "convergence_g"))
     grid = config.grid()
-    pb = section.get("pullback", {})
-    if not isinstance(pb, dict):
-        raise ConfigMismatch("ruelle pullback must be an object")
+    pb = _object(section.get("pullback", {}), "ruelle pullback")
     start = _point_from_config(pb.get("start", [0.5, 0.3]))
     n = _number(pb.get("levels", 10), "levels", int)
     cap = _number(pb.get("cap", 4096), "cap", int)
@@ -451,25 +461,32 @@ def _cmd_variational(config: RunConfig, corr: Correspondence) -> dict:
     counts = _variational_counts(section)  # before the pressure run or read
     slack = _number(section.get("slack", 0.05), "slack", float)
     grid = config.grid()
-    f_label = section.get("f", "zero")
+    f_label = _string(section.get("f", "zero"), "f")
+    f_fn = named_function(f_label)
     report_path = section.get("pressure_report")
     if report_path is not None:
-        stored = json.loads(config.resolve(report_path).read_text())
-        stored_f = stored.get("results", {}).get("f")
+        stored = json.loads(config.resolve(_string(report_path, "pressure_report"))
+                            .read_text())
+        stored = _object(stored, "pressure_report").get("results", {})
+        stored_f = _object(stored, "pressure_report results").get("f")
         if stored_f != f_label:
             raise ConfigMismatch(
                 f"pressure report was computed with f={stored_f!r}, "
                 f"variational config uses f={f_label!r}")
-        pressure_value = float(stored["results"]["pressure"])
+        pressure_value = _number(stored.get("pressure"), "pressure_report results.pressure",
+                                 float)
     else:
-        sub = dict(section.get("pressure", {}))
-        sub.setdefault("f", f_label)
+        sub = dict(_object(section.get("pressure", {}), "variational pressure"))
+        if sub.setdefault("f", f_label) != f_label:
+            raise ConfigMismatch(
+                f"variational pressure f={sub['f']!r} differs from variational "
+                f"f={f_label!r}")
         pressure_value = _pressure_like(config, corr, "pressure", sub)["pressure"]
 
     entries = _variational_entries(config, corr, grid, section, counts)
     partitions = [SpherePartition.trivial(grid),
                   SpherePartition.sectors(grid, 2, 4)]
-    report = variational_check(named_function(f_label), entries,
+    report = variational_check(f_fn, entries,
                                pressure_value, partitions=partitions,
                                n_max=counts["n_max"],
                                slack=slack)
@@ -491,8 +508,10 @@ _PIPELINES = {
     "degrees": _cmd_degrees,
     "orbits": _cmd_orbits,
     "ds-measure": _cmd_ds_measure,
-    "entropy": lambda cfg, corr: _pressure_like(cfg, corr, "entropy"),
-    "pressure": lambda cfg, corr: _pressure_like(cfg, corr, "pressure"),
+    "entropy": lambda cfg, corr: _pressure_like(cfg, corr, "entropy",
+                                                cfg.section("entropy")),
+    "pressure": lambda cfg, corr: _pressure_like(cfg, corr, "pressure",
+                                                 cfg.section("pressure")),
     "ruelle": _cmd_ruelle,
     "variational": _cmd_variational,
 }

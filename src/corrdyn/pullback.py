@@ -70,6 +70,8 @@ def pullback_iterate(corr: Correspondence, x0, n: int, cap: int = 8192,
             f"pullback needs d_top > d_fwd, got ({corr.d_top}, {corr.d_fwd})")
     if n < 1:
         raise ValueError("need at least one pullback level")
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     grid = grid or SphereGrid(400)
     rng = np.random.default_rng(seed)
 

@@ -39,8 +39,8 @@ _CLUSTER_DETECT_FLOOR = 1e-7
 # is a pure function of its inputs.
 _ROOTS_SEED = 810279
 
-# Iteration cap of one Aberth-Ehrlich solve, scalar (``_aberth``) or
-# stacked (``_stacked_aberth``).
+# Iteration cap of one ``_aberth`` call, from the circle of ``roots`` or
+# the binomial starts of ``stacked_roots``.
 _ABERTH_MAX_ITER = 400
 
 
@@ -274,71 +274,85 @@ def _eval_scale(coeffs: np.ndarray, z) -> np.ndarray:
     return out
 
 
-def _aberth(coeffs: np.ndarray, tol: float, rng: np.random.Generator):
-    """Aberth-Ehrlich simultaneous iteration on a trimmed polynomial.
+def _aberth(c: np.ndarray, z: np.ndarray, tol: float):
+    """Aberth-Ehrlich iteration on every row of a (K, d+1) coefficient
+    stack at once, from the (K, d) starts z; d >= 2, and each row has
+    nonzero constant and leading terms.
 
-    coeffs is ascending with nonzero leading and constant terms.  Returns
-    the root array; raises NonConvergence when the backward error stays
-    above tol.
+    Each step runs on the rows still moving, and freezes a root once its
+    step is at most 5e-15 (1 + |z|).  A row stops when every root is
+    frozen, or once its largest step no longer shrinks (after 30 steps,
+    at least a quarter of the largest step 11 steps before) while every
+    root meets the residual bound.  Returns (z, done): the (K, d) roots
+    and the rows that stopped so within ``_ABERTH_MAX_ITER`` steps with
+    finite roots.  A row's roots do not depend on the other rows.
     """
-    deg = len(coeffs) - 1
-    dcoeffs = _polyder(coeffs)
-    lead = abs(coeffs[-1])
-    cauchy = 1.0 + max(np.abs(coeffs[:-1])) / lead
-    c0 = abs(coeffs[0])
-    r_geo = (c0 / lead) ** (1.0 / deg) if c0 > 0 else 1.0
-    radius = min(max(r_geo, 0.25), cauchy)
+    k_rows, width = c.shape
+    deg = width - 1
+    z = np.array(z, dtype=complex)
+    done = np.zeros(k_rows, dtype=bool)
 
-    # Random perturbed initial circle; a fixed rotation offset breaks the
-    # symmetric stall configurations of real polynomials.
+    # Working arrays of the rows still moving: their indices, roots,
+    # coefficients as (d+1, n, 1) for the Horner helpers, moving roots
+    # and largest steps of the last 12 iterations (slot it % 12).
+    live = np.arange(k_rows)
+    zl = z
+    stack = c.T[:, :, None]
+    dstack = stack[1:] * np.arange(1, width)[:, None, None]
+    moving = np.ones((k_rows, deg), dtype=bool)
+    hist = np.zeros((k_rows, 12))
+    diag = np.arange(deg)
+    for it in range(1, _ABERTH_MAX_ITER + 1):
+        if not len(live):
+            break
+        newton = _polyval(stack, zl) / _polyval(dstack, zl)
+        inv = 1.0 / (zl[:, :, None] - zl[:, None, :])
+        inv[:, diag, diag] = 0.0
+        step = np.where(moving, newton / (1.0 - newton * inv.sum(axis=2)), 0.0)
+        zl = zl - step
+        asteps = np.abs(step)
+        moving = asteps > 5e-15 * (1.0 + np.abs(zl))
+        m = asteps.max(axis=1)
+        hist[:, it % 12] = m
+        failed = ~np.isfinite(zl).all(axis=1)
+        converged = ~moving.any(axis=1) & ~failed
+        if it >= 30:
+            flat = np.nonzero(~converged & ~failed
+                              & (m >= 0.25 * hist[:, (it + 1) % 12]))[0]
+            if len(flat):
+                sub, zf = stack[:, flat], zl[flat]
+                resid = np.abs(_polyval(sub, zf)) <= tol * np.maximum(
+                    _eval_scale(sub, zf), 1e-300)
+                converged[flat[resid.all(axis=1)]] = True
+        stop = converged | failed
+        if stop.any():
+            z[live[stop]] = zl[stop]
+            done[live[converged]] = True
+            keep = ~stop
+            live, zl, moving, hist = live[keep], zl[keep], moving[keep], hist[keep]
+            stack, dstack = stack[:, keep], dstack[:, keep]
+    z[live] = zl
+    return z, done
+
+
+def _circle_roots(c: np.ndarray, tol: float, rng: np.random.Generator):
+    """The roots of a trimmed polynomial of degree >= 3 (ascending, with
+    nonzero constant and leading terms) by ``_aberth`` from a randomly
+    perturbed circle; raises NonConvergence unless every root meets the
+    residual bound."""
+    deg = len(c) - 1
+    lead = abs(c[-1])
+    cauchy = 1.0 + np.abs(c[:-1]).max() / lead
+    radius = min(max((abs(c[0]) / lead) ** (1.0 / deg), 0.25), cauchy)
+    # A fixed rotation offset breaks the symmetric stall configurations of
+    # real polynomials.
     angles = 2.0 * np.pi * (np.arange(deg) + 0.3) / deg
     angles = angles + rng.uniform(-0.3, 0.3) + rng.uniform(-0.05, 0.05, deg)
     z = radius * np.exp(1j * angles) * (1.0 + rng.uniform(-0.02, 0.02, deg))
-
-    active = np.ones(deg, dtype=bool)
-    step_hist: list[float] = []
-    for iteration in range(1, _ABERTH_MAX_ITER + 1):
-        p = _polyval(coeffs, z)
-        dp = _polyval(dcoeffs, z)
-        bad = np.abs(dp) == 0.0
-        if bad.any():
-            z[bad] += (1e-8 + 1e-8j) * (1.0 + np.abs(z[bad]))
-            continue
-        newton = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        sums = inv.sum(axis=1)
-        denom = 1.0 - newton * sums
-        denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-        step = newton / denom
-        step[~active] = 0.0
-        nonfinite = ~np.isfinite(step)
-        if nonfinite.any():
-            step[nonfinite] = 0.0
-            z[nonfinite] += 1e-6 * (1.0 + np.abs(z[nonfinite])) * np.exp(
-                1j * rng.uniform(0, 2 * np.pi, int(nonfinite.sum())))
-        z = z - step
-        asteps = np.abs(step)
-        active = asteps > 5e-15 * (1.0 + np.abs(z))
-        m = float(asteps.max())
-        step_hist.append(m)
-        if not active.any():
-            break
-        # Multiple roots plateau at the noise floor; stop once the step
-        # size is no longer shrinking and accuracy is already adequate.
-        if len(step_hist) >= 30 and m >= 0.25 * step_hist[-12]:
-            resid = np.abs(_polyval(coeffs, z)) / np.maximum(
-                _eval_scale(coeffs, z), 1e-300)
-            if resid.max() <= tol:
-                break
-
-    resid = np.abs(_polyval(coeffs, z)) / np.maximum(_eval_scale(coeffs, z), 1e-300)
-    if resid.max() > tol:
-        raise NonConvergence(
-            f"root iteration stalled at backward error {resid.max():.3e}",
-            iterations=iteration)
+    z = _aberth(c[None], z[None], tol)[0][0]
+    resid = np.abs(_polyval(c, z)) / np.maximum(_eval_scale(c, z), 1e-300)
+    if not (resid <= tol).all():  # NaN roots fail too
+        raise NonConvergence(f"root iteration stalled at backward error {resid.max():.3e}")
     return z
 
 
@@ -498,21 +512,21 @@ def roots(coeffs, tol: float = DEFAULT_ROOT_TOL):
         finite = _merge_clusters(pair, c, tol)
     else:
         rng = np.random.default_rng(_ROOTS_SEED)
-        try:
-            z = _aberth(c, tol, rng)
-        except NonConvergence:
-            # The stop test of _aberth is absolute near 0, so roots that are
-            # all tiny stall there.  Solve again for u = z / s, with s the
-            # power of two nearest |c_0 / c_d|^(1/d): scaling by s changes
-            # the coefficients and the roots exactly.
-            e = round((math.log2(abs(c[0])) - math.log2(abs(c[-1]))) / deg)
-            if not -1022 <= e * deg <= 1023:
-                raise
-            with np.errstate(over="ignore", under="ignore"):
+        with np.errstate(all="ignore"):
+            try:
+                z = _circle_roots(c, tol, rng)
+            except NonConvergence:
+                # The stop test of _aberth is absolute near 0, so roots that
+                # are all tiny stall there.  Solve again for u = z / s, with s
+                # the power of two nearest |c_0 / c_d|^(1/d): scaling by s
+                # changes the coefficients and the roots exactly.
+                e = round((math.log2(abs(c[0])) - math.log2(abs(c[-1]))) / deg)
+                if not -1022 <= e * deg <= 1023:
+                    raise
                 scaled = c * np.ldexp(1.0, e * np.arange(deg + 1))
-            if not np.isfinite(scaled).all():
-                raise
-            z = _aberth(scaled, tol, rng) * math.ldexp(1.0, e)
+                if not np.isfinite(scaled).all():
+                    raise
+                z = _circle_roots(scaled, tol, rng) * math.ldexp(1.0, e)
         finite = _merge_clusters(list(z), c, tol)
 
     if zero_mult:
@@ -531,69 +545,14 @@ def roots(coeffs, tol: float = DEFAULT_ROOT_TOL):
     return out
 
 
-def _stacked_aberth(c: np.ndarray, tol: float):
-    """Aberth-Ehrlich iteration on every row of a (K, d+1) coefficient
-    stack at once, d >= 2, each row with nonzero constant and leading
-    terms.
-
-    Row k starts at the d roots of its binomial c_d z^d + c_0, so a
-    binomial row stops after one step.  Each step runs on the rows still
-    moving, and freezes a root once its step is at most 5e-15 (1 + |z|).
-    A row stops when every root is frozen, or, as in ``_aberth``, once
-    its largest step no longer shrinks (after 30 steps, at least a
-    quarter of the largest step 11 steps before) while every root meets
-    the residual bound.  Returns (z, done): the (K, d) roots and the rows
-    that stopped so within ``_ABERTH_MAX_ITER`` steps with finite roots.
-    """
-    k_rows, width = c.shape
-    deg = width - 1
+def _binomial_starts(c: np.ndarray) -> np.ndarray:
+    """The roots of each row's binomial c_d z^d + c_0, as (K, d) starts of
+    ``_aberth``: a binomial row stops after one step."""
+    deg = c.shape[1] - 1
     # |c_0|^(1/d) / |c_d|^(1/d): the ratio |c_0 / c_d| itself can underflow.
     radius = np.abs(c[:, 0]) ** (1.0 / deg) / np.abs(c[:, -1]) ** (1.0 / deg)
     turn = (np.angle(-c[:, 0]) - np.angle(c[:, -1]))[:, None] + 2.0 * np.pi * np.arange(deg)
-    z = radius[:, None] * np.exp(1j * turn / deg)
-    done = np.zeros(k_rows, dtype=bool)
-
-    # Working arrays of the rows still moving: their indices, roots,
-    # coefficients as (d+1, n, 1) for the Horner helpers, moving roots
-    # and largest steps of the last 12 iterations (slot it % 12).
-    live = np.arange(k_rows)
-    zl = z
-    stack = c.T[:, :, None]
-    dstack = stack[1:] * np.arange(1, width)[:, None, None]
-    moving = np.ones((k_rows, deg), dtype=bool)
-    hist = np.zeros((k_rows, 12))
-    diag = np.arange(deg)
-    for it in range(1, _ABERTH_MAX_ITER + 1):
-        if not len(live):
-            break
-        newton = _polyval(stack, zl) / _polyval(dstack, zl)
-        inv = 1.0 / (zl[:, :, None] - zl[:, None, :])
-        inv[:, diag, diag] = 0.0
-        step = np.where(moving, newton / (1.0 - newton * inv.sum(axis=2)), 0.0)
-        zl = zl - step
-        asteps = np.abs(step)
-        moving = asteps > 5e-15 * (1.0 + np.abs(zl))
-        m = asteps.max(axis=1)
-        hist[:, it % 12] = m
-        failed = ~np.isfinite(zl).all(axis=1)
-        converged = ~moving.any(axis=1) & ~failed
-        if it >= 30:
-            flat = np.nonzero(~converged & ~failed
-                              & (m >= 0.25 * hist[:, (it + 1) % 12]))[0]
-            if len(flat):
-                sub, zf = stack[:, flat], zl[flat]
-                resid = np.abs(_polyval(sub, zf)) <= tol * np.maximum(
-                    _eval_scale(sub, zf), 1e-300)
-                converged[flat[resid.all(axis=1)]] = True
-        stop = converged | failed
-        if stop.any():
-            z[live[stop]] = zl[stop]
-            done[live[converged]] = True
-            keep = ~stop
-            live, zl, moving, hist = live[keep], zl[keep], moving[keep], hist[keep]
-            stack, dstack = stack[:, keep], dstack[:, keep]
-    z[live] = zl
-    return z, done
+    return radius[:, None] * np.exp(1j * turn / deg)
 
 
 def stacked_roots(c: np.ndarray, tol: float):
@@ -604,9 +563,9 @@ def stacked_roots(c: np.ndarray, tol: float):
     with finite coefficients, a nonzero constant term and a leading one
     clear of the degree-drop cutoff of ``roots``.  Degree 1 takes the
     closed form.  Higher degrees run one Aberth-Ehrlich iteration over
-    every row at once (``_stacked_aberth``: from the roots of each row's
-    binomial c_d z^d + c_0, capped at ``_ABERTH_MAX_ITER`` steps, where a
-    row fails) and are polished by one vectorized Newton step, kept per
+    every row at once (``_aberth`` from the roots of each row's binomial
+    c_d z^d + c_0, capped at ``_ABERTH_MAX_ITER`` steps, where a row
+    fails) and are polished by one vectorized Newton step, kept per
     root unless it raises |p|.  A row passes when its iteration stopped
     with finite roots, each meets the residual bound of ``roots``, |p(r)|
     <= tol * sum_k |c_k| |r|^k, no two lie within the cluster radius
@@ -626,7 +585,7 @@ def stacked_roots(c: np.ndarray, tol: float):
             z = -c[:, :1] / c[:, 1:]
             return rows, z, np.isfinite(z[:, 0])
 
-        z, ok = _stacked_aberth(c, tol)
+        z, ok = _aberth(c, _binomial_starts(c), tol)
         # Coefficients as (d+1, K, 1), so the Horner helpers run on all rows.
         stack = c.T[:, :, None]
         p = _polyval(stack, z)

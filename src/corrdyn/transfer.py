@@ -316,17 +316,20 @@ def _stationary(p: np.ndarray, start: np.ndarray, tol: float, max_iter: int):
                          iterations=max_iter)
 
 
+#: Cylinder weight at or below which ``_chain_cylinders`` drops a chain.
+CYLINDER_PRUNE = 1e-15
+
+
 def _chain_cylinders(active: ActiveGrid, kernel: TransferKernel,
-                     weights: np.ndarray, nu: np.ndarray, depth: int,
-                     prune: float = 1e-15) -> PathMeasure:
+                     weights: np.ndarray, nu: np.ndarray, depth: int) -> PathMeasure:
     """Exact depth-D cylinder weights of the stationary backward chain.
 
     Each level extends every chain, in order, by the edges of its head
-    cell, in edge order, dropping extensions at or below the prune level.
+    cell, in edge order, dropping extensions at or below ``CYLINDER_PRUNE``.
     """
     order = np.argsort(kernel.src, kind="stable")
     bounds = np.searchsorted(kernel.src[order], np.arange(active.n_active + 1))
-    starts = np.nonzero(nu > prune)[0]
+    starts = np.nonzero(nu > CYLINDER_PRUNE)[0]
     positions = starts[:, None]
     symbols = np.zeros((len(starts), 0), dtype=np.int64)
     w = nu[starts]
@@ -337,7 +340,7 @@ def _chain_cylinders(active: ActiveGrid, kernel: TransferKernel,
         offset = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
         e = order[bounds[head][parent] + offset]
         w_next = w[parent] * (kernel.mult[e] * weights[e])
-        keep = w_next > prune
+        keep = w_next > CYLINDER_PRUNE
         parent, e, w = parent[keep], e[keep], w_next[keep]
         positions = np.column_stack([kernel.tgt[e], positions[parent]])
         symbols = np.column_stack([kernel.comp[e], symbols[parent]])

@@ -562,6 +562,61 @@ class TestReportHygiene:
         assert message in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("command,config,files,message", [
+        ("variational", {"variational": {"pressure": [1]}}, {},
+         "variational pressure must be an object, got list"),
+        ("pressure", {"pressure": {"f": ["re"]}}, {}, "f must be a string, got ['re']"),
+        ("ruelle", {"ruelle": {"convergence_g": 3}}, {},
+         "convergence_g must be a string, got 3"),
+        ("variational", {"variational": {"f": None}}, {}, "f must be a string, got None"),
+        ("variational", {"variational": {"pressure_report": 5}}, {},
+         "pressure_report must be a string, got 5"),
+        ("ds-measure", {"correspondence": 5}, {}, "correspondence must be a string, got 5"),
+        ("ds-measure", [1, 2], {}, "config must be an object, got list"),
+        ("variational", {"variational": {"pressure_report": "listed.json"}},
+         {"listed.json": [1, 2]}, "pressure_report must be an object, got list"),
+        ("variational", {"variational": {"f": "zero", "pressure": {"f": "const:5"}}}, {},
+         "variational pressure f='const:5' differs from variational f='zero'"),
+        ("variational", {"variational": {"pressure_report": "ruelle.json"}},
+         {"ruelle.json": {"command": "ruelle", "results": {"f": "zero", "lambda": 2.0}}},
+         "pressure_report results.pressure must be a number, got None")])
+    def test_config_value_of_the_wrong_type_exits_5(self, workspace, command, config,
+                                                    files, message, capsys, monkeypatch):
+        # Each died with a traceback and exit 1, except the inline pressure
+        # f, which ran with it and exited 0.
+        def refuse(*args, **kwargs):
+            raise AssertionError("work ran before the config check")
+
+        for name in ("pullback_iterate", "pressure_estimate"):
+            monkeypatch.setattr(f"corrdyn.cli.{name}", refuse)
+        monkeypatch.chdir(workspace)  # a list config writes to corrdyn-out here
+        for name, payload in files.items():
+            (workspace / name).write_text(json.dumps(payload))
+        if isinstance(config, dict):
+            config = {"correspondence": "z2.corr", "n_cells": 400,
+                      "out": str(workspace / "wrong_type"), **config}
+        cfg = workspace / "wrong_type.json"
+        cfg.write_text(json.dumps(config))
+        assert run([command, "--config", cfg]) == 5
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not list(workspace.rglob("report.json"))
+
+    @pytest.mark.parametrize("command,setting", [
+        ("ds-measure", {"ds_measure": {"cap": 0}}),
+        ("ruelle", {"ruelle": {"pullback": {"cap": 0}}})])
+    def test_pullback_cap_below_one_exits_3(self, workspace, command, setting, capsys):
+        # These died in the thinning with a ZeroDivisionError and exit 1.
+        out = workspace / "cap0"
+        cfg = write_config(workspace, "cap0", {
+            "correspondence": "z2.corr", "n_cells": 400, **setting, "out": str(out)})
+        assert run([command, "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "cap must be at least 1, got 0" in err
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
+
     def test_integral_floats_are_integers(self, workspace):
         out = workspace / "float_counts"
         cfg = write_config(workspace, "float_counts", {

@@ -91,6 +91,18 @@ class TestPullback:
         assert len(starts) == 1 + MAX_RESAMPLE
         assert len({(p.value, p.inverted) for p in starts}) == len(starts)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_rejected_before_any_solve(self, grid, corr_z2, cap,
+                                                     monkeypatch):
+        # A cap of 0 died in the thinning with a ZeroDivisionError.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fiber was solved before the cap check")
+
+        monkeypatch.setattr(Correspondence, "backward_images", refuse)
+        monkeypatch.setattr(Correspondence, "fiber_arrays", refuse)
+        with pytest.raises(ValueError, match=f"cap must be at least 1, got {cap}"):
+            pullback_iterate(corr_z2, 0.5 + 0.3j, n=4, cap=cap, seed=3, grid=grid)
+
     def test_thinning_respects_cap_and_mass(self, grid, corr_z2):
         levels = pullback_iterate(corr_z2, 0.7 + 0.1j, n=9, cap=100, seed=46,
                                   grid=grid)

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +11,7 @@ from corrdyn import correspondence, sphere
 from corrdyn.cli import main as cli_main
 from corrdyn.correspondence import parse_correspondence
 from corrdyn.datasets import BUNDLED, bundled_correspondence, bundled_text
-from corrdyn.errors import InvalidComponent
+from corrdyn.errors import InvalidComponent, NonConvergence
 from corrdyn.pullback import pullback_iterate
 from corrdyn.sphere import (BivarPoly, SpherePoint, _reciprocal, chart_unit_vectors,
                             chart_values, complex_charts, roots, sph_dist,
@@ -466,6 +467,14 @@ def match_one_to_one(expected, found, rel):
     assert not left
 
 
+def close_root_stack(rng, deg, gap, rows):
+    """Monic rows of degree deg with roots 0 and 1 gap apart, the rest
+    random: the known roots and the ascending coefficients."""
+    known = rng.normal(size=(rows, deg)) + 1j * rng.normal(size=(rows, deg))
+    known[:, 1] = known[:, 0] + gap * np.exp(2j * np.pi * rng.uniform(size=rows))
+    return known, np.array([np.poly(r)[::-1] for r in known])
+
+
 class TestStackedAberth:
     """The Aberth-Ehrlich iteration of stacked_roots, against known roots
     and against ``np.roots`` as an independent oracle."""
@@ -493,7 +502,8 @@ class TestStackedAberth:
         # other, so those rows are left to roots too.
         assert ok.tolist() == [True] * 8 + [False] * 2
         with np.errstate(all="ignore"):
-            z, done = sphere._stacked_aberth(stack[rows], 1e-12)
+            z, done = sphere._aberth(stack[rows], sphere._binomial_starts(stack[rows]),
+                                     1e-12)
         assert done.all()
         for row, found in zip(rows.tolist(), z.tolist()):
             e, u = ys[row // 2]
@@ -517,10 +527,8 @@ class TestStackedAberth:
     def test_close_roots_match_known_roots(self, deg, gap):
         # A stop on the residual alone leaves roots this close far off; the
         # step rule must carry them to the accuracy the coefficients allow.
-        rng = np.random.default_rng(int(deg / gap))
-        known = rng.normal(size=(200, deg)) + 1j * rng.normal(size=(200, deg))
-        known[:, 1] = known[:, 0] + gap * np.exp(2j * np.pi * rng.uniform(size=200))
-        stack = np.array([np.poly(r)[::-1] for r in known])
+        known, stack = close_root_stack(np.random.default_rng(int(deg / gap)), deg, gap,
+                                        200)
         rows, z, ok = stacked_roots(stack, 1e-12)
         assert ok.sum() >= 198
         for k, found in zip(rows[ok].tolist(), z[ok].tolist()):
@@ -533,6 +541,66 @@ class TestStackedAberth:
         monkeypatch.setattr(sphere, "_ABERTH_MAX_ITER", 2)
         rows, z, ok = stacked_roots(stack, 1e-12)
         assert len(rows) == 50 and not ok.any()
+
+    @pytest.mark.parametrize("deg", [2, 3, 5, 8])
+    def test_row_alone_equals_row_in_stack(self, deg):
+        # Random rows, rows with coefficients spread over 1e+-6, rows with
+        # close roots, which reach the plateau rule, and two rows whose
+        # Horner sums overflow, which fail; from the binomial starts and
+        # from random ones.
+        rng = np.random.default_rng(240 + deg)
+        spread = rng.normal(size=(60, deg + 1)) + 1j * rng.normal(size=(60, deg + 1))
+        spread *= 10.0 ** rng.uniform(-6, 6, size=(60, deg + 1))
+        stack = np.concatenate([
+            rng.normal(size=(70, deg + 1)) + 1j * rng.normal(size=(70, deg + 1)),
+            spread, close_root_stack(rng, deg, 1e-6, 70)[1],
+            np.full((2, deg + 1), 1e308)])
+        for starts in (sphere._binomial_starts(stack),
+                       rng.normal(size=(202, deg)) + 1j * rng.normal(size=(202, deg))):
+            with np.errstate(all="ignore"):
+                z, done = sphere._aberth(stack, starts, 1e-12)
+                assert done.tolist() == [True] * 200 + [False] * 2
+                for k in range(202):
+                    alone, done_alone = sphere._aberth(stack[k:k + 1], starts[k:k + 1],
+                                                       1e-12)
+                    assert alone.tobytes() == z[k:k + 1].tobytes(), k
+                    assert done_alone[0] == done[k], k
+
+    def test_roots_raises_when_the_iteration_fails(self):
+        # Horner overflows at every start, so the iteration fails the row,
+        # and the rescaled retry (by 2^0) fails it again.  The loop this one
+        # replaced jittered the non-finite steps and returned its start circle.
+        c = np.full(4, 1e308, dtype=complex)
+        start = np.exp(2j * np.pi * np.arange(3) / 3)[None]
+        with np.errstate(all="ignore"):
+            assert not sphere._aberth(c[None], start, 1e-12)[1].any()
+        with pytest.raises(NonConvergence, match="backward error nan"):
+            roots(c)
+
+    def test_no_runtime_warning(self):
+        # The inputs of the tests above: 1 / (z_i - z_j) divides by zero on
+        # its diagonal, and huge or tiny rows overflow or underflow.
+        rng = np.random.default_rng(25)
+        stacks = [close_root_stack(rng, deg, 1e-4, 20)[1] for deg in (2, 3, 5)]
+        for deg in range(2, 9):
+            stack = rng.normal(size=(20, deg + 1)) + 1j * rng.normal(size=(20, deg + 1))
+            stacks.append(stack * 10.0 ** rng.uniform(-6, 6, size=(20, 1)))
+            y = math.ldexp(1.0, 996) * np.exp(1j * rng.uniform(0, 7, size=4))
+            binomials = np.zeros((12, deg + 1), dtype=complex)
+            binomials[:4, 0], binomials[:4, -1] = -y, 1.0
+            binomials[4:8, 0], binomials[4:8, -1] = 1.0 / y, 1.0
+            binomials[8:, 0], binomials[8:, -1] = 1.0, -1.0 / y
+            stacks.append(binomials)
+        stacks.append(np.full((1, 4), 1e308, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for stack in stacks:
+                stacked_roots(stack, 1e-12)
+                for row in stack:
+                    try:
+                        roots(row)
+                    except NonConvergence:
+                        pass
 
     def test_pullback_makes_no_eigvals_call(self, monkeypatch):
         def refuse(*args, **kwargs):
