@@ -132,85 +132,65 @@ class Correspondence:
         """Fiber of z -> P_t(z, y) over every component, with multiplicity."""
         return self._fiber(BivarPoly.coeffs_in_z, as_sphere_point(y))
 
-    def _stacked(self, values: np.ndarray, inverted: np.ndarray,
-                 backward: bool) -> list[tuple]:
-        """Every component's fiber polynomials over the points given by
-        chart value and flag, solved by one ``stacked_roots`` call each.
-
-        Returns one (coeffs, live, passed, found) per component: the
-        coefficient rows, the rows whose polynomial does not vanish, the
-        rows whose roots the stacked solver passes, and those roots, one
-        row per point (zero where the row did not pass).
-        """
-        out = []
-        for comp in self.components:
-            coeffs = (comp.coeffs_in_z_charts(values, inverted) if backward
-                      else comp.coeffs_in_w_charts(values, inverted))
-            live = np.abs(coeffs).max(axis=1) != 0
-            rows, z, ok = stacked_roots(coeffs[live], DEFAULT_ROOT_TOL)
-            solved = np.nonzero(live)[0][rows[ok]]
-            passed = np.zeros(len(values), dtype=bool)
-            passed[solved] = True
-            found = np.zeros((len(values), coeffs.shape[1] - 1), dtype=complex)
-            found[solved] = z[ok]
-            out.append((coeffs, live, passed, found))
-        return out
-
-    def _row_fiber(self, stacked: list[tuple], k: int) -> Fiber:
-        """Fiber of row k of ``_stacked``: a component takes its stacked
-        roots where they passed, the scalar ``roots`` of its row where its
-        polynomial does not vanish, and None where it does."""
-        root_lists = []
-        for coeffs, live, passed, found in stacked:
-            if passed[k]:
-                root_lists.append([(SpherePoint(r), 1) for r in found[k].tolist()])
-            elif live[k]:
-                root_lists.append(roots(coeffs[k]))
-            else:
-                root_lists.append(None)
-        return self._assemble(root_lists)
-
     def fiber_arrays(self, values: np.ndarray, inverted: np.ndarray,
                      backward: bool) -> tuple[np.ndarray, ...]:
         """Forward, or backward, fibers of the points given by chart value
-        and flag, flattened in fiber order (``flatten_fibers``).
+        and flag, flat, one entry per branch point in fiber order (by point,
+        component, then ``_canonical_key``): (owner, mult, values, inverted,
+        component, slot), its point's index, its multiplicity, chart value
+        and flag, component and first branch slot.
 
-        A row where every component passes the stacked solver is built
-        from its arrays: each component's roots in argument order, which
-        is ``_assemble``'s order because the solver's checks keep every
-        argument 1e-8 away from pi and from the others, charted by
-        ``complex_charts``, which is ``SpherePoint`` to the bit.  Root j
-        of component t has multiplicity m_t and first slot 1 + j m_t.
-        Every other row is ``_row_fiber``'s.
+        Each component solves every row by one ``stacked_roots`` call; a row
+        it declines takes the scalar ``roots`` of its polynomial, none where
+        that vanishes.  A root of multiplicity m in component t has
+        multiplicity m m_t and first slot 1 + the multiplicities before it.
         """
-        stacked = self._stacked(values, inverted, backward)
-        fast = np.ones(len(values), dtype=bool)
-        for _, _, passed, _ in stacked:
-            fast &= passed
-
-        block = []
-        for _, _, _, found in stacked:
-            z = found[fast]
-            block.append(np.take_along_axis(z, np.argsort(np.angle(z), axis=1),
-                                            axis=1))
-        block_values, block_inverted = complex_charts(np.hstack(block))
         degrees = [comp.deg_z if backward else comp.deg_w for comp in self.components]
-        mult = np.repeat([comp.multiplicity for comp in self.components], degrees)
-        component = np.repeat(np.arange(1, self.n_components + 1), degrees)
-        slot = 1 + np.concatenate([np.arange(d) * comp.multiplicity
-                                   for d, comp in zip(degrees, self.components)])
-        rows = np.nonzero(fast)[0]
-        block = (np.repeat(rows, len(mult)), np.tile(mult, len(rows)),
-                 block_values.ravel(), block_inverted.ravel(),
-                 np.tile(component, len(rows)), np.tile(slot, len(rows)))
+        ends = np.cumsum(degrees)
+        starts = ends - degrees
+        n, width = len(values), int(ends[-1])
+        # Every row's roots, padded: multiplicity 0 marks an empty place.
+        found = np.zeros((n, width), dtype=complex)
+        mult = np.zeros((n, width), dtype=np.int64)
+        solved = []
+        for comp, lo, hi in zip(self.components, starts.tolist(), ends.tolist()):
+            coeffs = (comp.coeffs_in_z_charts(values, inverted) if backward
+                      else comp.coeffs_in_w_charts(values, inverted))
+            rows, z, ok = stacked_roots(coeffs, DEFAULT_ROOT_TOL)
+            found[rows[ok], lo:hi] = z[ok]
+            mult[rows[ok], lo:hi] = comp.multiplicity
+            solved.append((lo, comp.multiplicity, coeffs))
+        chart, flag = complex_charts(found)
+        for lo, m_t, coeffs in solved:
+            for k in np.nonzero(mult[:, lo] == 0)[0].tolist():
+                if np.abs(coeffs[k]).max():
+                    for j, (point, m) in enumerate(roots(coeffs[k]), start=lo):
+                        chart[k, j], flag[k, j] = point.value, point.inverted
+                        mult[k, j] = m * m_t
 
-        slow = np.nonzero(~fast)[0]
-        if not len(slow):
-            return block
-        spliced = flatten_fibers([self._row_fiber(stacked, k) for k in slow.tolist()])
-        spliced = (slow[spliced[0]],) + spliced[1:]
-        order = np.argsort(np.concatenate([block[0], spliced[0]]), kind="stable")
-        return tuple(np.concatenate([a, b])[order] for a, b in zip(block, spliced))
+        # Canonical order in each component of degree 2 or more: argument in
+        # the root's chart, negated in the reciprocal one, then modulus, with
+        # infinity (4) and empty places (5) after every argument.
+        order = np.tile(np.arange(width), (n, 1))
+        if width > self.n_components:
+            arg = np.arctan2(chart.imag, chart.real)
+            arg = np.where(flag, np.where(chart == 0, 4.0, -arg), arg)
+            arg[mult == 0] = 5.0
+            with np.errstate(divide="ignore"):
+                mod = np.hypot(chart.real, chart.imag)
+                mod = np.where(flag, 1.0 / mod, mod)
+            for lo, hi in zip(starts.tolist(), ends.tolist()):
+                if hi - lo > 1:
+                    order[:, lo:hi] = lo + np.lexsort((mod[:, lo:hi], arg[:, lo:hi]))
+        flat = (order + width * np.arange(n)[:, None]).ravel()
+        mult = mult.ravel()[flat].reshape(n, width)
+        before = np.cumsum(mult, axis=1) - mult
+        slot = 1 + before - np.repeat(before[:, starts], degrees, axis=1)
+        keep = mult.ravel() > 0
+        owner, place = np.divmod(np.flatnonzero(keep), width)
+        component = np.repeat(np.arange(1, self.n_components + 1), degrees)[place]
+        return (owner, mult.ravel()[keep], chart.ravel()[flat[keep]],
+                flag.ravel()[flat[keep]], component, slot.ravel()[keep])
 
     def incidence_residual(self, x, y, component: int) -> float:
         return self.components[component - 1].incidence_residual(x, y)
@@ -228,18 +208,6 @@ class Correspondence:
                 continue
             out.extend(roots(diag))
         return out
-
-
-def flatten_fibers(fibers) -> tuple[np.ndarray, ...]:
-    """A fiber list as flat arrays, one entry per branch point in fiber
-    order: (owner, mult, values, inverted, component, slot), the index of
-    its fiber, its multiplicity, its chart value and flag, its component
-    and its first branch slot."""
-    branches = [(k, b.multiplicity, b.point.value, b.point.inverted, b.component,
-                 b.branch_index) for k, fiber in enumerate(fibers) for b in fiber.branches]
-    columns = list(zip(*branches)) or [()] * 6
-    return tuple(np.array(column, dtype=dtype) for column, dtype in
-                 zip(columns, (np.int64, np.int64, complex, bool, np.int64, np.int64)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +256,8 @@ def parse_correspondence(text: str) -> Correspondence:
                 raise ParseError(f"bad coefficient entry {line!r}", line=lineno)
             if a < 0 or b < 0:
                 raise ParseError("exponents must be nonnegative", line=lineno)
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ParseError(f"coefficient is not finite: {line!r}", line=lineno)
             entries.append((a, b, complex(re, im)))
             max_a, max_b = max(max_a, a), max(max_b, b)
         if not entries:

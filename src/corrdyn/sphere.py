@@ -477,6 +477,16 @@ def roots(coeffs, tol: float = DEFAULT_ROOT_TOL):
     c = np.asarray(list(coeffs), dtype=complex)
     if c.size == 0:
         raise ValueError("empty coefficient list")
+    # Multiply by the power of two that centers the binary exponents of the
+    # coefficients on 0, capped so that none overflows.  That is exact, so
+    # the roots keep their bits, and no Horner sum or discriminant over- or
+    # underflows at the ends of the double range.
+    size = np.maximum(np.abs(c.real), np.abs(c.imag))
+    exps = np.frexp(size[size > 0])[1]
+    if exps.size:
+        top = int(exps.max())
+        shift = min(-((top + int(exps.min())) // 2), 1024 - top)
+        c = np.ldexp(c.view(float), shift).view(complex)
     scale = float(np.abs(c).max())
     if scale == 0.0:
         raise ValueError("polynomial is identically zero")
@@ -652,6 +662,8 @@ class BivarPoly:
         table = np.asarray(self.table, dtype=complex)
         if table.ndim != 2:
             raise InvalidComponent("coefficient table must be 2-dimensional")
+        if not np.isfinite(table).all():
+            raise InvalidComponent("coefficients must be finite")
         # Trim trailing all-zero rows/columns so degrees are honest.
         while table.shape[0] > 1 and not table[-1, :].any():
             table = table[:-1, :]

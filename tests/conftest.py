@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
+from corrdyn.correspondence import BranchPoint, Fiber
 from corrdyn.datasets import bundled_correspondence
-from corrdyn.sphere import chart_values
+from corrdyn.sphere import DEFAULT_ROOT_TOL, SpherePoint, chart_values, stacked_roots
 
 
 @pytest.fixture(scope="session")
@@ -31,9 +33,30 @@ def corr_z2z3():
 
 @pytest.fixture(scope="session")
 def row_fibers():
-    """Bit-exact oracle of the batched backward fibers: one ``Fiber`` per
-    point, ``_row_fiber`` of each row of one ``_stacked`` call."""
-    def fibers(corr, points):
-        stacked = corr._stacked(*chart_values(points), backward=True)
-        return [corr._row_fiber(stacked, k) for k in range(len(points))]
+    """Bit-exact oracle of batched fibers, backward by default: one
+    ``Fiber`` per point, each point solved alone.  A component whose row
+    ``stacked_roots`` passes takes those roots in argument order, charted
+    as ``SpherePoint`` charts them, with slots 1, 1 + m_t, ...; any other
+    component takes its branches of the scalar fiber (``backward_images``
+    or ``forward_images``), whose roots ``_canonical_key`` orders."""
+    def fibers(corr, points, backward=True):
+        scalar = corr.backward_images if backward else corr.forward_images
+        out = []
+        for p in points:
+            branches, whole = [], None
+            for t, comp in enumerate(corr.components, start=1):
+                charts = chart_values([p])
+                coeffs = (comp.coeffs_in_z_charts(*charts) if backward
+                          else comp.coeffs_in_w_charts(*charts))
+                _, z, ok = stacked_roots(coeffs, DEFAULT_ROOT_TOL)
+                if ok.any():
+                    z = z[0][np.argsort(np.angle(z[0]))]
+                    m = comp.multiplicity
+                    branches += [BranchPoint(SpherePoint(r), t, 1 + j * m, m)
+                                 for j, r in enumerate(z.tolist())]
+                    continue
+                whole = whole or scalar(p)
+                branches += [b for b in whole.branches if b.component == t]
+            out.append(Fiber(tuple(branches), bool(whole and whole.degenerate)))
+        return out
     return fibers

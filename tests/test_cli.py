@@ -617,6 +617,23 @@ class TestReportHygiene:
         assert "Traceback" not in err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["orbits", "pressure", "ds-measure"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coefficient_exits_2(self, workspace, command, value, capsys):
+        # With "0 0 nan 0" orbits and pressure exited 0 (NaN angles, a
+        # report.json holding NaN) and ds-measure 3; "inf" likewise.
+        text = DATA["z2"] + f"0 0 {value} 0\n"
+        line = text.splitlines().index(f"0 0 {value} 0") + 1
+        (workspace / "non_finite.corr").write_text(text)
+        out = workspace / "non_finite"
+        cfg = write_config(workspace, "non_finite", {
+            "correspondence": "non_finite.corr", "n_cells": 400, "out": str(out)})
+        assert run([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}: coefficient is not finite" in err
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
+
     def test_integral_floats_are_integers(self, workspace):
         out = workspace / "float_counts"
         cfg = write_config(workspace, "float_counts", {

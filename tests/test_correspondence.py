@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from corrdyn import correspondence
 from corrdyn.correspondence import (Correspondence, expansivity_probe,
                                     parse_correspondence)
 from corrdyn.datasets import BUNDLED, bundled_correspondence
 from corrdyn.errors import InsufficientPairs, InvalidComponent, ParseError
-from corrdyn.sphere import (BivarPoly, SpherePoint, as_sphere_point, chart_values,
-                            sph_dist)
+from corrdyn.sphere import (DEFAULT_ROOT_TOL, BivarPoly, SpherePoint, as_sphere_point,
+                            chart_values, roots, sph_dist, stacked_roots)
 
 
 def fiber_count(fiber):
@@ -44,6 +45,12 @@ class TestLoading:
         # Constant in z: projection cannot be surjective.
         with pytest.raises(InvalidComponent):
             parse_correspondence("1\n0 1 1 0\n0 0 -1 0\n")
+
+    @pytest.mark.parametrize("entry", ["0 0 nan 0", "0 0 0 inf", "2 0 -inf 0",
+                                       "0 0 1 nan"])
+    def test_non_finite_coefficient_names_its_line(self, entry):
+        with pytest.raises(ParseError, match="^line 4: coefficient is not finite"):
+            parse_correspondence(f"1\n0 1 1 0\n2 0 -1 0\n{entry}\n")
 
     def test_bad_multiplicity_line(self):
         with pytest.raises(ParseError):
@@ -216,9 +223,24 @@ def mixed_degree_case(transposed=False):
 def mixed_rows(corr, points, backward):
     """Rows where the first component passes the stacked solver and the
     second does not."""
-    (_, _, first, _), (_, _, second, _) = corr._stacked(*chart_values(points),
-                                                        backward=backward)
+    charts = chart_values(points)
+    passed = []
+    for comp in corr.components:
+        coeffs = (comp.coeffs_in_z_charts(*charts) if backward
+                  else comp.coeffs_in_w_charts(*charts))
+        rows, _, ok = stacked_roots(coeffs, DEFAULT_ROOT_TOL)
+        passed.append(np.isin(np.arange(len(points)), rows[ok]))
+    first, second = passed
     return np.nonzero(first & ~second)[0].tolist()
+
+
+def counting_scalar_roots(monkeypatch):
+    """A list that grows by one at each scalar ``roots`` call of
+    ``fiber_arrays``."""
+    calls = []
+    monkeypatch.setattr(correspondence, "roots",
+                        lambda coeffs: calls.append(1) or roots(coeffs))
+    return calls
 
 
 def fiber_arrays_of(corr, points, backward):
@@ -316,14 +338,11 @@ class TestBackwardFiberArrays:
         points += [SpherePoint.from_complex(0.0), SpherePoint.infinity(),
                    SpherePoint.from_reciprocal(1e-13), SpherePoint.from_reciprocal(-3e-12j),
                    SpherePoint.from_complex(1e-24), SpherePoint.from_complex(-1e-9j)]
-        assembled = []
-        assemble = Correspondence._assemble
-        monkeypatch.setattr(Correspondence, "_assemble",
-                            lambda self, lists: assembled.append(1) or assemble(self, lists))
+        scalar = counting_scalar_roots(monkeypatch)
         fiber_arrays_of(corr, points, backward=True)
         monkeypatch.undo()
-        # Both array rows and rows spliced in from _assemble occur.
-        assert 0 < len(assembled) < len(points)
+        # Both stacked and scalar roots occur.
+        assert 0 < len(scalar) < len(points)
         self.check(corr, points, row_fibers)
 
     def test_vanishing_fiber_polynomial(self, corr_z2, row_fibers):
@@ -364,13 +383,10 @@ class TestForwardImagesMany:
     def test_zero_constant_row_falls_back(self, corr_pair, monkeypatch):
         # w = 2z over z = 0 has the exact-zero constant term that
         # stacked_roots leaves to the scalar roots; w = z + 1 over 0 does not.
-        assembled = []
-        assemble = Correspondence._assemble
-        monkeypatch.setattr(Correspondence, "_assemble",
-                            lambda self, lists: assembled.append(1) or assemble(self, lists))
+        scalar = counting_scalar_roots(monkeypatch)
         arrays = fiber_arrays_of(corr_pair, [0.0, 0.5], backward=False)
         monkeypatch.undo()
-        assert len(assembled) == 1
+        assert len(scalar) == 1
         assert_arrays_match(arrays, [corr_pair.forward_images(0.0),
                                      corr_pair.forward_images(0.5)])
         owner, _, root_values, _, component, _ = arrays
@@ -399,6 +415,56 @@ class TestForwardImagesMany:
             assert [SpherePoint.from_chart(v, i) for v, i in
                     zip(root_values[rows].tolist(), root_inverted[rows].tolist())] == \
                 [b.point for b in scalar[k].branches if b.component == 2]
+
+
+def random_multiple_case(seed):
+    """Two components of forward degree 2 or 3, the first of multiplicity
+    2 with an integer table whose fibers over 0 are a multiple root at 0
+    both ways, the second with a complex or a real table; and points in
+    both charts, on the axes and at the ends of the range."""
+    rng = np.random.default_rng(seed)
+    shapes = [(int(rng.integers(3, 5)), int(rng.integers(3, 5))) for _ in range(2)]
+    first = rng.integers(-1, 2, size=shapes[0]).astype(float)
+    first[0, :-1] = first[:-1, 0] = 0.0  # P(0, w) = w^deg_w, P(z, 0) = z^deg_z
+    first[-1, 0] = first[0, -1] = 1.0
+    second = rng.normal(size=shapes[1])
+    if seed % 2:
+        second = second + 1j * rng.normal(size=shapes[1])
+    corr = Correspondence([BivarPoly(first, multiplicity=2), BivarPoly(second)])
+    inside = (rng.uniform(0.0, 0.99, 40)
+              * np.exp(1j * rng.uniform(-math.pi, math.pi, 40))).tolist()
+    points = ([SpherePoint.from_complex(z) for z in inside[:20]]
+              + [SpherePoint.from_reciprocal(z) for z in inside[20:]])
+    points += [SpherePoint.from_complex(z) for z in
+               (0.0, 1.0, -1.0, 1j, -1j, 0.5, -0.5, 1e-20, 1e13)]
+    points += [SpherePoint.infinity(), SpherePoint.from_reciprocal(2.0)]
+    return corr, points
+
+
+class TestRandomFiberArrays:
+    """fiber_arrays of random correspondences with a multiplicity-2
+    component and forward degree above 1, both ways."""
+
+    @pytest.mark.parametrize("backward", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_equal_oracle_and_points_alone(self, seed, backward, monkeypatch,
+                                                row_fibers):
+        corr, points = random_multiple_case(seed)
+        scalar = counting_scalar_roots(monkeypatch)
+        arrays = fiber_arrays_of(corr, points, backward=backward)
+        monkeypatch.undo()
+        owner, mult, _, _, component, _ = arrays
+        # Stacked and scalar roots occur, and so do multiple roots.
+        assert 0 < len(scalar) < len(points)
+        assert (mult[component == 1] > 2).any()
+        assert_arrays_match(arrays, row_fibers(corr, points, backward=backward))
+        for k, p in enumerate(points):
+            alone = fiber_arrays_of(corr, [p], backward=backward)
+            rows = owner == k
+            assert alone[0].tolist() == [0] * int(rows.sum())
+            for got, want in zip(alone[1:], arrays[1:]):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want[rows].tobytes()
 
 
 class TestFixedPoints:

@@ -318,6 +318,40 @@ class TestRoots:
         with pytest.raises(NonConvergence):
             roots([1e-300, 0.0, 0.0, 1e300])
 
+    @pytest.mark.parametrize("coeffs,want", [
+        ([1e-200, 0.0, 1e-200], [(1j, 1), (-1j, 1)]),
+        ([1e160, 0.0, 1e160], [(1j, 1), (-1j, 1)]),
+        ([1e300, 2e300, 1e300], [(-1.0, 2)]),
+        ([1e-320, 2e-320, 1e-320], [(-1.0, 2)]),
+        ([1e308] * 4, [(1j, 1), (-1.0, 1), (-1j, 1)]),
+        ([1e-310] * 4, [(1j, 1), (-1.0, 1), (-1j, 1)]),
+        # 1e308 (0.3 - z + z^2 + 0.5 z^3)
+        ([3e307, -1e308, 1e308, 5e307],
+         [(r, 1) for r in np.roots([0.5, 1.0, -1.0, 0.3]).tolist()]),
+    ])
+    def test_coefficients_at_the_ends_of_the_double_range(self, coeffs, want):
+        # Unscaled, the discriminant or the Horner sums over- or underflow:
+        # these gave a double root at 0, NaN roots or NonConvergence.
+        match_multisets([(SpherePoint.from_complex(r), m) for r, m in want],
+                        roots(coeffs), 1e-12)
+
+    def test_power_of_two_scaling_keeps_every_bit(self):
+        rng = np.random.default_rng(57)
+        for _ in range(150):
+            deg = int(rng.integers(1, 9))
+            c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+            if deg >= 2 and rng.random() < 0.3:  # a double root
+                double = rng.normal(size=deg - 1).tolist()
+                c = poly_from_roots(double + double[:1])
+            if rng.random() < 0.3:
+                c = c.real + 0j
+            base = [(p.inverted, m) for p, m in roots(c)]
+            bits = np.array([p.value for p, _ in roots(c)]).view(float).tobytes()
+            for j in rng.integers(-900, 901, size=4).tolist():
+                got = roots(np.ldexp(c.view(float), j).view(complex))
+                assert [(p.inverted, m) for p, m in got] == base, (c, j)
+                assert np.array([p.value for p, _ in got]).view(float).tobytes() == bits
+
     def test_residual_bound(self):
         rng = np.random.default_rng(14)
         for _ in range(25):
@@ -567,15 +601,18 @@ class TestStackedAberth:
                     assert done_alone[0] == done[k], k
 
     def test_roots_raises_when_the_iteration_fails(self):
-        # Horner overflows at every start, so the iteration fails the row,
-        # and the rescaled retry (by 2^0) fails it again.  The loop this one
-        # replaced jittered the non-finite steps and returned its start circle.
+        # Horner overflows at every start, so the iteration fails the row.
+        # The loop this one replaced jittered the non-finite steps and
+        # returned its start circle.
         c = np.full(4, 1e308, dtype=complex)
         start = np.exp(2j * np.pi * np.arange(3) / 3)[None]
         with np.errstate(all="ignore"):
             assert not sphere._aberth(c[None], start, 1e-12)[1].any()
+        # ``roots`` scales those coefficients to 0.556 and solves them; these
+        # span more than the double range, so no power of two brings every
+        # Horner sum into it, and the rescaled retry is out of range too.
         with pytest.raises(NonConvergence, match="backward error nan"):
-            roots(c)
+            roots([5e-324, 0.0, 0.0, 1e308])
 
     def test_no_runtime_warning(self):
         # The inputs of the tests above: 1 / (z_i - z_j) divides by zero on
@@ -670,6 +707,14 @@ class TestBivarPoly:
     def test_rejects_degenerate_bidegree(self):
         with pytest.raises(InvalidComponent):
             BivarPoly(np.array([[1.0, 1.0]], dtype=complex))  # deg_z = 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf),
+                                     complex(math.nan, 1.0)])
+    def test_rejects_non_finite_table(self, bad):
+        table = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+        table[1, 1] = bad
+        with pytest.raises(InvalidComponent, match="coefficients must be finite"):
+            BivarPoly(table)
 
     def test_rejects_bad_multiplicity(self):
         table = np.zeros((2, 2), dtype=complex)

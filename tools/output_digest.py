@@ -45,7 +45,13 @@ lives in), each call in a fresh interpreter and a fresh output directory:
   and 3 on (w - z^3 + 0.5 z) + (w - z^2 - z) (``NON_BINOMIAL``, written to
   the work directory).  Every bundled backward fiber is a binomial z^d = y,
   which the stacked root iteration solves from its start; these fibers
-  are not, so the iteration runs.
+  are not, so the iteration runs;
+- the README ``ds-measure``, ``ruelle`` and ``orbits`` in both directions
+  at seeds 0 and 3 on 2 (w^2 - z^3) + (w - z^2 - z) (``MULTIPLICITY_TWO``,
+  written to the work directory): the only digested component of
+  multiplicity above 1 and of forward fiber degree above 1, so the only
+  branch slots past 1 + j and the only sorted forward fibers.  Its
+  ``ruelle`` exits 4 (a preimage outside the support).
 
 It prints one JSON object keyed by call, holding the exit code and the
 sha256 of the ``results`` section of report.json and of every CSV the
@@ -157,6 +163,23 @@ NON_BINOMIAL = """\
 #: Commands run on ``NON_BINOMIAL`` with the README config.
 NON_BINOMIAL_COMMANDS = ("ds-measure", "ruelle", "orbits")
 
+#: 2 (w^2 - z^3) + (w - z^2 - z): fibers of degree 3 and 2 backward, 2 and
+#: 1 forward, the first component counted twice.
+MULTIPLICITY_TWO = """\
+2
+0 2 1 0
+3 0 -1 0
+
+1
+0 1 1 0
+2 0 -1 0
+1 0 -1 0
+"""
+
+#: Commands run on ``MULTIPLICITY_TWO`` with the README config; ``orbits``
+#: runs forward too.
+MULTIPLICITY_TWO_COMMANDS = ("ds-measure", "ruelle", "orbits")
+
 
 def _configs(data: Path, work: Path) -> dict[str, dict]:
     out = {}
@@ -208,6 +231,12 @@ def _configs(data: Path, work: Path) -> dict[str, dict]:
     (work / "non_binomial.corr").write_text(NON_BINOMIAL)
     out["non_binomial"] = {**README_CONFIG,
                            "correspondence": str(work / "non_binomial.corr")}
+    (work / "multiplicity_two.corr").write_text(MULTIPLICITY_TWO)
+    out["multiplicity_two"] = {**README_CONFIG,
+                               "correspondence": str(work / "multiplicity_two.corr")}
+    out["multiplicity_two-forward"] = {
+        **out["multiplicity_two"],
+        "orbits": {**README_CONFIG["orbits"], "direction": "forward"}}
     return out
 
 
@@ -264,6 +293,11 @@ def _calls() -> list[tuple[str, str, str, int]]:
         for command in NON_BINOMIAL_COMMANDS:
             calls.append((f"non_binomial/seed{seed}/{command}", "non_binomial",
                           command, seed))
+        for command in MULTIPLICITY_TWO_COMMANDS:
+            calls.append((f"multiplicity_two/seed{seed}/{command}", "multiplicity_two",
+                          command, seed))
+        calls.append((f"multiplicity_two/seed{seed}/orbits-forward",
+                      "multiplicity_two-forward", "orbits", seed))
     return calls
 
 
