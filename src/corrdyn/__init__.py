@@ -28,8 +28,8 @@ from .paths import (ForwardPath, PathBatch,  # noqa: F401
                     enumerate_backward_paths, enumerate_forward_paths,
                     path_metric, project_point, project_symbol,
                     separated_subset, shift, spanning_subset)
-from .pressure import (PressureReport, circle_start_sampler,  # noqa: F401
-                       entropy_estimate, grid_start_sampler, pressure_estimate)
+from .pressure import (PressureReport, circle_starts,  # noqa: F401
+                       grid_starts, pressure_estimate)
 from .pullback import (check_backward_invariance, ds_support,  # noqa: F401
                        invariant_forward_paths, pullback_iterate)
 from .sphere import (BivarPoly, SpherePoint, roots, sph_dist)  # noqa: F401

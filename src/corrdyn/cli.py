@@ -34,7 +34,7 @@ from .measures import (PathMeasure, SpherePartition, VariationalEntry,
                        check_shift_invariance, empirical_invariant_measure,
                        pushforward, variational_check)
 from .paths import ForwardPath, enumerate_backward_paths, enumerate_forward_paths
-from .pressure import circle_start_sampler, grid_start_sampler, pressure_estimate
+from .pressure import check_schedule, circle_starts, grid_starts, pressure_estimate
 from .pullback import check_backward_invariance, ds_support, pullback_iterate
 from .sphere import SpherePoint, sph_dist
 from .transfer import (ActiveGrid, GridFunction, TransferKernel,
@@ -266,12 +266,19 @@ def _cmd_ds_measure(config: RunConfig, corr: Correspondence) -> dict:
     }
 
 
-def _starts_config(section: dict, config: RunConfig):
+def _starts_config(section: dict, config: RunConfig, count: int, schedule: list):
+    """The ``count`` start points of a section, drawn with the config seed
+    once the start mode, the grid or radius, and then ``schedule`` pass."""
     mode = section.get("starts", "grid")
     if mode == "grid":
-        return grid_start_sampler(config.grid())
+        grid = config.grid()
+        check_schedule(schedule)
+        return grid_starts(grid, count, config["seed"])
     if mode == "circle":
-        return circle_start_sampler(_number(section.get("radius", 1.0), "radius", float))
+        radius = _number(section.get("radius", 1.0), "radius", float)
+        if math.isfinite(radius):  # else ``circle_starts`` raises first
+            check_schedule(schedule)
+        return circle_starts(count, config["seed"], radius)
     raise ConfigMismatch(f"unknown start sampler {mode!r}")
 
 
@@ -292,9 +299,8 @@ def _pressure_like(config: RunConfig, corr: Correspondence, name: str,
     start_points = _number(section.get("start_points", 64), "start_points", int)
     cap = _number(section.get("cap", 4096), "cap", int)
     report = pressure_estimate(corr, f_fn, schedule,
-                               start_points=start_points, seed=config["seed"],
-                               start_sampler=_starts_config(section, config),
-                               cap=cap)
+                               _starts_config(section, config, start_points, schedule),
+                               seed=config["seed"], cap=cap)
     rows = [(r.n, r.eps, r.sep_value, r.span_value, r.n_paths, r.n_separated,
              r.n_spanning, int(r.truncated)) for r in report.rows]
     _write_csv(config.out_dir() / f"{name}_rows.csv",
@@ -358,9 +364,7 @@ def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
         idx = int(rng.integers(active.n_active))
         probe_pairs.append((active.centers[idx], _nearest_center(active, idx)))
     try:
-        probe = expansivity_probe(corr, probe_pairs,
-                                  samples=len(probe_pairs), seed=config["seed"],
-                                  probe_scale=1.0)
+        probe = expansivity_probe(corr, probe_pairs)
     except CorrdynError:
         probe = None
     spectral = power_iteration(kernel, f, tol=tol,

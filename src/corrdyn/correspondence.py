@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientPairs, ParseError
+from .errors import InsufficientPairs, NonConvergence, ParseError
 from .sphere import (DEFAULT_ROOT_TOL, BivarPoly, SpherePoint, as_sphere_point,
                      chart_values, complex_charts, roots, sph_dist,
                      stacked_roots)
@@ -161,12 +161,20 @@ class Correspondence:
             mult[rows[ok], lo:hi] = comp.multiplicity
             solved.append((lo, comp.multiplicity, coeffs))
         chart, flag = complex_charts(found)
-        for lo, m_t, coeffs in solved:
+        for t, (lo, m_t, coeffs) in enumerate(solved, start=1):
             for k in np.nonzero(mult[:, lo] == 0)[0].tolist():
-                if np.abs(coeffs[k]).max():
-                    for j, (point, m) in enumerate(roots(coeffs[k]), start=lo):
-                        chart[k, j], flag[k, j] = point.value, point.inverted
-                        mult[k, j] = m * m_t
+                if not np.abs(coeffs[k]).max():
+                    continue
+                try:
+                    row = roots(coeffs[k])
+                except NonConvergence as err:
+                    raise NonConvergence(
+                        f"{'backward' if backward else 'forward'} fiber of component "
+                        f"{t} over the point with chart value {complex(values[k])!r} and "
+                        f"flag {bool(inverted[k])}: {err}", err.iterations) from err
+                for j, (point, m) in enumerate(row, start=lo):
+                    chart[k, j], flag[k, j] = point.value, point.inverted
+                    mult[k, j] = m * m_t
 
         # Canonical order in each component of degree 2 or more: argument in
         # the root's chart, negated in the reciprocal one, then modulus, with
@@ -282,32 +290,24 @@ class ExpansivityResult:
     worst_ratio: float
 
 
-def expansivity_probe(corr: Correspondence, region, samples: int,
-                      probe_scale: float = 0.05,
-                      seed: int | None = None) -> ExpansivityResult:
+def expansivity_probe(corr: Correspondence, region) -> ExpansivityResult:
     """Estimate the backward contraction factor on a candidate support.
 
-    For sampled close pairs (x0, y0) and every backward branch of x0, the
-    best-matching backward branch of y0 with the same component symbol is
-    found; the worst best-match ratio d(preimages)/d(x0, y0) over all
-    pairs and branches gives lambda_estimate as its reciprocal.  The
-    verdict requires lambda_estimate > 1 + EXPANSIVITY_MARGIN.
+    For every pair (x0, y0) of distinct points in region (InsufficientPairs
+    if there is none) and every backward branch of x0, the best-matching
+    backward branch of y0 with the same component symbol is found; the
+    worst best-match ratio d(preimages)/d(x0, y0) over all pairs and
+    branches gives lambda_estimate as its reciprocal.  The verdict
+    requires lambda_estimate > 1 + EXPANSIVITY_MARGIN.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     pairs = []
     for x0, y0 in region:
         x0, y0 = as_sphere_point(x0), as_sphere_point(y0)
         d = sph_dist(x0, y0)
-        if 0.0 < d <= probe_scale:
+        if d > 0.0:
             pairs.append((x0, y0, d))
     if not pairs:
-        raise InsufficientPairs(
-            f"no pair closer than probe scale {probe_scale}")
-    rng = np.random.default_rng(seed)
-    if len(pairs) > samples:
-        idx = rng.choice(len(pairs), size=samples, replace=False)
-        pairs = [pairs[int(i)] for i in idx]
+        raise InsufficientPairs("no pair of distinct points")
 
     xs = corr.fiber_arrays(*chart_values([x0 for x0, _, _ in pairs]), backward=True)
     ys = corr.fiber_arrays(*chart_values([y0 for _, y0, _ in pairs]), backward=True)

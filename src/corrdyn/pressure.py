@@ -15,13 +15,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .correspondence import Correspondence
 from .errors import ScheduleEmpty
-from .functions import SphereFunction, fn_zero
+from .functions import SphereFunction
 from .grid import SphereGrid
 from .paths import PathBatch, enumerate_forward_paths, separated_subset, spanning_subset
 from .sphere import SpherePoint, as_sphere_point
@@ -43,26 +43,38 @@ def _logsumexp(values) -> float:
     return float(m) + math.log(np.cumsum(terms)[-1])
 
 
-def grid_start_sampler(grid: SphereGrid) -> Callable:
-    """Uniform start points: random cells of an equal-area grid."""
-
-    def sample(rng: np.random.Generator, k: int) -> list[SpherePoint]:
-        idx = rng.integers(0, grid.n_cells, size=k)
-        return [grid.cell_center(int(i)) for i in idx]
-
-    return sample
+def _start_rng(k: int, seed: int | None) -> np.random.Generator:
+    """The generator of a start draw, stream ``[seed, 0]``, for k >= 1."""
+    if k < 1:
+        raise ValueError(f"start_points must be at least 1, got {k!r}")
+    return np.random.default_rng(None if seed is None else [seed, 0])
 
 
-def circle_start_sampler(radius: float = 1.0) -> Callable:
-    """Start points at uniformly random angles on a circle |z| = radius."""
+def grid_starts(grid: SphereGrid, k: int, seed: int | None) -> list[SpherePoint]:
+    """k start points: the centers of random cells of an equal-area grid."""
+    idx = _start_rng(k, seed).integers(0, grid.n_cells, size=k)
+    return [grid.cell_center(int(i)) for i in idx]
+
+
+def circle_starts(k: int, seed: int | None, radius: float = 1.0) -> list[SpherePoint]:
+    """k start points at uniformly random angles on the circle |z| = radius."""
     if not math.isfinite(radius):
         raise ValueError(f"circle radius must be finite, got {radius!r}")
+    angles = _start_rng(k, seed).uniform(0.0, 2.0 * np.pi, size=k)
+    return [SpherePoint.from_complex(radius * np.exp(1j * a)) for a in angles]
 
-    def sample(rng: np.random.Generator, k: int) -> list[SpherePoint]:
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=k)
-        return [SpherePoint.from_complex(radius * np.exp(1j * a)) for a in angles]
 
-    return sample
+def check_schedule(schedule: Sequence[tuple[int, float]]) -> list[tuple[int, float]]:
+    """The (n, eps) rows as ints and floats: ScheduleEmpty if there is none,
+    ValueError for n < 1 or an eps that is not positive and finite."""
+    schedule = [(int(n), float(eps)) for n, eps in schedule]
+    if not schedule:
+        raise ScheduleEmpty("schedule must contain at least one (n, eps) row")
+    for n, eps in schedule:
+        if n < 1 or not 0 < eps < math.inf:
+            raise ValueError(f"invalid schedule row ({n}, {eps}): need n >= 1 "
+                             f"and a positive finite eps")
+    return schedule
 
 
 @dataclass(frozen=True)
@@ -158,15 +170,14 @@ def _depth_pools(corr: Correspondence, f: SphereFunction, starts: list[SpherePoi
 
 def pressure_estimate(corr: Correspondence, f: SphereFunction,
                       schedule: Sequence[tuple[int, float]],
-                      start_points: int = 64, seed: int | None = 0,
-                      starts: Sequence[SpherePoint] | None = None,
-                      start_sampler: Callable | None = None,
+                      starts: Sequence[SpherePoint], seed: int | None = 0,
                       cap: int = 4096) -> PressureReport:
-    """Estimate the topological pressure of f along an (n, eps) schedule.
+    """Estimate the pressure of f along an (n, eps) schedule from the trees
+    of the given starts; the entropy is the pressure of ``fn_zero``.
 
     The headline value is the separated-family number at the largest n of
-    the smallest eps.  Identical seeds reproduce the exact start sample
-    and path pools, so constant shifts of f shift the estimate exactly.
+    the smallest eps.  Identical starts and seeds reproduce the exact path
+    pools, so constant shifts of f shift the estimate exactly.
 
     The trees of all starts are grown together, through the distinct
     depths of the schedule in ascending order (``_depth_pools``), and each
@@ -178,23 +189,10 @@ def pressure_estimate(corr: Correspondence, f: SphereFunction,
     its sums on from the depth before, so f is evaluated once per new
     column.  Rows are reported in schedule order.
 
-    Raises ValueError for fewer than one start point or a start without
-    a finite chart value.
+    Raises ValueError for an empty start list or a start without a finite
+    chart value.
     """
-    schedule = [(int(n), float(eps)) for n, eps in schedule]
-    if not schedule:
-        raise ScheduleEmpty("schedule must contain at least one (n, eps) row")
-    for n, eps in schedule:
-        if n < 1 or not 0 < eps < math.inf:
-            raise ValueError(f"invalid schedule row ({n}, {eps}): need n >= 1 "
-                             f"and a positive finite eps")
-
-    if starts is None:
-        if start_points < 1:
-            raise ValueError(f"start_points must be at least 1, got {start_points!r}")
-        sampler = start_sampler or grid_start_sampler(SphereGrid(400))
-        rng_starts = np.random.default_rng(None if seed is None else [seed, 0])
-        starts = sampler(rng_starts, start_points)
+    schedule = check_schedule(schedule)
     starts = [as_sphere_point(x) for x in starts]
     if not starts:
         raise ValueError("need at least one start point")
@@ -224,12 +222,3 @@ def pressure_estimate(corr: Correspondence, f: SphereFunction,
     n_max = max(r.n for r in at_min)
     pressure = max(r.sep_value for r in at_min if r.n == n_max)
     return PressureReport(tuple(rows), pressure, len(starts))
-
-
-def entropy_estimate(corr: Correspondence,
-                     schedule: Sequence[tuple[int, float]],
-                     start_points: int = 64, seed: int | None = 0,
-                     **kwargs) -> PressureReport:
-    """Topological entropy: pressure of the zero function."""
-    return pressure_estimate(corr, fn_zero, schedule, start_points, seed,
-                             **kwargs)

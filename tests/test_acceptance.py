@@ -22,7 +22,7 @@ from corrdyn.measures import (PathMeasure, SphereMeasure, SpherePartition,
                               partition_entropy, pushforward, total_variation,
                               variational_check)
 from corrdyn.paths import ForwardPath, path_metric
-from corrdyn.pressure import circle_start_sampler, entropy_estimate, pressure_estimate
+from corrdyn.pressure import circle_starts, pressure_estimate
 from corrdyn.pullback import ds_support, invariant_forward_paths, pullback_iterate
 from corrdyn.sphere import SpherePoint, sph_dist
 from corrdyn.transfer import (ActiveGrid, GridFunction, TransferKernel,
@@ -99,17 +99,17 @@ def test_criterion_02_equidistribution(corr_z2):
 
 def test_criterion_03_entropy(corr_z2, corr_pair, corr_mobius):
     t0 = time.monotonic()
-    r_z2 = entropy_estimate(corr_z2, ENTROPY_SCHEDULE, start_points=256,
-                            seed=11, start_sampler=circle_start_sampler())
+    r_z2 = pressure_estimate(corr_z2, fn_zero, ENTROPY_SCHEDULE,
+                             circle_starts(256, 11), seed=11)
     assert math.log(2) - 0.1 <= r_z2.pressure <= math.log(2) + 0.1
 
     one_start = [sp(0.25)]
-    r_pair = entropy_estimate(corr_pair, ENTROPY_SCHEDULE, starts=one_start,
-                              seed=11, cap=512)
+    r_pair = pressure_estimate(corr_pair, fn_zero, ENTROPY_SCHEDULE, one_start,
+                               seed=11, cap=512)
     assert abs(r_pair.pressure - math.log(2)) <= 0.05
 
-    r_mob = entropy_estimate(corr_mobius, ENTROPY_SCHEDULE, starts=one_start,
-                             seed=11)
+    r_mob = pressure_estimate(corr_mobius, fn_zero, ENTROPY_SCHEDULE, one_start,
+                              seed=11)
     assert abs(r_mob.pressure) <= 1e-9
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
@@ -118,9 +118,9 @@ def test_criterion_03_entropy(corr_z2, corr_pair, corr_mobius):
 
 
 def test_criterion_04_pressure_shift_law(corr_z2):
-    kwargs = dict(start_points=256, seed=11, start_sampler=circle_start_sampler())
-    base = entropy_estimate(corr_z2, ENTROPY_SCHEDULE, **kwargs)
-    shifted = pressure_estimate(corr_z2, fn_const(0.7), ENTROPY_SCHEDULE, **kwargs)
+    starts = circle_starts(256, 11)
+    base = pressure_estimate(corr_z2, fn_zero, ENTROPY_SCHEDULE, starts, seed=11)
+    shifted = pressure_estimate(corr_z2, fn_const(0.7), ENTROPY_SCHEDULE, starts, seed=11)
     gap = shifted.pressure - base.pressure
     assert abs(gap - 0.7) <= 1e-10
     ok(4, f"pressure(f=0.7) - entropy = {gap:.12f}")
@@ -312,15 +312,14 @@ def test_criterion_11_variational_inequality(corr_z2, corr_pair, z2_stack):
     bernoulli_gap = None
     for f, f_fn in (("zero", fn_zero), ("re", fn_re)):
         pr_z2 = pressure_estimate(corr_z2, f_fn, ENTROPY_SCHEDULE,
-                                  start_points=256, seed=11,
-                                  start_sampler=circle_start_sampler())
+                                  circle_starts(256, 11), seed=11)
         rep = variational_check(f_fn, z2_entries, pr_z2,
                                 partitions=partitions, n_max=6, slack=slack)
         assert rep.all_within, [(r.label, r.value, rep.pressure) for r in rep.rows]
         assert len(rep.rows) >= 5
 
         pr_pair = pressure_estimate(corr_pair, f_fn, ENTROPY_SCHEDULE,
-                                    starts=[sp(0.25)], seed=11, cap=512)
+                                    [sp(0.25)], seed=11, cap=512)
         rep_pair = variational_check(f_fn, pair_entries, pr_pair,
                                      partitions=pair_grid_partitions,
                                      n_max=4, slack=slack)

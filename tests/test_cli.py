@@ -503,6 +503,31 @@ class TestReportHygiene:
         assert message in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("starts,code,message", [
+        ({"starts": "spiral", "start_points": 0}, 5, "unknown start sampler 'spiral'"),
+        ({"starts": "circle", "radius": math.nan, "start_points": 0}, 3,
+         "circle radius must be finite, got nan"),
+        ({"starts": "circle", "start_points": 0}, 3, "BAD_SCHEDULE"),
+        ({"starts": "grid", "start_points": -2}, 3, "BAD_SCHEDULE")])
+    @pytest.mark.parametrize("schedule,schedule_message", [
+        ([], "schedule must contain at least one (n, eps) row"),
+        ([[0, 0.05]], "invalid schedule row (0, 0.05)")])
+    def test_start_checks_around_schedule_check(self, workspace, starts, code, message,
+                                                schedule, schedule_message, capsys):
+        """The start mode and radius are checked before the schedule, the
+        start count after it."""
+        out = workspace / "order"
+        cfg = write_config(workspace, "order", {
+            "correspondence": "z2.corr",
+            "n_cells": 400,
+            "entropy": {"schedule": schedule, **starts},
+            "out": str(out),
+        })
+        assert run(["entropy", "--config", cfg]) == code
+        want = schedule_message if message == "BAD_SCHEDULE" else message
+        assert want in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("start", [["a", "b"], [1, None], [True, 0], [0, False],
                                        True, None, "1", [0.5], [0.5, 0.3, 0.0]])
     def test_start_that_is_not_numbers_exits_5(self, workspace, start, capsys):

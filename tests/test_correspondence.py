@@ -8,7 +8,8 @@ from corrdyn import correspondence
 from corrdyn.correspondence import (Correspondence, expansivity_probe,
                                     parse_correspondence)
 from corrdyn.datasets import BUNDLED, bundled_correspondence
-from corrdyn.errors import InsufficientPairs, InvalidComponent, ParseError
+from corrdyn.errors import (InsufficientPairs, InvalidComponent, NonConvergence,
+                            ParseError)
 from corrdyn.sphere import (DEFAULT_ROOT_TOL, BivarPoly, SpherePoint, as_sphere_point,
                             chart_values, roots, sph_dist, stacked_roots)
 
@@ -381,18 +382,62 @@ class TestForwardImagesMany:
                             [corr.forward_images(p) for p in points])
 
     def test_zero_constant_row_falls_back(self, corr_pair, monkeypatch):
-        # w = 2z over z = 0 has the exact-zero constant term that
-        # stacked_roots leaves to the scalar roots; w = z + 1 over 0 does not.
+        # w = 2z over z = 0 has an exact-zero constant term; the degree-1
+        # closed form of stacked_roots takes it (root +0j), so no row falls
+        # back to the scalar roots and the arrays are the scalar fibers'.
         scalar = counting_scalar_roots(monkeypatch)
         arrays = fiber_arrays_of(corr_pair, [0.0, 0.5], backward=False)
         monkeypatch.undo()
-        assert len(scalar) == 1
+        assert len(scalar) == 0
         assert_arrays_match(arrays, [corr_pair.forward_images(0.0),
                                      corr_pair.forward_images(0.5)])
         owner, _, root_values, _, component, _ = arrays
         assert owner.tolist() == [0, 0, 1, 1]
         assert component.tolist() == [1, 2, 1, 2]
         assert root_values[:2].tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("name", ["z2", "z2_plus_z3"])
+    def test_zero_and_infinity_rows_in_closed_form(self, name, row_fibers, monkeypatch):
+        # Over 0 each degree-1 fiber polynomial has c_0 = 0 (root 0), over
+        # infinity an exact c_1 = 0 (root infinity): both are solved in
+        # closed form, with the bits of the scalar fibers.
+        corr = bundled_correspondence(name)
+        points = [SpherePoint.from_complex(0.0), SpherePoint.infinity(),
+                  SpherePoint.from_complex(0.5)]
+        scalar = counting_scalar_roots(monkeypatch)
+        arrays = fiber_arrays_of(corr, points, backward=False)
+        monkeypatch.undo()
+        assert len(scalar) == 0
+        assert_arrays_match(arrays, row_fibers(corr, points, backward=False))
+        assert_arrays_match(arrays, [corr.forward_images(p) for p in points])
+        owner, _, root_values, root_inverted, _, _ = arrays
+        assert [SpherePoint.from_chart(v, i) for v, i in
+                zip(root_values[owner < 2].tolist(), root_inverted[owner < 2].tolist())] \
+            == [SpherePoint.from_complex(0.0)] * corr.n_components \
+            + [SpherePoint.infinity()] * corr.n_components
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_non_convergence_names_the_row(self, backward, monkeypatch):
+        # The scalar roots of a declined row fail: the error names the
+        # direction, the component and the point, and keeps the iterations.
+        corr, points = mixed_degree_case(transposed=backward)
+        k = mixed_rows(corr, points, backward)[0]
+        target = (corr.components[1].coeffs_in_z_charts if backward
+                  else corr.components[1].coeffs_in_w_charts)(*chart_values([points[k]]))[0]
+
+        def failing(coeffs):
+            if np.array_equal(coeffs, target):
+                raise NonConvergence("stalled", iterations=17)
+            return roots(coeffs)
+
+        monkeypatch.setattr(correspondence, "roots", failing)
+        with pytest.raises(NonConvergence) as caught:
+            fiber_arrays_of(corr, points, backward=backward)
+        direction = "backward" if backward else "forward"
+        assert str(caught.value) == (
+            f"{direction} fiber of component 2 over the point with chart value "
+            f"{points[k].value!r} and flag {points[k].inverted}: stalled")
+        assert caught.value.iterations == 17
 
     def test_empty_batch(self, corr_pair):
         arrays = fiber_arrays_of(corr_pair, [], backward=False)
@@ -478,20 +523,16 @@ class TestFixedPoints:
             assert min(sph_dist(p, target) for p, _ in pts) < 1e-10
 
 
-def object_loop_probe(corr, region, samples, row_fibers, probe_scale=0.05, seed=None):
-    """Reference copy of expansivity_probe's pair sampling and its branch
-    loop over fiber objects, as it was before the probe read fiber arrays:
-    (lambda estimate, worst ratio, pairs used)."""
+def object_loop_probe(corr, region, row_fibers):
+    """Reference copy of expansivity_probe's branch loop over fiber
+    objects, as it was before the probe read fiber arrays, on the pairs of
+    distinct points: (lambda estimate, worst ratio, pairs used)."""
     pairs = []
     for x0, y0 in region:
         x0, y0 = as_sphere_point(x0), as_sphere_point(y0)
         d = sph_dist(x0, y0)
-        if 0.0 < d <= probe_scale:
+        if d > 0.0:
             pairs.append((x0, y0, d))
-    rng = np.random.default_rng(seed)
-    if len(pairs) > samples:
-        idx = rng.choice(len(pairs), size=samples, replace=False)
-        pairs = [pairs[int(i)] for i in idx]
     worst = 0.0
     fibers_x = row_fibers(corr, [x0 for x0, _, _ in pairs])
     fibers_y = row_fibers(corr, [y0 for _, y0, _ in pairs])
@@ -521,32 +562,31 @@ class TestExpansivity:
     def test_square_map_is_expansive(self, corr_z2):
         # Oracle: |d sqrt / dz| = 1/2 on the unit circle, so lambda = 2.
         rng = np.random.default_rng(35)
-        res = expansivity_probe(corr_z2, self.circle_pairs(rng, 100), samples=100, seed=1)
+        res = expansivity_probe(corr_z2, self.circle_pairs(rng, 100))
         assert res.is_expansive
         assert abs(res.lambda_estimate - 2.0) < 0.2
 
     def test_rotation_is_not_expansive(self, corr_mobius):
         rng = np.random.default_rng(36)
-        res = expansivity_probe(corr_mobius, self.circle_pairs(rng, 50), samples=50, seed=2)
+        res = expansivity_probe(corr_mobius, self.circle_pairs(rng, 50))
         assert not res.is_expansive
         assert abs(res.lambda_estimate - 1.0) < 0.05
 
-    def check_object_loop(self, corr, region, samples, row_fibers, **kwargs):
-        res = expansivity_probe(corr, region, samples=samples, **kwargs)
-        want = object_loop_probe(corr, region, samples, row_fibers, **kwargs)
+    def check_object_loop(self, corr, region, row_fibers):
+        res = expansivity_probe(corr, region)
+        want = object_loop_probe(corr, region, row_fibers)
         assert (res.lambda_estimate, res.worst_ratio, res.pairs_used) == want
         return res
 
     @pytest.mark.parametrize("name", ["corr_z2", "corr_z2z3"])
-    @pytest.mark.parametrize("gap,probe_scale", [(1e-3, 0.05), (0.3, 0.5)])
-    def test_equals_object_loop(self, name, gap, probe_scale, request, row_fibers):
-        # 80 pairs sampled down to 50; the wide gap makes other branches,
-        # of either component, near rivals of the matching one.
+    @pytest.mark.parametrize("gap", [1e-3, 0.3])
+    def test_equals_object_loop(self, name, gap, request, row_fibers):
+        # The wide gap makes other branches, of either component, near
+        # rivals of the matching one.
         corr = request.getfixturevalue(name)
         region = self.circle_pairs(np.random.default_rng(43), 80, gap=gap)
-        res = self.check_object_loop(corr, region, 50, row_fibers,
-                                     probe_scale=probe_scale, seed=5)
-        assert res.pairs_used == 50 and math.isfinite(res.lambda_estimate)
+        res = self.check_object_loop(corr, region, row_fibers)
+        assert res.pairs_used == 80 and math.isfinite(res.lambda_estimate)
 
     def test_branches_without_candidates_skipped(self, corr_z2, row_fibers):
         # Over y0 = 1 the second component has no branch, so the x0
@@ -557,7 +597,7 @@ class TestExpansivity:
         region = [(SpherePoint.from_complex(1.0 + 0.01 * cmath.exp(0.4j * k)),
                    SpherePoint.from_complex(1.0)) for k in range(8)]
         region += self.circle_pairs(np.random.default_rng(44), 8)
-        res = self.check_object_loop(corr, region, 16, row_fibers)
+        res = self.check_object_loop(corr, region, row_fibers)
         assert res.pairs_used == 16 and res.worst_ratio < 1.0
 
     def test_identical_preimages(self, row_fibers):
@@ -565,11 +605,26 @@ class TestExpansivity:
         # branch matches exactly.
         corr = Correspondence([BivarPoly(np.array([[0.0, 0.0], [-1.0, 1.0]]))])
         region = self.circle_pairs(np.random.default_rng(45), 6, gap=0.01)
-        res = self.check_object_loop(corr, region, 6, row_fibers)
+        res = self.check_object_loop(corr, region, row_fibers)
         assert res.is_expansive and res.worst_ratio == 0.0
         assert res.lambda_estimate == math.inf
 
     def test_single_point_region(self, corr_z2):
         p = SpherePoint.from_complex(1.0)
         with pytest.raises(InsufficientPairs):
-            expansivity_probe(corr_z2, [(p, p)], samples=10)
+            expansivity_probe(corr_z2, [(p, p)])
+
+    def test_every_pair_of_distinct_points_is_used(self, corr_z2, row_fibers):
+        # Pairs at distance zero are dropped, however given; every other
+        # pair is used, far ones (sqrt 2 and 2 apart) too.
+        p = SpherePoint.from_complex(0.5)
+        region = [(p, p), (0.5, 0.5 + 0j), (SpherePoint.infinity(), math.inf)]
+        region += self.circle_pairs(np.random.default_rng(47), 5, gap=1e-3)
+        region += [(1.0, 1.0j), (0.0, SpherePoint.infinity())]
+        assert sph_dist(0.0, SpherePoint.infinity()) == 2.0
+        res = self.check_object_loop(corr_z2, region, row_fibers)
+        assert res.pairs_used == 7
+        with pytest.raises(InsufficientPairs, match="no pair of distinct points"):
+            expansivity_probe(corr_z2, region[:3])
+        with pytest.raises(InsufficientPairs):
+            expansivity_probe(corr_z2, [])

@@ -15,7 +15,7 @@ from corrdyn.paths import (ForwardPath, PathBatch, enumerate_backward_paths,
                            project_point, project_symbol, separated_subset,
                            shift, spanning_subset)
 import corrdyn.pressure as pressure_mod
-from corrdyn.pressure import circle_start_sampler, pressure_estimate
+from corrdyn.pressure import circle_starts, pressure_estimate
 from corrdyn.sphere import SpherePoint, as_sphere_point, chart_values, sph_dist
 
 
@@ -191,7 +191,7 @@ class TestBatchedLevels:
     @pytest.mark.parametrize("backward", [False, True])
     def test_start_level_matches_scalar_fibers(self, name, backward, request):
         corr = request.getfixturevalue(name)
-        starts = [0.0, SpherePoint.infinity(), -0.5, 0.5 + 0.3j] + circle_starts(6, 4)
+        starts = [0.0, SpherePoint.infinity(), -0.5, 0.5 + 0.3j] + circle_points(6, 4)
         grow = enumerate_backward_paths if backward else enumerate_forward_paths
         got = grow(corr, PathBatch.from_starts(starts), 1)
         want = [p for start in starts
@@ -264,7 +264,7 @@ class TestTreeBatches:
         ("corr_z2z3", 3, 40, True)])
     def test_trees_match_scalar_loops(self, name, n, cap, backward, request):
         corr = request.getfixturevalue(name)
-        starts = circle_starts(5, 21) + [0.0, SpherePoint.infinity()]
+        starts = circle_points(5, 21) + [0.0, SpherePoint.infinity()]
         seeds = [[9, i] for i in range(len(starts))]
         grow = enumerate_backward_paths if backward else enumerate_forward_paths
         got = grow(corr, PathBatch.from_starts(starts), n, cap=cap, seed=seeds)
@@ -307,10 +307,8 @@ class TestTreeBatches:
             return real(paths, eps, weight=weight)
 
         monkeypatch.setattr(pressure_mod, "separated_subset", recorded)
-        sampler = circle_start_sampler()
-        report = pressure_estimate(corr, fn_re, schedule, start_points=start_points,
-                                   seed=seed, start_sampler=sampler, cap=cap)
-        starts = sampler(np.random.default_rng([seed, 0]), start_points)
+        starts = circle_starts(start_points, seed)
+        report = pressure_estimate(corr, fn_re, schedule, starts, seed=seed, cap=cap)
         for n in sorted(pools):
             want, cut = [], False
             for i, start in enumerate(starts):
@@ -533,8 +531,10 @@ def forward_pool(corr, starts, n, cap=4096):
     return pool
 
 
-def circle_starts(k, seed):
-    return circle_start_sampler()(np.random.default_rng(seed), k)
+def circle_points(k, seed):
+    """k points at random angles on the unit circle, from stream ``seed``."""
+    angles = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=k)
+    return [SpherePoint.from_complex(np.exp(1j * a)) for a in angles]
 
 
 def path_from_unit_vectors(vectors, symbols=None):
@@ -546,21 +546,21 @@ def path_from_unit_vectors(vectors, symbols=None):
 class TestFamilyIndexExactness:
     @pytest.mark.parametrize("eps", [0.02, 0.05, 0.2, 0.6])
     def test_mobius_pair_many_words(self, corr_pair, eps):
-        pool = forward_pool(corr_pair, circle_starts(6, 11) + [0.0, 0.5j], 6)
+        pool = forward_pool(corr_pair, circle_points(6, 11) + [0.0, 0.5j], 6)
         assert len({p.symbols for p in pool}) == 64
         assert_same_families(pool, eps)
         assert_same_families(pool, eps, weight=re_weight)
 
     @pytest.mark.parametrize("eps", [0.01, 0.05, 0.3])
     def test_z2_circle_one_word(self, corr_z2, eps):
-        pool = forward_pool(corr_z2, circle_starts(150, 12), 6)
+        pool = forward_pool(corr_z2, circle_points(150, 12), 6)
         assert len({p.symbols for p in pool}) == 1
         assert_same_families(pool, eps)
         assert_same_families(pool, eps, weight=re_weight)
 
     @pytest.mark.parametrize("eps", [0.03, 0.1])
     def test_z2_plus_z3_weighted_by_re(self, corr_z2z3, eps):
-        pool = forward_pool(corr_z2z3, circle_starts(10, 13), 3, cap=200)
+        pool = forward_pool(corr_z2z3, circle_points(10, 13), 3, cap=200)
         assert_same_families(pool, eps, weight=re_weight)
         assert_same_families(pool, eps)
 
@@ -576,7 +576,7 @@ class TestFamilyIndexExactness:
 
     def test_duplicated_paths(self, corr_pair, corr_z2):
         for corr in (corr_pair, corr_z2):
-            pool = forward_pool(corr, circle_starts(20, 14), 4, cap=64)
+            pool = forward_pool(corr, circle_points(20, 14), 4, cap=64)
             doubled = pool + pool[::-1] + pool[:5]
             assert_same_families(doubled, 0.05)
             assert_same_families(doubled, 0.05, weight=re_weight)
@@ -646,14 +646,14 @@ class TestFamilyIndexExactness:
 
     @pytest.mark.parametrize("eps", [2.0, 2.5, 1e6])
     def test_eps_at_least_two(self, corr_z2, eps):
-        pool = forward_pool(corr_z2, circle_starts(30, 15) + [0.0, 2.0, 1e9], 3)
+        pool = forward_pool(corr_z2, circle_points(30, 15) + [0.0, 2.0, 1e9], 3)
         pool += [make_path([0.0, 0.0, 0.0, 0.0]), make_path([0.0, 1.0, 1.0, 1e300])]
         assert_same_families(pool, eps)
         assert_same_families(pool, eps, weight=re_weight)
 
     def test_index_prunes_pair_tests(self, corr_z2, monkeypatch):
         # 200 circle starts on z2 (one symbol word), n = 8, eps = 0.05.
-        pool = forward_pool(corr_z2, circle_starts(200, 0), 8)
+        pool = forward_pool(corr_z2, circle_points(200, 0), 8)
         weights = [re_weight(p) for p in pool]
         computed = 0
         real = paths_mod.sph_dist
@@ -754,7 +754,7 @@ def count_pair_distances(monkeypatch):
 class TestPairsKeptPerEps:
     @pytest.fixture()
     def pool(self, corr_pair):
-        return forward_pool(corr_pair, circle_starts(12, 16), 5, cap=64)
+        return forward_pool(corr_pair, circle_points(12, 16), 5, cap=64)
 
     @pytest.mark.parametrize("first, second", [(separated_subset, spanning_subset),
                                                (spanning_subset, separated_subset)])
@@ -859,14 +859,14 @@ class TestInheritedPairs:
         ("mobius_pair", 8, 4, 4, 0.05), ("mobius_pair", 8, 3, 3, 0.5)])
     def test_grown_pools(self, name, starts, m, k, eps, monkeypatch):
         corr = bundled_correspondence(name)
-        _, grown = grown_pool(corr, circle_starts(starts, 40), m, k, [eps])
+        _, grown = grown_pool(corr, circle_points(starts, 40), m, k, [eps])
         pairs = assert_inherits_cube_pairs(grown, eps, monkeypatch)
         assert len(pairs) > sibling_count(grown, pairs)
 
     @pytest.mark.parametrize("eps", [0.05, 0.6, 1.5])
     def test_siblings_that_share_a_word(self, eps, monkeypatch):
         corr = parse_correspondence(SIBLING_WORDS_TEXT)
-        _, grown = grown_pool(corr, circle_starts(5, 41) + [sp(0.3)], 2, 2, [eps],
+        _, grown = grown_pool(corr, circle_points(5, 41) + [sp(0.3)], 2, 2, [eps],
                               cap=200)
         pairs = assert_inherits_cube_pairs(grown, eps, monkeypatch)
         # Equal siblings of the multiplicity-2 graph are always close, and
@@ -883,7 +883,7 @@ class TestInheritedPairs:
         # mobius_pair contracts near infinity, so pairs farther than eps in
         # their ancestors may be within eps on the new points.
         corr = bundled_correspondence(name)
-        source, grown = grown_pool(corr, circle_starts(40 if corr.d_fwd > 1 else 400, 42),
+        source, grown = grown_pool(corr, circle_points(40 if corr.d_fwd > 1 else 400, 42),
                                    3, 3, [up])
         assert list(grown._origin_pairs) == [up]
         pairs = assert_inherits_cube_pairs(grown, eps, monkeypatch)
@@ -891,7 +891,7 @@ class TestInheritedPairs:
         assert dropped.any() and len(pairs) > 0
 
     def test_smallest_larger_eps_is_used(self, corr_pair, monkeypatch):
-        _, grown = grown_pool(corr_pair, circle_starts(20, 43), 3, 2, [0.5, 0.1, 0.02])
+        _, grown = grown_pool(corr_pair, circle_points(20, 43), 3, 2, [0.5, 0.1, 0.02])
         used = []
         real = paths_mod._inherited_pairs
         monkeypatch.setattr(paths_mod, "_inherited_pairs",
@@ -908,19 +908,19 @@ class TestInheritedPairs:
         assert len(pairs) == sibling_count(grown, pairs) > 0
 
     def test_source_without_pairs_takes_the_cube_search(self, corr_pair, monkeypatch):
-        _, grown = grown_pool(corr_pair, circle_starts(8, 44), 3, 2, [])
+        _, grown = grown_pool(corr_pair, circle_points(8, 44), 3, 2, [])
         runs = spy_pair_searches(monkeypatch)
         paths_mod._close_pairs(grown, 0.05)
         assert runs == ["_cube_pairs"]
 
     def test_smaller_eps_only_takes_the_cube_search(self, corr_pair, monkeypatch):
-        _, grown = grown_pool(corr_pair, circle_starts(8, 45), 3, 2, [0.05])
+        _, grown = grown_pool(corr_pair, circle_points(8, 45), 3, 2, [0.05])
         runs = spy_pair_searches(monkeypatch)
         paths_mod._close_pairs(grown, 0.1)
         assert runs == ["_cube_pairs"]
 
     def test_backward_growth_takes_the_cube_search(self, corr_z2, monkeypatch):
-        starts = PathBatch.from_starts(circle_starts(30, 46))
+        starts = PathBatch.from_starts(circle_points(30, 46))
         source = enumerate_backward_paths(corr_z2, starts, 2, seed=[None] * 30).paths
         paths_mod._close_pairs(source, 0.5)
         grown = enumerate_backward_paths(corr_z2, source, 2, seed=[None] * 30).paths
@@ -936,8 +936,7 @@ class TestInheritedPairs:
         runs = spy_pair_searches(monkeypatch)
         report = pressure_estimate(corr_pair, fn_re, [(3, 0.1), (5, 0.05), (6, 0.05),
                                                       (8, 0.05)],
-                                   start_points=6, seed=2, cap=40,
-                                   start_sampler=circle_start_sampler())
+                                   circle_starts(6, 2), seed=2, cap=40)
         assert [r.truncated for r in report.rows] == [False, False, True, True]
         assert runs == ["_cube_pairs", "_inherited_pairs", "_inherited_pairs",
                         "_cube_pairs"]

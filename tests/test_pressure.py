@@ -8,8 +8,8 @@ from corrdyn.correspondence import parse_correspondence
 from corrdyn.errors import ScheduleEmpty
 from corrdyn.functions import fn_const, fn_log_abs, fn_re, fn_zero
 from corrdyn.paths import enumerate_forward_paths, separated_subset, spanning_subset
-from corrdyn.pressure import (PressureRow, circle_start_sampler,
-                              entropy_estimate, pressure_estimate)
+from corrdyn.grid import SphereGrid
+from corrdyn.pressure import PressureRow, circle_starts, grid_starts, pressure_estimate
 from corrdyn.sphere import SpherePoint, chart_values
 
 
@@ -25,30 +25,30 @@ def at(f, point) -> float:
 class TestBasics:
     def test_empty_schedule(self, corr_mobius):
         with pytest.raises(ScheduleEmpty):
-            pressure_estimate(corr_mobius, fn_zero, [])
+            pressure_estimate(corr_mobius, fn_zero, [], single_start(0.3))
 
     def test_mobius_zero_pressure(self, corr_mobius):
         report = pressure_estimate(corr_mobius, fn_zero, [(4, 0.1), (8, 0.1)],
-                                   starts=single_start(0.3 + 0.2j), seed=1)
+                                   single_start(0.3 + 0.2j), seed=1)
         assert report.pressure == 0.0
 
     def test_mobius_constant_potential(self, corr_mobius):
         c = 0.8125  # exactly representable
         report = pressure_estimate(corr_mobius, fn_const(c), [(4, 0.1), (8, 0.1)],
-                                   starts=single_start(0.3 + 0.2j), seed=1)
+                                   single_start(0.3 + 0.2j), seed=1)
         assert report.pressure == pytest.approx(c, abs=1e-13)
 
     def test_report_shape(self, corr_pair):
-        report = entropy_estimate(corr_pair, [(2, 0.1), (4, 0.1), (4, 0.05)],
-                                  starts=single_start(0.25), seed=2, cap=64)
+        report = pressure_estimate(corr_pair, fn_zero, [(2, 0.1), (4, 0.1), (4, 0.05)],
+                                   single_start(0.25), seed=2, cap=64)
         assert len(report.rows) == 3
         assert report.n_starts == 1
 
 
 class TestEntropyBenchmarks:
     def test_full_shift_entropy_exact(self, corr_pair):
-        report = entropy_estimate(corr_pair, [(4, 0.05), (8, 0.05)],
-                                  starts=single_start(0.25), seed=3, cap=512)
+        report = pressure_estimate(corr_pair, fn_zero, [(4, 0.05), (8, 0.05)],
+                                   single_start(0.25), seed=3, cap=512)
         assert report.pressure == pytest.approx(math.log(2), abs=1e-12)
 
     def test_square_map_circle_doubling(self, corr_z2):
@@ -75,24 +75,23 @@ class TestEntropyBenchmarks:
                 kept.append(a)
         oracle = math.log(len(kept)) / n
 
-        report = entropy_estimate(corr_z2, [(n, eps)], start_points=256,
-                                  seed=seed, start_sampler=circle_start_sampler())
+        report = pressure_estimate(corr_z2, fn_zero, [(n, eps)],
+                                   circle_starts(256, seed), seed=seed)
         assert report.pressure == pytest.approx(oracle, abs=0.05)
         assert abs(report.pressure - math.log(2)) < 0.1
 
     def test_monotone_in_eps(self, corr_z2):
-        report = entropy_estimate(corr_z2, [(4, 0.02), (4, 0.05), (4, 0.2)],
-                                  start_points=128, seed=5,
-                                  start_sampler=circle_start_sampler())
+        report = pressure_estimate(corr_z2, fn_zero, [(4, 0.02), (4, 0.05), (4, 0.2)],
+                                   circle_starts(128, 5), seed=5)
         by_eps = sorted(report.rows, key=lambda r: r.eps)
         for a, b in zip(by_eps, by_eps[1:]):
             assert b.sep_value <= a.sep_value + 1e-12
 
     def test_sandwich_on_rows(self, corr_z2, corr_pair):
-        for corr, kwargs in ((corr_z2, dict(start_points=64, seed=6,
-                                            start_sampler=circle_start_sampler())),
-                             (corr_pair, dict(starts=single_start(0.25), seed=6))):
-            report = entropy_estimate(corr, [(4, 0.05), (6, 0.05)], **kwargs)
+        for corr, starts in ((corr_z2, circle_starts(64, 6)),
+                             (corr_pair, single_start(0.25))):
+            report = pressure_estimate(corr, fn_zero, [(4, 0.05), (6, 0.05)], starts,
+                                       seed=6)
             for row in report.rows:
                 assert row.sandwich_ok
 
@@ -100,49 +99,68 @@ class TestEntropyBenchmarks:
 class TestShiftLaw:
     def test_constant_shift_identity(self, corr_z2):
         schedule = [(4, 0.05), (6, 0.05)]
-        kwargs = dict(start_points=96, seed=7, start_sampler=circle_start_sampler())
-        base = entropy_estimate(corr_z2, schedule, **kwargs)
-        shifted = pressure_estimate(corr_z2, fn_const(0.7), schedule, **kwargs)
+        starts = circle_starts(96, 7)
+        base = pressure_estimate(corr_z2, fn_zero, schedule, starts, seed=7)
+        shifted = pressure_estimate(corr_z2, fn_const(0.7), schedule, starts, seed=7)
         assert shifted.pressure - base.pressure == pytest.approx(0.7, abs=1e-10)
         for r0, r1 in zip(base.rows, shifted.rows):
             assert r1.sep_value - r0.sep_value == pytest.approx(0.7, abs=1e-10)
             assert r1.n_separated == r0.n_separated
 
     def test_seed_reproducibility(self, corr_z2):
-        kwargs = dict(start_points=50, seed=8, start_sampler=circle_start_sampler())
-        a = pressure_estimate(corr_z2, fn_re, [(4, 0.05)], **kwargs)
-        b = pressure_estimate(corr_z2, fn_re, [(4, 0.05)], **kwargs)
+        a = pressure_estimate(corr_z2, fn_re, [(4, 0.05)], circle_starts(50, 8), seed=8)
+        b = pressure_estimate(corr_z2, fn_re, [(4, 0.05)], circle_starts(50, 8), seed=8)
         assert a.pressure == b.pressure
         assert a.rows == b.rows
 
 
 class TestStartValidation:
     @pytest.mark.parametrize("count", [0, -3])
-    def test_too_few_start_points(self, corr_z2, count):
-        with pytest.raises(ValueError, match=f"start_points must be at least 1, got {count}"):
-            entropy_estimate(corr_z2, [(4, 0.05)], start_points=count)
+    def test_too_few_start_points(self, count):
+        for draw in (lambda: circle_starts(count, 0),
+                     lambda: grid_starts(SphereGrid(400), count, 0)):
+            with pytest.raises(ValueError,
+                               match=f"start_points must be at least 1, got {count}"):
+                draw()
 
     def test_empty_start_list(self, corr_z2):
         with pytest.raises(ValueError, match="at least one start point"):
-            entropy_estimate(corr_z2, [(4, 0.05)], starts=[])
+            pressure_estimate(corr_z2, fn_zero, [(4, 0.05)], [])
 
     @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.2, math.nan)])
     def test_start_without_finite_chart_value(self, corr_z2, z):
         starts = single_start(0.3) + single_start(z)
         with pytest.raises(ValueError, match="no finite chart value"):
-            entropy_estimate(corr_z2, [(4, 0.05)], starts=starts)
+            pressure_estimate(corr_z2, fn_zero, [(4, 0.05)], starts)
 
     def test_point_at_infinity_is_a_start(self, corr_z2):
-        report = entropy_estimate(corr_z2, [(2, 0.05)], starts=[SpherePoint.infinity()])
+        report = pressure_estimate(corr_z2, fn_zero, [(2, 0.05)], [SpherePoint.infinity()])
         assert report.rows[0].n_paths == 1
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
     def test_circle_radius_must_be_finite(self, radius):
         with pytest.raises(ValueError, match=repr(radius)):
-            circle_start_sampler(radius)
+            circle_starts(4, 0, radius)
 
 
-def parent_rows(corr, f, schedule, start_points, seed, sampler, cap):
+class TestStartDraws:
+    """Start draws read the stream [seed, 0], on which the CLI's output
+    bytes depend."""
+
+    def test_circle_starts(self):
+        angles = np.random.default_rng([9, 0]).uniform(0.0, 2.0 * np.pi, size=5)
+        want = [SpherePoint.from_complex(2.5 * np.exp(1j * a)) for a in angles]
+        got = circle_starts(5, 9, radius=2.5)
+        assert [(p.value, p.inverted) for p in got] == [(p.value, p.inverted) for p in want]
+        assert circle_starts(5, 9) != circle_starts(5, 10)
+
+    def test_grid_starts(self):
+        grid = SphereGrid(400)
+        cells = np.random.default_rng([9, 0]).integers(0, grid.n_cells, size=5)
+        assert grid_starts(grid, 5, 9) == [grid.cell_center(int(i)) for i in cells]
+
+
+def parent_rows(corr, f, schedule, starts, seed, cap):
     """The per-row loop that ``pressure_estimate`` ran before schedule-wide
     pools: every distinct depth enumerated from every start with seed
     [seed, 1, i, n], and each weight summed over all n points.
@@ -151,7 +169,6 @@ def parent_rows(corr, f, schedule, start_points, seed, sampler, cap):
     ``sum`` of that loop is spelled as the left-to-right fold it is on
     Python 3.10 and 3.11; 3.12 made float ``sum`` compensated.
     """
-    starts = sampler(np.random.default_rng([seed, 0]), start_points)
     pools, rows, seen = {}, [], []
     for n, eps in schedule:
         if n not in pools:
@@ -197,13 +214,11 @@ class TestSchedulePools:
     """Schedule-wide pools against the per-row loop, to the last bit."""
 
     def run_both(self, monkeypatch, corr, f, schedule, start_points, seed, cap,
-                 sampler=None):
-        sampler = sampler or circle_start_sampler()
-        want_rows, want_pools = parent_rows(corr, f, schedule, start_points,
-                                            seed, sampler, cap)
+                 starts=None):
+        starts = starts or circle_starts(start_points, seed)
+        want_rows, want_pools = parent_rows(corr, f, schedule, starts, seed, cap)
         got_pools = record_pools(monkeypatch)
-        report = pressure_estimate(corr, f, schedule, start_points=start_points,
-                                   seed=seed, start_sampler=sampler, cap=cap)
+        report = pressure_estimate(corr, f, schedule, starts, seed=seed, cap=cap)
         assert list(report.rows) == want_rows
         assert len(got_pools) == len(want_pools) == len(schedule)
         for row, (want_paths, want_weights) in zip(schedule, want_pools):
@@ -246,11 +261,6 @@ class TestSchedulePools:
         # others are thinned, so depth 6 grows it on and starts them again.
         corr = parse_correspondence("1\n1 1 1 0\n2 0 -1 0\n1 0 -0.5 0\n0 1 -0.5 0\n"
                                     "0 0 0.5 0\n\n1\n0 1 1 0\n1 0 -2 0\n")
-        circle = circle_start_sampler()
-
-        def sampler(rng, k):
-            return single_start(0.5) + circle(rng, k - 1)
-
         grown = []
         real = pressure_mod.enumerate_forward_paths
 
@@ -261,7 +271,7 @@ class TestSchedulePools:
 
         monkeypatch.setattr(pressure_mod, "enumerate_forward_paths", recorded)
         self.run_both(monkeypatch, corr, fn_re, [(4, 0.05), (5, 0.05), (6, 0.05)],
-                      4, 1, 20, sampler=sampler)
+                      4, 1, 20, starts=single_start(0.5) + circle_starts(3, 1))
         # At depth 6 the start 1/2 grows one level (16 -> 20 kept of 32
         # paths) and the three other trees are enumerated from their
         # starts (20 kept each).
@@ -278,7 +288,7 @@ def test_each_new_column_is_evaluated_once(corr_z2):
         return fn_re(values, inverted)
 
     pressure_estimate(corr_z2, counted, [(4, 0.05), (8, 0.05), (12, 0.05)],
-                      start_points=500, seed=801, start_sampler=circle_start_sampler())
+                      circle_starts(500, 801), seed=801)
     assert calls[0] == 6000
 
 
@@ -341,8 +351,8 @@ def rows_and_weights(monkeypatch, corr, f, schedule, start_points, seed, cap):
         return separated_subset(paths, eps, weight=weight)
 
     monkeypatch.setattr(pressure_mod, "separated_subset", recorded)
-    report = pressure_estimate(corr, f, schedule, start_points=start_points, seed=seed,
-                               start_sampler=circle_start_sampler(), cap=cap)
+    report = pressure_estimate(corr, f, schedule, circle_starts(start_points, seed),
+                               seed=seed, cap=cap)
     return report.rows, weights
 
 

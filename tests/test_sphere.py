@@ -453,6 +453,21 @@ class TestRootsMany:
         ]
         assert sorted(self.check_rows(np.array(rows, dtype=complex))) == [4, 6]
 
+    def test_degree_one_zero_rows_take_the_closed_form(self):
+        # c_0 = 0 gives the root 0 and an exact c_1 = 0 the root infinity,
+        # charted with the bits of the scalar roots; a leading coefficient
+        # near the degree-drop cutoff is still left to ``roots``.
+        stack = np.array([[0.0, 3.0], [complex(-0.0, -0.0), -1j], [2.0, 0.0],
+                          [complex(5e-324, -1.0), complex(-0.0, 0.0)], [0.0, 5e-324],
+                          [1.0, 1e-13], [0.0, 0.0], [0.5, -2.0]], dtype=complex)
+        rows, z, ok = stacked_roots(stack, 1e-12)
+        assert rows[ok].tolist() == [0, 1, 2, 3, 4, 7]
+        values, inverted = complex_charts(z[ok, 0])
+        for k, value, flag in zip(rows[ok].tolist(), values.tolist(), inverted.tolist()):
+            [(point, m)] = roots(stack[k])
+            assert m == 1 and flag == point.inverted and same_bits(value, point.value), k
+        assert SpherePoint.from_chart(values[2], inverted[2]) == SpherePoint.infinity()
+
     def test_all_zero_row_rejected_like_roots(self):
         stack = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
         assert list(self.passed(stack)) == [0]

@@ -501,8 +501,7 @@ class TestExpansivityGate:
         cells = range(start, start + int(grid.band_counts[band]))
         active = ActiveGrid(grid, cells)
         pairs = [(active.centers[i], active.centers[i + 1]) for i in range(10)]
-        probe = expansivity_probe(corr_mobius, pairs, samples=10, seed=3,
-                                  probe_scale=1.0)
+        probe = expansivity_probe(corr_mobius, pairs)
         assert not probe.is_expansive
         f = GridFunction.constant(active, 0.0)
         # The rotation kernel is a permutation: no spectral gap, so the
