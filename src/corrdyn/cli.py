@@ -228,20 +228,28 @@ def _cmd_orbits(config: RunConfig, corr: Correspondence) -> dict:
             "truncated": truncated}
 
 
-def _cmd_ds_measure(config: RunConfig, corr: Correspondence) -> dict:
-    section = config.section("ds_measure")
-    grid = config.grid()
+def _pullback_stage(config: RunConfig, corr: Correspondence, section: dict,
+                    levels_default: int, cap_default: int):
+    """The pullback levels and their support, from the start, levels, cap,
+    threshold and cert_bound of section, levels and cap defaulting to the
+    command's own values."""
     start = _point_from_config(section.get("start", [0.5, 0.3]))
-    samples = _number(section.get("samples", 64), "samples", int)
-    if samples < 1:  # before the pullback, which would run in vain
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    n = _number(section.get("levels", 12), "levels", int)
-    cap = _number(section.get("cap", 8192), "cap", int)
+    n = _number(section.get("levels", levels_default), "levels", int)
+    cap = _number(section.get("cap", cap_default), "cap", int)
     threshold = _number(section.get("threshold", 0.5), "threshold", float)
     cert_bound = _number(section.get("cert_bound", 0.05), "cert_bound", float)
     levels = pullback_iterate(corr, start, n=n, cap=cap, seed=config["seed"],
-                              grid=grid)
-    support = ds_support(levels, threshold=threshold, cert_bound=cert_bound)
+                              grid=config.grid())
+    return levels, ds_support(levels, threshold=threshold, cert_bound=cert_bound)
+
+
+def _cmd_ds_measure(config: RunConfig, corr: Correspondence) -> dict:
+    section = config.section("ds_measure")
+    grid = config.grid()
+    samples = _number(section.get("samples", 64), "samples", int)
+    if samples < 1:  # before the pullback, which would run in vain
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    levels, support = _pullback_stage(config, corr, section, 12, 8192)
     invariance = check_backward_invariance(corr, support.cells, grid,
                                            samples=samples, seed=config["seed"])
     if not invariance.passed:
@@ -347,14 +355,7 @@ def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     g_fn = named_function(_string(section.get("convergence_g", "re"), "convergence_g"))
     grid = config.grid()
     pb = _object(section.get("pullback", {}), "ruelle pullback")
-    start = _point_from_config(pb.get("start", [0.5, 0.3]))
-    n = _number(pb.get("levels", 10), "levels", int)
-    cap = _number(pb.get("cap", 4096), "cap", int)
-    threshold = _number(pb.get("threshold", 0.5), "threshold", float)
-    cert_bound = _number(pb.get("cert_bound", 0.05), "cert_bound", float)
-    levels = pullback_iterate(corr, start, n=n, cap=cap, seed=config["seed"],
-                              grid=grid)
-    support = ds_support(levels, threshold=threshold, cert_bound=cert_bound)
+    _, support = _pullback_stage(config, corr, pb, 10, 4096)
     active = ActiveGrid(grid, support.core)
     kernel = TransferKernel(corr, active)
     f = GridFunction.from_callable(active, f_fn)

@@ -358,8 +358,12 @@ class SpherePartition:
 
         A band's slab comes from its center height by scalar ``acos`` and
         ``cos``; the sector of each cell center's longitude takes only
-        + * / in numpy, which round as Python floats do.
+        + * / in numpy, which round as Python floats do.  Raises ValueError
+        for fewer than one slab or sector.
         """
+        for name, count in (("n_z", n_z), ("n_phi", n_phi)):
+            if count < 1:
+                raise ValueError(f"{name} must be at least 1, got {count}")
         slab = [min(int((1.0 - math.cos(math.acos(max(-1.0, min(1.0, zc)))))
                         / 2.0 * n_z), n_z - 1)
                 for zc in (0.5 * (grid.band_z[:-1] + grid.band_z[1:])).tolist()]

@@ -136,24 +136,18 @@ class PathBatch:
     def __iter__(self):
         return (self[k] for k in range(len(self)))
 
-    def of_trees(self, mask: np.ndarray) -> "PathBatch":
-        """The paths of the trees where mask is set; the other trees are
-        left empty and unthinned."""
-        keep = mask[self.tree]
-        return PathBatch(self.values[keep], self.inverted[keep], self.symbols[keep],
-                         self.branches[keep], self.tree[keep], self.thinned & mask)
-
 
 class Enumeration(NamedTuple):
     paths: PathBatch
     truncated: bool
 
 
-def _thin(tree: np.ndarray, cap: int, seeds, rngs: dict, thinned: np.ndarray):
-    """Rows kept of a level: all of them, except that every tree with more
-    than cap rows keeps a uniform subsample of cap, its rows
-    sorted(rng.choice(count, cap, replace=False)) with the tree's own
-    generator, made from its seed when the tree first thins."""
+def _thin(tree: np.ndarray, cap: int, seeds, depth: int, thinned: np.ndarray):
+    """Rows kept of the level at depth: all of them, except that every tree
+    with more than cap rows keeps a uniform subsample of cap, its rows
+    sorted(rng.choice(count, cap, replace=False)) with a generator made
+    from the tree's seed and depth: ``default_rng([*seed, depth])``, or
+    ``[seed, depth]`` for an int seed, and an unseeded one for None."""
     counts = np.bincount(tree, minlength=len(thinned))
     over = np.nonzero(counts > cap)[0].tolist()
     if not over:
@@ -162,11 +156,11 @@ def _thin(tree: np.ndarray, cap: int, seeds, rngs: dict, thinned: np.ndarray):
     first = np.cumsum(counts) - counts
     keep = np.ones(len(tree), dtype=bool)
     for t in over:
-        if t not in rngs:
-            rngs[t] = np.random.default_rng(seeds[t])
+        seed = None if seeds[t] is None else [*np.atleast_1d(seeds[t]).tolist(), depth]
         rows = by_tree[first[t]:first[t] + counts[t]]
         keep[rows] = False
-        keep[rows[np.sort(rngs[t].choice(int(counts[t]), size=cap, replace=False))]] = True
+        pick = np.random.default_rng(seed).choice(int(counts[t]), size=cap, replace=False)
+        keep[rows[np.sort(pick)]] = True
         thinned[t] = True
     return keep
 
@@ -180,6 +174,9 @@ def _grow(corr: Correspondence, batch: PathBatch, n: int, cap: int, seeds,
     consecutive slots, appended after the last point, or, when backward,
     prepended before the first.  A tree whose level outgrows ``cap`` is
     thinned (``_thin``), so untruncated trees do not depend on their seeds.
+    A thinned level draws from the tree's seed and the level's depth
+    alone, so growing a batch, thinned or not, by k more levels gives, path
+    for path, the level k deeper that its starts and seeds enumerate to.
     Each level keeps only its new column and its parent rows; the paths
     are gathered once, at the end, column by column, and the rows of batch
     they grew from are the ``origin`` of the result.  A forward result
@@ -193,15 +190,15 @@ def _grow(corr: Correspondence, batch: PathBatch, n: int, cap: int, seeds,
         return batch
     end = 0 if backward else -1
     values, inverted = batch.values[:, end], batch.inverted[:, end]
-    tree, thinned, rngs = batch.tree, batch.thinned.copy(), {}
+    tree, thinned = batch.tree, batch.thinned.copy()
     levels = []
-    for _ in range(n):
+    for depth in range(batch.length + 1, batch.length + n + 1):
         owner, mult, values, inverted, component, slot = corr.fiber_arrays(
             values, inverted, backward)
         point = np.repeat(np.arange(len(mult)), mult)
         branch = np.repeat(slot - np.cumsum(mult) + mult, mult) + np.arange(len(point))
         parent = owner[point]
-        keep = _thin(tree[parent], cap, seeds, rngs, thinned)
+        keep = _thin(tree[parent], cap, seeds, depth, thinned)
         point, branch, parent = point[keep], branch[keep], parent[keep]
         tree = tree[parent]
         values, inverted = values[point], inverted[point]
@@ -250,9 +247,11 @@ def enumerate_forward_paths(corr: Correspondence, x0, n: int, cap: int = 4096,
     x0 may also be a ``PathBatch`` (or a list of equal-length paths, one
     tree), a level of earlier calls: every tree is then grown n further
     levels, thinned to at most cap per tree, and seed, if given, holds one
-    seed per tree.  An untruncated depth-m level of x grown by k levels
-    gives the depth m + k paths of x under the same seed, path for path and
-    in the same order.  ``truncated`` tells whether any tree is thinned.
+    seed per tree.  A depth-m level of x grown by k levels gives the depth
+    m + k paths of x under the same seed, path for path and in the same
+    order, whether or not a tree is thinned on the way, since each thinned
+    level draws from its tree's seed and its depth (``_thin``).
+    ``truncated`` tells whether any tree is thinned.
     """
     return _enumerate(corr, x0, n, cap, seed, backward=False)
 
@@ -357,8 +356,9 @@ def _close_pairs(batch: PathBatch, eps: float):
     coordinate within eps, worst their largest coordinate distance.
 
     A batch grown forward from a source that holds its pairs at some
-    eps' >= eps takes them from there (``_inherited_pairs``); any other
-    batch, from the eps-cubes of its points 0 (``_cube_pairs``).  Both
+    eps' >= eps takes them from there (``_inherited_pairs``), thinned trees
+    included, since every grown path's ancestor is a row of the source; any
+    other batch, from the eps-cubes of its points 0 (``_cube_pairs``).  Both
     give the same set of pairs, and the greedy families depend on that
     set alone.  The result is kept on the batch, by eps.
     """

@@ -113,57 +113,22 @@ def _birkhoff(f: SphereFunction, values: np.ndarray, inverted: np.ndarray,
     return weight
 
 
-def _next_pool(corr: Correspondence, f: SphereFunction, roots: PathBatch,
-               pool: PathBatch | None, weight: np.ndarray | None, n: int, prev: int,
-               cap: int, seeds: list) -> tuple[PathBatch, np.ndarray]:
-    """The depth-n pool of every tree and its weights, the sums of f over
-    each path's first n points.  The depth-prev pool is grown by n - prev
-    levels, except for the trees it holds thinned (or all trees, when
-    there is none yet), which grow from their start again; when no tree
-    starts again, the pool itself is grown, so that its close pairs carry
-    on to the grown pool (``paths._close_pairs``).  A grown path's
-    weight is its ancestor's depth-prev weight plus f over points
-    prev..n-1, the same additions in the same order as a sum from point 0.
-    The two groups are merged tree by tree; a tree's paths keep their
-    order."""
-    again = np.ones(len(roots), dtype=bool) if pool is None else pool.thinned
-    parts = []
-    if not again.all():
-        kept = ~again[pool.tree]
-        grows = pool if not again.any() else pool.of_trees(~again)
-        grown = enumerate_forward_paths(corr, grows, n - prev, cap=cap, seed=seeds).paths
-        parts.append((grown, _birkhoff(f, grown.values[:, prev:n], grown.inverted[:, prev:n],
-                                       weight[kept][grown.origin])))
-    if again.any():
-        fresh = enumerate_forward_paths(corr, roots.of_trees(again), n,
-                                        cap=cap, seed=seeds).paths
-        parts.append((fresh, _birkhoff(f, fresh.values[:, :n], fresh.inverted[:, :n],
-                                       np.zeros(len(fresh)))))
-    if len(parts) == 1:
-        return parts[0]
-    tree = np.concatenate([p.tree for p, _ in parts])
-    order = np.argsort(tree, kind="stable")
-
-    def joined(name):
-        return np.concatenate([getattr(p, name) for p, _ in parts])[order]
-
-    return (PathBatch(joined("values"), joined("inverted"), joined("symbols"),
-                      joined("branches"), tree[order],
-                      parts[0][0].thinned | parts[1][0].thinned),
-            np.concatenate([w for _, w in parts])[order])
-
-
 def _depth_pools(corr: Correspondence, f: SphereFunction, starts: list[SpherePoint],
                  depths: list[int], cap: int, seed):
     """(n, pool, weights) at each depth, ascending; a pool holds the paths
-    of every start's tree, start by start (``_next_pool``).  Tree i has
-    seed ``[seed, 1, i, n]`` at depth n, whether it grows on or starts
-    again."""
-    roots = PathBatch.from_starts(starts)
-    pool, weight, prev = None, None, 0
+    of every start's tree, start by start.  Each pool is the one before it
+    (at first, the starts), thinned or not, grown to depth n with seed
+    ``[seed, 1, i]`` for tree i, so its close pairs carry on to the grown
+    pool (``paths._close_pairs``).  A grown path's weight is its ancestor's
+    weight plus f over points prev..n-1, the same additions in the same
+    order as a sum from point 0."""
+    pool = PathBatch.from_starts(starts)
+    weight, prev = np.zeros(len(starts)), 0
+    seeds = [None if seed is None else [seed, 1, i] for i in range(len(starts))]
     for n in depths:
-        seeds = [None if seed is None else [seed, 1, i, n] for i in range(len(starts))]
-        pool, weight = _next_pool(corr, f, roots, pool, weight, n, prev, cap, seeds)
+        pool = enumerate_forward_paths(corr, pool, n - prev, cap=cap, seed=seeds).paths
+        weight = _birkhoff(f, pool.values[:, prev:n], pool.inverted[:, prev:n],
+                           weight[pool.origin])
         yield n, pool, weight
         prev = n
 
@@ -182,12 +147,14 @@ def pressure_estimate(corr: Correspondence, f: SphereFunction,
     The trees of all starts are grown together, through the distinct
     depths of the schedule in ascending order (``_depth_pools``), and each
     depth's rows are computed as soon as its pool is ready.  Since the
-    enumerator draws random numbers only when it thins a tree, this gives
-    the same pools, to the last bit, as enumerating every depth from every
-    start with seed ``[seed, 1, i, n]``.  The weights are the sums of f over
-    each path's first n points, added left to right; a grown tree carries
-    its sums on from the depth before, so f is evaluated once per new
-    column.  Rows are reported in schedule order.
+    enumerator draws the subsample of a thinned level from the tree's seed
+    and the level's depth alone, this gives the same pools, to the last
+    bit, thinned trees included, as enumerating every depth from every
+    start with seed ``[seed, 1, i]``; each pool is nested in the one before
+    it.  The weights are the sums of f over each path's first n points,
+    added left to right; a grown tree carries its sums on from the depth
+    before, so f is evaluated once per new column.  Rows are reported in
+    schedule order.
 
     Raises ValueError for an empty start list or a start without a finite
     chart value.

@@ -116,8 +116,13 @@ class TransferKernel:
         self.mult = mult.astype(float)
         self.comp = comp
 
+    def edge_weights(self, f_values: np.ndarray) -> np.ndarray:
+        """exp(f) on each edge, f read at the edge's target cell: the weight
+        both ``apply`` and ``normalize`` give a branch."""
+        return np.exp(f_values[self.tgt])
+
     def apply(self, f_values: np.ndarray, g_values: np.ndarray) -> np.ndarray:
-        terms = self.mult * np.exp(f_values[self.tgt]) * g_values[self.tgt]
+        terms = self.mult * self.edge_weights(f_values) * g_values[self.tgt]
         return np.bincount(self.src, weights=terms, minlength=self.active.n_active)
 
 
@@ -267,7 +272,7 @@ def normalize(f: GridFunction, spectral: SpectralResult,
     if h.min() <= 0.0:
         raise NonPositiveEigenfunction(
             f"eigenfunction minimum {h.min()} is not positive")
-    w = (np.exp(f.values[kernel.tgt]) * h[kernel.tgt]
+    w = (kernel.edge_weights(f.values) * h[kernel.tgt]
          / (spectral.lam * h[kernel.src]))
     sums = np.bincount(kernel.src, weights=kernel.mult * w,
                        minlength=f.active.n_active)

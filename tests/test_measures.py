@@ -575,6 +575,14 @@ class TestPartitions:
         assert hj >= partition_entropy(m, a) - 1e-12
         assert hj >= partition_entropy(m, b) - 1e-12
 
+    @pytest.mark.parametrize("n_z,n_phi,name", [(0, 4, "n_z"), (-2, 4, "n_z"),
+                                                (2, 0, "n_phi"), (1, -1, "n_phi")])
+    def test_sectors_need_one_slab_and_sector(self, grid, n_z, n_phi, name):
+        # n_phi = 0 divided by zero; n_z < 1 named groups after slab -1 or -3.
+        count = n_z if name == "n_z" else n_phi
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, got {count}"):
+            SpherePartition.sectors(grid, n_z, n_phi)
+
     def test_not_a_partition(self, grid):
         with pytest.raises(NotAPartition):
             SpherePartition(grid, np.zeros(2, dtype=int), ("incomplete",))

@@ -110,18 +110,25 @@ class TestEnumeration:
         assert [p.symbols for p in paths] == [p.symbols for p in again]
 
 
+def level_rng(seed, depth):
+    """The generator that thins a level at depth: from seed and depth, or
+    unseeded for a seed of None."""
+    if seed is None:
+        return np.random.default_rng()
+    return np.random.default_rng([*(seed if isinstance(seed, list) else [seed]), depth])
+
+
 def scalar_enumerate(corr, start, n, cap, seed, backward):
     """The level loop with one scalar fiber per path, as the oracle."""
     images = corr.backward_images if backward else corr.forward_images
     end = 0 if backward else -1
-    rng = np.random.default_rng(seed)
     level = [ForwardPath((as_sphere_point(start),), (), ())]
     truncated = False
-    for _ in range(n):
+    for depth in range(1, n + 1):
         nxt = [child for path in level
                for child in path.children(images(path.points[end]), backward)]
         if len(nxt) > cap:
-            idx = rng.choice(len(nxt), size=cap, replace=False)
+            idx = level_rng(seed, depth).choice(len(nxt), size=cap, replace=False)
             nxt = [nxt[int(i)] for i in sorted(idx)]
             truncated = True
         level = nxt
@@ -229,9 +236,34 @@ class TestLevelGrowth:
         # A batch takes one seed per tree.
         grown = enumerate_forward_paths(corr, level, k, cap=cap, seed=[[7, n + k]])
         deep = enumerate_forward_paths(corr, start, n + k, cap=cap, seed=[7, n + k])
-        # Thinning in the new levels draws from the same seeded generator.
+        # Thinning in the new levels draws from the same seed and depths.
         assert grown.truncated == deep.truncated == (name == "corr_pair" and cap == 20)
         assert list(grown.paths) == list(deep.paths)
+
+    @pytest.mark.parametrize("name,backward,m,k,cap", [
+        ("corr_pair", False, 6, 3, 20), ("corr_pair", True, 5, 3, 12),
+        ("corr_z3", True, 4, 2, 20), ("corr_z2z3", False, 6, 2, 24)])
+    def test_thinned_level_grows_on(self, name, backward, m, k, cap, request):
+        # Every tree holds cap paths at depths m - 1 and m + k - 1, each with
+        # two or more children, so it is thinned at two or more levels on
+        # each side of depth m.  The grown batch still equals the deeper
+        # enumeration row for row: a thinned level draws from its tree's
+        # seed and depth alone.
+        corr = request.getfixturevalue(name)
+        grow = enumerate_backward_paths if backward else enumerate_forward_paths
+        starts = PathBatch.from_starts(circle_points(4, 23) + [0.5 + 0.3j])
+        seeds = [[11, i] for i in range(5)]
+        level = grow(corr, starts, m, cap=cap, seed=seeds).paths
+        grown = grow(corr, level, k, cap=cap, seed=seeds).paths
+        deep = grow(corr, starts, m + k, cap=cap, seed=seeds).paths
+        for depth in (m - 1, m + k - 1):
+            before = grow(corr, starts, depth, cap=cap, seed=seeds).paths
+            assert before.thinned.all() and (np.bincount(before.tree) == cap).all()
+        for field in ("values", "inverted", "symbols", "branches", "tree", "thinned"):
+            assert np.array_equal(getattr(grown, field), getattr(deep, field)), field
+        assert np.array_equal(deep.values[:, :m + 1] if not backward
+                              else deep.values[:, k:],
+                              level.values[grown.origin])
 
     def test_growing_by_zero_keeps_the_level(self, corr_pair):
         level, _ = enumerate_forward_paths(corr_pair, 0.25, 3)
@@ -294,9 +326,9 @@ class TestTreeBatches:
         ("corr_z2", [(4, 0.05), (8, 0.05), (12, 0.05)], 30, 4096)])
     def test_pressure_pools_match_scalar_loops(self, name, schedule, start_points,
                                                cap, request, monkeypatch):
-        # The pools of pressure_estimate, whose trees grow together, some
-        # grown on and some (those thinned at the previous depth) grown from
-        # their start again, against each start enumerated on its own.
+        # The pools of pressure_estimate, whose trees grow together from
+        # depth to depth, thinned or not, against each start enumerated on
+        # its own.
         corr = request.getfixturevalue(name)
         seed = 4
         pools = {}
@@ -313,7 +345,7 @@ class TestTreeBatches:
             want, cut = [], False
             for i, start in enumerate(starts):
                 paths, truncated = scalar_enumerate(corr, start, n, cap,
-                                                    [seed, 1, i, n], False)
+                                                    [seed, 1, i], False)
                 want.extend(paths)
                 cut = cut or truncated
             assert pools[n] == (want, cut)
@@ -788,7 +820,6 @@ class TestPairsKeptPerEps:
         one, other = PathBatch.from_paths(pool), PathBatch.from_paths(pool[::2])
         separated_subset(one, 0.3)
         assert other._pairs == {} and one._pairs is not other._pairs
-        assert one.of_trees(np.ones(1, dtype=bool))._pairs == {}
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +865,8 @@ def grown_pool(corr, starts, m, k, eps_up, cap=4096):
 def assert_inherits_cube_pairs(grown, eps, monkeypatch):
     """grown's pairs at eps come from its source, equal the cube search's
     on a copy, and give the same families; returns the pair map."""
-    copy = grown.of_trees(np.ones(len(grown.thinned), dtype=bool))
+    copy = PathBatch(grown.values, grown.inverted, grown.symbols, grown.branches,
+                     grown.tree, grown.thinned)
     want = paths_mod._cube_pairs(copy, eps)
     runs = spy_pair_searches(monkeypatch)
     got = paths_mod._close_pairs(grown, eps)
@@ -931,12 +963,12 @@ class TestInheritedPairs:
         assert len(got[0]) > 0
 
     def test_pressure_pools(self, corr_pair, monkeypatch):
-        # Depth 3 is searched over cubes; 5 grows from 3 and inherits; 6 is
-        # thinned at cap 20, so 8 starts again and is searched over cubes.
+        # Depth 3 is searched over cubes; 5 grows from 3 and inherits, and
+        # so do 6, thinned at cap 40, and 8, grown from the thinned 6.
         runs = spy_pair_searches(monkeypatch)
         report = pressure_estimate(corr_pair, fn_re, [(3, 0.1), (5, 0.05), (6, 0.05),
                                                       (8, 0.05)],
                                    circle_starts(6, 2), seed=2, cap=40)
         assert [r.truncated for r in report.rows] == [False, False, True, True]
         assert runs == ["_cube_pairs", "_inherited_pairs", "_inherited_pairs",
-                        "_cube_pairs"]
+                        "_inherited_pairs"]

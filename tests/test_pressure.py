@@ -163,7 +163,7 @@ class TestStartDraws:
 def parent_rows(corr, f, schedule, starts, seed, cap):
     """The per-row loop that ``pressure_estimate`` ran before schedule-wide
     pools: every distinct depth enumerated from every start with seed
-    [seed, 1, i, n], and each weight summed over all n points.
+    [seed, 1, i], and each weight summed over all n points.
 
     Returns the rows and, per row, the pool and its weights.  The builtin
     ``sum`` of that loop is spelled as the left-to-right fold it is on
@@ -175,7 +175,7 @@ def parent_rows(corr, f, schedule, starts, seed, cap):
             paths, truncated = [], False
             for i, x0 in enumerate(starts):
                 got, was_cut = enumerate_forward_paths(corr, x0, n, cap=cap,
-                                                       seed=[seed, 1, i, n])
+                                                       seed=[seed, 1, i])
                 paths.extend(got)
                 truncated = truncated or was_cut
             weights = []
@@ -240,16 +240,16 @@ class TestSchedulePools:
     def test_mobius_pair_truncated_unsorted(self, corr_pair, monkeypatch):
         schedule = [(6, 0.05), (4, 0.05), (8, 0.05), (4, 0.1)]
         report = self.run_both(monkeypatch, corr_pair, fn_zero, schedule, 7, 5, 20)
-        # The depth-4 pools are whole; 6 and 8 are thinned, so 8 is
-        # enumerated from the start again.
+        # The depth-4 pools are whole; 6 and 8 are thinned, and 8 grows
+        # on from the thinned 6.
         assert [r.truncated for r in report.rows] == [True, False, True, False]
 
     def test_one_depth(self, corr_pair, monkeypatch):
         self.run_both(monkeypatch, corr_pair, fn_re, [(5, 0.05), (5, 0.2)], 3, 6, 4096)
 
     def test_mobius_pair_thinned_then_started_again(self, corr_pair, monkeypatch):
-        # Depth 3 is whole, 5 grows from it and is thinned, so 6 and 8
-        # start again; their weights are full sums, 5's carried ones.
+        # Depth 3 is whole, 5 grows from it and is thinned, and 6 and 8
+        # grow on from 5; their weights are all carried sums.
         schedule = [(3, 0.05), (5, 0.05), (6, 0.1), (8, 0.05)]
         report = self.run_both(monkeypatch, corr_pair, fn_re, schedule, 6, 2, 20)
         assert [r.truncated for r in report.rows] == [False, True, True, True]
@@ -258,24 +258,39 @@ class TestSchedulePools:
         # mobius_pair with its first graph times (z - 1/2): the fiber of 1/2
         # loses that branch, so the tree of the start 1/2 is half the size
         # of the others.  With cap 20 it is whole at depth 5, where the
-        # others are thinned, so depth 6 grows it on and starts them again.
+        # others are thinned, and all of them grow on to depth 6 alike.
         corr = parse_correspondence("1\n1 1 1 0\n2 0 -1 0\n1 0 -0.5 0\n0 1 -0.5 0\n"
                                     "0 0 0.5 0\n\n1\n0 1 1 0\n1 0 -2 0\n")
-        grown = []
-        real = pressure_mod.enumerate_forward_paths
-
-        def recorded(corr, x0, n, cap, seed):
-            result = real(corr, x0, n, cap=cap, seed=seed)
-            grown.append((x0.length, len(result.paths)))
-            return result
-
-        monkeypatch.setattr(pressure_mod, "enumerate_forward_paths", recorded)
         self.run_both(monkeypatch, corr, fn_re, [(4, 0.05), (5, 0.05), (6, 0.05)],
                       4, 1, 20, starts=single_start(0.5) + circle_starts(3, 1))
-        # At depth 6 the start 1/2 grows one level (16 -> 20 kept of 32
-        # paths) and the three other trees are enumerated from their
-        # starts (20 kept each).
-        assert grown[-2:] == [(5, 20), (0, 60)]
+
+
+@pytest.mark.parametrize("fixture,schedule,start_points,cap", [
+    ("corr_pair", [(3, 0.05), (5, 0.05), (6, 0.1), (8, 0.05)], 6, 20),
+    ("corr_z2z3", [(5, 0.05), (3, 0.05), (8, 0.05), (6, 0.1)], 6, 24)])
+def test_thinned_pools_are_nested(fixture, schedule, start_points, cap, request,
+                                  monkeypatch):
+    # Every path of a depth's pool, cut to its first prev + 1 points, is a
+    # path of the pool at the depth prev before it, thinned trees included.
+    pools = {}
+    real = pressure_mod.separated_subset
+
+    def recorded(paths, eps, weight=None):
+        pools[paths.length] = paths
+        return real(paths, eps, weight=weight)
+
+    monkeypatch.setattr(pressure_mod, "separated_subset", recorded)
+    pressure_estimate(request.getfixturevalue(fixture), fn_re, schedule,
+                      circle_starts(start_points, 5), seed=5, cap=cap)
+    depths = sorted(pools)
+    assert sum(pools[n].thinned.any() for n in depths[:-1]) >= 2
+
+    def rows(pool, m):
+        return {(t, p.points[:m + 1], p.symbols[:m], p.branches[:m])
+                for t, p in zip(pool.tree.tolist(), pool)}
+
+    for prev, n in zip(depths, depths[1:]):
+        assert rows(pools[n], prev) <= rows(pools[prev], prev)
 
 
 def test_each_new_column_is_evaluated_once(corr_z2):
@@ -367,7 +382,7 @@ def pointwise(f):
 POOL_CASES = {
     "z2": ("corr_z2", [(4, 0.05), (8, 0.05), (12, 0.05)], 60, 3, 4096),
     "z2_plus_z3": ("corr_z2z3", [(3, 0.05), (1, 0.05), (4, 0.1), (3, 0.1)], 5, 4, 4096),
-    # Depth 3 is whole, 5 grows from it and is thinned, 6 and 8 start again.
+    # Depth 3 is whole, 5 grows from it and is thinned, 6 and 8 grow on.
     "mobius_pair thinned": ("corr_pair", [(3, 0.05), (5, 0.05), (6, 0.1), (8, 0.05)],
                             6, 2, 20),
 }

@@ -17,8 +17,8 @@ lives in), each call in a fresh interpreter and a fresh output directory:
 - ``entropy`` and ``pressure`` with f = re on mobius_pair, z2_plus_z3 and
   z2 at seeds 0 and 3, on unsorted schedules of three depths whose pools
   are thinned at some depths and whole at others (``POOL_CONFIGS``; z2's
-  single-valued tree is never thinned), so both the grown and the
-  re-enumerated pools of ``pressure_estimate`` are digested, and
+  single-valued tree is never thinned), so pools of ``pressure_estimate``
+  grown from whole and from thinned pools are digested, and
   ``pressure`` with f = im, const:0.25 and log_abs on the z2 and mobius_pair
   pools (``POOL_FUNCTIONS``), so every built-in function is digested;
 - ``entropy`` and ``pressure`` with f = re on z2 and mobius_pair at seeds
@@ -58,9 +58,11 @@ sha256 of the ``results`` section of report.json and of every CSV the
 call wrote.  Timings (metadata.json) and the config echo (which holds
 absolute paths) are left out, so two checkouts that compute the same
 numbers print the same bytes, and comparing them is one ``diff``.  With
-``--compare BASE.json`` it prints, instead of the digest, the id of every
-call whose entry differs from BASE.json's (or is in only one of them), one
-a line, and exits 1 if there is any.
+``--compare BASE.json`` it prints, instead of the digest, one line for
+every call whose entry differs from BASE.json's: its id and the names of
+the entries that differ (``exit``, ``results``, CSV names), or which side
+alone has the call.  It ends with an ``N of M calls differ`` line on
+stderr and exits 1 if any call differs.
 """
 
 from __future__ import annotations
@@ -350,7 +352,16 @@ def main(argv=None) -> int:
     differ = sorted(key for key in digest.keys() | base.keys()
                     if digest.get(key) != base.get(key))
     for key in differ:
-        print(key)
+        if key not in base:
+            print(f"{key}: not in {args.compare}")
+        elif key not in digest:
+            print(f"{key}: only in {args.compare}")
+        else:
+            new, old = digest[key], base[key]
+            names = sorted((name for name in new.keys() | old.keys()
+                            if new.get(name) != old.get(name)),
+                           key=lambda name: (name.endswith(".csv"), name))
+            print(f"{key}: {', '.join(names)}")
     print(f"{len(differ)} of {len(digest)} calls differ from {args.compare}",
           file=sys.stderr)
     return 1 if differ else 0
