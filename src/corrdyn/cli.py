@@ -6,7 +6,12 @@ Commands: degrees, orbits, ds-measure, entropy, pressure, ruelle,
 variational.  Configuration is a JSON document; every run writes a
 deterministic report.json plus flat CSV tables into the output
 directory, with wall-clock timings isolated in metadata.json so that
-identical configs and seeds reproduce byte-identical result files.
+identical configs and seeds reproduce byte-identical result files on
+one host class.  numpy's SIMD dispatch can still move the last bits
+between CPUs: on an AVX-512 host with numpy 2.4.6, disabling AVX-512
+(``NPY_DISABLE_CPU_FEATURES=X86_V4``) moves 22 of the 266 calls of
+``tools/output_digest.py``, through ``np.exp``, ``np.arctan2`` /
+``np.angle`` and ``np.log``.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from .measures import (PathMeasure, SpherePartition, VariationalEntry,
                        pushforward, variational_check)
 from .paths import ForwardPath, enumerate_backward_paths, enumerate_forward_paths
 from .pressure import check_schedule, circle_starts, grid_starts, pressure_estimate
-from .pullback import check_backward_invariance, ds_support, pullback_iterate
+from .pullback import (check_backward_invariance, check_support_bounds, ds_support,
+                       pullback_iterate)
 from .sphere import SpherePoint, sph_dist
 from .transfer import (ActiveGrid, GridFunction, TransferKernel,
                        adjoint_fixed_point, convergence_check, holder_norm,
@@ -238,6 +244,7 @@ def _pullback_stage(config: RunConfig, corr: Correspondence, section: dict,
     cap = _number(section.get("cap", cap_default), "cap", int)
     threshold = _number(section.get("threshold", 0.5), "threshold", float)
     cert_bound = _number(section.get("cert_bound", 0.05), "cert_bound", float)
+    check_support_bounds(threshold, cert_bound)  # before the pullback
     levels = pullback_iterate(corr, start, n=n, cap=cap, seed=config["seed"],
                               grid=config.grid())
     return levels, ds_support(levels, threshold=threshold, cert_bound=cert_bound)
@@ -465,6 +472,8 @@ def _cmd_variational(config: RunConfig, corr: Correspondence) -> dict:
     section = config.section("variational")
     counts = _variational_counts(section)  # before the pressure run or read
     slack = _number(section.get("slack", 0.05), "slack", float)
+    if math.isnan(slack):  # no value is within a NaN slack of the pressure
+        raise ValueError(f"slack must be a number, got {slack!r}")
     grid = config.grid()
     f_label = _string(section.get("f", "zero"), "f")
     f_fn = named_function(f_label)

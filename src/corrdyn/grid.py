@@ -13,6 +13,7 @@ starts there (sector k covers longitudes [k, k+1) times the width).
 
 from __future__ import annotations
 
+import bisect
 import math
 from functools import cached_property
 
@@ -58,26 +59,20 @@ class SphereGrid:
         self.band_z = np.array([bands[0][0]] + [b[1] for b in bands])
         self.band_start = np.concatenate(([0], np.cumsum(self.band_counts)))[:-1]
         self.n_bands = len(bands)
+        #: Interior band boundaries, negated to increase: the band of a
+        #: height counts those above it.
+        self._above = (-self.band_z[1:-1]).tolist()
         #: Cell centers built so far, by cell index.
         self._centers: dict[int, SpherePoint] = {}
 
     # -- lookup ------------------------------------------------------------
 
     def band_of_z(self, z: float) -> int:
-        """Band index of height z; boundaries go to the northern band."""
-        if z >= self.band_z[1]:
-            return 0
-        if z <= self.band_z[-2]:
-            return self.n_bands - 1
-        # band_z is strictly decreasing; find i with band_z[i] >= z > band_z[i+1]
-        lo, hi = 0, self.n_bands - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if z >= self.band_z[mid + 1]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        """Band index of height z; boundaries go to the northern band, but
+        the top edge of the south cap to the cap, unless the north cap is
+        the band above it."""
+        band = bisect.bisect_left(self._above, -z)
+        return self.n_bands - 1 if band and z <= self.band_z[-2] else band
 
     def cell_index(self, point) -> int:
         point = as_sphere_point(point)
@@ -101,9 +96,7 @@ class SphereGrid:
         the vectorized cell is the scalar one.
         """
         x, y, z = chart_unit_vectors(values, inverted).T
-        # Interior band boundaries, negated to increase; the band index
-        # counts those above z, as band_of_z does, clamps included.
-        above = -self.band_z[1:-1]
+        above = np.array(self._above)
         band = np.searchsorted(above, -z)
         band[z <= self.band_z[-2]] = self.n_bands - 1
         band[z >= self.band_z[1]] = 0

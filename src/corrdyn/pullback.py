@@ -10,6 +10,7 @@ grid ring as a buffer for the invariance checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,15 @@ class SupportResult:
     certificate: float
 
 
+def check_support_bounds(threshold: float, cert_bound: float) -> None:
+    """ValueError for a NaN threshold or cert_bound of ``ds_support``: no
+    mass exceeds a NaN cutoff and no certificate exceeds a NaN bound, so
+    NotConverged could never fire."""
+    for name, value in (("threshold", threshold), ("cert_bound", cert_bound)):
+        if math.isnan(value):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def ds_support(levels: list[SphereMeasure], threshold: float = 0.5,
                cert_bound: float = CERT_BOUND) -> SupportResult:
     """Cells carrying final-level mass above threshold / N, one-ring dilated.
@@ -119,6 +129,7 @@ def ds_support(levels: list[SphereMeasure], threshold: float = 0.5,
     The weak-star gap between the last two levels is the convergence
     certificate; exceeding cert_bound raises NotConverged.
     """
+    check_support_bounds(threshold, cert_bound)
     if len(levels) < 2:
         raise ValueError("need at least two levels")
     certificate = measure_distance(levels[-2], levels[-1])

@@ -634,24 +634,26 @@ def stacked_roots(c: np.ndarray, tol: float):
 # ---------------------------------------------------------------------------
 
 
-def _stacked_products(values: np.ndarray, inverted: np.ndarray, size: int,
-                      product) -> np.ndarray:
-    """``product`` of the chart powers of every point, given by chart value
-    and flag, one row per point.
+def _chart_product(values: np.ndarray, inverted: np.ndarray,
+                   table: np.ndarray) -> np.ndarray:
+    """Sum over a of p_a table[a] for every point given by chart value and
+    flag, one row per point, where p_a is x^a, or u^(d-a) in the
+    reciprocal chart, d = len(table) - 1.
 
-    Rows equal the scalar ``coeffs_in_w`` / ``coeffs_in_z`` bit for bit:
-    ``product`` stacks that method's own vector-matrix or matrix-vector
-    product, and the powers of a reciprocal-chart point are reversed as
-    a view, as in ``_chart_powers``, so numpy picks the same product
-    kernel (a single matrix product, or reversed copies, can round
-    complex tables differently).
+    Either way the common factor dropped is nonzero, so fiber polynomials
+    built from these powers have unchanged roots.  The terms are added
+    one table row at a time, in elementwise numpy over the points, so a
+    point's row has the same bits however many points share the call.
     """
-    pw = values[:, None] ** np.arange(size)
-    plain = product(pw[~inverted])
-    out = np.empty((len(values), plain.shape[1]), dtype=complex)
-    out[~inverted] = plain
-    out[inverted] = product(pw[inverted][:, ::-1])
-    return out
+    pw = values ** np.arange(len(table))[:, None]
+    pw = np.where(inverted, pw[::-1], pw)
+    out = pw[0] * table[0][:, None]
+    for a in range(1, len(table)):
+        out += pw[a] * table[a][:, None]
+    # Rows in C order: numpy may round a transcendental ufunc differently
+    # on a contiguous and on a strided coefficient column, so the root
+    # solver keeps the layout its bit-for-bit tests pin.
+    return out.T.copy()
 
 
 @dataclass(frozen=True)
@@ -696,51 +698,31 @@ class BivarPoly:
     def deg_w(self) -> int:
         return self.table.shape[1] - 1
 
-    def _chart_powers(self, x: SpherePoint, size: int) -> np.ndarray:
-        """Powers of the chart value: x^a directly, or u^(d-a) reciprocally.
-
-        Either way the common factor dropped is nonzero, so fiber
-        polynomials built from these powers have unchanged roots.
-        """
-        v = x.value
-        pw = v ** np.arange(size)
-        if x.inverted:
-            return pw[::-1]
-        return pw
-
     def coeffs_in_w(self, x: SpherePoint) -> np.ndarray:
         """Ascending coefficients of w -> P(x, w), scaled chart-safely."""
-        px = self._chart_powers(as_sphere_point(x), self.deg_z + 1)
-        return px @ self.table
+        return self.coeffs_in_w_charts(*chart_values([x]))[0]
 
     def coeffs_in_w_charts(self, values: np.ndarray,
                            inverted: np.ndarray) -> np.ndarray:
         """``coeffs_in_w`` of every point given by chart value and flag,
         stacked as a (K, deg_w+1) array."""
-        return _stacked_products(values, inverted, self.deg_z + 1,
-                                 lambda px: (px[:, None, :] @ self.table)[:, 0])
+        return _chart_product(values, inverted, self.table)
 
     def coeffs_in_z(self, y: SpherePoint) -> np.ndarray:
         """Ascending coefficients of z -> P(z, y), scaled chart-safely."""
-        py = self._chart_powers(as_sphere_point(y), self.deg_w + 1)
-        return self.table @ py
+        return self.coeffs_in_z_charts(*chart_values([y]))[0]
 
     def coeffs_in_z_charts(self, values: np.ndarray,
                            inverted: np.ndarray) -> np.ndarray:
         """``coeffs_in_z`` of every point given by chart value and flag,
         stacked as a (K, deg_z+1) array."""
-        return _stacked_products(values, inverted, self.deg_w + 1,
-                                 lambda py: (self.table @ py[:, :, None])[:, :, 0])
+        return _chart_product(values, inverted, self.table.T)
 
     def incidence_residual(self, x, y) -> float:
         """Normalized |P(x, y)| in the charts of both points.
 
         Bounded by 1; a pair lies on the component when this is small.
         """
-        x = as_sphere_point(x)
-        y = as_sphere_point(y)
-        px = self._chart_powers(x, self.deg_z + 1)
-        py = self._chart_powers(y, self.deg_w + 1)
-        value = px @ self.table @ py
+        value = _chart_product(*chart_values([y]), self.coeffs_in_w(x)[:, None])[0, 0]
         norm = float(np.abs(self.table).sum())
         return abs(value) / norm

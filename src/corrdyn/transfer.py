@@ -219,17 +219,18 @@ def power_iteration(kernel: TransferKernel, f: GridFunction,
             "correspondence fails the expansivity probe; spectral "
             "conclusions may not hold", stacklevel=2)
     rng = np.random.default_rng(seed)
-    g = rng.uniform(0.5, 1.5, size=f.active.n_active)
+    # L g of the current iterate, taken over from the last residual.
+    kg = kernel.apply(f.values, rng.uniform(0.5, 1.5, size=f.active.n_active))
     lam_prev = None
     residuals = []
     for iteration in range(1, max_iter + 1):
-        kg = kernel.apply(f.values, g)
         lam = float(kg.max())
         if lam <= 0 or not np.isfinite(lam):
             raise NonConvergence("operator iterate lost positivity",
                                  iterations=iteration)
         g_next = kg / lam
-        residual = float(np.abs(kernel.apply(f.values, g_next) - lam * g_next).max())
+        kg = kernel.apply(f.values, g_next)
+        residual = float(np.abs(kg - lam * g_next).max())
         residuals.append(residual)
         if (lam_prev is not None
                 and abs(lam - lam_prev) < tol * max(1.0, lam)
@@ -243,7 +244,6 @@ def power_iteration(kernel: TransferKernel, f: GridFunction,
             h = GridFunction(f.active, g_next / g_next.max())
             return SpectralResult(lam, h, iteration, residual, gap)
         lam_prev = lam
-        g = g_next
     raise NonConvergence(
         f"power iteration did not reach tol {tol} in {max_iter} steps",
         iterations=max_iter)
@@ -253,15 +253,8 @@ def power_iteration(kernel: TransferKernel, f: GridFunction,
 class NormalizedWeights:
     """Branch weights exp(f(y)) h(y) / (lam h(x)), summing to one per cell."""
 
-    kernel: TransferKernel
     weights: np.ndarray
     row_sums: np.ndarray
-
-    def transition_matrix(self) -> np.ndarray:
-        k = self.kernel
-        n = k.active.n_active
-        return np.bincount(k.src * n + k.tgt, weights=k.mult * self.weights,
-                           minlength=n * n).reshape(n, n)
 
 
 def normalize(f: GridFunction, spectral: SpectralResult,
@@ -276,7 +269,7 @@ def normalize(f: GridFunction, spectral: SpectralResult,
          / (spectral.lam * h[kernel.src]))
     sums = np.bincount(kernel.src, weights=kernel.mult * w,
                        minlength=f.active.n_active)
-    return NormalizedWeights(kernel, w, sums)
+    return NormalizedWeights(w, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +286,22 @@ class AdjointResult:
     unique: bool
 
 
-def _stationary(p: np.ndarray, start: np.ndarray, tol: float, max_iter: int):
-    """Left fixed vector of p, iterated until the error bound is below tol.
+def _stationary(kernel: TransferKernel, weights: np.ndarray, start: np.ndarray,
+                tol: float, max_iter: int):
+    """Fixed law of the backward chain whose edges are the kernel's, with
+    the normalized branch weights: each step moves every cell's mass along
+    its edges.  Iterated until the error bound is below tol.
 
     The L1 change per step only bounds the distance to the fixed point by
     change * rho / (1 - rho), so the contraction factor rho is estimated
     from successive changes and folded into the stopping rule.
     """
+    moved = kernel.mult * weights
     v = start / start.sum()
     prev_gap = None
     for iteration in range(1, max_iter + 1):
-        nxt = v @ p
+        nxt = np.bincount(kernel.tgt, weights=v[kernel.src] * moved,
+                          minlength=len(v))
         s = nxt.sum()
         if s <= 0:
             raise NonConvergence("kernel lost mass", iterations=iteration)
@@ -331,9 +329,10 @@ def _chain_cylinders(active: ActiveGrid, kernel: TransferKernel,
 
     Each level extends every chain, in order, by the edges of its head
     cell, in edge order, dropping extensions at or below ``CYLINDER_PRUNE``.
+    The kernel lists its edges by source cell, so each cell's edges are
+    one run.
     """
-    order = np.argsort(kernel.src, kind="stable")
-    bounds = np.searchsorted(kernel.src[order], np.arange(active.n_active + 1))
+    bounds = np.searchsorted(kernel.src, np.arange(active.n_active + 1))
     starts = np.nonzero(nu > CYLINDER_PRUNE)[0]
     positions = starts[:, None]
     symbols = np.zeros((len(starts), 0), dtype=np.int64)
@@ -343,7 +342,7 @@ def _chain_cylinders(active: ActiveGrid, kernel: TransferKernel,
         counts = bounds[head + 1] - bounds[head]
         parent = np.repeat(np.arange(len(head)), counts)
         offset = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
-        e = order[bounds[head][parent] + offset]
+        e = bounds[head][parent] + offset
         w_next = w[parent] * (kernel.mult[e] * weights[e])
         keep = w_next > CYLINDER_PRUNE
         parent, e, w = parent[keep], e[keep], w_next[keep]
@@ -373,11 +372,11 @@ def adjoint_fixed_point(kernel: TransferKernel, f: GridFunction,
     """
     _check_iteration(tol, max_iter)
     norm = normalize(f, spectral, kernel)
-    p = norm.transition_matrix()
     n = f.active.n_active
     rng = np.random.default_rng(seed)
-    v1, it1, gap1 = _stationary(p, np.full(n, 1.0), tol, max_iter)
-    v2, _, _ = _stationary(p, rng.uniform(0.1, 1.0, size=n), tol, max_iter)
+    v1, it1, gap1 = _stationary(kernel, norm.weights, np.full(n, 1.0), tol, max_iter)
+    v2, _, _ = _stationary(kernel, norm.weights, rng.uniform(0.1, 1.0, size=n), tol,
+                           max_iter)
     unique = float(np.abs(v1 - v2).sum()) <= 10.0 * tol
 
     grid = f.active.grid

@@ -1,12 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import corrdyn
 from corrdyn.cli import _nearest_center, _point_from_config, main
 from corrdyn.correspondence import Correspondence, Fiber
 from corrdyn.datasets import bundled_text
@@ -628,6 +634,38 @@ class TestReportHygiene:
         assert "Traceback" not in err
         assert not list(workspace.rglob("report.json"))
 
+    @pytest.mark.parametrize("command,setting,key", [
+        ("ds-measure", {"ds_measure": {"cert_bound": math.nan}}, "cert_bound"),
+        ("ds-measure", {"ds_measure": {"threshold": math.nan}}, "threshold"),
+        ("ruelle", {"ruelle": {"pullback": {"levels": 2, "cert_bound": math.nan}}},
+         "cert_bound"),
+        ("ruelle", {"ruelle": {"pullback": {"threshold": math.nan}}}, "threshold"),
+        ("variational", {"variational": {"slack": math.nan}}, "slack")])
+    def test_nan_bound_exits_3(self, workspace, command, setting, key, capsys,
+                               monkeypatch):
+        # JSON reads NaN, and no certificate or value compares above it: z2
+        # ruelle at pullback levels 2 stops at NotConverged under the bound
+        # 0.05, and passed the gate under NaN.
+        def refuse(*args, **kwargs):
+            raise AssertionError("work ran before the config check")
+
+        for name in ("pullback_iterate", "pressure_estimate"):
+            monkeypatch.setattr(f"corrdyn.cli.{name}", refuse)
+        out = workspace / "nan_bound"
+        cfg = write_config(workspace, "nan_bound", {
+            "correspondence": "z2.corr", "n_cells": 400, **setting, "out": str(out)})
+        assert run([command, "--config", cfg]) == 3
+        assert f"{key} must be a number, got nan" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_levels_two_not_converged(self, workspace, capsys):
+        # The gate of test_nan_bound_exits_3 fires under a numeric bound.
+        cfg = write_config(workspace, "two_levels", {
+            "correspondence": "z2.corr", "n_cells": 400,
+            "ruelle": {"pullback": {"levels": 2, "cert_bound": 0.05}}})
+        assert run(["ruelle", "--config", cfg]) == 4
+        assert "NotConverged: last levels differ by" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,setting", [
         ("ds-measure", {"ds_measure": {"cap": 0}}),
         ("ruelle", {"ruelle": {"pullback": {"cap": 0}}})])
@@ -719,3 +757,39 @@ class TestProbePairs:
             expected = min((c for c in active.centers if c is not center),
                            key=lambda c: sph_dist(center, c))
             assert _nearest_center(active, idx) is expected
+
+
+def _numpy_on_openblas() -> bool:
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        np.show_config()
+    return "openblas" in text.getvalue().lower()
+
+
+@pytest.mark.skipif(not _numpy_on_openblas(), reason="numpy is not on OpenBLAS")
+class TestBlasKernel:
+    @pytest.mark.parametrize("command,config", [
+        ("ruelle", {"correspondence": "z2_plus_z3.corr", "n_cells": 400,
+                    "ruelle": {"f": "re", "pullback": {"levels": 6, "cap": 1024}}}),
+        ("orbits", {"correspondence": "mobius.corr",
+                    "orbits": {"start": [0.5, 0.3], "depth": 6,
+                               "direction": "forward"}})])
+    def test_csv_bytes_independent_of_blas_kernel(self, workspace, command,
+                                                      config):
+        # OpenBLAS picks its product kernel by CPU; results use no matrix
+        # product, so a forced older kernel writes the same bytes.
+        src = str(Path(corrdyn.__file__).resolve().parents[1])
+        cfg = write_config(workspace, command, config)
+        written = []
+        for coretype in (None, "Prescott"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+            env.pop("OPENBLAS_CORETYPE", None)
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            out = workspace / f"{command}_{coretype}"
+            done = subprocess.run(
+                [sys.executable, "-m", "corrdyn.cli", command, "--config", str(cfg),
+                 "--seed", "1", "--out", str(out)], env=env, capture_output=True)
+            assert done.returncode == 0, done.stderr.decode()
+            written.append({f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))})
+        assert written[0] and written[0] == written[1]

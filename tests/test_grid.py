@@ -168,6 +168,36 @@ def test_boundary_rule():
     assert on_band_edge > 100
 
 
+def loop_band_of_z(g, z):
+    """Band of height z by a hand-written binary search over band_z, with
+    both caps clamped first, the north cap's first."""
+    if z >= g.band_z[1]:
+        return 0
+    if z <= g.band_z[-2]:
+        return g.n_bands - 1
+    lo, hi = 0, g.n_bands - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if z >= g.band_z[mid + 1]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("n_cells", [1, 2, 3, 7, 50, 400, 800, 2000, 8000])
+def test_band_of_z_matches_binary_search(n_cells):
+    # Every boundary and both its neighbours, the poles, the equator and
+    # random heights.  On 7 cells the north cap borders the south cap,
+    # whose top edge stays north.
+    g = SphereGrid(n_cells)
+    rng = np.random.default_rng(n_cells)
+    heights = rng.uniform(-1.0, 1.0, 2000).tolist() + [-1.0, 1.0, 0.0, -0.0]
+    for z in g.band_z.tolist():
+        heights += [z, math.nextafter(z, 2.0), math.nextafter(z, -2.0)]
+    assert [g.band_of_z(z) for z in heights] == [loop_band_of_z(g, z) for z in heights]
+
+
 @pytest.mark.parametrize("idx", [-1, 400])
 def test_cell_index_out_of_range(grid, idx):
     # Unchecked, -1 fell in band -1 and an index past the end in a sector

@@ -934,7 +934,7 @@ class TestArrayFoldExactness:
     def test_adjoint_mu0(self, name, f_label):
         kernel, f, spectral = spectral_setup(name, f_label)
         norm = normalize(f, spectral, kernel)
-        nu, _, _ = transfer_mod._stationary(norm.transition_matrix(),
+        nu, _, _ = transfer_mod._stationary(kernel, norm.weights,
                                             np.full(f.active.n_active, 1.0),
                                             1e-10, 5000)
         for depth in range(1, 5):

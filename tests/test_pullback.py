@@ -208,6 +208,15 @@ class TestSupport:
         with pytest.raises(NotConverged):
             ds_support([a, b], threshold=0.5)
 
+    @pytest.mark.parametrize("key", ["threshold", "cert_bound"])
+    def test_nan_bound_rejected(self, grid, key):
+        # Nothing compares above NaN: a NaN cert_bound let these levels,
+        # 2 apart, pass the gate, and a NaN threshold gave an empty core.
+        a = SphereMeasure.dirac(grid, SpherePoint.from_complex(0.0))
+        b = SphereMeasure.dirac(grid, SpherePoint.infinity())
+        with pytest.raises(ValueError, match=f"{key} must be a number, got nan"):
+            ds_support([a, b], **{key: math.nan})
+
 
 def object_loop_invariance(corr, omega, grid, samples, seed, row_fibers):
     """Reference copy of check_backward_invariance's loop over fiber

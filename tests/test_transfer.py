@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from corrdyn import transfer as transfer_mod
+from corrdyn.correspondence import parse_correspondence
+from corrdyn.datasets import BUNDLED, bundled_correspondence
 from corrdyn.errors import (NonPositiveEigenfunction, PreimageOutsideSupport)
 from corrdyn.functions import fn_re
 from corrdyn.grid import SphereGrid
@@ -29,6 +31,19 @@ def pipeline_active(grid, corr, x0=0.5 + 0.3j, n=12, cap=8192, seed=41):
     levels = pullback_iterate(corr, x0, n=n, cap=cap, seed=seed, grid=grid)
     support = ds_support(levels, threshold=0.5)
     return ActiveGrid(grid, support.core)
+
+
+def dense_transition(kernel, weights):
+    """The normalized backward kernel as a dense matrix, folded from the
+    kernel's edges."""
+    n = kernel.active.n_active
+    p = np.zeros((n, n))
+    np.add.at(p, (kernel.src, kernel.tgt), kernel.mult * weights)
+    return p
+
+
+#: 2 (w^2 - z^3) + (w - z^2 - z): a component of multiplicity two.
+MULTIPLICITY_TWO = "2\n0 2 1 0\n3 0 -1 0\n\n1\n0 1 1 0\n2 0 -1 0\n1 0 -1 0\n"
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +162,16 @@ class TestKernelEdges:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("name", [*BUNDLED, "multiplicity_two"])
+    def test_edges_run_by_source(self, name):
+        # ``_chain_cylinders`` reads each cell's edges as one run.
+        corr = (parse_correspondence(MULTIPLICITY_TWO) if name == "multiplicity_two"
+                else bundled_correspondence(name))
+        small = SphereGrid(300)
+        kernel = TransferKernel(corr, ActiveGrid(small, range(small.n_cells)))
+        assert kernel.mult.sum() == corr.d_top * small.n_cells
+        assert (np.diff(kernel.src) >= 0).all()
+
     @pytest.mark.parametrize("name", ["corr_z2", "corr_z2z3"])
     def test_outside_support_message(self, grid, name, request, row_fibers):
         corr = request.getfixturevalue(name)
@@ -250,6 +275,46 @@ class TestPowerIteration:
         assert spec.lam == pytest.approx(math.exp(c) * spectral_z2.lam, rel=1e-8)
         np.testing.assert_allclose(spec.h.values, spectral_z2.h.values, atol=1e-8)
 
+    @pytest.mark.parametrize("f_label", ["zero", "re"])
+    def test_one_apply_per_step(self, active, kernel_z2, f_label, monkeypatch):
+        # Oracle: the loop that applied the operator twice a step, to the
+        # iterate and again for the residual.
+        f = (GridFunction.constant(active, 0.0) if f_label == "zero"
+             else GridFunction.from_callable(active, fn_re))
+
+        def two_applies(kernel, f, tol, max_iter, seed):
+            rng = np.random.default_rng(seed)
+            g = rng.uniform(0.5, 1.5, size=f.active.n_active)
+            lam_prev, residuals = None, []
+            for iteration in range(1, max_iter + 1):
+                kg = kernel.apply(f.values, g)
+                lam = float(kg.max())
+                g_next = kg / lam
+                residual = float(np.abs(kernel.apply(f.values, g_next)
+                                        - lam * g_next).max())
+                residuals.append(residual)
+                if (lam_prev is not None
+                        and abs(lam - lam_prev) < tol * max(1.0, lam)
+                        and residual < tol * lam):
+                    tail = [residuals[i + 1] / residuals[i]
+                            for i in range(len(residuals) - 4, len(residuals) - 1)
+                            if residuals[i] > 0]
+                    return (lam, g_next / g_next.max(), iteration, residual,
+                            float(np.median(tail)))
+                lam_prev = lam
+                g = g_next
+
+        want = two_applies(kernel_z2, f, 1e-11, 2000, 9)
+        calls = []
+        apply = kernel_z2.apply
+        monkeypatch.setattr(kernel_z2, "apply",
+                            lambda *args: calls.append(1) or apply(*args))
+        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=9)
+        assert len(calls) == spec.iterations + 1
+        assert spec.lam == want[0]
+        assert spec.h.values.tobytes() == want[1].tobytes()
+        assert (spec.iterations, spec.residual, spec.gap_estimate) == want[2:]
+
     def test_grid_refinement_stability(self, corr_z2):
         lams = []
         for n_cells in (1000, 2000):
@@ -272,22 +337,6 @@ class TestNormalize:
         spec = power_iteration(kernel_z2, f, tol=1e-11, seed=4)
         norm = normalize(f, spec, kernel_z2)
         assert np.abs(norm.row_sums - 1.0).max() <= 1e-8
-
-    @pytest.mark.parametrize("name", ["corr_z2", "corr_z3", "corr_z2z3"])
-    def test_transition_matrix_is_edge_fold(self, grid, name, request):
-        # Oracle: the dense np.add.at fold of the edge weights, bit for
-        # bit, signs of zeros included.
-        corr = request.getfixturevalue(name)
-        active = pipeline_active(grid, corr)
-        kernel = TransferKernel(corr, active)
-        for f in (GridFunction.constant(active, 0.0),
-                  GridFunction.from_callable(active, fn_re)):
-            norm = normalize(f, power_iteration(kernel, f, tol=1e-11, seed=3), kernel)
-            expected = np.zeros((active.n_active, active.n_active))
-            np.add.at(expected, (kernel.src, kernel.tgt), kernel.mult * norm.weights)
-            got = norm.transition_matrix()
-            assert np.array_equal(got, expected)
-            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_nonpositive_eigenfunction_rejected(self, corr_z2, active, kernel_z2,
                                                 spectral_z2):
@@ -346,8 +395,7 @@ class TestAdjoint:
         # Oracle: solve for the stationary vector with a dense eigensolve.
         f = GridFunction.from_callable(active, fn_re)
         spec = power_iteration(kernel_z2, f, tol=1e-11, seed=8)
-        norm = normalize(f, spec, kernel_z2)
-        p = norm.transition_matrix()
+        p = dense_transition(kernel_z2, normalize(f, spec, kernel_z2).weights)
         adj = adjoint_fixed_point(kernel_z2, f, spec, tol=1e-12, seed=8)
         vals, vecs = np.linalg.eig(p.T)
         lead = np.argmin(np.abs(vals - 1.0))
@@ -482,7 +530,7 @@ class TestSymbolPairSystem:
         assert sym_mass[1] == pytest.approx(0.5, abs=1e-8)
         assert sym_mass[2] == pytest.approx(0.5, abs=1e-8)
         # Explicit kernel solve oracle for the stationary vector.
-        p = norm.transition_matrix()
+        p = dense_transition(kernel, norm.weights)
         vals, vecs = np.linalg.eig(p.T)
         lead = np.argmin(np.abs(vals - 1.0))
         v = np.abs(np.real(vecs[:, lead]))
