@@ -72,7 +72,7 @@ class RunConfig:
         if "correspondence" not in merged:
             raise ConfigMismatch("config is missing the correspondence path")
         _string(merged["correspondence"], "correspondence")
-        merged.setdefault("out", "corrdyn-out")
+        _string(merged.setdefault("out", "corrdyn-out"), "out")
         merged["seed"] = _number(merged["seed"], "seed", int)
         self.effective = merged
         self._out: Path | None = None

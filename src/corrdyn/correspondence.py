@@ -48,7 +48,7 @@ class Fiber:
     """A forward or backward image multiset with a degeneracy flag."""
 
     branches: tuple[BranchPoint, ...]
-    degenerate: bool = False
+    degenerate: bool
 
 
 def _canonical_key(point: SpherePoint):

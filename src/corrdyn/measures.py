@@ -239,9 +239,8 @@ def _forward_slots(corr: Correspondence, point: SpherePoint) -> list:
 
 
 def empirical_invariant_measure(corr: Correspondence, x0, n_burn: int,
-                                n_keep: int, depth: int,
-                                seed: int | None = None,
-                                grid: SphereGrid | None = None) -> PathMeasure:
+                                n_keep: int, depth: int, seed: int | None,
+                                grid: SphereGrid) -> PathMeasure:
     """Birkhoff average of depth-D cylinder occupations along one random
     forward trajectory with uniformly chosen branches.
 
@@ -260,7 +259,6 @@ def empirical_invariant_measure(corr: Correspondence, x0, n_burn: int,
         raise ValueError("n_keep must be at least the cylinder depth")
     if n_burn < 0:
         raise ValueError(f"n_burn must be >= 0, got {n_burn}")
-    grid = grid or SphereGrid(400)
     rng = np.random.default_rng(seed)
     steps = n_burn + n_keep + depth
 
@@ -523,22 +521,16 @@ class VariationalReport:
         return min(r.gap for r in self.rows)
 
 
-def variational_check(f: SphereFunction, nu_list, pressure_report,
-                      partitions=None, n_max: int = 6,
-                      slack: float = 0.05) -> VariationalReport:
+def variational_check(f: SphereFunction, nu_list, pressure: float, partitions,
+                      n_max: int, slack: float) -> VariationalReport:
     """Report entropy + integral against the pressure estimate for each nu.
 
     Every row should satisfy value <= pressure + slack; the report also
     exposes the smallest gap as the variational lower-bound quality.
     """
-    pressure = float(getattr(pressure_report, "pressure", pressure_report))
     rows = []
     for entry in nu_list:
-        if partitions is None:
-            parts = [SpherePartition.trivial(entry.nu.grid)]
-        else:
-            parts = partitions
-        h = measure_entropy(entry.nu, entry.candidates, parts, n_max)
+        h = measure_entropy(entry.nu, entry.candidates, partitions, n_max)
         integral = entry.nu.integrate(f)
         value = h + integral
         gap = pressure - value

@@ -239,8 +239,8 @@ def _enumerate(corr: Correspondence, x0, n: int, cap: int, seed,
     return Enumeration(grown, bool(grown.thinned.any()))
 
 
-def enumerate_forward_paths(corr: Correspondence, x0, n: int, cap: int = 4096,
-                            seed=None) -> Enumeration:
+def enumerate_forward_paths(corr: Correspondence, x0, n: int, cap: int,
+                            seed) -> Enumeration:
     """All forward paths from x0 up to depth n, breadth first, thinned to
     at most cap per level.
 
@@ -256,8 +256,8 @@ def enumerate_forward_paths(corr: Correspondence, x0, n: int, cap: int = 4096,
     return _enumerate(corr, x0, n, cap, seed, backward=False)
 
 
-def enumerate_backward_paths(corr: Correspondence, y0, n: int, cap: int = 4096,
-                             seed=None) -> Enumeration:
+def enumerate_backward_paths(corr: Correspondence, y0, n: int, cap: int,
+                             seed) -> Enumeration:
     """All backward paths ending at y0 up to depth n, breadth first,
     thinned to at most cap per level; y0 may be a batch, as for
     ``enumerate_forward_paths``."""

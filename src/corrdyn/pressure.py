@@ -56,7 +56,7 @@ def grid_starts(grid: SphereGrid, k: int, seed: int | None) -> list[SpherePoint]
     return [grid.cell_center(int(i)) for i in idx]
 
 
-def circle_starts(k: int, seed: int | None, radius: float = 1.0) -> list[SpherePoint]:
+def circle_starts(k: int, seed: int | None, radius: float) -> list[SpherePoint]:
     """k start points at uniformly random angles on the circle |z| = radius."""
     if not math.isfinite(radius):
         raise ValueError(f"circle radius must be finite, got {radius!r}")
@@ -135,8 +135,8 @@ def _depth_pools(corr: Correspondence, f: SphereFunction, starts: list[SpherePoi
 
 def pressure_estimate(corr: Correspondence, f: SphereFunction,
                       schedule: Sequence[tuple[int, float]],
-                      starts: Sequence[SpherePoint], seed: int | None = 0,
-                      cap: int = 4096) -> PressureReport:
+                      starts: Sequence[SpherePoint], seed: int | None,
+                      cap: int) -> PressureReport:
     """Estimate the pressure of f along an (n, eps) schedule from the trees
     of the given starts; the entropy is the pressure of ``fn_zero``.
 

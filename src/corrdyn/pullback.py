@@ -22,9 +22,6 @@ from .measures import SphereMeasure, measure_distance
 from .paths import ForwardPath
 from .sphere import as_sphere_point, chart_values
 
-#: Default certificate bound on the distance between the last two levels.
-CERT_BOUND = 0.05
-
 #: Allowed violation fraction in the backward-invariance check.
 INVARIANCE_BUDGET = 0.01
 
@@ -53,9 +50,8 @@ def _systematic_thin(weights: np.ndarray, cap: int, rng: np.random.Generator):
     return perm[idx], np.full(cap, total / cap)
 
 
-def pullback_iterate(corr: Correspondence, x0, n: int, cap: int = 8192,
-                     seed: int | None = None,
-                     grid: SphereGrid | None = None) -> list[SphereMeasure]:
+def pullback_iterate(corr: Correspondence, x0, n: int, cap: int, seed: int | None,
+                     grid: SphereGrid) -> list[SphereMeasure]:
     """Level measures of the backward preimage tree from x0.
 
     Level k spreads weight multiplicity / d_top^k over the k-th preimages.
@@ -73,7 +69,6 @@ def pullback_iterate(corr: Correspondence, x0, n: int, cap: int = 8192,
         raise ValueError("need at least one pullback level")
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    grid = grid or SphereGrid(400)
     rng = np.random.default_rng(seed)
 
     start = as_sphere_point(x0)
@@ -122,8 +117,8 @@ def check_support_bounds(threshold: float, cert_bound: float) -> None:
             raise ValueError(f"{name} must be a number, got {value!r}")
 
 
-def ds_support(levels: list[SphereMeasure], threshold: float = 0.5,
-               cert_bound: float = CERT_BOUND) -> SupportResult:
+def ds_support(levels: list[SphereMeasure], threshold: float,
+               cert_bound: float) -> SupportResult:
     """Cells carrying final-level mass above threshold / N, one-ring dilated.
 
     The weak-star gap between the last two levels is the convergence
@@ -151,8 +146,7 @@ class BackwardInvarianceReport:
 
 
 def check_backward_invariance(corr: Correspondence, omega, grid: SphereGrid,
-                              samples: int = 64, seed: int | None = None
-                              ) -> BackwardInvarianceReport:
+                              samples: int, seed: int | None) -> BackwardInvarianceReport:
     """Sample omega cells and test that all backward images stay inside
     the one-ring dilation of omega."""
     omega = frozenset(omega)
@@ -174,16 +168,20 @@ def check_backward_invariance(corr: Correspondence, omega, grid: SphereGrid,
     return BackwardInvarianceReport(violations, total, passed)
 
 
-def invariant_forward_paths(corr: Correspondence, omega, x0, n: int,
-                            cap: int = 64, seed: int | None = None,
-                            grid: SphereGrid | None = None) -> list[ForwardPath]:
+def invariant_forward_paths(corr: Correspondence, omega, x0, n: int, cap: int,
+                            seed: int | None, grid: SphereGrid) -> list[ForwardPath]:
     """Depth-first search for forward paths staying inside omega.
 
     Branches are pruned as soon as a point leaves the one-ring dilation
     of omega.  Returns up to cap depth-n paths; an empty list signals
-    that omega may under-approximate the invariant support.
+    that omega may under-approximate the invariant support.  Raises
+    ValueError for n < 0, which no path reaches, and cap < 1, whose empty
+    list would give that signal falsely.
     """
-    grid = grid or SphereGrid(400)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     omega = frozenset(omega)
     start = as_sphere_point(x0)
     if grid.cell_index(start) not in omega:

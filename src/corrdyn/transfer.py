@@ -202,10 +202,9 @@ def _check_iteration(tol: float, max_iter: int) -> None:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
-def power_iteration(kernel: TransferKernel, f: GridFunction,
-                    tol: float = 1e-10, max_iter: int = 2000,
-                    seed: int | None = 0,
-                    expansivity: ExpansivityResult | None = None) -> SpectralResult:
+def power_iteration(kernel: TransferKernel, f: GridFunction, tol: float,
+                    max_iter: int, seed: int | None,
+                    expansivity: ExpansivityResult | None) -> SpectralResult:
     """Maximal eigenvalue and positive eigenfunction of the operator.
 
     Iterates g <- L_f g / sup|L_f g| from a strictly positive random
@@ -319,6 +318,10 @@ def _stationary(kernel: TransferKernel, weights: np.ndarray, start: np.ndarray,
                          iterations=max_iter)
 
 
+#: Steps of each stationary-law iteration before ``adjoint_fixed_point``
+#: raises NonConvergence.
+ADJOINT_MAX_ITER = 5000
+
 #: Cylinder weight at or below which ``_chain_cylinders`` drops a chain.
 CYLINDER_PRUNE = 1e-15
 
@@ -358,9 +361,8 @@ def _chain_cylinders(active: ActiveGrid, kernel: TransferKernel,
 
 
 def adjoint_fixed_point(kernel: TransferKernel, f: GridFunction,
-                        spectral: SpectralResult, tol: float = 1e-10,
-                        max_iter: int = 5000, seed: int | None = 0,
-                        depth: int = 1) -> AdjointResult:
+                        spectral: SpectralResult, tol: float, seed: int | None,
+                        depth: int) -> AdjointResult:
     """Stationary measure of the normalized backward kernel and the
     induced cylinder path measure.
 
@@ -370,13 +372,14 @@ def adjoint_fixed_point(kernel: TransferKernel, f: GridFunction,
     equal nu.  Two random starts are compared; disagreement beyond
     10 * tol flags non-uniqueness.
     """
-    _check_iteration(tol, max_iter)
+    _check_iteration(tol, ADJOINT_MAX_ITER)
     norm = normalize(f, spectral, kernel)
     n = f.active.n_active
     rng = np.random.default_rng(seed)
-    v1, it1, gap1 = _stationary(kernel, norm.weights, np.full(n, 1.0), tol, max_iter)
+    v1, it1, gap1 = _stationary(kernel, norm.weights, np.full(n, 1.0), tol,
+                                ADJOINT_MAX_ITER)
     v2, _, _ = _stationary(kernel, norm.weights, rng.uniform(0.1, 1.0, size=n), tol,
-                           max_iter)
+                           ADJOINT_MAX_ITER)
     unique = float(np.abs(v1 - v2).sum()) <= 10.0 * tol
 
     grid = f.active.grid
@@ -402,7 +405,7 @@ class ConvergenceReport:
 
 def convergence_check(kernel: TransferKernel, f: GridFunction, g: GridFunction,
                       spectral: SpectralResult, nu: SphereMeasure,
-                      n_max: int = 40) -> ConvergenceReport:
+                      n_max: int) -> ConvergenceReport:
     """Sup-norm distance of lam^-n L_f^n g from its limit h * integral of
     g/h against nu, for n = 1 .. n_max."""
     if n_max < 1:
@@ -427,22 +430,16 @@ def convergence_check(kernel: TransferKernel, f: GridFunction, g: GridFunction,
 
 
 def lifted_consistency_check(corr: Correspondence, f: GridFunction,
-                             g: GridFunction, paths: list[ForwardPath],
-                             samples: int | None = None,
-                             seed: int | None = None) -> float:
+                             g: GridFunction, paths: list[ForwardPath]) -> float:
     """Maximal gap between the path-space operator applied to the lift of
     g and the base operator value at the path start.
 
     The path-space side enumerates every one-step backward extension of
-    each sampled path as an explicit path object and sums exp(F) G over
+    each given path as an explicit path object and sums exp(F) G over
     them; the base side sums the weighted backward multiset directly.
     Both depend only on the starting coordinate, so the gap is pure
     floating noise.
     """
-    if samples is not None and len(paths) > samples:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(paths), size=samples, replace=False)
-        paths = [paths[int(i)] for i in idx]
     worst = 0.0
     for path in paths:
         x0 = path.points[0]

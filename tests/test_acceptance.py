@@ -48,11 +48,12 @@ def z2_stack(corr_z2):
     grid = SphereGrid(2000)
     levels = pullback_iterate(corr_z2, 0.5 + 0.3j, n=12, cap=8192, seed=101,
                               grid=grid)
-    support = ds_support(levels, threshold=0.5)
+    support = ds_support(levels, threshold=0.5, cert_bound=0.05)
     active = ActiveGrid(grid, support.core)
     kernel = TransferKernel(corr_z2, active)
     f0 = GridFunction.constant(active, 0.0)
-    spectral = power_iteration(kernel, f0, tol=1e-11, seed=1)
+    spectral = power_iteration(kernel, f0, tol=1e-11, seed=1, max_iter=2000,
+                               expansivity=None)
     return grid, active, kernel, f0, spectral
 
 
@@ -100,7 +101,7 @@ def test_criterion_02_equidistribution(corr_z2):
 def test_criterion_03_entropy(corr_z2, corr_pair, corr_mobius):
     t0 = time.monotonic()
     r_z2 = pressure_estimate(corr_z2, fn_zero, ENTROPY_SCHEDULE,
-                             circle_starts(256, 11), seed=11)
+                             circle_starts(256, 11, radius=1.0), seed=11, cap=4096)
     assert math.log(2) - 0.1 <= r_z2.pressure <= math.log(2) + 0.1
 
     one_start = [sp(0.25)]
@@ -109,7 +110,7 @@ def test_criterion_03_entropy(corr_z2, corr_pair, corr_mobius):
     assert abs(r_pair.pressure - math.log(2)) <= 0.05
 
     r_mob = pressure_estimate(corr_mobius, fn_zero, ENTROPY_SCHEDULE, one_start,
-                              seed=11)
+                              seed=11, cap=4096)
     assert abs(r_mob.pressure) <= 1e-9
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
@@ -118,9 +119,11 @@ def test_criterion_03_entropy(corr_z2, corr_pair, corr_mobius):
 
 
 def test_criterion_04_pressure_shift_law(corr_z2):
-    starts = circle_starts(256, 11)
-    base = pressure_estimate(corr_z2, fn_zero, ENTROPY_SCHEDULE, starts, seed=11)
-    shifted = pressure_estimate(corr_z2, fn_const(0.7), ENTROPY_SCHEDULE, starts, seed=11)
+    starts = circle_starts(256, 11, radius=1.0)
+    base = pressure_estimate(corr_z2, fn_zero, ENTROPY_SCHEDULE, starts, seed=11,
+                             cap=4096)
+    shifted = pressure_estimate(corr_z2, fn_const(0.7), ENTROPY_SCHEDULE, starts, seed=11,
+                                cap=4096)
     gap = shifted.pressure - base.pressure
     assert abs(gap - 0.7) <= 1e-10
     ok(4, f"pressure(f=0.7) - entropy = {gap:.12f}")
@@ -132,9 +135,10 @@ def test_criterion_05_ruelle_spectra(corr_z2, corr_z3, z2_stack):
     t0 = time.monotonic()
     levels2 = pullback_iterate(corr_z2, 0.5 + 0.3j, n=12, cap=8192, seed=103,
                                grid=grid)
-    active2 = ActiveGrid(grid, ds_support(levels2, threshold=0.5).core)
+    active2 = ActiveGrid(grid, ds_support(levels2, threshold=0.5, cert_bound=0.05).core)
     spec2 = power_iteration(TransferKernel(corr_z2, active2),
-                            GridFunction.constant(active2, 0.0), tol=1e-11, seed=1)
+                            GridFunction.constant(active2, 0.0), tol=1e-11, seed=1,
+                            max_iter=2000, expansivity=None)
     t_z2 = time.monotonic() - t0
     assert abs(spec2.lam - 2.0) <= 1e-6
     assert abs(spectral.lam - 2.0) <= 1e-6
@@ -144,9 +148,10 @@ def test_criterion_05_ruelle_spectra(corr_z2, corr_z3, z2_stack):
     t0 = time.monotonic()
     levels3 = pullback_iterate(corr_z3, 0.5 + 0.3j, n=9, cap=4096, seed=102,
                                grid=grid)
-    active3 = ActiveGrid(grid, ds_support(levels3, threshold=0.5).core)
+    active3 = ActiveGrid(grid, ds_support(levels3, threshold=0.5, cert_bound=0.05).core)
     f3 = GridFunction.constant(active3, 0.0)
-    spec3 = power_iteration(TransferKernel(corr_z3, active3), f3, tol=1e-11, seed=2)
+    spec3 = power_iteration(TransferKernel(corr_z3, active3), f3, tol=1e-11, seed=2,
+                            max_iter=2000, expansivity=None)
     assert abs(spec3.lam - 3.0) <= 1e-6
     assert spec3.h.values.max() - spec3.h.values.min() <= 1e-6
     t_z3 = time.monotonic() - t0
@@ -154,7 +159,8 @@ def test_criterion_05_ruelle_spectra(corr_z2, corr_z3, z2_stack):
 
     c = 0.4
     fc = GridFunction.constant(active, c)
-    spec_c = power_iteration(kernel, fc, tol=1e-11, seed=1)
+    spec_c = power_iteration(kernel, fc, tol=1e-11, seed=1, max_iter=2000,
+                             expansivity=None)
     assert abs(spec_c.lam - math.exp(c) * spectral.lam) <= 1e-8
     ok(5, f"lambda(z2)={spectral.lam:.9f} lambda(z3)={spec3.lam:.9f} "
           f"lambda(f=c)/lambda(0)=e^c to 1e-8; {t_z2:.1f}s / {t_z3:.1f}s")
@@ -164,7 +170,8 @@ def test_criterion_06_normalization(corr_z2, z2_stack):
     grid, active, kernel, f0, spectral = z2_stack
     worst = 0.0
     for f in (f0, GridFunction.from_callable(active, fn_re)):
-        spec = power_iteration(kernel, f, tol=1e-11, seed=1)
+        spec = power_iteration(kernel, f, tol=1e-11, seed=1, max_iter=2000,
+                               expansivity=None)
         weights = normalize(f, spec, kernel)
         worst = max(worst, float(np.abs(weights.row_sums - 1.0).max()))
     assert worst <= 1e-8
@@ -312,15 +319,15 @@ def test_criterion_11_variational_inequality(corr_z2, corr_pair, z2_stack):
     bernoulli_gap = None
     for f, f_fn in (("zero", fn_zero), ("re", fn_re)):
         pr_z2 = pressure_estimate(corr_z2, f_fn, ENTROPY_SCHEDULE,
-                                  circle_starts(256, 11), seed=11)
-        rep = variational_check(f_fn, z2_entries, pr_z2,
+                                  circle_starts(256, 11, radius=1.0), seed=11, cap=4096)
+        rep = variational_check(f_fn, z2_entries, pr_z2.pressure,
                                 partitions=partitions, n_max=6, slack=slack)
         assert rep.all_within, [(r.label, r.value, rep.pressure) for r in rep.rows]
         assert len(rep.rows) >= 5
 
         pr_pair = pressure_estimate(corr_pair, f_fn, ENTROPY_SCHEDULE,
                                     [sp(0.25)], seed=11, cap=512)
-        rep_pair = variational_check(f_fn, pair_entries, pr_pair,
+        rep_pair = variational_check(f_fn, pair_entries, pr_pair.pressure,
                                      partitions=pair_grid_partitions,
                                      n_max=4, slack=slack)
         assert rep_pair.all_within

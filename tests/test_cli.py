@@ -610,7 +610,11 @@ class TestReportHygiene:
          "variational pressure f='const:5' differs from variational f='zero'"),
         ("variational", {"variational": {"pressure_report": "ruelle.json"}},
          {"ruelle.json": {"command": "ruelle", "results": {"f": "zero", "lambda": 2.0}}},
-         "pressure_report results.pressure must be a number, got None")])
+         "pressure_report results.pressure must be a number, got None"),
+        ("pressure", {"out": 5}, {}, "out must be a string, got 5"),
+        ("pressure", {"out": []}, {}, "out must be a string, got []"),
+        ("pressure", {"out": None}, {}, "out must be a string, got None"),
+        ("pressure", {"out": True}, {}, "out must be a string, got True")])
     def test_config_value_of_the_wrong_type_exits_5(self, workspace, command, config,
                                                     files, message, capsys, monkeypatch):
         # Each died with a traceback and exit 1, except the inline pressure
@@ -633,6 +637,8 @@ class TestReportHygiene:
         assert message in err
         assert "Traceback" not in err
         assert not list(workspace.rglob("report.json"))
+        assert not (workspace / "wrong_type").exists()
+        assert not (workspace / "corrdyn-out").exists()
 
     @pytest.mark.parametrize("command,setting,key", [
         ("ds-measure", {"ds_measure": {"cert_bound": math.nan}}, "cert_bound"),
@@ -743,6 +749,80 @@ class TestReportHygiene:
                         int(cell)
                     except ValueError:
                         float(cell)
+
+
+#: Small values for every key of each config section, so that each run
+#: is quick; each differs from the CLI's default for its key.
+SMALL_SECTIONS = {
+    "orbits": {"start": [0.2, 0.1], "depth": 3, "cap": 16, "direction": "backward"},
+    "ds_measure": {"samples": 8, "start": [0.6, 0.2], "levels": 8, "cap": 256,
+                   "threshold": 0.4, "cert_bound": 0.1},
+    "entropy": {"schedule": [[2, 0.1], [3, 0.1]], "start_points": 4, "cap": 16,
+                "starts": "circle", "radius": 0.9},
+    "pressure": {"f": "re", "schedule": [[2, 0.1], [3, 0.1]], "start_points": 4,
+                 "cap": 16, "starts": "circle", "radius": 0.9},
+    "ruelle": {"probe_pairs": 5, "depth": 1, "n_max": 5, "holder_scales": 3,
+               "max_iter": 500, "tol": 1e-8, "f": "re", "convergence_g": "im",
+               "pullback": {"start": [0.6, 0.2], "levels": 8, "cap": 512,
+                            "threshold": 0.4, "cert_bound": 0.1}},
+    "variational": {"n_max": 2, "depth": 2, "empirical": 1, "n_burn": 5,
+                    "n_keep": 200, "slack": 0.1, "f": "re", "start": [0.2, 0.1],
+                    "pressure": {"schedule": [[2, 0.1]], "start_points": 4, "cap": 16,
+                                 "starts": "circle", "radius": 0.9}},
+}
+
+_PULLBACK_DEFAULTS = {"start": [0.5, 0.3], "threshold": 0.5, "cert_bound": 0.05}
+_STARTS_DEFAULTS = {"schedule": [[4, 0.05], [8, 0.05]], "start_points": 64,
+                    "cap": 4096, "starts": "grid", "radius": 1.0}
+
+#: (command, correspondence, path of the config section, the CLI's default
+#: of each key of that section).
+CLI_DEFAULTS = [
+    ("orbits", "z2_plus_z3", ("orbits",),
+     {"start": [0.5, 0.3], "depth": 6, "cap": 512, "direction": "forward"}),
+    ("ds-measure", "z2", ("ds_measure",),
+     {"samples": 64, "levels": 12, "cap": 8192, **_PULLBACK_DEFAULTS}),
+    ("entropy", "z2", ("entropy",), _STARTS_DEFAULTS),
+    ("pressure", "z2", ("pressure",), {"f": "zero", **_STARTS_DEFAULTS}),
+    ("ruelle", "z2", ("ruelle",),
+     {"probe_pairs": 50, "depth": 2, "n_max": 40, "holder_scales": 10,
+      "max_iter": 2000, "tol": 1e-10, "f": "zero", "convergence_g": "re",
+      "pullback": {}}),
+    ("ruelle", "z2", ("ruelle", "pullback"),
+     {"levels": 10, "cap": 4096, **_PULLBACK_DEFAULTS}),
+    ("variational", "z2", ("variational",),
+     {"n_max": 4, "depth": 4, "empirical": 2, "n_burn": 50, "n_keep": 5000,
+      "slack": 0.05, "f": "zero", "start": [0.5, 0.3], "pressure": {}}),
+    ("variational", "z2", ("variational", "pressure"), _STARTS_DEFAULTS),
+]
+
+
+class TestConfigDefaults:
+    @pytest.mark.parametrize("command,corr,path,key,default", [
+        pytest.param(command, corr, path, key, default, id=f"{'.'.join(path)}.{key}")
+        for command, corr, path, defaults in CLI_DEFAULTS
+        for key, default in defaults.items()])
+    def test_omitted_key_reads_the_cli_default(self, workspace, command, corr, path,
+                                               key, default):
+        # The CLI passes each value on, so no library default takes over.
+        written = []
+        for name in ("omitted", "explicit"):
+            sections = json.loads(json.dumps(SMALL_SECTIONS))
+            section = sections[path[0]]
+            for part in path[1:]:
+                section = section[part]
+            assert section.pop(key) != default
+            if name == "explicit":
+                section[key] = default
+            out = workspace / name
+            cfg = write_config(workspace, name, {
+                "correspondence": f"{corr}.corr", "n_cells": 400,
+                path[0]: sections[path[0]], "out": str(out)})
+            assert run([command, "--config", cfg]) == 0
+            written.append((read_report(out)["results"],
+                            {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}))
+        assert written[0] == written[1]
+        assert written[0][1]
 
 
 class TestProbePairs:

@@ -68,7 +68,7 @@ class TestLoading:
         # Two geometric preimages, each counted twice.
         assert sorted(b.multiplicity for b in fib.branches) == [2, 2]
         from corrdyn.paths import enumerate_forward_paths
-        paths, _ = enumerate_forward_paths(corr, 3.0, 2, cap=64)
+        paths, _ = enumerate_forward_paths(corr, 3.0, 2, cap=64, seed=None)
         assert len(paths) == 4  # d_fwd = 2 spawns two slots per step
         assert {p.branches for p in paths} == {(1, 1), (1, 2), (2, 1), (2, 2)}
 

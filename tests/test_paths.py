@@ -33,7 +33,7 @@ def make_path(points, symbols=None, branches=None):
 
 class TestEnumeration:
     def test_square_map_single_orbit(self, corr_z2):
-        paths, truncated = enumerate_forward_paths(corr_z2, 2.0, 2)
+        paths, truncated = enumerate_forward_paths(corr_z2, 2.0, 2, cap=4096, seed=None)
         assert not truncated
         assert len(paths) == 1
         got = [p.to_complex() for p in paths[0].points]
@@ -41,7 +41,7 @@ class TestEnumeration:
         assert paths[0].symbols == (1, 1)
 
     def test_depth_zero(self, corr_z2):
-        paths, _ = enumerate_forward_paths(corr_z2, 3.0, 0)
+        paths, _ = enumerate_forward_paths(corr_z2, 3.0, 0, cap=4096, seed=None)
         assert len(paths) == 1
         assert paths[0].length == 0
 
@@ -55,7 +55,7 @@ class TestEnumeration:
                 z = maps[s](z)
                 orbit.append(z)
             expected[tuple(s + 1 for s in w)] = orbit
-        paths, truncated = enumerate_forward_paths(corr_pair, 0.0, 2)
+        paths, truncated = enumerate_forward_paths(corr_pair, 0.0, 2, cap=4096, seed=None)
         assert not truncated
         assert len(paths) == 4
         for path in paths:
@@ -65,13 +65,14 @@ class TestEnumeration:
 
     def test_symbol_count_is_m_to_the_n(self, corr_pair):
         for n in range(0, 9):
-            paths, truncated = enumerate_forward_paths(corr_pair, 0.5, n, cap=300)
+            paths, truncated = enumerate_forward_paths(corr_pair, 0.5, n, cap=300,
+                                                       seed=None)
             assert not truncated
             assert len(paths) == 2 ** n
 
     def test_permissibility_of_enumerated_paths(self, corr_z2z3):
         for enumerate_paths in (enumerate_forward_paths, enumerate_backward_paths):
-            paths, _ = enumerate_paths(corr_z2z3, 0.7 + 0.2j, 3, cap=64)
+            paths, _ = enumerate_paths(corr_z2z3, 0.7 + 0.2j, 3, cap=64, seed=None)
             assert paths
             for p in paths:
                 for r in range(p.length):
@@ -80,7 +81,7 @@ class TestEnumeration:
 
     def test_backward_tree_of_square_map(self, corr_z2):
         # Oracle: the two-level square-root tree built by hand.
-        paths, truncated = enumerate_backward_paths(corr_z2, 16.0, 2)
+        paths, truncated = enumerate_backward_paths(corr_z2, 16.0, 2, cap=4096, seed=None)
         assert not truncated
         assert len(paths) == 4
         starts = sorted((p.points[0].to_complex() for p in paths),
@@ -93,13 +94,14 @@ class TestEnumeration:
             assert abs(mid - 4.0) < 1e-9 or abs(mid + 4.0) < 1e-9
 
     def test_backward_critical_fiber_multiplicity(self, corr_z2):
-        paths, _ = enumerate_backward_paths(corr_z2, 0.0, 1)
+        paths, _ = enumerate_backward_paths(corr_z2, 0.0, 1, cap=4096, seed=None)
         assert len(paths) == 2
         assert all(sph_dist(p.points[0], sp(0)) < 1e-12 for p in paths)
         assert {p.branches[0] for p in paths} == {1, 2}
 
     def test_backward_mobius_single_path(self, corr_mobius):
-        paths, _ = enumerate_backward_paths(corr_mobius, 0.3 + 0.4j, 5)
+        paths, _ = enumerate_backward_paths(corr_mobius, 0.3 + 0.4j, 5, cap=4096,
+                                            seed=None)
         assert len(paths) == 1
 
     def test_cap_thins_uniformly(self, corr_pair):
@@ -182,10 +184,11 @@ class TestBatchedLevels:
         corr_z2 = bundled_correspondence("z2")
         pair_batches, pair_scalar = count_batches(monkeypatch, corr_pair)
         z2_batches, z2_scalar = count_batches(monkeypatch, corr_z2)
-        enumerate_forward_paths(corr_pair, 0.3, 4)
-        enumerate_forward_paths(corr_z2, 0.3, 4)
-        enumerate_backward_paths(corr_z2, 0.3, 3)
-        grow = enumerate_forward_paths(corr_pair, PathBatch.from_starts([0.1, 0.2, 0.3]), 2)
+        enumerate_forward_paths(corr_pair, 0.3, 4, cap=4096, seed=None)
+        enumerate_forward_paths(corr_z2, 0.3, 4, cap=4096, seed=None)
+        enumerate_backward_paths(corr_z2, 0.3, 3, cap=4096, seed=None)
+        grow = enumerate_forward_paths(corr_pair, PathBatch.from_starts([0.1, 0.2, 0.3]),
+                                       2, cap=4096, seed=None)
         # Every level, the start included, is one batch, however narrow,
         # and no fiber is solved point by point.
         assert pair_batches == [1, 2, 4, 8, 3, 6]
@@ -200,7 +203,7 @@ class TestBatchedLevels:
         corr = request.getfixturevalue(name)
         starts = [0.0, SpherePoint.infinity(), -0.5, 0.5 + 0.3j] + circle_points(6, 4)
         grow = enumerate_backward_paths if backward else enumerate_forward_paths
-        got = grow(corr, PathBatch.from_starts(starts), 1)
+        got = grow(corr, PathBatch.from_starts(starts), 1, cap=4096, seed=None)
         want = [p for start in starts
                 for p in scalar_enumerate(corr, start, 1, 4096, None, backward)[0]]
         assert len(got.paths) == len(want)
@@ -219,7 +222,7 @@ class TestBatchedLevels:
         corr_pair = bundled_correspondence("mobius_pair")
         for method in ("forward_images", "backward_images", "fiber_arrays"):
             monkeypatch.setattr(corr_pair, method, None)
-        paths, truncated = enumerate_paths(corr_pair, 0.25, 0)
+        paths, truncated = enumerate_paths(corr_pair, 0.25, 0, cap=4096, seed=None)
         assert list(paths) == [ForwardPath((sp(0.25),), (), ())]
         assert not truncated
 
@@ -266,22 +269,24 @@ class TestLevelGrowth:
                               level.values[grown.origin])
 
     def test_growing_by_zero_keeps_the_level(self, corr_pair):
-        level, _ = enumerate_forward_paths(corr_pair, 0.25, 3)
-        assert enumerate_forward_paths(corr_pair, level, 0) == (level, False)
+        level, _ = enumerate_forward_paths(corr_pair, 0.25, 3, cap=4096, seed=None)
+        assert enumerate_forward_paths(corr_pair, level, 0, cap=4096,
+                                       seed=None) == (level, False)
 
     def test_unequal_lengths_rejected(self, corr_pair):
         with pytest.raises(LengthMismatch):
-            enumerate_forward_paths(corr_pair, [make_path([0.1]), make_path([0.1, 0.2])], 1)
+            enumerate_forward_paths(corr_pair, [make_path([0.1]), make_path([0.1, 0.2])],
+                                    1, cap=4096, seed=None)
 
     def test_grown_levels_are_one_batch(self, monkeypatch):
         corr_pair = bundled_correspondence("mobius_pair")
         corr_z2 = bundled_correspondence("z2")
-        pair_level, _ = enumerate_forward_paths(corr_pair, 0.3, 0)
-        z2_level, _ = enumerate_forward_paths(corr_z2, 0.3, 2)
+        pair_level, _ = enumerate_forward_paths(corr_pair, 0.3, 0, cap=4096, seed=None)
+        z2_level, _ = enumerate_forward_paths(corr_z2, 0.3, 2, cap=4096, seed=None)
         pair_batches, pair_scalar = count_batches(monkeypatch, corr_pair)
         z2_batches, z2_scalar = count_batches(monkeypatch, corr_z2)
-        enumerate_forward_paths(corr_pair, pair_level, 3)
-        enumerate_forward_paths(corr_z2, z2_level, 3)
+        enumerate_forward_paths(corr_pair, pair_level, 3, cap=4096, seed=None)
+        enumerate_forward_paths(corr_z2, z2_level, 3, cap=4096, seed=None)
         # A level of starts is batched like any later level.
         assert pair_batches == [1, 2, 4] and not pair_scalar
         assert z2_batches == [1, 1, 1] and not z2_scalar
@@ -318,7 +323,7 @@ class TestTreeBatches:
     def test_seed_count_checked(self, corr_pair):
         batch = PathBatch.from_starts([0.1, 0.2])
         with pytest.raises(ValueError, match="one seed per tree"):
-            enumerate_forward_paths(corr_pair, batch, 2, seed=[1, 2, 3])
+            enumerate_forward_paths(corr_pair, batch, 2, seed=[1, 2, 3], cap=4096)
 
     @pytest.mark.parametrize("name,schedule,start_points,cap", [
         ("corr_pair", [(6, 0.05), (4, 0.05), (8, 0.05), (4, 0.1)], 7, 20),
@@ -339,7 +344,7 @@ class TestTreeBatches:
             return real(paths, eps, weight=weight)
 
         monkeypatch.setattr(pressure_mod, "separated_subset", recorded)
-        starts = circle_starts(start_points, seed)
+        starts = circle_starts(start_points, seed, radius=1.0)
         report = pressure_estimate(corr, fn_re, schedule, starts, seed=seed, cap=cap)
         for n in sorted(pools):
             want, cut = [], False
@@ -390,7 +395,7 @@ class TestMetric:
 
 class TestShiftAndProjections:
     def test_shift_drops_head(self, corr_z2):
-        paths, _ = enumerate_forward_paths(corr_z2, 2.0, 2)
+        paths, _ = enumerate_forward_paths(corr_z2, 2.0, 2, cap=4096, seed=None)
         shifted = shift(paths[0])
         np.testing.assert_allclose([p.to_complex() for p in shifted.points],
                                    [4.0, 16.0], rtol=1e-12)
@@ -405,7 +410,7 @@ class TestShiftAndProjections:
             shift(p)
 
     def test_shift_projection_intertwining(self, corr_z2z3):
-        paths, _ = enumerate_forward_paths(corr_z2z3, 0.4 + 0.1j, 3, cap=16)
+        paths, _ = enumerate_forward_paths(corr_z2z3, 0.4 + 0.1j, 3, cap=16, seed=None)
         for p in paths:
             q = shift(p)
             for r in range(q.length + 1):
@@ -433,7 +438,7 @@ class TestFamilies:
 
     def test_all_symbol_words_survive(self, corr_pair):
         for n in range(1, 7):
-            paths, _ = enumerate_forward_paths(corr_pair, 0.0, n, cap=200)
+            paths, _ = enumerate_forward_paths(corr_pair, 0.0, n, cap=200, seed=None)
             fam = [paths[i] for i in separated_subset(paths, eps=0.5)]
             assert len(fam) == 2 ** n
             # Oracle: re-verify pairwise separation by the raw definition.
@@ -469,7 +474,7 @@ class TestFamilies:
         starts = [cmath.exp(1j * t) for t in np.linspace(0, 2 * np.pi, 60, endpoint=False)]
         paths = []
         for s in starts:
-            got, _ = enumerate_forward_paths(corr_z2, s, 1)
+            got, _ = enumerate_forward_paths(corr_z2, s, 1, cap=4096, seed=None)
             paths.extend(got)
         cover = [paths[i] for i in spanning_subset(paths, eps=eps)]
         # Oracle: greedy eps-packing of the start points.
@@ -488,7 +493,7 @@ class TestFamilies:
         # Duality: whatever greedy separation rejects is eps-close to an
         # admitted path with the same symbols.
         for n in range(1, 4):
-            paths, _ = enumerate_forward_paths(corr_pair, 0.25, n, cap=64)
+            paths, _ = enumerate_forward_paths(corr_pair, 0.25, n, cap=64, seed=None)
             doubled = list(paths) * 2
             fam = [doubled[i] for i in separated_subset(doubled, eps=0.4)]
             for p in doubled:
@@ -953,9 +958,11 @@ class TestInheritedPairs:
 
     def test_backward_growth_takes_the_cube_search(self, corr_z2, monkeypatch):
         starts = PathBatch.from_starts(circle_points(30, 46))
-        source = enumerate_backward_paths(corr_z2, starts, 2, seed=[None] * 30).paths
+        source = enumerate_backward_paths(corr_z2, starts, 2, seed=[None] * 30,
+                                          cap=4096).paths
         paths_mod._close_pairs(source, 0.5)
-        grown = enumerate_backward_paths(corr_z2, source, 2, seed=[None] * 30).paths
+        grown = enumerate_backward_paths(corr_z2, source, 2, seed=[None] * 30,
+                                         cap=4096).paths
         assert grown._origin_pairs == {}
         runs = spy_pair_searches(monkeypatch)
         got = paths_mod._close_pairs(grown, 0.5)
@@ -968,7 +975,7 @@ class TestInheritedPairs:
         runs = spy_pair_searches(monkeypatch)
         report = pressure_estimate(corr_pair, fn_re, [(3, 0.1), (5, 0.05), (6, 0.05),
                                                       (8, 0.05)],
-                                   circle_starts(6, 2), seed=2, cap=40)
+                                   circle_starts(6, 2, radius=1.0), seed=2, cap=40)
         assert [r.truncated for r in report.rows] == [False, False, True, True]
         assert runs == ["_cube_pairs", "_inherited_pairs", "_inherited_pairs",
                         "_inherited_pairs"]

@@ -25,17 +25,17 @@ def at(f, point) -> float:
 class TestBasics:
     def test_empty_schedule(self, corr_mobius):
         with pytest.raises(ScheduleEmpty):
-            pressure_estimate(corr_mobius, fn_zero, [], single_start(0.3))
+            pressure_estimate(corr_mobius, fn_zero, [], single_start(0.3), seed=0, cap=4096)
 
     def test_mobius_zero_pressure(self, corr_mobius):
         report = pressure_estimate(corr_mobius, fn_zero, [(4, 0.1), (8, 0.1)],
-                                   single_start(0.3 + 0.2j), seed=1)
+                                   single_start(0.3 + 0.2j), seed=1, cap=4096)
         assert report.pressure == 0.0
 
     def test_mobius_constant_potential(self, corr_mobius):
         c = 0.8125  # exactly representable
         report = pressure_estimate(corr_mobius, fn_const(c), [(4, 0.1), (8, 0.1)],
-                                   single_start(0.3 + 0.2j), seed=1)
+                                   single_start(0.3 + 0.2j), seed=1, cap=4096)
         assert report.pressure == pytest.approx(c, abs=1e-13)
 
     def test_report_shape(self, corr_pair):
@@ -76,22 +76,23 @@ class TestEntropyBenchmarks:
         oracle = math.log(len(kept)) / n
 
         report = pressure_estimate(corr_z2, fn_zero, [(n, eps)],
-                                   circle_starts(256, seed), seed=seed)
+                                   circle_starts(256, seed, radius=1.0), seed=seed,
+                                   cap=4096)
         assert report.pressure == pytest.approx(oracle, abs=0.05)
         assert abs(report.pressure - math.log(2)) < 0.1
 
     def test_monotone_in_eps(self, corr_z2):
         report = pressure_estimate(corr_z2, fn_zero, [(4, 0.02), (4, 0.05), (4, 0.2)],
-                                   circle_starts(128, 5), seed=5)
+                                   circle_starts(128, 5, radius=1.0), seed=5, cap=4096)
         by_eps = sorted(report.rows, key=lambda r: r.eps)
         for a, b in zip(by_eps, by_eps[1:]):
             assert b.sep_value <= a.sep_value + 1e-12
 
     def test_sandwich_on_rows(self, corr_z2, corr_pair):
-        for corr, starts in ((corr_z2, circle_starts(64, 6)),
+        for corr, starts in ((corr_z2, circle_starts(64, 6, radius=1.0)),
                              (corr_pair, single_start(0.25))):
             report = pressure_estimate(corr, fn_zero, [(4, 0.05), (6, 0.05)], starts,
-                                       seed=6)
+                                       seed=6, cap=4096)
             for row in report.rows:
                 assert row.sandwich_ok
 
@@ -99,17 +100,20 @@ class TestEntropyBenchmarks:
 class TestShiftLaw:
     def test_constant_shift_identity(self, corr_z2):
         schedule = [(4, 0.05), (6, 0.05)]
-        starts = circle_starts(96, 7)
-        base = pressure_estimate(corr_z2, fn_zero, schedule, starts, seed=7)
-        shifted = pressure_estimate(corr_z2, fn_const(0.7), schedule, starts, seed=7)
+        starts = circle_starts(96, 7, radius=1.0)
+        base = pressure_estimate(corr_z2, fn_zero, schedule, starts, seed=7, cap=4096)
+        shifted = pressure_estimate(corr_z2, fn_const(0.7), schedule, starts, seed=7,
+                                    cap=4096)
         assert shifted.pressure - base.pressure == pytest.approx(0.7, abs=1e-10)
         for r0, r1 in zip(base.rows, shifted.rows):
             assert r1.sep_value - r0.sep_value == pytest.approx(0.7, abs=1e-10)
             assert r1.n_separated == r0.n_separated
 
     def test_seed_reproducibility(self, corr_z2):
-        a = pressure_estimate(corr_z2, fn_re, [(4, 0.05)], circle_starts(50, 8), seed=8)
-        b = pressure_estimate(corr_z2, fn_re, [(4, 0.05)], circle_starts(50, 8), seed=8)
+        a = pressure_estimate(corr_z2, fn_re, [(4, 0.05)],
+                              circle_starts(50, 8, radius=1.0), seed=8, cap=4096)
+        b = pressure_estimate(corr_z2, fn_re, [(4, 0.05)],
+                              circle_starts(50, 8, radius=1.0), seed=8, cap=4096)
         assert a.pressure == b.pressure
         assert a.rows == b.rows
 
@@ -117,7 +121,7 @@ class TestShiftLaw:
 class TestStartValidation:
     @pytest.mark.parametrize("count", [0, -3])
     def test_too_few_start_points(self, count):
-        for draw in (lambda: circle_starts(count, 0),
+        for draw in (lambda: circle_starts(count, 0, radius=1.0),
                      lambda: grid_starts(SphereGrid(400), count, 0)):
             with pytest.raises(ValueError,
                                match=f"start_points must be at least 1, got {count}"):
@@ -125,16 +129,17 @@ class TestStartValidation:
 
     def test_empty_start_list(self, corr_z2):
         with pytest.raises(ValueError, match="at least one start point"):
-            pressure_estimate(corr_z2, fn_zero, [(4, 0.05)], [])
+            pressure_estimate(corr_z2, fn_zero, [(4, 0.05)], [], seed=0, cap=4096)
 
     @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.2, math.nan)])
     def test_start_without_finite_chart_value(self, corr_z2, z):
         starts = single_start(0.3) + single_start(z)
         with pytest.raises(ValueError, match="no finite chart value"):
-            pressure_estimate(corr_z2, fn_zero, [(4, 0.05)], starts)
+            pressure_estimate(corr_z2, fn_zero, [(4, 0.05)], starts, seed=0, cap=4096)
 
     def test_point_at_infinity_is_a_start(self, corr_z2):
-        report = pressure_estimate(corr_z2, fn_zero, [(2, 0.05)], [SpherePoint.infinity()])
+        report = pressure_estimate(corr_z2, fn_zero, [(2, 0.05)],
+                                   [SpherePoint.infinity()], seed=0, cap=4096)
         assert report.rows[0].n_paths == 1
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
@@ -152,7 +157,7 @@ class TestStartDraws:
         want = [SpherePoint.from_complex(2.5 * np.exp(1j * a)) for a in angles]
         got = circle_starts(5, 9, radius=2.5)
         assert [(p.value, p.inverted) for p in got] == [(p.value, p.inverted) for p in want]
-        assert circle_starts(5, 9) != circle_starts(5, 10)
+        assert circle_starts(5, 9, radius=1.0) != circle_starts(5, 10, radius=1.0)
 
     def test_grid_starts(self):
         grid = SphereGrid(400)
@@ -215,7 +220,7 @@ class TestSchedulePools:
 
     def run_both(self, monkeypatch, corr, f, schedule, start_points, seed, cap,
                  starts=None):
-        starts = starts or circle_starts(start_points, seed)
+        starts = starts or circle_starts(start_points, seed, radius=1.0)
         want_rows, want_pools = parent_rows(corr, f, schedule, starts, seed, cap)
         got_pools = record_pools(monkeypatch)
         report = pressure_estimate(corr, f, schedule, starts, seed=seed, cap=cap)
@@ -262,7 +267,8 @@ class TestSchedulePools:
         corr = parse_correspondence("1\n1 1 1 0\n2 0 -1 0\n1 0 -0.5 0\n0 1 -0.5 0\n"
                                     "0 0 0.5 0\n\n1\n0 1 1 0\n1 0 -2 0\n")
         self.run_both(monkeypatch, corr, fn_re, [(4, 0.05), (5, 0.05), (6, 0.05)],
-                      4, 1, 20, starts=single_start(0.5) + circle_starts(3, 1))
+                      4, 1, 20,
+                      starts=single_start(0.5) + circle_starts(3, 1, radius=1.0))
 
 
 @pytest.mark.parametrize("fixture,schedule,start_points,cap", [
@@ -281,7 +287,7 @@ def test_thinned_pools_are_nested(fixture, schedule, start_points, cap, request,
 
     monkeypatch.setattr(pressure_mod, "separated_subset", recorded)
     pressure_estimate(request.getfixturevalue(fixture), fn_re, schedule,
-                      circle_starts(start_points, 5), seed=5, cap=cap)
+                      circle_starts(start_points, 5, radius=1.0), seed=5, cap=cap)
     depths = sorted(pools)
     assert sum(pools[n].thinned.any() for n in depths[:-1]) >= 2
 
@@ -303,7 +309,7 @@ def test_each_new_column_is_evaluated_once(corr_z2):
         return fn_re(values, inverted)
 
     pressure_estimate(corr_z2, counted, [(4, 0.05), (8, 0.05), (12, 0.05)],
-                      circle_starts(500, 801), seed=801)
+                      circle_starts(500, 801, radius=1.0), seed=801, cap=4096)
     assert calls[0] == 6000
 
 
@@ -366,7 +372,8 @@ def rows_and_weights(monkeypatch, corr, f, schedule, start_points, seed, cap):
         return separated_subset(paths, eps, weight=weight)
 
     monkeypatch.setattr(pressure_mod, "separated_subset", recorded)
-    report = pressure_estimate(corr, f, schedule, circle_starts(start_points, seed),
+    report = pressure_estimate(corr, f, schedule,
+                               circle_starts(start_points, seed, radius=1.0),
                                seed=seed, cap=cap)
     return report.rows, weights
 

@@ -34,9 +34,9 @@ def circle_mass(measure, tol=0.1):
 
 
 class TestPullback:
-    def test_requires_degree_gap(self, corr_mobius):
+    def test_requires_degree_gap(self, grid, corr_mobius):
         with pytest.raises(DegreeConditionError):
-            pullback_iterate(corr_mobius, 0.4, n=3)
+            pullback_iterate(corr_mobius, 0.4, n=3, cap=8192, seed=None, grid=grid)
 
     def test_mass_conservation(self, z2_levels):
         for level in z2_levels:
@@ -87,7 +87,7 @@ class TestPullback:
         monkeypatch.setattr(Correspondence, "backward_images", degenerate)
         with pytest.raises(DegenerateStart,
                            match=f"no generic start found after {MAX_RESAMPLE} re-samples"):
-            pullback_iterate(corr_z2, 0.5 + 0.3j, n=4, seed=3, grid=grid)
+            pullback_iterate(corr_z2, 0.5 + 0.3j, n=4, cap=8192, seed=3, grid=grid)
         assert len(starts) == 1 + MAX_RESAMPLE
         assert len({(p.value, p.inverted) for p in starts}) == len(starts)
 
@@ -189,7 +189,7 @@ class TestBatchedLevels:
 
 class TestSupport:
     def test_band_support(self, grid, z2_levels):
-        result = ds_support(z2_levels, threshold=0.5)
+        result = ds_support(z2_levels, threshold=0.5, cert_bound=0.05)
         assert result.certificate <= 0.05
         assert result.core <= result.cells
         band = math.sqrt(4 * math.pi / grid.n_cells)
@@ -199,14 +199,14 @@ class TestSupport:
 
     def test_uniform_threshold_zero(self, grid):
         uniform = SphereMeasure.uniform(grid)
-        result = ds_support([uniform, uniform], threshold=0.0)
+        result = ds_support([uniform, uniform], threshold=0.0, cert_bound=0.05)
         assert result.cells == frozenset(range(grid.n_cells))
 
     def test_not_converged(self, grid):
         a = SphereMeasure.dirac(grid, SpherePoint.from_complex(0.0))
         b = SphereMeasure.dirac(grid, SpherePoint.infinity())
         with pytest.raises(NotConverged):
-            ds_support([a, b], threshold=0.5)
+            ds_support([a, b], threshold=0.5, cert_bound=0.05)
 
     @pytest.mark.parametrize("key", ["threshold", "cert_bound"])
     def test_nan_bound_rejected(self, grid, key):
@@ -215,7 +215,7 @@ class TestSupport:
         a = SphereMeasure.dirac(grid, SpherePoint.from_complex(0.0))
         b = SphereMeasure.dirac(grid, SpherePoint.infinity())
         with pytest.raises(ValueError, match=f"{key} must be a number, got nan"):
-            ds_support([a, b], **{key: math.nan})
+            ds_support([a, b], **{"threshold": 0.5, "cert_bound": 0.05, key: math.nan})
 
 
 def object_loop_invariance(corr, omega, grid, samples, seed, row_fibers):
@@ -244,7 +244,8 @@ class TestBackwardInvariance:
     def test_counts_equal_object_loop(self, grid, z2_levels, name, where, samples,
                                       seed, request, row_fibers):
         corr = request.getfixturevalue(name)
-        omega = (ds_support(z2_levels, threshold=0.5).cells if where == "support"
+        omega = (ds_support(z2_levels, threshold=0.5,
+                            cert_bound=0.05).cells if where == "support"
                  else {grid.cell_index(SpherePoint.from_complex(4.0))})
         report = check_backward_invariance(corr, omega, grid, samples=samples,
                                            seed=seed)
@@ -255,14 +256,15 @@ class TestBackwardInvariance:
     @pytest.mark.parametrize("samples", [0, -3])
     def test_samples_must_be_positive(self, grid, corr_z2, samples):
         with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
-            check_backward_invariance(corr_z2, {0}, grid, samples=samples)
+            check_backward_invariance(corr_z2, {0}, grid, samples=samples, seed=None)
 
     def test_cells_outside_the_grid(self, grid, corr_z2):
         with pytest.raises(IndexOutOfRange):
-            check_backward_invariance(corr_z2, [grid.n_cells], grid, samples=8)
+            check_backward_invariance(corr_z2, [grid.n_cells], grid, samples=8,
+                                      seed=None)
 
     def test_circle_band_passes(self, grid, corr_z2, z2_levels):
-        result = ds_support(z2_levels, threshold=0.5)
+        result = ds_support(z2_levels, threshold=0.5, cert_bound=0.05)
         report = check_backward_invariance(corr_z2, result.cells, grid,
                                            samples=64, seed=47)
         assert report.passed
@@ -284,7 +286,7 @@ class TestBackwardInvariance:
 
 class TestInvariantPaths:
     def test_doubling_stays_on_circle(self, grid, corr_z2, z2_levels):
-        result = ds_support(z2_levels, threshold=0.5)
+        result = ds_support(z2_levels, threshold=0.5, cert_bound=0.05)
         x0 = SpherePoint.from_complex(np.exp(1j * 0.83))
         paths = invariant_forward_paths(corr_z2, result.cells, x0, n=10,
                                         cap=8, seed=50, grid=grid)
@@ -307,10 +309,29 @@ class TestInvariantPaths:
         assert len(paths) == 2 ** 4
 
     def test_shift_of_invariant_path_still_qualifies(self, grid, corr_z2, z2_levels):
-        result = ds_support(z2_levels, threshold=0.5)
+        result = ds_support(z2_levels, threshold=0.5, cert_bound=0.05)
         x0 = SpherePoint.from_complex(np.exp(1j * 2.2))
         paths = invariant_forward_paths(corr_z2, result.cells, x0, n=8, cap=4,
                                         seed=53, grid=grid)
         dilated = grid.dilate(result.cells)
         for p in paths:
             assert all(grid.cell_index(q) in dilated for q in shift(p).points)
+
+    @pytest.mark.parametrize("n,cap,message", [
+        # A negative depth is never reached: the search ran without end.
+        (-1, 8, "n must be >= 0, got -1"),
+        # No path at all is the signal of an under-approximated omega.
+        (4, 0, "cap must be at least 1, got 0"),
+        (4, -2, "cap must be at least 1, got -2")])
+    def test_depth_and_cap_checked_before_the_search(self, grid, corr_z2z3, n, cap,
+                                                     message, monkeypatch):
+        def refuse(self, x):
+            raise AssertionError("forward fiber solved")
+
+        monkeypatch.setattr(Correspondence, "forward_images", refuse)
+        circle = {grid.cell_index(SpherePoint.from_complex(np.exp(1j * t)))
+                  for t in np.linspace(0.0, 2.0 * np.pi, 2000)}
+        x0 = SpherePoint.from_complex(np.exp(0.3j))
+        with pytest.raises(ValueError, match=message):
+            invariant_forward_paths(corr_z2z3, circle, x0, n=n, cap=cap, seed=54,
+                                    grid=grid)

@@ -12,6 +12,7 @@ from corrdyn.cli import main as cli_main
 from corrdyn.correspondence import parse_correspondence
 from corrdyn.datasets import BUNDLED, bundled_correspondence, bundled_text
 from corrdyn.errors import InvalidComponent, NonConvergence
+from corrdyn.grid import SphereGrid
 from corrdyn.pullback import pullback_iterate
 from corrdyn.sphere import (BivarPoly, SpherePoint, _reciprocal, chart_unit_vectors,
                             chart_values, complex_charts, roots, sph_dist,
@@ -661,7 +662,8 @@ class TestStackedAberth:
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
         for corr in (parse_correspondence(NON_BINOMIAL),
                      bundled_correspondence("z2_plus_z3")):
-            levels = pullback_iterate(corr, 0.5 + 0.3j, n=4, cap=512, seed=1)
+            levels = pullback_iterate(corr, 0.5 + 0.3j, n=4, cap=512, seed=1,
+                                      grid=SphereGrid(400))
             assert len(levels) == 5
             assert abs(float(levels[-1].weights.sum()) - 1.0) < 1e-9
 

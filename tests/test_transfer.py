@@ -29,7 +29,7 @@ def pipeline_active(grid, corr, x0=0.5 + 0.3j, n=12, cap=8192, seed=41):
     side of the invariant circle.
     """
     levels = pullback_iterate(corr, x0, n=n, cap=cap, seed=seed, grid=grid)
-    support = ds_support(levels, threshold=0.5)
+    support = ds_support(levels, threshold=0.5, cert_bound=0.05)
     return ActiveGrid(grid, support.core)
 
 
@@ -64,7 +64,8 @@ def kernel_z2(corr_z2, active):
 @pytest.fixture(scope="module")
 def spectral_z2(corr_z2, active, kernel_z2):
     f = GridFunction.constant(active, 0.0)
-    return power_iteration(kernel_z2, f, tol=1e-11, seed=1)
+    return power_iteration(kernel_z2, f, tol=1e-11, seed=1, max_iter=2000,
+                           expansivity=None)
 
 
 class TestApply:
@@ -263,7 +264,8 @@ class TestPowerIteration:
     def test_tripling_eigenvalue(self, corr_z3, grid):
         active = pipeline_active(grid, corr_z3, n=9, cap=4096, seed=42)
         f = GridFunction.constant(active, 0.0)
-        spec = power_iteration(TransferKernel(corr_z3, active), f, tol=1e-11, seed=2)
+        spec = power_iteration(TransferKernel(corr_z3, active), f, tol=1e-11, seed=2,
+                               max_iter=2000, expansivity=None)
         assert spec.lam == pytest.approx(3.0, abs=1e-6)
         assert spec.h.values.min() >= 1.0 - 1e-6
 
@@ -271,7 +273,8 @@ class TestPowerIteration:
                                                   spectral_z2):
         c = 0.4
         f = GridFunction.constant(active, c)
-        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=1)
+        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=1, max_iter=2000,
+                               expansivity=None)
         assert spec.lam == pytest.approx(math.exp(c) * spectral_z2.lam, rel=1e-8)
         np.testing.assert_allclose(spec.h.values, spectral_z2.h.values, atol=1e-8)
 
@@ -309,7 +312,8 @@ class TestPowerIteration:
         apply = kernel_z2.apply
         monkeypatch.setattr(kernel_z2, "apply",
                             lambda *args: calls.append(1) or apply(*args))
-        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=9)
+        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=9, max_iter=2000,
+                               expansivity=None)
         assert len(calls) == spec.iterations + 1
         assert spec.lam == want[0]
         assert spec.h.values.tobytes() == want[1].tobytes()
@@ -321,7 +325,8 @@ class TestPowerIteration:
             act = pipeline_active(SphereGrid(n_cells), corr_z2)
             f = GridFunction.from_callable(act, fn_re)
             lams.append(power_iteration(TransferKernel(corr_z2, act), f,
-                                       tol=1e-10, seed=3).lam)
+                                       tol=1e-10, seed=3, max_iter=2000,
+                                       expansivity=None).lam)
         assert abs(lams[1] - lams[0]) <= 0.01 * lams[0]
 
 
@@ -334,7 +339,8 @@ class TestNormalize:
 
     def test_row_sums_for_smooth_potential(self, corr_z2, active, kernel_z2):
         f = GridFunction.from_callable(active, fn_re)
-        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=4)
+        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=4, max_iter=2000,
+                               expansivity=None)
         norm = normalize(f, spec, kernel_z2)
         assert np.abs(norm.row_sums - 1.0).max() <= 1e-8
 
@@ -359,9 +365,11 @@ def test_iteration_bounds_rejected(active, kernel_z2, spectral_z2, tol, max_iter
     # Such a tol or max_iter ran every step, then raised NonConvergence.
     f = GridFunction.constant(active, 0.0)
     with pytest.raises(ValueError, match=message):
-        power_iteration(kernel_z2, f, tol=tol, max_iter=max_iter)
-    with pytest.raises(ValueError, match=message):
-        adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=tol, max_iter=max_iter)
+        power_iteration(kernel_z2, f, tol=tol, max_iter=max_iter, seed=0,
+                        expansivity=None)
+    if max_iter >= 1:  # the adjoint's step bound is ADJOINT_MAX_ITER
+        with pytest.raises(ValueError, match=message):
+            adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=tol, seed=0, depth=1)
 
 
 class TestAdjoint:
@@ -387,16 +395,17 @@ class TestAdjoint:
 
     def test_two_seeds_agree(self, corr_z2, active, kernel_z2, spectral_z2):
         f = GridFunction.constant(active, 0.0)
-        a = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=6)
-        b = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=7)
+        a = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=6, depth=1)
+        b = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=7, depth=1)
         assert total_variation(a.nu, b.nu) <= 1e-8
 
     def test_stationarity_against_matrix_oracle(self, corr_z2, active, kernel_z2):
         # Oracle: solve for the stationary vector with a dense eigensolve.
         f = GridFunction.from_callable(active, fn_re)
-        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=8)
+        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=8, max_iter=2000,
+                               expansivity=None)
         p = dense_transition(kernel_z2, normalize(f, spec, kernel_z2).weights)
-        adj = adjoint_fixed_point(kernel_z2, f, spec, tol=1e-12, seed=8)
+        adj = adjoint_fixed_point(kernel_z2, f, spec, tol=1e-12, seed=8, depth=1)
         vals, vecs = np.linalg.eig(p.T)
         lead = np.argmin(np.abs(vals - 1.0))
         v = np.real(vecs[:, lead])
@@ -409,14 +418,14 @@ class TestConvergence:
     def test_eigenfunction_input_is_fixed(self, corr_z2, active, kernel_z2,
                                           spectral_z2):
         f = GridFunction.constant(active, 0.0)
-        adj = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=9)
+        adj = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=9, depth=1)
         report = convergence_check(kernel_z2, f, spectral_z2.h, spectral_z2,
                                    adj.nu, n_max=10)
         assert max(report.errors) <= 1e-8
 
     def test_re_decays_geometrically(self, corr_z2, active, kernel_z2, spectral_z2):
         f = GridFunction.constant(active, 0.0)
-        adj = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-11, seed=10)
+        adj = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-11, seed=10, depth=1)
         g = GridFunction.from_callable(active, fn_re)
         report = convergence_check(kernel_z2, f, g, spectral_z2, adj.nu,
                                    n_max=40)
@@ -428,7 +437,7 @@ class TestConvergence:
     def test_constants_are_exact_for_zero_potential(self, corr_z2, active,
                                                     kernel_z2, spectral_z2):
         f = GridFunction.constant(active, 0.0)
-        adj = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=11)
+        adj = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=11, depth=1)
         g = GridFunction.constant(active, 1.0)
         report = convergence_check(kernel_z2, f, g, spectral_z2, adj.nu,
                                    n_max=10)
@@ -438,7 +447,7 @@ class TestConvergence:
     @pytest.mark.parametrize("n_max", [0, -1])
     def test_no_iterate_rejected(self, active, kernel_z2, spectral_z2, n_max):
         f = GridFunction.constant(active, 0.0)
-        adj = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=9)
+        adj = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=9, depth=1)
         with pytest.raises(ValueError, match=f"n_max must be at least 1, got {n_max}"):
             convergence_check(kernel_z2, f, spectral_z2.h, spectral_z2, adj.nu,
                               n_max=n_max)
@@ -497,8 +506,7 @@ class TestLiftedConsistency:
         for _ in range(20):
             g = GridFunction(active, rng.normal(size=active.n_active))
             f = GridFunction(active, 0.2 * rng.normal(size=active.n_active))
-            worst = max(worst, lifted_consistency_check(corr_z2, f, g, paths,
-                                                        samples=50, seed=14))
+            worst = max(worst, lifted_consistency_check(corr_z2, f, g, paths))
         assert worst <= 1e-12
 
     def test_constant_potential_common_factor(self, grid, corr_z2, active):
@@ -518,7 +526,8 @@ class TestSymbolPairSystem:
         active = ActiveGrid(grid, [grid.cell_index(SpherePoint.infinity())])
         kernel = TransferKernel(corr_pair, active)
         f = GridFunction.constant(active, 0.0)
-        spec = power_iteration(kernel, f, tol=1e-11, seed=30)
+        spec = power_iteration(kernel, f, tol=1e-11, seed=30, max_iter=2000,
+                               expansivity=None)
         assert spec.lam == pytest.approx(2.0, abs=1e-6)
         norm = normalize(f, spec, kernel)
         np.testing.assert_allclose(norm.row_sums, 1.0, atol=1e-8)
@@ -567,9 +576,10 @@ class TestPipelineIntegration:
         grid = SphereGrid(1000)
         levels = pullback_iterate(corr_z2, 0.6 + 0.2j, n=12, cap=8192, seed=16,
                                   grid=grid)
-        support = ds_support(levels, threshold=0.5)
+        support = ds_support(levels, threshold=0.5, cert_bound=0.05)
         active = ActiveGrid(grid, support.core)
         f = GridFunction.constant(active, 0.0)
-        spec = power_iteration(TransferKernel(corr_z2, active), f, tol=1e-10, seed=17)
+        spec = power_iteration(TransferKernel(corr_z2, active), f, tol=1e-10, seed=17,
+                               max_iter=2000, expansivity=None)
         assert spec.lam == pytest.approx(2.0, abs=1e-6)
         assert spec.h.values.min() >= 1.0 - 1e-6
