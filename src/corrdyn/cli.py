@@ -429,6 +429,8 @@ def _variational_counts(section: dict) -> dict:
         raise ValueError(f"n_max must be at least 1, got {counts['n_max']}")
     if counts["depth"] < 1:
         raise ValueError(f"depth must be at least 1, got {counts['depth']}")
+    if counts["empirical"] < 0:
+        raise ValueError(f"empirical must be >= 0, got {counts['empirical']}")
     if counts["empirical"] > 0:
         if counts["n_burn"] < 0:
             raise ValueError(f"n_burn must be >= 0, got {counts['n_burn']}")

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientPairs, NonConvergence, ParseError
-from .sphere import (DEFAULT_ROOT_TOL, BivarPoly, SpherePoint, as_sphere_point,
-                     chart_values, complex_charts, roots, sph_dist,
-                     stacked_roots)
+from .sphere import (DEFAULT_ROOT_TOL, BivarPoly, SpherePoint, _chart_product,
+                     as_sphere_point, chart_values, complex_charts, roots,
+                     sph_dist, stacked_roots)
 
 #: Residual bound under which a path step counts as incident.
 INCIDENCE_TOL = 1e-8
@@ -63,6 +63,19 @@ def _canonical_key(point: SpherePoint):
         arg = math.atan2(v.imag, v.real)
         mod = abs(v)
     return (0, arg, mod)
+
+
+def _declined_roots(coeffs: np.ndarray, t: int, value, flag, backward: bool):
+    """``roots`` of the fiber polynomial coeffs of component t over the
+    point of chart value and flag, a row ``stacked_roots`` declined; a
+    ``NonConvergence`` names the direction, the component and the point."""
+    try:
+        return roots(coeffs)
+    except NonConvergence as err:
+        raise NonConvergence(
+            f"{'backward' if backward else 'forward'} fiber of component "
+            f"{t} over the point with chart value {complex(value)!r} and "
+            f"flag {bool(flag)}: {err}", err.iterations) from err
 
 
 @dataclass
@@ -144,11 +157,15 @@ class Correspondence:
         it declines takes the scalar ``roots`` of its polynomial, none where
         that vanishes.  A root of multiplicity m in component t has
         multiplicity m m_t and first slot 1 + the multiplicities before it.
+        When every component has degree 1 in the solved variable, all of
+        them are solved as one stack (``_linear_fiber_arrays``).
         """
         degrees = [comp.deg_z if backward else comp.deg_w for comp in self.components]
         ends = np.cumsum(degrees)
         starts = ends - degrees
         n, width = len(values), int(ends[-1])
+        if width == self.n_components:
+            return self._linear_fiber_arrays(values, inverted, backward)
         # Every row's roots, padded: multiplicity 0 marks an empty place.
         found = np.zeros((n, width), dtype=complex)
         mult = np.zeros((n, width), dtype=np.int64)
@@ -165,13 +182,7 @@ class Correspondence:
             for k in np.nonzero(mult[:, lo] == 0)[0].tolist():
                 if not np.abs(coeffs[k]).max():
                     continue
-                try:
-                    row = roots(coeffs[k])
-                except NonConvergence as err:
-                    raise NonConvergence(
-                        f"{'backward' if backward else 'forward'} fiber of component "
-                        f"{t} over the point with chart value {complex(values[k])!r} and "
-                        f"flag {bool(inverted[k])}: {err}", err.iterations) from err
+                row = _declined_roots(coeffs[k], t, values[k], inverted[k], backward)
                 for j, (point, m) in enumerate(row, start=lo):
                     chart[k, j], flag[k, j] = point.value, point.inverted
                     mult[k, j] = m * m_t
@@ -199,6 +210,46 @@ class Correspondence:
         component = np.repeat(np.arange(1, self.n_components + 1), degrees)[place]
         return (owner, mult.ravel()[keep], chart.ravel()[flat[keep]],
                 flag.ravel()[flat[keep]], component, slot.ravel()[keep])
+
+    def _linear_fiber_arrays(self, values: np.ndarray, inverted: np.ndarray,
+                             backward: bool) -> tuple[np.ndarray, ...]:
+        """``fiber_arrays`` of components that all have degree 1 in the
+        solved variable, so each has one root, in slot 1, per point.
+
+        Row r of one (points x components) coefficient stack is component
+        r mod k + 1 over point r // k, of k components; the stack is one
+        ``_chart_product`` of the tables side by side where they share a
+        shape.  One ``stacked_roots`` call solves it, in the arithmetic of
+        a call per component, and a row it declines takes the scalar
+        ``roots``, none where its polynomial vanishes.
+        """
+        k = self.n_components
+        tables = [comp.table.T if backward else comp.table for comp in self.components]
+        if all(table.shape == tables[0].shape for table in tables):
+            coeffs = _chart_product(values, inverted, np.hstack(tables))
+        else:
+            coeffs = np.stack([_chart_product(values, inverted, table)
+                               for table in tables], axis=1)
+        coeffs = coeffs.reshape(-1, 2)
+        rows, z, ok = stacked_roots(coeffs, DEFAULT_ROOT_TOL)
+        found = np.zeros(len(coeffs), dtype=complex)
+        found[rows[ok]] = z[ok, 0]
+        chart, flag = complex_charts(found)
+        mult = np.full((len(values), k), [c.multiplicity for c in self.components]).ravel()
+        declined = np.ones(len(coeffs), dtype=bool)
+        declined[rows[ok]] = False
+        for r in np.flatnonzero(declined).tolist():
+            if not np.abs(coeffs[r]).max():
+                mult[r] = 0
+                continue
+            [(point, m)] = _declined_roots(coeffs[r], r % k + 1, values[r // k],
+                                           inverted[r // k], backward)
+            chart[r], flag[r] = point.value, point.inverted
+            mult[r] *= m
+        keep = np.flatnonzero(mult)
+        owner, component = np.divmod(keep, k)
+        return (owner, mult[keep], chart[keep], flag[keep], component + 1,
+                np.ones(len(keep), dtype=np.int64))
 
     def incidence_residual(self, x, y, component: int) -> float:
         return self.components[component - 1].incidence_residual(x, y)

@@ -148,6 +148,8 @@ def _thin(tree: np.ndarray, cap: int, seeds, depth: int, thinned: np.ndarray):
     sorted(rng.choice(count, cap, replace=False)) with a generator made
     from the tree's seed and depth: ``default_rng([*seed, depth])``, or
     ``[seed, depth]`` for an int seed, and an unseeded one for None."""
+    if len(tree) <= cap:
+        return slice(None)
     counts = np.bincount(tree, minlength=len(thinned))
     over = np.nonzero(counts > cap)[0].tolist()
     if not over:
@@ -195,14 +197,18 @@ def _grow(corr: Correspondence, batch: PathBatch, n: int, cap: int, seeds,
     for depth in range(batch.length + 1, batch.length + n + 1):
         owner, mult, values, inverted, component, slot = corr.fiber_arrays(
             values, inverted, backward)
-        point = np.repeat(np.arange(len(mult)), mult)
-        branch = np.repeat(slot - np.cumsum(mult) + mult, mult) + np.arange(len(point))
-        parent = owner[point]
-        keep = _thin(tree[parent], cap, seeds, depth, thinned)
-        point, branch, parent = point[keep], branch[keep], parent[keep]
+        # (parent, values, inverted, component, branch) of every child: the
+        # fiber's own arrays where every multiplicity is 1.
+        level = [owner, values, inverted, component, slot]
+        if not (mult == 1).all():
+            point = np.repeat(np.arange(len(mult)), mult)
+            level = [a[point] for a in level]
+            level[-1] = (np.repeat(slot - np.cumsum(mult) + mult, mult)
+                         + np.arange(len(point)))
+        keep = _thin(tree[level[0]], cap, seeds, depth, thinned)
+        parent, values, inverted, component, branch = (a[keep] for a in level)
         tree = tree[parent]
-        values, inverted = values[point], inverted[point]
-        levels.append((parent, values, inverted, component[point], branch))
+        levels.append((parent, values, inverted, component, branch))
 
     old = (batch.values, batch.inverted, batch.symbols, batch.branches)
     joined = [np.empty((len(tree), a.shape[1] + n), dtype=a.dtype) for a in old]
@@ -214,10 +220,9 @@ def _grow(corr: Correspondence, batch: PathBatch, n: int, cap: int, seeds,
             a[:, k] = column[rows]
         rows = parent[rows]
     for a, column in zip(joined, old):
-        if backward:
-            a[:, n:] = column[rows]
-        else:
-            a[:, :column.shape[1]] = column[rows]
+        # Column by column: a gather of whole rows is about twice as slow.
+        for k in range(column.shape[1]):
+            a[:, n + k if backward else k] = column[:, k][rows]
     grown = PathBatch(*joined, tree, thinned, rows)
     if not backward:
         grown._origin_pairs.update((eps, (*pairs, batch.length))
@@ -317,11 +322,12 @@ _CUBE_SLACK = 1e-12
 #: Odd multiplier of the cube and word keys (unsigned, wrapping).
 _MIX = 0x9E3779B97F4A7C15
 
-#: Key offsets of the 13 cubes after a cube in lexicographic order; the
-#: other 13 neighbours come before it.
+#: Key offsets of a cube itself (0, first) and of the 13 cubes after it in
+#: lexicographic order; the other 13 neighbours come before it.
 _NEIGHBOUR_OFFSETS = np.array(
     [(d0 * _MIX * _MIX + d1 * _MIX + d2) % 2 ** 64
-     for d0, d1, d2 in itertools.product((-1, 0, 1), repeat=3) if (d0, d1, d2) > (0, 0, 0)],
+     for d0, d1, d2 in itertools.product((-1, 0, 1), repeat=3)
+     if (d0, d1, d2) >= (0, 0, 0)],
     dtype=np.uint64)
 
 
@@ -391,16 +397,15 @@ def _cube_pairs(batch: PathBatch, eps: float):
         by_key = np.argsort(key, kind="stable")
         ranked = key[by_key]
         # Partners of the path at each sorted position: those after it with
-        # its own key, and all of each following neighbour cube.  The
-        # queries stay (nearly) sorted, which searchsorted is fast on.
-        position = np.arange(len(batch))
-        pairs = [_ranges(position + 1, np.searchsorted(ranked, ranked, "right"))]
-        for offset in _NEIGHBOUR_OFFSETS:
-            shifted = ranked + offset
-            pairs.append(_ranges(np.searchsorted(ranked, shifted, "left"),
-                                 np.searchsorted(ranked, shifted, "right")))
-    i = by_key[np.concatenate([p for p, _ in pairs])]
-    j = by_key[np.concatenate([q for _, q in pairs])]
+        # its own key (row 0 of the shifted keys), and all of each following
+        # neighbour cube (rows 1-13), every row looked up in one pass.  Each
+        # row stays (nearly) sorted, which searchsorted is fast on.
+        shifted = ranked + _NEIGHBOUR_OFFSETS[:, None]
+        lo = np.searchsorted(ranked, shifted[1:], "left")
+        hi = np.searchsorted(ranked, shifted, "right")
+        p, q = _ranges(np.concatenate([np.arange(1, len(batch) + 1), lo.ravel()]),
+                       hi.ravel())
+    i, j = by_key[p % len(batch)], by_key[q]
     same = np.ones(len(i), dtype=bool)
     for column in batch.symbols.T:
         same &= column[i] == column[j]
@@ -426,8 +431,11 @@ def _inherited_pairs(batch: PathBatch, eps: float, up_i: np.ndarray, up_j: np.nd
     """
     new = batch.symbols[:, m:]
     by_word = np.lexsort(new.T[::-1])
-    opens = np.ones(len(batch), dtype=bool)
-    opens[1:] = (new[by_word[1:]] != new[by_word[:-1]]).any(axis=1)
+    opens = np.zeros(len(batch), dtype=bool)
+    opens[:1] = True
+    for column in new.T:
+        column = column[by_word]
+        opens[1:] |= column[1:] != column[:-1]
     word = np.empty(len(batch), dtype=np.int64)
     word[by_word] = np.cumsum(opens) - 1
     width = int(opens.sum()) + 1
@@ -438,7 +446,7 @@ def _inherited_pairs(batch: PathBatch, eps: float, up_i: np.ndarray, up_j: np.nd
     end = np.r_[first[1:], len(ranked)]
     group_key = ranked[first]
 
-    siblings = _ranges(np.arange(len(ranked)) + 1, np.searchsorted(ranked, ranked, "right"))
+    siblings = _ranges(np.arange(len(ranked)) + 1, np.repeat(end, end - first))
     close = up_worst <= eps
     up_i, up_j, up_worst = up_i[close], up_j[close], up_worst[close]
     origin = batch.origin[by_key[first]]
@@ -463,6 +471,8 @@ def _within(batch: PathBatch, eps: float, i: np.ndarray, j: np.ndarray,
     """The pairs (i, j) that stay within eps at every point from r0 on,
     with the running maximum of their distances, from worst."""
     for r in range(r0, batch.length + 1):
+        if not len(i):
+            break
         d = sph_dist((batch.values[i, r], batch.inverted[i, r]),
                      (batch.values[j, r], batch.inverted[j, r]))
         close = d <= eps

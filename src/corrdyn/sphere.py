@@ -597,7 +597,8 @@ def stacked_roots(c: np.ndarray, tol: float):
             # -c_0 / c_1), c_1 = 0 inf + 0j, which charts as infinity.
             zero = c == 0
             rows = np.nonzero(finite & (clear | (zero[:, 0] != zero[:, 1])))[0]
-            c, zero = c[rows], zero[rows]
+            if len(rows) < len(c):
+                c, zero = c[rows], zero[rows]
             z = np.where(zero[:, 1:], complex(math.inf, 0.0),
                          np.where(zero[:, :1], 0j, -c[:, :1] / c[:, 1:]))
             return rows, z, np.isfinite(z[:, 0]) | zero[:, 1]

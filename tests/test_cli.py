@@ -280,7 +280,8 @@ class TestPipelines:
         ({"n_max": -1}, "n_max must be at least 1, got -1"),
         ({"n_burn": -3}, "n_burn must be >= 0, got -3"),
         ({"depth": 0, "empirical": 0}, "depth must be at least 1, got 0"),
-        ({"n_keep": 3}, "n_keep must be at least the cylinder depth, got 3 < 4")])
+        ({"n_keep": 3}, "n_keep must be at least the cylinder depth, got 3 < 4"),
+        ({"empirical": -1}, "empirical must be >= 0, got -1")])
     @pytest.mark.parametrize("stored", [False, True])
     def test_variational_checks_counts_before_pressure(self, workspace, counts, message,
                                                        stored, capsys, monkeypatch):
@@ -310,6 +311,22 @@ class TestPipelines:
             "out": str(workspace / "var_nowalk"),
         })
         assert run(["variational", "--config", cfg]) == 0
+
+    def test_variational_rejects_negative_empirical(self, workspace, capsys):
+        # range(-1) ran no walk: z2 exited 0 with the fixed-point rows alone.
+        out = workspace / "var_negative"
+        cfg = write_config(workspace, "var_negative", {
+            "correspondence": "z2.corr",
+            "n_cells": 400,
+            "variational": {"f": "zero", "depth": 4, "empirical": -1,
+                            "pressure": {"schedule": [[4, 0.05]],
+                                         "start_points": 4, "cap": 64}},
+            "out": str(out),
+        })
+        assert run(["variational", "--config", cfg]) == 3
+        assert "empirical must be >= 0, got -1" in capsys.readouterr().err
+        assert not (out / "variational.csv").exists()
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("key", ["n_max", "holder_scales", "depth", "probe_pairs"])
     @pytest.mark.parametrize("value", [0, -2])

@@ -512,6 +512,129 @@ class TestRandomFiberArrays:
                 assert got.tobytes() == want[rows].tobytes()
 
 
+#: 2 (w - z^2) + (w - z^3): linear in w, the first component of
+#: multiplicity 2, tables of different shapes.
+LINEAR_MULTIPLE_TEXT = "2\n0 1 1 0\n2 0 -1 0\n\n1\n0 1 1 0\n3 0 -1 0\n"
+
+
+def linear_points():
+    """Points in both charts, on the axes with signed zeros, at 0 and
+    infinity, and over 1/1e-20, where z2's forward fiber polynomial has
+    c_1 = 1e-40, under the 2 tol margin of the stacked solver."""
+    rng = np.random.default_rng(43)
+    inside = (rng.uniform(0.0, 0.99, 40)
+              * np.exp(1j * rng.uniform(-math.pi, math.pi, 40))).tolist()
+    points = ([SpherePoint.from_complex(z) for z in inside[:20]]
+              + [SpherePoint.from_reciprocal(z) for z in inside[20:]])
+    axes = [0.5, -0.5, 1.0, -1.0, complex(-0.0, 0.5), complex(-0.5, -0.0),
+            complex(-0.0, -0.0)]
+    points += [SpherePoint.from_complex(z) for z in axes]
+    points += [SpherePoint.from_reciprocal(z) for z in axes]
+    points += [SpherePoint.from_complex(0.0), SpherePoint.infinity(),
+               SpherePoint.from_reciprocal(1e-20), SpherePoint.from_reciprocal(1e-13),
+               SpherePoint.from_complex(1e-20)]
+    return points
+
+
+def count_calls(monkeypatch, name):
+    """A list that grows by one at each call of ``correspondence.<name>``."""
+    calls, real = [], getattr(correspondence, name)
+    monkeypatch.setattr(correspondence, name,
+                        lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+class TestLinearFiberStack:
+    """fiber_arrays of correspondences whose components all have degree 1
+    in the solved variable: one stack of every component over every point,
+    against the scalar fibers, to the bit."""
+
+    def check(self, corr, points, row_fibers):
+        arrays = fiber_arrays_of(corr, points, backward=False)
+        assert_arrays_match(arrays, [corr.forward_images(p) for p in points])
+        assert_arrays_match(arrays, row_fibers(corr, points, backward=False))
+        return arrays
+
+    def test_multiplicity_two_component(self, row_fibers):
+        corr = parse_correspondence(LINEAR_MULTIPLE_TEXT)
+        _, mult, _, _, component, slot = self.check(corr, linear_points(), row_fibers)
+        assert mult[component == 1].tolist() == [2] * int((component == 1).sum())
+        assert mult[component == 2].tolist() == [1] * int((component == 2).sum())
+        assert set(slot.tolist()) == {1}
+
+    @pytest.mark.parametrize("name,products", [
+        ("mobius", 1), ("z2", 1), ("mobius_pair", 1), ("z2_plus_z3", 2)])
+    def test_one_stack_of_every_component(self, name, products, monkeypatch, row_fibers):
+        # Tables of one shape side by side give one coefficient product;
+        # z2_plus_z3's (3, 2) and (4, 2) tables take one each.  Either way
+        # one stacked solve takes every component.
+        corr = bundled_correspondence(name)
+        charts = count_calls(monkeypatch, "_chart_product")
+        solves = count_calls(monkeypatch, "stacked_roots")
+        arrays = fiber_arrays_of(corr, linear_points(), backward=False)
+        monkeypatch.undo()
+        assert (len(charts), len(solves)) == (products, 1)
+        for got, want in zip(arrays, self.check(corr, linear_points(), row_fibers)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_declined_row_takes_scalar_roots(self, corr_z2, monkeypatch, row_fibers):
+        points = [SpherePoint.from_complex(0.5), SpherePoint.from_reciprocal(1e-20),
+                  SpherePoint.from_complex(2j)]
+        coeffs = corr_z2.components[0].coeffs_in_w_charts(*chart_values(points))
+        assert coeffs[1].tolist() == [-1.0, 1e-40]
+        scalar = counting_scalar_roots(monkeypatch)
+        arrays = fiber_arrays_of(corr_z2, points, backward=False)
+        monkeypatch.undo()
+        assert len(scalar) == 1
+        for got, want in zip(arrays, self.check(corr_z2, points, row_fibers)):
+            assert got.tobytes() == want.tobytes()
+        _, _, root_values, root_inverted, _, _ = arrays
+        assert SpherePoint.from_chart(root_values[1], root_inverted[1]).is_infinity
+
+    def test_vanishing_component(self, corr_z2, row_fibers):
+        # (w - 1)(z - 2): over x = 2 the second component's fiber
+        # polynomial in w is zero, so that point has one branch.
+        corr = vanishing_case(corr_z2)
+        points = [SpherePoint.from_complex(2.0), SpherePoint.from_complex(3.0),
+                  SpherePoint.infinity()]
+        owner, _, _, _, component, _ = self.check(corr, points, row_fibers)
+        assert owner.tolist() == [0, 1, 1, 2, 2]
+        assert component.tolist() == [1, 1, 2, 1, 2]
+
+    def test_non_convergence_names_the_component_and_point(self, corr_z2z3, monkeypatch):
+        points = [SpherePoint.from_complex(0.5), SpherePoint.from_complex(0.25j),
+                  SpherePoint.from_reciprocal(1e-20), SpherePoint.from_complex(3.0)]
+        target = corr_z2z3.components[1].coeffs_in_w_charts(*chart_values(points[2:3]))[0]
+
+        def failing(coeffs):
+            if np.array_equal(coeffs, target):
+                raise NonConvergence("stalled", iterations=17)
+            return roots(coeffs)
+
+        monkeypatch.setattr(correspondence, "roots", failing)
+        with pytest.raises(NonConvergence) as caught:
+            fiber_arrays_of(corr_z2z3, points, backward=False)
+        assert str(caught.value) == (
+            "forward fiber of component 2 over the point with chart value "
+            "(1e-20+0j) and flag True: stalled")
+        assert caught.value.iterations == 17
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_points_alone_give_their_rows(self, name):
+        corr = bundled_correspondence(name)
+        assert all(comp.deg_w == 1 for comp in corr.components)
+        points = linear_points()
+        arrays = fiber_arrays_of(corr, points, backward=False)
+        owner = arrays[0]
+        for k, p in enumerate(points):
+            alone = fiber_arrays_of(corr, [p], backward=False)
+            rows = owner == k
+            assert alone[0].tolist() == [0] * int(rows.sum())
+            for got, want in zip(alone[1:], arrays[1:]):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want[rows].tobytes()
+
+
 class TestFixedPoints:
     def test_square_map_fixed_points(self, corr_z2):
         pts = corr_z2.fixed_points()

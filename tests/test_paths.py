@@ -16,7 +16,8 @@ from corrdyn.paths import (ForwardPath, PathBatch, enumerate_backward_paths,
                            shift, spanning_subset)
 import corrdyn.pressure as pressure_mod
 from corrdyn.pressure import circle_starts, pressure_estimate
-from corrdyn.sphere import SpherePoint, as_sphere_point, chart_values, sph_dist
+from corrdyn.sphere import (SpherePoint, as_sphere_point, chart_unit_vectors,
+                            chart_values, sph_dist)
 
 
 def sp(z):
@@ -937,6 +938,20 @@ class TestInheritedPairs:
         paths_mod._close_pairs(grown, 0.05)
         assert used == [len(grown._origin_pairs[0.1][0])]
 
+    @pytest.mark.parametrize("seed,cap", [(3, 5), (8, 6)])
+    def test_equal_points_of_other_words(self, seed, cap, monkeypatch):
+        # Two equal components: every child of a path has the same points,
+        # so only the whole word on the new steps keeps siblings apart.  A
+        # thinned tree lacks some words, so words next to each other in
+        # sorted order can share their last symbol.
+        corr = parse_correspondence("1\n0 1 1 0\n2 0 -1 0\n\n1\n0 1 1 0\n2 0 -1 0\n")
+        source = enumerate_forward_paths(corr, PathBatch.from_starts(circle_points(1, 48)),
+                                         1, cap=cap, seed=[seed]).paths
+        paths_mod._close_pairs(source, 0.05)
+        grown = enumerate_forward_paths(corr, source, 3, cap=cap, seed=[seed]).paths
+        assert grown.thinned.all() and len(grown) == cap
+        assert assert_inherits_cube_pairs(grown, 0.05, monkeypatch) == {}
+
     def test_zero_pair_source(self, monkeypatch):
         corr = parse_correspondence(SIBLING_WORDS_TEXT)
         source, grown = grown_pool(corr, [sp(0.4 + 0.2j)], 0, 3, [0.05])
@@ -979,3 +994,141 @@ class TestInheritedPairs:
         assert [r.truncated for r in report.rows] == [False, False, True, True]
         assert runs == ["_cube_pairs", "_inherited_pairs", "_inherited_pairs",
                         "_inherited_pairs"]
+
+
+# ---------------------------------------------------------------------------
+# The pair passes: one-pass cube search, early exits
+# ---------------------------------------------------------------------------
+
+
+def loop_cube_pairs(batch, eps):
+    """The cube search with one lookup per neighbour offset, as two
+    ``searchsorted`` calls and one ``_ranges`` call each, and candidates
+    kept column by column to the last one."""
+    mix = np.uint64(paths_mod._MIX)
+    with np.errstate(over="ignore"):
+        key = np.zeros(len(batch), dtype=np.uint64)
+        for column in batch.symbols.T:
+            key = key * mix + column.astype(np.uint64)
+        for column in paths_mod._cubes(batch, eps).T:
+            key = key * mix + column.astype(np.uint64)
+        by_key = np.argsort(key, kind="stable")
+        ranked = key[by_key]
+        position = np.arange(len(batch))
+        pairs = [paths_mod._ranges(position + 1, np.searchsorted(ranked, ranked, "right"))]
+        for offset in paths_mod._NEIGHBOUR_OFFSETS[1:]:
+            shifted = ranked + offset
+            pairs.append(paths_mod._ranges(np.searchsorted(ranked, shifted, "left"),
+                                           np.searchsorted(ranked, shifted, "right")))
+    i = by_key[np.concatenate([p for p, _ in pairs])]
+    j = by_key[np.concatenate([q for _, q in pairs])]
+    same = np.ones(len(i), dtype=bool)
+    for column in batch.symbols.T:
+        same &= column[i] == column[j]
+    i, j = i[same], j[same]
+    worst = np.zeros(len(i))
+    for r in range(batch.length + 1):
+        d = sph_dist((batch.values[i, r], batch.inverted[i, r]),
+                     (batch.values[j, r], batch.inverted[j, r]))
+        close = d <= eps
+        i, j, worst = i[close], j[close], np.maximum(worst[close], d[close])
+    return i, j, worst
+
+
+def random_pair_batch(rng, rows, length, eps):
+    """rows paths of the given length: clusters of points about eps apart,
+    some moved onto an eps-cube face, with few symbol words."""
+    side = eps + paths_mod._CUBE_SLACK
+    centres = rng.normal(size=(max(rows // 6, 1), 3))
+    centres /= np.linalg.norm(centres, axis=-1, keepdims=True)
+    vectors = np.repeat(centres[rng.integers(len(centres), size=rows)][:, None],
+                        length + 1, axis=1)
+    vectors += (rng.normal(size=vectors.shape)
+                * min(eps, 0.5) * rng.uniform(0.05, 0.6, size=(rows, 1, 1)))
+    vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
+    for k in np.flatnonzero(rng.random(rows) < 0.3).tolist():
+        v = vectors[k, 0]
+        axis = int(rng.integers(3))
+        v[axis] = math.floor(v[axis] / side) * side
+        if abs(v[axis]) < 1.0:
+            rest = [a for a in range(3) if a != axis]
+            v[rest] *= math.sqrt(1.0 - v[axis] ** 2) / max(np.linalg.norm(v[rest]), 1e-300)
+    points = [SpherePoint.from_unit_vector(v) for v in vectors.reshape(-1, 3)]
+    values, inverted = chart_values(points)
+    words = rng.integers(1, 4, size=(3, length))
+    symbols = words[rng.integers(3, size=rows)]
+    return PathBatch(values.reshape(rows, length + 1), inverted.reshape(rows, length + 1),
+                     symbols, np.ones((rows, length), dtype=np.int64),
+                     np.zeros(rows, dtype=np.int64), np.zeros(1, dtype=bool))
+
+
+class TestPairPasses:
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3, 0.05, 0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("rows", [0, 1, 2, 7, 60, 240])
+    def test_cube_pairs_equal_the_per_offset_loop(self, rows, eps):
+        rng = np.random.default_rng(rows * 1000 + int(eps * 1e6))
+        for length in (0, 1, 3):
+            batch = random_pair_batch(rng, rows, length, eps)
+            got = paths_mod._cube_pairs(batch, eps)
+            want = loop_cube_pairs(batch, eps)
+            for a, b, dtype in zip(got, want, ("int64", "int64", "float64")):
+                assert a.dtype == b.dtype == dtype
+                assert a.tobytes() == b.tobytes()
+
+    def test_cube_pairs_are_found(self):
+        # The random batches hold close pairs of several words, some with
+        # points 0 on cube faces, so the comparison above is not vacuous.
+        rng = np.random.default_rng(240 * 1000 + 50000)
+        batch = random_pair_batch(rng, 240, 3, 0.05)
+        i, j, _ = paths_mod._cube_pairs(batch, 0.05)
+        assert len(i) > 20
+        assert len({tuple(batch.symbols[k]) for k in i.tolist()}) > 1
+        vectors = chart_unit_vectors(batch.values[:, 0], batch.inverted[:, 0])
+        steps = vectors / (0.05 + paths_mod._CUBE_SLACK)
+        on_face = (np.abs(steps - np.round(steps)) < 1e-9).any(axis=1)
+        assert on_face[np.r_[i, j]].sum() > 5
+
+    def test_within_without_candidates(self, corr_pair, monkeypatch):
+        batch = PathBatch.from_paths(forward_pool(corr_pair, circle_points(3, 50), 3))
+
+        def no_distances(p, q):
+            raise AssertionError("a distance was computed for no candidate")
+
+        monkeypatch.setattr(paths_mod, "sph_dist", no_distances)
+        empty = np.zeros(0, dtype=np.int64)
+        for r0 in (0, 2):
+            i, j, worst = paths_mod._within(batch, 0.1, empty, empty, np.zeros(0), r0)
+            assert (i.dtype, j.dtype, worst.dtype) == (np.int64, np.int64, np.float64)
+            assert len(i) == len(j) == len(worst) == 0
+
+    def test_within_stops_when_no_candidate_is_left(self, monkeypatch):
+        # Points 0 agree and points 1 are far apart: no third distance.
+        batch = PathBatch.from_paths([make_path([0.5, 0.0, 1.0, 2.0]),
+                                      make_path([0.5, 3.0, 1.0, 2.0])])
+        counted = count_pair_distances(monkeypatch)
+        i, j, worst = paths_mod._within(batch, 0.1, np.array([0]), np.array([1]),
+                                        np.zeros(1), 0)
+        assert (len(i), len(j), len(worst)) == (0, 0, 0)
+        assert counted == [2]
+
+    @pytest.mark.parametrize("cap", [1, 5])
+    def test_thin_at_cap_keeps_every_row(self, cap):
+        tree = np.zeros(cap, dtype=np.int64)
+        thinned = np.zeros(2, dtype=bool)
+        assert paths_mod._thin(tree, cap, [7, 8], 3, thinned) == slice(None)
+        assert not thinned.any()
+
+    @pytest.mark.parametrize("cap", [1, 5])
+    def test_thin_one_over_cap(self, cap):
+        # One tree of cap + 1 rows is subsampled from (seed, depth); the
+        # same rows split over two trees are kept whole.
+        tree = np.zeros(cap + 1, dtype=np.int64)
+        thinned = np.zeros(2, dtype=bool)
+        keep = paths_mod._thin(tree, cap, [7, 8], 3, thinned)
+        pick = np.random.default_rng([7, 3]).choice(cap + 1, size=cap, replace=False)
+        assert np.flatnonzero(keep).tolist() == sorted(pick.tolist())
+        assert thinned.tolist() == [True, False]
+        split = np.r_[np.zeros(cap, dtype=np.int64), 1]
+        thinned = np.zeros(2, dtype=bool)
+        assert paths_mod._thin(split, cap, [7, 8], 3, thinned) == slice(None)
+        assert not thinned.any()
