@@ -9,7 +9,7 @@ directory, with wall-clock timings isolated in metadata.json so that
 identical configs and seeds reproduce byte-identical result files on
 one host class.  numpy's SIMD dispatch can still move the last bits
 between CPUs: on an AVX-512 host with numpy 2.4.6, disabling AVX-512
-(``NPY_DISABLE_CPU_FEATURES=X86_V4``) moves 22 of the 266 calls of
+(``NPY_DISABLE_CPU_FEATURES=X86_V4``) moves 22 of the 270 calls of
 ``tools/output_digest.py``, through ``np.exp``, ``np.arctan2`` /
 ``np.angle`` and ``np.log``.
 """
@@ -161,16 +161,16 @@ def _write_csv(path: Path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
+            writer.writerow([repr(v) if type(v) is float
+                             else repr(float(v)) if isinstance(v, (float, np.floating))
                              else v for v in row])
 
 
 def _write_measure_csv(path: Path, measure):
-    rows = []
-    for idx in np.nonzero(measure.weights)[0]:
-        theta, phi = measure.grid.cell_center_angles(int(idx))
-        rows.append((int(idx), float(theta), float(phi), float(measure.weights[idx])))
-    _write_csv(path, ("cell", "theta", "phi", "weight"), rows)
+    cells = np.nonzero(measure.weights)[0]
+    _write_csv(path, ("cell", "theta", "phi", "weight"),
+               zip(cells.tolist(), *measure.grid.center_angles(cells),
+                   measure.weights[cells].tolist()))
 
 
 def _write_paths_csv(path: Path, paths):
@@ -185,10 +185,15 @@ def _write_paths_csv(path: Path, paths):
 
 
 def _write_cylinders_csv(path: Path, mu: PathMeasure):
+    """``_write_csv``'s bytes for the words in lexicographic order and
+    their weights, each row formatted from the arrays by one format
+    string: no field of a word row needs quoting."""
     flat = mu.words.reshape(len(mu.words), -1)
-    rows = [("|".join(f"{c}:{s}" for c, s in mu.words[k].tolist()), float(mu.weights[k]))
-            for k in np.lexsort(flat.T[::-1])]
-    _write_csv(path, ("word", "weight"), rows)
+    order = np.lexsort(flat.T[::-1])
+    row = "|".join(["%d:%d"] * mu.words.shape[1]) + ",%r\r\n"
+    path.write_text("word,weight\r\n" + "".join(
+        row % (*word, weight) for word, weight
+        in zip(flat[order].tolist(), mu.weights[order].tolist())), newline="")
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +396,10 @@ def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
                          k_max=counts["holder_scales"])
 
     out = config.out_dir()
-    rows = []
-    for pos, cell in enumerate(active.cells):
-        theta, phi = grid.cell_center_angles(cell)
-        rows.append((cell, float(theta), float(phi),
-                     float(spectral.h.values[pos]),
-                     float(adjoint.nu.weights[cell])))
-    _write_csv(out / "spectral.csv", ("cell", "theta", "phi", "h", "nu"), rows)
+    _write_csv(out / "spectral.csv", ("cell", "theta", "phi", "h", "nu"),
+               zip(active.cells, *grid.center_angles(active.cells),
+                   spectral.h.values.tolist(),
+                   adjoint.nu.weights[list(active.cells)].tolist()))
     _write_csv(out / "convergence.csv", ("n", "error"),
                list(enumerate(conv.errors, start=1)))
     _write_cylinders_csv(out / "mu0_cylinders.csv", adjoint.mu0)

@@ -360,24 +360,28 @@ def expansivity_probe(corr: Correspondence, region) -> ExpansivityResult:
     if not pairs:
         raise InsufficientPairs("no pair of distinct points")
 
-    xs = corr.fiber_arrays(*chart_values([x0 for x0, _, _ in pairs]), backward=True)
-    ys = corr.fiber_arrays(*chart_values([y0 for _, y0, _ in pairs]), backward=True)
-    # Fibers run by owner, then by component, so the candidates of an x
-    # branch, the y branches of its pair and component, are one run of ys.
-    width = corr.n_components + 1
-    key_x, key_y = xs[0] * width + xs[4], ys[0] * width + ys[4]
+    # One call for the x points, then the y points: a row's branches do
+    # not depend on the other rows, and fibers run by owner, then by
+    # component, so the candidates of an x branch, the y branches of its
+    # pair and component, are one run of the y rows.
+    owner, _, values, inverted, comp, _ = corr.fiber_arrays(
+        *chart_values([x0 for x0, _, _ in pairs] + [y0 for _, y0, _ in pairs]),
+        backward=True)
+    split = int(np.searchsorted(owner, len(pairs)))
+    key = (owner % len(pairs)) * (corr.n_components + 1) + comp
+    key_x, key_y = key[:split], key[split:]
     lo = np.searchsorted(key_y, key_x, side="left")
     count = np.searchsorted(key_y, key_x, side="right") - lo
     first = np.cumsum(count) - count
     xi = np.repeat(np.arange(len(key_x)), count)
-    yj = np.arange(count.sum()) + np.repeat(lo - first, count)
+    yj = split + np.arange(count.sum()) + np.repeat(lo - first, count)
     worst = 0.0
     if len(xi):
-        dist = sph_dist((xs[2][xi], xs[3][xi]), (ys[2][yj], ys[3][yj]))
+        dist = sph_dist((values[xi], inverted[xi]), (values[yj], inverted[yj]))
         has = count > 0
         best = np.minimum.reduceat(dist, first[has])
         gaps = np.array([d for _, _, d in pairs])
-        worst = float((best / gaps[xs[0][has]]).max())
+        worst = float((best / gaps[owner[:split][has]]).max())
     if worst == 0.0:
         # Backward branches collapsed to exact matches; treat as strongly
         # contracting rather than dividing by zero.

@@ -130,13 +130,26 @@ class SphereGrid:
                 (s * math.cos(phi), s * math.sin(phi), zc))
         return center
 
+    def _bands(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """The cells, read once into an array, and the band of each; a
+        cell outside the grid raises IndexOutOfRange."""
+        cells = np.fromiter(cells, dtype=np.int64)
+        bad = cells[(cells < 0) | (cells >= self.n_cells)]
+        if len(bad):
+            raise IndexOutOfRange(f"cell index {bad[0]} outside [0, {self.n_cells})")
+        return cells, np.searchsorted(self.band_start, cells, side="right") - 1
+
+    def center_angles(self, cells) -> tuple[list[float], list[float]]:
+        """Polar angles theta and longitudes phi of the cell centers."""
+        cells, band = self._bands(cells)
+        zc = 0.5 * (self.band_z[band] + self.band_z[band + 1])
+        phi = (cells - self.band_start[band] + 0.5) * _TWO_PI / self.band_counts[band]
+        return [math.acos(max(-1.0, min(1.0, z))) for z in zc.tolist()], phi.tolist()
+
     def cell_center_angles(self, idx: int) -> tuple[float, float]:
         """(theta, phi) of the cell center, theta the polar angle."""
-        band, sector = self.cell_band_sector(idx)
-        zc = 0.5 * (self.band_z[band] + self.band_z[band + 1])
-        m = int(self.band_counts[band])
-        phi = (sector + 0.5) * _TWO_PI / m
-        return math.acos(max(-1.0, min(1.0, zc))), phi
+        (theta,), (phi,) = self.center_angles((idx,))
+        return theta, phi
 
     @cached_property
     def centers(self) -> list[SpherePoint]:
@@ -144,39 +157,33 @@ class SphereGrid:
 
     # -- adjacency ---------------------------------------------------------
 
-    def _phi_interval(self, band: int, sector: int) -> tuple[float, float]:
-        m = int(self.band_counts[band])
-        width = _TWO_PI / m
-        return sector * width, (sector + 1) * width
-
     def neighbors(self, idx: int) -> list[int]:
         """Cells sharing an edge or corner with idx (one grid ring)."""
-        band, sector = self.cell_band_sector(idx)
-        m = int(self.band_counts[band])
-        out = set()
-        if m > 1:
-            out.add(int(self.band_start[band]) + (sector - 1) % m)
-            out.add(int(self.band_start[band]) + (sector + 1) % m)
-        lo, hi = self._phi_interval(band, sector)
-        pad = 1e-12
-        for other in (band - 1, band + 1):
-            if other < 0 or other >= self.n_bands:
-                continue
-            mo = int(self.band_counts[other])
-            width = _TWO_PI / mo
-            first = int(math.floor((lo - pad) / width))
-            last = int(math.floor((hi + pad) / width))
-            for k in range(first, last + 1):
-                out.add(int(self.band_start[other]) + k % mo)
-        out.discard(idx)
-        return sorted(out)
+        return sorted(self.dilate((idx,)) - {idx})
 
     def dilate(self, cells) -> frozenset[int]:
-        """One-ring dilation of a cell set."""
-        out = set(cells)
-        for c in cells:
-            out.update(self.neighbors(c))
-        return frozenset(out)
+        """One-ring dilation of a cell set: each cell with its sectors on
+        either side and the sectors of the bands above and below whose
+        longitudes meet its own, widened by 1e-12."""
+        cells, band = self._bands(cells)
+        start, m = self.band_start[band], self.band_counts[band]
+        sector = cells - start
+        # A band of one sector is its own neighbour on either side.
+        ring = [cells, start + (sector - 1) % m, start + (sector + 1) % m]
+        width = _TWO_PI / m
+        lo, hi = sector * width, (sector + 1) * width
+        for other in (band - 1, band + 1):
+            inside = (other >= 0) & (other < self.n_bands)
+            other = other[inside]
+            mo = self.band_counts[other]
+            width = _TWO_PI / mo
+            first = np.floor((lo[inside] - 1e-12) / width).astype(np.int64)
+            last = np.floor((hi[inside] + 1e-12) / width).astype(np.int64)
+            count = last - first + 1
+            k = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+            ring.append(np.repeat(self.band_start[other], count)
+                        + k % np.repeat(mo, count))
+        return frozenset(np.unique(np.concatenate(ring)).tolist())
 
     def __repr__(self):
         return f"SphereGrid(n_cells={self.n_cells}, n_bands={self.n_bands})"

@@ -163,17 +163,17 @@ def _reciprocal(z: np.ndarray) -> np.ndarray:
     ``_Py_c_quot`` dividing 1 + 0j by z, so with its bits and signed
     zeros; numpy's complex division rounds differently."""
     re, im = z.real, z.imag
-    with np.errstate(all="ignore"):
-        ratio = im / re  # |re| >= |im|: divide through by re
-        denom = re + im * ratio
-        by_re = (1.0 + 0.0 * ratio) / denom, (0.0 - 1.0 * ratio) / denom
-        ratio = re / im  # |im| > |re|: divide through by im
-        denom = re * ratio + im
-        by_im = (ratio + 0.0) / denom, (0.0 * ratio - 1.0) / denom
+    # |re| >= |im| divides through by re, else by im: one ratio q / p and
+    # one denominator p + q * ratio for both branches.
     wide = np.abs(re) >= np.abs(im)
-    out = np.empty_like(z)
-    out.real = np.where(wide, by_re[0], by_im[0])
-    out.imag = np.where(wide, by_re[1], by_im[1])
+    p, q = np.where(wide, re, im), np.where(wide, im, re)
+    with np.errstate(all="ignore"):
+        ratio = q / p
+        denom = p + q * ratio
+        zero = 0.0 * ratio
+        out = np.empty_like(z)
+        out.real = np.where(wide, 1.0 + zero, ratio + 0.0) / denom
+        out.imag = np.where(wide, 0.0 - ratio, zero - 1.0) / denom
     return out
 
 

@@ -40,6 +40,8 @@ class ActiveGrid:
             raise ValueError("active cell set is empty")
         self.position = {c: i for i, c in enumerate(self.cells)}
         self.centers = [grid.cell_center(c) for c in self.cells]
+        #: Chart values and flags of the centers, as ``chart_values`` gives them.
+        self.charts = chart_values(self.centers)
         self._center_vectors = np.array([p.unit_vector() for p in self.centers])
 
     @property
@@ -80,7 +82,7 @@ class GridFunction:
     @classmethod
     def from_callable(cls, active: ActiveGrid, f: SphereFunction) -> "GridFunction":
         """f at the active cell centers."""
-        return cls(active, f(*chart_values(active.centers)))
+        return cls(active, f(*active.charts))
 
     def value_at(self, point) -> float:
         return float(self.values[self.active.position_of_point(point)])
@@ -98,7 +100,7 @@ class TransferKernel:
         grid = active.grid
         dilated = grid.dilate(active.cells)
         src, mult, values, inverted, comp, _ = corr.fiber_arrays(
-            *chart_values(active.centers), backward=True)
+            *active.charts, backward=True)
         tgt = []
         for i, value, flag in zip(src.tolist(), values.tolist(), inverted.tolist()):
             point = SpherePoint.from_chart(value, flag)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corrdyn.correspondence import BranchPoint, Fiber
+from corrdyn.correspondence import BranchPoint, Fiber, parse_correspondence
 from corrdyn.datasets import bundled_correspondence
 from corrdyn.sphere import DEFAULT_ROOT_TOL, SpherePoint, chart_values, stacked_roots
 
@@ -29,6 +29,26 @@ def corr_pair():
 @pytest.fixture(scope="session")
 def corr_z2z3():
     return bundled_correspondence("z2_plus_z3")
+
+
+#: (w - z^3 + 0.5 z) + (w - z^2 - z): backward fibers of degree 3 and 2 that
+#: are not binomials, so stacked_roots iterates on them.
+NON_BINOMIAL = """\
+1
+0 1 1 0
+3 0 -1 0
+1 0 0.5 0
+
+1
+0 1 1 0
+2 0 -1 0
+1 0 -1 0
+"""
+
+
+@pytest.fixture(scope="session")
+def corr_non_binomial():
+    return parse_correspondence(NON_BINOMIAL)
 
 
 @pytest.fixture(scope="session")

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import corrdyn
-from corrdyn.cli import _nearest_center, _point_from_config, main
+from corrdyn.cli import _nearest_center, _point_from_config, _write_cylinders_csv, main
 from corrdyn.correspondence import Correspondence, Fiber
 from corrdyn.datasets import bundled_text
 from corrdyn.grid import SphereGrid
+from corrdyn.measures import PathMeasure
 from corrdyn.sphere import sph_dist
 from corrdyn.transfer import ActiveGrid
 
@@ -840,6 +841,36 @@ class TestConfigDefaults:
                             {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}))
         assert written[0] == written[1]
         assert written[0][1]
+
+
+def csv_writer_cylinders(mu) -> bytes:
+    """Reference copy of ``_write_cylinders_csv`` as it was: word rows
+    joined per pair and written by ``csv.writer`` in lexicographic order."""
+    flat = mu.words.reshape(len(mu.words), -1)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(("word", "weight"))
+    for k in np.lexsort(flat.T[::-1]):
+        writer.writerow(("|".join(f"{c}:{s}" for c, s in mu.words[k].tolist()),
+                         repr(float(mu.weights[k]))))
+    return text.getvalue().encode()
+
+
+class TestCylindersCsv:
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("weights", [[1e-05, 0.1, 1.0 - 0.1 - 1e-05],
+                                         [1.0, 5e-324, 0.0]])
+    def test_bytes_equal_csv_writer(self, tmp_path, depth, weights):
+        # Cells past 9 and symbols past 1, given out of order, so the
+        # numeric row order is not the text order.
+        rng = np.random.default_rng(depth)
+        words = np.stack([rng.choice([1999, 10, 2, 0], size=(3, depth)),
+                          rng.choice([1, 2, 12], size=(3, depth))], axis=2)
+        words[1, 0] = (10, 2)
+        words[2, 0] = (2, 12)
+        mu = PathMeasure(SphereGrid(2000), words, weights)
+        _write_cylinders_csv(tmp_path / "mu.csv", mu)
+        assert (tmp_path / "mu.csv").read_bytes() == csv_writer_cylinders(mu)
 
 
 class TestProbePairs:

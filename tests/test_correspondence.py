@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from corrdyn import correspondence
-from corrdyn.correspondence import (Correspondence, expansivity_probe,
+from corrdyn.correspondence import (EXPANSIVITY_MARGIN, Correspondence,
+                                    ExpansivityResult, expansivity_probe,
                                     parse_correspondence)
 from corrdyn.datasets import BUNDLED, bundled_correspondence
 from corrdyn.errors import (InsufficientPairs, InvalidComponent, NonConvergence,
@@ -672,6 +673,37 @@ def object_loop_probe(corr, region, row_fibers):
     return (math.inf if worst == 0.0 else 1.0 / worst), worst, len(pairs)
 
 
+def two_call_probe(corr, region):
+    """Reference copy of expansivity_probe as it was, with one
+    ``fiber_arrays`` call for the x points and another for the y points."""
+    pairs = []
+    for x0, y0 in region:
+        x0, y0 = as_sphere_point(x0), as_sphere_point(y0)
+        d = sph_dist(x0, y0)
+        if d > 0.0:
+            pairs.append((x0, y0, d))
+    xs = corr.fiber_arrays(*chart_values([x0 for x0, _, _ in pairs]), backward=True)
+    ys = corr.fiber_arrays(*chart_values([y0 for _, y0, _ in pairs]), backward=True)
+    width = corr.n_components + 1
+    key_x, key_y = xs[0] * width + xs[4], ys[0] * width + ys[4]
+    lo = np.searchsorted(key_y, key_x, side="left")
+    count = np.searchsorted(key_y, key_x, side="right") - lo
+    first = np.cumsum(count) - count
+    xi = np.repeat(np.arange(len(key_x)), count)
+    yj = np.arange(count.sum()) + np.repeat(lo - first, count)
+    worst = 0.0
+    if len(xi):
+        dist = sph_dist((xs[2][xi], xs[3][xi]), (ys[2][yj], ys[3][yj]))
+        has = count > 0
+        best = np.minimum.reduceat(dist, first[has])
+        gaps = np.array([d for _, _, d in pairs])
+        worst = float((best / gaps[xs[0][has]]).max())
+    if worst == 0.0:
+        return ExpansivityResult(True, math.inf, len(pairs), 0.0)
+    lam = 1.0 / worst
+    return ExpansivityResult(lam > 1.0 + EXPANSIVITY_MARGIN, lam, len(pairs), worst)
+
+
 class TestExpansivity:
     def circle_pairs(self, rng, n, gap=1e-3):
         pairs = []
@@ -731,6 +763,22 @@ class TestExpansivity:
         res = self.check_object_loop(corr, region, row_fibers)
         assert res.is_expansive and res.worst_ratio == 0.0
         assert res.lambda_estimate == math.inf
+
+    @pytest.mark.parametrize("name", ["corr_z2", "corr_z3", "corr_z2z3",
+                                      "corr_non_binomial"])
+    @pytest.mark.parametrize("gap", [1e-3, 0.3])
+    def test_equals_two_call_probe(self, name, gap, request):
+        # Near and far pairs of random points in both charts, one pair at
+        # distance zero (dropped) and one with infinity.
+        corr = request.getfixturevalue(name)
+        rng = np.random.default_rng(48)
+        region = [(x, x * cmath.exp(1j * gap)) for x in
+                  (10.0 ** rng.uniform(-1.5, 1.5, 60)
+                   * np.exp(1j * rng.uniform(-math.pi, math.pi, 60))).tolist()]
+        region += [(0.5 + 0.3j, 0.5 + 0.3j), (SpherePoint.infinity(), 40.0)]
+        res = expansivity_probe(corr, region)
+        assert res == two_call_probe(corr, region)
+        assert res.pairs_used == 61
 
     def test_single_point_region(self, corr_z2):
         p = SpherePoint.from_complex(1.0)

@@ -46,6 +46,22 @@ def test_kept_centers_are_the_built_ones():
         assert grid.centers[idx] is first
 
 
+@pytest.mark.parametrize("n_cells", [1, 2, 401, 2000])
+def test_center_angles_equal_the_scalar_formula(n_cells):
+    # The angles of spectral.csv and final_level.csv, to the bit.
+    grid = SphereGrid(n_cells)
+    want = []
+    for idx in range(n_cells):
+        band, sector = grid.cell_band_sector(idx)
+        zc = 0.5 * (grid.band_z[band] + grid.band_z[band + 1])
+        phi = (sector + 0.5) * 2.0 * math.pi / int(grid.band_counts[band])
+        want.append((math.acos(max(-1.0, min(1.0, zc))), phi))
+    theta, phi = grid.center_angles(iter(range(n_cells)))
+    assert list(zip(theta, phi)) == want
+    assert [grid.cell_center_angles(idx) for idx in range(n_cells)] == want
+    assert grid.center_angles([]) == ([], [])
+
+
 def test_poles_land_in_caps(grid):
     assert grid.cell_index(SpherePoint.infinity()) == 0
     south = grid.cell_index(SpherePoint.from_complex(0.0))
@@ -79,6 +95,51 @@ def test_dilate_adds_a_ring(grid):
     dil = grid.dilate({cell})
     assert cell in dil
     assert len(dil) > 1
+
+
+def loop_neighbors(grid, idx):
+    """Reference copy of ``neighbors`` as a loop over one cell's ring:
+    its sectors on either side, and the sectors of the bands above and
+    below that meet its longitudes widened by 1e-12."""
+    band, sector = grid.cell_band_sector(idx)
+    m = int(grid.band_counts[band])
+    out = set()
+    if m > 1:
+        out.add(int(grid.band_start[band]) + (sector - 1) % m)
+        out.add(int(grid.band_start[band]) + (sector + 1) % m)
+    lo, hi = sector * (2.0 * math.pi / m), (sector + 1) * (2.0 * math.pi / m)
+    for other in (band - 1, band + 1):
+        if other < 0 or other >= grid.n_bands:
+            continue
+        mo = int(grid.band_counts[other])
+        width = 2.0 * math.pi / mo
+        for k in range(math.floor((lo - 1e-12) / width),
+                       math.floor((hi + 1e-12) / width) + 1):
+            out.add(int(grid.band_start[other]) + k % mo)
+    out.discard(idx)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 400, 2000, 4000])
+def test_dilate_is_the_union_of_loop_rings(n):
+    g = SphereGrid(n)
+    rings = [loop_neighbors(g, idx) for idx in range(n)]
+    assert [g.neighbors(idx) for idx in range(n)] == rings
+    rng = np.random.default_rng(n)
+    for size in (0, 1, min(2, n), n // 3, n):
+        cells = rng.choice(n, size=size, replace=False).tolist()
+        assert g.dilate(cells) == set(cells).union(*(rings[c] for c in cells))
+
+
+def test_dilate_reads_its_argument_once(grid):
+    # A one-shot iterator was read twice, so its ring was lost.
+    ring = grid.dilate({5})
+    assert len(ring) == 8
+    assert grid.dilate(c for c in [5]) == ring
+    assert grid.dilate(iter([5])) == ring
+    assert grid.dilate(set()) == frozenset()
+    with pytest.raises(IndexOutOfRange, match="cell index 400 outside"):
+        grid.dilate(c for c in [5, 400])
 
 
 def test_tiny_grid():

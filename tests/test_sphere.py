@@ -9,7 +9,6 @@ import pytest
 
 from corrdyn import correspondence, sphere
 from corrdyn.cli import main as cli_main
-from corrdyn.correspondence import parse_correspondence
 from corrdyn.datasets import BUNDLED, bundled_correspondence, bundled_text
 from corrdyn.errors import InvalidComponent, NonConvergence
 from corrdyn.grid import SphereGrid
@@ -374,8 +373,44 @@ def same_bits(got, want):
             and math.copysign(1.0, got.imag) == math.copysign(1.0, want.imag))
 
 
+def two_branch_reciprocal(z):
+    """Reference copy of ``_reciprocal`` as it was: both branches of
+    ``_Py_c_quot`` for every value, then one of them picked per value."""
+    re, im = z.real, z.imag
+    with np.errstate(all="ignore"):
+        ratio = im / re
+        denom = re + im * ratio
+        by_re = (1.0 + 0.0 * ratio) / denom, (0.0 - 1.0 * ratio) / denom
+        ratio = re / im
+        denom = re * ratio + im
+        by_im = (ratio + 0.0) / denom, (0.0 * ratio - 1.0) / denom
+    wide = np.abs(re) >= np.abs(im)
+    out = np.empty_like(z)
+    out.real = np.where(wide, by_re[0], by_im[0])
+    out.imag = np.where(wide, by_re[1], by_im[1])
+    return out
+
+
 class TestComplexCharts:
     """complex_charts and _reciprocal against SpherePoint and Python's 1/z."""
+
+    def test_reciprocal_equals_two_branch_form(self):
+        # Random arrays seeded with signed zeros, infinities, extreme and
+        # subnormal parts, and |re| = |im|, where the branch flips.
+        rng = np.random.default_rng(23)
+        special = np.array([0.0, -0.0, math.inf, -math.inf, 1e300, -1e300, 1e-300,
+                            -1e-300, 5e-324, -5e-324, 1.0, -1.0, 0.5])
+        for _ in range(3000):
+            n = int(rng.integers(1, 40))
+            parts = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-5, 6, size=(2, n))
+            pick = rng.random((2, n)) < 0.3
+            parts[pick] = rng.choice(special, pick.sum())
+            tie = rng.random(n) < 0.1
+            parts[1, tie] = parts[0, tie] * rng.choice([1.0, -1.0], tie.sum())
+            z = parts[0] + 0j
+            z.imag = parts[1]
+            assert np.array_equal(_reciprocal(z).view(np.int64),
+                                  two_branch_reciprocal(z).view(np.int64)), z
 
     def check(self, zs):
         values, inverted = complex_charts(np.array(zs, dtype=complex))
@@ -489,21 +524,6 @@ class TestRootsMany:
     def test_empty_stack(self):
         rows, z, ok = stacked_roots(np.zeros((0, 4), dtype=complex), 1e-12)
         assert len(rows) == len(z) == len(ok) == 0
-
-
-#: (w - z^3 + 0.5 z) + (w - z^2 - z): backward fibers of degree 3 and 2 that
-#: are not binomials, so stacked_roots iterates on them.
-NON_BINOMIAL = """\
-1
-0 1 1 0
-3 0 -1 0
-1 0 0.5 0
-
-1
-0 1 1 0
-2 0 -1 0
-1 0 -1 0
-"""
 
 
 def match_one_to_one(expected, found, rel):
@@ -655,20 +675,19 @@ class TestStackedAberth:
                     except NonConvergence:
                         pass
 
-    def test_pullback_makes_no_eigvals_call(self, monkeypatch):
+    def test_pullback_makes_no_eigvals_call(self, monkeypatch, corr_non_binomial):
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg.eigvals called")
 
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
-        for corr in (parse_correspondence(NON_BINOMIAL),
-                     bundled_correspondence("z2_plus_z3")):
+        for corr in (corr_non_binomial, bundled_correspondence("z2_plus_z3")):
             levels = pullback_iterate(corr, 0.5 + 0.3j, n=4, cap=512, seed=1,
                                       grid=SphereGrid(400))
             assert len(levels) == 5
             assert abs(float(levels[-1].weights.sum()) - 1.0) < 1e-9
 
-    def test_non_binomial_fibers_match_scalar(self):
-        corr = parse_correspondence(NON_BINOMIAL)
+    def test_non_binomial_fibers_match_scalar(self, corr_non_binomial):
+        corr = corr_non_binomial
         rng = np.random.default_rng(5)
         points = random_points(rng, 200) + [SpherePoint.from_complex(0.5)]
         owner, _, values, inverted, component, _ = corr.fiber_arrays(

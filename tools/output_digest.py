@@ -9,6 +9,10 @@ lives in), each call in a fresh interpreter and a fresh output directory:
 
 - the three benchmark workload configs (``perfbench/workloads.py``) at
   seeds 1-3, every call of one job each;
+- the smoke-size ``spectral-z2_plus_z3`` workload's ``ruelle`` (400 cells,
+  6 pullback levels, cap 1024) on z2_plus_z3, and on z2 with
+  ``probe_pairs`` 1, so the expansivity probe solves one pair
+  (``SMOKE_CORRESPONDENCES``), at seeds 0 and 3;
 - the README config for every command, ``orbits`` in both directions,
   ``ruelle`` at depth 4 with f = re and ``variational`` with f = re, on
   all five bundled correspondences at seeds 0 and 3.  The f = re
@@ -107,6 +111,10 @@ README_CONFIG = {
                                  "start_points": 64}},
 }
 
+#: ``ruelle`` sections over the bench's smoke spectral config, by
+#: correspondence.
+SMOKE_CORRESPONDENCES = {"z2_plus_z3": {}, "z2": {"probe_pairs": 1}}
+
 #: Truncated, unsorted, multi-depth path-pool schedules, by correspondence.
 POOL_CONFIGS = {
     "mobius_pair": {"schedule": [[6, 0.05], [4, 0.05], [8, 0.05], [4, 0.1]],
@@ -188,6 +196,10 @@ def _configs(data: Path, work: Path) -> dict[str, dict]:
     for w in workloads().values():
         out[f"bench-{w.name}"] = {**w.config,
                                   "correspondence": str(data / w.correspondence)}
+    smoke = workloads("smoke")["spectral-z2_plus_z3"].config
+    for name, extra in SMOKE_CORRESPONDENCES.items():
+        out[f"smoke-{name}"] = {**smoke, "correspondence": str(data / f"{name}.corr"),
+                                "ruelle": {**smoke["ruelle"], **extra}}
     for name in CORRESPONDENCES:
         config = {**README_CONFIG, "correspondence": str(data / f"{name}.corr")}
         out[f"readme-{name}"] = config
@@ -250,6 +262,10 @@ def _calls() -> list[tuple[str, str, str, int]]:
             for key, command, call_seed in w.calls(seed):
                 calls.append((f"bench/{w.name}/seed{seed}/{key}",
                               f"bench-{w.name}", command, call_seed))
+    for name in SMOKE_CORRESPONDENCES:
+        for seed in README_SEEDS:
+            calls.append((f"smoke/{name}/seed{seed}/ruelle", f"smoke-{name}",
+                          "ruelle", seed))
     for name in CORRESPONDENCES:
         for seed in README_SEEDS:
             for command in COMMANDS:
