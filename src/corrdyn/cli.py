@@ -43,7 +43,7 @@ from .pressure import check_schedule, circle_starts, grid_starts, pressure_estim
 from .pullback import (check_backward_invariance, check_support_bounds, ds_support,
                        pullback_iterate)
 from .sphere import SpherePoint, sph_dist
-from .transfer import (ActiveGrid, GridFunction, TransferKernel,
+from .transfer import (ActiveGrid, GridFunction, TransferKernel, _HOLDER_BLOCK,
                        adjoint_fixed_point, convergence_check, holder_norm,
                        normalize, power_iteration)
 
@@ -335,20 +335,33 @@ def _pressure_like(config: RunConfig, corr: Correspondence, name: str,
     }
 
 
-def _nearest_center(active: ActiveGrid, idx: int) -> SpherePoint:
-    """The active center nearest to center idx by sph_dist, other than
-    itself; of equal distances the first in center order wins, as with
-    ``min`` over all centers.
+def _nearest_center(active: ActiveGrid, idx: np.ndarray) -> np.ndarray:
+    """For each active position in idx, the position of the active center
+    nearest to that center by sph_dist, other than itself; of equal
+    distances the first in center order wins, as with ``min`` over all
+    centers.
 
-    The chord between unit vectors is sph_dist up to rounding, so scalar
-    sph_dist only ranks the centers within 1e-12 of the nearest chord.
+    Each distinct position is searched once, its chords to every center
+    taken in blocks of ``_HOLDER_BLOCK`` rows by ``np.linalg.norm``'s own
+    operations.  The chord between unit vectors is sph_dist up to
+    rounding, so scalar sph_dist only ranks the centers where more than
+    one lies within 1e-12 of the nearest chord.
     """
-    gaps = np.linalg.norm(active._center_vectors - active._center_vectors[idx],
-                          axis=1)
-    gaps[idx] = np.inf
-    near = np.nonzero(gaps <= gaps.min() + 1e-12)[0].tolist()
-    center = active.centers[idx]
-    return min((active.centers[k] for k in near), key=lambda c: sph_dist(center, c))
+    vecs = active._center_vectors
+    searched, back = np.unique(idx, return_inverse=True)
+    nearest = np.empty(len(searched), dtype=np.int64)
+    for lo in range(0, len(searched), _HOLDER_BLOCK):
+        rows = searched[lo:lo + _HOLDER_BLOCK]
+        d = vecs[None, :, :] - vecs[rows, None, :]
+        gaps = np.sqrt(np.add.reduce(d * d, axis=2))
+        gaps[np.arange(len(rows)), rows] = np.inf
+        near = gaps <= gaps.min(axis=1)[:, None] + 1e-12
+        nearest[lo:lo + len(rows)] = near.argmax(axis=1)
+        for r in np.flatnonzero(near.sum(axis=1) > 1).tolist():
+            center = active.centers[rows[r]]
+            nearest[lo + r] = min(np.flatnonzero(near[r]).tolist(),
+                                  key=lambda k: sph_dist(center, active.centers[k]))
+    return nearest[back]
 
 
 def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
@@ -371,13 +384,12 @@ def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     active = ActiveGrid(grid, support.core)
     kernel = TransferKernel(corr, active)
     f = GridFunction.from_callable(active, f_fn)
-    probe_pairs = []
     rng = np.random.default_rng(config["seed"])
-    for _ in range(counts["probe_pairs"]):
-        idx = int(rng.integers(active.n_active))
-        probe_pairs.append((active.centers[idx], _nearest_center(active, idx)))
+    first = np.array([rng.integers(active.n_active)
+                      for _ in range(counts["probe_pairs"])], dtype=np.int64)
     try:
-        probe = expansivity_probe(corr, probe_pairs)
+        probe = expansivity_probe(active.charts, kernel.fibers,
+                                  (first, _nearest_center(active, first)))
     except CorrdynError:
         probe = None
     spectral = power_iteration(kernel, f, tol=tol,

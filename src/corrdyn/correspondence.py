@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InsufficientPairs, NonConvergence, ParseError
 from .sphere import (DEFAULT_ROOT_TOL, BivarPoly, SpherePoint, _chart_product,
-                     as_sphere_point, chart_values, complex_charts, roots,
+                     as_sphere_point, complex_charts, roots,
                      sph_dist, stacked_roots)
 
 #: Residual bound under which a path step counts as incident.
@@ -341,50 +341,53 @@ class ExpansivityResult:
     worst_ratio: float
 
 
-def expansivity_probe(corr: Correspondence, region) -> ExpansivityResult:
+def expansivity_probe(points, fibers, pairs) -> ExpansivityResult:
     """Estimate the backward contraction factor on a candidate support.
 
-    For every pair (x0, y0) of distinct points in region (InsufficientPairs
-    if there is none) and every backward branch of x0, the best-matching
-    backward branch of y0 with the same component symbol is found; the
-    worst best-match ratio d(preimages)/d(x0, y0) over all pairs and
-    branches gives lambda_estimate as its reciprocal.  The verdict
-    requires lambda_estimate > 1 + EXPANSIVITY_MARGIN.
+    points are the (values, inverted) chart arrays of a point set, fibers
+    their backward fibers (owner, values, inverted, component) in the
+    order of ``Correspondence.fiber_arrays``, and pairs two index arrays
+    into the points.  For every pair (x0, y0) of distinct points
+    (InsufficientPairs if there is none) and every backward branch of x0,
+    the best-matching backward branch of y0 with the same component symbol
+    is found; the worst best-match ratio d(preimages)/d(x0, y0) over all
+    pairs and branches gives lambda_estimate as its reciprocal.  The
+    verdict requires lambda_estimate > 1 + EXPANSIVITY_MARGIN.
     """
-    pairs = []
-    for x0, y0 in region:
-        x0, y0 = as_sphere_point(x0), as_sphere_point(y0)
-        d = sph_dist(x0, y0)
-        if d > 0.0:
-            pairs.append((x0, y0, d))
-    if not pairs:
+    values, inverted = points
+    first, second = (np.asarray(idx, dtype=np.int64) for idx in pairs)
+    gaps = sph_dist((values[first], inverted[first]), (values[second], inverted[second]))
+    distinct = gaps > 0.0
+    first, second, gaps = first[distinct], second[distinct], gaps[distinct]
+    if not len(gaps):
         raise InsufficientPairs("no pair of distinct points")
 
-    # One call for the x points, then the y points: a row's branches do
-    # not depend on the other rows, and fibers run by owner, then by
-    # component, so the candidates of an x branch, the y branches of its
-    # pair and component, are one run of the y rows.
-    owner, _, values, inverted, comp, _ = corr.fiber_arrays(
-        *chart_values([x0 for x0, _, _ in pairs] + [y0 for _, y0, _ in pairs]),
-        backward=True)
-    split = int(np.searchsorted(owner, len(pairs)))
-    key = (owner % len(pairs)) * (corr.n_components + 1) + comp
-    key_x, key_y = key[:split], key[split:]
-    lo = np.searchsorted(key_y, key_x, side="left")
-    count = np.searchsorted(key_y, key_x, side="right") - lo
-    first = np.cumsum(count) - count
-    xi = np.repeat(np.arange(len(key_x)), count)
-    yj = split + np.arange(count.sum()) + np.repeat(lo - first, count)
+    # Fibers run by owner, then by component, so the x branches of a pair
+    # are one run of its first point, and the candidates of each, the
+    # branches of the second point with its component, one run too.
+    owner, branch_values, branch_inverted, comp = fibers
+    bounds = np.searchsorted(owner, np.arange(len(values) + 1))
+    n_x = bounds[first + 1] - bounds[first]
+    pair = np.repeat(np.arange(len(gaps)), n_x)
+    xi = np.arange(n_x.sum()) + np.repeat(bounds[first] - (np.cumsum(n_x) - n_x), n_x)
+    width = int(comp.max(initial=0)) + 1
+    key = owner * width + comp
+    key_x = second[pair] * width + comp[xi]
+    lo = np.searchsorted(key, key_x, side="left")
+    count = np.searchsorted(key, key_x, side="right") - lo
+    first_y = np.cumsum(count) - count
+    xj = np.repeat(xi, count)
+    yj = np.arange(count.sum()) + np.repeat(lo - first_y, count)
     worst = 0.0
-    if len(xi):
-        dist = sph_dist((values[xi], inverted[xi]), (values[yj], inverted[yj]))
+    if len(xj):
+        dist = sph_dist((branch_values[xj], branch_inverted[xj]),
+                        (branch_values[yj], branch_inverted[yj]))
         has = count > 0
-        best = np.minimum.reduceat(dist, first[has])
-        gaps = np.array([d for _, _, d in pairs])
-        worst = float((best / gaps[owner[:split][has]]).max())
+        best = np.minimum.reduceat(dist, first_y[has])
+        worst = float((best / gaps[pair[has]]).max())
     if worst == 0.0:
         # Backward branches collapsed to exact matches; treat as strongly
         # contracting rather than dividing by zero.
-        return ExpansivityResult(True, math.inf, len(pairs), 0.0)
+        return ExpansivityResult(True, math.inf, len(gaps), 0.0)
     lam = 1.0 / worst
-    return ExpansivityResult(lam > 1.0 + EXPANSIVITY_MARGIN, lam, len(pairs), worst)
+    return ExpansivityResult(lam > 1.0 + EXPANSIVITY_MARGIN, lam, len(gaps), worst)

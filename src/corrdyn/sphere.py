@@ -253,9 +253,12 @@ def sph_dist(p, q):
 
 
 def _polyval(coeffs: np.ndarray, z):
-    out = np.zeros_like(np.asarray(z, dtype=complex))
-    for c in coeffs[::-1]:
-        out = out * z + c
+    # In place past the first term: a 0-d z gives a numpy scalar there,
+    # whose arithmetic is faster than in-place steps on a 0-d array.
+    out = np.zeros_like(np.asarray(z, dtype=complex)) * z + coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out *= z
+        out += c
     return out
 
 
@@ -275,6 +278,47 @@ def _eval_scale(coeffs: np.ndarray, z) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _root_pairs(deg: int) -> tuple[np.ndarray, ...]:
+    """(first, second, terms) of deg roots: the pairs i < j, in the order of
+    ``np.triu_indices``, and the (deg, deg) table whose entry [j, i] is
+    where term j of the sum over j != i of 1/(z_i - z_j) sits in a row of
+    [the pairs' reciprocals, their negations, 0]."""
+    first, second = np.triu_indices(deg, 1)
+    n_pairs = len(first)
+    terms = np.full((deg, deg), 2 * n_pairs)
+    terms[second, first] = np.arange(n_pairs)
+    terms[first, second] = n_pairs + np.arange(n_pairs)
+    for table in (first, second, terms):
+        table.flags.writeable = False
+    return first, second, terms
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """The sums over axis 1 of an (n, d, m) array, d >= 2, added in the
+    order numpy's ``sum`` over an inner axis of d complex values adds
+    them (its pairwise sum): in order below four terms, else in four lanes
+    of every fourth term, folded as (0 + 1) + (2 + 3), then the rest in
+    order, with halves summed apart past 64 terms.  So each sum keeps the
+    bits of that reduction."""
+    d = terms.shape[1]
+    if d > 64:
+        half = (d - d % 8) // 2
+        return _row_sums(terms[:, :half]) + _row_sums(terms[:, half:])
+    if d < 4:
+        out = terms[:, 0] + terms[:, 1]
+        rest = range(2, d)
+    else:
+        lanes = terms[:, :4]
+        for m in range(4, d - d % 4, 4):
+            lanes = lanes + terms[:, m:m + 4]
+        out = (lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])
+        rest = range(d - d % 4, d)
+    for j in rest:
+        out += terms[:, j]
+    return out
+
+
 def _aberth(c: np.ndarray, z: np.ndarray, tol: float):
     """Aberth-Ehrlich iteration on every row of a (K, d+1) coefficient
     stack at once, from the (K, d) starts z; d >= 2, and each row has
@@ -287,6 +331,9 @@ def _aberth(c: np.ndarray, z: np.ndarray, tol: float):
     root meets the residual bound.  Returns (z, done): the (K, d) roots
     and the rows that stopped so within ``_ABERTH_MAX_ITER`` steps with
     finite roots.  A row's roots do not depend on the other rows.
+
+    Each sum over j != i of 1/(z_i - z_j) negates the reciprocal of pair
+    (j, i) for j < i (numpy's complex divide gives exactly -(1/x) for -x).
     """
     k_rows, width = c.shape
     deg = width - 1
@@ -302,14 +349,19 @@ def _aberth(c: np.ndarray, z: np.ndarray, tol: float):
     dstack = stack[1:] * np.arange(1, width)[:, None, None]
     moving = np.ones((k_rows, deg), dtype=bool)
     hist = np.zeros((k_rows, 12))
-    diag = np.arange(deg)
+    first, second, terms = _root_pairs(deg)
+    n_pairs = len(first)
+    recip = np.zeros((k_rows, 2 * n_pairs + 1), dtype=complex)
+    if not k_rows:
+        return z, done
     for it in range(1, _ABERTH_MAX_ITER + 1):
-        if not len(live):
-            break
         newton = _polyval(stack, zl) / _polyval(dstack, zl)
-        inv = 1.0 / (zl[:, :, None] - zl[:, None, :])
-        inv[:, diag, diag] = 0.0
-        step = np.where(moving, newton / (1.0 - newton * inv.sum(axis=2)), 0.0)
+        n = len(zl)
+        np.divide(1.0, zl.take(first, axis=1) - zl.take(second, axis=1),
+                  out=recip[:n, :n_pairs])
+        np.negative(recip[:n, :n_pairs], out=recip[:n, n_pairs:-1])
+        sums = _row_sums(recip[:n].take(terms, axis=1))
+        step = np.where(moving, newton / (1.0 - newton * sums), 0.0)
         zl = zl - step
         asteps = np.abs(step)
         moving = asteps > 5e-15 * (1.0 + np.abs(zl))
@@ -327,6 +379,10 @@ def _aberth(c: np.ndarray, z: np.ndarray, tol: float):
                 converged[flat[resid.all(axis=1)]] = True
         stop = converged | failed
         if stop.any():
+            if stop.all():
+                z[live] = zl
+                done[live] = converged
+                return z, done
             z[live[stop]] = zl[stop]
             done[live[converged]] = True
             keep = ~stop
@@ -610,18 +666,19 @@ def stacked_roots(c: np.ndarray, tol: float):
         stack = c.T[:, :, None]
         p = _polyval(stack, z)
         cand = z - p / _polyval(stack[1:] * np.arange(1, deg + 1)[:, None, None], z)
-        p_cand = _polyval(stack, cand)
-        better = np.isfinite(cand) & (np.abs(p_cand) <= np.abs(p))
+        a_p, a_cand = np.abs(p), np.abs(_polyval(stack, cand))
+        better = np.isfinite(cand) & (a_cand <= a_p)
         z = np.where(better, cand, z)
-        p = np.where(better, p_cand, p)
+        a_p = np.where(better, a_cand, a_p)
 
-        ok &= (np.abs(p) <= tol * np.maximum(_eval_scale(stack, z), 1e-300)).all(axis=1)
+        ok &= (a_p <= tol * np.maximum(_eval_scale(stack, z), 1e-300)).all(axis=1)
         radius = max(CLUSTER_RADIUS_FACTOR * tol, _CLUSTER_DETECT_FLOOR)
         az = np.abs(z)
-        close = (np.abs(z[:, :, None] - z[:, None, :])
-                 <= radius * (1.0 + np.minimum(az[:, :, None], az[:, None, :])))
-        close[:, np.arange(deg), np.arange(deg)] = False
-        ok &= ~close.any(axis=(1, 2))
+        first, second, _ = _root_pairs(deg)
+        close = (np.abs(z.take(first, axis=1) - z.take(second, axis=1))
+                 <= radius * (1.0 + np.minimum(az.take(first, axis=1),
+                                               az.take(second, axis=1))))
+        ok &= ~close.any(axis=1)
         # Fibers list roots by argument in (-pi, pi]; where that order hangs
         # on rounding, the scalar solver's roots decide it.
         arg = np.sort(np.angle(z), axis=1)

@@ -92,7 +92,12 @@ class GridFunction:
 
 
 class TransferKernel:
-    """Backward-branch table over the active cells of one correspondence."""
+    """Backward-branch table over the active cells of one correspondence.
+
+    ``fibers`` keeps the backward fibers of the active centers as
+    (owner, values, inverted, component) arrays in ``fiber_arrays`` order,
+    so ``expansivity_probe`` reads them instead of solving them again.
+    """
 
     def __init__(self, corr: Correspondence, active: ActiveGrid):
         self.corr = corr
@@ -113,6 +118,7 @@ class TransferKernel:
                 raise PreimageOutsideSupport(
                     f"preimage of cell {active.cells[i]} lands in cell "
                     f"{cell}, beyond the dilation ring")
+        self.fibers = (src, values, inverted, comp)
         self.src = src
         self.tgt = np.asarray(tgt)
         self.mult = mult.astype(float)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from corrdyn.correspondence import BranchPoint, Fiber, parse_correspondence
+from corrdyn.correspondence import (BranchPoint, Fiber, expansivity_probe,
+                                    parse_correspondence)
 from corrdyn.datasets import bundled_correspondence
 from corrdyn.sphere import DEFAULT_ROOT_TOL, SpherePoint, chart_values, stacked_roots
 
@@ -80,3 +81,17 @@ def row_fibers():
             out.append(Fiber(tuple(branches), bool(whole and whole.degenerate)))
         return out
     return fibers
+
+
+@pytest.fixture(scope="session")
+def region_probe():
+    """``expansivity_probe`` of a list of (x0, y0) point pairs: the x points,
+    then the y points, with their backward fibers solved by one
+    ``fiber_arrays`` call, and pair k indexing x point k and y point k."""
+    def probe(corr, region):
+        points = chart_values([x for x, _ in region] + [y for _, y in region])
+        owner, _, values, inverted, comp, _ = corr.fiber_arrays(*points, backward=True)
+        n = len(region)
+        return expansivity_probe(points, (owner, values, inverted, comp),
+                                 (np.arange(n), n + np.arange(n)))
+    return probe

@@ -876,15 +876,22 @@ class TestCylindersCsv:
 class TestProbePairs:
     @pytest.mark.parametrize("n_cells,count", [(400, 60), (2000, 300), (12, 12)])
     def test_nearest_center_matches_min(self, n_cells, count):
-        # The probe partner of the ruelle pipeline: the same center as a
-        # min over every other center by scalar sph_dist.
+        # The probe partners of the ruelle pipeline: the position of the
+        # same center as a min over every other center by scalar sph_dist,
+        # for every center, asked in random order and with repeats (300
+        # distinct centers take two blocks).
         rng = np.random.default_rng(n_cells)
         active = ActiveGrid(SphereGrid(n_cells),
                             rng.choice(n_cells, size=count, replace=False).tolist())
-        for idx, center in enumerate(active.centers):
-            expected = min((c for c in active.centers if c is not center),
-                           key=lambda c: sph_dist(center, c))
-            assert _nearest_center(active, idx) is expected
+        idx = rng.permutation(np.concatenate([np.arange(count),
+                                              rng.integers(count, size=count)]))
+        got = _nearest_center(active, idx)
+        assert got.shape == idx.shape
+        for i, k in zip(idx.tolist(), got.tolist()):
+            center = active.centers[i]
+            expected = min((j for j in range(count) if j != i),
+                           key=lambda j: sph_dist(center, active.centers[j]))
+            assert k == expected
 
 
 def _numpy_on_openblas() -> bool:

@@ -6,8 +6,7 @@ import pytest
 
 from corrdyn import correspondence
 from corrdyn.correspondence import (EXPANSIVITY_MARGIN, Correspondence,
-                                    ExpansivityResult, expansivity_probe,
-                                    parse_correspondence)
+                                    ExpansivityResult, parse_correspondence)
 from corrdyn.datasets import BUNDLED, bundled_correspondence
 from corrdyn.errors import (InsufficientPairs, InvalidComponent, NonConvergence,
                             ParseError)
@@ -674,8 +673,9 @@ def object_loop_probe(corr, region, row_fibers):
 
 
 def two_call_probe(corr, region):
-    """Reference copy of expansivity_probe as it was, with one
-    ``fiber_arrays`` call for the x points and another for the y points."""
+    """Reference copy of an earlier expansivity_probe, which solved one
+    ``fiber_arrays`` call for the x points and another for the y points,
+    and took the pair gaps by scalar ``sph_dist``."""
     pairs = []
     for x0, y0 in region:
         x0, y0 = as_sphere_point(x0), as_sphere_point(y0)
@@ -714,36 +714,37 @@ class TestExpansivity:
             pairs.append((SpherePoint.from_complex(x), SpherePoint.from_complex(y)))
         return pairs
 
-    def test_square_map_is_expansive(self, corr_z2):
+    def test_square_map_is_expansive(self, corr_z2, region_probe):
         # Oracle: |d sqrt / dz| = 1/2 on the unit circle, so lambda = 2.
         rng = np.random.default_rng(35)
-        res = expansivity_probe(corr_z2, self.circle_pairs(rng, 100))
+        res = region_probe(corr_z2, self.circle_pairs(rng, 100))
         assert res.is_expansive
         assert abs(res.lambda_estimate - 2.0) < 0.2
 
-    def test_rotation_is_not_expansive(self, corr_mobius):
+    def test_rotation_is_not_expansive(self, corr_mobius, region_probe):
         rng = np.random.default_rng(36)
-        res = expansivity_probe(corr_mobius, self.circle_pairs(rng, 50))
+        res = region_probe(corr_mobius, self.circle_pairs(rng, 50))
         assert not res.is_expansive
         assert abs(res.lambda_estimate - 1.0) < 0.05
 
-    def check_object_loop(self, corr, region, row_fibers):
-        res = expansivity_probe(corr, region)
+    def check_object_loop(self, corr, region, row_fibers, region_probe):
+        res = region_probe(corr, region)
         want = object_loop_probe(corr, region, row_fibers)
         assert (res.lambda_estimate, res.worst_ratio, res.pairs_used) == want
         return res
 
     @pytest.mark.parametrize("name", ["corr_z2", "corr_z2z3"])
     @pytest.mark.parametrize("gap", [1e-3, 0.3])
-    def test_equals_object_loop(self, name, gap, request, row_fibers):
+    def test_equals_object_loop(self, name, gap, request, row_fibers, region_probe):
         # The wide gap makes other branches, of either component, near
         # rivals of the matching one.
         corr = request.getfixturevalue(name)
         region = self.circle_pairs(np.random.default_rng(43), 80, gap=gap)
-        res = self.check_object_loop(corr, region, row_fibers)
+        res = self.check_object_loop(corr, region, row_fibers, region_probe)
         assert res.pairs_used == 80 and math.isfinite(res.lambda_estimate)
 
-    def test_branches_without_candidates_skipped(self, corr_z2, row_fibers):
+    def test_branches_without_candidates_skipped(self, corr_z2, row_fibers,
+                                                 region_probe):
         # Over y0 = 1 the second component has no branch, so the x0
         # branch z = 2 of that component has no candidate and is skipped;
         # matched against the first component's branches +-1 instead, it
@@ -752,22 +753,22 @@ class TestExpansivity:
         region = [(SpherePoint.from_complex(1.0 + 0.01 * cmath.exp(0.4j * k)),
                    SpherePoint.from_complex(1.0)) for k in range(8)]
         region += self.circle_pairs(np.random.default_rng(44), 8)
-        res = self.check_object_loop(corr, region, row_fibers)
+        res = self.check_object_loop(corr, region, row_fibers, region_probe)
         assert res.pairs_used == 16 and res.worst_ratio < 1.0
 
-    def test_identical_preimages(self, row_fibers):
+    def test_identical_preimages(self, row_fibers, region_probe):
         # z (w - 1): every backward fiber off y = 1 is z = 0, so every
         # branch matches exactly.
         corr = Correspondence([BivarPoly(np.array([[0.0, 0.0], [-1.0, 1.0]]))])
         region = self.circle_pairs(np.random.default_rng(45), 6, gap=0.01)
-        res = self.check_object_loop(corr, region, row_fibers)
+        res = self.check_object_loop(corr, region, row_fibers, region_probe)
         assert res.is_expansive and res.worst_ratio == 0.0
         assert res.lambda_estimate == math.inf
 
     @pytest.mark.parametrize("name", ["corr_z2", "corr_z3", "corr_z2z3",
                                       "corr_non_binomial"])
     @pytest.mark.parametrize("gap", [1e-3, 0.3])
-    def test_equals_two_call_probe(self, name, gap, request):
+    def test_equals_two_call_probe(self, name, gap, request, region_probe):
         # Near and far pairs of random points in both charts, one pair at
         # distance zero (dropped) and one with infinity.
         corr = request.getfixturevalue(name)
@@ -776,16 +777,17 @@ class TestExpansivity:
                   (10.0 ** rng.uniform(-1.5, 1.5, 60)
                    * np.exp(1j * rng.uniform(-math.pi, math.pi, 60))).tolist()]
         region += [(0.5 + 0.3j, 0.5 + 0.3j), (SpherePoint.infinity(), 40.0)]
-        res = expansivity_probe(corr, region)
+        res = region_probe(corr, region)
         assert res == two_call_probe(corr, region)
         assert res.pairs_used == 61
 
-    def test_single_point_region(self, corr_z2):
+    def test_single_point_region(self, corr_z2, region_probe):
         p = SpherePoint.from_complex(1.0)
         with pytest.raises(InsufficientPairs):
-            expansivity_probe(corr_z2, [(p, p)])
+            region_probe(corr_z2, [(p, p)])
 
-    def test_every_pair_of_distinct_points_is_used(self, corr_z2, row_fibers):
+    def test_every_pair_of_distinct_points_is_used(self, corr_z2, row_fibers,
+                                                   region_probe):
         # Pairs at distance zero are dropped, however given; every other
         # pair is used, far ones (sqrt 2 and 2 apart) too.
         p = SpherePoint.from_complex(0.5)
@@ -793,9 +795,9 @@ class TestExpansivity:
         region += self.circle_pairs(np.random.default_rng(47), 5, gap=1e-3)
         region += [(1.0, 1.0j), (0.0, SpherePoint.infinity())]
         assert sph_dist(0.0, SpherePoint.infinity()) == 2.0
-        res = self.check_object_loop(corr_z2, region, row_fibers)
+        res = self.check_object_loop(corr_z2, region, row_fibers, region_probe)
         assert res.pairs_used == 7
         with pytest.raises(InsufficientPairs, match="no pair of distinct points"):
-            expansivity_probe(corr_z2, region[:3])
+            region_probe(corr_z2, region[:3])
         with pytest.raises(InsufficientPairs):
-            expansivity_probe(corr_z2, [])
+            region_probe(corr_z2, [])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from corrdyn import transfer as transfer_mod
-from corrdyn.correspondence import parse_correspondence
+from corrdyn.correspondence import expansivity_probe, parse_correspondence
 from corrdyn.datasets import BUNDLED, bundled_correspondence
 from corrdyn.errors import (NonPositiveEigenfunction, PreimageOutsideSupport)
 from corrdyn.functions import fn_re
@@ -549,16 +549,15 @@ class TestSymbolPairSystem:
 
 
 class TestExpansivityGate:
-    def test_warns_on_non_expansive_input(self, grid, corr_mobius):
+    def test_warns_on_non_expansive_input(self, grid, corr_mobius, region_probe):
         # A rigid rotation of the circle: the operator is computable but
         # the spectral conclusions are not guaranteed; a warning fires.
-        from corrdyn.correspondence import expansivity_probe
         band = grid.band_of_z(0.0)
         start = int(grid.band_start[band])
         cells = range(start, start + int(grid.band_counts[band]))
         active = ActiveGrid(grid, cells)
         pairs = [(active.centers[i], active.centers[i + 1]) for i in range(10)]
-        probe = expansivity_probe(corr_mobius, pairs)
+        probe = region_probe(corr_mobius, pairs)
         assert not probe.is_expansive
         f = GridFunction.constant(active, 0.0)
         # The rotation kernel is a permutation: no spectral gap, so the
@@ -569,6 +568,40 @@ class TestExpansivityGate:
                 power_iteration(TransferKernel(corr_mobius, active), f,
                                 tol=1e-10, max_iter=200, seed=4,
                                 expansivity=probe)
+
+
+class TestProbeOnKernelRows:
+    @pytest.mark.parametrize("name", ["corr_z2", "corr_z3", "corr_z2z3",
+                                      "corr_non_binomial"])
+    def test_equals_probe_on_fresh_solve(self, name, request, region_probe):
+        # The active grid of a real pullback, each center paired with the
+        # next and with a random one (some with itself, dropped).  The z3
+        # and z2_plus_z3 grids hold the center at phi = pi, whose z^3 row
+        # the stacked solver declines.  The non-binomial kernel raises
+        # PreimageOutsideSupport on every pullback tried, so its rows are
+        # the ``fiber_arrays`` a kernel keeps.
+        corr = request.getfixturevalue(name)
+        grid = SphereGrid(400)
+        levels = pullback_iterate(corr, 0.5 + 0.3j, n=6, cap=1024, seed=0, grid=grid)
+        active = ActiveGrid(grid, ds_support(levels, threshold=0.5,
+                                             cert_bound=0.05).core)
+        if name == "corr_non_binomial":
+            owner, _, values, inverted, comp, _ = corr.fiber_arrays(*active.charts,
+                                                                    backward=True)
+            fibers = (owner, values, inverted, comp)
+        else:
+            fibers = TransferKernel(corr, active).fibers
+        n = active.n_active
+        rng = np.random.default_rng(7)
+        first = np.concatenate([np.arange(n), rng.integers(n, size=n)])
+        second = np.concatenate([(np.arange(n) + 1) % n, rng.integers(n, size=n)])
+        res = expansivity_probe(active.charts, fibers, (first, second))
+        region = [(active.centers[i], active.centers[j])
+                  for i, j in zip(first.tolist(), second.tolist())]
+        assert res == region_probe(corr, region)
+        assert res.pairs_used == 2 * n - int((first == second).sum())
+        if name in ("corr_z3", "corr_z2z3"):
+            assert math.pi in [grid.cell_center_angles(c)[1] for c in active.cells]
 
 
 class TestPipelineIntegration:

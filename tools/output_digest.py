@@ -10,9 +10,11 @@ lives in), each call in a fresh interpreter and a fresh output directory:
 - the three benchmark workload configs (``perfbench/workloads.py``) at
   seeds 1-3, every call of one job each;
 - the smoke-size ``spectral-z2_plus_z3`` workload's ``ruelle`` (400 cells,
-  6 pullback levels, cap 1024) on z2_plus_z3, and on z2 with
-  ``probe_pairs`` 1, so the expansivity probe solves one pair
-  (``SMOKE_CORRESPONDENCES``), at seeds 0 and 3;
+  6 pullback levels, cap 1024) on z2_plus_z3, on z2 with ``probe_pairs``
+  1, so the expansivity probe reads one pair, and on z2_plus_z3 with
+  ``probe_pairs`` 400, so it probes every active center, those on the
+  negative real axis too, whose backward rows the stacked root solver
+  declines (``SMOKE_CONFIGS``), at seeds 0 and 3;
 - the README config for every command, ``orbits`` in both directions,
   ``ruelle`` at depth 4 with f = re and ``variational`` with f = re, on
   all five bundled correspondences at seeds 0 and 3.  The f = re
@@ -111,9 +113,10 @@ README_CONFIG = {
                                  "start_points": 64}},
 }
 
-#: ``ruelle`` sections over the bench's smoke spectral config, by
-#: correspondence.
-SMOKE_CORRESPONDENCES = {"z2_plus_z3": {}, "z2": {"probe_pairs": 1}}
+#: (correspondence, ``ruelle`` section) over the bench's smoke spectral
+#: config, by call name.
+SMOKE_CONFIGS = {"z2_plus_z3": ("z2_plus_z3", {}), "z2": ("z2", {"probe_pairs": 1}),
+                 "z2_plus_z3-probe400": ("z2_plus_z3", {"probe_pairs": 400})}
 
 #: Truncated, unsorted, multi-depth path-pool schedules, by correspondence.
 POOL_CONFIGS = {
@@ -197,8 +200,8 @@ def _configs(data: Path, work: Path) -> dict[str, dict]:
         out[f"bench-{w.name}"] = {**w.config,
                                   "correspondence": str(data / w.correspondence)}
     smoke = workloads("smoke")["spectral-z2_plus_z3"].config
-    for name, extra in SMOKE_CORRESPONDENCES.items():
-        out[f"smoke-{name}"] = {**smoke, "correspondence": str(data / f"{name}.corr"),
+    for name, (corr, extra) in SMOKE_CONFIGS.items():
+        out[f"smoke-{name}"] = {**smoke, "correspondence": str(data / f"{corr}.corr"),
                                 "ruelle": {**smoke["ruelle"], **extra}}
     for name in CORRESPONDENCES:
         config = {**README_CONFIG, "correspondence": str(data / f"{name}.corr")}
@@ -262,7 +265,7 @@ def _calls() -> list[tuple[str, str, str, int]]:
             for key, command, call_seed in w.calls(seed):
                 calls.append((f"bench/{w.name}/seed{seed}/{key}",
                               f"bench-{w.name}", command, call_seed))
-    for name in SMOKE_CORRESPONDENCES:
+    for name in SMOKE_CONFIGS:
         for seed in README_SEEDS:
             calls.append((f"smoke/{name}/seed{seed}/ruelle", f"smoke-{name}",
                           "ruelle", seed))
