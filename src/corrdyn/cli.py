@@ -9,7 +9,7 @@ directory, with wall-clock timings isolated in metadata.json so that
 identical configs and seeds reproduce byte-identical result files on
 one host class.  numpy's SIMD dispatch can still move the last bits
 between CPUs: on an AVX-512 host with numpy 2.4.6, disabling AVX-512
-(``NPY_DISABLE_CPU_FEATURES=X86_V4``) moves 22 of the 270 calls of
+(``NPY_DISABLE_CPU_FEATURES=X86_V4``) moves 22 of the 272 calls of
 ``tools/output_digest.py``, through ``np.exp``, ``np.arctan2`` /
 ``np.angle`` and ``np.log``.
 """
@@ -23,6 +23,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -43,9 +44,8 @@ from .pressure import check_schedule, circle_starts, grid_starts, pressure_estim
 from .pullback import (check_backward_invariance, check_support_bounds, ds_support,
                        pullback_iterate)
 from .sphere import SpherePoint, sph_dist
-from .transfer import (ActiveGrid, GridFunction, TransferKernel, _HOLDER_BLOCK,
-                       adjoint_fixed_point, convergence_check, holder_norm,
-                       normalize, power_iteration)
+from .transfer import (ActiveGrid, GridFunction, TransferKernel, adjoint_fixed_point,
+                       convergence_check, holder_norm, normalize, power_iteration)
 
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
@@ -74,6 +74,8 @@ class RunConfig:
         _string(merged["correspondence"], "correspondence")
         _string(merged.setdefault("out", "corrdyn-out"), "out")
         merged["seed"] = _number(merged["seed"], "seed", int)
+        if merged["seed"] < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be non-negative, got {merged['seed']}")
         self.effective = merged
         self._out: Path | None = None
         self._grid: SphereGrid | None = None
@@ -335,35 +337,6 @@ def _pressure_like(config: RunConfig, corr: Correspondence, name: str,
     }
 
 
-def _nearest_center(active: ActiveGrid, idx: np.ndarray) -> np.ndarray:
-    """For each active position in idx, the position of the active center
-    nearest to that center by sph_dist, other than itself; of equal
-    distances the first in center order wins, as with ``min`` over all
-    centers.
-
-    Each distinct position is searched once, its chords to every center
-    taken in blocks of ``_HOLDER_BLOCK`` rows by ``np.linalg.norm``'s own
-    operations.  The chord between unit vectors is sph_dist up to
-    rounding, so scalar sph_dist only ranks the centers where more than
-    one lies within 1e-12 of the nearest chord.
-    """
-    vecs = active._center_vectors
-    searched, back = np.unique(idx, return_inverse=True)
-    nearest = np.empty(len(searched), dtype=np.int64)
-    for lo in range(0, len(searched), _HOLDER_BLOCK):
-        rows = searched[lo:lo + _HOLDER_BLOCK]
-        d = vecs[None, :, :] - vecs[rows, None, :]
-        gaps = np.sqrt(np.add.reduce(d * d, axis=2))
-        gaps[np.arange(len(rows)), rows] = np.inf
-        near = gaps <= gaps.min(axis=1)[:, None] + 1e-12
-        nearest[lo:lo + len(rows)] = near.argmax(axis=1)
-        for r in np.flatnonzero(near.sum(axis=1) > 1).tolist():
-            center = active.centers[rows[r]]
-            nearest[lo + r] = min(np.flatnonzero(near[r]).tolist(),
-                                  key=lambda k: sph_dist(center, active.centers[k]))
-    return nearest[back]
-
-
 def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     section = config.section("ruelle")
     counts = {key: _number(section.get(key, default), key, int) for key, default in
@@ -382,22 +355,23 @@ def _cmd_ruelle(config: RunConfig, corr: Correspondence) -> dict:
     pb = _object(section.get("pullback", {}), "ruelle pullback")
     _, support = _pullback_stage(config, corr, pb, 10, 4096)
     active = ActiveGrid(grid, support.core)
-    kernel = TransferKernel(corr, active)
+    kernel = TransferKernel(corr, active, support.cells)
     f = GridFunction.from_callable(active, f_fn)
     rng = np.random.default_rng(config["seed"])
     first = np.array([rng.integers(active.n_active)
                       for _ in range(counts["probe_pairs"])], dtype=np.int64)
     try:
         probe = expansivity_probe(active.charts, kernel.fibers,
-                                  (first, _nearest_center(active, first)))
+                                  (first, active.nearest_other(first)))
     except CorrdynError:
         probe = None
+    if probe is not None and not probe.is_expansive:
+        warnings.warn("correspondence fails the expansivity probe; spectral "
+                      "conclusions may not hold")
     spectral = power_iteration(kernel, f, tol=tol,
-                               max_iter=counts["max_iter"],
-                               seed=config["seed"], expansivity=probe)
+                               max_iter=counts["max_iter"], seed=config["seed"])
     weights = normalize(f, spectral, kernel)
-    adjoint = adjoint_fixed_point(kernel, f, spectral, tol=tol,
-                                  seed=config["seed"],
+    adjoint = adjoint_fixed_point(kernel, weights, tol=tol, seed=config["seed"],
                                   depth=counts["depth"])
     g = GridFunction.from_callable(active, g_fn)
     conv = convergence_check(kernel, f, g, spectral, adjoint.nu,

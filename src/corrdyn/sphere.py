@@ -227,12 +227,13 @@ def sph_dist(p, q):
     extends continuously to infinity.  Exactly symmetric; satisfies the
     triangle inequality up to floating rounding.
 
-    p and q may also be (values, inverted) pairs of equal-shape chart
-    arrays; the distances are then returned elementwise, each equal to the
-    scalar one bit for bit.  The cross term a1 b2 - a2 b1 is then formed in
-    real arithmetic, as CPython's complex product does it (numpy's complex
-    multiply may fuse operations), and ``fmin`` clamps a NaN to 2.0 as
-    ``min`` does.
+    p and q may also be (values, inverted) pairs of chart arrays whose
+    shapes broadcast, as a (r, 1) pair against a (n,) pair; the distances
+    are then returned elementwise over the broadcast shape, each equal to
+    the scalar one bit for bit.  The cross term a1 b2 - a2 b1 is then
+    formed in real arithmetic, as CPython's complex product does it
+    (numpy's complex multiply may fuse operations), and ``fmin`` clamps a
+    NaN to 2.0 as ``min`` does.
     """
     if isinstance(p, tuple):
         ar1, ai1, br1, bi1 = _chart_homogeneous(*p)

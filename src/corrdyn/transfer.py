@@ -4,30 +4,35 @@ invariant support.
 The operator acts on functions over the active cells: (L_f g)(x) sums
 exp(f(y)) g(y) over the backward branches y of x, counted with
 multiplicity, with every preimage clamped to its nearest active cell.
-Preimages beyond the one-ring dilation of the active set abort kernel
-construction, since they mean the support approximation is not backward
-invariant.  Power iteration extracts the maximal eigenvalue and positive
-eigenfunction, the normalized branch weights define a backward Markov
-kernel, and the stationary law of that kernel is the fixed point of the
-adjoint operator.
+Preimages beyond the given ring of cells (in ``ruelle``, the one-ring
+dilation of the active set) abort kernel construction, since they mean
+the support approximation is not backward invariant.  Power iteration
+extracts the maximal eigenvalue and positive eigenfunction, the
+normalized branch weights define a backward Markov kernel, and the
+stationary law of that kernel is the fixed point of the adjoint
+operator.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .correspondence import Correspondence, ExpansivityResult
+from .correspondence import Correspondence
 from .errors import (NonConvergence, NonPositiveEigenfunction,
                      PreimageOutsideSupport)
 from .functions import SphereFunction
 from .grid import SphereGrid
 from .measures import PathMeasure, SphereMeasure, _group
 from .paths import ForwardPath
-from .sphere import SpherePoint, as_sphere_point, chart_values
+from .sphere import (SpherePoint, as_sphere_point, chart_unit_vectors, chart_values,
+                     sph_dist)
+
+#: Active centers per row block of the pair distances of ``holder_norm`` and
+#: ``ActiveGrid.nearest_other``.
+_HOLDER_BLOCK = 256
 
 
 class ActiveGrid:
@@ -39,10 +44,9 @@ class ActiveGrid:
         if not self.cells:
             raise ValueError("active cell set is empty")
         self.position = {c: i for i, c in enumerate(self.cells)}
-        self.centers = [grid.cell_center(c) for c in self.cells]
         #: Chart values and flags of the centers, as ``chart_values`` gives them.
-        self.charts = chart_values(self.centers)
-        self._center_vectors = np.array([p.unit_vector() for p in self.centers])
+        self.charts = chart_values(grid.cell_center(c) for c in self.cells)
+        self._center_vectors = chart_unit_vectors(*self.charts)
 
     @property
     def n_active(self) -> int:
@@ -58,6 +62,26 @@ class ActiveGrid:
             return pos
         gaps = np.linalg.norm(self._center_vectors - point.unit_vector(), axis=1)
         return int(np.argmin(gaps))
+
+    def nearest_other(self, idx: np.ndarray) -> np.ndarray:
+        """For each active position in idx, the position of the active
+        center nearest to that center by sph_dist, other than itself; of
+        equal distances the first in center order wins, as with ``min``
+        over scalar sph_dist.
+
+        Each distinct position is searched once, its distances to every
+        center taken by one array sph_dist per block of ``_HOLDER_BLOCK``
+        rows.
+        """
+        values, inverted = self.charts
+        searched, back = np.unique(idx, return_inverse=True)
+        nearest = np.empty(len(searched), dtype=np.int64)
+        for lo in range(0, len(searched), _HOLDER_BLOCK):
+            rows = searched[lo:lo + _HOLDER_BLOCK]
+            dist = sph_dist((values[rows, None], inverted[rows, None]), self.charts)
+            dist[np.arange(len(rows)), rows] = np.inf
+            nearest[lo:lo + len(rows)] = dist.argmin(axis=1)
+        return nearest[back]
 
 
 @dataclass
@@ -94,16 +118,17 @@ class GridFunction:
 class TransferKernel:
     """Backward-branch table over the active cells of one correspondence.
 
+    A preimage in an inactive cell of ``ring`` is clamped to the nearest
+    active center; one in a cell outside both raises PreimageOutsideSupport.
     ``fibers`` keeps the backward fibers of the active centers as
     (owner, values, inverted, component) arrays in ``fiber_arrays`` order,
     so ``expansivity_probe`` reads them instead of solving them again.
     """
 
-    def __init__(self, corr: Correspondence, active: ActiveGrid):
+    def __init__(self, corr: Correspondence, active: ActiveGrid, ring):
         self.corr = corr
         self.active = active
         grid = active.grid
-        dilated = grid.dilate(active.cells)
         src, mult, values, inverted, comp, _ = corr.fiber_arrays(
             *active.charts, backward=True)
         tgt = []
@@ -112,7 +137,7 @@ class TransferKernel:
             cell = grid.cell_index(point)
             if cell in active.position:
                 tgt.append(active.position[cell])
-            elif cell in dilated:
+            elif cell in ring:
                 tgt.append(active.position_of_point(point))
             else:
                 raise PreimageOutsideSupport(
@@ -148,9 +173,6 @@ class HolderReport:
     alpha_norm: float
     is_member: bool
 
-
-#: Active centers per row block of ``holder_norm``'s pair distances.
-_HOLDER_BLOCK = 256
 
 #: Bound on the last oscillation modulus for Hoelder membership.
 HOLDER_TAIL_TOL = 1e-3
@@ -211,8 +233,7 @@ def _check_iteration(tol: float, max_iter: int) -> None:
 
 
 def power_iteration(kernel: TransferKernel, f: GridFunction, tol: float,
-                    max_iter: int, seed: int | None,
-                    expansivity: ExpansivityResult | None) -> SpectralResult:
+                    max_iter: int, seed: int | None) -> SpectralResult:
     """Maximal eigenvalue and positive eigenfunction of the operator.
 
     Iterates g <- L_f g / sup|L_f g| from a strictly positive random
@@ -221,10 +242,6 @@ def power_iteration(kernel: TransferKernel, f: GridFunction, tol: float,
     tol * lam.
     """
     _check_iteration(tol, max_iter)
-    if expansivity is not None and not expansivity.is_expansive:
-        warnings.warn(
-            "correspondence fails the expansivity probe; spectral "
-            "conclusions may not hold", stacklevel=2)
     rng = np.random.default_rng(seed)
     # L g of the current iterate, taken over from the last residual.
     kg = kernel.apply(f.values, rng.uniform(0.5, 1.5, size=f.active.n_active))
@@ -368,11 +385,10 @@ def _chain_cylinders(active: ActiveGrid, kernel: TransferKernel,
     return PathMeasure(active.grid, words[first], sums / np.cumsum(sums)[-1])
 
 
-def adjoint_fixed_point(kernel: TransferKernel, f: GridFunction,
-                        spectral: SpectralResult, tol: float, seed: int | None,
-                        depth: int) -> AdjointResult:
-    """Stationary measure of the normalized backward kernel and the
-    induced cylinder path measure.
+def adjoint_fixed_point(kernel: TransferKernel, norm: NormalizedWeights,
+                        tol: float, seed: int | None, depth: int) -> AdjointResult:
+    """Stationary measure of the backward kernel with the branch weights
+    of ``normalize`` and the induced cylinder path measure.
 
     nu is the unique fixed point of the adjoint normalized operator on
     the active cells; mu0 records depth-D words of (cell, symbol) pairs
@@ -381,8 +397,8 @@ def adjoint_fixed_point(kernel: TransferKernel, f: GridFunction,
     10 * tol flags non-uniqueness.
     """
     _check_iteration(tol, ADJOINT_MAX_ITER)
-    norm = normalize(f, spectral, kernel)
-    n = f.active.n_active
+    active = kernel.active
+    n = active.n_active
     rng = np.random.default_rng(seed)
     v1, it1, gap1 = _stationary(kernel, norm.weights, np.full(n, 1.0), tol,
                                 ADJOINT_MAX_ITER)
@@ -390,12 +406,11 @@ def adjoint_fixed_point(kernel: TransferKernel, f: GridFunction,
                            ADJOINT_MAX_ITER)
     unique = float(np.abs(v1 - v2).sum()) <= 10.0 * tol
 
-    grid = f.active.grid
-    w = np.zeros(grid.n_cells)
-    w[list(f.active.cells)] = v1
+    w = np.zeros(active.grid.n_cells)
+    w[list(active.cells)] = v1
     w /= w.sum()
-    nu = SphereMeasure(grid, w)
-    mu0 = _chain_cylinders(f.active, kernel, norm.weights, v1, depth)
+    nu = SphereMeasure(active.grid, w)
+    mu0 = _chain_cylinders(active, kernel, norm.weights, v1, depth)
     return AdjointResult(nu, mu0, it1, gap1, unique)
 
 

@@ -50,10 +50,9 @@ def z2_stack(corr_z2):
                               grid=grid)
     support = ds_support(levels, threshold=0.5, cert_bound=0.05)
     active = ActiveGrid(grid, support.core)
-    kernel = TransferKernel(corr_z2, active)
+    kernel = TransferKernel(corr_z2, active, support.cells)
     f0 = GridFunction.constant(active, 0.0)
-    spectral = power_iteration(kernel, f0, tol=1e-11, seed=1, max_iter=2000,
-                               expansivity=None)
+    spectral = power_iteration(kernel, f0, tol=1e-11, seed=1, max_iter=2000)
     return grid, active, kernel, f0, spectral
 
 
@@ -135,10 +134,11 @@ def test_criterion_05_ruelle_spectra(corr_z2, corr_z3, z2_stack):
     t0 = time.monotonic()
     levels2 = pullback_iterate(corr_z2, 0.5 + 0.3j, n=12, cap=8192, seed=103,
                                grid=grid)
-    active2 = ActiveGrid(grid, ds_support(levels2, threshold=0.5, cert_bound=0.05).core)
-    spec2 = power_iteration(TransferKernel(corr_z2, active2),
+    support2 = ds_support(levels2, threshold=0.5, cert_bound=0.05)
+    active2 = ActiveGrid(grid, support2.core)
+    spec2 = power_iteration(TransferKernel(corr_z2, active2, support2.cells),
                             GridFunction.constant(active2, 0.0), tol=1e-11, seed=1,
-                            max_iter=2000, expansivity=None)
+                            max_iter=2000)
     t_z2 = time.monotonic() - t0
     assert abs(spec2.lam - 2.0) <= 1e-6
     assert abs(spectral.lam - 2.0) <= 1e-6
@@ -148,10 +148,11 @@ def test_criterion_05_ruelle_spectra(corr_z2, corr_z3, z2_stack):
     t0 = time.monotonic()
     levels3 = pullback_iterate(corr_z3, 0.5 + 0.3j, n=9, cap=4096, seed=102,
                                grid=grid)
-    active3 = ActiveGrid(grid, ds_support(levels3, threshold=0.5, cert_bound=0.05).core)
+    support3 = ds_support(levels3, threshold=0.5, cert_bound=0.05)
+    active3 = ActiveGrid(grid, support3.core)
     f3 = GridFunction.constant(active3, 0.0)
-    spec3 = power_iteration(TransferKernel(corr_z3, active3), f3, tol=1e-11, seed=2,
-                            max_iter=2000, expansivity=None)
+    spec3 = power_iteration(TransferKernel(corr_z3, active3, support3.cells), f3,
+                            tol=1e-11, seed=2, max_iter=2000)
     assert abs(spec3.lam - 3.0) <= 1e-6
     assert spec3.h.values.max() - spec3.h.values.min() <= 1e-6
     t_z3 = time.monotonic() - t0
@@ -159,8 +160,7 @@ def test_criterion_05_ruelle_spectra(corr_z2, corr_z3, z2_stack):
 
     c = 0.4
     fc = GridFunction.constant(active, c)
-    spec_c = power_iteration(kernel, fc, tol=1e-11, seed=1, max_iter=2000,
-                             expansivity=None)
+    spec_c = power_iteration(kernel, fc, tol=1e-11, seed=1, max_iter=2000)
     assert abs(spec_c.lam - math.exp(c) * spectral.lam) <= 1e-8
     ok(5, f"lambda(z2)={spectral.lam:.9f} lambda(z3)={spec3.lam:.9f} "
           f"lambda(f=c)/lambda(0)=e^c to 1e-8; {t_z2:.1f}s / {t_z3:.1f}s")
@@ -170,8 +170,7 @@ def test_criterion_06_normalization(corr_z2, z2_stack):
     grid, active, kernel, f0, spectral = z2_stack
     worst = 0.0
     for f in (f0, GridFunction.from_callable(active, fn_re)):
-        spec = power_iteration(kernel, f, tol=1e-11, seed=1, max_iter=2000,
-                               expansivity=None)
+        spec = power_iteration(kernel, f, tol=1e-11, seed=1, max_iter=2000)
         weights = normalize(f, spec, kernel)
         worst = max(worst, float(np.abs(weights.row_sums - 1.0).max()))
     assert worst <= 1e-8
@@ -181,8 +180,9 @@ def test_criterion_06_normalization(corr_z2, z2_stack):
 def test_criterion_07_fixed_point_measure(corr_z2, z2_stack):
     grid, active, kernel, f0, spectral = z2_stack
     tol = 1e-11
-    adj_a = adjoint_fixed_point(kernel, f0, spectral, tol=tol, seed=5, depth=2)
-    adj_b = adjoint_fixed_point(kernel, f0, spectral, tol=tol, seed=6, depth=2)
+    norm = normalize(f0, spectral, kernel)
+    adj_a = adjoint_fixed_point(kernel, norm, tol=tol, seed=5, depth=2)
+    adj_b = adjoint_fixed_point(kernel, norm, tol=tol, seed=6, depth=2)
     support = [c for c in active.cells if adj_a.nu.weights[c] > 0]
     uniform = np.zeros(grid.n_cells)
     uniform[support] = 1.0 / len(support)
@@ -291,7 +291,8 @@ def _z2_entries(corr_z2, grid, active, kernel, f0, spectral):
     mu_cyc = PathMeasure.from_paths(grid, [cyc_a, cyc_b])
     entries.append(VariationalEntry("cycle2", pushforward(mu_cyc, 0), (mu_cyc,)))
     # Equilibrium candidate from the adjoint fixed point at depth 6.
-    adj = adjoint_fixed_point(kernel, f0, spectral, tol=1e-10, seed=9, depth=6)
+    norm = normalize(f0, spectral, kernel)
+    adj = adjoint_fixed_point(kernel, norm, tol=1e-10, seed=9, depth=6)
     entries.append(VariationalEntry("adjoint", adj.nu, (adj.mu0,)))
     return entries
 

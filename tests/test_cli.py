@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 import corrdyn
-from corrdyn.cli import _nearest_center, _point_from_config, _write_cylinders_csv, main
-from corrdyn.correspondence import Correspondence, Fiber
+from corrdyn import transfer as transfer_mod
+from corrdyn.cli import _point_from_config, _write_cylinders_csv, main
+from corrdyn.correspondence import Correspondence, ExpansivityResult, Fiber
 from corrdyn.datasets import bundled_text
 from corrdyn.grid import SphereGrid
 from corrdyn.measures import PathMeasure
@@ -885,13 +887,76 @@ class TestProbePairs:
                             rng.choice(n_cells, size=count, replace=False).tolist())
         idx = rng.permutation(np.concatenate([np.arange(count),
                                               rng.integers(count, size=count)]))
-        got = _nearest_center(active, idx)
+        got = active.nearest_other(idx)
         assert got.shape == idx.shape
+        centers = [active.grid.cell_center(c) for c in active.cells]
         for i, k in zip(idx.tolist(), got.tolist()):
-            center = active.centers[i]
             expected = min((j for j in range(count) if j != i),
-                           key=lambda j: sph_dist(center, active.centers[j]))
+                           key=lambda j: sph_dist(centers[i], centers[j]))
             assert k == expected
+
+
+#: A small ruelle run: 400 cells, 6 pullback levels.
+SMALL_RUELLE = {"correspondence": "z2.corr", "n_cells": 400,
+                "ruelle": {"probe_pairs": 5, "n_max": 5,
+                           "pullback": {"levels": 6, "cap": 1024}}}
+
+
+class TestRuelleChain:
+    def test_warns_on_non_expansive_probe(self, workspace, monkeypatch):
+        # The probe verdict is ruelle's to report: a probe that is not
+        # expansive warns, and the run still finishes.
+        monkeypatch.setattr("corrdyn.cli.expansivity_probe",
+                            lambda *args: ExpansivityResult(False, 1.0, 5, 1.0))
+        out = workspace / "probe_warn"
+        cfg = write_config(workspace, "probe_warn", {**SMALL_RUELLE, "out": str(out)})
+        text = ("correspondence fails the expansivity probe; spectral conclusions "
+                "may not hold")
+        with pytest.warns(UserWarning, match=f"^{re.escape(text)}$") as caught:
+            assert run(["ruelle", "--config", cfg]) == 0
+        assert len(caught) == 1
+        assert read_report(out)["results"]["expansive"] is False
+
+    def test_normalizes_and_dilates_once(self, workspace, monkeypatch):
+        # The adjoint takes the weights ruelle normalized, and the kernel
+        # the ring the support dilated.
+        calls = {"normalize": 0, "dilate": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        normalize = counted("normalize", transfer_mod.normalize)
+        monkeypatch.setattr(transfer_mod, "normalize", normalize)
+        monkeypatch.setattr("corrdyn.cli.normalize", normalize)
+        monkeypatch.setattr(SphereGrid, "dilate", counted("dilate", SphereGrid.dilate))
+        cfg = write_config(workspace, "ruelle_once", SMALL_RUELLE)
+        assert run(["ruelle", "--config", cfg]) == 0
+        assert calls == {"normalize": 1, "dilate": 1}
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", ["degrees", "orbits", "ds-measure", "entropy",
+                                         "pressure", "ruelle", "variational"])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_rejected_before_any_work(self, workspace, command, where, capsys,
+                                      monkeypatch):
+        # numpy rejected it deep in the run, without naming the seed, and
+        # an orbits run whose tree was never thinned drew no numbers and
+        # exited 0.
+        def refuse(*args, **kwargs):
+            raise AssertionError("work ran before the seed check")
+
+        monkeypatch.setattr("corrdyn.cli.parse_correspondence", refuse)
+        out = workspace / "negative_seed"
+        cfg = write_config(workspace, "negative_seed", {
+            "correspondence": "mobius_pair.corr", "out": str(out),
+            **({"seed": -1} if where == "config" else {})})
+        flag = ["--seed", "-1"] if where == "flag" else []
+        assert run([command, "--config", cfg, *flag]) == 3
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
 def _numpy_on_openblas() -> bool:

@@ -928,11 +928,11 @@ def spectral_setup(name, f_label):
     corr = bundled_correspondence(name)
     grid = SphereGrid(800)
     levels = pullback_iterate(corr, 0.5 + 0.3j, n=10, cap=2048, seed=0, grid=grid)
-    active = ActiveGrid(grid, ds_support(levels, threshold=0.5, cert_bound=0.05).core)
-    kernel = TransferKernel(corr, active)
+    support = ds_support(levels, threshold=0.5, cert_bound=0.05)
+    active = ActiveGrid(grid, support.core)
+    kernel = TransferKernel(corr, active, support.cells)
     f = GridFunction.from_callable(active, named_function(f_label))
-    return kernel, f, power_iteration(kernel, f, tol=1e-10, seed=0, max_iter=2000,
-                                      expansivity=None)
+    return kernel, f, power_iteration(kernel, f, tol=1e-10, seed=0, max_iter=2000)
 
 
 class TestArrayFoldExactness:
@@ -945,7 +945,7 @@ class TestArrayFoldExactness:
                                             np.full(f.active.n_active, 1.0),
                                             1e-10, transfer_mod.ADJOINT_MAX_ITER)
         for depth in range(1, 5):
-            adj = adjoint_fixed_point(kernel, f, spectral, tol=1e-10, seed=0, depth=depth)
+            adj = adjoint_fixed_point(kernel, norm, tol=1e-10, seed=0, depth=depth)
             ref = ref_chain_cylinders(f.active, kernel, norm.weights, nu, depth)
             assert_same_cylinders(adj.mu0, ref)
             if depth <= 3:

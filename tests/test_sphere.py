@@ -187,6 +187,19 @@ class TestChartSphDist:
         assert got.ravel().tolist() == [sph_dist(p, q) for p, q in zip(ps, qs)]
         assert sph_dist(chart_values([]), chart_values([])).shape == (0,)
 
+    def test_rows_broadcast_against_all(self):
+        # The form of ``ActiveGrid.nearest_other``: (r, 1) chart arrays
+        # against (n,) ones give the (r, n) table of every pair.
+        rng = np.random.default_rng(14)
+        edges = chart_edge_points()
+        ps = random_points(rng, 9) + edges
+        qs = random_points(rng, 11) + edges + ps[:3]
+        values, inverted = chart_values(ps)
+        got = sph_dist((values[:, None], inverted[:, None]), chart_values(qs))
+        want = np.array([[sph_dist(p, q) for q in qs] for p in ps])
+        assert got.shape == (len(ps), len(qs))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 def poly_from_roots(root_list):
     """Ascending coefficients of prod (z - r), an independent construction."""

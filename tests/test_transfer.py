@@ -33,6 +33,11 @@ def pipeline_active(grid, corr, x0=0.5 + 0.3j, n=12, cap=8192, seed=41):
     return ActiveGrid(grid, support.core)
 
 
+def centers(active):
+    """The active cell centers, in position order."""
+    return [active.grid.cell_center(c) for c in active.cells]
+
+
 def dense_transition(kernel, weights):
     """The normalized backward kernel as a dense matrix, folded from the
     kernel's edges."""
@@ -58,14 +63,18 @@ def active(grid, corr_z2):
 
 @pytest.fixture(scope="module")
 def kernel_z2(corr_z2, active):
-    return TransferKernel(corr_z2, active)
+    return TransferKernel(corr_z2, active, active.grid.dilate(active.cells))
 
 
 @pytest.fixture(scope="module")
 def spectral_z2(corr_z2, active, kernel_z2):
     f = GridFunction.constant(active, 0.0)
-    return power_iteration(kernel_z2, f, tol=1e-11, seed=1, max_iter=2000,
-                           expansivity=None)
+    return power_iteration(kernel_z2, f, tol=1e-11, seed=1, max_iter=2000)
+
+
+@pytest.fixture(scope="module")
+def norm_z2(active, kernel_z2, spectral_z2):
+    return normalize(GridFunction.constant(active, 0.0), spectral_z2, kernel_z2)
 
 
 class TestApply:
@@ -88,7 +97,7 @@ class TestApply:
         g = GridFunction(active, np.eye(active.n_active)[target])
         f = GridFunction.from_callable(active, fn_re)
         out = GridFunction(active, kernel_z2.apply(f.values, g.values))
-        for i, center in enumerate(active.centers):
+        for i, center in enumerate(centers(active)):
             expected = 0.0
             for b in corr_z2.backward_images(center).branches:
                 pos = active.position_of_point(b.point)
@@ -116,7 +125,7 @@ class TestApply:
         # A lone cell far from the circle: preimages land well outside.
         cell = grid.cell_index(SpherePoint.from_complex(9.0))
         with pytest.raises(PreimageOutsideSupport):
-            TransferKernel(corr_z2, ActiveGrid(grid, [cell]))
+            TransferKernel(corr_z2, ActiveGrid(grid, [cell]), grid.dilate([cell]))
 
 
 def object_loop_kernel(corr, active, row_fibers):
@@ -127,7 +136,7 @@ def object_loop_kernel(corr, active, row_fibers):
     dilated = grid.dilate(active.cells)
     src, tgt, mult, comp = [], [], [], []
     clamped = 0
-    for i, fiber in enumerate(row_fibers(corr, active.centers)):
+    for i, fiber in enumerate(row_fibers(corr, centers(active))):
         for b in fiber.branches:
             cell = grid.cell_index(b.point)
             if cell in active.position:
@@ -155,7 +164,7 @@ class TestKernelEdges:
         # preimages in the dilation ring, so they are clamped.
         corr = request.getfixturevalue(name)
         active = pipeline_active(grid, corr, n=6, cap=1024)
-        kernel = TransferKernel(corr, active)
+        kernel = TransferKernel(corr, active, grid.dilate(active.cells))
         edges, clamped = object_loop_kernel(corr, active, row_fibers)
         assert clamped > 0
         for got, want in zip((kernel.src, kernel.tgt, kernel.mult, kernel.comp),
@@ -169,7 +178,8 @@ class TestKernelEdges:
         corr = (parse_correspondence(MULTIPLICITY_TWO) if name == "multiplicity_two"
                 else bundled_correspondence(name))
         small = SphereGrid(300)
-        kernel = TransferKernel(corr, ActiveGrid(small, range(small.n_cells)))
+        kernel = TransferKernel(corr, ActiveGrid(small, range(small.n_cells)),
+                                small.dilate(range(small.n_cells)))
         assert kernel.mult.sum() == corr.d_top * small.n_cells
         assert (np.diff(kernel.src) >= 0).all()
 
@@ -180,7 +190,7 @@ class TestKernelEdges:
         with pytest.raises(PreimageOutsideSupport) as want:
             object_loop_kernel(corr, active, row_fibers)
         with pytest.raises(PreimageOutsideSupport) as got:
-            TransferKernel(corr, active)
+            TransferKernel(corr, active, grid.dilate(active.cells))
         assert str(got.value) == str(want.value)
 
 
@@ -264,8 +274,8 @@ class TestPowerIteration:
     def test_tripling_eigenvalue(self, corr_z3, grid):
         active = pipeline_active(grid, corr_z3, n=9, cap=4096, seed=42)
         f = GridFunction.constant(active, 0.0)
-        spec = power_iteration(TransferKernel(corr_z3, active), f, tol=1e-11, seed=2,
-                               max_iter=2000, expansivity=None)
+        kernel = TransferKernel(corr_z3, active, grid.dilate(active.cells))
+        spec = power_iteration(kernel, f, tol=1e-11, seed=2, max_iter=2000)
         assert spec.lam == pytest.approx(3.0, abs=1e-6)
         assert spec.h.values.min() >= 1.0 - 1e-6
 
@@ -273,8 +283,7 @@ class TestPowerIteration:
                                                   spectral_z2):
         c = 0.4
         f = GridFunction.constant(active, c)
-        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=1, max_iter=2000,
-                               expansivity=None)
+        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=1, max_iter=2000)
         assert spec.lam == pytest.approx(math.exp(c) * spectral_z2.lam, rel=1e-8)
         np.testing.assert_allclose(spec.h.values, spectral_z2.h.values, atol=1e-8)
 
@@ -312,8 +321,7 @@ class TestPowerIteration:
         apply = kernel_z2.apply
         monkeypatch.setattr(kernel_z2, "apply",
                             lambda *args: calls.append(1) or apply(*args))
-        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=9, max_iter=2000,
-                               expansivity=None)
+        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=9, max_iter=2000)
         assert len(calls) == spec.iterations + 1
         assert spec.lam == want[0]
         assert spec.h.values.tobytes() == want[1].tobytes()
@@ -324,9 +332,8 @@ class TestPowerIteration:
         for n_cells in (1000, 2000):
             act = pipeline_active(SphereGrid(n_cells), corr_z2)
             f = GridFunction.from_callable(act, fn_re)
-            lams.append(power_iteration(TransferKernel(corr_z2, act), f,
-                                       tol=1e-10, seed=3, max_iter=2000,
-                                       expansivity=None).lam)
+            kernel = TransferKernel(corr_z2, act, act.grid.dilate(act.cells))
+            lams.append(power_iteration(kernel, f, tol=1e-10, seed=3, max_iter=2000).lam)
         assert abs(lams[1] - lams[0]) <= 0.01 * lams[0]
 
 
@@ -339,8 +346,7 @@ class TestNormalize:
 
     def test_row_sums_for_smooth_potential(self, corr_z2, active, kernel_z2):
         f = GridFunction.from_callable(active, fn_re)
-        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=4, max_iter=2000,
-                               expansivity=None)
+        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=4, max_iter=2000)
         norm = normalize(f, spec, kernel_z2)
         assert np.abs(norm.row_sums - 1.0).max() <= 1e-8
 
@@ -360,24 +366,20 @@ class TestNormalize:
     (math.nan, 10, "tol must be positive and finite, got nan"),
     (math.inf, 10, "tol must be positive and finite, got inf"),
     (1e-10, 0, "max_iter must be at least 1, got 0")])
-def test_iteration_bounds_rejected(active, kernel_z2, spectral_z2, tol, max_iter,
-                                   message):
+def test_iteration_bounds_rejected(active, kernel_z2, norm_z2, tol, max_iter, message):
     # Such a tol or max_iter ran every step, then raised NonConvergence.
     f = GridFunction.constant(active, 0.0)
     with pytest.raises(ValueError, match=message):
-        power_iteration(kernel_z2, f, tol=tol, max_iter=max_iter, seed=0,
-                        expansivity=None)
+        power_iteration(kernel_z2, f, tol=tol, max_iter=max_iter, seed=0)
     if max_iter >= 1:  # the adjoint's step bound is ADJOINT_MAX_ITER
         with pytest.raises(ValueError, match=message):
-            adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=tol, seed=0, depth=1)
+            adjoint_fixed_point(kernel_z2, norm_z2, tol=tol, seed=0, depth=1)
 
 
 class TestAdjoint:
     def test_doubling_stationary_is_arc_length(self, corr_z2, active, kernel_z2,
-                                               spectral_z2):
-        f = GridFunction.constant(active, 0.0)
-        adj = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10,
-                                  seed=5, depth=2)
+                                               norm_z2):
+        adj = adjoint_fixed_point(kernel_z2, norm_z2, tol=1e-10, seed=5, depth=2)
         assert adj.unique
         # Oracle: inverse iteration of the doubling map equidistributes by
         # arc length, so nu should be uniform over the cells it charges.
@@ -393,19 +395,18 @@ class TestAdjoint:
         tv0 = total_variation(pushforward(adj.mu0, 0), adj.nu)
         assert tv0 <= 1e-9
 
-    def test_two_seeds_agree(self, corr_z2, active, kernel_z2, spectral_z2):
-        f = GridFunction.constant(active, 0.0)
-        a = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=6, depth=1)
-        b = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=7, depth=1)
+    def test_two_seeds_agree(self, corr_z2, active, kernel_z2, norm_z2):
+        a = adjoint_fixed_point(kernel_z2, norm_z2, tol=1e-10, seed=6, depth=1)
+        b = adjoint_fixed_point(kernel_z2, norm_z2, tol=1e-10, seed=7, depth=1)
         assert total_variation(a.nu, b.nu) <= 1e-8
 
     def test_stationarity_against_matrix_oracle(self, corr_z2, active, kernel_z2):
         # Oracle: solve for the stationary vector with a dense eigensolve.
         f = GridFunction.from_callable(active, fn_re)
-        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=8, max_iter=2000,
-                               expansivity=None)
-        p = dense_transition(kernel_z2, normalize(f, spec, kernel_z2).weights)
-        adj = adjoint_fixed_point(kernel_z2, f, spec, tol=1e-12, seed=8, depth=1)
+        spec = power_iteration(kernel_z2, f, tol=1e-11, seed=8, max_iter=2000)
+        norm = normalize(f, spec, kernel_z2)
+        p = dense_transition(kernel_z2, norm.weights)
+        adj = adjoint_fixed_point(kernel_z2, norm, tol=1e-12, seed=8, depth=1)
         vals, vecs = np.linalg.eig(p.T)
         lead = np.argmin(np.abs(vals - 1.0))
         v = np.real(vecs[:, lead])
@@ -416,16 +417,17 @@ class TestAdjoint:
 
 class TestConvergence:
     def test_eigenfunction_input_is_fixed(self, corr_z2, active, kernel_z2,
-                                          spectral_z2):
+                                          spectral_z2, norm_z2):
         f = GridFunction.constant(active, 0.0)
-        adj = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=9, depth=1)
+        adj = adjoint_fixed_point(kernel_z2, norm_z2, tol=1e-10, seed=9, depth=1)
         report = convergence_check(kernel_z2, f, spectral_z2.h, spectral_z2,
                                    adj.nu, n_max=10)
         assert max(report.errors) <= 1e-8
 
-    def test_re_decays_geometrically(self, corr_z2, active, kernel_z2, spectral_z2):
+    def test_re_decays_geometrically(self, corr_z2, active, kernel_z2, spectral_z2,
+                                     norm_z2):
         f = GridFunction.constant(active, 0.0)
-        adj = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-11, seed=10, depth=1)
+        adj = adjoint_fixed_point(kernel_z2, norm_z2, tol=1e-11, seed=10, depth=1)
         g = GridFunction.from_callable(active, fn_re)
         report = convergence_check(kernel_z2, f, g, spectral_z2, adj.nu,
                                    n_max=40)
@@ -434,10 +436,10 @@ class TestConvergence:
         for a, b in zip(report.errors, report.errors[1:]):
             assert b <= a + 1e-12
 
-    def test_constants_are_exact_for_zero_potential(self, corr_z2, active,
-                                                    kernel_z2, spectral_z2):
+    def test_constants_are_exact_for_zero_potential(self, corr_z2, active, kernel_z2,
+                                                    spectral_z2, norm_z2):
         f = GridFunction.constant(active, 0.0)
-        adj = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=11, depth=1)
+        adj = adjoint_fixed_point(kernel_z2, norm_z2, tol=1e-10, seed=11, depth=1)
         g = GridFunction.constant(active, 1.0)
         report = convergence_check(kernel_z2, f, g, spectral_z2, adj.nu,
                                    n_max=10)
@@ -445,9 +447,9 @@ class TestConvergence:
 
 
     @pytest.mark.parametrize("n_max", [0, -1])
-    def test_no_iterate_rejected(self, active, kernel_z2, spectral_z2, n_max):
+    def test_no_iterate_rejected(self, active, kernel_z2, spectral_z2, norm_z2, n_max):
         f = GridFunction.constant(active, 0.0)
-        adj = adjoint_fixed_point(kernel_z2, f, spectral_z2, tol=1e-10, seed=9, depth=1)
+        adj = adjoint_fixed_point(kernel_z2, norm_z2, tol=1e-10, seed=9, depth=1)
         with pytest.raises(ValueError, match=f"n_max must be at least 1, got {n_max}"):
             convergence_check(kernel_z2, f, spectral_z2.h, spectral_z2, adj.nu,
                               n_max=n_max)
@@ -524,14 +526,13 @@ class TestSymbolPairSystem:
         # infinity; the normalized kernel has equal branch weights and
         # the adjoint stationary law matches an explicit dense solve.
         active = ActiveGrid(grid, [grid.cell_index(SpherePoint.infinity())])
-        kernel = TransferKernel(corr_pair, active)
+        kernel = TransferKernel(corr_pair, active, grid.dilate(active.cells))
         f = GridFunction.constant(active, 0.0)
-        spec = power_iteration(kernel, f, tol=1e-11, seed=30, max_iter=2000,
-                               expansivity=None)
+        spec = power_iteration(kernel, f, tol=1e-11, seed=30, max_iter=2000)
         assert spec.lam == pytest.approx(2.0, abs=1e-6)
         norm = normalize(f, spec, kernel)
         np.testing.assert_allclose(norm.row_sums, 1.0, atol=1e-8)
-        adj = adjoint_fixed_point(kernel, f, spec, tol=1e-12, seed=31, depth=2)
+        adj = adjoint_fixed_point(kernel, norm, tol=1e-12, seed=31, depth=2)
         # Both symbols carry weight 1/2 under mu0.
         sym_mass = {1: 0.0, 2: 0.0}
         for key, w in zip(adj.mu0.words.tolist(), adj.mu0.weights):
@@ -551,23 +552,22 @@ class TestSymbolPairSystem:
 class TestExpansivityGate:
     def test_warns_on_non_expansive_input(self, grid, corr_mobius, region_probe):
         # A rigid rotation of the circle: the operator is computable but
-        # the spectral conclusions are not guaranteed; a warning fires.
+        # the spectral conclusions are not guaranteed.  ``ruelle`` warns
+        # on such a probe (tests/test_cli.py, TestRuelleChain).
         band = grid.band_of_z(0.0)
         start = int(grid.band_start[band])
         cells = range(start, start + int(grid.band_counts[band]))
         active = ActiveGrid(grid, cells)
-        pairs = [(active.centers[i], active.centers[i + 1]) for i in range(10)]
-        probe = region_probe(corr_mobius, pairs)
+        points = centers(active)
+        probe = region_probe(corr_mobius, list(zip(points[:10], points[1:11])))
         assert not probe.is_expansive
         f = GridFunction.constant(active, 0.0)
         # The rotation kernel is a permutation: no spectral gap, so the
-        # iteration stalls after the promised warning.
+        # iteration stalls.
         from corrdyn.errors import NonConvergence
-        with pytest.warns(UserWarning):
-            with pytest.raises(NonConvergence):
-                power_iteration(TransferKernel(corr_mobius, active), f,
-                                tol=1e-10, max_iter=200, seed=4,
-                                expansivity=probe)
+        kernel = TransferKernel(corr_mobius, active, grid.dilate(active.cells))
+        with pytest.raises(NonConvergence):
+            power_iteration(kernel, f, tol=1e-10, max_iter=200, seed=4)
 
 
 class TestProbeOnKernelRows:
@@ -590,14 +590,14 @@ class TestProbeOnKernelRows:
                                                                     backward=True)
             fibers = (owner, values, inverted, comp)
         else:
-            fibers = TransferKernel(corr, active).fibers
+            fibers = TransferKernel(corr, active, grid.dilate(active.cells)).fibers
         n = active.n_active
         rng = np.random.default_rng(7)
         first = np.concatenate([np.arange(n), rng.integers(n, size=n)])
         second = np.concatenate([(np.arange(n) + 1) % n, rng.integers(n, size=n)])
         res = expansivity_probe(active.charts, fibers, (first, second))
-        region = [(active.centers[i], active.centers[j])
-                  for i, j in zip(first.tolist(), second.tolist())]
+        points = centers(active)
+        region = [(points[i], points[j]) for i, j in zip(first.tolist(), second.tolist())]
         assert res == region_probe(corr, region)
         assert res.pairs_used == 2 * n - int((first == second).sum())
         if name in ("corr_z3", "corr_z2z3"):
@@ -612,7 +612,7 @@ class TestPipelineIntegration:
         support = ds_support(levels, threshold=0.5, cert_bound=0.05)
         active = ActiveGrid(grid, support.core)
         f = GridFunction.constant(active, 0.0)
-        spec = power_iteration(TransferKernel(corr_z2, active), f, tol=1e-10, seed=17,
-                               max_iter=2000, expansivity=None)
+        kernel = TransferKernel(corr_z2, active, support.cells)
+        spec = power_iteration(kernel, f, tol=1e-10, seed=17, max_iter=2000)
         assert spec.lam == pytest.approx(2.0, abs=1e-6)
         assert spec.h.values.min() >= 1.0 - 1e-6
